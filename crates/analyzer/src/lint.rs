@@ -6,7 +6,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `no-panic` | library error paths return typed errors; `unwrap`/`expect`/`panic!` in non-test library code turn a recoverable fault into a dead rank |
-//! | `no-wall-clock` | deterministic simulator paths (`net-sim`, any `chaos.rs`) read time only through the approved clock module, so seeded chaos schedules replay exactly |
+//! | `no-wall-clock` | deterministic simulator paths (`net-sim`, any `chaos.rs`, the MANA wrappers) read time only through the approved clock module, so seeded chaos schedules replay exactly |
 //! | `guard-across-blocking` | a `parking_lot` guard is never held across a blocking fabric call (`send`/`wait`/condvar park) — the lock-order half of PR 7's parked-waiter bug |
 //! | `no-payload-copy` | message payloads in the fabric/engine hot paths travel as `PayloadBuf` refcounts; `.clone()`/`.to_vec()` on a payload-named value reintroduces a per-hop byte copy |
 //!
@@ -63,7 +63,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-wall-clock",
         summary: "no Instant::now/SystemTime::now/thread::sleep in deterministic \
-                  sim paths (net-sim, chaos.rs) outside the approved clock module",
+                  sim paths (net-sim, chaos.rs, mana wrappers) outside the approved \
+                  clock module",
     },
     RuleInfo {
         name: "guard-across-blocking",
@@ -148,15 +149,18 @@ fn in_library_scope(rel: &str) -> bool {
     (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/")
 }
 
-/// Deterministic-simulator scope for `no-wall-clock`: all of `net-sim`, plus any
-/// file named `chaos.rs` anywhere, minus the approved clock module (the single
-/// place the simulator is allowed to read real time).
+/// Deterministic-simulator scope for `no-wall-clock`: all of `net-sim`, any file
+/// named `chaos.rs` anywhere, and the MANA wrappers (every wait a wrapper makes
+/// happens in the lower half, on the fabric's clock), minus the approved clock
+/// module (the single place the simulator is allowed to read real time).
 fn in_deterministic_scope(rel: &str) -> bool {
     let rel = rel.replace('\\', "/");
     if APPROVED_CLOCK_MODULES.contains(&rel.as_str()) {
         return false;
     }
-    rel.starts_with("crates/net-sim/src/") || rel.ends_with("/chaos.rs")
+    rel.starts_with("crates/net-sim/src/")
+        || rel.ends_with("/chaos.rs")
+        || rel == "crates/mana/src/wrappers.rs"
 }
 
 /// The modules allowed to touch the wall clock inside the deterministic scope.

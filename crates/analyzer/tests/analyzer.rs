@@ -77,6 +77,10 @@ fn wall_clock_fires_in_sim_paths_only() {
     let chaos = lint_source("crates/job-runtime/src/chaos.rs", &source);
     assert_eq!(by_rule(&chaos, "no-wall-clock").len(), 3);
 
+    // So are the MANA wrappers, which wait only inside the lower half.
+    let wrappers = lint_source("crates/mana/src/wrappers.rs", &source);
+    assert_eq!(by_rule(&wrappers, "no-wall-clock").len(), 3);
+
     // Outside the deterministic scope the rule is silent.
     let elsewhere = lint_source("crates/mana/src/bad_wall_clock.rs", &source);
     assert_eq!(by_rule(&elsewhere, "no-wall-clock").len(), 0);

@@ -310,9 +310,9 @@ mod tests {
 
     #[test]
     fn typed_layer_adds_no_crossings() {
-        // On a single-rank world the crossing count is fully deterministic (the
-        // collective registration poll succeeds on its first check, whereas in a
-        // multi-rank world the poll count depends on peer timing): both paths must
+        // On a single-rank world the crossing count is fully deterministic (every
+        // collective registration commits its own round, whereas in a multi-rank
+        // world a rank may come back from a wait slice and cross again): both paths must
         // make exactly the same lower-half calls. (Wall time is asserted by the
         // harness gate, where the release build and min-of-N repeats make the
         // comparison meaningful.)

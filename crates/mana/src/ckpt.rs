@@ -55,6 +55,11 @@ const BACKOFF_FLOOR: Duration = Duration::from_micros(4);
 /// between probe sweeps, so late traffic is still picked up promptly.
 const BACKOFF_CAP: Duration = Duration::from_millis(1);
 
+/// Longest a rank registered for a collective stays parked in the lower half between
+/// looks at its [`CheckpointIntercept`]: the bound on how late a mid-step intent is
+/// noticed by a rank waiting for its peers.
+const INTENT_PATIENCE: Duration = Duration::from_micros(256);
+
 /// The drain's expected traffic and the job-wide collective agreement, produced by
 /// [`ManaRank::begin_checkpoint`]: how many point-to-point messages each world rank
 /// has sent this rank since job start, plus the world-communicator collective epoch
@@ -106,12 +111,13 @@ pub enum IntentOutcome {
 /// been broadcast, and how it services one from *inside* a wrapper.
 ///
 /// Collective wrappers consult the hook only at registration-phase safe points:
-/// wrapper entry (before registering), and from the registration poll loop, where a
-/// rank withdraws its registration (atomically, see `collective_withdraw`) before
-/// servicing — so a checkpoint can never catch a rank inside a collective. There is
-/// no post-critical-phase check: an intent arriving during the critical phase waits
-/// for the next registration or step-boundary safe point, where every rank's
-/// upper-half state is the same deterministic step prefix.
+/// wrapper entry (before registering), and between the slices of the registration
+/// wait (at most 256 µs apart), where a rank withdraws its registration
+/// (atomically, see `collective_withdraw`) before servicing — so a checkpoint can
+/// never catch a rank inside a collective. There is no post-critical-phase check: an
+/// intent arriving during the critical phase waits for the next registration or
+/// step-boundary safe point, where every rank's upper-half state is the same
+/// deterministic step prefix.
 pub trait CheckpointIntercept: Send + Sync {
     /// Whether a checkpoint intent is pending that this rank has not serviced yet.
     fn intent_pending(&self) -> bool;
@@ -590,6 +596,13 @@ impl ManaRank {
             }
         }
         Ok(drained)
+    }
+
+    /// How long a registered rank may stay parked in the lower half before it comes
+    /// back to look for an intent: [`INTENT_PATIENCE`] while an intercept is
+    /// installed, the lower half's own blocking bound otherwise.
+    pub(crate) fn intent_patience(&self) -> Option<Duration> {
+        self.intercept.as_ref().map(|_| INTENT_PATIENCE)
     }
 
     /// Whether a checkpoint intent is pending on the installed intercept.

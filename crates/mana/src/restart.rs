@@ -400,8 +400,10 @@ fn build_datatype(rank: &mut ManaRank, descriptor: &TypeDescriptor) -> MpiResult
 ///
 /// `lowers` must come from a single fresh `launch` of the new implementation; `images`
 /// are the per-rank images of one checkpoint generation, indexed by rank. Returns the
-/// restarted ranks in rank order. Each rank is restarted on its own thread because the
-/// creation replay makes collective calls.
+/// restarted ranks in rank order. The ranks restart concurrently because the creation
+/// replay makes collective calls: every rank but the last gets a thread of its own,
+/// and the last is replayed on the calling thread, which would otherwise only sit in
+/// `join`. The error of the lowest failing rank wins.
 pub fn restart_job(
     lowers: Vec<Box<dyn MpiApi>>,
     images: Vec<CheckpointImage>,
@@ -413,21 +415,25 @@ pub fn restart_job(
             "rank count mismatch between new job and checkpoint images".into(),
         ));
     }
-    let handles: Vec<_> = lowers
-        .into_iter()
-        .zip(images)
+    let mut work = lowers.into_iter().zip(images);
+    let inline = work.next_back();
+    let handles: Vec<_> = work
         .map(|(lower, image)| {
             let registry = Arc::clone(&registry);
             std::thread::spawn(move || restart_rank(lower, image, config, registry))
         })
         .collect();
-    let mut ranks = Vec::with_capacity(handles.len());
+    let inline = inline.map(|(lower, image)| restart_rank(lower, image, config, registry));
+    let mut ranks = Vec::with_capacity(handles.len() + 1);
     for handle in handles {
         ranks.push(
             handle
                 .join()
                 .map_err(|_| MpiError::Checkpoint("a rank panicked during restart".into()))??,
         );
+    }
+    if let Some(rank) = inline {
+        ranks.push(rank?);
     }
     ranks.sort_by_key(|r| r.world_rank());
     Ok(ranks)

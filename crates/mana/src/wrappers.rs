@@ -17,19 +17,6 @@ use mpi_model::payload::PayloadBuf;
 use mpi_model::request::{RequestKind, RequestRecord, RequestState};
 use mpi_model::status::Status;
 use mpi_model::types::{HandleKind, PhysHandle, Rank, Tag};
-use std::time::Duration;
-
-/// Smallest sleep between registration polls while waiting for a collective round to
-/// commit.
-const REGISTRATION_BACKOFF_FLOOR: Duration = Duration::from_micros(2);
-/// Cap of the registration poll backoff: late-arriving peers are noticed within this
-/// bound, so the two-phase protocol adds little latency to an uncontended collective.
-const REGISTRATION_BACKOFF_CAP: Duration = Duration::from_micros(256);
-/// How long a registered rank waits for the round to commit before declaring the
-/// collective dead (a peer errored out before registering). Matches the fabric's
-/// blocking timeout, which guarded this failure mode when collectives crossed
-/// straight into the blocking exchange.
-const REGISTRATION_STALL_BUDGET: Duration = Duration::from_secs(60);
 
 impl ManaRank {
     // ------------------------------------------------------------------
@@ -817,8 +804,8 @@ impl ManaRank {
     ///
     /// Phase one — **registration** ("trivial barrier"): the wrapper publishes the
     /// collective's sequence number into the upper half ([`crate::record::CollectiveLog`])
-    /// and announces itself on the lower half's registration board, then polls until
-    /// every member of the communicator has registered. While polling, the rank sits
+    /// and announces itself on the lower half's registration board, then waits until
+    /// every member of the communicator has registered. While waiting, the rank sits
     /// at a *safe point*: a broadcast checkpoint intent is serviced by atomically
     /// withdrawing the registration (which fails if and only if the round already
     /// committed) and running the coordinated checkpoint, after which the rank
@@ -878,25 +865,23 @@ impl ManaRank {
         }
     }
 
-    /// The registration loop of the two-phase protocol: register, poll for the round
-    /// to commit, and service checkpoint intents by withdraw-checkpoint-re-register
-    /// while the round has not committed. A round that fails to commit within the
-    /// stall budget (and with no intent to service) means a peer died before
-    /// registering; the wait is bounded so the job errors out instead of hanging.
+    /// The registration phase of the two-phase protocol: register and wait for the
+    /// round to commit, servicing checkpoint intents by withdraw-checkpoint-re-register
+    /// while it has not. The wait happens in the lower half, parked until the last
+    /// registrant wakes it: the registering call itself waits out the first slice (a
+    /// rank whose own registration commits the round never waits at all), and while
+    /// an intercept is installed the slices are short enough to look for an intent
+    /// between them. A round that never commits — a peer died before registering —
+    /// fails the wait with the lower half's blocking timeout instead of hanging.
     fn register_and_await(&mut self, phys: PhysHandle) -> MpiResult<()> {
+        let patience = self.intent_patience();
         'register: loop {
             self.cross();
-            let ticket = self.lower.collective_register(phys)?;
-            let mut backoff = REGISTRATION_BACKOFF_FLOOR;
-            let registered_at = std::time::Instant::now();
-            loop {
-                self.cross();
-                if self.lower.collective_ready(phys, ticket)? {
-                    return Ok(());
-                }
+            let (ticket, mut committed) = self.lower.collective_register(phys, patience)?;
+            while !committed {
                 if self.intent_pending() {
                     self.cross();
-                    if self.lower.collective_withdraw(phys, ticket)? {
+                    if self.lower.collective_withdraw(ticket)? {
                         // Provably outside the collective: service the checkpoint,
                         // then start the registration over.
                         self.service_pending_intent()?;
@@ -907,17 +892,10 @@ impl ManaRank {
                     // the next registration or step-boundary safe point.
                     return Ok(());
                 }
-                if registered_at.elapsed() >= REGISTRATION_STALL_BUDGET {
-                    return Err(MpiError::Internal(format!(
-                        "rank {} waited more than {REGISTRATION_STALL_BUDGET:?} for \
-                         a collective registration round to commit — a peer likely \
-                         died before registering",
-                        self.world_rank
-                    )));
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(REGISTRATION_BACKOFF_CAP);
+                self.cross();
+                committed = self.lower.collective_ready(ticket, patience)?;
             }
+            return Ok(());
         }
     }
 

@@ -273,6 +273,61 @@ fn multiple_checkpoint_generations() {
     assert_eq!(restarted[0].generation(), 3);
 }
 
+/// `restart_job` replays the last rank on the calling thread and the others on
+/// threads of their own: the ranks still come back in rank order, and when several
+/// ranks fail the lowest rank's error is the one returned.
+#[test]
+fn restart_job_keeps_rank_order_and_reports_the_lowest_failing_rank() {
+    let world_size = 3;
+    let runtime = JobRuntime::new(JobConfig::new(world_size, Backend::Mpich));
+    let store = CheckpointStore::unmetered();
+    let store_for_ranks = store.clone();
+    // No derived communicators: the creation replay makes no collective call, so a
+    // rank whose peers fail early still finishes on its own.
+    runtime
+        .run(move |mut session, _ctx| session.checkpoint(&store_for_ranks).map(|_| ()))
+        .unwrap();
+    let images = || -> Vec<_> {
+        (0..world_size)
+            .map(|r| store.read(0, r as i32).unwrap())
+            .collect()
+    };
+    let restart = |images, nonce| {
+        let lowers = Backend::Mpich
+            .factory()
+            .launch(world_size, runtime.registry(), nonce)
+            .unwrap();
+        mana::restart::restart_job(lowers, images, ManaConfig::new_design(), runtime.registry())
+    };
+
+    let restarted = restart(images(), 2).unwrap();
+    let order: Vec<i32> = restarted.iter().map(|rank| rank.world_rank()).collect();
+    assert_eq!(order, vec![0, 1, 2]);
+
+    // Ranks 0 and 1 are handed each other's images: both fail, rank 2 (inline)
+    // restarts fine, and the error is rank 0's.
+    let mut swapped = images();
+    swapped.swap(0, 1);
+    let error = restart(swapped, 3).unwrap_err();
+    assert!(
+        error
+            .to_string()
+            .contains("image for rank 1 restored onto rank 0"),
+        "{error}"
+    );
+
+    // The inline rank's own failure is reported when it is the only one.
+    let mut misplaced = images();
+    misplaced[2].metadata.rank = 1;
+    let error = restart(misplaced, 4).unwrap_err();
+    assert!(
+        error
+            .to_string()
+            .contains("image for rank 1 restored onto rank 2"),
+        "{error}"
+    );
+}
+
 #[test]
 fn drain_buffers_many_inflight_messages() {
     let runtime = JobRuntime::new(JobConfig::new(2, Backend::Mpich));

@@ -18,6 +18,7 @@ use mpi_model::api::MpiImplementationFactory;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;
 use mpich_sim::MpichFactory;
+use net_sim::Fabric;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,20 +26,24 @@ use std::sync::Arc;
 const WORLD: usize = 2;
 
 /// The test intercept: `intent_pending` reads a flag the workload flips between its
-/// two collectives, and `service` runs a full standalone checkpoint, records what the
-/// rank's collective ledger held pending at that moment, and vacates.
+/// two collectives (until this rank has serviced it), and `service` runs a full
+/// standalone checkpoint, records what the rank's collective ledger held pending at
+/// that moment, and continues or vacates as the test asks.
 struct StraddleIntercept {
     intent: Arc<AtomicBool>,
+    serviced: AtomicBool,
+    outcome: IntentOutcome,
     storage: CheckpointStorage,
     pending_at_service: Arc<Mutex<Vec<Option<CollectiveKind>>>>,
 }
 
 impl CheckpointIntercept for StraddleIntercept {
     fn intent_pending(&self) -> bool {
-        self.intent.load(Ordering::SeqCst)
+        self.intent.load(Ordering::SeqCst) && !self.serviced.load(Ordering::SeqCst)
     }
 
     fn service(&self, rank: &mut ManaRank) -> MpiResult<IntentOutcome> {
+        self.serviced.store(true, Ordering::SeqCst);
         self.pending_at_service
             .lock()
             .push(rank.collective_log().pending().map(|p| p.kind));
@@ -46,17 +51,18 @@ impl CheckpointIntercept for StraddleIntercept {
         rank.drain_quiescent(&plan, &LocalDrainObserver::default())?;
         rank.complete_drain()?;
         rank.write_checkpoint_into(&self.storage)?;
-        Ok(IntentOutcome::Vacate)
+        Ok(self.outcome)
     }
 }
 
 /// The interrupted "step": an `allreduce` followed by an `allgather`, state mutation
-/// only after both. Returns the two collective results.
-fn two_collective_step(session: &mut Session) -> MpiResult<(u64, u64)> {
+/// only after both; `between` runs between the two. Returns the two collective results.
+fn two_collective_step(session: &mut Session, between: impl FnOnce()) -> MpiResult<(u64, u64)> {
     let me = session.world_rank() as u64;
     let world = session.world()?;
     let local = me * 7 + 3;
     let total = session.allreduce(&[local], Op::sum(), world)?[0];
+    between();
     let digest = session
         .allgather(&[local], world)?
         .iter()
@@ -64,42 +70,43 @@ fn two_collective_step(session: &mut Session) -> MpiResult<(u64, u64)> {
     Ok((total, digest))
 }
 
-#[test]
-fn straddling_the_second_collective_of_a_step_restarts_cleanly() {
+fn launch(nonce: u64) -> (Vec<ManaRank>, Arc<RwLock<UserFunctionRegistry>>) {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let storage = CheckpointStorage::unmetered();
-    let intent = Arc::new(AtomicBool::new(false));
-    let pending_at_service = Arc::new(Mutex::new(Vec::new()));
-
-    let ranks: Vec<ManaRank> = MpichFactory::mpich()
-        .launch(WORLD, Arc::clone(&registry), 1)
+    let ranks = MpichFactory::mpich()
+        .launch(WORLD, Arc::clone(&registry), nonce)
         .unwrap()
         .into_iter()
         .map(|lower| ManaRank::new(lower, ManaConfig::new_design(), Arc::clone(&registry)).unwrap())
         .collect();
+    (ranks, registry)
+}
 
-    let reference = {
-        // Uninterrupted reference in its own world.
-        let reg = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-        let fresh: Vec<ManaRank> = MpichFactory::mpich()
-            .launch(WORLD, Arc::clone(&reg), 9)
-            .unwrap()
-            .into_iter()
-            .map(|lower| ManaRank::new(lower, ManaConfig::new_design(), Arc::clone(&reg)).unwrap())
-            .collect();
-        run_world(fresh, |_, rank| {
-            two_collective_step(&mut Session::new(rank))
-        })
-        .unwrap()
-    };
+/// Run the step with a checkpoint intent landing while rank 1 is parked in the
+/// allgather's registration phase, answered with `outcome`; then restart from the
+/// generation that intent committed and re-run the whole step. Returns what the
+/// interrupted ranks got out of the step (`None`: preempted).
+fn straddle_the_second_collective(outcome: IntentOutcome) -> Vec<Option<(u64, u64)>> {
+    let storage = CheckpointStorage::unmetered();
+    let intent = Arc::new(AtomicBool::new(false));
+    let pending_at_service = Arc::new(Mutex::new(Vec::new()));
 
-    // Interrupted run: rank 0 dawdles between its allreduce completion and its
-    // allgather (flipping the intent flag mid-sleep), so rank 1 is already parked in
-    // the allgather's registration phase when the intent lands — pending record:
-    // the *second* collective of the step.
-    let outcomes = {
+    // Uninterrupted reference in its own world.
+    let reference = run_world(launch(9).0, |_, rank| {
+        two_collective_step(&mut Session::new(rank), || ())
+    })
+    .unwrap();
+
+    // Interrupted run: once through its allreduce, rank 0 holds back until the
+    // fabric reports a registrant parking. Both ranks are past the allreduce's
+    // registration by then, so the parked one is rank 1 inside the allgather's — it
+    // waits there in intent-patience slices, parking afresh each time, so rank 0 sees
+    // a park however far ahead rank 1 ran — and that is when the intent lands.
+    // Pending record at rank 1: the *second* collective of the step.
+    let capture = Fabric::capture_next();
+    let (ranks, _) = launch(1);
+    let fabric = capture.take().expect("the launch builds the fabric");
+    let interrupted = {
         let storage = storage.clone();
-        let intent = Arc::clone(&intent);
         let pending_at_service = Arc::clone(&pending_at_service);
         run_world(ranks, move |index, rank| {
             let mut session = Session::new(rank);
@@ -107,36 +114,41 @@ fn straddling_the_second_collective_of_a_step_restarts_cleanly() {
                 .rank_mut()
                 .set_intercept(Arc::new(StraddleIntercept {
                     intent: Arc::clone(&intent),
+                    serviced: AtomicBool::new(false),
+                    outcome,
                     storage: storage.clone(),
                     pending_at_service: Arc::clone(&pending_at_service),
                 }));
-            let me = session.world_rank() as u64;
-            let world = session.world()?;
-            let local = me * 7 + 3;
-            session.allreduce(&[local], Op::sum(), world)?;
-            if index == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                intent.store(true, Ordering::SeqCst);
-            }
-            match session.allgather(&[local], world) {
-                Err(MpiError::Preempted) => Ok("preempted"),
-                Ok(_) => Ok("completed"),
+            let step = two_collective_step(&mut session, || {
+                if index == 0 {
+                    let parks = || fabric.stats().registration_parks;
+                    let before = parks();
+                    while parks() == before {
+                        std::thread::yield_now();
+                    }
+                    intent.store(true, Ordering::SeqCst);
+                }
+            });
+            match step {
+                Ok(results) => Ok(Some(results)),
+                Err(MpiError::Preempted) => Ok(None),
                 Err(error) => Err(error),
             }
         })
         .unwrap()
     };
-    assert_eq!(outcomes, vec!["preempted"; WORLD]);
+    // Rank 0 services at the allgather's entry (nothing pending yet); rank 1 was
+    // caught inside the second collective's registration phase.
     let pendings = pending_at_service.lock().clone();
+    assert_eq!(pendings.len(), WORLD, "each rank services the intent once");
     assert!(
-        pendings.contains(&Some(CollectiveKind::Allgather)),
-        "at least one rank must have been caught inside the second collective's \
-         registration phase (got {pendings:?})"
+        pendings.contains(&None) && pendings.contains(&Some(CollectiveKind::Allgather)),
+        "{pendings:?}"
     );
 
-    // Restart from the straddled-collective generation and re-run the whole step:
-    // the allreduce is re-issued *first*, which must not trip over the restored
-    // pending allgather record.
+    // Restart from the straddled-collective generation — the one generation both
+    // ranks committed — and re-run the whole step: the allreduce is re-issued
+    // *first*, which must not trip over the restored pending allgather record.
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let lowers = MpichFactory::mpich()
         .launch(WORLD, Arc::clone(&registry), 2)
@@ -144,6 +156,7 @@ fn straddling_the_second_collective_of_a_step_restarts_cleanly() {
     let (restored, generation) =
         restart_job_from_storage(lowers, &storage, ManaConfig::new_design(), registry).unwrap();
     assert_eq!(generation, 0);
+    assert_eq!(storage.generations(), vec![0]);
     for rank in &restored {
         assert!(
             rank.collective_log().pending().is_none(),
@@ -151,11 +164,30 @@ fn straddling_the_second_collective_of_a_step_restarts_cleanly() {
         );
     }
     let results = run_world(restored, |_, rank| {
-        two_collective_step(&mut Session::new(rank))
+        two_collective_step(&mut Session::new(rank), || ())
     })
     .unwrap();
     assert_eq!(
         results, reference,
         "the re-executed step must reproduce the uninterrupted run"
     );
+    interrupted
+        .into_iter()
+        .zip(reference)
+        .map(|(got, want)| got.inspect(|got| assert_eq!(*got, want)))
+        .collect()
+}
+
+#[test]
+fn straddling_the_second_collective_of_a_step_restarts_cleanly() {
+    let outcomes = straddle_the_second_collective(IntentOutcome::Vacate);
+    assert_eq!(outcomes, vec![None; WORLD], "both ranks vacate");
+}
+
+/// Checkpoint-and-continue through the same window: the parked rank withdraws,
+/// services, re-registers, and the step finishes with the uninterrupted results.
+#[test]
+fn an_intent_landing_on_a_parked_registrant_is_serviced_and_the_step_resumes() {
+    let outcomes = straddle_the_second_collective(IntentOutcome::Continue);
+    assert!(outcomes.iter().all(Option::is_some), "{outcomes:?}");
 }

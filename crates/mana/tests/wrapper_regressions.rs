@@ -13,7 +13,7 @@ use mpi_model::api::MpiImplementationFactory;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
 use mpi_model::error::MpiError;
-use mpi_model::op::UserFunctionRegistry;
+use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
 use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use split_proc::store::CheckpointStore;
@@ -208,4 +208,25 @@ fn pending_test_keeps_the_request_retryable() {
     let completed = rank.wait(request).unwrap();
     assert_eq!(completed.1.unwrap(), vec![1]);
     assert_eq!(rank.descriptor_count(), before);
+}
+
+/// On a one-rank world every registration commits its own round, so a collective is
+/// exactly two crossings: the registration and the collective itself. Nothing waits,
+/// and nothing is polled.
+#[test]
+fn a_one_rank_allreduce_crosses_into_the_lower_half_exactly_twice() {
+    let mut rank = launch_mana(1).remove(0);
+    let world = rank.world().unwrap();
+    let unsigned_long = rank
+        .constant(PredefinedObject::Datatype(PrimitiveType::UnsignedLong))
+        .unwrap();
+    let sum = rank
+        .constant(PredefinedObject::Op(PredefinedOp::Sum))
+        .unwrap();
+    let before = rank.crossings();
+    let total = rank
+        .allreduce(&7u64.to_le_bytes(), unsigned_long, sum, world)
+        .unwrap();
+    assert_eq!(total, 7u64.to_le_bytes());
+    assert_eq!(rank.crossings() - before, 2, "register, then the allreduce");
 }

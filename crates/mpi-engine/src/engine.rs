@@ -16,12 +16,13 @@ use mpi_model::payload::PayloadBuf;
 use mpi_model::request::{RequestKind, RequestRecord, RequestState};
 use mpi_model::status::Status;
 use mpi_model::subset::SubsetFeature;
-use mpi_model::types::{HandleKind, PhysHandle, Rank, Tag};
+use mpi_model::types::{HandleKind, PhysHandle, Rank, RegistrationTicket, Tag};
 use net_sim::message::MatchSpec;
 use net_sim::Endpoint;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Static configuration describing one implementation's personality.
 #[derive(Debug, Clone)]
@@ -125,6 +126,15 @@ impl<C: HandleCodec> Engine<C> {
         } else {
             Err(MpiError::Unsupported { feature: name })
         }
+    }
+
+    /// The gate in front of every registration-board call.
+    fn require_registration(&self) -> MpiResult<()> {
+        self.check_initialized()?;
+        self.require(
+            SubsetFeature::CollectiveRegistration,
+            "collective registration",
+        )
     }
 
     // ------------------------------------------------------------------
@@ -262,22 +272,22 @@ impl<C: HandleCodec> Engine<C> {
     /// Resolve the route for a collective *registration*: the communicator's context,
     /// the sequence number the next collective will use (peeked, not consumed — the
     /// real collective's `exchange` advances it), this rank's index, and the size.
-    fn registration_route(&self, comm: PhysHandle) -> MpiResult<(u64, u64, usize, usize)> {
+    fn registration_route(&self, comm: PhysHandle) -> MpiResult<RegistrationTicket> {
         let idx = self.comm_index(comm)?;
         let c = self.comms.get(idx)?;
-        let my_index = c
+        let index = c
             .descriptor
             .rank_of(self.world_rank)
             .ok_or(MpiError::InvalidRank {
                 rank: self.world_rank,
                 size: c.descriptor.size(),
             })? as usize;
-        Ok((
-            c.descriptor.context,
-            c.collective_seq,
-            my_index,
-            c.descriptor.size(),
-        ))
+        Ok(RegistrationTicket {
+            context: c.descriptor.context,
+            seq: c.collective_seq,
+            index,
+            size: c.descriptor.size(),
+        })
     }
 
     /// Agree on a fresh context id across all members of a communicator: the member
@@ -1028,37 +1038,37 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
     // Collectives
     // ------------------------------------------------------------------
 
-    fn collective_register(&mut self, comm: PhysHandle) -> MpiResult<u64> {
-        self.check_initialized()?;
-        self.require(
-            SubsetFeature::CollectiveRegistration,
-            "collective registration",
-        )?;
-        let (context, seq, my_index, size) = self.registration_route(comm)?;
-        self.endpoint
-            .collective_register(context, seq, my_index, size)?;
-        Ok(seq)
+    fn collective_register(
+        &mut self,
+        comm: PhysHandle,
+        patience: Option<Duration>,
+    ) -> MpiResult<(RegistrationTicket, bool)> {
+        self.require_registration()?;
+        let ticket = self.registration_route(comm)?;
+        let (context, seq) = (ticket.context, ticket.seq);
+        let committed =
+            self.endpoint
+                .collective_register(context, seq, ticket.index, ticket.size)?
+                || self
+                    .endpoint
+                    .collective_await_commit(context, seq, patience)?;
+        Ok((ticket, committed))
     }
 
-    fn collective_ready(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool> {
-        self.check_initialized()?;
-        self.require(
-            SubsetFeature::CollectiveRegistration,
-            "collective registration",
-        )?;
-        let (context, _, _, _) = self.registration_route(comm)?;
+    fn collective_ready(
+        &mut self,
+        ticket: RegistrationTicket,
+        patience: Option<Duration>,
+    ) -> MpiResult<bool> {
+        self.require_registration()?;
         self.endpoint
-            .collective_registration_committed(context, ticket)
+            .collective_await_commit(ticket.context, ticket.seq, patience)
     }
 
-    fn collective_withdraw(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool> {
-        self.check_initialized()?;
-        self.require(
-            SubsetFeature::CollectiveRegistration,
-            "collective registration",
-        )?;
-        let (context, _, my_index, _) = self.registration_route(comm)?;
-        self.endpoint.collective_withdraw(context, ticket, my_index)
+    fn collective_withdraw(&mut self, ticket: RegistrationTicket) -> MpiResult<bool> {
+        self.require_registration()?;
+        self.endpoint
+            .collective_withdraw(ticket.context, ticket.seq, ticket.index)
     }
 
     fn barrier(&mut self, comm: PhysHandle) -> MpiResult<()> {

@@ -23,8 +23,9 @@ use crate::op::UserFunctionRegistry;
 use crate::payload::PayloadBuf;
 use crate::status::Status;
 use crate::subset::SubsetFeature;
-use crate::types::{PhysHandle, Rank, Tag};
+use crate::types::{PhysHandle, Rank, RegistrationTicket, Tag};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Raw contents of a derived datatype as reported by `MPI_Type_get_contents`:
 /// integer arguments, address arguments, and the *physical handles* of the inner
@@ -280,21 +281,35 @@ pub trait MpiApi: Send {
 
     /// Registration phase of the two-phase collective protocol: announce intent to
     /// enter the *next* collective on `comm` (a cheap "trivial barrier" round that
-    /// moves no application data). Returns the collective sequence number the
-    /// registration is keyed by — the ticket for [`MpiApi::collective_ready`] and
-    /// [`MpiApi::collective_withdraw`]. Idempotent per `(comm, ticket)`.
-    fn collective_register(&mut self, comm: PhysHandle) -> MpiResult<u64>;
+    /// moves no application data) and, unless this registration was the round's last
+    /// and committed it, wait up to `patience` for the other members — one call, so
+    /// a waiting rank enters the lower half once. Returns the ticket for
+    /// [`MpiApi::collective_ready`] and [`MpiApi::collective_withdraw`], and whether
+    /// the round has committed. Idempotent per round. `patience` is as for
+    /// [`MpiApi::collective_ready`].
+    fn collective_register(
+        &mut self,
+        comm: PhysHandle,
+        patience: Option<Duration>,
+    ) -> MpiResult<(RegistrationTicket, bool)>;
 
-    /// Whether the registration round `ticket` on `comm` has committed (every member
-    /// of the communicator has registered). Once committed, every member must proceed
-    /// into the real collective — withdrawals fail from that point on.
-    fn collective_ready(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool>;
+    /// Block until the registration round `ticket` commits (every member of the
+    /// communicator has registered), for at most `patience`; `None` waits as long as
+    /// the lower half lets any blocking call wait, and fails rather than hang if some
+    /// member never registers. `Ok(false)` means `patience` ran out: the rank is
+    /// still registered and may call again. Once committed, every member must
+    /// proceed into the real collective — withdrawals fail from that point on.
+    fn collective_ready(
+        &mut self,
+        ticket: RegistrationTicket,
+        patience: Option<Duration>,
+    ) -> MpiResult<bool>;
 
-    /// Atomically withdraw this rank's registration from round `ticket` on `comm`.
-    /// `Ok(true)` means the rank is provably outside the collective (safe to service a
-    /// checkpoint intent); `Ok(false)` means the round committed first and the rank is
-    /// obliged to enter the collective.
-    fn collective_withdraw(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool>;
+    /// Atomically withdraw this rank's registration from round `ticket`. `Ok(true)`
+    /// means the rank is provably outside the collective (safe to service a
+    /// checkpoint intent); `Ok(false)` means the round committed first and the rank
+    /// is obliged to enter the collective.
+    fn collective_withdraw(&mut self, ticket: RegistrationTicket) -> MpiResult<bool>;
 
     /// `MPI_Barrier`.
     fn barrier(&mut self, comm: PhysHandle) -> MpiResult<()>;

@@ -64,7 +64,7 @@ pub enum SubsetFeature {
     /// provide it; it exists so the compliance report can show it as out of scope.
     OneSided,
     /// Collective registration (the "trivial barrier" half of MANA's two-phase
-    /// collective protocol): announce intent to enter a collective, poll for the
+    /// collective protocol): announce intent to enter a collective, wait for the
     /// round to commit, and atomically withdraw while it has not. Implementations
     /// without it still run collectives, but MANA then cannot deliver checkpoint
     /// intents while ranks straddle one — checkpoints stay confined to points with

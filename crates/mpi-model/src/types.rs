@@ -135,6 +135,22 @@ impl std::fmt::Display for PhysHandle {
 /// creation allocates a fresh context id; this is also the seed of MANA's "ggid".
 pub type ContextId = u64;
 
+/// A rank's place in one registration round of the two-phase collective protocol, as
+/// handed out by `MpiApi::collective_register`: everything the lower half needs to
+/// find the round again, resolved once when the rank registers. Opaque to callers,
+/// who only pass it back to `collective_ready` / `collective_withdraw`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistrationTicket {
+    /// The communicator's context.
+    pub context: ContextId,
+    /// The sequence number of the collective the round guards.
+    pub seq: u64,
+    /// This rank's index within the communicator.
+    pub index: usize,
+    /// The communicator's size.
+    pub size: usize,
+}
+
 /// A monotonically increasing sequence number used by the fabric to preserve the
 /// per-(sender, receiver, context) FIFO ordering MPI guarantees.
 pub type SeqNo = u64;

@@ -42,6 +42,13 @@ const BLOCKING_TIMEOUT: Duration = Duration::from_secs(60);
 /// deaths or aborts. Without liveliness, waits use the full [`BLOCKING_TIMEOUT`].
 const WAIT_SLICE: Duration = Duration::from_millis(2);
 
+/// How many times a fresh registrant probes the board for its round's commit,
+/// yielding the core between probes, before it goes on to park. A fixed count, not a
+/// duration: the wait reads no clock until it parks. Ranks of a bulk-synchronous step
+/// reach a collective tens of microseconds apart, which is about what this many
+/// yields cover.
+const REGISTRATION_SPIN: u32 = 128;
+
 /// Configuration for a fabric instance.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
@@ -87,10 +94,58 @@ struct CollectiveSlot {
 /// the collective's critical phase.
 struct RegistrationSlot {
     expected: usize,
-    registered: HashSet<usize>,
+    registered: MemberSet,
     /// Once every member has registered the round is *committed*: withdrawals fail
     /// and every member must proceed into the real collective exchange.
     committed: bool,
+    /// Registrants currently parked on this round: the committing registration
+    /// only pays for a wake-up when somebody is there to take it.
+    parked: usize,
+    /// When the registrants parked on this round give up. Set by the first one to
+    /// park, so it bounds the round across any number of await slices.
+    park_deadline: Option<Instant>,
+}
+
+/// A set of communicator member indices as a bitmap. Members 0..64 live inline, so
+/// a round on a communicator of up to 64 ranks allocates nothing.
+#[derive(Default)]
+struct MemberSet {
+    low: u64,
+    high: Vec<u64>,
+    len: usize,
+}
+
+impl MemberSet {
+    fn contains(&self, index: usize) -> bool {
+        let word = if index < 64 {
+            self.low
+        } else {
+            self.high.get(index / 64 - 1).copied().unwrap_or(0)
+        };
+        word >> (index % 64) & 1 == 1
+    }
+
+    /// Add or remove `index`; setting a member to the state it already has is a no-op.
+    fn set(&mut self, index: usize, present: bool) {
+        if self.contains(index) == present {
+            return;
+        }
+        let word = if index < 64 {
+            &mut self.low
+        } else {
+            let at = index / 64 - 1;
+            if self.high.len() <= at {
+                self.high.resize(at + 1, 0);
+            }
+            &mut self.high[at]
+        };
+        *word ^= 1 << (index % 64);
+        if present {
+            self.len += 1;
+        } else {
+            self.len -= 1;
+        }
+    }
 }
 
 /// A rank's death record: when it died and why.
@@ -147,6 +202,9 @@ struct FabricInner {
     slots: Vec<RankSlot>,
     collectives: Mutex<HashMap<(ContextId, u64), CollectiveSlot>>,
     registrations: Mutex<HashMap<(ContextId, u64), RegistrationSlot>>,
+    /// Where registrants park until their round commits; paired with
+    /// `registrations`.
+    registration_committed: Condvar,
     collective_done: Condvar,
     next_context: AtomicU64,
     next_seq: AtomicU64,
@@ -233,6 +291,7 @@ impl Fabric {
                 slots,
                 collectives: Mutex::new(HashMap::new()),
                 registrations: Mutex::new(HashMap::new()),
+                registration_committed: Condvar::new(),
                 collective_done: Condvar::new(),
                 // Contexts 1 and 2 are reserved for MPI_COMM_WORLD / MPI_COMM_SELF.
                 next_context: AtomicU64::new(16),
@@ -583,6 +642,16 @@ impl FabricInner {
             slot.arrival.notify_all();
         }
         self.collective_done.notify_all();
+        self.wake_registrants();
+    }
+
+    /// Wake every parked registrant so it re-reads the failure lane and its wait
+    /// slice. Passing through the board mutex first orders the wake after any
+    /// registrant that checked and is about to park: it either sees the new state
+    /// or is already parked when the notify lands.
+    fn wake_registrants(&self) {
+        drop(self.registrations.lock());
+        self.registration_committed.notify_all();
     }
 
     /// Flip the fabric into lively (sliced-wait) mode and wake every parked waiter.
@@ -598,6 +667,7 @@ impl FabricInner {
             slot.arrival.notify_all();
         }
         self.collective_done.notify_all();
+        self.wake_registrants();
     }
 
     fn start_partition(
@@ -1286,60 +1356,140 @@ impl Endpoint {
     // ------------------------------------------------------------------
 
     /// Announce intent to enter the collective `(context, seq)`. Idempotent: a member
-    /// re-registering (after stepping out for a checkpoint) is a no-op. Once the last
-    /// member registers, the round *commits* and withdrawals start failing.
+    /// re-registering (after stepping out for a checkpoint) is a no-op. The last
+    /// member to register *commits* the round — withdrawals start failing — and wakes
+    /// every registrant parked in [`Endpoint::collective_await_commit`].
+    ///
+    /// Returns whether the round stands committed, i.e. whether the caller may skip
+    /// the wait. A registrant that did not commit the round itself gives the others a
+    /// short fixed spin of probe-and-yield before answering: the last registrant is
+    /// usually microseconds behind, and a commit caught spinning costs neither side
+    /// a futex round trip.
     pub fn collective_register(
         &self,
         context: ContextId,
         seq: u64,
         my_index: usize,
         comm_size: usize,
-    ) -> MpiResult<()> {
+    ) -> MpiResult<bool> {
         if comm_size == 0 || my_index >= comm_size {
             return Err(MpiError::Internal(format!(
                 "collective registration with index {my_index} out of {comm_size}"
             )));
         }
         self.inner.tick_op(self.world_rank)?;
-        let mut board = self.inner.registrations.lock();
-        let slot = board
-            .entry((context, seq))
-            .or_insert_with(|| RegistrationSlot {
+        let key = (context, seq);
+        {
+            let mut board = self.inner.registrations.lock();
+            let slot = board.entry(key).or_insert_with(|| RegistrationSlot {
                 expected: comm_size,
-                registered: HashSet::with_capacity(comm_size),
+                registered: MemberSet::default(),
                 committed: false,
+                parked: 0,
+                park_deadline: None,
             });
-        if slot.expected != comm_size {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "ranks disagree about communicator size in registration: {} vs {}",
-                slot.expected, comm_size
-            )));
+            if slot.expected != comm_size {
+                return Err(MpiError::CollectiveMismatch(format!(
+                    "ranks disagree about communicator size in registration: {} vs {}",
+                    slot.expected, comm_size
+                )));
+            }
+            slot.registered.set(my_index, true);
+            if !slot.committed && slot.registered.len == slot.expected {
+                // Flag and notify under the board mutex: a registrant is either
+                // still ahead of its own check (and reads the flag) or already
+                // parked (and gets the notify) — never in between.
+                slot.committed = true;
+                if slot.parked > 0 {
+                    self.inner.registration_committed.notify_all();
+                }
+            }
+            if slot.committed {
+                return Ok(true);
+            }
         }
-        slot.registered.insert(my_index);
-        if slot.registered.len() == slot.expected {
-            slot.committed = true;
+        // The lock is taken and dropped per probe, so the registrant this rank is
+        // waiting for never queues behind the spin for longer than one probe.
+        for _ in 0..REGISTRATION_SPIN {
+            std::thread::yield_now();
+            if self.registration_committed(key) {
+                return Ok(true);
+            }
         }
-        Ok(())
+        Ok(false)
     }
 
-    /// Whether the registration round `(context, seq)` has committed (every member
-    /// registered). A missing slot reads as not committed: the caller is expected to
-    /// hold a live registration of its own while polling. Errors if this rank has
-    /// died or the job was aborted — a poll loop must observe the failure lane, or
-    /// a rank whose peer died pre-registration would spin until its stall budget.
-    pub fn collective_registration_committed(
+    /// Park until the registration round `(context, seq)` commits, for at most
+    /// `patience` (`None`: as long as the fabric lets any blocking operation wait).
+    /// `Ok(true)` means committed; `Ok(false)` means `patience` ran out first, and
+    /// the caller — still registered — may look around and call again.
+    ///
+    /// The park is on the board's own condvar, sliced like every other blocking wait
+    /// here, so the rank keeps beating, chaos keeps pumping and a death or abort
+    /// surfaces as [`MpiError::RankKilled`] / [`MpiError::JobAborted`]. A round still
+    /// uncommitted `BLOCKING_TIMEOUT` after its first registrant parked fails the
+    /// wait: some member never registered.
+    ///
+    /// A missing slot reads as not committed. The caller is expected to hold a live
+    /// registration of its own, and the slot of a committed round is only removed
+    /// once every member — the caller included — has been through the exchange.
+    pub fn collective_await_commit(
         &self,
         context: ContextId,
         seq: u64,
+        patience: Option<Duration>,
     ) -> MpiResult<bool> {
-        self.inner.tick_wait(self.world_rank)?;
-        Ok(self
-            .inner
+        let key = (context, seq);
+        loop {
+            self.inner.tick_wait(self.world_rank)?;
+            let mut board = self.inner.registrations.lock();
+            let Some(slot) = board.get_mut(&key) else {
+                return Ok(false);
+            };
+            if slot.committed {
+                return Ok(true);
+            }
+            let deadline = *slot
+                .park_deadline
+                .get_or_insert_with(|| crate::clock::now() + BLOCKING_TIMEOUT);
+            let slice = self.wait_slice();
+            let slice = patience.map_or(slice, |p| p.min(slice));
+            slot.parked += 1;
+            self.inner.stats.record_registration_park();
+            self.inner
+                .registration_committed
+                .wait_for(&mut board, slice);
+            let Some(slot) = board.get_mut(&key) else {
+                return Ok(false);
+            };
+            slot.parked = slot.parked.saturating_sub(1);
+            if slot.committed {
+                return Ok(true);
+            }
+            if crate::clock::now() >= deadline {
+                let missing: Vec<usize> = (0..slot.expected)
+                    .filter(|&index| !slot.registered.contains(index))
+                    .collect();
+                return Err(MpiError::Internal(format!(
+                    "rank {} waited more than {BLOCKING_TIMEOUT:?} for the collective \
+                     registration round (context {context}, seq {seq}) to commit — a \
+                     peer likely died before registering (members not registered: \
+                     {missing:?})",
+                    self.world_rank
+                )));
+            }
+            if patience.is_some() {
+                return Ok(false);
+            }
+        }
+    }
+
+    fn registration_committed(&self, key: (ContextId, u64)) -> bool {
+        self.inner
             .registrations
             .lock()
-            .get(&(context, seq))
-            .map(|slot| slot.committed)
-            .unwrap_or(false))
+            .get(&key)
+            .is_some_and(|slot| slot.committed)
     }
 
     /// Atomically withdraw `my_index`'s registration from round `(context, seq)`.
@@ -1363,8 +1513,8 @@ impl Endpoint {
         if slot.committed {
             return Ok(false);
         }
-        slot.registered.remove(&my_index);
-        if slot.registered.is_empty() {
+        slot.registered.set(my_index, false);
+        if slot.registered.len == 0 {
             board.remove(&(context, seq));
         }
         Ok(true)
@@ -1541,19 +1691,24 @@ mod tests {
         let e2 = f.endpoint(2).unwrap();
         // Two of three register: not committed, withdrawal allowed (and idempotent
         // re-registration is a no-op).
-        e0.collective_register(40, 0, 0, 3).unwrap();
-        e0.collective_register(40, 0, 0, 3).unwrap();
-        e1.collective_register(40, 0, 1, 3).unwrap();
-        assert!(!e0.collective_registration_committed(40, 0).unwrap());
+        let brief = Some(Duration::ZERO);
+        assert!(!e0.collective_register(40, 0, 0, 3).unwrap());
+        assert!(!e0.collective_register(40, 0, 0, 3).unwrap());
+        assert!(!e1.collective_register(40, 0, 1, 3).unwrap());
+        assert!(!e0.collective_await_commit(40, 0, brief).unwrap());
         assert!(e1.collective_withdraw(40, 0, 1).unwrap());
         // After the withdrawal the last member cannot commit the round alone.
-        e2.collective_register(40, 0, 2, 3).unwrap();
-        assert!(!e2.collective_registration_committed(40, 0).unwrap());
-        // All three in: committed, withdrawal now fails for everyone.
-        e1.collective_register(40, 0, 1, 3).unwrap();
-        assert!(e0.collective_registration_committed(40, 0).unwrap());
+        assert!(!e2.collective_register(40, 0, 2, 3).unwrap());
+        assert!(!e2.collective_await_commit(40, 0, brief).unwrap());
+        // All three in: the last registration commits, withdrawal now fails for
+        // everyone, and a late re-registration still reads committed.
+        assert!(e1.collective_register(40, 0, 1, 3).unwrap());
+        assert!(e0.collective_await_commit(40, 0, brief).unwrap());
+        assert!(e0.collective_register(40, 0, 0, 3).unwrap());
         assert!(!e1.collective_withdraw(40, 0, 1).unwrap());
         assert!(!e0.collective_withdraw(40, 0, 0).unwrap());
+        // A round nobody registered in reads as not committed.
+        assert!(!e0.collective_await_commit(99, 0, brief).unwrap());
         // A size disagreement is caught at registration time.
         let err = e0.collective_register(40, 0, 0, 2).unwrap_err();
         assert!(matches!(err, MpiError::CollectiveMismatch(_)));
@@ -1575,6 +1730,126 @@ mod tests {
         e0.collective_register(41, 0, 0, 3).unwrap();
         assert!(e0.collective_withdraw(41, 0, 0).unwrap());
         assert_eq!(f.inner.registrations.lock().len(), 0);
+    }
+
+    /// Block until `parks` registrants have parked on the board (or are about to:
+    /// the count moves under the board mutex, which the park releases atomically, so
+    /// any board operation or wake issued after this returns lands on a parked rank).
+    fn until_parked(f: &Fabric, parks: u64) {
+        while f.stats().registration_parks < parks {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_registrant_is_released_by_the_last_registration() {
+        // Not lively: the park is one full BLOCKING_TIMEOUT slice, so only the
+        // committing registration's notify can end it.
+        let f = fabric(3);
+        let parked = {
+            let f = f.clone();
+            thread::spawn(move || {
+                let e0 = f.endpoint(0).unwrap();
+                assert!(!e0.collective_register(7, 3, 0, 3).unwrap());
+                e0.collective_await_commit(7, 3, None)
+            })
+        };
+        until_parked(&f, 1);
+        let e1 = f.endpoint(1).unwrap();
+        let e2 = f.endpoint(2).unwrap();
+        assert!(!e1.collective_register(7, 3, 1, 3).unwrap());
+        assert!(
+            !parked.is_finished(),
+            "two of three must not release the park"
+        );
+        assert!(e2.collective_register(7, 3, 2, 3).unwrap());
+        assert!(parked.join().unwrap().unwrap());
+        assert_eq!(f.stats().registration_parks, 1);
+    }
+
+    #[test]
+    fn withdrawal_and_commit_stay_exactly_one_of_under_the_parked_wait() {
+        // Rank 0 registers, waits a moment and withdraws while rank 1 registers:
+        // whatever the interleaving, rank 0 ends up obliged to enter (it saw the
+        // commit, or its withdrawal was refused) iff rank 1's registration committed.
+        let f = fabric(2);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let late = {
+            let (f, gate) = (f.clone(), Arc::clone(&gate));
+            thread::spawn(move || {
+                let e1 = f.endpoint(1).unwrap();
+                (0..2_000u64)
+                    .map(|seq| {
+                        gate.wait();
+                        e1.collective_register(5, seq, 1, 2).unwrap()
+                    })
+                    .collect::<Vec<bool>>()
+            })
+        };
+        let e0 = f.endpoint(0).unwrap();
+        let obliged: Vec<bool> = (0..2_000u64)
+            .map(|seq| {
+                assert!(!e0.collective_register(5, seq, 0, 2).unwrap());
+                gate.wait();
+                e0.collective_await_commit(5, seq, Some(Duration::from_micros(1)))
+                    .unwrap()
+                    || !e0.collective_withdraw(5, seq, 0).unwrap()
+            })
+            .collect();
+        assert_eq!(obliged, late.join().unwrap());
+    }
+
+    #[test]
+    fn parked_registrant_observes_its_own_death() {
+        let f = fabric(2);
+        let parked = {
+            let f = f.clone();
+            thread::spawn(move || {
+                let e0 = f.endpoint(0).unwrap();
+                e0.collective_register(7, 0, 0, 2).unwrap();
+                e0.collective_await_commit(7, 0, None)
+            })
+        };
+        until_parked(&f, 1);
+        f.kill_rank(0, "test kill");
+        let err = parked.join().unwrap().unwrap_err();
+        assert!(matches!(err, MpiError::RankKilled { rank: 0 }), "{err:?}");
+    }
+
+    #[test]
+    fn parked_registrant_observes_the_abort_after_its_peer_died_unregistered() {
+        let f = fabric(2);
+        let parked = {
+            let f = f.clone();
+            thread::spawn(move || {
+                let e0 = f.endpoint(0).unwrap();
+                e0.collective_register(7, 0, 0, 2).unwrap();
+                e0.collective_await_commit(7, 0, None)
+            })
+        };
+        until_parked(&f, 1);
+        // The peer dies before registering: the survivor stays parked (now in
+        // lively slices) until the failure detector aborts the world.
+        f.kill_rank(1, "test kill");
+        f.abort("rank 1 died");
+        let err = parked.join().unwrap().unwrap_err();
+        assert!(matches!(err, MpiError::JobAborted(_)), "{err:?}");
+    }
+
+    #[test]
+    fn registration_bitmap_spans_more_than_one_word() {
+        let f = fabric(1);
+        let e0 = f.endpoint(0).unwrap();
+        let size = 130;
+        for index in [0, 63, 64, 129, 64] {
+            assert!(!e0.collective_register(9, 0, index, size).unwrap());
+        }
+        assert_eq!(f.inner.registrations.lock()[&(9, 0)].registered.len, 4);
+        for index in (0..size).filter(|i| ![0, 63, 64, 129].contains(i)) {
+            let last = index == 128;
+            assert_eq!(e0.collective_register(9, 0, index, size).unwrap(), last);
+        }
+        assert!(!e0.collective_withdraw(9, 0, 129).unwrap());
     }
 
     #[test]

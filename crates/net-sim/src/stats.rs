@@ -28,6 +28,9 @@ pub struct FabricStats {
     /// redeliveries, retransmits and collective fan-out reads all land here.
     /// `bytes_shared > 0` under chaos is the measured proof of resharing.
     pub bytes_shared: AtomicU64,
+    /// Times a registrant parked on the registration board because its collective
+    /// round had not committed by the end of the spin (one per wait slice).
+    pub registration_parks: AtomicU64,
 }
 
 impl FabricStats {
@@ -64,6 +67,11 @@ impl FabricStats {
         self.bytes_shared.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Record that a registrant is about to park on the registration board.
+    pub fn record_registration_park(&self) {
+        self.registration_parks.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot of the counters as plain numbers.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -74,6 +82,7 @@ impl FabricStats {
             collective_bytes: self.collective_bytes.load(Ordering::Relaxed),
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             bytes_shared: self.bytes_shared.load(Ordering::Relaxed),
+            registration_parks: self.registration_parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -95,6 +104,8 @@ pub struct StatsSnapshot {
     pub bytes_copied: u64,
     /// Payload bytes handed off by refcount bump instead of copying.
     pub bytes_shared: u64,
+    /// Times a registrant parked on the registration board.
+    pub registration_parks: u64,
 }
 
 impl StatsSnapshot {
