@@ -156,6 +156,33 @@ fn lz_never_loses_to_rle_on_the_checkpoint_corpus() {
 }
 
 #[test]
+fn lz_streams_of_the_proxy_app_corpus_are_pinned() {
+    // Every region of every rank's image of all six apps, compressed whole (regions
+    // run past one chunk and past the 16-bit match distance), concatenated as a
+    // presence byte plus the stream. The digest was recorded from the encoder as it
+    // stood before its kernels went word-at-a-time: the parse is frozen, so any
+    // later edit that moves it changed stored bytes and must be undone, not re-pinned.
+    let mut all = Vec::new();
+    for (_, _, images) in corpus(StorageConfig::default()) {
+        for image in &images {
+            for (_, data) in image.upper_half.iter() {
+                let stream = lz_compress(data);
+                all.push(stream.is_some() as u8);
+                all.extend_from_slice(stream.as_deref().unwrap_or_default());
+            }
+        }
+    }
+    assert_eq!(
+        split_proc::integrity::xxh64(&all),
+        PINNED_APP_STREAMS_XXH64,
+        "the LZ parse changed on the proxy-app corpus ({} stream bytes)",
+        all.len()
+    );
+}
+
+const PINNED_APP_STREAMS_XXH64: u64 = 0x30B2_4FBB_004B_6FC6;
+
+#[test]
 fn corrupted_or_truncated_lz_streams_never_decode_silently() {
     // One real image's most compressible region gives a stream exercising literal
     // runs, short matches, and extended-length matches.

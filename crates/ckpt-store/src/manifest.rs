@@ -195,9 +195,26 @@ impl Manifest {
             let reused = cursor.u8()? != 0;
             let chunk_count = cursor.u32()? as usize;
             let mut chunks = Vec::with_capacity(chunk_count.min(1 << 16));
+            // The read path sizes its buffers from `len` and `raw_len`, so a manifest
+            // that is CRC-valid but wrong must fail here, typed, not there on an
+            // allocation: no chunk longer than the chunk size, and the chunks of a
+            // region adding up to exactly its length.
+            if chunk_size == 0 && chunk_count > 0 {
+                return Err(MpiError::Checkpoint(format!(
+                    "region {name:?} lists {chunk_count} chunks under a chunk size of 0"
+                )));
+            }
+            let mut chunked_len = 0u64;
             for _ in 0..chunk_count {
                 let chunk_digest = cursor.u64()?;
                 let raw_len = cursor.u32()?;
+                if raw_len > chunk_size {
+                    return Err(MpiError::Checkpoint(format!(
+                        "chunk of region {name:?} records {raw_len} raw bytes, \
+                         more than the manifest's chunk size {chunk_size}"
+                    )));
+                }
+                chunked_len += u64::from(raw_len);
                 let stored_len = cursor.u32()?;
                 let flags = cursor.u8()?;
                 let form = if version >= VERSION_CURRENT {
@@ -221,6 +238,11 @@ impl Manifest {
                     stored_len,
                     form,
                 });
+            }
+            if chunked_len != len {
+                return Err(MpiError::Checkpoint(format!(
+                    "region {name:?} records {len} bytes but its chunks add up to {chunked_len}"
+                )));
             }
             regions.push(RegionManifest {
                 name,
@@ -311,6 +333,21 @@ mod tests {
         }
     }
 
+    /// Re-seal a hand-edited manifest: recompute the CRC trailer over the payload.
+    fn reseal(encoded: &mut [u8]) {
+        let payload_end = encoded.len() - 4;
+        let crc = crc32(&encoded[..payload_end]);
+        encoded[payload_end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Offset of the first sample chunk's record (digest | raw_len | stored_len | flags).
+    fn first_chunk_at(encoded: &[u8]) -> usize {
+        let digest = 0xDEAD_BEEF_0123_4567u64.to_le_bytes();
+        (0..encoded.len())
+            .find(|&i| encoded[i..].starts_with(&digest))
+            .expect("sample chunk present")
+    }
+
     #[test]
     fn roundtrip_both_versions() {
         for (digest, form) in [
@@ -353,18 +390,78 @@ mod tests {
         // the CRC: the strict boolean check must still reject it.
         let legacy = sample_manifest(Digest::Fnv1a64, StoredForm::Rle);
         let mut encoded = legacy.encode();
-        let payload_end = encoded.len() - 4;
-        let flag_at = (0..payload_end)
-            .find(|&i| {
-                encoded[i..].starts_with(&0xDEAD_BEEF_0123_4567u64.to_le_bytes())
-                    && encoded[i + 16] == 1
-            })
-            .map(|i| i + 16)
-            .expect("sample chunk present");
+        let flag_at = first_chunk_at(&encoded) + 16;
+        assert_eq!(encoded[flag_at], 1);
         encoded[flag_at] = 2;
-        let crc = crc32(&encoded[..payload_end]);
-        encoded[payload_end..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut encoded);
         assert!(Manifest::decode(&encoded).is_err());
+    }
+
+    #[test]
+    fn rejects_crc_valid_manifests_with_impossible_lengths() {
+        for (digest, form) in [
+            (Digest::Fnv1a64, StoredForm::Rle), // version 1
+            (Digest::Xx64, StoredForm::Lz),     // version 2
+        ] {
+            let manifest = sample_manifest(digest, form);
+            let pristine = manifest.encode();
+            let chunk_at = first_chunk_at(&pristine);
+            let forge = |edit: &dyn Fn(&mut Vec<u8>)| {
+                let mut forged = pristine.clone();
+                edit(&mut forged);
+                reseal(&mut forged);
+                match Manifest::decode(&forged) {
+                    Err(MpiError::Checkpoint(message)) => message,
+                    other => panic!("forged manifest accepted: {other:?}"),
+                }
+            };
+            // A chunk claiming 4 GiB of raw bytes: what `read` would have reserved.
+            let message = forge(&|bytes| {
+                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&u32::MAX.to_le_bytes())
+            });
+            assert!(message.contains("chunk size"), "{message}");
+            // One byte over the chunk size is already too many.
+            let message = forge(&|bytes| {
+                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_537u32.to_le_bytes())
+            });
+            assert!(message.contains("chunk size"), "{message}");
+            // A chunk within bounds, but the region no longer adds up.
+            let message = forge(&|bytes| {
+                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_535u32.to_le_bytes())
+            });
+            assert!(message.contains("add up"), "{message}");
+            // A region length of 2^60 over the same chunks (the u64 precedes the
+            // reused flag and the chunk count, 13 bytes before the first chunk).
+            let message = forge(&|bytes| {
+                bytes[chunk_at - 13..chunk_at - 5].copy_from_slice(&(1u64 << 60).to_le_bytes())
+            });
+            assert!(message.contains("add up"), "{message}");
+            // Chunk size 0 with chunks present. The u32 follows the metadata, the
+            // epoch and the policy tag.
+            let metadata_len = u32::from_le_bytes(pristine[12..16].try_into().unwrap()) as usize;
+            let chunk_size_at = 16 + metadata_len + 8 + 1;
+            assert_eq!(
+                pristine[chunk_size_at..chunk_size_at + 4],
+                65_536u32.to_le_bytes()
+            );
+            let message = forge(&|bytes| bytes[chunk_size_at..chunk_size_at + 4].fill(0));
+            assert!(message.contains("chunk size"), "{message}");
+            // And the untouched encoding still decodes after a reseal.
+            let mut resealed = pristine.clone();
+            reseal(&mut resealed);
+            assert_eq!(Manifest::decode(&resealed).unwrap(), manifest);
+        }
+    }
+
+    #[test]
+    fn rejects_zero_length_chunks_under_a_zero_chunk_size() {
+        let mut manifest = sample_manifest(Digest::Xx64, StoredForm::Lz);
+        manifest.chunk_size = 0;
+        manifest.regions[0].len = 0;
+        for chunk in &mut manifest.regions[0].chunks {
+            chunk.raw_len = 0;
+        }
+        assert!(Manifest::decode(&manifest.encode()).is_err());
     }
 
     #[test]

@@ -182,6 +182,54 @@ fn corrupt_chunk_is_detected_and_older_generation_survives() {
 }
 
 #[test]
+fn corrupt_compressed_chunk_mid_region_fails_the_read_and_returns_no_partial_image() {
+    // Regions of four LZ-compressible chunks, decoded in place onto one region
+    // buffer. Generation 1 differs from generation 0 in the *third* chunk of one
+    // region, so the chunk the torn write hits is reached only after two chunks of
+    // that region have already landed in the buffer.
+    let storage = CheckpointStorage::unmetered();
+    let mut upper = UpperHalfSpace::new();
+    for region in 0..3u8 {
+        let data: Vec<u8> = (0..4 * 64 * 1024usize)
+            .map(|i| match i % 7 {
+                0 => (i.wrapping_mul(2_654_435_761) >> 5) as u8 ^ region,
+                _ => region + 1,
+            })
+            .collect();
+        upper.map_region(format!("app.region{region}"), data);
+    }
+    let generation0 = upper.clone();
+    let report = storage.write_image(
+        StoragePolicy::IncrementalCompressed,
+        &image_of(0, 0, &upper),
+    );
+    assert!(
+        report.compression_saved_bytes > 0,
+        "the texture must take the LZ path"
+    );
+    upper.mark_clean();
+    upper.advance_epoch();
+    upper.region_mut("app.region1").unwrap()[2 * 64 * 1024 + 999] ^= 0x5A;
+    let report = storage.write_image(
+        StoragePolicy::IncrementalCompressed,
+        &image_of(0, 1, &upper),
+    );
+    assert_eq!(report.chunks_new, 1, "exactly the third chunk is private");
+
+    storage.corrupt_fresh_chunk(1, 0).unwrap();
+    // Either the LZ framing or the digest of the decoded bytes rejects it — typed,
+    // and as a whole: the caller gets no image, not one with a short region.
+    match storage.read(1, 0) {
+        Err(mpi_model::error::MpiError::Checkpoint(_)) => {}
+        other => panic!("corrupted chunk read back as {other:?}"),
+    }
+    assert_eq!(storage.read(0, 0).unwrap().upper_half, generation0);
+    let (generation, images) = storage.latest_valid_images(1).unwrap();
+    assert_eq!(generation, 0);
+    assert_eq!(images[0].upper_half, generation0);
+}
+
+#[test]
 fn corrupt_manifest_is_detected_for_both_policies() {
     let storage = CheckpointStorage::unmetered();
     let upper = synthetic_upper(3, 4, 8192);
