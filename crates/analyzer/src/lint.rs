@@ -95,12 +95,14 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Calls `guard-across-blocking` considers blocking: fabric p2p and collective
-/// entry points, condvar parks, flusher waits, and sleeps.
+/// entry points, the fabric's wait primitive (its condvar park is out of its
+/// callers' sight), condvar parks, flusher waits, and sleeps.
 const BLOCKING_CALLS: &[&str] = &[
     "send",
     "recv",
     "recv_blocking",
     "collective_exchange",
+    "park_until",
     "wait",
     "wait_for",
     "wait_timeout",

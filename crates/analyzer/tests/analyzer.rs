@@ -97,13 +97,15 @@ fn guard_across_blocking_fires_once_and_spares_the_idioms() {
     let hits = by_rule(&violations, "guard-across-blocking");
     assert_eq!(
         hits.len(),
-        1,
-        "exactly the held-across-send case: {violations:?}"
+        2,
+        "exactly the held-across-send and held-across-park_until cases: {violations:?}"
     );
     assert!(hits[0].message.contains("`guard`"));
     assert!(hits[0].message.contains("send"));
+    assert!(hits[1].message.contains("`board`"));
+    assert!(hits[1].message.contains("park_until"));
     // The condvar idiom, early drop, temporary, and scope-exit functions in the
-    // same fixture must all stay silent — one violation total proves that.
+    // same fixture must all stay silent — two violations total proves that.
 }
 
 #[test]

@@ -19,11 +19,16 @@ use ckpt_store::{CheckpointStorage, StoreReport};
 use mana::{CheckpointIntercept, DrainObserver, IntentOutcome, ManaRank};
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
+use net_sim::Fabric;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a rank parks at the commit barrier between looks at its fabric's
+/// failure lane — the fabric's own wait slice.
+const BARRIER_SLICE: Duration = Duration::from_millis(2);
 
 /// Sentinel for "no generation published yet".
 const NO_GENERATION: u64 = u64::MAX;
@@ -153,6 +158,9 @@ pub struct Coordinator {
     /// How long a rank waits at the commit barrier before declaring the job wedged
     /// (a peer died mid-checkpoint).
     barrier_timeout: Duration,
+    /// The world's fabric, if it has one to show: a rank parked at the commit
+    /// barrier keeps beating on it and watches it for its own death or an abort.
+    fabric: Option<Fabric>,
     /// Per-generation asynchronous flush accounting: how many ranks' background
     /// flushes have landed and the fold of their step counts (minimum wins, like the
     /// blocking barrier). Nobody ever *waits* on this state — that is the point.
@@ -195,6 +203,7 @@ impl Coordinator {
             }),
             barrier_cv: Condvar::new(),
             barrier_timeout: Duration::from_secs(30),
+            fabric: None,
             flush_rounds: Mutex::new(BTreeMap::new()),
             dead: Mutex::new(BTreeSet::new()),
             ledger,
@@ -205,6 +214,30 @@ impl Coordinator {
     pub fn with_stall_budget(mut self, budget: Duration) -> Self {
         self.stall_budget = budget;
         self
+    }
+
+    /// The fabric the world's ranks talk over. A rank parked at the commit barrier
+    /// makes no fabric call, so without this it is as silent as a dead one — and a
+    /// survivor waiting there for a killed peer is declared dead along with it.
+    pub fn on_fabric(mut self, fabric: Option<Fabric>) -> Self {
+        self.fabric = fabric;
+        self
+    }
+
+    /// What every slice of a fabric wait does for a blocked rank, for one blocked
+    /// here instead: beat, and fail if the rank was killed or the job aborted.
+    fn tick_liveness(&self, rank: Rank) -> MpiResult<()> {
+        let Some(fabric) = &self.fabric else {
+            return Ok(());
+        };
+        fabric.beat(rank);
+        if fabric.is_dead(rank) {
+            return Err(MpiError::RankKilled { rank });
+        }
+        match fabric.abort_reason() {
+            Some(reason) => Err(MpiError::JobAborted(reason)),
+            None => Ok(()),
+        }
     }
 
     /// Ranks in the world this coordinator drives.
@@ -391,17 +424,31 @@ impl Coordinator {
             return Ok(decided);
         }
         let round = state.round;
+        let deadline = Instant::now() + self.barrier_timeout;
         while state.round == round && state.poisoned.is_none() {
-            let result = self.barrier_cv.wait_for(&mut state, self.barrier_timeout);
-            if result.timed_out() && state.round == round && state.poisoned.is_none() {
-                let reason = format!(
+            self.barrier_cv.wait_for(&mut state, BARRIER_SLICE);
+            // Between slices, with the barrier unlocked, the rank shows it is alive
+            // and looks for a reason to stop waiting.
+            drop(state);
+            let alive = self.tick_liveness(rank);
+            state = self.barrier.lock();
+            if state.round != round || state.poisoned.is_some() {
+                break;
+            }
+            let failure = match alive {
+                Err(error) => Some(error),
+                Ok(()) if Instant::now() >= deadline => Some(MpiError::Checkpoint(format!(
                     "commit barrier timed out after {:?} with {}/{} ranks arrived \
                      (a peer likely died mid-checkpoint)",
                     self.barrier_timeout, state.arrived, self.world_size
-                );
-                state.poisoned = Some(reason.clone());
+                ))),
+                Ok(()) => None,
+            };
+            if let Some(error) = failure {
+                // This rank arrived and will not be back: the round cannot complete.
+                state.poisoned = Some(format!("rank {rank} left the barrier: {error}"));
                 self.barrier_cv.notify_all();
-                return Err(MpiError::Checkpoint(reason));
+                return Err(error);
             }
         }
         if let Some(reason) = &state.poisoned {

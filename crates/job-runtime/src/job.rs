@@ -634,7 +634,8 @@ impl JobRuntime {
                 self.config.checkpoint_every,
                 Arc::clone(&self.ledger),
             )
-            .with_stall_budget(self.config.stall_budget),
+            .with_stall_budget(self.config.stall_budget)
+            .on_fabric(self.fabric()),
         )
     }
 

@@ -360,6 +360,7 @@ impl HeartbeatMonitor {
 mod tests {
     use super::*;
     use crate::coordinator::CommitLedger;
+    use mpi_model::error::MpiError;
     use net_sim::{Fabric, FabricConfig};
 
     #[test]
@@ -440,6 +441,41 @@ mod tests {
         assert!(kinds
             .iter()
             .any(|k| matches!(k, RecoveryEventKind::WorldAborted { .. })));
+    }
+
+    #[test]
+    fn a_survivor_parked_at_the_commit_barrier_is_not_declared_dead() {
+        let fabric = Fabric::new(FabricConfig::new(2, 1));
+        let coordinator = Arc::new(
+            Coordinator::new(2, None, Arc::new(CommitLedger::new()))
+                .on_fabric(Some(fabric.clone())),
+        );
+        let monitor = HeartbeatMonitor::spawn(
+            fabric.clone(),
+            Arc::clone(&coordinator),
+            RecoveryLog::new(),
+            Duration::from_millis(50),
+            1,
+        );
+        // Rank 1 dies before it can commit; rank 0 arrives at the barrier and waits
+        // there, making no fabric call, until the detector poisons the round.
+        fabric.kill_rank(1, "crash");
+        let waited = coordinator.commit(0, 0, None);
+        assert!(
+            matches!(&waited, Err(MpiError::Checkpoint(reason)) if reason.contains("[1]")),
+            "{waited:?}"
+        );
+        assert_eq!(monitor.stop().declared_dead, vec![1]);
+        // A rank killed while it waits there finds out where it stands.
+        let fabric = Fabric::new(FabricConfig::new(2, 2));
+        let coordinator = Coordinator::new(2, None, Arc::new(CommitLedger::new()))
+            .on_fabric(Some(fabric.clone()));
+        fabric.kill_rank(0, "crash");
+        assert_eq!(
+            coordinator.commit(0, 0, None),
+            Err(MpiError::RankKilled { rank: 0 })
+        );
+        assert!(coordinator.commit(1, 0, None).is_err(), "the round is lost");
     }
 
     #[test]

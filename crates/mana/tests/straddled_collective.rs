@@ -97,10 +97,11 @@ fn straddle_the_second_collective(outcome: IntentOutcome) -> Vec<Option<(u64, u6
     .unwrap();
 
     // Interrupted run: once through its allreduce, rank 0 holds back until the
-    // fabric reports a registrant parking. Both ranks are past the allreduce's
-    // registration by then, so the parked one is rank 1 inside the allgather's — it
-    // waits there in intent-patience slices, parking afresh each time, so rank 0 sees
-    // a park however far ahead rank 1 ran — and that is when the intent lands.
+    // fabric reports a rank parking. The allreduce is complete by then, so every
+    // park on its registration round or its exchange is already counted, and the one
+    // rank 0 sees next is rank 1 inside the allgather's registration — it waits
+    // there in intent-patience slices, parking afresh each time, so rank 0 sees a
+    // park however far ahead rank 1 ran — and that is when the intent lands.
     // Pending record at rank 1: the *second* collective of the step.
     let capture = Fabric::capture_next();
     let (ranks, _) = launch(1);
@@ -121,7 +122,7 @@ fn straddle_the_second_collective(outcome: IntentOutcome) -> Vec<Option<(u64, u6
                 }));
             let step = two_collective_step(&mut session, || {
                 if index == 0 {
-                    let parks = || fabric.stats().registration_parks;
+                    let parks = || fabric.stats().parks;
                     let before = parks();
                     while parks() == before {
                         std::thread::yield_now();

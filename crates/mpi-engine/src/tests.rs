@@ -326,13 +326,16 @@ fn test_polls_until_complete() {
             .resolve_constant(PredefinedObject::Datatype(PrimitiveType::Byte))
             .unwrap();
         if rank == 0 {
-            // Give rank 1 time to post the irecv and poll a few times.
-            std::thread::sleep(std::time::Duration::from_millis(30));
+            // Hold the message back until rank 1 says it has posted the irecv and
+            // polled it once.
+            api.recv(byte, 16, 1, 2, world).unwrap();
             api.send(&[9], byte, 1, 1, world).unwrap();
             0usize
         } else {
             let req = api.irecv(byte, 16, 0, 1, world).unwrap();
-            let mut polls = 0usize;
+            assert!(api.test(req).unwrap().is_none(), "nothing was sent yet");
+            api.send(&[], byte, 0, 2, world).unwrap();
+            let mut polls = 1usize;
             loop {
                 match api.test(req).unwrap() {
                     Some((status, payload)) => {

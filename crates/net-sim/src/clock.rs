@@ -4,7 +4,7 @@
 //! *deterministic* path: given a seed, a chaos schedule must replay identically,
 //! so those modules may not read real time or sleep directly — the in-tree
 //! analyzer's `no-wall-clock` rule enforces that. Real time is still needed at
-//! the edges (blocking-receive timeouts, reorder backstops, wait-slice backoff),
+//! the edges (blocking-wait deadlines, reorder backstops, chaos hold timers),
 //! and this module is the one approved place it enters the system. Concentrating
 //! the calls here keeps the blast radius of nondeterminism auditable: a grep of
 //! `clock::` callers is the complete list of time-dependent behaviour in the
@@ -17,17 +17,24 @@
 
 use std::time::{Duration, Instant};
 
+#[cfg(test)]
+thread_local! {
+    static READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Read the wall clock. The only approved `Instant::now` in the simulator.
 #[inline]
 pub fn now() -> Instant {
+    #[cfg(test)]
+    READS.with(|reads| reads.set(reads.get() + 1));
     Instant::now()
 }
 
-/// Sleep the calling OS thread. The only approved `thread::sleep` in the
-/// simulator; used for the bounded wait-slice backoff in blocking paths.
-#[inline]
-pub fn sleep(duration: Duration) {
-    std::thread::sleep(duration)
+/// How often the calling thread has read the clock: lets a test assert that a path
+/// reads it not at all.
+#[cfg(test)]
+pub(crate) fn reads() -> u64 {
+    READS.with(std::cell::Cell::get)
 }
 
 /// Elapsed time since `start`, via the approved clock.
@@ -46,5 +53,6 @@ mod tests {
         let b = now();
         assert!(b >= a);
         assert!(elapsed_since(a) >= Duration::ZERO);
+        assert_eq!(reads(), 3);
     }
 }

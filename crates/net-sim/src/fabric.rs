@@ -25,29 +25,33 @@ use crate::stats::{FabricStats, StatsSnapshot};
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::status::Status;
 use mpi_model::types::{ContextId, Rank};
-use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a blocking receive or collective will wait for its counterpart before the
-/// fabric declares the job wedged. Real MPI would hang forever; failing fast keeps the
-/// test suite debuggable. Generous enough for heavily oversubscribed CI machines.
+/// How long a blocking wait lasts, counted from its first park, before the fabric
+/// declares the job wedged. Real MPI would hang forever; failing fast keeps the test
+/// suite debuggable. Generous enough for heavily oversubscribed CI machines.
 const BLOCKING_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Wait-slice length used once the fabric is "lively" (chaos installed or heartbeats
 /// enabled): blocked ranks wake this often to beat, pump held messages, and notice
-/// deaths or aborts. Without liveliness, waits use the full [`BLOCKING_TIMEOUT`].
+/// deaths or aborts. Without liveliness, a wait parks until woken or timed out.
 const WAIT_SLICE: Duration = Duration::from_millis(2);
 
-/// How many times a fresh registrant probes the board for its round's commit,
-/// yielding the core between probes, before it goes on to park. A fixed count, not a
-/// duration: the wait reads no clock until it parks. Ranks of a bulk-synchronous step
-/// reach a collective tens of microseconds apart, which is about what this many
-/// yields cover.
-const REGISTRATION_SPIN: u32 = 128;
+/// How many times a wait probes its state, yielding the core between probes, before
+/// it goes on to park. A fixed count, not a duration: a wait reads no clock until it
+/// parks. Ranks of a bulk-synchronous step reach a receive or a collective tens of
+/// microseconds apart, which is about what this many yields cover, and whatever is
+/// caught in the spin costs neither side a futex round trip. Checked on the repo
+/// benchmark's workloads (steps/s at 0 / 32 / 128 / 512, medians of three 10 s
+/// runs): `collective_scf` 2.8k / 10.6k / 11.1k / 10.7k, `halo_p2p` 6.0k / 7.1k /
+/// 7.4k / 6.7k, `ckpt_incremental` 5.7k / 7.1k / 6.8k / 6.9k; `ckpt_full_async`,
+/// one rank that never waits, does not care.
+const PARK_SPIN: u32 = 128;
 
 /// Configuration for a fabric instance.
 #[derive(Debug, Clone)]
@@ -71,9 +75,50 @@ impl FabricConfig {
     }
 }
 
+/// One place ranks block — a rank's mailbox, the collective table, the registration
+/// board: the state waited on, the condvar parked on, and how many are parked there.
+/// Every blocking wait is [`Endpoint::park_until`] on one of them.
+struct WaitSite<S> {
+    /// What the wait diagnostic calls this site.
+    name: &'static str,
+    state: Mutex<S>,
+    changed: Condvar,
+    /// Only written with `state` held, which is also what orders it (`Relaxed`).
+    parked: AtomicUsize,
+}
+
+impl<S> WaitSite<S> {
+    #[track_caller]
+    fn new(name: &'static str, state: S) -> Self {
+        WaitSite {
+            name,
+            state: Mutex::new(state),
+            changed: Condvar::new(),
+            parked: AtomicUsize::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, S> {
+        self.state.lock()
+    }
+
+    /// The one wake discipline: whoever changes something a waiter may be parked on
+    /// — the site's state, or the failure lane its wait slices re-read — passes
+    /// through the site's mutex (`site.wake(site.lock())` if the change was made
+    /// elsewhere) and notifies only if someone is parked. A waiter holds the mutex
+    /// from its probe to its park, so it probes after the change or is counted
+    /// already: no wake-up is lost, and a change nobody waits for costs no notify.
+    fn wake(&self, held: MutexGuard<'_, S>) {
+        let parked = self.parked.load(Ordering::Relaxed) > 0;
+        drop(held);
+        if parked {
+            self.changed.notify_all();
+        }
+    }
+}
+
 struct RankSlot {
-    mailbox: Mutex<Mailbox>,
-    arrival: Condvar,
+    mailbox: WaitSite<Mailbox>,
     open: AtomicBool,
 }
 
@@ -98,12 +143,6 @@ struct RegistrationSlot {
     /// Once every member has registered the round is *committed*: withdrawals fail
     /// and every member must proceed into the real collective exchange.
     committed: bool,
-    /// Registrants currently parked on this round: the committing registration
-    /// only pays for a wake-up when somebody is there to take it.
-    parked: usize,
-    /// When the registrants parked on this round give up. Set by the first one to
-    /// park, so it bounds the round across any number of await slices.
-    park_deadline: Option<Instant>,
 }
 
 /// A set of communicator member indices as a bitmap. Members 0..64 live inline, so
@@ -146,6 +185,11 @@ impl MemberSet {
             self.len -= 1;
         }
     }
+}
+
+/// The member indices below `expected` that `present` rejects, for wait diagnostics.
+fn absent(expected: usize, present: impl Fn(&usize) -> bool) -> Vec<usize> {
+    (0..expected).filter(|index| !present(index)).collect()
 }
 
 /// A rank's death record: when it died and why.
@@ -200,12 +244,8 @@ struct FabricInner {
     session_nonce: u64,
     epoch: Instant,
     slots: Vec<RankSlot>,
-    collectives: Mutex<HashMap<(ContextId, u64), CollectiveSlot>>,
-    registrations: Mutex<HashMap<(ContextId, u64), RegistrationSlot>>,
-    /// Where registrants park until their round commits; paired with
-    /// `registrations`.
-    registration_committed: Condvar,
-    collective_done: Condvar,
+    collectives: WaitSite<HashMap<(ContextId, u64), CollectiveSlot>>,
+    registrations: WaitSite<HashMap<(ContextId, u64), RegistrationSlot>>,
     next_context: AtomicU64,
     next_seq: AtomicU64,
     /// Per-(source, destination) consecutive delivery sequence counters, row-major
@@ -277,8 +317,7 @@ impl Fabric {
     pub fn new(config: FabricConfig) -> Self {
         let slots = (0..config.world_size)
             .map(|_| RankSlot {
-                mailbox: Mutex::new(Mailbox::new()),
-                arrival: Condvar::new(),
+                mailbox: WaitSite::new("mailbox", Mailbox::new()),
                 open: AtomicBool::new(true),
             })
             .collect();
@@ -289,10 +328,8 @@ impl Fabric {
                 session_nonce: config.session_nonce,
                 epoch: crate::clock::now(),
                 slots,
-                collectives: Mutex::new(HashMap::new()),
-                registrations: Mutex::new(HashMap::new()),
-                registration_committed: Condvar::new(),
-                collective_done: Condvar::new(),
+                collectives: WaitSite::new("collective table", HashMap::new()),
+                registrations: WaitSite::new("registration board", HashMap::new()),
                 // Contexts 1 and 2 are reserved for MPI_COMM_WORLD / MPI_COMM_SELF.
                 next_context: AtomicU64::new(16),
                 next_seq: AtomicU64::new(0),
@@ -352,6 +389,7 @@ impl Fabric {
         Ok(Endpoint {
             inner: Arc::clone(&self.inner),
             world_rank,
+            deadline: Cell::new(None),
         })
     }
 
@@ -446,7 +484,6 @@ impl Fabric {
     /// heartbeats stop, and messages addressed to it vanish. Peers are *not* notified;
     /// detection is the failure detector's job.
     pub fn kill_rank(&self, world_rank: Rank, cause: &str) {
-        self.inner.set_lively();
         self.inner.kill(world_rank, cause, None);
     }
 
@@ -638,36 +675,19 @@ impl FabricInner {
             },
         );
         // Wake the victim wherever it is blocked so it notices its own death.
-        if let Some(slot) = self.slots.get(rank.max(0) as usize) {
-            slot.arrival.notify_all();
-        }
-        self.collective_done.notify_all();
-        self.wake_registrants();
+        self.set_lively();
     }
 
-    /// Wake every parked registrant so it re-reads the failure lane and its wait
-    /// slice. Passing through the board mutex first orders the wake after any
-    /// registrant that checked and is about to park: it either sees the new state
-    /// or is already parked when the notify lands.
-    fn wake_registrants(&self) {
-        drop(self.registrations.lock());
-        self.registration_committed.notify_all();
-    }
-
-    /// Flip the fabric into lively (sliced-wait) mode and wake every parked waiter.
-    /// The wake matters: a rank that blocked *before* the transition is parked on a
-    /// full [`BLOCKING_TIMEOUT`] condvar slice — without a notify it would sit there
-    /// beat-less (and blind to chaos) until some unrelated traffic woke it, and a
-    /// failure detector would declare a perfectly healthy rank dead.
+    /// Put the fabric in lively (sliced-wait) mode and wake every parked rank, so it
+    /// re-reads the failure lane and its wait slice: left on an unsliced wait it is
+    /// beat-less and blind to chaos, and a failure detector would declare it dead.
     fn set_lively(&self) {
-        if self.lively.swap(true, Ordering::Release) {
-            return;
-        }
+        self.lively.store(true, Ordering::Release);
         for slot in &self.slots {
-            slot.arrival.notify_all();
+            slot.mailbox.wake(slot.mailbox.lock());
         }
-        self.collective_done.notify_all();
-        self.wake_registrants();
+        self.collectives.wake(self.collectives.lock());
+        self.registrations.wake(self.registrations.lock());
     }
 
     fn start_partition(
@@ -700,11 +720,9 @@ impl FabricInner {
         if !slot.open.load(Ordering::Acquire) {
             return;
         }
-        {
-            let mut mailbox = slot.mailbox.lock();
-            mailbox.deposit(envelope);
-        }
-        slot.arrival.notify_all();
+        let mut mailbox = slot.mailbox.lock();
+        mailbox.deposit(envelope);
+        slot.mailbox.wake(mailbox);
     }
 
     /// Advance chaos time: heal due partitions, fire due global-op-triggered faults,
@@ -729,9 +747,8 @@ impl FabricInner {
         };
         for (fault_id, isolated) in healed {
             self.event(fault_id, ChaosAction::PartitionHealed { isolated });
-            // A healed rank resumes beating on its next op; give it a fresh beat now
-            // so a just-healed masked partition does not race the detector.
-            // (Suppression has ended, so this goes through.)
+            // A rank the cut stalled in front of a collective is parked on the table.
+            self.collectives.wake(self.collectives.lock());
         }
         // Fire global-op-count faults: partitions and node failures.
         let global = self.global_ops.load(Ordering::Relaxed);
@@ -857,9 +874,7 @@ impl FabricInner {
         if let Some(id) = crash {
             self.kill(rank, "crash", Some(id));
         }
-        self.pump();
-        self.beat(rank);
-        self.check_alive(rank)
+        self.tick_wait(rank)
     }
 
     /// Wait-slice hook: advance chaos time and beat without counting an operation.
@@ -1021,6 +1036,9 @@ impl FabricInner {
 pub struct Endpoint {
     inner: Arc<FabricInner>,
     world_rank: Rank,
+    /// The deadline of a wait this rank has parked in and not finished: left here
+    /// when a `park_until` call runs out of patience, taken up by the next call.
+    deadline: Cell<Option<Instant>>,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -1068,14 +1086,78 @@ impl Endpoint {
             })
     }
 
-    /// The wait-slice to use for blocking operations: short when the fabric is lively
-    /// (so blocked ranks keep beating and noticing deaths), the full timeout
-    /// otherwise.
-    fn wait_slice(&self) -> Duration {
-        if self.inner.lively.load(Ordering::Acquire) {
-            WAIT_SLICE
-        } else {
-            BLOCKING_TIMEOUT
+    /// The fabric's one blocking wait: block this rank until `probe`, run on the
+    /// state of `site` under its mutex, yields a value. One policy for every caller
+    /// (DESIGN.md, "Blocking waits"). Probe; then up to [`PARK_SPIN`] rounds of
+    /// yield-and-probe, the mutex dropped in between and no clock read; then park on
+    /// the site's condvar in slices — [`WAIT_SLICE`] on a lively fabric (read under
+    /// the mutex, so a fabric that turned lively since the probe is seen), the rest
+    /// of the wait otherwise. Before every slice, with no lock held (the pump may
+    /// need the site), `tick_wait` beats, pumps chaos and surfaces death or abort.
+    ///
+    /// The first park sets the wait's deadline [`BLOCKING_TIMEOUT`] ahead; a wait
+    /// unsatisfied when it passes fails with the one diagnostic: rank, site, and
+    /// `describe`'s account of what is waited for and what is still missing.
+    /// `patience` bounds this call rather than the wait: after that long parked it
+    /// returns the value paired with it and leaves the deadline with the endpoint,
+    /// so the caller's next call resumes the wait (and spins no more).
+    fn park_until<S, T>(
+        &self,
+        site: &WaitSite<S>,
+        patience: Option<(Duration, T)>,
+        mut probe: impl FnMut(&mut S) -> MpiResult<Option<T>>,
+        describe: impl FnOnce(&S) -> String,
+    ) -> MpiResult<T> {
+        let resumed = self.deadline.take();
+        let mut state = site.lock();
+        if let Some(found) = probe(&mut state)? {
+            return Ok(found);
+        }
+        if resumed.is_none() {
+            for _ in 0..PARK_SPIN {
+                drop(state);
+                std::thread::yield_now();
+                state = site.lock();
+                if let Some(found) = probe(&mut state)? {
+                    return Ok(found);
+                }
+            }
+        }
+        let mut now = crate::clock::now();
+        let deadline = resumed.unwrap_or(now + BLOCKING_TIMEOUT);
+        let (patience, not_yet) = patience.unzip();
+        let until = patience.map_or(deadline, |patience| deadline.min(now + patience));
+        loop {
+            drop(state);
+            self.inner.tick_wait(self.world_rank)?;
+            state = site.lock();
+            if let Some(found) = probe(&mut state)? {
+                return Ok(found);
+            }
+            if now >= deadline {
+                return Err(MpiError::Internal(format!(
+                    "rank {} blocked at the {} for more than {BLOCKING_TIMEOUT:?}, waiting for {}",
+                    self.world_rank,
+                    site.name,
+                    describe(&state)
+                )));
+            }
+            match not_yet {
+                Some(not_yet) if now >= until => {
+                    self.deadline.set(Some(deadline));
+                    return Ok(not_yet);
+                }
+                _ => {}
+            }
+            let mut slice = until.saturating_duration_since(now);
+            if self.inner.lively.load(Ordering::Acquire) {
+                slice = slice.min(WAIT_SLICE);
+            }
+            site.parked.fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.record_park();
+            site.changed.wait_for(&mut state, slice);
+            site.parked.fetch_sub(1, Ordering::Relaxed);
+            now = crate::clock::now();
         }
     }
 
@@ -1142,27 +1224,18 @@ impl Endpoint {
     pub fn recv_blocking(&self, spec: &MatchSpec) -> MpiResult<Envelope> {
         self.inner.tick_op(self.world_rank)?;
         let slot = self.slot(self.world_rank)?;
-        let deadline = crate::clock::now() + BLOCKING_TIMEOUT;
-        loop {
-            {
-                let mut mailbox = slot.mailbox.lock();
-                if let Some(envelope) = mailbox.take(spec) {
-                    self.inner.stats.record_recv();
-                    return Ok(envelope);
-                }
-                if !slot.open.load(Ordering::Acquire) {
-                    return Err(MpiError::PeerUnreachable(self.world_rank));
-                }
-                slot.arrival.wait_for(&mut mailbox, self.wait_slice());
-            }
-            self.inner.tick_wait(self.world_rank)?;
-            if crate::clock::now() >= deadline {
-                return Err(MpiError::Internal(format!(
-                    "rank {} blocked in receive for more than {:?} (context {}, source {:?}, tag {:?})",
-                    self.world_rank, BLOCKING_TIMEOUT, spec.context, spec.source_comm_rank, spec.tag
-                )));
-            }
-        }
+        let envelope = self.park_until(
+            &slot.mailbox,
+            None,
+            |mailbox| match mailbox.take(spec) {
+                Some(envelope) => Ok(Some(envelope)),
+                None if slot.open.load(Ordering::Acquire) => Ok(None),
+                None => Err(MpiError::PeerUnreachable(self.world_rank)),
+            },
+            |mailbox| format!("a message matching {spec:?} ({} queued)", mailbox.pending()),
+        )?;
+        self.inner.stats.record_recv();
+        Ok(envelope)
     }
 
     /// Probe for a matching message without consuming it (`MPI_Iprobe`).
@@ -1197,7 +1270,7 @@ impl Endpoint {
     pub fn close(&self) {
         if let Ok(slot) = self.slot(self.world_rank) {
             slot.open.store(false, Ordering::Release);
-            slot.arrival.notify_all();
+            slot.mailbox.wake(slot.mailbox.lock());
         }
     }
 
@@ -1238,25 +1311,21 @@ impl Endpoint {
         }
         self.inner.tick_op(self.world_rank)?;
         self.inner.tick_collective_entry(self.world_rank)?;
+        let key = (context, seq);
         // A partition-isolated rank cannot reach the exchange: stall until heal (or
         // death/abort), exactly like a real collective over a cut network.
-        let stall_deadline = crate::clock::now() + BLOCKING_TIMEOUT;
-        while self.inner.is_isolated(self.world_rank) {
-            crate::clock::sleep(WAIT_SLICE);
-            self.inner.tick_wait(self.world_rank)?;
-            if crate::clock::now() >= stall_deadline {
-                return Err(MpiError::Internal(format!(
-                    "rank {} isolated by a partition for more than {:?}",
-                    self.world_rank, BLOCKING_TIMEOUT
-                )));
-            }
+        if self.inner.is_isolated(self.world_rank) {
+            self.park_until(
+                &self.inner.collectives,
+                None,
+                |_| Ok((!self.inner.is_isolated(self.world_rank)).then_some(())),
+                |_| format!("the partition isolating it from collective {key:?} to heal"),
+            )?;
         }
         self.inner.stats.record_collective(contribution.len());
         self.inner.stats.record_payload_copy(contribution.len());
-        let key = (context, seq);
-        let deadline = crate::clock::now() + BLOCKING_TIMEOUT;
-        let mut table = self.inner.collectives.lock();
         {
+            let mut table = self.inner.collectives.lock();
             let slot = table.entry(key).or_insert_with(|| CollectiveSlot {
                 expected: comm_size,
                 contributions: HashMap::with_capacity(comm_size),
@@ -1275,80 +1344,63 @@ impl Endpoint {
                 )));
             }
             if slot.contributions.len() == slot.expected {
-                let mut ordered = Vec::with_capacity(slot.expected);
-                for i in 0..slot.expected {
-                    // len == expected and double contributions are rejected above, so
-                    // every index is present — but a bookkeeping bug here must fail
-                    // the collective, not panic a rank mid-round.
-                    ordered.push(slot.contributions.remove(&i).ok_or_else(|| {
-                        MpiError::Internal(format!(
-                            "collective {key:?}: contribution from rank index {i} missing \
-                             at completion"
-                        ))
-                    })?);
-                }
+                // len == expected and double contributions are rejected above, so
+                // every index is present — but a bookkeeping bug here must fail the
+                // collective, not panic a rank mid-round.
+                let ordered = (0..slot.expected)
+                    .map(|i| {
+                        slot.contributions.remove(&i).ok_or_else(|| {
+                            MpiError::Internal(format!(
+                                "collective {key:?}: contribution from rank index {i} missing \
+                                 at completion"
+                            ))
+                        })
+                    })
+                    .collect::<MpiResult<Vec<_>>>()?;
                 slot.result = Some(Arc::new(ordered));
-                self.inner.collective_done.notify_all();
+                self.inner.collectives.wake(table);
             }
         }
-        // Wait for completion, then pick up the shared result.
-        loop {
-            let finished = {
-                let slot = table.get(&key).ok_or_else(|| {
-                    MpiError::Internal("collective slot vanished before completion".into())
+        // Wait for completion, then pick up the shared result; the last reader
+        // retires the slot.
+        let (result, last_reader) = self.park_until(
+            &self.inner.collectives,
+            None,
+            |table| {
+                // The slot outlives its readers by construction; if it vanished
+                // anyway, surface a typed fault instead of killing the rank.
+                let slot = table.get_mut(&key).ok_or_else(|| {
+                    MpiError::Internal(format!(
+                        "collective slot {key:?} vanished while readers remained"
+                    ))
                 })?;
-                slot.result.clone()
-            };
-            if let Some(result) = finished {
-                let remove = {
-                    // The slot outlives its readers by construction; if it vanished
-                    // anyway, surface a typed fault instead of killing the rank.
-                    let slot = table.get_mut(&key).ok_or_else(|| {
-                        MpiError::Internal(format!(
-                            "collective slot {key:?} vanished while readers remained"
-                        ))
-                    })?;
-                    slot.readers_remaining -= 1;
-                    slot.readers_remaining == 0
+                let Some(result) = slot.result.clone() else {
+                    return Ok(None);
                 };
-                if remove {
+                slot.readers_remaining -= 1;
+                let last_reader = slot.readers_remaining == 0;
+                if last_reader {
                     table.remove(&key);
-                    // The round is over: clear any registration-board entry for the
-                    // same key (every registrant necessarily contributed).
-                    self.inner.registrations.lock().remove(&key);
                 }
-                // Each reader's copy of the fan-out is refcount bumps of the shared
-                // contribution buffers, never a byte copy.
-                for buf in result.iter() {
-                    self.inner.stats.record_payload_share(buf.len());
-                }
-                return Ok(result.as_ref().clone());
-            }
-            let slice = self.wait_slice();
-            let timed_out = self
-                .inner
-                .collective_done
-                .wait_for(&mut table, slice)
-                .timed_out();
-            if self.inner.lively.load(Ordering::Acquire) {
-                // Release the table while ticking: the pump may need mailboxes, and
-                // beats/death checks must not be starved by a long collective wait.
-                drop(table);
-                self.inner.tick_wait(self.world_rank)?;
-                if crate::clock::now() >= deadline {
-                    return Err(MpiError::Internal(format!(
-                        "rank {} blocked in collective (context {context}, seq {seq}) for more than {:?}",
-                        self.world_rank, BLOCKING_TIMEOUT
-                    )));
-                }
-                table = self.inner.collectives.lock();
-            } else if timed_out {
-                return Err(MpiError::Internal(format!(
-                    "rank {} blocked in collective (context {context}, seq {seq}) for more than {:?}",
-                    self.world_rank, BLOCKING_TIMEOUT
-                )));
-            }
+                Ok(Some((result, last_reader)))
+            },
+            |table| {
+                let slot = table.get(&key);
+                let missing = slot.map(|s| absent(s.expected, |i| s.contributions.contains_key(i)));
+                format!("collective {key:?} to complete (yet to contribute: {missing:?})")
+            },
+        )?;
+        if last_reader {
+            // The round is over: clear any registration-board entry for the same
+            // key (every registrant necessarily contributed).
+            self.inner.registrations.lock().remove(&key);
         }
+        // Each reader's copy of the fan-out is refcount bumps of the shared
+        // contribution buffers, never a byte copy.
+        for buf in result.iter() {
+            self.inner.stats.record_payload_share(buf.len());
+        }
+        Ok(result.as_ref().clone())
     }
 
     // ------------------------------------------------------------------
@@ -1361,10 +1413,7 @@ impl Endpoint {
     /// every registrant parked in [`Endpoint::collective_await_commit`].
     ///
     /// Returns whether the round stands committed, i.e. whether the caller may skip
-    /// the wait. A registrant that did not commit the round itself gives the others a
-    /// short fixed spin of probe-and-yield before answering: the last registrant is
-    /// usually microseconds behind, and a commit caught spinning costs neither side
-    /// a futex round trip.
+    /// the wait.
     pub fn collective_register(
         &self,
         context: ContextId,
@@ -1378,57 +1427,36 @@ impl Endpoint {
             )));
         }
         self.inner.tick_op(self.world_rank)?;
-        let key = (context, seq);
-        {
-            let mut board = self.inner.registrations.lock();
-            let slot = board.entry(key).or_insert_with(|| RegistrationSlot {
+        let mut board = self.inner.registrations.lock();
+        let slot = board
+            .entry((context, seq))
+            .or_insert_with(|| RegistrationSlot {
                 expected: comm_size,
                 registered: MemberSet::default(),
                 committed: false,
-                parked: 0,
-                park_deadline: None,
             });
-            if slot.expected != comm_size {
-                return Err(MpiError::CollectiveMismatch(format!(
-                    "ranks disagree about communicator size in registration: {} vs {}",
-                    slot.expected, comm_size
-                )));
-            }
-            slot.registered.set(my_index, true);
-            if !slot.committed && slot.registered.len == slot.expected {
-                // Flag and notify under the board mutex: a registrant is either
-                // still ahead of its own check (and reads the flag) or already
-                // parked (and gets the notify) — never in between.
-                slot.committed = true;
-                if slot.parked > 0 {
-                    self.inner.registration_committed.notify_all();
-                }
-            }
-            if slot.committed {
-                return Ok(true);
-            }
+        if slot.expected != comm_size {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "ranks disagree about communicator size in registration: {} vs {}",
+                slot.expected, comm_size
+            )));
         }
-        // The lock is taken and dropped per probe, so the registrant this rank is
-        // waiting for never queues behind the spin for longer than one probe.
-        for _ in 0..REGISTRATION_SPIN {
-            std::thread::yield_now();
-            if self.registration_committed(key) {
-                return Ok(true);
-            }
+        slot.registered.set(my_index, true);
+        if !slot.committed && slot.registered.len == slot.expected {
+            slot.committed = true;
+            self.inner.registrations.wake(board);
+            return Ok(true);
         }
-        Ok(false)
+        Ok(slot.committed)
     }
 
-    /// Park until the registration round `(context, seq)` commits, for at most
+    /// Wait until the registration round `(context, seq)` commits, for at most
     /// `patience` (`None`: as long as the fabric lets any blocking operation wait).
     /// `Ok(true)` means committed; `Ok(false)` means `patience` ran out first, and
-    /// the caller — still registered — may look around and call again.
-    ///
-    /// The park is on the board's own condvar, sliced like every other blocking wait
-    /// here, so the rank keeps beating, chaos keeps pumping and a death or abort
-    /// surfaces as [`MpiError::RankKilled`] / [`MpiError::JobAborted`]. A round still
-    /// uncommitted `BLOCKING_TIMEOUT` after its first registrant parked fails the
-    /// wait: some member never registered.
+    /// the caller — still registered — may look around and call again: that resumes
+    /// the wait, under the deadline its first park set. A round uncommitted at that
+    /// deadline fails the wait (some member never registered); death and abort
+    /// surface as in every blocking wait of the fabric.
     ///
     /// A missing slot reads as not committed. The caller is expected to hold a live
     /// registration of its own, and the slot of a committed round is only removed
@@ -1440,56 +1468,22 @@ impl Endpoint {
         patience: Option<Duration>,
     ) -> MpiResult<bool> {
         let key = (context, seq);
-        loop {
-            self.inner.tick_wait(self.world_rank)?;
-            let mut board = self.inner.registrations.lock();
-            let Some(slot) = board.get_mut(&key) else {
-                return Ok(false);
-            };
-            if slot.committed {
-                return Ok(true);
-            }
-            let deadline = *slot
-                .park_deadline
-                .get_or_insert_with(|| crate::clock::now() + BLOCKING_TIMEOUT);
-            let slice = self.wait_slice();
-            let slice = patience.map_or(slice, |p| p.min(slice));
-            slot.parked += 1;
-            self.inner.stats.record_registration_park();
-            self.inner
-                .registration_committed
-                .wait_for(&mut board, slice);
-            let Some(slot) = board.get_mut(&key) else {
-                return Ok(false);
-            };
-            slot.parked = slot.parked.saturating_sub(1);
-            if slot.committed {
-                return Ok(true);
-            }
-            if crate::clock::now() >= deadline {
-                let missing: Vec<usize> = (0..slot.expected)
-                    .filter(|&index| !slot.registered.contains(index))
-                    .collect();
-                return Err(MpiError::Internal(format!(
-                    "rank {} waited more than {BLOCKING_TIMEOUT:?} for the collective \
-                     registration round (context {context}, seq {seq}) to commit — a \
-                     peer likely died before registering (members not registered: \
-                     {missing:?})",
-                    self.world_rank
-                )));
-            }
-            if patience.is_some() {
-                return Ok(false);
-            }
-        }
-    }
-
-    fn registration_committed(&self, key: (ContextId, u64)) -> bool {
-        self.inner
-            .registrations
-            .lock()
-            .get(&key)
-            .is_some_and(|slot| slot.committed)
+        self.park_until(
+            &self.inner.registrations,
+            patience.map(|patience| (patience, false)),
+            |board| match board.get(&key) {
+                Some(slot) if !slot.committed => Ok(None),
+                slot => Ok(Some(slot.is_some())),
+            },
+            |board| {
+                let slot = board.get(&key);
+                let missing = slot.map(|s| absent(s.expected, |&i| s.registered.contains(i)));
+                format!(
+                    "registration round {key:?} to commit — a peer likely died before \
+                     registering (not registered: {missing:?})"
+                )
+            },
+        )
     }
 
     /// Atomically withdraw `my_index`'s registration from round `(context, seq)`.
@@ -1517,6 +1511,8 @@ impl Endpoint {
         if slot.registered.len == 0 {
             board.remove(&(context, seq));
         }
+        // Stepping out ends the wait, and with it the deadline an await left behind.
+        self.deadline.set(None);
         Ok(true)
     }
 }
@@ -1529,6 +1525,15 @@ mod tests {
 
     fn fabric(n: usize) -> Fabric {
         Fabric::new(FabricConfig::new(n, 0xdead_beef))
+    }
+
+    /// Block until ranks have parked `parks` times on the fabric (or are about to:
+    /// the count moves under the site's mutex, which the park releases atomically,
+    /// so anything done to that site after this returns lands on a parked rank).
+    fn until_parked(f: &Fabric, parks: u64) {
+        while f.stats().parks < parks {
+            thread::yield_now();
+        }
     }
 
     #[test]
@@ -1550,18 +1555,20 @@ mod tests {
     #[test]
     fn blocking_recv_waits_for_sender() {
         let f = fabric(2);
-        let e1 = f.endpoint(1).unwrap();
-        let f2 = f.clone();
-        let sender = thread::spawn(move || {
-            let e0 = f2.endpoint(0).unwrap();
-            std::thread::sleep(Duration::from_millis(20));
-            e0.send(1, 0, 1, 3, vec![9]).unwrap();
-        });
-        let env = e1
-            .recv_blocking(&MatchSpec::from_mpi_args(1, 0, 3))
-            .unwrap();
-        assert_eq!(env.payload, vec![9]);
-        sender.join().unwrap();
+        let receiver = {
+            let f = f.clone();
+            thread::spawn(move || {
+                let e1 = f.endpoint(1).unwrap();
+                e1.recv_blocking(&MatchSpec::from_mpi_args(1, 0, 3))
+            })
+        };
+        until_parked(&f, 1);
+        let e0 = f.endpoint(0).unwrap();
+        // A message the receive does not match wakes the receiver, no more.
+        e0.send(1, 0, 1, 4, vec![8]).unwrap();
+        e0.send(1, 0, 1, 3, vec![9]).unwrap();
+        assert_eq!(receiver.join().unwrap().unwrap().payload, vec![9]);
+        assert_eq!(f.pending_messages(), 1);
     }
 
     #[test]
@@ -1654,8 +1661,8 @@ mod tests {
                 ep.collective_exchange(9, 0, 0, 2, vec![])
             })
         };
-        // Let rank 0 create the slot with size 2, then rank 2 disagrees with size 3.
-        std::thread::sleep(Duration::from_millis(20));
+        // Once rank 0 has created the slot with size 2, rank 2 disagrees with size 3.
+        until_parked(&f, 1);
         let err = e2.collective_exchange(9, 0, 1, 3, vec![]).unwrap_err();
         assert!(matches!(err, MpiError::CollectiveMismatch(_)));
         // Unblock rank 0 by providing the second size-2 contribution.
@@ -1732,15 +1739,6 @@ mod tests {
         assert_eq!(f.inner.registrations.lock().len(), 0);
     }
 
-    /// Block until `parks` registrants have parked on the board (or are about to:
-    /// the count moves under the board mutex, which the park releases atomically, so
-    /// any board operation or wake issued after this returns lands on a parked rank).
-    fn until_parked(f: &Fabric, parks: u64) {
-        while f.stats().registration_parks < parks {
-            thread::yield_now();
-        }
-    }
-
     #[test]
     fn parked_registrant_is_released_by_the_last_registration() {
         // Not lively: the park is one full BLOCKING_TIMEOUT slice, so only the
@@ -1764,7 +1762,7 @@ mod tests {
         );
         assert!(e2.collective_register(7, 3, 2, 3).unwrap());
         assert!(parked.join().unwrap().unwrap());
-        assert_eq!(f.stats().registration_parks, 1);
+        assert_eq!(f.stats().parks, 1);
     }
 
     #[test]
@@ -1850,6 +1848,290 @@ mod tests {
             assert_eq!(e0.collective_register(9, 0, index, size).unwrap(), last);
         }
         assert!(!e0.collective_withdraw(9, 0, 129).unwrap());
+    }
+
+    // ------------------------------------------------------------------
+    // The blocking wait
+    // ------------------------------------------------------------------
+
+    /// The `describe` of a wait that is not expected to reach its deadline.
+    fn unsaid(_: &Mailbox) -> String {
+        String::new()
+    }
+
+    /// A probe that yields on its `nth` call, counting calls in `calls`.
+    fn on_call(
+        nth: u32,
+        calls: &Cell<u32>,
+    ) -> impl FnMut(&mut Mailbox) -> MpiResult<Option<bool>> + '_ {
+        move |_| {
+            calls.set(calls.get() + 1);
+            Ok((calls.get() >= nth).then_some(true))
+        }
+    }
+
+    #[test]
+    fn a_wait_satisfied_at_entry_neither_parks_nor_reads_the_clock() {
+        let f = fabric(2);
+        let e0 = f.endpoint(0).unwrap();
+        let e1 = f.endpoint(1).unwrap();
+        e0.send(1, 0, 1, 0, vec![1]).unwrap();
+        e0.collective_register(3, 0, 0, 1).unwrap();
+        let reads = crate::clock::reads();
+        e1.recv_blocking(&MatchSpec::from_mpi_args(1, 0, 0))
+            .unwrap();
+        assert!(e0.collective_await_commit(3, 0, None).unwrap());
+        e0.collective_exchange(3, 0, 0, 1, vec![]).unwrap();
+        assert_eq!(crate::clock::reads(), reads);
+        assert_eq!(f.stats().parks, 0);
+    }
+
+    #[test]
+    fn a_wait_caught_in_the_spin_does_not_park() {
+        let f = fabric(1);
+        let e0 = f.endpoint(0).unwrap();
+        let calls = Cell::new(0);
+        let reads = crate::clock::reads();
+        let site = &f.inner.slots[0].mailbox;
+        let caught = e0.park_until(site, None, on_call(PARK_SPIN, &calls), unsaid);
+        assert!(caught.unwrap());
+        assert_eq!(calls.get(), PARK_SPIN);
+        assert_eq!(crate::clock::reads(), reads);
+        assert_eq!(f.stats().parks, 0);
+        // Past the spin's last probe and the one in front of the first park, the
+        // wait has parked (and been timed out of it).
+        calls.set(0);
+        let brief = Some((Duration::from_micros(1), false));
+        let parked = e0.park_until(site, brief, on_call(PARK_SPIN + 3, &calls), |_| {
+            String::new()
+        });
+        assert!(parked.unwrap());
+        assert_eq!(f.stats().parks, 1);
+    }
+
+    #[test]
+    fn patience_bounds_the_call_while_the_deadline_spans_the_re_awaits() {
+        let f = fabric(2);
+        let e0 = f.endpoint(0).unwrap();
+        let site = &f.inner.slots[0].mailbox;
+        let calls = Cell::new(0);
+        let brief = || Some((Duration::from_micros(50), false));
+        assert!(!e0
+            .park_until(site, brief(), on_call(u32::MAX, &calls), unsaid)
+            .unwrap());
+        let deadline = e0
+            .deadline
+            .get()
+            .expect("an unfinished wait keeps its deadline");
+        assert!(calls.get() > PARK_SPIN, "the first call spins");
+        // Coming back resumes: no second spin, the same deadline.
+        calls.set(0);
+        assert!(!e0
+            .park_until(site, brief(), on_call(u32::MAX, &calls), unsaid)
+            .unwrap());
+        assert!(calls.get() < PARK_SPIN, "a resumed wait has had its spin");
+        assert_eq!(e0.deadline.get(), Some(deadline));
+        // A wait that ends — satisfied or withdrawn from — leaves none.
+        assert!(e0
+            .park_until(site, brief(), on_call(1, &calls), unsaid)
+            .unwrap());
+        assert_eq!(e0.deadline.get(), None);
+        assert!(!e0.collective_register(5, 0, 0, 2).unwrap());
+        assert!(!e0
+            .collective_await_commit(5, 0, Some(Duration::ZERO))
+            .unwrap());
+        assert!(e0.deadline.get().is_some());
+        assert!(e0.collective_withdraw(5, 0, 0).unwrap());
+        assert_eq!(e0.deadline.get(), None);
+    }
+
+    /// An endpoint whose next wait fails `after` from now instead of
+    /// `BLOCKING_TIMEOUT` after its first park.
+    fn impatient(f: &Fabric, rank: Rank, after: Duration) -> Endpoint {
+        let endpoint = f.endpoint(rank).unwrap();
+        endpoint.deadline.set(Some(crate::clock::now() + after));
+        endpoint
+    }
+
+    #[test]
+    fn a_wait_past_its_deadline_names_site_key_and_who_is_missing() {
+        // Not lively: nothing slices the parks, the deadline alone ends them.
+        let f = fabric(3);
+        let soon = Duration::from_millis(20);
+        let failure = |result: MpiResult<()>| match result {
+            Err(MpiError::Internal(text)) => text,
+            other => panic!("expected the wait diagnostic, got {other:?}"),
+        };
+        let e0 = impatient(&f, 0, soon);
+        let spec = MatchSpec::from_mpi_args(1, 2, 7);
+        let text = failure(e0.recv_blocking(&spec).map(drop));
+        for part in [
+            "rank 0",
+            "mailbox",
+            "context: 1",
+            "Some(2)",
+            "Some(7)",
+            "0 queued",
+        ] {
+            assert!(text.contains(part), "{part:?} not in {text:?}");
+        }
+        let e0 = impatient(&f, 0, soon);
+        e0.collective_register(7, 3, 0, 3).unwrap();
+        f.endpoint(1)
+            .unwrap()
+            .collective_register(7, 3, 1, 3)
+            .unwrap();
+        let text = failure(e0.collective_await_commit(7, 3, None).map(drop));
+        for part in [
+            "registration board",
+            "(7, 3)",
+            "likely died before registering",
+            "[2]",
+        ] {
+            assert!(text.contains(part), "{part:?} not in {text:?}");
+        }
+        let e0 = impatient(&f, 0, soon);
+        let text = failure(e0.collective_exchange(9, 4, 0, 3, vec![]).map(drop));
+        for part in ["collective table", "(9, 4)", "[1, 2]"] {
+            assert!(text.contains(part), "{part:?} not in {text:?}");
+        }
+    }
+
+    #[test]
+    fn unrelated_collectives_do_not_restart_a_wedged_exchange_s_deadline() {
+        // Not lively. Rank 0's peer never arrives; every collective completing on
+        // another context wakes rank 0, and none of them may buy it more time.
+        let f = fabric(2);
+        let started = crate::clock::now();
+        let wedged = {
+            let f = f.clone();
+            thread::spawn(move || {
+                impatient(&f, 0, Duration::from_millis(100)).collective_exchange(9, 0, 0, 2, vec![])
+            })
+        };
+        until_parked(&f, 1);
+        let e1 = f.endpoint(1).unwrap();
+        let mut seq = 0;
+        while !wedged.is_finished() {
+            e1.collective_exchange(20, seq, 0, 1, vec![]).unwrap();
+            seq += 1;
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "the deadline never fell"
+            );
+        }
+        let error = wedged.join().unwrap().unwrap_err();
+        assert!(
+            matches!(&error, MpiError::Internal(text) if text.contains("(9, 0)")),
+            "{error:?}"
+        );
+        assert!(
+            f.stats().parks > 1,
+            "the other collectives did wake the wedged rank"
+        );
+    }
+
+    /// Race `disrupt` against rank 0 entering `wait`, on a fresh fabric that is not
+    /// lively — so a wake-up lost between rank 0's probe and its park would leave it
+    /// on a `BLOCKING_TIMEOUT` slice — `RACES` times (in `LANES` concurrent lanes,
+    /// each with its own seed), the disruption landing a seeded number of yields
+    /// after the start: before the wait, in its spin, or on the parked rank. Each
+    /// round's outcome must arrive within the watchdog and pass `check`.
+    fn race_a_wait(
+        wait: fn(&Endpoint) -> MpiResult<()>,
+        disrupt: impl Fn(&Fabric) + Sync,
+        check: impl Fn(MpiResult<()>) -> bool + Sync,
+    ) {
+        let lane = |seed: u64| {
+            let (to_waiter, fabrics) = std::sync::mpsc::channel::<Fabric>();
+            let (outcomes, from_waiter) = std::sync::mpsc::channel();
+            let gate = Arc::new(std::sync::Barrier::new(2));
+            let waiter = {
+                let gate = Arc::clone(&gate);
+                thread::spawn(move || {
+                    for f in fabrics {
+                        let e0 = f.endpoint(0).unwrap();
+                        gate.wait();
+                        outcomes.send(wait(&e0)).unwrap();
+                    }
+                })
+            };
+            let mut jitter = crate::chaos::SplitMix64::new(seed);
+            for round in 0..RACES / LANES {
+                let f = fabric(2);
+                to_waiter.send(f.clone()).unwrap();
+                gate.wait();
+                for _ in 0..jitter.next_u64() % (2 * u64::from(PARK_SPIN)) {
+                    thread::yield_now();
+                }
+                disrupt(&f);
+                let outcome = from_waiter
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("seed {seed} round {round}: the wake-up was lost"));
+                assert!(
+                    check(outcome.clone()),
+                    "seed {seed} round {round}: {outcome:?}"
+                );
+            }
+            drop(to_waiter);
+            waiter.join().unwrap();
+        };
+        thread::scope(|scope| {
+            for seed in 0..LANES {
+                scope.spawn(move || lane(seed));
+            }
+        });
+    }
+
+    const RACES: u64 = 2_000;
+    const LANES: u64 = 8;
+
+    fn receive(e0: &Endpoint) -> MpiResult<()> {
+        e0.recv_blocking(&MatchSpec::from_mpi_args(1, 1, 0))
+            .map(drop)
+    }
+
+    fn exchange(e0: &Endpoint) -> MpiResult<()> {
+        e0.collective_exchange(1, 0, 0, 2, vec![]).map(drop)
+    }
+
+    /// Turn the fabric lively under a waiting rank 0, see it take up sliced waits —
+    /// a second park shows it was woken, or parked on a slice that ran out — and
+    /// only then let `release` satisfy the wait.
+    fn enliven_then(f: &Fabric, release: fn(&Endpoint)) {
+        f.enable_heartbeats();
+        until_parked(f, 2);
+        release(&f.endpoint(1).unwrap());
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_on_a_rank_entering_a_receive() {
+        let killed = |outcome| outcome == Err(MpiError::RankKilled { rank: 0 });
+        race_a_wait(receive, |f| f.kill_rank(0, "race"), killed);
+        let aborted = |outcome| matches!(outcome, Err(MpiError::JobAborted(_)));
+        race_a_wait(receive, |f| f.abort("race"), aborted);
+        let closed = |outcome| outcome == Err(MpiError::PeerUnreachable(0));
+        race_a_wait(receive, |f| f.endpoint(0).unwrap().close(), closed);
+        let deliver = |e1: &Endpoint| e1.send(0, 1, 1, 0, vec![]).unwrap();
+        race_a_wait(
+            receive,
+            |f| enliven_then(f, deliver),
+            |outcome| outcome.is_ok(),
+        );
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_on_a_rank_entering_an_exchange() {
+        let killed = |outcome| outcome == Err(MpiError::RankKilled { rank: 0 });
+        race_a_wait(exchange, |f| f.kill_rank(0, "race"), killed);
+        let aborted = |outcome| matches!(outcome, Err(MpiError::JobAborted(_)));
+        race_a_wait(exchange, |f| f.abort("race"), aborted);
+        let join = |e1: &Endpoint| drop(e1.collective_exchange(1, 0, 1, 2, vec![]).unwrap());
+        race_a_wait(
+            exchange,
+            |f| enliven_then(f, join),
+            |outcome| outcome.is_ok(),
+        );
     }
 
     #[test]
@@ -1994,7 +2276,7 @@ mod tests {
             let e1 = f2.endpoint(1).unwrap();
             e1.recv_blocking(&MatchSpec::from_mpi_args(1, 0, 0))
         });
-        std::thread::sleep(Duration::from_millis(30));
+        until_parked(&f, 1);
         f.abort("detector: rank 0 heartbeat expired");
         let err = h.join().unwrap().unwrap_err();
         assert!(matches!(err, MpiError::JobAborted(_)));
@@ -2012,7 +2294,7 @@ mod tests {
             // Rank 1 never joins: blocked until abort.
             e0.collective_exchange(1, 0, 0, 2, vec![])
         });
-        std::thread::sleep(Duration::from_millis(30));
+        until_parked(&f, 1);
         f.abort("test abort");
         let err = h.join().unwrap().unwrap_err();
         assert!(matches!(err, MpiError::JobAborted(_)));

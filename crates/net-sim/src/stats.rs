@@ -28,9 +28,10 @@ pub struct FabricStats {
     /// redeliveries, retransmits and collective fan-out reads all land here.
     /// `bytes_shared > 0` under chaos is the measured proof of resharing.
     pub bytes_shared: AtomicU64,
-    /// Times a registrant parked on the registration board because its collective
-    /// round had not committed by the end of the spin (one per wait slice).
-    pub registration_parks: AtomicU64,
+    /// Times a rank parked in a blocking wait — a receive, a collective exchange or
+    /// a registration round that was not satisfied by the end of its spin (one per
+    /// wait slice).
+    pub parks: AtomicU64,
 }
 
 impl FabricStats {
@@ -67,9 +68,9 @@ impl FabricStats {
         self.bytes_shared.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Record that a registrant is about to park on the registration board.
-    pub fn record_registration_park(&self) {
-        self.registration_parks.fetch_add(1, Ordering::Relaxed);
+    /// Record that a rank is about to park in a blocking wait.
+    pub fn record_park(&self) {
+        self.parks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the counters as plain numbers.
@@ -82,7 +83,7 @@ impl FabricStats {
             collective_bytes: self.collective_bytes.load(Ordering::Relaxed),
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             bytes_shared: self.bytes_shared.load(Ordering::Relaxed),
-            registration_parks: self.registration_parks.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -104,8 +105,8 @@ pub struct StatsSnapshot {
     pub bytes_copied: u64,
     /// Payload bytes handed off by refcount bump instead of copying.
     pub bytes_shared: u64,
-    /// Times a registrant parked on the registration board.
-    pub registration_parks: u64,
+    /// Times a rank parked in a blocking wait.
+    pub parks: u64,
 }
 
 impl StatsSnapshot {
