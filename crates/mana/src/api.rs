@@ -357,6 +357,21 @@ impl<T: MpiData> Drop for Request<T> {
     }
 }
 
+/// The byte limit of a receive of up to `max_count` elements of `T`. A limit, not a
+/// size: a count whose bytes do not fit a `usize` admits every message there can be.
+fn recv_limit<T: MpiData>(max_count: usize) -> usize {
+    max_count.saturating_mul(T::elem_size())
+}
+
+/// The byte size of a send-side block of `count` elements of `T`, which must exist.
+fn block_bytes<T: MpiData>(count: usize) -> MpiResult<usize> {
+    count
+        .checked_mul(T::elem_size())
+        .ok_or(MpiError::InvalidCount(
+            i64::try_from(count).unwrap_or(i64::MAX),
+        ))
+}
+
 const PRIMITIVES: usize = PrimitiveType::ALL.len();
 const OPS: usize = PredefinedOp::ALL.len();
 
@@ -696,11 +711,12 @@ impl Session {
 
     /// `MPI_Send` of a typed buffer.
     ///
-    /// The borrow-based fast path: the elements are encoded once into an owned
-    /// buffer which is handed down as a refcounted
-    /// [`PayloadBuf`](mpi_model::payload::PayloadBuf) — the wrapper layer, the
-    /// lower half and the fabric all share that single allocation, so a typed send
-    /// costs exactly one marshalling pass and zero further copies.
+    /// The elements are encoded straight into the allocation of a refcounted
+    /// [`PayloadBuf`](mpi_model::payload::PayloadBuf), which the wrapper layer, the
+    /// lower half and the fabric then share: a send of scalars costs one allocation
+    /// and one marshalling pass, and no byte is copied after it. (An element type
+    /// without a bulk encoder — a derived struct — marshals through a `Vec<u8>`
+    /// first, which costs it one more allocation and a `memcpy`.)
     pub fn send<T: MpiData>(
         &mut self,
         data: &[T],
@@ -711,7 +727,7 @@ impl Session {
         self.reap();
         let datatype = self.datatype_handle::<T>()?;
         self.rank
-            .send_payload(T::encode(data).into(), datatype, dest, tag, comm.0)
+            .send_payload(T::encode_payload(data), datatype, dest, tag, comm.0)
     }
 
     /// `MPI_Recv` of up to `max_count` elements of `T`.
@@ -719,7 +735,9 @@ impl Session {
     /// The decode runs directly over the received
     /// [`PayloadBuf`](mpi_model::payload::PayloadBuf) view — still the sender's
     /// allocation — so the only copy on the receive side is the typed unmarshalling
-    /// itself; no intermediate `Vec<u8>` is materialized.
+    /// itself, into one exactly-sized `Vec<T>`; no intermediate `Vec<u8>` is
+    /// materialized. `max_count` is a limit, not a size: any count is accepted,
+    /// `usize::MAX` meaning "whatever arrives".
     pub fn recv<T: MpiData>(
         &mut self,
         max_count: usize,
@@ -731,7 +749,7 @@ impl Session {
         let datatype = self.datatype_handle::<T>()?;
         let (bytes, status) =
             self.rank
-                .recv(datatype, max_count * T::elem_size(), source, tag, comm.0)?;
+                .recv(datatype, recv_limit::<T>(max_count), source, tag, comm.0)?;
         Ok((T::decode(&bytes)?, status))
     }
 
@@ -747,7 +765,7 @@ impl Session {
         let datatype = self.datatype_handle::<T>()?;
         let handle =
             self.rank
-                .isend_payload(T::encode(data).into(), datatype, dest, tag, comm.0)?;
+                .isend_payload(T::encode_payload(data), datatype, dest, tag, comm.0)?;
         Ok(self.request(handle))
     }
 
@@ -763,7 +781,7 @@ impl Session {
         let datatype = self.datatype_handle::<T>()?;
         let handle = self
             .rank
-            .irecv(datatype, max_count * T::elem_size(), source, tag, comm.0)?;
+            .irecv(datatype, recv_limit::<T>(max_count), source, tag, comm.0)?;
         Ok(self.request(handle))
     }
 
@@ -851,9 +869,8 @@ impl Session {
         comm: Comm,
     ) -> MpiResult<Vec<T>> {
         self.reap();
-        let bytes = self
-            .rank
-            .alltoall(&T::encode(data), block_count * T::elem_size(), comm.0)?;
+        let block_bytes = block_bytes::<T>(block_count)?;
+        let bytes = self.rank.alltoall(&T::encode(data), block_bytes, comm.0)?;
         T::decode(&bytes)
     }
 
@@ -889,13 +906,11 @@ impl Session {
         comm: Comm,
     ) -> MpiResult<Vec<T>> {
         self.reap();
+        let block_bytes = block_bytes::<T>(block_count)?;
         let encoded = data.map(|values| T::encode(values));
-        let bytes = self.rank.scatter(
-            encoded.as_deref(),
-            block_count * T::elem_size(),
-            root,
-            comm.0,
-        )?;
+        let bytes = self
+            .rank
+            .scatter(encoded.as_deref(), block_bytes, root, comm.0)?;
         T::decode(&bytes)
     }
 
@@ -1032,6 +1047,53 @@ mod tests {
         // The next session call reaps the abandoned descriptor.
         session.reap();
         assert_eq!(session.descriptor_count(), before);
+    }
+
+    #[test]
+    fn recv_of_any_length_saturates_its_limit() {
+        let mut session = session();
+        let world = session.world().unwrap();
+        session.send(&[1.5f64, -2.5], 0, 7, world).unwrap();
+        let (values, _) = session.recv::<f64>(usize::MAX, 0, 7, world).unwrap();
+        assert_eq!(values, vec![1.5, -2.5]);
+    }
+
+    #[test]
+    fn irecv_of_any_length_saturates_its_limit() {
+        let mut session = session();
+        let world = session.world().unwrap();
+        session.send(&[3i32, 4, 5], 0, 8, world).unwrap();
+        // `usize::MAX / 2` elements of 4 bytes used to wrap to a 4 GiB-short limit.
+        let request = session.irecv::<i32>(usize::MAX / 2, 0, 8, world).unwrap();
+        let (values, status) = request.wait(&mut session).unwrap();
+        assert_eq!(values, vec![3, 4, 5]);
+        assert_eq!(status.count_bytes, 12);
+    }
+
+    #[test]
+    fn alltoall_rejects_an_overflowing_block_size() {
+        let mut session = session();
+        let world = session.world().unwrap();
+        assert!(matches!(
+            session.alltoall(&[1.0f64], usize::MAX / 4, world),
+            Err(MpiError::InvalidCount(_))
+        ));
+        // The call never entered the collective: the communicator still works.
+        assert_eq!(session.alltoall(&[7u64], 1, world).unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn scatter_rejects_an_overflowing_block_size() {
+        let mut session = session();
+        let world = session.world().unwrap();
+        assert!(matches!(
+            session.scatter(Some(&[1u64][..]), usize::MAX / 4, 0, world),
+            Err(MpiError::InvalidCount(_))
+        ));
+        assert_eq!(
+            session.scatter(Some(&[9i32][..]), 1, 0, world).unwrap(),
+            [9]
+        );
     }
 
     #[test]

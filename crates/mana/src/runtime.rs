@@ -48,10 +48,12 @@ impl AppHandle {
 
     /// Recover the embedded virtual id.
     pub fn virtual_id(self) -> MpiResult<VirtualId> {
-        VirtualId::from_bits(self.0 as u32).ok_or(MpiError::Internal(format!(
-            "application handle {:#x} does not carry a MANA virtual id",
-            self.0
-        )))
+        VirtualId::from_bits(self.0 as u32).ok_or_else(|| {
+            MpiError::Internal(format!(
+                "application handle {:#x} does not carry a MANA virtual id",
+                self.0
+            ))
+        })
     }
 
     /// The null application handle (no object).

@@ -495,9 +495,11 @@ impl ManaRank {
 
     /// `MPI_Send` of an owned buffer: the zero-copy fast path.
     ///
-    /// The caller hands over a [`PayloadBuf`] (typically built once from an encoded
-    /// `Vec<u8>`), and the buffer crosses the wrapper, the lower half and the fabric
-    /// as a refcount hand-off — no byte is copied anywhere on the send side.
+    /// The caller hands over a [`PayloadBuf`] (encoded in place with
+    /// [`PayloadBuf::filled`], as the typed session does, or converted from a
+    /// `Vec<u8>` at the price of one copy), and the buffer crosses the wrapper, the
+    /// lower half and the fabric as a refcount hand-off — no byte is copied from
+    /// here on.
     pub fn send_payload(
         &mut self,
         buf: PayloadBuf,

@@ -1,0 +1,188 @@
+//! Allocation counts of the typed step path, as exact gates.
+//!
+//! A typed message costs one allocation and one bulk pass on each side (DESIGN.md,
+//! "Typed marshalling"). A growth-by-doubling, a double copy or a temporary that
+//! creeps back in moves one of the counts below and fails here, in tier-1, instead
+//! of waiting for a benchmark to notice the allocator lock.
+//!
+//! This file is its own test crate so that it can install a counting
+//! `#[global_allocator]` (which needs `unsafe`) while every library keeps
+//! `#![forbid(unsafe_code)]`. Each thread counts its own allocator calls in a
+//! thread-local, so neither the libtest harness thread nor the peer rank can leak
+//! into a count.
+
+use mana::config::ManaConfig;
+use mana::runtime::ManaRank;
+use mana::{Op, Session};
+use mpi_model::api::MpiImplementationFactory;
+use mpi_model::op::UserFunctionRegistry;
+use mpi_model::typed::{DoubleInt, MpiData};
+use parking_lot::RwLock;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct CountingAllocator;
+
+thread_local! {
+    /// `Some(n)` while this thread is inside [`allocations_in`]: its own count, which
+    /// no other thread's allocations can reach.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+impl CountingAllocator {
+    fn count() {
+        // `try_with`: the allocator is still called while a thread's locals are torn down.
+        let _ = COUNT.try_with(|count| count.set(count.get().map(|n| n + 1)));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `layout` obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) the calling thread makes
+/// inside `body`.
+fn allocations_in<R>(body: impl FnOnce() -> R) -> (u64, R) {
+    COUNT.set(Some(0));
+    let result = body();
+    (COUNT.take().expect("set above, on this thread"), result)
+}
+
+/// The codec alone: one exactly-sized buffer per call, on the scalars' bulk path
+/// and on the per-element path every other type takes (`DoubleInt` implements only
+/// `encode_element`/`decode_element`, like a user's derived struct).
+fn codec_counts() {
+    let halo: Vec<f64> = (0..512).map(|i| i as f64 * 0.5).collect();
+    let (encode, wire) = allocations_in(|| f64::encode(&halo));
+    assert_eq!(wire.len(), 4096);
+    assert_eq!(encode, 1, "f64::encode of 512 elements");
+    let (decode, back) = allocations_in(|| f64::decode(&wire));
+    assert_eq!(back.unwrap(), halo);
+    assert_eq!(decode, 1, "f64::decode of 4 KiB");
+    let (encode, payload) = allocations_in(|| f64::encode_payload(&halo));
+    assert_eq!(payload, wire);
+    assert_eq!(encode, 1, "f64::encode_payload of 512 elements");
+
+    let pairs = vec![
+        DoubleInt {
+            value: 1.5,
+            index: 3
+        };
+        100
+    ];
+    let (encode, wire) = allocations_in(|| DoubleInt::encode(&pairs));
+    assert_eq!(encode, 1, "DoubleInt::encode of 100 elements");
+    let (decode, back) = allocations_in(|| DoubleInt::decode(&wire));
+    assert_eq!(back.unwrap(), pairs);
+    assert_eq!(decode, 1, "DoubleInt::decode of 100 elements");
+}
+
+/// Allocations of one typed call on a 2-rank world: rank 0 sends 512 `f64`s, rank 1
+/// receives them, then both allreduce one `f64` (counted over both ranks, since
+/// which of them arrives last and assembles the round's result is a race).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepCounts {
+    send: u64,
+    recv: u64,
+    allreduce: u64,
+}
+
+const WARM_UP: usize = 8;
+const ROUNDS: usize = 200;
+
+/// One [`StepCounts`] per round, after [`WARM_UP`] uncounted rounds have sized the
+/// mailboxes and the sessions' caches.
+fn step_counts() -> Vec<StepCounts> {
+    let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
+    let lowers = mpich_sim::MpichFactory::mpich()
+        .launch(2, Arc::clone(&registry), 1)
+        .unwrap();
+    let halo: Vec<f64> = (0..512).map(|i| i as f64 * 0.25).collect();
+    // Per rank and round: allocations of the point-to-point call and of the allreduce.
+    let per_rank: Vec<Vec<[u64; 2]>> = std::thread::scope(|scope| {
+        let ranks: Vec<_> = lowers
+            .into_iter()
+            .map(|lower| {
+                let (registry, halo) = (Arc::clone(&registry), &halo);
+                scope.spawn(move || {
+                    let config = ManaConfig::new_design();
+                    let mut session = Session::new(ManaRank::new(lower, config, registry).unwrap());
+                    let world = session.world().unwrap();
+                    let me = session.world_rank();
+                    let mut counts = Vec::with_capacity(ROUNDS);
+                    for round in 0..WARM_UP + ROUNDS {
+                        let (p2p, ()) = allocations_in(|| {
+                            if me == 0 {
+                                session.send(halo, 1, 5, world).unwrap();
+                            } else {
+                                let (got, _) = session.recv::<f64>(512, 0, 5, world).unwrap();
+                                assert_eq!(&got, halo);
+                            }
+                        });
+                        let (allreduce, sum) = allocations_in(|| {
+                            session.allreduce(&[1.0f64], Op::sum(), world).unwrap()
+                        });
+                        assert_eq!(sum, [2.0]);
+                        if round >= WARM_UP {
+                            counts.push([p2p, allreduce]);
+                        }
+                    }
+                    counts
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|rank| rank.join().unwrap()).collect()
+    });
+    std::iter::zip(&per_rank[0], &per_rank[1])
+        .map(|(sender, receiver)| StepCounts {
+            send: sender[0],
+            recv: receiver[0],
+            allreduce: sender[1] + receiver[1],
+        })
+        .collect()
+}
+
+#[test]
+fn typed_step_path_allocation_counts_are_exact() {
+    codec_counts();
+    // Send: the payload, encoded in place. Receive: the decoded elements. Allreduce,
+    // per rank: the encoded send buffer the byte-level call borrows, the payload the
+    // engine copies it into, the accumulator and the decoded result; per round: the
+    // fabric's slot map, ordered contributions and their `Arc`, and one fan-out
+    // vector per reader.
+    let expected = StepCounts {
+        send: 1,
+        recv: 1,
+        allreduce: 2 * 4 + 5,
+    };
+    for (round, counts) in step_counts().into_iter().enumerate() {
+        assert_eq!(counts, expected, "round {round}");
+    }
+}

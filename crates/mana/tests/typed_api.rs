@@ -118,6 +118,25 @@ fn roundtrip_all_types(backend: Backend) {
         .unwrap_or_else(|e| panic!("{}: {e:?}", backend.name()));
 }
 
+/// A derived type implements only the per-element contract and still gets the
+/// pre-sized bulk `decode`: one exactly-sized vector, whatever the element count.
+#[test]
+fn derived_struct_decodes_per_element_into_one_exact_allocation() {
+    let particles: Vec<Particle> = (0..1000)
+        .map(|i| Particle {
+            position: [i as f64, -0.5 * i as f64, 0.25],
+            id: i,
+        })
+        .collect();
+    let wire = Particle::encode(&particles);
+    assert_eq!(wire.len(), 32_000);
+    assert_eq!(Particle::encode_payload(&particles), wire);
+    let decoded = Particle::decode(&wire).unwrap();
+    assert_eq!(decoded, particles);
+    assert_eq!(decoded.capacity(), decoded.len());
+    assert!(Particle::decode(&wire[..wire.len() - 1]).is_err());
+}
+
 #[test]
 fn scalar_and_struct_roundtrips_on_mpich() {
     roundtrip_all_types(Backend::Mpich);

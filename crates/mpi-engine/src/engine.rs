@@ -1166,13 +1166,13 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
         let idx = self.comm_index(comm)?;
         let my_rank = self.comm_rank(comm)? as usize;
         let size = self.comms.get(idx)?.descriptor.size();
-        if sendbuf.len() != block_bytes * size {
+        if block_bytes.checked_mul(size) != Some(sendbuf.len()) {
             return Err(MpiError::InvalidCount(sendbuf.len() as i64));
         }
         let all = self.exchange(idx, PayloadBuf::copy_from_slice(sendbuf))?;
-        let mut result = Vec::with_capacity(block_bytes * size);
+        let mut result = Vec::with_capacity(sendbuf.len());
         for contribution in &all {
-            if contribution.len() != block_bytes * size {
+            if contribution.len() != sendbuf.len() {
                 return Err(MpiError::CollectiveMismatch(
                     "MPI_Alltoall contributions have inconsistent sizes".into(),
                 ));
@@ -1232,7 +1232,7 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
             let buf = sendbuf.ok_or_else(|| {
                 MpiError::Internal("MPI_Scatter root must supply a send buffer".into())
             })?;
-            if buf.len() != block_bytes * size {
+            if block_bytes.checked_mul(size) != Some(buf.len()) {
                 return Err(MpiError::InvalidCount(buf.len() as i64));
             }
             PayloadBuf::copy_from_slice(buf)
@@ -1240,7 +1240,17 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
             PayloadBuf::new()
         };
         let all = self.exchange(idx, contribution)?;
-        let root_buf = &all[root as usize];
-        Ok(root_buf[my_rank * block_bytes..(my_rank + 1) * block_bytes].to_vec())
+        // The root validated its own buffer against its own block size; a rank that
+        // passed another one must get an error, not an out-of-range slice.
+        let block = my_rank
+            .checked_mul(block_bytes)
+            .and_then(|start| Some(start..start.checked_add(block_bytes)?))
+            .and_then(|range| all[root as usize].get(range))
+            .ok_or_else(|| {
+                MpiError::CollectiveMismatch(
+                    "MPI_Scatter block size disagrees with the root's send buffer".into(),
+                )
+            })?;
+        Ok(block.to_vec())
     }
 }

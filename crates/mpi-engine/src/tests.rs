@@ -399,6 +399,26 @@ fn alltoall_gather_scatter_bcast_barrier() {
 }
 
 #[test]
+fn block_sizes_that_cannot_match_are_errors_not_panics() {
+    let results = run_ranks(2, move |rank, api| {
+        let world = api.resolve_constant(PredefinedObject::CommWorld).unwrap();
+        // `block_bytes * size` overflows: rejected before the collective is entered.
+        let overflow = api.alltoall(&[1, 2], usize::MAX, world);
+        assert!(matches!(overflow, Err(MpiError::InvalidCount(2))));
+        let overflow = api.scatter(Some(&[1, 2]), usize::MAX, rank as i32, world);
+        assert!(matches!(overflow, Err(MpiError::InvalidCount(2))));
+        // Rank 1 asks for a bigger block than the root scattered.
+        if rank == 0 {
+            api.scatter(Some(&[7, 8]), 1, 0, world)
+        } else {
+            api.scatter(None, usize::MAX, 0, world)
+        }
+    });
+    assert_eq!(results[0], Ok(vec![7]));
+    assert!(matches!(results[1], Err(MpiError::CollectiveMismatch(_))));
+}
+
+#[test]
 fn user_defined_op() {
     let fabric = Fabric::new(FabricConfig::new(2, 7));
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));

@@ -11,7 +11,8 @@
 //! Sharing discipline:
 //!
 //! * [`Endpoint::send`](crate::fabric::Endpoint::send) takes the payload by value as
-//!   a [`PayloadBuf`]; injection never copies.
+//!   a [`PayloadBuf`]; injection never copies one. (Handing it a `Vec<u8>` converts
+//!   first, and that conversion is a copy — see [`PayloadBuf::from_vec`].)
 //! * A chaos hold (delay, reorder, drop-then-retransmit) moves the envelope; the
 //!   re-delivered envelope references the same allocation as the injected one.
 //! * A collective result is an `Arc<Vec<PayloadBuf>>`; all `N` readers receive

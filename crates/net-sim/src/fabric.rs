@@ -1166,8 +1166,8 @@ impl Endpoint {
     /// message may be held, dropped-then-retransmitted, or reordered — all invisibly
     /// to the receiver, thanks to the per-pair sequence assigned here at injection.
     ///
-    /// The payload is taken by value as a [`PayloadBuf`] (a `Vec<u8>` converts at no
-    /// cost): injection is a pointer hand-off, and every downstream hop — mailbox
+    /// The payload is taken by value as a [`PayloadBuf`] (a `Vec<u8>` converts with
+    /// one copy): injection is a pointer hand-off, and every downstream hop — mailbox
     /// deposit, re-sequencing park, chaos hold and retransmit — shares the same
     /// allocation.
     pub fn send(
