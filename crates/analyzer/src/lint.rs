@@ -138,14 +138,13 @@ fn is_test_like_path(rel: &str) -> bool {
 }
 
 /// Library source in scope for `no-panic` and `guard-across-blocking`: crate
-/// `src/` trees plus the root crate, excluding the bench harness (a measurement
-/// CLI whose loud failure *is* its error path) and the dependency shims (they
-/// mirror external crates whose error model is fixed upstream — e.g.
-/// `serde_derive` panics are how a proc macro reports malformed input at compile
-/// time, exactly as the real crate does).
+/// `src/` trees plus the root crate, excluding the dependency shims (they mirror
+/// external crates whose error model is fixed upstream — e.g. `serde_derive`
+/// panics are how a proc macro reports malformed input at compile time, exactly
+/// as the real crate does).
 fn in_library_scope(rel: &str) -> bool {
     let rel = rel.replace('\\', "/");
-    if rel.starts_with("crates/bench/") || rel.starts_with("crates/shims/") {
+    if rel.starts_with("crates/shims/") {
         return false;
     }
     (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/")

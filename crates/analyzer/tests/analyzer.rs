@@ -50,7 +50,6 @@ fn no_panic_is_scoped_to_library_code() {
         "crates/demo/tests/bad_panic.rs",
         "crates/demo/src/tests.rs",
         "examples/bad_panic.rs",
-        "crates/bench/src/bad_panic.rs",
         "crates/shims/serde/src/bad_panic.rs",
     ] {
         let violations = lint_source(path, &source);

@@ -113,7 +113,12 @@ fn one_percent_dirty_writes_ten_times_fewer_bytes() {
         gen1.written_bytes * 10 <= gen0.written_bytes,
         "second generation must also be ≥10× below the first full encode"
     );
-    assert!(gen1.reduction_factor() >= 10.0);
+    // The counted bytes are deterministic, so gate close to the measured ~117×.
+    assert!(
+        gen1.reduction_factor() >= 50.0,
+        "reduction at 1% dirty fell to {:.1}×",
+        gen1.reduction_factor()
+    );
 
     // And the reassembled image is exactly what was checkpointed.
     let back = storage.read(2, 0).unwrap();
@@ -152,6 +157,11 @@ fn compression_shrinks_compressible_chunks_and_roundtrips() {
         compressed.logical_bytes
     );
     assert_eq!(storage.read(0, 0).unwrap().upper_half, upper);
+
+    // Compression only ever helps: the same image uncompressed writes no fewer bytes.
+    let plain = CheckpointStorage::unmetered()
+        .write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper));
+    assert!(compressed.written_bytes <= plain.written_bytes);
 }
 
 #[test]
@@ -731,11 +741,15 @@ fn concurrent_prune_with_sync_and_async_checkpoints_keeps_a_restart_point() {
 #[test]
 fn per_shard_occupancy_sums_to_the_aggregate() {
     let storage = CheckpointStorage::unmetered().with_chunk_size(4096);
+    let one_shard = CheckpointStorage::unmetered()
+        .with_chunk_size(4096)
+        .with_shards(1);
     for rank in 0..2 {
-        storage.write_image(
-            StoragePolicy::Incremental,
-            &image_of(rank, 0, &synthetic_upper(rank, 3, 40_000)),
-        );
+        let image = image_of(rank, 0, &synthetic_upper(rank, 3, 40_000));
+        let sharded = storage.write_image(StoragePolicy::Incremental, &image);
+        // Sharding places chunks; it never changes what is written.
+        let single = one_shard.write_image(StoragePolicy::Incremental, &image);
+        assert_eq!(sharded.written_bytes, single.written_bytes);
     }
     let stats = storage.stats();
     assert_eq!(stats.shards.len(), storage.shard_count());

@@ -10,8 +10,10 @@
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::runtime::AppHandle;
 use mana::{Comm, Datatype, Op, Session};
+use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::{PrimitiveType, TypeDescriptor};
 use mpi_model::error::MpiResult;
+use mpi_model::op::PredefinedOp;
 use mpi_model::typed::{DoubleInt, MpiData};
 
 /// A derived-datatype struct: three coordinates and a tag, laid out as
@@ -192,6 +194,59 @@ fn typed_reductions_including_maxloc() {
             Ok(())
         })
         .unwrap();
+}
+
+/// The typed layer forwards one-to-one: a CoMD-shaped step (three halo exchanges of
+/// 512 doubles, one allreduce) makes exactly as many lower-half crossings through
+/// `Session` as through the byte-level `ManaRank` calls it wraps. One rank, so the
+/// count is deterministic: every collective registration commits its own round.
+#[test]
+fn typed_layer_adds_no_crossings() {
+    const NEIGHBORS: i32 = 3;
+    const STEPS: u64 = 100;
+    let halo: Vec<f64> = (0..512).map(|i| (i as f64 * 0.25).sin()).collect();
+    let world_of_one = || JobRuntime::new(JobConfig::new(1, Backend::Mpich));
+
+    let halo_raw = halo.clone();
+    let raw = world_of_one()
+        .run(move |mut session, _ctx| {
+            let rank = session.rank_mut();
+            for step in 0..STEPS {
+                let world = rank.constant(PredefinedObject::CommWorld)?;
+                let double = rank.constant(PredefinedObject::Datatype(PrimitiveType::Double))?;
+                let sum = rank.constant(PredefinedObject::Op(PredefinedOp::Sum))?;
+                for tag in 1..=NEIGHBORS {
+                    rank.send(&f64::encode(&halo_raw), double, 0, tag, world)?;
+                    let (bytes, _) = rank.recv(double, halo_raw.len() * 8, 0, tag, world)?;
+                    f64::decode(&bytes)?;
+                }
+                let reduced = rank.allreduce(&f64::encode(&[step as f64]), double, sum, world)?;
+                assert_eq!(f64::decode(&reduced)?, [step as f64]);
+            }
+            Ok(rank.crossings())
+        })
+        .unwrap();
+
+    let typed = world_of_one()
+        .run(move |mut session, _ctx| {
+            for step in 0..STEPS {
+                let world = session.world()?;
+                for tag in 1..=NEIGHBORS {
+                    session.send(&halo, 0, tag, world)?;
+                    session.recv::<f64>(halo.len(), 0, tag, world)?;
+                }
+                let reduced = session.allreduce(&[step as f64], Op::sum(), world)?;
+                assert_eq!(reduced, [step as f64]);
+            }
+            Ok(session.crossings())
+        })
+        .unwrap();
+
+    assert!(raw[0] > STEPS * (2 * NEIGHBORS as u64 + 1));
+    assert_eq!(
+        typed, raw,
+        "typed calls must forward one-to-one to the lower half"
+    );
 }
 
 /// The satellite's checkpoint-restart proof: a `Datatype<f64>` and a `Comm` stored in

@@ -5,7 +5,8 @@
 //! heartbeat monitor detects each death, the runtime aborts the torn round,
 //! falls back to the newest committed checkpoint generation, relaunches, and
 //! resumes; the final results are bit-identical to a chaos-free run, and the
-//! whole incident history is narrated by the returned [`RecoveryLog`].
+//! whole incident history is narrated by the returned [`RecoveryLog`], which is
+//! also written to `RECOVERY_log.json` in the working directory.
 //!
 //! ```text
 //! cargo run --release --example self_healing [seed]
@@ -48,7 +49,7 @@ fn step(session: &mut Session, step: u64) -> MpiResult<u64> {
     Ok(state)
 }
 
-fn main() -> MpiResult<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -82,6 +83,7 @@ fn main() -> MpiResult<()> {
     // The single operator action: detection, fallback, relaunch and resume all
     // happen inside this call.
     let (run, log) = runtime.run_steps_self_healing(STEPS, step)?;
+    std::fs::write("RECOVERY_log.json", log.to_json())?;
 
     for event in log.events() {
         println!(

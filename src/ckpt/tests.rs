@@ -1,0 +1,151 @@
+//! Full vs incremental vs incremental+compressed storage of a multi-MiB upper
+//! half, and eight ranks writing one generation in parallel through the sharded
+//! store against a serialized baseline.
+
+use ckpt_store::{CheckpointStorage, StoragePolicy, StoreReport, DEFAULT_SHARD_COUNT};
+use split_proc::address_space::UpperHalfSpace;
+use split_proc::image::{CheckpointImage, ImageMetadata};
+use split_proc::store::StoreConfig;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// 100 regions of 80 KiB: a 7.8 MiB upper half.
+const REGIONS: usize = 100;
+const REGION_BYTES: usize = 80 * 1024;
+
+fn image_of(
+    rank: usize,
+    world_size: usize,
+    generation: u64,
+    upper: UpperHalfSpace,
+) -> CheckpointImage {
+    CheckpointImage::new(
+        ImageMetadata {
+            rank: rank as i32,
+            world_size,
+            generation,
+            implementation: "mpich".into(),
+        },
+        upper,
+    )
+}
+
+/// Write generation 0 of a mildly compressible upper half, dirty one byte in
+/// `dirty_fraction` of its regions, write generation 1 under `policy`, and report
+/// what generation 1 cost on the modelled NFSv3 store.
+fn measure(policy: StoragePolicy, dirty_fraction: f64) -> StoreReport {
+    let storage = CheckpointStorage::with_model(StoreConfig::nfs_discovery());
+    let mut upper = UpperHalfSpace::new();
+    for r in 0..REGIONS {
+        // Runs of a region-dependent byte broken by position noise: RLE wins some.
+        let data: Vec<u8> = (0..REGION_BYTES)
+            .map(|i| {
+                if i % 7 == 0 {
+                    (i.wrapping_mul(2654435761) >> 5) as u8
+                } else {
+                    (r % 251) as u8
+                }
+            })
+            .collect();
+        upper.map_region(format!("app.region{r:03}"), data);
+    }
+    storage.write_image(policy, &image_of(0, 1, 0, upper.clone()));
+    upper.mark_clean();
+    upper.advance_epoch();
+
+    let dirty_regions = ((REGIONS as f64 * dirty_fraction).round() as usize).clamp(1, REGIONS);
+    for r in 0..dirty_regions {
+        upper.region_mut(&format!("app.region{r:03}")).unwrap()[r % REGION_BYTES] ^= 0xFF;
+    }
+    storage.write_image(policy, &image_of(0, 1, 1, upper))
+}
+
+const PARALLEL_WORLD: usize = 8;
+
+/// Wall time and total written bytes of `PARALLEL_WORLD` ranks writing one
+/// generation of rank-private, aperiodic 4 MiB images concurrently. With
+/// `serialize_writes`, every write holds one global lock, as the pre-shard engine
+/// did.
+fn parallel_write(shards: usize, serialize_writes: bool) -> (f64, usize) {
+    let storage = CheckpointStorage::unmetered().with_shards(shards);
+    let whole_write_lock = Arc::new(Mutex::new(()));
+    let images: Vec<CheckpointImage> = (0..PARALLEL_WORLD)
+        .map(|rank| {
+            let mut upper = UpperHalfSpace::new();
+            for r in 0..16u64 {
+                let data: Vec<u8> = (0..256 * 1024u64)
+                    .map(|i| {
+                        (i.wrapping_add(rank as u64 * 10_000_019)
+                            .wrapping_add(r * 97_001)
+                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            >> 24) as u8
+                    })
+                    .collect();
+                upper.map_region(format!("app.region{r:02}"), data);
+            }
+            image_of(rank, PARALLEL_WORLD, 0, upper)
+        })
+        .collect();
+
+    let start = Instant::now();
+    let writers: Vec<_> = images
+        .into_iter()
+        .map(|image| {
+            let storage = storage.clone();
+            let lock = Arc::clone(&whole_write_lock);
+            std::thread::spawn(move || {
+                let _guard = serialize_writes.then(|| lock.lock().unwrap());
+                storage
+                    .write_image(StoragePolicy::Incremental, &image)
+                    .written_bytes
+            })
+        })
+        .collect();
+    let written = writers.into_iter().map(|w| w.join().unwrap()).sum();
+    (start.elapsed().as_secs_f64(), written)
+}
+
+/// The faster of two runs, damping scheduler noise.
+fn best_parallel_write(shards: usize, serialize_writes: bool) -> (f64, usize) {
+    let (a, written) = parallel_write(shards, serialize_writes);
+    let (b, _) = parallel_write(shards, serialize_writes);
+    (a.min(b), written)
+}
+
+#[test]
+fn one_percent_dirty_beats_full_by_ten_x() {
+    let full = measure(StoragePolicy::FullImage, 0.01);
+    let incremental = measure(StoragePolicy::Incremental, 0.01);
+    assert!(incremental.written_bytes * 10 <= full.written_bytes);
+    assert!(incremental.write_time_s < full.write_time_s);
+}
+
+#[test]
+fn compression_only_helps() {
+    let plain = measure(StoragePolicy::Incremental, 1.0);
+    let compressed = measure(StoragePolicy::IncrementalCompressed, 1.0);
+    assert!(compressed.written_bytes <= plain.written_bytes);
+    assert!(compressed.compression_saved_bytes > 0);
+}
+
+#[test]
+fn parallel_sharded_writes_beat_the_serialized_baseline() {
+    let (baseline_s, baseline_bytes) = best_parallel_write(DEFAULT_SHARD_COUNT, true);
+    let (sharded_s, sharded_bytes) = best_parallel_write(DEFAULT_SHARD_COUNT, false);
+    assert_eq!(baseline_bytes, sharded_bytes);
+    // Wall-time speedup needs real cores: on a single-CPU box the eight writer
+    // threads timeshare one core and both configurations take the same serial
+    // wall time, so the ordering is only asserted where parallelism exists.
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    if cores > 1 {
+        assert!(
+            sharded_s < baseline_s,
+            "sharded parallel writes ({:.1} ms) must beat the serialized baseline \
+             ({:.1} ms) on {cores} cores",
+            sharded_s * 1e3,
+            baseline_s * 1e3
+        );
+    }
+}

@@ -6,8 +6,8 @@
 //! tests share: launching a MANA-wrapped job of rank threads on any of the simulated
 //! MPI implementations.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and per-experiment
-//! index, and `EXPERIMENTS.md` for the paper-vs-reproduced numbers.
+//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
+//! `benchmark/README.md` for what is measured and how.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,6 +76,45 @@ where
     F: Fn(ManaRank) -> MpiResult<T> + Send + Sync + 'static,
 {
     job_runtime::run_world(ranks, move |_, rank| body(rank))
+}
+
+// Whole-stack checks that span several workspace crates at once, one module per
+// subsystem: each module is only its `tests.rs`.
+#[cfg(test)]
+mod async_ckpt {
+    mod tests;
+}
+#[cfg(test)]
+mod chaos {
+    mod tests;
+}
+#[cfg(test)]
+mod ckpt {
+    mod tests;
+}
+#[cfg(test)]
+mod collectives {
+    mod tests;
+}
+#[cfg(test)]
+mod compression {
+    mod tests;
+}
+#[cfg(test)]
+mod elastic {
+    mod tests;
+}
+#[cfg(test)]
+mod fabric {
+    mod tests;
+}
+#[cfg(test)]
+mod runner {
+    mod tests;
+}
+#[cfg(test)]
+mod service {
+    mod tests;
 }
 
 #[cfg(test)]
