@@ -30,7 +30,6 @@ use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{Rank, Tag};
 use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
-use split_proc::store::WriteReport;
 use std::collections::HashMap;
 
 /// The upper-half region the elastic runner keeps its whole state in. One fixed name
@@ -90,10 +89,7 @@ pub struct ElasticReport {
     /// `(logical_rank, checksum)` for every shard this rank hosts. A fresh rank that
     /// was never assigned work reports an empty list.
     pub shard_checksums: Vec<(Rank, f64)>,
-    /// The write report of the checkpoint taken during this run, if any.
-    pub checkpoint: Option<WriteReport>,
-    /// The storage engine's detailed report, when the checkpoint went through
-    /// `ckpt-store`.
+    /// The storage engine's report of the checkpoint taken during this run, if any.
     pub incremental: Option<StoreReport>,
 }
 
@@ -182,23 +178,13 @@ pub fn run_elastic(
         }
     }
 
-    let mut checkpoint_report = None;
     let mut incremental_report = None;
     while state.iteration < config.iterations {
         elastic_step(profile, session, &mut state)?;
         state.iteration += 1;
-        if config.checkpoint_at == Some(state.iteration) {
+        if let Some(storage) = config.checkpoint_due(state.iteration) {
             session.upper_mut().store_json(STATE_REGION, &state)?;
-            if let Some(storage) = config.storage.as_ref() {
-                let report = session.checkpoint_into(storage)?;
-                checkpoint_report = Some(report.to_write_report());
-                incremental_report = Some(report);
-            } else {
-                let store = config.store.as_ref().ok_or_else(|| {
-                    MpiError::Checkpoint("checkpoint requested without a checkpoint store".into())
-                })?;
-                checkpoint_report = Some(session.checkpoint(store)?);
-            }
+            incremental_report = Some(session.checkpoint_into(storage)?);
         }
     }
     session.upper_mut().store_json(STATE_REGION, &state)?;
@@ -213,7 +199,6 @@ pub fn run_elastic(
             .iter()
             .map(|s| (s.logical_rank, s.checksum()))
             .collect(),
-        checkpoint: checkpoint_report,
         incremental: incremental_report,
     })
 }

@@ -10,10 +10,9 @@
 
 use ckpt_store::{CheckpointStorage, StoreReport};
 use mana::{Comm, Op, Session};
-use mpi_model::error::{MpiError, MpiResult};
+use mpi_model::error::MpiResult;
 use mpi_model::types::Rank;
 use serde::{Deserialize, Serialize};
-use split_proc::store::{CheckpointStore, WriteReport};
 
 /// The five applications of the paper's evaluation, plus the VASP-style proxy added
 /// for the plane-wave-DFT workload shape (the paper's §1 motivating class of codes
@@ -116,16 +115,11 @@ pub struct RunConfig {
     /// Scale factor applied to the full-scale per-rank state (1.0 reproduces the
     /// paper's checkpoint sizes; tests use much smaller values).
     pub state_scale: f64,
-    /// Take a transparent checkpoint after completing this timestep.
-    pub checkpoint_at: Option<u64>,
-    /// Legacy flat checkpoint store (the paper's baseline write path). Used when
-    /// `checkpoint_at` is set and no `storage` engine is configured.
-    pub store: Option<CheckpointStore>,
-    /// The `ckpt-store` storage engine. When set, checkpoints go through
-    /// [`Session::checkpoint_into`] under the rank's configured
-    /// [`mana::StoragePolicy`], enabling incremental/compressed writes. Takes
-    /// precedence over `store`.
-    pub storage: Option<CheckpointStorage>,
+    /// Take a transparent checkpoint after completing this timestep, into this
+    /// `ckpt-store` storage engine, through [`Session::checkpoint_into`] under the
+    /// rank's configured [`mana::StoragePolicy`] (`FullImage` is the paper's
+    /// baseline write path).
+    pub checkpoint: Option<(u64, CheckpointStorage)>,
 }
 
 impl Default for RunConfig {
@@ -133,9 +127,7 @@ impl Default for RunConfig {
         RunConfig {
             iterations: 10,
             state_scale: 1e-4,
-            checkpoint_at: None,
-            store: None,
-            storage: None,
+            checkpoint: None,
         }
     }
 }
@@ -149,18 +141,10 @@ impl RunConfig {
         }
     }
 
-    /// Add a checkpoint at the given timestep (legacy flat store).
-    pub fn with_checkpoint(mut self, at: u64, store: CheckpointStore) -> Self {
-        self.checkpoint_at = Some(at);
-        self.store = Some(store);
-        self
-    }
-
-    /// Add a checkpoint at the given timestep through the storage engine.
-    pub fn with_engine_checkpoint(mut self, at: u64, storage: CheckpointStorage) -> Self {
-        self.checkpoint_at = Some(at);
-        self.storage = Some(storage);
-        self
+    /// The storage to checkpoint into after completing `iteration`, if one is due.
+    pub(crate) fn checkpoint_due(&self, iteration: u64) -> Option<&CheckpointStorage> {
+        let (at, storage) = self.checkpoint.as_ref()?;
+        (*at == iteration).then_some(storage)
     }
 }
 
@@ -180,11 +164,8 @@ pub struct AppReport {
     pub checksum: f64,
     /// Per-rank state size in bytes.
     pub state_bytes: usize,
-    /// The write report of the checkpoint taken during this run, if any (for engine
-    /// checkpoints, `bytes` is the bytes physically written).
-    pub checkpoint: Option<WriteReport>,
-    /// The storage engine's detailed report, when the checkpoint went through
-    /// `ckpt-store` (logical vs written bytes, chunk reuse, compression savings).
+    /// The storage engine's report of the checkpoint taken during this run, if any
+    /// (logical vs written bytes, chunk reuse, compression savings).
     pub incremental: Option<StoreReport>,
 }
 
@@ -264,7 +245,6 @@ pub fn run(
     };
 
     let halo = profile.halo_elements.min(state.lattice.len().max(1));
-    let mut checkpoint_report = None;
     let mut incremental_report = None;
 
     while state.iteration < config.iterations {
@@ -318,18 +298,9 @@ pub fn run(
         state.iteration += 1;
 
         // Transparent checkpoint, if requested at this timestep.
-        if config.checkpoint_at == Some(state.iteration) {
+        if let Some(storage) = config.checkpoint_due(state.iteration) {
             session.upper_mut().store_json(&region, &state)?;
-            if let Some(storage) = config.storage.as_ref() {
-                let report = session.checkpoint_into(storage)?;
-                checkpoint_report = Some(report.to_write_report());
-                incremental_report = Some(report);
-            } else {
-                let store = config.store.as_ref().ok_or_else(|| {
-                    MpiError::Checkpoint("checkpoint requested without a checkpoint store".into())
-                })?;
-                checkpoint_report = Some(session.checkpoint(store)?);
-            }
+            incremental_report = Some(session.checkpoint_into(storage)?);
         }
     }
 
@@ -344,7 +315,6 @@ pub fn run(
         crossings: session.crossings(),
         checksum,
         state_bytes: state.lattice.len() * 8,
-        checkpoint: checkpoint_report,
         incremental: incremental_report,
     })
 }

@@ -42,9 +42,7 @@ fn run_config(storage: Option<CheckpointStorage>) -> RunConfig {
     RunConfig {
         iterations: ITERATIONS,
         state_scale: SCALE,
-        checkpoint_at: storage.as_ref().map(|_| CKPT_AT),
-        store: None,
-        storage,
+        checkpoint: storage.map(|storage| (CKPT_AT, storage)),
     }
 }
 
@@ -321,12 +319,10 @@ fn elastic_resize_works_across_codec_generations() {
     // ranks reading through the new default config, and require the finished job
     // checksum to equal the uninterrupted 4-rank run.
     let registry = registry();
-    let elastic_config = |iterations, checkpoint_at, storage| RunConfig {
+    let elastic_config = |iterations, checkpoint| RunConfig {
         iterations,
         state_scale: 1e-9,
-        checkpoint_at,
-        store: None,
-        storage,
+        checkpoint,
     };
     let run_elastic = |world: usize,
                        registry: &Registry,
@@ -353,7 +349,7 @@ fn elastic_resize_works_across_codec_generations() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     };
 
-    let baseline = run_elastic(4, &registry, 1, elastic_config(6, None, None));
+    let baseline = run_elastic(4, &registry, 1, elastic_config(6, None));
     let expected = job_checksum(&baseline);
 
     let storage = CheckpointStorage::unmetered().with_config(StorageConfig::legacy());
@@ -361,7 +357,7 @@ fn elastic_resize_works_across_codec_generations() {
         4,
         &registry,
         2,
-        elastic_config(3, Some(3), Some(storage.clone())),
+        elastic_config(3, Some((3, storage.clone()))),
     );
 
     // Resize reads through a new-default-config view of the same chunk space.
@@ -378,7 +374,7 @@ fn elastic_resize_works_across_codec_generations() {
         registry.clone(),
     )
     .unwrap();
-    let finish_config = elastic_config(6, None, None);
+    let finish_config = elastic_config(6, None);
     let handles: Vec<_> = ranks
         .into_iter()
         .map(|rank| {

@@ -19,17 +19,11 @@ type Registry = Arc<RwLock<UserFunctionRegistry>>;
 const ITERATIONS: u64 = 6;
 const CKPT_AT: u64 = 3;
 
-fn config(
-    iterations: u64,
-    checkpoint_at: Option<u64>,
-    storage: Option<CheckpointStorage>,
-) -> RunConfig {
+fn config(iterations: u64, checkpoint: Option<(u64, CheckpointStorage)>) -> RunConfig {
     RunConfig {
         iterations,
         state_scale: 1e-9,
-        checkpoint_at,
-        store: None,
-        storage,
+        checkpoint,
     }
 }
 
@@ -100,7 +94,7 @@ fn run_resized(
 /// `n`-rank answer.
 fn assert_resized_matches_uninterrupted(app: AppId, n: usize, m: usize) {
     let registry: Registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let baseline = run_fresh(app, n, &registry, 1, config(ITERATIONS, None, None));
+    let baseline = run_fresh(app, n, &registry, 1, config(ITERATIONS, None));
     let expected = job_checksum(&baseline);
 
     let storage = CheckpointStorage::unmetered();
@@ -109,7 +103,7 @@ fn assert_resized_matches_uninterrupted(app: AppId, n: usize, m: usize) {
         n,
         &registry,
         2,
-        config(CKPT_AT, Some(CKPT_AT), Some(storage.clone())),
+        config(CKPT_AT, Some((CKPT_AT, storage.clone()))),
     );
 
     let finished = run_resized(
@@ -119,7 +113,7 @@ fn assert_resized_matches_uninterrupted(app: AppId, n: usize, m: usize) {
         3,
         &storage,
         &SkeletonRepartition::default(),
-        config(ITERATIONS, None, None),
+        config(ITERATIONS, None),
     );
     assert_eq!(finished.len(), m);
     assert_eq!(
@@ -163,7 +157,7 @@ fn comd_collapses_onto_a_single_rank() {
 #[test]
 fn growth_without_rebalance_leaves_fresh_ranks_idle() {
     let registry: Registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let baseline = run_fresh(AppId::CoMd, 2, &registry, 1, config(ITERATIONS, None, None));
+    let baseline = run_fresh(AppId::CoMd, 2, &registry, 1, config(ITERATIONS, None));
     let expected = job_checksum(&baseline);
 
     let storage = CheckpointStorage::unmetered();
@@ -172,7 +166,7 @@ fn growth_without_rebalance_leaves_fresh_ranks_idle() {
         2,
         &registry,
         2,
-        config(CKPT_AT, Some(CKPT_AT), Some(storage.clone())),
+        config(CKPT_AT, Some((CKPT_AT, storage.clone()))),
     );
 
     let finished = run_resized(
@@ -182,7 +176,7 @@ fn growth_without_rebalance_leaves_fresh_ranks_idle() {
         3,
         &storage,
         &SkeletonRepartition { rebalance: false },
-        config(ITERATIONS, None, None),
+        config(ITERATIONS, None),
     );
     // Shards strictly follow the block rank map (old 0 -> new 0, old 1 -> new 2):
     // the two adopting ranks keep their shards, the two fresh ranks host nothing

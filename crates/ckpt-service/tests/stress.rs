@@ -78,6 +78,7 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let floors: Vec<Arc<AtomicU64>> = (0..TENANTS).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let probes: Vec<Arc<AtomicU64>> = (0..TENANTS).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
     // Validators: from the moment a tenant has committed anything, its view must
     // yield a complete, end-to-end-valid newest generation at *every* probe, even
@@ -89,8 +90,8 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
             let floor = Arc::clone(&floors[t]);
+            let probes = Arc::clone(&probes[t]);
             std::thread::spawn(move || {
-                let mut probes = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     if floor.load(Ordering::Acquire) > 0 {
                         // `latest_valid_images` snapshots the generation list and
@@ -105,11 +106,10 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
                             .unwrap_or_else(|| panic!("tenant {t} lost its restart point"));
                         assert_eq!(images.len(), WORLD);
                         assert!(generation < GENERATIONS);
-                        probes += 1;
+                        probes.fetch_add(1, Ordering::Release);
                     }
                     std::thread::yield_now();
                 }
-                probes
             })
         })
         .collect();
@@ -141,10 +141,14 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
     for writer in writers {
         writer.join().unwrap();
     }
+    // Optimised writers can finish before a validator is first scheduled: keep the
+    // antagonist's GC churning until every validator has probed at least once.
+    while probes.iter().any(|n| n.load(Ordering::Acquire) == 0) {
+        std::thread::yield_now();
+    }
     stop.store(true, Ordering::Release);
     for validator in validators {
-        let probes = validator.join().unwrap();
-        assert!(probes > 0, "validators must actually have probed mid-churn");
+        validator.join().unwrap();
     }
     antagonist.join().unwrap();
 

@@ -4,9 +4,10 @@
 //! reproduction — the subsystem behind the paper's Table 3 observation that checkpoint
 //! cost is dominated by how many bytes reach the filesystem.
 //!
-//! The flat [`split_proc::store::CheckpointStore`] writes every rank's complete image
-//! every generation. This engine instead decomposes an image into fixed-size chunks
-//! addressed by content digest and shares them across generations and ranks:
+//! A flat image store writes every rank's complete image every generation (the
+//! [`StoragePolicy::FullImage`] baseline). The incremental policies instead decompose
+//! an image into fixed-size chunks addressed by content digest and share them across
+//! generations and ranks:
 //!
 //! * **Chunk store** ([`chunk`]) — fixed-size chunking, 64-bit content digests,
 //!   reference-counted chunk entries, optional per-chunk compression. A chunk
@@ -70,8 +71,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StoragePolicy {
     /// The legacy baseline: one flat, CRC-validated image per `(generation, rank)`,
-    /// with no sharing across generations. Mirrors what the flat
-    /// `split_proc::store::CheckpointStore` wrote.
+    /// with no sharing across generations.
     FullImage,
     /// Content-addressed chunking with dirty-region reuse: only regions touched since
     /// the previous generation are re-chunked, and only chunks whose digest is new

@@ -67,17 +67,6 @@ impl StoreReport {
             None
         }
     }
-
-    /// View as the flat store's report type (image size = bytes written), for callers
-    /// that predate the engine. An unmetered write carries `None` bandwidth — not a
-    /// fabricated `0 MB/s` — so downstream reports can skip the column honestly.
-    pub fn to_write_report(&self) -> split_proc::store::WriteReport {
-        split_proc::store::WriteReport {
-            bytes: self.written_bytes,
-            write_time_s: self.write_time_s,
-            effective_bandwidth_mb_s: self.effective_bandwidth_mb_s(),
-        }
-    }
 }
 
 /// What one [`CheckpointStorage::prune_before`] sweep did — and, as important, what
@@ -258,10 +247,13 @@ struct Catalog {
 /// flushes have landed so far, out of how many the commit needs.
 struct PendingGeneration {
     expected_ranks: usize,
+    /// Ranks whose flush has landed; on an aborted round, ranks whose slot has been
+    /// released.
     flushed: BTreeSet<Rank>,
     /// Tombstone: the round was aborted. The entry stays (keeping the generation
     /// invisible) so a straggler flush that lands *after* the abort is released on
-    /// arrival instead of surfacing a slot of a dead round.
+    /// arrival instead of surfacing a slot of a dead round. It retires once every
+    /// expected rank's slot has been released: no write of the round is left to land.
     aborted: bool,
 }
 
@@ -527,34 +519,22 @@ impl CheckpointStorage {
     ///
     /// Idempotent: later calls for the same generation are no-ops, so every rank can
     /// announce before submitting its own flush without coordinating who goes first.
-    /// One exception: an entry left by an **aborted** round (see
-    /// [`abort_generation`](CheckpointStorage::abort_generation)) is *reset* to a
-    /// fresh round — a restarted job legitimately reuses the generation number, and
-    /// the dead round's stale flush accounting must not count toward the new one.
-    /// No slot sweep happens here: every dead-round slot is already released by the
-    /// abort's own sweep or, for a straggler landing later, by its
-    /// [`note_rank_flushed`](CheckpointStorage::note_rank_flushed) hitting the
-    /// tombstone — and sweeping here would race a fresh round's first flushes.
-    /// (Stragglers still in flight at reset time are the caller's to drain first —
-    /// `JobRuntime::restart` waits its flusher pool idle before aborting, precisely
-    /// so no dead-round flush can land after this point and be mistaken for the new
-    /// round's.)
+    /// That includes an **aborted** round's tombstone (see
+    /// [`abort_generation`](CheckpointStorage::abort_generation)): a rank that
+    /// announces after a peer already aborted the round joins the dead round, and
+    /// its write is released when it aborts in turn. A restarted job that reuses
+    /// the generation number drops the tombstone first, with
+    /// [`forget_generation`](CheckpointStorage::forget_generation), once no flush
+    /// of the dead incarnation can still land.
     pub fn begin_generation(&self, generation: u64, expected_ranks: usize) {
-        let mut pending = self.pending.lock();
-        let entry = pending
+        self.pending
+            .lock()
             .entry(generation)
             .or_insert_with(|| PendingGeneration {
                 expected_ranks: expected_ranks.max(1),
                 flushed: BTreeSet::new(),
                 aborted: false,
             });
-        if entry.aborted {
-            *entry = PendingGeneration {
-                expected_ranks: expected_ranks.max(1),
-                flushed: BTreeSet::new(),
-                aborted: false,
-            };
-        }
     }
 
     /// Record that `rank`'s flush for a pending `generation` has landed. When the
@@ -582,8 +562,22 @@ impl CheckpointStorage {
         };
         if aborted_straggler {
             self.release_slot(generation, rank);
+            self.settle_aborted(generation, [rank]);
         }
         false
+    }
+
+    /// Count `ranks` as released against an aborted round, and retire its tombstone
+    /// once every expected rank is: each rank writes one slot per round, so no write
+    /// of the round can still land.
+    fn settle_aborted(&self, generation: u64, ranks: impl IntoIterator<Item = Rank>) {
+        let mut pending = self.pending.lock();
+        if let Some(entry) = pending.get_mut(&generation).filter(|entry| entry.aborted) {
+            entry.flushed.extend(ranks);
+            if entry.flushed.len() >= entry.expected_ranks {
+                pending.remove(&generation);
+            }
+        }
     }
 
     /// Force-commit a pending generation (make it visible regardless of flush
@@ -611,8 +605,10 @@ impl CheckpointStorage {
     /// [`prune_before`](CheckpointStorage::prune_before) sweep) and tombstone the
     /// pending entry — the generation stays invisible, and a straggler flush still
     /// in flight at abort time is released when it lands instead of surfacing a
-    /// slot of the dead round. Returns the number of `(generation, rank)` slots
-    /// released here (stragglers are released later, on arrival).
+    /// slot of the dead round. The tombstone retires by itself once every expected
+    /// rank's slot has been released, here or on arrival. Returns the number of
+    /// `(generation, rank)` slots released here (stragglers are released later, on
+    /// arrival).
     pub fn abort_generation(&self, generation: u64) -> usize {
         {
             let mut pending = self.pending.lock();
@@ -637,6 +633,7 @@ impl CheckpointStorage {
         for (generation, rank) in &slots {
             self.release_slot(*generation, *rank);
         }
+        self.settle_aborted(generation, slots.iter().map(|(_, rank)| *rank));
         slots.len()
     }
 

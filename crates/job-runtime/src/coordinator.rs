@@ -14,9 +14,7 @@
 //!    half-written: either every rank's image committed, or the generation is not
 //!    published (and a restart falls back to the newest fully-valid one).
 
-use ckpt_service::ServiceHandle;
-use ckpt_store::{CheckpointStorage, StoreReport};
-use mana::{CheckpointIntercept, DrainObserver, IntentOutcome, ManaRank};
+use mana::DrainObserver;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 use net_sim::Fabric;
@@ -150,8 +148,8 @@ pub struct Coordinator {
     requested: Mutex<std::collections::BTreeSet<u64>>,
     /// The mid-step checkpoint-intent state, encoded as `(epoch << 1) | vacates` so
     /// a single atomic load yields a consistent [`IntentSnapshot`] — the epoch and
-    /// its vacate flag can never be read torn. Ranks (through their
-    /// [`MidStepIntercept`]) compare the epoch against the one they last serviced.
+    /// its vacate flag can never be read torn. Ranks (through their mid-step
+    /// checkpoint hook) compare the epoch against the one they last serviced.
     intent: AtomicU64,
     barrier: Mutex<BarrierState>,
     barrier_cv: Condvar,
@@ -267,16 +265,19 @@ impl Coordinator {
     }
 
     /// Abort the coordinated-checkpoint machinery: the commit barrier is poisoned
-    /// with `reason`, waking every rank parked in it and failing every later
-    /// arrival. Called by the failure detector the moment it declares ranks dead —
+    /// with `reason`, failing every rank parked in a round that has not completed
+    /// and every later arrival. Called by the failure detector the moment it declares ranks dead —
     /// a commit round can never complete once a member of the world is gone, and
     /// without the poison its survivors would sit out the full barrier timeout.
     /// Idempotent; an earlier poison reason wins.
     pub fn abort(&self, reason: &str) {
         let mut state = self.barrier.lock();
-        if state.poisoned.is_none() {
-            state.poisoned = Some(format!("job aborted: {reason}"));
-        }
+        self.poison(&mut state, format!("job aborted: {reason}"));
+    }
+
+    /// Poison the commit barrier (an earlier reason wins) and wake every waiter.
+    fn poison(&self, state: &mut BarrierState, reason: String) {
+        state.poisoned.get_or_insert(reason);
         self.barrier_cv.notify_all();
     }
 
@@ -355,23 +356,12 @@ impl Coordinator {
         Ok(())
     }
 
-    /// [`Coordinator::commit`] for a rank servicing a mid-step intent: the rank's
-    /// pre-checkpoint [`IntentSnapshot`] is folded across the round (newest epoch
-    /// wins) and the *round's* decision is returned to every rank — so ranks whose
-    /// own snapshot raced a fresh broadcast still agree, unanimously, on which
-    /// intent they serviced and whether it vacates.
-    pub fn commit_with_intent(
-        &self,
-        rank: Rank,
-        generation: u64,
-        steps: Option<u64>,
-        snapshot: IntentSnapshot,
-    ) -> MpiResult<IntentSnapshot> {
-        let decided = self.commit_inner(rank, generation, steps, Some(snapshot))?;
-        Ok(decided.unwrap_or(snapshot))
-    }
-
-    fn commit_inner(
+    /// [`Coordinator::commit`] that also folds the arrivers' mid-step intent
+    /// snapshots (newest epoch wins) and returns the *round's* decision to every
+    /// rank that brought one — so ranks whose own snapshot raced a fresh broadcast
+    /// still agree, unanimously, on which intent they serviced and whether it
+    /// vacates.
+    pub(crate) fn commit_inner(
         &self,
         rank: Rank,
         generation: u64,
@@ -391,8 +381,7 @@ impl Coordinator {
                     "rank {rank} committed generation {generation} while the round \
                      was committing generation {expected} — generations interleaved"
                 );
-                state.poisoned = Some(reason.clone());
-                self.barrier_cv.notify_all();
+                self.poison(&mut state, reason.clone());
                 return Err(MpiError::Checkpoint(reason));
             }
             Some(_) => {}
@@ -411,17 +400,7 @@ impl Coordinator {
         };
         state.arrived += 1;
         if state.arrived == self.world_size {
-            // Last rank in: the generation is complete for the whole world. Publish
-            // it atomically, then release the round.
-            self.ledger.record(generation, state.steps);
-            let decided = state.intent.take();
-            state.decided_intent = decided;
-            state.arrived = 0;
-            state.generation = None;
-            state.steps = None;
-            state.round += 1;
-            self.barrier_cv.notify_all();
-            return Ok(decided);
+            return Ok(self.release_round(&mut state, generation));
         }
         let round = state.round;
         let deadline = Instant::now() + self.barrier_timeout;
@@ -446,19 +425,35 @@ impl Coordinator {
             };
             if let Some(error) = failure {
                 // This rank arrived and will not be back: the round cannot complete.
-                state.poisoned = Some(format!("rank {rank} left the barrier: {error}"));
-                self.barrier_cv.notify_all();
+                self.poison(&mut state, format!("rank {rank} left the barrier: {error}"));
                 return Err(error);
             }
         }
-        if let Some(reason) = &state.poisoned {
-            return Err(MpiError::Checkpoint(format!(
-                "commit barrier poisoned while rank {rank} waited: {reason}"
-            )));
+        if state.round != round {
+            // The round completed and its generation is published; a poison that
+            // landed since belongs to later rounds. No later round can complete
+            // before every waiter of this one has left, so the decision still stands.
+            return Ok(state.decided_intent);
         }
-        // The decision the last arriver published for this round is still in place:
-        // no later round can complete before every waiter of this one has left.
-        Ok(state.decided_intent)
+        let reason = state.poisoned.as_deref().unwrap_or_default();
+        Err(MpiError::Checkpoint(format!(
+            "commit barrier poisoned while rank {rank} waited: {reason}"
+        )))
+    }
+
+    /// The last arriver's half of a round: the generation is complete for the whole
+    /// world, so publish it in the ledger and release every waiter with the round's
+    /// intent decision.
+    fn release_round(&self, state: &mut BarrierState, generation: u64) -> Option<IntentSnapshot> {
+        self.ledger.record(generation, state.steps);
+        let decided = state.intent.take();
+        state.decided_intent = decided;
+        state.arrived = 0;
+        state.generation = None;
+        state.steps = None;
+        state.round += 1;
+        self.barrier_cv.notify_all();
+        decided
     }
 
     // ------------------------------------------------------------------
@@ -491,11 +486,6 @@ impl Coordinator {
             false
         }
     }
-
-    /// Generations whose asynchronous flushes are still partially outstanding.
-    pub fn flushes_in_flight(&self) -> usize {
-        self.flush_rounds.lock().len()
-    }
 }
 
 impl DrainObserver for Coordinator {
@@ -513,239 +503,6 @@ impl DrainObserver for Coordinator {
 
     fn dead_peers(&self) -> Vec<Rank> {
         self.dead_ranks()
-    }
-}
-
-/// Run one rank through a full coordinated checkpoint: the two MPI-level quiesce
-/// phases, the job-wide observed drain, the **parallel** write into the sharded
-/// store, and the commit barrier that publishes the generation.
-///
-/// `steps` is the number of completed steps this checkpoint corresponds to (recorded
-/// in the ledger so a restart can resume the step counter), or `None` outside
-/// step-driven runs.
-pub fn coordinated_checkpoint(
-    rank: &mut ManaRank,
-    coordinator: &Coordinator,
-    storage: &CheckpointStorage,
-    steps: Option<u64>,
-) -> MpiResult<StoreReport> {
-    // Phase 1: quiesce + drain to job-observed global quiescence.
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator)?;
-    rank.complete_drain()?;
-    // Phase 2: parallel per-rank write (the sharded store admits all ranks at once),
-    // then the commit barrier publishes the generation atomically. The generation is
-    // announced *pending* in the store for the duration of the round, so a
-    // half-written generation is never visible to readers — and never mistaken for
-    // the newest committed generation by a concurrent `prune_before`.
-    let generation = rank.generation();
-    storage.begin_generation(generation, coordinator.world_size());
-    let result = (|| {
-        let report = rank.write_checkpoint_into(storage)?;
-        storage.note_rank_flushed(report.generation, rank.world_rank());
-        coordinator.commit(rank.world_rank(), report.generation, steps)?;
-        Ok(report)
-    })();
-    if result.is_err() {
-        // The round failed (a write error, or the commit barrier poisoned/timed
-        // out): abort the generation so its pending entry cannot linger forever —
-        // retained by every GC sweep and poisoning a later round that reuses the
-        // number with a stale partial rank set. Aborting is a no-op if the round
-        // actually committed in storage (abort only touches pending rounds).
-        storage.abort_generation(generation);
-    }
-    result
-}
-
-/// Run one rank through a coordinated checkpoint with an **asynchronous flush**: the
-/// two MPI-level quiesce phases and the job-wide observed drain exactly as the
-/// synchronous [`coordinated_checkpoint`], but the storage write is split off — the
-/// rank freezes its image (a memory copy), submits it to `flusher`, and returns to
-/// computation immediately with a [`FlushHandle`](ckpt_store::FlushHandle).
-///
-/// The generation is announced *pending* in the store and commits — becoming visible
-/// to `latest_valid_images`/`read_job` and published in the ledger — only when every
-/// rank's background flush has landed, with no rank ever blocking on it: the flusher
-/// worker that lands the last image performs the commit. A job killed mid-flush
-/// leaves the generation pending forever, and a restart falls back to the newest
-/// committed generation exactly as it falls back from a torn synchronous write.
-pub fn coordinated_checkpoint_async(
-    rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    flusher: &ckpt_store::FlusherPool,
-    steps: Option<u64>,
-) -> MpiResult<ckpt_store::FlushHandle> {
-    // Phase 1: quiesce + drain to job-observed global quiescence (unchanged — the
-    // network must be quiet before the upper half is frozen).
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator.as_ref())?;
-    rank.complete_drain()?;
-    // Phase 2: freeze and submit. The commit accounting rides the flush completion
-    // callback on the worker thread; this rank does not wait for anything.
-    let coordinator = Arc::clone(coordinator);
-    rank.write_checkpoint_async_with(flusher, move |report| {
-        coordinator.note_flush_landed(report.generation, steps);
-    })
-}
-
-/// [`coordinated_checkpoint_async`] for a job attached to a multi-tenant
-/// [`CkptService`](ckpt_service::CkptService): the frozen image is submitted
-/// through the tenant's [`ServiceHandle`], which applies admission control over the
-/// service's shared flusher pool.
-///
-/// A rejected submission (pool saturated, or this tenant out of in-flight budget)
-/// **falls back to a synchronous write** on the rank thread — the checkpoint is
-/// never skipped, it just costs this rank the write time instead of riding the
-/// pool. The fallback deliberately uses the barrier-free async commit accounting
-/// (`note_rank_flushed` + [`Coordinator::note_flush_landed`]) rather than the
-/// blocking commit barrier: its peers may have been *admitted* and returned to
-/// computation already, so a rank waiting at a barrier for them would deadlock
-/// against flushes that only land later. The returned handle is pre-completed.
-pub fn coordinated_checkpoint_tenant(
-    rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    service: &ServiceHandle,
-    steps: Option<u64>,
-) -> MpiResult<ckpt_store::FlushHandle> {
-    // Phase 1: quiesce + drain to job-observed global quiescence, exactly as the
-    // private-pool async path.
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator.as_ref())?;
-    rank.complete_drain()?;
-    // Phase 2: freeze, announce pending in the *tenant's view*, and submit through
-    // the service. The commit accounting rides the flush completion exactly as in
-    // the private-pool path — whichever thread lands the last rank's image commits.
-    let policy = rank.config().storage;
-    let world_size = rank.world_size();
-    let world_rank = rank.world_rank();
-    let image = rank.snapshot_checkpoint()?;
-    let generation = image.metadata.generation;
-    service.storage().begin_generation(generation, world_size);
-    let landed = {
-        let coordinator = Arc::clone(coordinator);
-        move |report: &StoreReport| {
-            coordinator.note_flush_landed(report.generation, steps);
-        }
-    };
-    match service.submit_with(policy, image, landed) {
-        Ok(handle) => Ok(handle),
-        Err(rejected) => {
-            // Admission control turned the submission away and handed the image
-            // back: write it synchronously into the tenant's view. The caller owns
-            // the pending accounting the flusher worker would have performed.
-            let report = service.write_sync_fallback(policy, &rejected.image);
-            service.storage().note_rank_flushed(generation, world_rank);
-            coordinator.note_flush_landed(generation, steps);
-            Ok(ckpt_store::FlushHandle::ready(report))
-        }
-    }
-}
-
-/// One rank's mid-step checkpoint hook: the [`CheckpointIntercept`] a step-driven run
-/// installs on its [`ManaRank`] when [`crate::JobConfig::checkpoint_mid_step`] is on.
-///
-/// The hook compares the coordinator's broadcast intent epoch against the epoch this
-/// rank last serviced; when behind, the rank's collective wrappers service the intent
-/// at their next safe point by running the full coordinated checkpoint (recording the
-/// step currently *in progress*, which a resume therefore re-runs) and, for a
-/// preempting intent, unwinding with [`MpiError::Preempted`].
-pub struct MidStepIntercept {
-    coordinator: Arc<Coordinator>,
-    storage: CheckpointStorage,
-    /// Meter serviced checkpoints against this service tenancy (set on
-    /// service-attached jobs; the writes themselves go into `storage`, which is
-    /// then the tenant's view).
-    service: Option<ServiceHandle>,
-    /// The step this rank is currently executing (maintained by the drive loop).
-    current_step: AtomicU64,
-    /// The intent epoch this rank has serviced up to.
-    serviced: AtomicU64,
-}
-
-impl MidStepIntercept {
-    /// A hook for one rank of the world driven by `coordinator`.
-    pub fn new(coordinator: Arc<Coordinator>, storage: CheckpointStorage) -> Self {
-        MidStepIntercept {
-            coordinator,
-            storage,
-            service: None,
-            current_step: AtomicU64::new(0),
-            serviced: AtomicU64::new(0),
-        }
-    }
-
-    /// Meter every serviced checkpoint against a service tenancy.
-    pub fn with_service(mut self, service: ServiceHandle) -> Self {
-        self.service = Some(service);
-        self
-    }
-
-    /// Record the step the owning rank is about to execute.
-    pub fn enter_step(&self, step: u64) {
-        self.current_step.store(step, Ordering::SeqCst);
-    }
-}
-
-impl CheckpointIntercept for MidStepIntercept {
-    fn intent_pending(&self) -> bool {
-        self.coordinator.intent_epoch() > self.serviced.load(Ordering::SeqCst)
-    }
-
-    fn service(&self, rank: &mut ManaRank) -> MpiResult<IntentOutcome> {
-        // One consistent snapshot of (epoch, vacates); the commit barrier then folds
-        // every arriver's snapshot into a single round-wide decision, so ranks whose
-        // snapshot raced a fresh broadcast still agree on what they serviced. This
-        // checkpoint also stands in for any periodic boundary checkpoint due at the
-        // same moment: the drive loop routes both through here in mid-step mode, so
-        // intent-servicing ranks and boundary-checkpointing ranks always fold into
-        // the same round instead of splitting the world across two.
-        let already = self.serviced.load(Ordering::SeqCst);
-        let snapshot = self.coordinator.intent_snapshot();
-        // The checkpoint lands *inside* the current step (or exactly at a boundary,
-        // where `current_step` equals the boundary): record the steps a resume may
-        // safely assume completed.
-        let steps = self.current_step.load(Ordering::SeqCst);
-        let plan = rank.begin_checkpoint()?;
-        rank.drain_quiescent(&plan, self.coordinator.as_ref())?;
-        rank.complete_drain()?;
-        // Same pending announcement as `coordinated_checkpoint`: the generation is
-        // invisible (and prune-protected) until every rank's write lands.
-        let generation = rank.generation();
-        self.storage
-            .begin_generation(generation, self.coordinator.world_size());
-        let decided = (|| {
-            let report = rank.write_checkpoint_into(&self.storage)?;
-            self.storage
-                .note_rank_flushed(report.generation, rank.world_rank());
-            if let Some(service) = &self.service {
-                service.note_external_write(&report);
-            }
-            self.coordinator.commit_with_intent(
-                rank.world_rank(),
-                report.generation,
-                Some(steps),
-                snapshot,
-            )
-        })();
-        // See `coordinated_checkpoint`: a failed round must not leave a stale
-        // pending entry behind (no-op if the round committed).
-        let decided = match decided {
-            Ok(decided) => decided,
-            Err(error) => {
-                self.storage.abort_generation(generation);
-                return Err(error);
-            }
-        };
-        self.serviced
-            .store(decided.epoch.max(already), Ordering::SeqCst);
-        // Vacate only on a *newly serviced* preempting intent — a stale vacate flag
-        // from an intent this rank already acted on must not fire again when this
-        // hook runs a plain periodic checkpoint.
-        if decided.vacates && decided.epoch > already {
-            Ok(IntentOutcome::Vacate)
-        } else {
-            Ok(IntentOutcome::Continue)
-        }
     }
 }
 
@@ -772,8 +529,10 @@ mod tests {
         let coordinator = Arc::new(Coordinator::new(2, None, Arc::clone(&ledger)));
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || {
-            // Give the main thread time to arrive first with generation 4.
-            std::thread::sleep(Duration::from_millis(20));
+            // Let the main thread arrive first with generation 4.
+            while peer.barrier.lock().arrived == 0 {
+                std::thread::yield_now();
+            }
             peer.commit(1, 5, None)
         });
         let mine = coordinator.commit(0, 4, None);
@@ -816,7 +575,10 @@ mod tests {
         assert!(coordinator.note_flush_landed(4, Some(6)));
         assert_eq!(ledger.published_generation(), Some(5));
         assert_eq!(ledger.steps_at(4), Some(6));
-        assert_eq!(coordinator.flushes_in_flight(), 0);
+        assert!(
+            coordinator.flush_rounds.lock().is_empty(),
+            "no round left in flight"
+        );
     }
 
     #[test]
@@ -826,7 +588,9 @@ mod tests {
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || peer.commit(0, 3, None));
         // Let rank 0 park in the barrier, then the detector declares rank 1 dead.
-        std::thread::sleep(Duration::from_millis(20));
+        while coordinator.barrier.lock().arrived == 0 {
+            std::thread::yield_now();
+        }
         coordinator.note_dead_ranks(&[1]);
         coordinator.abort("rank 1 missed its heartbeat deadline");
         let waiter = handle.join().unwrap();
@@ -839,6 +603,32 @@ mod tests {
         assert!(coordinator.commit(1, 3, None).is_err());
         assert!(ledger.published_generation().is_none());
         assert_eq!(coordinator.dead_ranks(), vec![1]);
+    }
+
+    #[test]
+    fn an_abort_after_the_round_completed_does_not_fail_its_waiters() {
+        let ledger = Arc::new(CommitLedger::new());
+        let coordinator = Arc::new(Coordinator::new(2, None, Arc::clone(&ledger)));
+        let peer = Arc::clone(&coordinator);
+        let handle = std::thread::spawn(move || peer.commit(0, 3, Some(5)));
+        while coordinator.barrier.lock().arrived == 0 {
+            std::thread::yield_now();
+        }
+        {
+            // One hold of the lock, so rank 0 cannot wake in between: rank 1's arrival
+            // completes the round, then the detector's abort poisons the barrier.
+            let mut state = coordinator.barrier.lock();
+            coordinator.release_round(&mut state, 3);
+            coordinator.poison(&mut state, "job aborted".into());
+        }
+        // Failing rank 0 would have it abort storage the ledger already points at.
+        assert!(handle.join().unwrap().is_ok());
+        assert_eq!(ledger.published_generation(), Some(3));
+        assert_eq!(ledger.steps_at(3), Some(5));
+        assert!(
+            coordinator.commit(1, 4, None).is_err(),
+            "later rounds are poisoned"
+        );
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! scenario the examples and tests used to hand-roll with `thread::spawn` loops.
 
 use crate::backend::Backend;
-use crate::coordinator::{
-    coordinated_checkpoint, coordinated_checkpoint_async, coordinated_checkpoint_tenant,
-    CommitLedger, Coordinator, MidStepIntercept,
-};
+use crate::coordinator::{CommitLedger, Coordinator};
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
+use crate::round::{checkpoint_round, MidStepIntercept, Sink};
 use ckpt_service::ServiceHandle;
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
 use elastic::{resize_job_from_storage, RemapPolicy, Repartition};
 use mana::restart::restart_job_from_storage;
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
+use mpi_model::api::MpiApi;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;
 use net_sim::{ChaosPlan, Fabric};
@@ -118,7 +117,7 @@ pub struct JobConfig {
     /// Inject a preemption: the job vacates after completing this many steps (after
     /// any checkpoint due at that boundary). Consumed by the first run it fires in.
     pub kill_at_step: Option<u64>,
-    /// Mid-step checkpoint mode: install a [`MidStepIntercept`] on every rank so a
+    /// Mid-step checkpoint mode: install a checkpoint hook on every rank so a
     /// broadcast checkpoint intent ([`Coordinator::request_checkpoint_now`]) is
     /// delivered *inside* a step, at the two-phase collective safe points, instead of
     /// waiting for the next step boundary.
@@ -141,8 +140,8 @@ pub struct JobConfig {
     /// blocks on the commit.
     ///
     /// **Precedence:** [`JobConfig::checkpoint_mid_step`] wins. In mid-step mode
-    /// *every* checkpoint — boundary checkpoints included — is serviced through the
-    /// synchronous [`MidStepIntercept`], because intent-servicing ranks and
+    /// *every* checkpoint — boundary checkpoints included — is serviced
+    /// synchronously through the mid-step hook, because intent-servicing ranks and
     /// boundary-checkpointing ranks must fold into one commit round (and a
     /// preempting intent needs its generation durable before the rank vacates), so
     /// this flag has no effect while mid-step mode is on.
@@ -318,15 +317,14 @@ pub struct JobCtx {
 
 impl JobCtx {
     /// Take a full coordinated checkpoint of the job (collective: every rank's body
-    /// must call this at the same logical point).
+    /// must call this at the same logical point). The image is written in place and
+    /// the generation is published in the ledger at the commit barrier before this
+    /// returns. Storage lags the ledger slightly: each rank commits its own slot after
+    /// the barrier, and the generation becomes visible to readers (`generations()`,
+    /// `latest_valid_images`) only once the *last* rank has done so — not
+    /// necessarily by the time this rank returns.
     pub fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
-        session.reap();
-        let report =
-            coordinated_checkpoint(session.rank_mut(), &self.coordinator, &self.storage, None)?;
-        if let Some(service) = &self.service {
-            service.note_external_write(&report);
-        }
-        Ok(report)
+        Ok(self.round(session, false)?.wait())
     }
 
     /// Take a coordinated checkpoint with an asynchronous flush: the rank returns as
@@ -338,23 +336,32 @@ impl JobCtx {
     /// control; a rejection falls back to a synchronous write on this thread (the
     /// checkpoint is never skipped) and the returned handle is already complete.
     pub fn checkpoint_async(&self, session: &mut Session) -> MpiResult<FlushHandle> {
-        session.reap();
-        if let Some(service) = &self.service {
-            return coordinated_checkpoint_tenant(
-                session.rank_mut(),
-                &self.coordinator,
-                service,
-                None,
-            );
-        }
-        coordinated_checkpoint_async(session.rank_mut(), &self.coordinator, self.flusher(), None)
+        self.round(session, true)
     }
 
-    /// The background flusher pool asynchronous checkpoints go through (spawned on
-    /// first use).
-    pub fn flusher(&self) -> &Arc<FlusherPool> {
-        self.flusher
-            .get_or_init(|| Arc::new(FlusherPool::new(self.storage.clone())))
+    fn round(&self, session: &mut Session, asynchronous: bool) -> MpiResult<FlushHandle> {
+        session.reap();
+        let sink = self.sink(asynchronous);
+        let (handle, _) =
+            checkpoint_round(session.rank_mut(), &self.coordinator, &sink, None, None)?;
+        Ok(handle)
+    }
+
+    /// Where this job's checkpoints go: the store written in place, or — when
+    /// `asynchronous` — the service tenancy's shared pool, else the job's private
+    /// flusher pool, spawned on first use.
+    fn sink(&self, asynchronous: bool) -> Sink {
+        match (asynchronous, &self.service) {
+            (false, meter) => Sink::Store {
+                storage: self.storage.clone(),
+                meter: meter.clone(),
+            },
+            (true, Some(service)) => Sink::Tenant(service.clone()),
+            (true, None) => Sink::Pool(Arc::clone(
+                self.flusher
+                    .get_or_init(|| Arc::new(FlusherPool::new(self.storage.clone()))),
+            )),
+        }
     }
 
     /// The storage engine checkpoints go into.
@@ -518,14 +525,6 @@ impl JobRuntime {
         &self.storage
     }
 
-    /// The background flusher pool used when
-    /// [`JobConfig::async_checkpoint`] is on (spawned on first use; shared across
-    /// runs and restarts).
-    pub fn flusher(&self) -> &Arc<FlusherPool> {
-        self.flusher
-            .get_or_init(|| Arc::new(FlusherPool::new(self.storage.clone())))
-    }
-
     /// The service tenancy this job runs under, when constructed via
     /// [`JobRuntime::with_service`].
     pub fn service(&self) -> Option<&ServiceHandle> {
@@ -556,18 +555,40 @@ impl JobRuntime {
 
     /// Launch a fresh world of MANA-wrapped ranks on the configured backend.
     pub fn launch(&self) -> MpiResult<Vec<ManaRank>> {
-        let session = self.session.fetch_add(1, Ordering::SeqCst);
-        let capture = Fabric::capture_next();
-        let lowers = self.config.backend.factory().launch(
-            self.current_world_size(),
-            self.registry(),
-            session,
-        )?;
-        self.adopt_fabric(capture.take(), true);
-        lowers
+        self.relaunch(self.config.backend, self.current_world_size(), true)?
             .into_iter()
             .map(|lower| ManaRank::new(lower, self.config.mana, self.registry()))
             .collect()
+    }
+
+    /// Launch `world` lower halves on `backend` under a fresh session, and adopt the
+    /// new incarnation's fabric (see `adopt_fabric` for `arm_chaos`).
+    fn relaunch(
+        &self,
+        backend: Backend,
+        world: usize,
+        arm_chaos: bool,
+    ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
+        let session = self.session.fetch_add(1, Ordering::SeqCst);
+        let capture = Fabric::capture_next();
+        let lowers = backend.factory().launch(world, self.registry(), session)?;
+        self.adopt_fabric(capture.take(), arm_chaos);
+        Ok(lowers)
+    }
+
+    /// Let every flush of this job still in flight land. The flusher pool outlives
+    /// a vacated world (the simulated node-local flush daemon), so a restart waits
+    /// here *before* aborting pending generations: a straggler landing after the
+    /// abort-and-forget could otherwise be counted toward the new incarnation's
+    /// round for the same generation number. A service-attached job waits on its
+    /// *tenant-scoped* idle condition, never on the service's whole pool — a global
+    /// drain could be starved indefinitely by other tenants' traffic.
+    fn wait_flushes_landed(&self) {
+        if let Some(service) = &self.service {
+            service.wait_idle();
+        } else if let Some(pool) = self.flusher.get() {
+            pool.wait_idle();
+        }
     }
 
     /// The current incarnation's fabric (captured from the backend factory at
@@ -681,25 +702,8 @@ impl JobRuntime {
     /// Relaunch lower halves on `backend` and restore every rank from the newest
     /// generation that validates end to end for the whole job.
     pub fn restart(&self, backend: Backend) -> MpiResult<(Vec<ManaRank>, u64)> {
-        // The flusher pool outlives a vacated world (the simulated node-local flush
-        // daemon). Let any straggler flush of the dead incarnation land *before*
-        // the restart aborts pending generations: a straggler landing after the
-        // abort-and-reset could otherwise be counted toward the new incarnation's
-        // round for the same generation number. A service-attached job waits on its
-        // *tenant-scoped* idle condition, never on the service's whole pool — a
-        // global drain could be starved indefinitely by other tenants' traffic.
-        if let Some(service) = &self.service {
-            service.wait_idle();
-        } else if let Some(pool) = self.flusher.get() {
-            pool.wait_idle();
-        }
-        let session = self.session.fetch_add(1, Ordering::SeqCst);
-        let capture = Fabric::capture_next();
-        let lowers =
-            backend
-                .factory()
-                .launch(self.current_world_size(), self.registry(), session)?;
-        self.adopt_fabric(capture.take(), false);
+        self.wait_flushes_landed();
+        let lowers = self.relaunch(backend, self.current_world_size(), false)?;
         let (ranks, generation) =
             restart_job_from_storage(lowers, &self.storage, self.config.mana, self.registry())?;
         // A fallback legitimately regresses the generation counter: rewind the
@@ -734,19 +738,8 @@ impl JobRuntime {
                 "cannot resize a job onto an empty world".into(),
             ));
         }
-        if let Some(service) = &self.service {
-            service.wait_idle();
-        } else if let Some(pool) = self.flusher.get() {
-            pool.wait_idle();
-        }
-        let session = self.session.fetch_add(1, Ordering::SeqCst);
-        let capture = Fabric::capture_next();
-        let lowers = self
-            .config
-            .backend
-            .factory()
-            .launch(new_world, self.registry(), session)?;
-        self.adopt_fabric(capture.take(), false);
+        self.wait_flushes_landed();
+        let lowers = self.relaunch(self.config.backend, new_world, false)?;
         let (ranks, generation) = resize_job_from_storage(
             lowers,
             &self.storage,
@@ -773,17 +766,8 @@ impl JobRuntime {
         T: Send + 'static,
         F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
     {
-        let (ranks, generation) = self.restart_resized(new_world)?;
-        let start_step = self.ledger.steps_at(generation).ok_or_else(|| {
-            MpiError::Checkpoint(format!(
-                "restored generation {generation} has no step record in the ledger; \
-                 was it written outside a step-driven run?"
-            ))
-        })?;
-        self.drive(
-            self.coordinator(),
-            ranks,
-            start_step,
+        self.drive_restored(
+            self.restart_resized(new_world)?,
             total_steps,
             Arc::new(step_fn),
         )
@@ -794,19 +778,17 @@ impl JobRuntime {
         T: Send + 'static,
         F: Fn(Session, JobCtx) -> MpiResult<T> + Send + Sync + 'static,
     {
-        let coordinator = self.coordinator();
-        let storage = self.storage.clone();
-        let flusher = Arc::clone(&self.flusher);
-        let service = self.service.clone();
-        run_world(ranks, move |_, rank| {
-            let ctx = JobCtx {
-                coordinator: Arc::clone(&coordinator),
-                storage: storage.clone(),
-                flusher: Arc::clone(&flusher),
-                service: service.clone(),
-            };
-            body(Session::new(rank), ctx)
-        })
+        let ctx = self.ctx(self.coordinator());
+        run_world(ranks, move |_, rank| body(Session::new(rank), ctx.clone()))
+    }
+
+    fn ctx(&self, coordinator: Arc<Coordinator>) -> JobCtx {
+        JobCtx {
+            coordinator,
+            storage: self.storage.clone(),
+            flusher: Arc::clone(&self.flusher),
+            service: self.service.clone(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -835,20 +817,32 @@ impl JobRuntime {
         T: Send + 'static,
         F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
     {
-        let (ranks, generation) = self.restart(self.config.backend)?;
+        self.drive_restored(
+            self.restart(self.config.backend)?,
+            total_steps,
+            Arc::new(step_fn),
+        )
+    }
+
+    /// Drive ranks restored from `generation` on to `total_steps`, resuming the step
+    /// counter from the ledger's record of that generation.
+    fn drive_restored<T, F>(
+        &self,
+        (ranks, generation): (Vec<ManaRank>, u64),
+        total_steps: u64,
+        step_fn: Arc<F>,
+    ) -> MpiResult<JobRun<T>>
+    where
+        T: Send + 'static,
+        F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
+    {
         let start_step = self.ledger.steps_at(generation).ok_or_else(|| {
             MpiError::Checkpoint(format!(
                 "restored generation {generation} has no step record in the ledger; \
                  was it written outside a step-driven run?"
             ))
         })?;
-        self.drive(
-            self.coordinator(),
-            ranks,
-            start_step,
-            total_steps,
-            Arc::new(step_fn),
-        )
+        self.drive(self.coordinator(), ranks, start_step, total_steps, step_fn)
     }
 
     /// Run to completion, resuming through any injected preemption: `run_steps`
@@ -868,16 +862,8 @@ impl JobRuntime {
             Arc::clone(&step_fn),
         )?;
         while run.was_preempted() {
-            let (ranks, generation) = self.restart(self.config.backend)?;
-            let start_step = self.ledger.steps_at(generation).ok_or_else(|| {
-                MpiError::Checkpoint(format!(
-                    "restored generation {generation} has no step record in the ledger"
-                ))
-            })?;
-            run = self.drive(
-                self.coordinator(),
-                ranks,
-                start_step,
+            run = self.drive_restored(
+                self.restart(self.config.backend)?,
                 total_steps,
                 Arc::clone(&step_fn),
             )?;
@@ -986,11 +972,7 @@ impl JobRuntime {
             // what the newest committed generation is — a flush that commits a
             // moment after the failure must count as committed, not be mistaken
             // for "nothing to fall back to".
-            if let Some(service) = &self.service {
-                service.wait_idle();
-            } else if let Some(pool) = self.flusher.get() {
-                pool.wait_idle();
-            }
+            self.wait_flushes_landed();
             let pending = self.storage.pending_generations();
             // With an elastic policy and ranks declared dead (an unhealed node
             // loss), the job does not relaunch at full size and wait for
@@ -1031,9 +1013,12 @@ impl JobRuntime {
                     (ranks, Some(generation), step)
                 } else {
                     // Nothing committed yet: abort the dead incarnation's pending
-                    // rounds and relaunch from the initial state.
-                    for generation in &pending {
-                        self.storage.abort_generation(*generation);
+                    // rounds and relaunch from the initial state. Every flush has
+                    // landed (above), so the tombstones have nothing left to catch;
+                    // drop them before the new incarnation reuses the numbers.
+                    for &generation in &pending {
+                        self.storage.abort_generation(generation);
+                        self.storage.forget_generation(generation);
                     }
                     (self.launch()?, None, 0)
                 };
@@ -1046,23 +1031,18 @@ impl JobRuntime {
                 );
             }
             incarnation += 1;
-            log.record(
-                incarnation,
+            for event in [
                 RecoveryEventKind::FallbackRestored {
                     generation: restored,
                     start_step: resume_step,
                 },
-            );
-            log.record(
-                incarnation,
                 RecoveryEventKind::WorldRelaunched { incarnation },
-            );
-            log.record(
-                incarnation,
                 RecoveryEventKind::Resumed {
                     blackout_ms: blackout_start.elapsed().as_millis() as u64,
                 },
-            );
+            ] {
+                log.record(incarnation, event);
+            }
             ranks = relaunched;
             start_step = resume_step;
         }
@@ -1085,50 +1065,36 @@ impl JobRuntime {
                 "nothing to run: starting at step {start_step} of {total_steps}"
             )));
         }
-        let storage = self.storage.clone();
-        let service = self.service.clone();
         // Mid-step mode takes precedence (see `JobConfig::async_checkpoint`): all
         // its checkpoints are synchronous, so the flag is only effective without
         // it — and only an effectively-async run without a service tenancy
         // materializes the private flusher pool (service jobs ride the shared one).
-        let async_ckpt = self.config.async_checkpoint && !self.config.checkpoint_mid_step;
-        let flusher = (async_ckpt && service.is_none()).then(|| Arc::clone(self.flusher()));
-        let kill_at = if self.kill_armed.load(Ordering::SeqCst) {
-            self.config.kill_at_step
-        } else {
-            None
-        };
+        let sink = self
+            .ctx(Arc::clone(&coordinator))
+            .sink(self.config.async_checkpoint && !self.config.checkpoint_mid_step);
+        // An injected event fires only while still armed.
+        let armed = |flag: &AtomicBool, at: Option<u64>| at.filter(|_| flag.load(Ordering::SeqCst));
+        let kill_at = armed(&self.kill_armed, self.config.kill_at_step);
         let mid_step = self.config.checkpoint_mid_step;
-        let mid_ckpt_at = if self.mid_ckpt_armed.load(Ordering::SeqCst) {
-            self.config.mid_step_checkpoint_at
-        } else {
-            None
-        };
-        let mid_kill_at = if self.mid_kill_armed.load(Ordering::SeqCst) {
-            self.config.preempt_mid_step_at
-        } else {
-            None
-        };
+        let mid_ckpt_at = armed(&self.mid_ckpt_armed, self.config.mid_step_checkpoint_at);
+        let mid_kill_at = armed(&self.mid_kill_armed, self.config.preempt_mid_step_at);
         let outcomes = run_world(ranks, move |_, rank| {
             let mut session = Session::new(rank);
-            let intercept = if mid_step {
-                let mut hook = MidStepIntercept::new(Arc::clone(&coordinator), storage.clone());
-                if let Some(service) = &service {
-                    hook = hook.with_service(service.clone());
-                }
-                let hook = Arc::new(hook);
+            let intercept = mid_step.then(|| {
+                let hook = Arc::new(MidStepIntercept::new(
+                    Arc::clone(&coordinator),
+                    sink.clone(),
+                ));
                 session
                     .rank_mut()
                     .set_intercept(Arc::clone(&hook) as Arc<dyn CheckpointIntercept>);
-                Some(hook)
-            } else {
-                None
-            };
-            // This rank's in-flight asynchronous flush — at most one, by the
-            // backpressure below. Waited before the rank thread returns (on
-            // completion *and* on preemption — the simulated flusher outlives a
-            // vacated allocation, like a node-local burst-buffer daemon), so
-            // `drive`'s caller observes a settled ledger.
+                hook
+            });
+            // This rank's in-flight flush — at most one, by the backpressure below
+            // (a synchronous round's is already complete). Waited before the rank
+            // thread returns (on completion *and* on preemption — the simulated
+            // flusher outlives a vacated allocation, like a node-local burst-buffer
+            // daemon), so `drive`'s caller observes a settled ledger.
             let mut in_flight: Option<FlushHandle> = None;
             let outcome = (|session: &mut Session, in_flight: &mut Option<FlushHandle>| {
                 let mut last = None;
@@ -1178,54 +1144,23 @@ impl JobRuntime {
                             }
                         }
                     } else if coordinator.checkpoint_due(boundary) {
-                        if async_ckpt {
-                            // Backpressure: at most one flush in flight per rank. If
-                            // the previous generation's flush is still running when
-                            // the next boundary arrives, the rank absorbs the
-                            // remaining flush time here — otherwise every boundary
-                            // would queue another full upper-half copy and a slow
-                            // store could grow the queue without bound.
-                            if let Some(previous) = in_flight.take() {
-                                previous.wait();
-                            }
-                            // Snapshot fast, flush in the background: the rank holds the
-                            // handle and moves straight on to the next step. The commit
-                            // (storage visibility + ledger publish) happens on the
-                            // flusher thread that lands the last rank's image. A
-                            // service-attached job submits through its tenant handle
-                            // (admission control, sync fallback on rejection) instead
-                            // of a private pool.
-                            *in_flight = Some(match &service {
-                                Some(service) => coordinated_checkpoint_tenant(
-                                    session.rank_mut(),
-                                    &coordinator,
-                                    service,
-                                    Some(boundary),
-                                )?,
-                                None => coordinated_checkpoint_async(
-                                    session.rank_mut(),
-                                    &coordinator,
-                                    flusher.as_ref().ok_or_else(|| {
-                                        MpiError::Internal(
-                                            "async checkpoint requested but no flusher pool \
-                                             was materialized for this run"
-                                                .into(),
-                                        )
-                                    })?,
-                                    Some(boundary),
-                                )?,
-                            });
-                        } else {
-                            let report = coordinated_checkpoint(
-                                session.rank_mut(),
-                                &coordinator,
-                                &storage,
-                                Some(boundary),
-                            )?;
-                            if let Some(service) = &service {
-                                service.note_external_write(&report);
-                            }
+                        // Backpressure: at most one flush in flight per rank. If the
+                        // previous generation's flush is still running when the next
+                        // boundary arrives, the rank absorbs the remaining flush time
+                        // here — otherwise every boundary would queue another full
+                        // upper-half copy and a slow store could grow the queue
+                        // without bound.
+                        if let Some(previous) = in_flight.take() {
+                            previous.wait();
                         }
+                        let (handle, _) = checkpoint_round(
+                            session.rank_mut(),
+                            &coordinator,
+                            &sink,
+                            Some(boundary),
+                            None,
+                        )?;
+                        *in_flight = Some(handle);
                     }
                     if kill_at == Some(boundary) && boundary < total_steps {
                         // The allocation is revoked: the rank vacates without any
@@ -1278,17 +1213,14 @@ impl JobRuntime {
             // a later resume.
             self.mid_ckpt_armed.store(false, Ordering::SeqCst);
         }
+        // No rank was preempted (established above), so every outcome is a result.
         let results = outcomes
             .into_iter()
-            .map(|o| match o {
-                RankOutcome::Completed(value) => Ok(value),
-                // preempted == 0 was established above; keep the impossible arm
-                // typed anyway so a future bookkeeping change cannot panic here.
-                RankOutcome::Preempted => Err(MpiError::Internal(
-                    "rank outcome flipped to Preempted after the preemption count".into(),
-                )),
+            .filter_map(|o| match o {
+                RankOutcome::Completed(value) => Some(value),
+                RankOutcome::Preempted => None,
             })
-            .collect::<Result<Vec<_>, MpiError>>()?;
+            .collect();
         Ok(JobRun::Completed {
             results,
             generation: self.published_generation(),

@@ -18,6 +18,12 @@
 //! 4. **Commit barrier** — once every rank's write is durable, the generation is
 //!    atomically published. A generation is never visible half-written.
 //!
+//! Every checkpoint — synchronous or asynchronous, at a step boundary or inside a
+//! step — runs the same round: quiesce → drain → freeze → sink. Only the sink
+//! differs: the store written in place (steps 3-4 above), the job's private
+//! flusher pool, or a service tenancy; an asynchronous sink publishes the
+//! generation when the last rank's background flush lands instead of at a barrier.
+//!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
 //! (kill-at-step), restart from the newest fully-valid generation (optionally on a
 //! *different* MPI implementation), and a [`Backend`] selector spanning `mpich-sim`,
@@ -31,7 +37,7 @@
 //! landed write is metered against the tenant's quota.
 //!
 //! With [`JobConfig::checkpoint_mid_step`], intent broadcast is no longer confined to
-//! step boundaries: every rank carries a [`MidStepIntercept`], and an intent raised
+//! step boundaries: every rank carries a mid-step checkpoint hook, and an intent raised
 //! at any moment ([`Coordinator::request_checkpoint_now`]) is serviced at the safe
 //! points of MANA's two-phase collective protocol — ranks caught in a collective's
 //! registration phase withdraw, checkpoint, and re-register, so the checkpoint lands
@@ -63,12 +69,10 @@ mod backend;
 mod coordinator;
 mod job;
 mod recovery;
+mod round;
 
 pub use backend::Backend;
-pub use coordinator::{
-    coordinated_checkpoint, coordinated_checkpoint_async, coordinated_checkpoint_tenant,
-    CommitLedger, Coordinator, IntentSnapshot, MidStepIntercept,
-};
+pub use coordinator::{CommitLedger, Coordinator, IntentSnapshot};
 pub use elastic::{RankMap, RemapPolicy, Repartition};
 pub use job::{run_world, ElasticConfig, JobConfig, JobCtx, JobRun, JobRuntime};
 pub use recovery::{

@@ -1,0 +1,207 @@
+//! One coordinated checkpoint round, whatever it lands in: quiesce → drain → freeze
+//! → sink.
+//!
+//! Every checkpoint the runtime takes — [`JobCtx::checkpoint`],
+//! [`JobCtx::checkpoint_async`], a step-boundary checkpoint of the drive loop, and
+//! a mid-step intent serviced inside a collective wrapper — is one call to
+//! [`checkpoint_round`]. The MPI-level phases are the same for all of them; only
+//! where the image goes differs, and that is the [`Sink`], chosen once per run.
+//!
+//! The round announces the generation *pending* on the sink's storage, so a
+//! half-written generation is never visible to readers nor mistaken for the newest
+//! committed one by a concurrent `prune_before`; a round that fails after the
+//! announcement aborts the generation, releasing whatever its ranks wrote. Both
+//! happen here and nowhere else.
+//!
+//! [`JobCtx::checkpoint`]: crate::JobCtx::checkpoint
+//! [`JobCtx::checkpoint_async`]: crate::JobCtx::checkpoint_async
+
+use crate::coordinator::{Coordinator, IntentSnapshot};
+use ckpt_service::ServiceHandle;
+use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
+use mana::{CheckpointIntercept, IntentOutcome, ManaRank};
+use mpi_model::error::MpiResult;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Where a round's image goes.
+#[derive(Clone)]
+pub(crate) enum Sink {
+    /// Write the live upper half in place (no freeze copy), then arrive at the
+    /// commit barrier. The generation commits in storage only once the barrier has
+    /// seen every rank's write, and the write is metered against `meter`, a service
+    /// tenancy whose view `storage` is.
+    Store {
+        storage: CheckpointStorage,
+        meter: Option<ServiceHandle>,
+    },
+    /// Freeze the image and submit it to the job's private flusher pool. The rank
+    /// returns at once; the worker that lands the last rank's image commits the
+    /// generation, and nobody blocks on a barrier.
+    Pool(Arc<FlusherPool>),
+    /// [`Sink::Pool`] through a service tenancy's admission control. A rejected
+    /// submission is written synchronously on the rank thread — a checkpoint is
+    /// never skipped — with the same barrier-free accounting: its peers may have
+    /// been admitted and returned to computation already, so a rank waiting at a
+    /// barrier for them would deadlock against flushes that only land later.
+    Tenant(ServiceHandle),
+}
+
+impl Sink {
+    fn storage(&self) -> &CheckpointStorage {
+        match self {
+            Sink::Store { storage, .. } => storage,
+            Sink::Pool(pool) => pool.storage(),
+            Sink::Tenant(service) => service.storage(),
+        }
+    }
+}
+
+/// Run one rank through a coordinated checkpoint into `sink`. Collective: every
+/// rank of the world calls it at the same logical point.
+///
+/// `steps` is the number of completed steps the checkpoint corresponds to (recorded
+/// in the ledger so a restart can resume the step counter). A rank servicing a
+/// mid-step intent passes its pre-checkpoint `intent` snapshot; the commit barrier
+/// folds those across the round and the round's decision comes back. Every route
+/// returns a [`FlushHandle`]; a synchronous one is already complete.
+pub(crate) fn checkpoint_round(
+    rank: &mut ManaRank,
+    coordinator: &Arc<Coordinator>,
+    sink: &Sink,
+    steps: Option<u64>,
+    intent: Option<IntentSnapshot>,
+) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
+    let plan = rank.begin_checkpoint()?;
+    rank.drain_quiescent(&plan, coordinator.as_ref())?;
+    rank.complete_drain()?;
+    let generation = rank.generation();
+    let storage = sink.storage();
+    storage.begin_generation(generation, coordinator.world_size());
+    let delivered = deliver(rank, coordinator, sink, steps, intent);
+    if delivered.is_err() {
+        // A no-op if the generation already committed in storage.
+        storage.abort_generation(generation);
+    }
+    delivered
+}
+
+fn deliver(
+    rank: &mut ManaRank,
+    coordinator: &Arc<Coordinator>,
+    sink: &Sink,
+    steps: Option<u64>,
+    intent: Option<IntentSnapshot>,
+) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
+    let policy = rank.config().storage;
+    let world_rank = rank.world_rank();
+    // The commit accounting of a frozen image rides its flush completion, on
+    // whichever thread lands it.
+    let landed = || {
+        let coordinator = Arc::clone(coordinator);
+        move |report: &StoreReport| {
+            coordinator.note_flush_landed(report.generation, steps);
+        }
+    };
+    let handle = match sink {
+        Sink::Store { storage, meter } => {
+            let report = rank.write_checkpoint_into(storage)?;
+            let decided = coordinator.commit_inner(world_rank, report.generation, steps, intent)?;
+            storage.note_rank_flushed(report.generation, world_rank);
+            if let Some(service) = meter {
+                service.note_external_write(&report);
+            }
+            return Ok((FlushHandle::ready(report), decided));
+        }
+        Sink::Pool(pool) => pool.submit_with(policy, rank.snapshot_checkpoint()?, landed()),
+        Sink::Tenant(service) => {
+            match service.submit_with(policy, rank.snapshot_checkpoint()?, landed()) {
+                Ok(handle) => handle,
+                Err(rejected) => {
+                    // The caller owns the accounting the flusher worker would have
+                    // performed.
+                    let report = service.write_sync_fallback(policy, &rejected.image);
+                    service
+                        .storage()
+                        .note_rank_flushed(report.generation, world_rank);
+                    coordinator.note_flush_landed(report.generation, steps);
+                    FlushHandle::ready(report)
+                }
+            }
+        }
+    };
+    Ok((handle, None))
+}
+
+/// One rank's mid-step checkpoint hook, installed when
+/// [`JobConfig::checkpoint_mid_step`](crate::JobConfig::checkpoint_mid_step) is on.
+///
+/// The hook compares the coordinator's broadcast intent epoch against the epoch this
+/// rank last serviced; when behind, the rank's collective wrappers service the intent
+/// at their next safe point by running a round into its [`Sink::Store`] (recording
+/// the step currently *in progress*, which a resume therefore re-runs) and, for a
+/// preempting intent, unwinding with [`mpi_model::error::MpiError::Preempted`].
+pub(crate) struct MidStepIntercept {
+    coordinator: Arc<Coordinator>,
+    sink: Sink,
+    /// The step this rank is currently executing (maintained by the drive loop).
+    current_step: AtomicU64,
+    /// The intent epoch this rank has serviced up to.
+    serviced: AtomicU64,
+}
+
+impl MidStepIntercept {
+    pub(crate) fn new(coordinator: Arc<Coordinator>, sink: Sink) -> Self {
+        MidStepIntercept {
+            coordinator,
+            sink,
+            current_step: AtomicU64::new(0),
+            serviced: AtomicU64::new(0),
+        }
+    }
+
+    /// Record the step the owning rank is about to execute.
+    pub(crate) fn enter_step(&self, step: u64) {
+        self.current_step.store(step, Ordering::SeqCst);
+    }
+}
+
+impl CheckpointIntercept for MidStepIntercept {
+    fn intent_pending(&self) -> bool {
+        self.coordinator.intent_epoch() > self.serviced.load(Ordering::SeqCst)
+    }
+
+    fn service(&self, rank: &mut ManaRank) -> MpiResult<IntentOutcome> {
+        // One consistent snapshot of (epoch, vacates); the commit barrier then folds
+        // every arriver's snapshot into a single round-wide decision, so ranks whose
+        // snapshot raced a fresh broadcast still agree on what they serviced. This
+        // checkpoint also stands in for any periodic boundary checkpoint due at the
+        // same moment: the drive loop routes both through here in mid-step mode, so
+        // intent-servicing ranks and boundary-checkpointing ranks always fold into
+        // the same round instead of splitting the world across two.
+        let already = self.serviced.load(Ordering::SeqCst);
+        let snapshot = self.coordinator.intent_snapshot();
+        // The checkpoint lands *inside* the current step (or exactly at a boundary,
+        // where `current_step` equals the boundary): record the steps a resume may
+        // safely assume completed.
+        let steps = self.current_step.load(Ordering::SeqCst);
+        let (_, decided) = checkpoint_round(
+            rank,
+            &self.coordinator,
+            &self.sink,
+            Some(steps),
+            Some(snapshot),
+        )?;
+        let decided = decided.unwrap_or(snapshot);
+        self.serviced
+            .store(decided.epoch.max(already), Ordering::SeqCst);
+        // Vacate only on a *newly serviced* preempting intent — a stale vacate flag
+        // from an intent this rank already acted on must not fire again when this
+        // hook runs a plain periodic checkpoint.
+        if decided.vacates && decided.epoch > already {
+            Ok(IntentOutcome::Vacate)
+        } else {
+            Ok(IntentOutcome::Continue)
+        }
+    }
+}

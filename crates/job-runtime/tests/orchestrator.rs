@@ -3,9 +3,11 @@
 //! the single `JobRuntime` API — now handing every body a typed `Session` — and
 //! exercised across the simulated MPI backends.
 
+use ckpt_service::{CkptService, ServiceConfig, TenantQuota};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
 use mpi_model::error::MpiResult;
+use std::sync::Arc;
 
 const STATE: &str = "app.state";
 
@@ -212,11 +214,15 @@ fn incremental_policy_applies_through_the_orchestrator() {
     assert!(stats.total_bytes() < 2 * 2 * 256 * 1024);
 }
 
-/// Asynchronous checkpoint flush through the step driver: every boundary generation
-/// is published (by flusher threads, not rank threads), nothing stays pending, and
-/// the results match the synchronous run exactly.
+/// Every route a boundary checkpoint can take through the step driver — the
+/// synchronous store, the private flusher pool, a service tenant whose submissions
+/// are admitted, a service tenant whose every submission takes the synchronous
+/// fallback, and mid-step mode's boundary hook — publishes every boundary
+/// generation, leaves nothing pending, stores the same bytes, and computes the same
+/// results.
 #[test]
 fn async_checkpoint_publishes_every_boundary_generation() {
+    const WORLD: usize = 4;
     let step_fn = |session: &mut Session, step: u64| -> MpiResult<i64> {
         if step == 0 {
             let bulk: Vec<u8> = (0..128 * 1024)
@@ -228,49 +234,107 @@ fn async_checkpoint_publishes_every_boundary_generation() {
         let world = session.world()?;
         Ok(session.allreduce(&[me + step as i64], Op::sum(), world)?[0])
     };
+    let config = || JobConfig::new(WORLD, Backend::Mpich).with_checkpoint_every(2);
+    let tenant = |max_in_flight_total: usize| {
+        let service = CkptService::new(ServiceConfig {
+            max_in_flight_total,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        service.register_tenant_with("job", TenantQuota::default().with_max_in_flight(WORLD))
+    };
+    let routes = [
+        ("sync store", JobRuntime::new(config())),
+        (
+            "private pool",
+            JobRuntime::new(config().with_async_checkpoint()),
+        ),
+        (
+            "tenant, admitted",
+            JobRuntime::with_service(config().with_async_checkpoint(), tenant(64)),
+        ),
+        (
+            "tenant, sync fallback",
+            JobRuntime::with_service(config().with_async_checkpoint(), tenant(0)),
+        ),
+        (
+            "mid-step boundary hook",
+            JobRuntime::new(config().with_checkpoint_mid_step()),
+        ),
+    ];
 
-    let sync_runtime = JobRuntime::new(JobConfig::new(4, Backend::Mpich).with_checkpoint_every(2));
-    let sync = sync_runtime.run_steps(6, step_fn).unwrap();
-
-    let async_runtime = JobRuntime::new(
-        JobConfig::new(4, Backend::Mpich)
-            .with_checkpoint_every(2)
-            .with_async_checkpoint(),
-    );
-    let run = async_runtime.run_steps(6, step_fn).unwrap();
-
-    assert!(!run.was_preempted());
-    assert_eq!(
-        run.generation(),
-        Some(2),
-        "generations 0..=2 at boundaries 2/4/6"
-    );
-    assert_eq!(async_runtime.checkpoints_committed(), 3);
-    assert!(
-        async_runtime.storage().pending_generations().is_empty(),
-        "every flush landed and committed before the run returned"
-    );
-    assert_eq!(
-        async_runtime.storage().generations(),
-        vec![0, 1, 2],
-        "all three generations visible"
-    );
-    assert_eq!(
-        run.results().unwrap(),
-        sync.results().unwrap(),
-        "the async flush must not perturb the computation"
-    );
-    // Every committed generation is restorable for the whole world.
-    for generation in 0..=2 {
-        assert_eq!(
-            async_runtime
-                .storage()
-                .read_job(generation, 4)
-                .unwrap()
-                .len(),
-            4
+    let mut reference = None;
+    for (route, runtime) in routes {
+        let run = runtime.run_steps(6, step_fn).unwrap();
+        assert!(!run.was_preempted(), "{route}");
+        assert_eq!(run.generation(), Some(2), "{route}: boundaries 2/4/6");
+        assert_eq!(runtime.checkpoints_committed(), 3, "{route}");
+        let storage = runtime.storage();
+        assert!(
+            storage.pending_generations().is_empty(),
+            "{route}: every write landed and committed before the run returned"
         );
+        let generations = storage.generations();
+        assert_eq!(generations, vec![0, 1, 2], "{route}");
+        // The ledger is shared by every world the runtime launches.
+        let ledger = runtime
+            .run(|_session, ctx| Ok(Arc::clone(ctx.coordinator().ledger())))
+            .unwrap()
+            .remove(0);
+        let steps: Vec<_> = generations.iter().map(|&g| ledger.steps_at(g)).collect();
+        let mut logical_bytes = 0;
+        for &generation in &generations {
+            let images = storage.read_job(generation, WORLD).unwrap();
+            assert_eq!(images.len(), WORLD, "{route}: generation {generation}");
+            logical_bytes += images
+                .iter()
+                .map(|image| image.upper_half.total_bytes())
+                .sum::<usize>();
+        }
+        let stats = storage.stats();
+        let observed = (
+            run.results().unwrap(),
+            steps,
+            stats.manifest_count,
+            logical_bytes,
+            stats.total_bytes(),
+        );
+        match &reference {
+            None => reference = Some(observed),
+            Some(expected) => assert_eq!(&observed, expected, "{route} vs sync store"),
+        }
     }
+}
+
+/// A synchronous round whose commit barrier is poisoned fails on every rank and
+/// leaves nothing behind: no pending entry, no manifest, nothing published. Rank 0
+/// aborts before it enters the round, and rank 1 cannot pass the drain until rank 0
+/// has entered, so both ranks write and then meet the poisoned barrier.
+#[test]
+fn a_failed_synchronous_round_leaves_nothing_behind() {
+    let runtime = JobRuntime::new(
+        JobConfig::new(2, Backend::Mpich)
+            .with_mana(ManaConfig::new_design().with_storage(StoragePolicy::Incremental)),
+    );
+    let failures = runtime
+        .run(|mut session, ctx| {
+            if session.world_rank() == 0 {
+                ctx.coordinator().abort("injected before the round");
+            }
+            Ok(ctx
+                .checkpoint(&mut session)
+                .map(|_| ())
+                .map_err(|error| error.to_string()))
+        })
+        .unwrap();
+    for (rank, failure) in failures.iter().enumerate() {
+        let message = failure.as_ref().unwrap_err();
+        assert!(message.contains("job aborted"), "rank {rank}: {message}");
+    }
+    let storage = runtime.storage();
+    assert!(storage.pending_generations().is_empty());
+    assert_eq!(storage.stats().manifest_count, 0);
+    assert_eq!(runtime.published_generation(), None);
 }
 
 /// Preemption with async flush: the job vacates at the kill boundary, the in-flight

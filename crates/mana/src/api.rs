@@ -37,7 +37,6 @@ use mpi_model::types::{HandleKind, Rank, Tag};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
-use split_proc::store::{CheckpointStore, WriteReport};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -917,13 +916,6 @@ impl Session {
     // ------------------------------------------------------------------
     // Checkpoint / restart
     // ------------------------------------------------------------------
-
-    /// Transparent checkpoint into the legacy flat store (collective; see
-    /// [`ManaRank::checkpoint`]).
-    pub fn checkpoint(&mut self, store: &CheckpointStore) -> MpiResult<WriteReport> {
-        self.reap();
-        self.rank.checkpoint(store)
-    }
 
     /// Transparent checkpoint through the `ckpt-store` engine under the configured
     /// storage policy (collective; see [`ManaRank::checkpoint_into`]).

@@ -1,7 +1,7 @@
 //! Transparent checkpoint: drain the network, then save the upper half.
 //!
 //! The checkpoint is *collective and cooperative*: every rank calls
-//! [`ManaRank::checkpoint`] (in the real system a checkpoint-request signal interrupts
+//! [`ManaRank::checkpoint_into`] (in the real system a checkpoint-request signal interrupts
 //! the ranks at a wrapper boundary; the coordination protocol from there on is the
 //! same). The algorithm uses only MPI calls from the required subset of paper §5:
 //!
@@ -21,13 +21,12 @@
 //! addresses) is saved: that is the whole point of the split-process design.
 
 use crate::runtime::{BufferedMessage, ManaRank};
-use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
+use ckpt_store::{CheckpointStorage, StoreReport};
 use mpi_model::buffer::{bytes_to_u64, u64_to_bytes};
 use mpi_model::constants::PredefinedObject;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{HandleKind, Rank, ANY_SOURCE, ANY_TAG};
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::{CheckpointStore, WriteReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -201,8 +200,8 @@ pub trait DrainObserver: Send + Sync {
     }
 }
 
-/// The fallback observer used by the standalone [`ManaRank::checkpoint`] /
-/// [`ManaRank::checkpoint_into`] paths: only this rank's own progress is visible.
+/// The fallback observer used by the standalone [`ManaRank::checkpoint_into`] path:
+/// only this rank's own progress is visible.
 #[derive(Debug, Default)]
 pub struct LocalDrainObserver {
     drained: AtomicU64,
@@ -219,20 +218,10 @@ impl DrainObserver for LocalDrainObserver {
 }
 
 impl ManaRank {
-    /// Take a transparent checkpoint into the legacy flat-image store and continue
-    /// running. This is the paper-baseline write path: every generation writes the
-    /// complete image.
-    ///
-    /// Collective: every rank of the job must call this at the same logical point.
-    /// Returns the write report (image size and modelled write time) for this rank.
-    pub fn checkpoint(&mut self, store: &CheckpointStore) -> MpiResult<WriteReport> {
-        self.quiesce_and_drain(&LocalDrainObserver::default())?;
-        self.write_checkpoint(store)
-    }
-
     /// Take a transparent checkpoint into the `ckpt-store` storage engine, using the
     /// storage policy from this rank's [`ManaConfig`](crate::config::ManaConfig)
-    /// (full image, incremental, or incremental+compressed).
+    /// (full image — the paper's baseline, every generation writing the complete
+    /// image — incremental, or incremental+compressed).
     ///
     /// On the incremental policies only the upper-half regions dirtied since the
     /// previous generation are re-encoded, and only content-new chunks reach storage;
@@ -243,7 +232,9 @@ impl ManaRank {
     /// Jobs running under an orchestrator (`job-runtime`) go through the same phases
     /// individually, with a job-wide [`DrainObserver`] in the middle.
     pub fn checkpoint_into(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
-        self.quiesce_and_drain(&LocalDrainObserver::default())?;
+        let plan = self.begin_checkpoint()?;
+        self.drain_quiescent(&plan, &LocalDrainObserver::default())?;
+        self.complete_drain()?;
         self.write_checkpoint_into(storage)
     }
 
@@ -324,15 +315,6 @@ impl ManaRank {
         Ok(())
     }
 
-    /// Snapshot this rank's upper half into the legacy flat store and advance the
-    /// generation. The caller must have completed the drain phases first.
-    pub fn write_checkpoint(&mut self, store: &CheckpointStore) -> MpiResult<WriteReport> {
-        let generation = self.generation;
-        let report = self.with_built_image(|image| store.write(generation, image))?;
-        self.generation += 1;
-        Ok(report)
-    }
-
     /// Snapshot this rank's upper half into the `ckpt-store` engine under the
     /// configured storage policy and advance the generation + dirty-tracking epoch.
     /// The caller must have completed the drain phases first.
@@ -352,8 +334,10 @@ impl ManaRank {
     /// The fast half of the asynchronous checkpoint split: freeze this rank's
     /// checkpoint image (one memory copy of the upper half, with the MANA regions
     /// serialized in) and immediately return the rank to computation. The caller
-    /// hands the frozen image to a [`FlusherPool`], which performs the expensive
-    /// chunk/compress/store work in the background.
+    /// announces the generation pending in its store
+    /// ([`CheckpointStorage::begin_generation`]) and hands the frozen image to a
+    /// [`ckpt_store::FlusherPool`], which performs the expensive chunk/compress/store
+    /// work in the background.
     ///
     /// Generation and dirty-tracking epoch advance *here*, at freeze time: every
     /// application write after this call is dirty relative to this snapshot, exactly
@@ -365,53 +349,6 @@ impl ManaRank {
         self.upper.advance_epoch();
         self.generation += 1;
         Ok(image)
-    }
-
-    /// Snapshot this rank (see
-    /// [`snapshot_checkpoint`](ManaRank::snapshot_checkpoint)) and submit the frozen
-    /// image to `flusher` for background writing under the configured storage
-    /// policy. The generation is announced as *pending* in the flusher's store — it
-    /// becomes visible only once every rank of the world has flushed it, so a job
-    /// killed mid-flush restarts from the newest committed generation exactly like a
-    /// job killed mid-write does today. The caller must have completed the drain
-    /// phases first.
-    pub fn write_checkpoint_async(&mut self, flusher: &FlusherPool) -> MpiResult<FlushHandle> {
-        self.write_checkpoint_async_with(flusher, |_| {})
-    }
-
-    /// [`write_checkpoint_async`](ManaRank::write_checkpoint_async) with a completion
-    /// callback, run on the flusher thread after this rank's image lands in storage
-    /// (orchestrators hang their commit accounting here).
-    pub fn write_checkpoint_async_with(
-        &mut self,
-        flusher: &FlusherPool,
-        on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
-    ) -> MpiResult<FlushHandle> {
-        let policy = self.config.storage;
-        let world_size = self.world_size;
-        let image = self.snapshot_checkpoint()?;
-        flusher
-            .storage()
-            .begin_generation(image.metadata.generation, world_size);
-        Ok(flusher.submit_with(policy, image, on_flushed))
-    }
-
-    /// Take a full transparent checkpoint with an asynchronous flush: quiesce and
-    /// drain (collective, as always), then snapshot and return immediately with a
-    /// [`FlushHandle`] while the storage write proceeds in the background.
-    ///
-    /// Collective: every rank of the job must call this at the same logical point,
-    /// all against pools sharing one store (or one shared pool).
-    pub fn checkpoint_async(&mut self, flusher: &FlusherPool) -> MpiResult<FlushHandle> {
-        self.quiesce_and_drain(&LocalDrainObserver::default())?;
-        self.write_checkpoint_async(flusher)
-    }
-
-    /// Phases 1-4 of the checkpoint protocol in one call, for the standalone paths.
-    fn quiesce_and_drain(&mut self, observer: &dyn DrainObserver) -> MpiResult<()> {
-        let plan = self.begin_checkpoint()?;
-        self.drain_quiescent(&plan, observer)?;
-        self.complete_drain()
     }
 
     /// Build the checkpoint image for this rank without writing it anywhere (used by

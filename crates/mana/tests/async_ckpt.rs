@@ -3,11 +3,12 @@
 //! mid-flush must restart from the newest *committed* generation) and the drain-loop
 //! stall-clock regression tests.
 
-use ckpt_store::{CheckpointStorage, FlusherPool};
+use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool};
 use mana::ckpt::LocalDrainObserver;
 use mana::restart::restart_job_from_storage;
 use mana::{DrainObserver, DrainPlan, ManaConfig, ManaRank, Op, Session, StoragePolicy};
 use mpi_model::api::MpiImplementationFactory;
+use mpi_model::error::MpiResult;
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::Rank;
 use parking_lot::RwLock;
@@ -35,7 +36,24 @@ fn incremental() -> ManaConfig {
     ManaConfig::new_design().with_storage(StoragePolicy::Incremental)
 }
 
-/// `ManaRank::checkpoint_async`: the standalone (coordinator-less) async path. The
+/// Quiesce and drain (collective), then freeze this rank's image.
+fn freeze(rank: &mut ManaRank) -> MpiResult<CheckpointImage> {
+    let plan = rank.begin_checkpoint()?;
+    rank.drain_quiescent(&plan, &LocalDrainObserver::default())?;
+    rank.complete_drain()?;
+    rank.snapshot_checkpoint()
+}
+
+/// A standalone asynchronous checkpoint: freeze, announce the generation pending in
+/// the pool's store, and flush it in the background.
+fn checkpoint_async(rank: &mut ManaRank, pool: &FlusherPool) -> MpiResult<FlushHandle> {
+    let image = freeze(rank)?;
+    pool.storage()
+        .begin_generation(image.metadata.generation, rank.world_size());
+    Ok(pool.submit(rank.config().storage, image))
+}
+
+/// The standalone (coordinator-less) async path: freeze, then flush. The
 /// generation commits through the store's own flush accounting once both ranks'
 /// flushes land, the restarted job sees exactly the snapshotted state, and writes
 /// made *after* the snapshot (while the flush was still in flight) never leak into
@@ -54,7 +72,7 @@ fn async_checkpoint_round_trips_through_restart() {
         let world = session.world()?;
         let total = session.allreduce(&[me + 1], Op::sum(), world)?[0];
         session.upper_mut().store_json(STATE, &(me, total))?;
-        let handle = session.rank_mut().checkpoint_async(&pool_in_body)?;
+        let handle = checkpoint_async(session.rank_mut(), &pool_in_body)?;
         assert_eq!(handle.generation(), 0);
         // The rank is already back to computation; this write lands after the
         // freeze and must NOT appear in the checkpoint.
@@ -106,15 +124,11 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
         let mut session = Session::new(rank);
         let me = session.world_rank();
         session.upper_mut().store_json(STATE, &(me, "gen0"))?;
-        session.rank_mut().checkpoint_async(&pool_in_body)?.wait();
+        checkpoint_async(session.rank_mut(), &pool_in_body)?.wait();
 
         // The state the torn generation 1 would carry.
         session.upper_mut().store_json(STATE, &(me, "gen1"))?;
-        let rank = session.rank_mut();
-        let plan = rank.begin_checkpoint()?;
-        rank.drain_quiescent(&plan, &LocalDrainObserver::default())?;
-        rank.complete_drain()?;
-        let image = rank.snapshot_checkpoint()?;
+        let image = freeze(session.rank_mut())?;
         storage_in_body.begin_generation(image.metadata.generation, 2);
         Ok(image)
     })

@@ -13,12 +13,15 @@
 //! * a checkpoint taken under one implementation can be restarted under another
 //!   (the §9 "future work" scenario, possible here because nothing lower-half-specific
 //!   is stored in the image).
+//!
+//! The standalone checkpoints here write flat images (`StoragePolicy::FullImage`, the
+//! paper's baseline) into the `ckpt-store` engine.
 
+use ckpt_store::CheckpointStorage;
 use job_runtime::{run_world, Backend, JobConfig, JobRuntime};
-use mana::{Comm, Datatype, ManaConfig, Op, Session};
+use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
 use mpi_model::types::ANY_SOURCE;
 use serde::{Deserialize, Serialize};
-use split_proc::store::CheckpointStore;
 
 /// Application state the "app" stores in its upper half: the typed handles it holds
 /// and a little progress marker. Surviving serialization of *handles* is the point.
@@ -37,7 +40,7 @@ const TAG_NORMAL: i32 = 7;
 
 /// Phase 1 of the scenario: build objects, do some traffic, leave one message in
 /// flight, then checkpoint.
-fn phase_before(mut session: Session, store: &CheckpointStore) -> (u64, usize) {
+fn phase_before(mut session: Session, storage: &CheckpointStorage) -> (u64, usize) {
     let me = session.world_rank();
     let n = session.world_size() as i32;
 
@@ -84,8 +87,8 @@ fn phase_before(mut session: Session, store: &CheckpointStore) -> (u64, usize) {
         .store_json(STATE_REGION, &state)
         .unwrap();
 
-    let report = session.checkpoint(store).unwrap();
-    assert!(report.bytes > 0);
+    let report = session.checkpoint_into(storage).unwrap();
+    assert!(report.written_bytes > 0);
     (session.crossings(), session.buffered_messages())
 }
 
@@ -128,14 +131,22 @@ fn phase_after(mut session: Session) {
     session.barrier(state.world).unwrap();
 }
 
+/// A runtime whose ranks write flat images.
+fn full_image_runtime(world_size: usize, backend: Backend, config: ManaConfig) -> JobRuntime {
+    JobRuntime::new(
+        JobConfig::new(world_size, backend)
+            .with_mana(config.with_storage(StoragePolicy::FullImage)),
+    )
+}
+
 fn run_scenario(first: Backend, second: Backend, config: ManaConfig, world_size: usize) {
-    let runtime = JobRuntime::new(JobConfig::new(world_size, first).with_mana(config));
-    let store = CheckpointStore::unmetered();
+    let runtime = full_image_runtime(world_size, first, config);
+    let storage = CheckpointStorage::unmetered();
 
     // --- Run until the checkpoint under the first implementation. ---
-    let store_for_ranks = store.clone();
+    let storage_for_ranks = storage.clone();
     let results = runtime
-        .run(move |session, _ctx| Ok(phase_before(session, &store_for_ranks)))
+        .run(move |session, _ctx| Ok(phase_before(session, &storage_for_ranks)))
         .unwrap();
     for (crossings, _buffered) in results {
         assert!(
@@ -146,7 +157,7 @@ fn run_scenario(first: Backend, second: Backend, config: ManaConfig, world_size:
 
     // --- Restart under the second implementation (a brand-new session). ---
     let images: Vec<_> = (0..world_size)
-        .map(|r| store.read(0, r as i32).unwrap())
+        .map(|r| storage.read(0, r as i32).unwrap())
         .collect();
     assert!(images
         .iter()
@@ -238,26 +249,26 @@ fn exampi_checkpoint_restart_within_subset() {
 
 #[test]
 fn multiple_checkpoint_generations() {
-    let runtime = JobRuntime::new(JobConfig::new(2, Backend::Mpich));
-    let store = CheckpointStore::unmetered();
-    let store_for_ranks = store.clone();
+    let runtime = full_image_runtime(2, Backend::Mpich, ManaConfig::new_design());
+    let storage = CheckpointStorage::unmetered();
+    let storage_for_ranks = storage.clone();
     runtime
         .run(move |mut session, _ctx| {
             let world = session.world()?;
             for generation in 0..3u64 {
                 let total = session.allreduce(&[1], Op::sum(), world)?[0];
                 assert_eq!(total, 2);
-                let report = session.checkpoint(&store_for_ranks)?;
-                assert!(report.bytes > 0);
+                let report = session.checkpoint_into(&storage_for_ranks)?;
+                assert!(report.written_bytes > 0);
                 assert_eq!(session.generation(), generation + 1);
             }
             Ok(session.world_rank())
         })
         .unwrap();
     // Three generations of two ranks each.
-    assert_eq!(store.image_count(), 6);
+    assert_eq!(storage.stats().full_image_count, 6);
     // The restart path works from the latest generation.
-    let images: Vec<_> = (0..2).map(|r| store.read(2, r).unwrap()).collect();
+    let images: Vec<_> = (0..2).map(|r| storage.read(2, r).unwrap()).collect();
     let new_lowers = Backend::Mpich
         .factory()
         .launch(2, runtime.registry(), 9)
@@ -279,17 +290,17 @@ fn multiple_checkpoint_generations() {
 #[test]
 fn restart_job_keeps_rank_order_and_reports_the_lowest_failing_rank() {
     let world_size = 3;
-    let runtime = JobRuntime::new(JobConfig::new(world_size, Backend::Mpich));
-    let store = CheckpointStore::unmetered();
-    let store_for_ranks = store.clone();
+    let runtime = full_image_runtime(world_size, Backend::Mpich, ManaConfig::new_design());
+    let storage = CheckpointStorage::unmetered();
+    let storage_for_ranks = storage.clone();
     // No derived communicators: the creation replay makes no collective call, so a
     // rank whose peers fail early still finishes on its own.
     runtime
-        .run(move |mut session, _ctx| session.checkpoint(&store_for_ranks).map(|_| ()))
+        .run(move |mut session, _ctx| session.checkpoint_into(&storage_for_ranks).map(|_| ()))
         .unwrap();
     let images = || -> Vec<_> {
         (0..world_size)
-            .map(|r| store.read(0, r as i32).unwrap())
+            .map(|r| storage.read(0, r as i32).unwrap())
             .collect()
     };
     let restart = |images, nonce| {

@@ -7,8 +7,9 @@
 //!   (or the peer-rank translation) failed, because the `?` early-returns skipped
 //!   `translator.remove`.
 
+use ckpt_store::CheckpointStorage;
 use job_runtime::run_world;
-use mana::{ManaConfig, ManaRank};
+use mana::{ManaConfig, ManaRank, StoragePolicy};
 use mpi_model::api::MpiImplementationFactory;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
@@ -16,7 +17,6 @@ use mpi_model::error::MpiError;
 use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
 use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
-use split_proc::store::CheckpointStore;
 use std::sync::Arc;
 
 fn launch_mana(world: usize) -> Vec<ManaRank> {
@@ -25,7 +25,10 @@ fn launch_mana(world: usize) -> Vec<ManaRank> {
         .launch(world, Arc::clone(&registry), 1)
         .unwrap()
         .into_iter()
-        .map(|lower| ManaRank::new(lower, ManaConfig::new_design(), Arc::clone(&registry)).unwrap())
+        .map(|lower| {
+            let config = ManaConfig::new_design().with_storage(StoragePolicy::FullImage);
+            ManaRank::new(lower, config, Arc::clone(&registry)).unwrap()
+        })
         .collect()
 }
 
@@ -33,7 +36,7 @@ fn launch_mana(world: usize) -> Vec<ManaRank> {
 /// in its upper-half buffer (rank 0 sent it, both ranks checkpointed, the drain moved
 /// it out of the network), then return rank 1.
 fn rank_with_buffered_message() -> ManaRank {
-    let store = CheckpointStore::unmetered();
+    let storage = CheckpointStorage::unmetered();
     let ranks = launch_mana(2);
     let mut out = run_world(ranks, move |rank_index, mut rank: ManaRank| {
         let world = rank.world().unwrap();
@@ -44,7 +47,7 @@ fn rank_with_buffered_message() -> ManaRank {
             rank.send(&[1, 2, 3, 4, 5, 6, 7, 8], byte, 1, 7, world)
                 .unwrap();
         }
-        rank.checkpoint(&store).unwrap();
+        rank.checkpoint_into(&storage).unwrap();
         Ok(rank)
     })
     .unwrap();

@@ -18,8 +18,9 @@
 //!   serialized into, and restored from, a checkpoint image.
 //! * [`image`] — the checkpoint image format (binary, self-describing) and its
 //!   round-trip encoding.
-//! * [`store`] — a simulated checkpoint filesystem with a configurable per-rank write
-//!   bandwidth, reproducing the size-vs-time behaviour of Table 3.
+//! * [`store`] — the write-time model of a simulated checkpoint filesystem with a
+//!   configurable per-rank bandwidth, reproducing the size-vs-time behaviour of
+//!   Table 3.
 //! * [`crossing`] — the upper↔lower crossing counter and cost model (FSGSBASE vs
 //!   `prctl`), which is what turns "MPI calls per second" into the runtime overheads of
 //!   Figures 2-4.
@@ -38,4 +39,4 @@ pub mod store;
 pub use address_space::{MemoryRegion, UpperHalfSpace};
 pub use crossing::{CrossingCounter, CrossingMode, CrossingProfile};
 pub use image::CheckpointImage;
-pub use store::{CheckpointStore, StoreConfig, WriteReport};
+pub use store::StoreConfig;

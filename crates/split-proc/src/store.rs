@@ -1,18 +1,12 @@
-//! A simulated checkpoint filesystem.
+//! A simulated checkpoint filesystem's performance model.
 //!
 //! The paper's Table 3 reports checkpoint time against checkpoint image size on an
 //! NFSv3 filesystem whose effective per-rank bandwidth is a few MB/s (3.3–12.8
-//! MB/s/rank in the measurements). This store keeps images in memory (so tests and the
-//! restart path can read them back) and *models* the write time from the configured
-//! bandwidth and per-checkpoint latency, which is what the Table 3 bench reports.
+//! MB/s/rank in the measurements). [`StoreConfig`] *models* the write time from the
+//! configured bandwidth and per-checkpoint latency; the `ckpt-store` engine applies
+//! it to the bytes each write actually stores.
 
-use crate::image::CheckpointImage;
-use mpi_model::error::{MpiError, MpiResult};
-use mpi_model::types::Rank;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Filesystem performance model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,146 +61,9 @@ impl StoreConfig {
     }
 }
 
-/// Result of storing one rank's checkpoint image.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WriteReport {
-    /// Image size in bytes.
-    pub bytes: usize,
-    /// Modelled write time in seconds.
-    pub write_time_s: f64,
-    /// Effective bandwidth in MB/s (size / time), or `None` when the store is
-    /// unmetered — an unmetered write has no modelled time, so there is no
-    /// bandwidth to report (printing `0 MB/s` would misstate a non-measurement).
-    pub effective_bandwidth_mb_s: Option<f64>,
-}
-
-/// Encoded images keyed by `(generation, rank)`.
-type ImageTable = HashMap<(u64, Rank), Vec<u8>>;
-
-/// An in-memory checkpoint store shared by all ranks of a job, keyed by
-/// `(generation, rank)`.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointStore {
-    inner: Arc<Mutex<ImageTable>>,
-    config: Option<StoreConfig>,
-}
-
-impl CheckpointStore {
-    /// A store with the Discovery/NFSv3 performance model.
-    pub fn new(config: StoreConfig) -> Self {
-        CheckpointStore {
-            inner: Arc::new(Mutex::new(HashMap::new())),
-            config: Some(config),
-        }
-    }
-
-    /// A store without a performance model (write time reported as zero); used by
-    /// tests that only care about round-tripping data.
-    pub fn unmetered() -> Self {
-        CheckpointStore::default()
-    }
-
-    /// Store a rank's image for a checkpoint generation.
-    pub fn write(&self, generation: u64, image: &CheckpointImage) -> WriteReport {
-        let encoded = image.encode();
-        let bytes = encoded.len();
-        self.inner
-            .lock()
-            .insert((generation, image.metadata.rank), encoded);
-        let size_mb = bytes as f64 / 1.0e6;
-        let write_time_s = self.config.map(|c| c.write_time_s(size_mb)).unwrap_or(0.0);
-        WriteReport {
-            bytes,
-            write_time_s,
-            effective_bandwidth_mb_s: if write_time_s > 0.0 {
-                Some(size_mb / write_time_s)
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Read a rank's image back for restart.
-    pub fn read(&self, generation: u64, rank: Rank) -> MpiResult<CheckpointImage> {
-        let table = self.inner.lock();
-        let bytes = table.get(&(generation, rank)).ok_or_else(|| {
-            MpiError::Checkpoint(format!(
-                "no checkpoint image for generation {generation}, rank {rank}"
-            ))
-        })?;
-        CheckpointImage::decode(bytes)
-    }
-
-    /// Whether an image exists for `(generation, rank)`.
-    pub fn contains(&self, generation: u64, rank: Rank) -> bool {
-        self.inner.lock().contains_key(&(generation, rank))
-    }
-
-    /// Number of images held.
-    pub fn image_count(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Drop all images from generations older than `keep_from` (checkpoint rotation).
-    pub fn prune_before(&self, keep_from: u64) {
-        self.inner.lock().retain(|(gen, _), _| *gen >= keep_from);
-    }
-
-    /// Total bytes held across all images.
-    pub fn total_bytes(&self) -> usize {
-        self.inner.lock().values().map(|v| v.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address_space::UpperHalfSpace;
-    use crate::image::ImageMetadata;
-
-    fn image(rank: Rank, payload: usize) -> CheckpointImage {
-        let mut upper = UpperHalfSpace::new();
-        upper.map_region("app", vec![7u8; payload]);
-        CheckpointImage::new(
-            ImageMetadata {
-                rank,
-                world_size: 4,
-                generation: 0,
-                implementation: "mpich".into(),
-            },
-            upper,
-        )
-    }
-
-    #[test]
-    fn write_read_roundtrip() {
-        let store = CheckpointStore::unmetered();
-        let img = image(2, 128);
-        let report = store.write(1, &img);
-        assert_eq!(report.bytes, img.encoded_len());
-        assert_eq!(
-            report.effective_bandwidth_mb_s, None,
-            "an unmetered store must not fabricate a bandwidth figure"
-        );
-        assert!(store.contains(1, 2));
-        let back = store.read(1, 2).unwrap();
-        assert_eq!(back, img);
-        assert!(store.read(1, 3).is_err());
-        assert!(store.read(2, 2).is_err());
-    }
-
-    #[test]
-    fn pruning_drops_old_generations() {
-        let store = CheckpointStore::unmetered();
-        store.write(1, &image(0, 8));
-        store.write(2, &image(0, 8));
-        store.write(3, &image(0, 8));
-        assert_eq!(store.image_count(), 3);
-        store.prune_before(3);
-        assert_eq!(store.image_count(), 1);
-        assert!(store.contains(3, 0));
-        assert!(!store.contains(1, 0));
-    }
 
     #[test]
     fn write_time_grows_with_size_but_bandwidth_improves() {
@@ -230,14 +87,5 @@ mod tests {
         let nfs = StoreConfig::nfs_discovery().write_time_s(200.0);
         let pfs = StoreConfig::parallel_fs().write_time_s(200.0);
         assert!(pfs < nfs / 10.0);
-    }
-
-    #[test]
-    fn metered_store_reports_bandwidth() {
-        let store = CheckpointStore::new(StoreConfig::nfs_discovery());
-        let report = store.write(0, &image(0, 2_000_000));
-        assert!(report.write_time_s > 0.0);
-        assert!(report.effective_bandwidth_mb_s.unwrap() > 0.0);
-        assert!(store.total_bytes() >= 2_000_000);
     }
 }

@@ -45,9 +45,7 @@ fn main() {
                 &RunConfig {
                     iterations: CHECKPOINT_AT,
                     state_scale: 1e-4,
-                    checkpoint_at: None,
-                    store: None,
-                    storage: None,
+                    checkpoint: None,
                 },
             )?;
             let ckpt = ctx.checkpoint(&mut session)?;
@@ -73,9 +71,7 @@ fn main() {
                 &RunConfig {
                     iterations: TOTAL_STEPS,
                     state_scale: 1e-4,
-                    checkpoint_at: None,
-                    store: None,
-                    storage: None,
+                    checkpoint: None,
                 },
             )?;
             Ok((implementation, report))

@@ -30,9 +30,7 @@ fn main() {
                         &RunConfig {
                             iterations: STEPS,
                             state_scale: 1e-4,
-                            checkpoint_at: None,
-                            store: None,
-                            storage: None,
+                            checkpoint: None,
                         },
                     )
                 })

@@ -42,9 +42,7 @@ fn lulesh_step(session: &mut Session, step: u64) -> MpiResult<mana_repro::mana_a
         &RunConfig {
             iterations: step + 1,
             state_scale: 2e-4,
-            checkpoint_at: None,
-            store: None,
-            storage: None,
+            checkpoint: None,
         },
     )
 }

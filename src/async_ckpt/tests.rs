@@ -55,7 +55,8 @@ fn async_stall_is_at_most_half_the_sync_write() {
 
         dirty_state(&mut async_rank, round);
         let start = Instant::now();
-        let handle = async_rank.write_checkpoint_async(&pool).unwrap();
+        let image = async_rank.snapshot_checkpoint().unwrap();
+        let handle = pool.submit(StoragePolicy::IncrementalCompressed, image);
         let async_s = start.elapsed().as_secs_f64();
         handle.wait();
         let flush_s = start.elapsed().as_secs_f64();

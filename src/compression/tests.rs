@@ -17,9 +17,7 @@ fn checkpoint_app(app: AppId, session: u64) -> Vec<CheckpointImage> {
     let config = RunConfig {
         iterations: 3,
         state_scale: 2e-7,
-        checkpoint_at: Some(2),
-        store: None,
-        storage: Some(storage.clone()),
+        checkpoint: Some((2, storage.clone())),
     };
     job_runtime::run_world(ranks, move |_, rank| {
         run_app(app, &mut Session::new(rank), &config)

@@ -20,9 +20,7 @@ fn run_config(iterations: u64, storage: Option<CheckpointStorage>) -> RunConfig 
     RunConfig {
         iterations,
         state_scale: 1e-4,
-        checkpoint_at: storage.is_some().then_some(iterations),
-        store: None,
-        storage,
+        checkpoint: storage.map(|storage| (iterations, storage)),
     }
 }
 
@@ -75,7 +73,7 @@ fn round_trip(
     let first_half = run(ITERATIONS / 2, Some(storage.clone()), 12)?;
     let ckpt_bytes_per_rank = first_half
         .iter()
-        .filter_map(|r| r.checkpoint.as_ref().map(|c| c.bytes as u64))
+        .filter_map(|r| r.incremental.as_ref().map(|c| c.written_bytes as u64))
         .max()
         .unwrap_or(0);
     let ckpt_logical_bytes_per_rank = first_half
@@ -117,7 +115,7 @@ fn small_scale_run_measures_crossings() {
     )
     .unwrap();
     assert_eq!(reports.len(), 3);
-    assert!(reports.iter().all(|r| r.checkpoint.is_none()));
+    assert!(reports.iter().all(|r| r.incremental.is_none()));
     let crossings_per_rank =
         reports.iter().map(|r| r.crossings as f64).sum::<f64>() / reports.len() as f64;
     assert!(crossings_per_rank / iterations as f64 > 5.0);

@@ -31,9 +31,7 @@ fn run_config(iterations: u64, storage: Option<CheckpointStorage>) -> RunConfig 
     RunConfig {
         iterations,
         state_scale: 1e-4,
-        checkpoint_at: storage.is_some().then_some(iterations),
-        store: None,
-        storage,
+        checkpoint: storage.map(|storage| (iterations, storage)),
     }
 }
 
@@ -100,7 +98,7 @@ fn run_small_scale(
     )?;
     result.ckpt_bytes_per_rank = first_half
         .iter()
-        .filter_map(|r| r.checkpoint.as_ref().map(|c| c.bytes as u64))
+        .filter_map(|r| r.incremental.as_ref().map(|c| c.written_bytes as u64))
         .max()
         .unwrap_or(0);
     result.ckpt_logical_bytes_per_rank = first_half
