@@ -209,7 +209,7 @@ fn corrupted_or_truncated_lz_streams_never_decode_silently() {
     }
     // Every single-byte corruption must either be rejected by the framing or
     // produce different bytes — which the store's digest validation then catches,
-    // exactly like the flat image's CRC.
+    // exactly like the flat image's seal.
     for position in 0..stream.len() {
         let mut corrupted = stream.clone();
         corrupted[position] ^= 0x10;

@@ -70,7 +70,7 @@ use serde::{Deserialize, Serialize};
 /// How a rank's checkpoint image is written to storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StoragePolicy {
-    /// The legacy baseline: one flat, CRC-validated image per `(generation, rank)`,
+    /// The legacy baseline: one flat, XXH64-sealed image per `(generation, rank)`,
     /// with no sharing across generations.
     FullImage,
     /// Content-addressed chunking with dirty-region reuse: only regions touched since

@@ -239,8 +239,9 @@ struct Catalog {
     /// Encoded manifests per `(generation, rank)` — kept encoded so every read
     /// re-validates the CRC, exactly like a file on a checkpoint filesystem.
     manifests: BTreeMap<(u64, Rank), Vec<u8>>,
-    /// Flat images per `(generation, rank)` (FullImage policy).
-    full_images: BTreeMap<(u64, Rank), Vec<u8>>,
+    /// Flat images per `(generation, rank)` (FullImage policy), refcounted so a read
+    /// can decode one after the catalog lock is released.
+    full_images: BTreeMap<(u64, Rank), Arc<Vec<u8>>>,
 }
 
 /// One generation announced as in flight by an asynchronous flush: which ranks'
@@ -684,7 +685,7 @@ impl CheckpointStorage {
             self.catalog
                 .lock()
                 .full_images
-                .insert((generation, rank), encoded);
+                .insert((generation, rank), Arc::new(encoded));
         }
 
         if let Some(model) = self.model {
@@ -862,7 +863,7 @@ impl CheckpointStorage {
     // ------------------------------------------------------------------
 
     /// Read one rank's image back, whichever policy wrote it, verifying the manifest
-    /// CRC and every chunk digest (or the flat image's CRC) end to end.
+    /// CRC and every chunk digest (or the flat image's XXH64 seal) end to end.
     ///
     /// A generation still pending (an asynchronous flush in flight) is refused: a
     /// half-flushed generation must never be observed, even piecewise.
@@ -873,21 +874,25 @@ impl CheckpointStorage {
                  committed); refusing to read a half-flushed checkpoint"
             )));
         }
-        let manifest_bytes = {
+        let (full_image, manifest_bytes) = {
             let catalog = self.catalog.lock();
-            if let Some(bytes) = catalog.full_images.get(&(generation, rank)) {
-                return CheckpointImage::decode(bytes);
-            }
-            catalog
-                .manifests
-                .get(&(generation, rank))
-                .cloned()
-                .ok_or_else(|| {
-                    MpiError::Checkpoint(format!(
-                        "no checkpoint for generation {generation}, rank {rank}"
-                    ))
-                })?
+            let key = (generation, rank);
+            (
+                catalog.full_images.get(&key).cloned(),
+                catalog.manifests.get(&key).cloned(),
+            )
         };
+        // Decoded with the catalog unlocked: the seal check and the region copies of
+        // a megabyte-scale image would otherwise block every catalog user, of every
+        // tenant, for the whole decode.
+        if let Some(bytes) = full_image {
+            return CheckpointImage::decode(&bytes);
+        }
+        let manifest_bytes = manifest_bytes.ok_or_else(|| {
+            MpiError::Checkpoint(format!(
+                "no checkpoint for generation {generation}, rank {rank}"
+            ))
+        })?;
         let manifest = Manifest::decode(&manifest_bytes)?;
 
         let mut upper = split_proc::address_space::UpperHalfSpace::new();
@@ -1385,14 +1390,19 @@ impl CheckpointStorage {
         let catalog = &mut *catalog;
         let bytes = match catalog.manifests.get_mut(&(generation, rank)) {
             Some(bytes) => bytes,
-            None => catalog
-                .full_images
-                .get_mut(&(generation, rank))
-                .ok_or_else(|| {
-                    MpiError::Checkpoint(format!(
-                        "no checkpoint for generation {generation}, rank {rank}"
-                    ))
-                })?,
+            // A reader may hold the stored image by refcount: `make_mut` then
+            // rebuilds the entry around a flipped copy, as a torn write would
+            // replace the stored bytes.
+            None => Arc::make_mut(
+                catalog
+                    .full_images
+                    .get_mut(&(generation, rank))
+                    .ok_or_else(|| {
+                        MpiError::Checkpoint(format!(
+                            "no checkpoint for generation {generation}, rank {rank}"
+                        ))
+                    })?,
+            ),
         };
         let position = bytes.len() / 2;
         bytes[position] ^= 0x01;

@@ -255,33 +255,24 @@ fn corrupt_manifest_is_detected_for_both_policies() {
 
 #[test]
 fn latest_valid_generation_requires_every_rank() {
-    let storage = CheckpointStorage::unmetered();
-    for generation in 0..2u64 {
-        for rank in 0..2 {
-            let upper = synthetic_upper(rank, 4, 4096);
-            storage.write_image(
-                StoragePolicy::Incremental,
-                &CheckpointImage::new(
-                    ImageMetadata {
-                        rank,
-                        world_size: 2,
-                        generation,
-                        implementation: "mpich".into(),
-                    },
-                    upper,
-                ),
-            );
+    for policy in [StoragePolicy::Incremental, StoragePolicy::FullImage] {
+        let storage = CheckpointStorage::unmetered();
+        for generation in 0..2u64 {
+            for rank in 0..2 {
+                let upper = synthetic_upper(rank, 4, 4096);
+                storage.write_image(policy, &image_of(rank, generation, &upper));
+            }
         }
+        assert_eq!(storage.latest_valid_generation(2).unwrap(), 1, "{policy:?}");
+        // One rank of generation 1 corrupt → the whole job falls back to generation 0.
+        storage.corrupt_manifest(1, 1).unwrap();
+        assert_eq!(storage.latest_valid_generation(2).unwrap(), 0, "{policy:?}");
+        // Both generations of rank 1 corrupt → no valid generation at all.
+        storage.corrupt_manifest(0, 1).unwrap();
+        assert!(storage.latest_valid_generation(2).is_err(), "{policy:?}");
+        // A single-rank job that only needs rank 0 still has generation 1.
+        assert_eq!(storage.latest_valid_generation(1).unwrap(), 1, "{policy:?}");
     }
-    assert_eq!(storage.latest_valid_generation(2).unwrap(), 1);
-    // One rank of generation 1 corrupt → the whole job falls back to generation 0.
-    storage.corrupt_manifest(1, 1).unwrap();
-    assert_eq!(storage.latest_valid_generation(2).unwrap(), 0);
-    // Both generations of rank 1 corrupt → no valid generation at all.
-    storage.corrupt_manifest(0, 1).unwrap();
-    assert!(storage.latest_valid_generation(2).is_err());
-    // A single-rank job that only needs rank 0 still has generation 1.
-    assert_eq!(storage.latest_valid_generation(1).unwrap(), 1);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The checkpoint image: a self-describing binary serialization of one rank's upper
 //! half plus a small metadata header.
 //!
-//! Layout (version 3):
+//! Layout (version 4):
 //!
 //! ```text
 //! magic (8 bytes, "MANACKPT")
@@ -10,12 +10,17 @@
 //! checkpoint epoch (u64 LE)
 //! region count (u32 LE)
 //! per region: name length (u32 LE) | name UTF-8 | data length (u64 LE) | data
-//! crc32 of everything above (u32 LE)
+//! xxh64 of everything above (u64 LE)
 //! ```
 //!
-//! The trailing CRC-32 makes any single-byte corruption (and any truncation) of a
-//! stored image detectable at decode time, which is what lets restart fall back to an
-//! older generation instead of resurrecting silently wrong state.
+//! The trailing seal is the same [`xxh64`] that validates every stored chunk. It
+//! makes any single-byte corruption (and any truncation) of a stored image
+//! detectable at decode time, which is what lets restart fall back to an older
+//! generation instead of resurrecting silently wrong state. The seal is most of the
+//! work of an encode or decode, and XXH64 runs at several times the speed of the
+//! CRC-32 that sealed version 3. Version 3 images are rejected as an unsupported
+//! version: none outlives the process that wrote it (the store's catalog lives in
+//! memory, and the cold tier spills chunks, never flat images).
 //!
 //! The format mirrors the property the paper highlights in §4.2: the MANA-internal
 //! descriptor structures are *not* given a special section in the image — they are
@@ -23,13 +28,15 @@
 //! is independent of MANA's internal data-structure layout.
 
 use crate::address_space::UpperHalfSpace;
-use crate::integrity::{crc32, Cursor};
+use crate::integrity::{xxh64, Cursor};
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 use serde::{Deserialize, Serialize};
 
 const MAGIC: &[u8; 8] = b"MANACKPT";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
+/// Bytes of the trailing XXH64 seal.
+const SEAL_LEN: usize = 8;
 
 /// Metadata stored in the image header.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,19 +71,18 @@ impl CheckpointImage {
         }
     }
 
-    /// Serialized size in bytes (what the checkpoint filesystem will have to absorb).
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
-    }
-
     /// Encode to the binary image format.
     pub fn encode(&self) -> Vec<u8> {
         // analyzer: allow(no-panic): infallible by construction — metadata is a plain string/number struct with no non-serializable fields, and encode() has no Result channel
         let metadata =
             serde_json::to_vec(&self.metadata).expect("image metadata always serializes");
-        let mut out = Vec::with_capacity(
-            8 + 4 + 4 + metadata.len() + 8 + 4 + self.upper_half.total_bytes() + 64,
-        );
+        let regions_len: usize = self
+            .upper_half
+            .iter()
+            .map(|(name, data)| 4 + name.len() + 8 + data.len())
+            .sum();
+        let mut out =
+            Vec::with_capacity(8 + 4 + 4 + metadata.len() + 8 + 4 + regions_len + SEAL_LEN);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(metadata.len() as u32).to_le_bytes());
@@ -89,12 +95,12 @@ impl CheckpointImage {
             out.extend_from_slice(&(data.len() as u64).to_le_bytes());
             out.extend_from_slice(data);
         }
-        let checksum = crc32(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let seal = xxh64(&out);
+        out.extend_from_slice(&seal.to_le_bytes());
         out
     }
 
-    /// Decode a binary image, verifying the trailing CRC-32 first: truncated and
+    /// Decode a binary image, verifying the trailing XXH64 seal first: truncated and
     /// corrupted images are rejected before any of their content is interpreted.
     pub fn decode(bytes: &[u8]) -> MpiResult<Self> {
         let mut cursor = Cursor::new(bytes, "checkpoint image");
@@ -108,21 +114,22 @@ impl CheckpointImage {
                 "unsupported checkpoint image version {version} (expected {VERSION})"
             )));
         }
-        if bytes.len() < 20 {
+        if bytes.len() < 8 + 4 + 4 + SEAL_LEN {
             return Err(MpiError::Checkpoint(
                 "truncated checkpoint image".to_string(),
             ));
         }
-        let payload_end = bytes.len() - 4;
-        let stored_crc =
-            u32::from_le_bytes(bytes[payload_end..].try_into().map_err(|_| {
-                MpiError::Checkpoint("checkpoint image CRC trailer truncated".into())
-            })?);
-        let computed_crc = crc32(&bytes[..payload_end]);
-        if stored_crc != computed_crc {
+        let payload_end = bytes.len() - SEAL_LEN;
+        let stored_seal = u64::from_le_bytes(
+            bytes[payload_end..]
+                .try_into()
+                .map_err(|_| MpiError::Checkpoint("checkpoint image seal truncated".into()))?,
+        );
+        let computed_seal = xxh64(&bytes[..payload_end]);
+        if stored_seal != computed_seal {
             return Err(MpiError::Checkpoint(format!(
-                "checkpoint image failed CRC validation \
-                 (stored {stored_crc:#010x}, computed {computed_crc:#010x})"
+                "checkpoint image failed XXH64 seal validation \
+                 (stored {stored_seal:#018x}, computed {computed_seal:#018x})"
             )));
         }
         let metadata_len = cursor.u32()? as usize;
@@ -181,7 +188,8 @@ mod tests {
     fn roundtrip() {
         let image = sample_image();
         let encoded = image.encode();
-        assert_eq!(encoded.len(), image.encoded_len());
+        // Sized once, exactly: no reallocation copies the image on its way out.
+        assert_eq!(encoded.capacity(), encoded.len());
         let decoded = CheckpointImage::decode(&encoded).unwrap();
         assert_eq!(decoded, image);
         assert_eq!(decoded.metadata.rank, 3);
@@ -211,13 +219,26 @@ mod tests {
         encoded[8] = 99; // version field
         let err = CheckpointImage::decode(&encoded).unwrap_err();
         assert!(matches!(err, MpiError::Checkpoint(_)));
+
+        // A version 3 image: the same layout under a CRC-32 trailer.
+        let encoded = image.encode();
+        let mut v3 = encoded[..encoded.len() - SEAL_LEN].to_vec();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let crc = crate::integrity::crc32(&v3);
+        v3.extend_from_slice(&crc.to_le_bytes());
+        match CheckpointImage::decode(&v3) {
+            Err(MpiError::Checkpoint(message)) => {
+                assert!(message.contains("version 3"), "{message}")
+            }
+            other => panic!("a version 3 image was not refused: {other:?}"),
+        }
     }
 
     #[test]
     fn rejects_truncation_at_every_boundary() {
         let encoded = sample_image().encode();
         // Every proper prefix must fail to decode — whether the cut lands in the
-        // header, the metadata JSON, a region payload, or the CRC itself.
+        // header, the metadata JSON, a region payload, or the seal itself.
         for cut in 0..encoded.len() {
             assert!(
                 CheckpointImage::decode(&encoded[..cut]).is_err(),
@@ -231,7 +252,7 @@ mod tests {
     fn rejects_every_single_byte_corruption() {
         let encoded = sample_image().encode();
         // Flip one bit of every byte in turn: each corrupted image must be rejected.
-        // (Without the CRC trailer, flips inside region payloads decoded "cleanly".)
+        // (Without the XXH64 seal, flips inside region payloads decoded "cleanly".)
         for position in 0..encoded.len() {
             let mut corrupted = encoded.clone();
             corrupted[position] ^= 0x40;
@@ -257,7 +278,7 @@ mod tests {
 
     #[test]
     fn image_size_tracks_region_sizes() {
-        let small = sample_image().encoded_len();
+        let small = sample_image().encode().len();
         let mut big_upper = UpperHalfSpace::new();
         big_upper.map_region("app.heap", vec![0; 1 << 20]);
         let big = CheckpointImage::new(
@@ -269,7 +290,8 @@ mod tests {
             },
             big_upper,
         )
-        .encoded_len();
+        .encode()
+        .len();
         assert!(big > small);
         assert!(big >= 1 << 20);
     }

@@ -1,8 +1,9 @@
 //! Integrity primitives shared by the checkpoint image format and the `ckpt-store`
-//! storage engine: CRC-32 (IEEE) for end-to-end corruption detection and FNV-1a/64 for
-//! content addressing of chunks.
+//! storage engine: CRC-32 (IEEE) for end-to-end corruption detection of manifests and
+//! cold-tier frames, XXH64 for the flat image's seal and the default chunk content
+//! address, and FNV-1a/64 for the legacy content address.
 //!
-//! Both are implemented in-tree (no registry access) and are deliberately simple: the
+//! All are implemented in-tree (no registry access) and are deliberately simple: the
 //! threat model is bit rot and truncation on a checkpoint filesystem, not an
 //! adversary. FNV-1a/64 collisions between distinct chunks of the same length are
 //! astronomically unlikely at the store sizes this simulation handles, and the chunk

@@ -24,8 +24,8 @@
 //! * [`crossing`] — the upper↔lower crossing counter and cost model (FSGSBASE vs
 //!   `prctl`), which is what turns "MPI calls per second" into the runtime overheads of
 //!   Figures 2-4.
-//! * [`integrity`] — CRC-32 and FNV-1a digests shared by the image format and the
-//!   `ckpt-store` incremental storage engine.
+//! * [`integrity`] — CRC-32, FNV-1a and XXH64 digests shared by the image format and
+//!   the `ckpt-store` incremental storage engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
