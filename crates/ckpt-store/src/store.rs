@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 use split_proc::image::CheckpointImage;
 use split_proc::store::StoreConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What one checkpoint write cost, physically and logically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -222,6 +223,24 @@ impl Default for TierState {
 /// into. Concurrent rank writes land on different shards with high probability, so an
 /// 8-rank coordinated checkpoint no longer serializes on one global lock.
 pub const DEFAULT_SHARD_COUNT: usize = 16;
+
+/// The most readers a job read runs at once: the host's parallelism, queried once
+/// per process (each query is a system call of some tens of microseconds).
+fn reader_threads() -> usize {
+    static READERS: OnceLock<usize> = OnceLock::new();
+    *READERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Prefix a decode failure with the slot it came from, so an error from a job-level
+/// read says which rank's image is torn.
+fn in_slot(generation: u64, rank: Rank) -> impl Fn(MpiError) -> MpiError {
+    move |error| match error {
+        MpiError::Checkpoint(message) => {
+            MpiError::Checkpoint(format!("generation {generation}, rank {rank}: {message}"))
+        }
+        other => other,
+    }
+}
 
 /// One digest-keyed slice of the content-addressed chunk space, behind its own lock.
 #[derive(Default)]
@@ -886,14 +905,14 @@ impl CheckpointStorage {
         // a megabyte-scale image would otherwise block every catalog user, of every
         // tenant, for the whole decode.
         if let Some(bytes) = full_image {
-            return CheckpointImage::decode(&bytes);
+            return CheckpointImage::decode(&bytes).map_err(in_slot(generation, rank));
         }
         let manifest_bytes = manifest_bytes.ok_or_else(|| {
             MpiError::Checkpoint(format!(
                 "no checkpoint for generation {generation}, rank {rank}"
             ))
         })?;
-        let manifest = Manifest::decode(&manifest_bytes)?;
+        let manifest = Manifest::decode(&manifest_bytes).map_err(in_slot(generation, rank))?;
 
         let mut upper = split_proc::address_space::UpperHalfSpace::new();
         for region in &manifest.regions {
@@ -934,7 +953,8 @@ impl CheckpointStorage {
                 // a 32 MiB image).
                 let chunk_start = data.len();
                 let raw: &[u8] = if form.is_compressed() {
-                    decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)?;
+                    decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)
+                        .map_err(in_slot(generation, rank))?;
                     &data[chunk_start..]
                 } else {
                     &stored
@@ -1059,18 +1079,16 @@ impl CheckpointStorage {
     /// Generations with corrupt or missing pieces are skipped — this is the job-level
     /// fallback restart relies on. Returning the images means the validation decode is
     /// also the restart decode: nothing is reassembled twice.
+    ///
+    /// A candidate generation's images are read concurrently by min(`world_size`,
+    /// cores) readers, the calling thread included; it is accepted only once all of
+    /// them validate, so every rank restores from one agreed generation, never a mix.
     pub fn latest_valid_images(&self, world_size: usize) -> MpiResult<(u64, Vec<CheckpointImage>)> {
-        for generation in self.generations().into_iter().rev() {
-            let images: MpiResult<Vec<CheckpointImage>> = (0..world_size)
-                .map(|rank| self.read(generation, rank as Rank))
-                .collect();
-            if let Ok(images) = images {
-                return Ok((generation, images));
-            }
-        }
-        Err(MpiError::Checkpoint(format!(
-            "no complete, valid checkpoint generation for a {world_size}-rank job"
-        )))
+        self.newest_valid(Some(world_size)).ok_or_else(|| {
+            MpiError::Checkpoint(format!(
+                "no complete, valid checkpoint generation for a {world_size}-rank job"
+            ))
+        })
     }
 
     /// The newest generation that validates end to end at **its own** recorded world
@@ -1078,38 +1096,106 @@ impl CheckpointStorage {
     /// order. This is the elastic-restart entry point: the caller learns the
     /// checkpointed rank count from the returned images and maps it onto the new
     /// world, instead of asserting a size up front.
+    ///
+    /// Images are read concurrently and the fallback is job-level, exactly as in
+    /// [`latest_valid_images`](CheckpointStorage::latest_valid_images).
     pub fn latest_valid_images_any_size(&self) -> MpiResult<(u64, Vec<CheckpointImage>)> {
-        for generation in self.generations().into_iter().rev() {
-            let ranks = self.ranks_in_generation(generation);
-            let world_size = ranks.len();
-            // Only a contiguous 0..world_size rank set is a whole job's checkpoint.
-            if world_size == 0 || ranks.iter().enumerate().any(|(i, &r)| r != i as Rank) {
-                continue;
-            }
-            let images: MpiResult<Vec<CheckpointImage>> = (0..world_size)
-                .map(|rank| self.read(generation, rank as Rank))
-                .collect();
-            if let Ok(images) = images {
-                return Ok((generation, images));
-            }
-        }
-        Err(MpiError::Checkpoint(
-            "no complete, valid checkpoint generation at any world size".into(),
-        ))
+        self.newest_valid(None).ok_or_else(|| {
+            MpiError::Checkpoint(
+                "no complete, valid checkpoint generation at any world size".into(),
+            )
+        })
     }
 
     /// The newest generation for which **every** rank of a `world_size` job validates
     /// end to end (see [`latest_valid_images`](CheckpointStorage::latest_valid_images)).
+    /// Validation is the full read: every image of each candidate generation is
+    /// decoded, then dropped.
     pub fn latest_valid_generation(&self, world_size: usize) -> MpiResult<u64> {
         self.latest_valid_images(world_size)
             .map(|(generation, _)| generation)
     }
 
-    /// Read the full job's images for one generation, in rank order.
+    /// Walk committed generations newest first and return the first whose every rank
+    /// reads back and validates, with its images. `world_size: None` takes each
+    /// generation's own rank set, which must be a contiguous `0..n`.
+    fn newest_valid(&self, world_size: Option<usize>) -> Option<(u64, Vec<CheckpointImage>)> {
+        self.generations().into_iter().rev().find_map(|generation| {
+            let world_size = match world_size {
+                Some(world_size) => world_size,
+                None => {
+                    let ranks = self.ranks_in_generation(generation);
+                    // Only a contiguous 0..world_size rank set is a whole job's checkpoint.
+                    if ranks.is_empty() || ranks.iter().enumerate().any(|(i, &r)| r != i as Rank) {
+                        return None;
+                    }
+                    ranks.len()
+                }
+            };
+            let images = self.read_job(generation, world_size).ok()?;
+            Some((generation, images))
+        })
+    }
+
+    /// Read the full job's images for one generation, in rank order, or return the
+    /// error of the lowest failing rank.
+    ///
+    /// With two or more ranks and cores, min(`world_size`, cores) readers — the calling
+    /// thread is one of them — pull rank indices from a shared counter, so a wide job
+    /// never means one thread per rank. A rank whose read panics fails with an
+    /// [`MpiError::Checkpoint`] naming it. Otherwise the ranks are read inline, in order.
     pub fn read_job(&self, generation: u64, world_size: usize) -> MpiResult<Vec<CheckpointImage>> {
-        (0..world_size)
-            .map(|rank| self.read(generation, rank as Rank))
-            .collect()
+        let readers = if world_size < 2 {
+            1
+        } else {
+            reader_threads().min(world_size)
+        };
+        if readers == 1 {
+            return (0..world_size)
+                .map(|rank| self.read(generation, rank as Rank))
+                .collect();
+        }
+        // Both atomics are relaxed: the images themselves are handed back through the
+        // joins. `first_failure` only falls, so a rank is skipped only when a lower
+        // rank has already failed — every rank up to the lowest failure is read.
+        let next_rank = AtomicUsize::new(0);
+        let first_failure = AtomicUsize::new(world_size);
+        let reader = || {
+            let mut read = Vec::new();
+            loop {
+                let rank = next_rank.fetch_add(1, Ordering::Relaxed);
+                if rank >= first_failure.load(Ordering::Relaxed) {
+                    return read;
+                }
+                let image = catch_unwind(AssertUnwindSafe(|| self.read(generation, rank as Rank)))
+                    .unwrap_or_else(|_| {
+                        Err(MpiError::Checkpoint(format!(
+                            "reading generation {generation}, rank {rank} panicked"
+                        )))
+                    });
+                if image.is_err() {
+                    first_failure.fetch_min(rank, Ordering::Relaxed);
+                }
+                read.push((rank, image));
+            }
+        };
+        // Every handle is joined before any result is looked at: a panicked reader left
+        // unjoined would make the scope itself panic.
+        let (mut read, joined) = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..readers).map(|_| scope.spawn(reader)).collect();
+            let read = reader();
+            let joined: Vec<_> = spawned.into_iter().map(|handle| handle.join()).collect();
+            (read, joined)
+        });
+        for batch in joined {
+            read.extend(batch.map_err(|_| {
+                MpiError::Checkpoint(format!("a reader of generation {generation} panicked"))
+            })?);
+        }
+        // Ranks 0..=lowest failure are all present, so the first error in rank order
+        // is the lowest failing rank's; without a failure every rank is present.
+        read.sort_unstable_by_key(|(rank, _)| *rank);
+        read.into_iter().map(|(_, image)| image).collect()
     }
 
     // ------------------------------------------------------------------

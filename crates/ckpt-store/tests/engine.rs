@@ -1,7 +1,8 @@
 //! Engine-level tests for the incremental, content-addressed checkpoint store:
 //! round-trips, dedup, dirty-region reuse, compression, integrity fallback, and GC.
 
-use ckpt_store::{CheckpointStorage, StoragePolicy};
+use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
+use mpi_model::error::MpiResult;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use split_proc::store::StoreConfig;
@@ -832,4 +833,165 @@ fn tenant_views_share_chunks_but_not_catalogs() {
     first.prune_before(u64::MAX);
     let restored = second.read(0, 0).unwrap();
     assert_eq!(restored.upper_half, upper);
+}
+
+/// Every policy a job read decodes: flat images, raw chunks and LZ chunks.
+const POLICIES: [StoragePolicy; 3] = [
+    StoragePolicy::FullImage,
+    StoragePolicy::Incremental,
+    StoragePolicy::IncrementalCompressed,
+];
+
+/// A rank's upper half of `regions` × 64 KiB that LZ compresses (one pseudo-random
+/// byte in seven), with content unique to each (rank, region).
+fn compressible_upper(rank: i32, regions: u8) -> UpperHalfSpace {
+    let mut upper = UpperHalfSpace::new();
+    for region in 0..regions {
+        let salt = region.wrapping_add(16 * rank as u8);
+        let data: Vec<u8> = (0..64 * 1024usize)
+            .map(|i| match i % 7 {
+                0 => (i.wrapping_mul(2_654_435_761) >> 5) as u8 ^ salt,
+                _ => salt,
+            })
+            .collect();
+        upper.map_region(format!("app.region{region}"), data);
+    }
+    upper
+}
+
+/// A `world`-rank job checkpointed at generations 0 and 1. Generation 1 dirties one
+/// region of every rank, so each of its ranks holds a chunk no other slot shares.
+fn two_generation_job(policy: StoragePolicy, world: i32) -> CheckpointStorage {
+    let storage = CheckpointStorage::unmetered();
+    for rank in 0..world {
+        let mut upper = compressible_upper(rank, 3);
+        storage.write_image(policy, &image_of(rank, 0, &upper));
+        upper.mark_clean();
+        upper.advance_epoch();
+        upper.region_mut("app.region1").unwrap()[1000] ^= 0xA5;
+        storage.write_image(policy, &image_of(rank, 1, &upper));
+    }
+    storage
+}
+
+/// Tears one `(generation, rank)` slot of a store.
+type Corruption = fn(&CheckpointStorage, u64, i32) -> MpiResult<()>;
+
+/// The ways one slot of a generation can tear under `policy`: a flat image has no
+/// chunks, so only its stored bytes can be flipped.
+fn corruptions(policy: StoragePolicy) -> Vec<Corruption> {
+    match policy {
+        StoragePolicy::FullImage => vec![CheckpointStorage::corrupt_manifest],
+        _ => vec![
+            CheckpointStorage::corrupt_fresh_chunk,
+            CheckpointStorage::corrupt_manifest,
+        ],
+    }
+}
+
+#[test]
+fn a_job_wider_than_the_host_reads_back_in_rank_order() {
+    // Eight ranks is more than the readers a job read runs at once on a small host,
+    // so readers pull several ranks each.
+    const WORLD: i32 = 8;
+    for policy in POLICIES {
+        let storage = two_generation_job(policy, WORLD);
+        let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
+        assert_eq!(generation, 1, "{policy:?}");
+        assert_eq!(images.len(), WORLD as usize, "{policy:?}");
+        for (rank, image) in (0..WORLD).zip(&images) {
+            let alone = storage.read(generation, rank).unwrap();
+            assert_eq!(image.metadata, alone.metadata, "{policy:?} rank {rank}");
+            assert_eq!(image.metadata.rank, rank, "{policy:?}");
+            assert_eq!(
+                image.upper_half.iter().collect::<Vec<_>>(),
+                alone.upper_half.iter().collect::<Vec<_>>(),
+                "{policy:?} rank {rank}"
+            );
+        }
+        let job = storage.read_job(generation, WORLD as usize).unwrap();
+        assert!(job
+            .iter()
+            .zip(&images)
+            .all(|(a, b)| a.upper_half == b.upper_half));
+    }
+}
+
+#[test]
+fn a_torn_first_or_last_rank_sends_the_whole_job_back_a_generation() {
+    // The first rank the shared counter hands out and the last one: whichever reader
+    // meets the tear, the job falls back as one.
+    const WORLD: i32 = 4;
+    for policy in POLICIES {
+        for corrupt in corruptions(policy) {
+            for torn in [0, WORLD - 1] {
+                let storage = two_generation_job(policy, WORLD);
+                corrupt(&storage, 1, torn).unwrap();
+                let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
+                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
+                for (rank, image) in (0..WORLD).zip(&images) {
+                    assert_eq!(image.metadata.generation, 0, "{policy:?}");
+                    assert_eq!(image.upper_half, storage.read(0, rank).unwrap().upper_half);
+                }
+                let (generation, _) = storage.latest_valid_images_any_size().unwrap();
+                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
+                assert_eq!(storage.latest_valid_generation(WORLD as usize).unwrap(), 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_job_read_reports_the_lowest_failing_rank() {
+    const WORLD: i32 = 4;
+    for policy in POLICIES {
+        for corrupt in corruptions(policy) {
+            let storage = two_generation_job(policy, WORLD);
+            corrupt(&storage, 1, 3).unwrap();
+            corrupt(&storage, 1, 1).unwrap();
+            // Readers finish in any order; the answer must not depend on which.
+            for _ in 0..20 {
+                let error = format!("{:?}", storage.read_job(1, WORLD as usize).unwrap_err());
+                assert!(error.contains("rank 1"), "{policy:?}: {error}");
+                assert!(!error.contains("rank 3"), "{policy:?}: {error}");
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_readers_promote_each_shared_cold_chunk_once() {
+    const WORLD: i32 = 4;
+    for policy in POLICIES {
+        let storage = CheckpointStorage::unmetered()
+            .with_chunk_size(4096)
+            .with_cold_tier(ColdTier::in_temp().unwrap());
+        // Every rank holds the same 64 chunks of shared regions plus one region of
+        // its own, so concurrent readers race to promote the same cold chunks.
+        let shared = compressible_upper(0, 4);
+        for rank in 0..WORLD {
+            let mut upper = shared.clone();
+            upper.map_region("app.own", vec![rank as u8 + 1; 8192]);
+            storage.write_image(policy, &image_of(rank, 0, &upper));
+        }
+        storage.spill_over(0);
+        assert_eq!(storage.hot_bytes(), 0, "{policy:?}");
+
+        let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
+        assert_eq!(generation, 0);
+        for (rank, image) in (0..WORLD).zip(&images) {
+            assert_eq!(
+                image.upper_half,
+                storage.read(0, rank).unwrap().upper_half,
+                "{policy:?} rank {rank}"
+            );
+        }
+        let stats = storage.stats();
+        assert_eq!(stats.cold_chunk_count, 0, "{policy:?}");
+        assert_eq!(
+            storage.hot_bytes(),
+            stats.chunk_bytes,
+            "{policy:?}: a chunk promoted by two readers was counted twice"
+        );
+    }
 }

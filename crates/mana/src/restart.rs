@@ -446,7 +446,9 @@ pub fn restart_job(
 /// digest-verified before any rank is rebuilt; a generation with a corrupt or
 /// truncated piece — the torn-write case a preempted job can leave behind — is skipped
 /// for the job as a whole, so all ranks restart from the same older generation rather
-/// than a torn mix. Returns the restarted ranks in rank order plus the generation that
+/// than a torn mix. A generation's images are read concurrently, by min(W, cores)
+/// readers with the calling thread among them, and no rank is rebuilt before all W
+/// have validated. Returns the restarted ranks in rank order plus the generation that
 /// was actually used.
 ///
 /// Generations still *pending* (an asynchronous flush the dead incarnation never
