@@ -231,17 +231,6 @@ fn reader_threads() -> usize {
     *READERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Prefix a decode failure with the slot it came from, so an error from a job-level
-/// read says which rank's image is torn.
-fn in_slot(generation: u64, rank: Rank) -> impl Fn(MpiError) -> MpiError {
-    move |error| match error {
-        MpiError::Checkpoint(message) => {
-            MpiError::Checkpoint(format!("generation {generation}, rank {rank}: {message}"))
-        }
-        other => other,
-    }
-}
-
 /// One digest-keyed slice of the content-addressed chunk space, behind its own lock.
 #[derive(Default)]
 struct ChunkShard {
@@ -886,12 +875,27 @@ impl CheckpointStorage {
     ///
     /// A generation still pending (an asynchronous flush in flight) is refused: a
     /// half-flushed generation must never be observed, even piecewise.
+    ///
+    /// Every failure is an [`MpiError::Checkpoint`] prefixed with the generation and
+    /// rank it came from, so a failed job read names the torn slot.
     pub fn read(&self, generation: u64, rank: Rank) -> MpiResult<CheckpointImage> {
+        self.read_slot(generation, rank)
+            .map_err(|error| match error {
+                MpiError::Checkpoint(message) => {
+                    MpiError::Checkpoint(format!("generation {generation}, rank {rank}: {message}"))
+                }
+                other => other,
+            })
+    }
+
+    /// The body of [`read`](CheckpointStorage::read); its errors leave the slot out.
+    fn read_slot(&self, generation: u64, rank: Rank) -> MpiResult<CheckpointImage> {
         if self.is_pending(generation) {
-            return Err(MpiError::Checkpoint(format!(
-                "generation {generation} is pending (its asynchronous flush has not \
-                 committed); refusing to read a half-flushed checkpoint"
-            )));
+            return Err(MpiError::Checkpoint(
+                "pending (its asynchronous flush has not committed); refusing to read a \
+                 half-flushed checkpoint"
+                    .into(),
+            ));
         }
         let (full_image, manifest_bytes) = {
             let catalog = self.catalog.lock();
@@ -905,14 +909,11 @@ impl CheckpointStorage {
         // a megabyte-scale image would otherwise block every catalog user, of every
         // tenant, for the whole decode.
         if let Some(bytes) = full_image {
-            return CheckpointImage::decode(&bytes).map_err(in_slot(generation, rank));
+            return CheckpointImage::decode(&bytes);
         }
-        let manifest_bytes = manifest_bytes.ok_or_else(|| {
-            MpiError::Checkpoint(format!(
-                "no checkpoint for generation {generation}, rank {rank}"
-            ))
-        })?;
-        let manifest = Manifest::decode(&manifest_bytes).map_err(in_slot(generation, rank))?;
+        let manifest_bytes =
+            manifest_bytes.ok_or_else(|| MpiError::Checkpoint("no checkpoint".into()))?;
+        let manifest = Manifest::decode(&manifest_bytes)?;
 
         let mut upper = split_proc::address_space::UpperHalfSpace::new();
         for region in &manifest.regions {
@@ -927,8 +928,7 @@ impl CheckpointStorage {
                     let mut shard = self.shard(chunk.digest).lock();
                     let entry = shard.chunks.get_mut(&chunk.key()).ok_or_else(|| {
                         MpiError::Checkpoint(format!(
-                            "chunk {:#018x} (len {}) referenced by generation {generation}, \
-                             rank {rank} is missing from the store",
+                            "chunk {:#018x} (len {}) is missing from the store",
                             chunk.digest, chunk.raw_len
                         ))
                     })?;
@@ -953,8 +953,7 @@ impl CheckpointStorage {
                 // a 32 MiB image).
                 let chunk_start = data.len();
                 let raw: &[u8] = if form.is_compressed() {
-                    decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)
-                        .map_err(in_slot(generation, rank))?;
+                    decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)?;
                     &data[chunk_start..]
                 } else {
                     &stored
@@ -962,8 +961,7 @@ impl CheckpointStorage {
                 if raw.len() != chunk.raw_len as usize || manifest.digest.hash(raw) != chunk.digest
                 {
                     return Err(MpiError::Checkpoint(format!(
-                        "chunk {:#018x} of region {:?} failed digest validation \
-                         (generation {generation}, rank {rank})",
+                        "chunk {:#018x} of region {:?} failed digest validation",
                         chunk.digest, region.name
                     )));
                 }
@@ -1140,21 +1138,16 @@ impl CheckpointStorage {
     /// Read the full job's images for one generation, in rank order, or return the
     /// error of the lowest failing rank.
     ///
-    /// With two or more ranks and cores, min(`world_size`, cores) readers — the calling
-    /// thread is one of them — pull rank indices from a shared counter, so a wide job
-    /// never means one thread per rank. A rank whose read panics fails with an
-    /// [`MpiError::Checkpoint`] naming it. Otherwise the ranks are read inline, in order.
+    /// min(`world_size`, cores) readers — the calling thread is one of them — pull rank
+    /// indices from a shared counter, so a wide job never means one thread per rank,
+    /// and a one-rank job spawns no thread and queries nothing. A rank whose read
+    /// panics fails with an [`MpiError::Checkpoint`] naming it.
     pub fn read_job(&self, generation: u64, world_size: usize) -> MpiResult<Vec<CheckpointImage>> {
         let readers = if world_size < 2 {
             1
         } else {
             reader_threads().min(world_size)
         };
-        if readers == 1 {
-            return (0..world_size)
-                .map(|rank| self.read(generation, rank as Rank))
-                .collect();
-        }
         // Both atomics are relaxed: the images themselves are handed back through the
         // joins. `first_failure` only falls, so a rank is skipped only when a lower
         // rank has already failed — every rank up to the lowest failure is read.

@@ -256,23 +256,48 @@ fn corrupt_manifest_is_detected_for_both_policies() {
 
 #[test]
 fn latest_valid_generation_requires_every_rank() {
-    for policy in [StoragePolicy::Incremental, StoragePolicy::FullImage] {
-        let storage = CheckpointStorage::unmetered();
-        for generation in 0..2u64 {
-            for rank in 0..2 {
-                let upper = synthetic_upper(rank, 4, 4096);
-                storage.write_image(policy, &image_of(rank, generation, &upper));
+    // The tear sits at either end of the rank range; whichever reader meets it, the
+    // whole job falls back as one.
+    const WORLD: i32 = 4;
+    for policy in POLICIES {
+        for corrupt in corruptions(policy) {
+            for torn in [0, WORLD - 1] {
+                let storage = two_generation_job(policy, WORLD);
+                assert_eq!(
+                    storage.latest_valid_generation(WORLD as usize).unwrap(),
+                    1,
+                    "{policy:?}"
+                );
+                // One rank of generation 1 corrupt → the whole job falls back to
+                // generation 0.
+                corrupt(&storage, 1, torn).unwrap();
+                let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
+                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
+                for (rank, image) in (0..WORLD).zip(&images) {
+                    assert_eq!(image.metadata.generation, 0, "{policy:?}");
+                    assert_eq!(image.upper_half, storage.read(0, rank).unwrap().upper_half);
+                }
+                let (generation, _) = storage.latest_valid_images_any_size().unwrap();
+                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
+                // Both generations of the torn rank corrupt → no valid generation at all.
+                corrupt(&storage, 0, torn).unwrap();
+                assert!(
+                    storage.latest_valid_generation(WORLD as usize).is_err(),
+                    "{policy:?}"
+                );
+                assert!(
+                    storage.latest_valid_images_any_size().is_err(),
+                    "{policy:?}"
+                );
+                // A single-rank job only needs rank 0: it still has generation 1
+                // unless rank 0 is the torn one.
+                assert_eq!(
+                    storage.latest_valid_generation(1).ok(),
+                    (torn != 0).then_some(1),
+                    "{policy:?}, rank {torn} torn"
+                );
             }
         }
-        assert_eq!(storage.latest_valid_generation(2).unwrap(), 1, "{policy:?}");
-        // One rank of generation 1 corrupt → the whole job falls back to generation 0.
-        storage.corrupt_manifest(1, 1).unwrap();
-        assert_eq!(storage.latest_valid_generation(2).unwrap(), 0, "{policy:?}");
-        // Both generations of rank 1 corrupt → no valid generation at all.
-        storage.corrupt_manifest(0, 1).unwrap();
-        assert!(storage.latest_valid_generation(2).is_err(), "{policy:?}");
-        // A single-rank job that only needs rank 0 still has generation 1.
-        assert_eq!(storage.latest_valid_generation(1).unwrap(), 1, "{policy:?}");
     }
 }
 
@@ -918,30 +943,6 @@ fn a_job_wider_than_the_host_reads_back_in_rank_order() {
 }
 
 #[test]
-fn a_torn_first_or_last_rank_sends_the_whole_job_back_a_generation() {
-    // The first rank the shared counter hands out and the last one: whichever reader
-    // meets the tear, the job falls back as one.
-    const WORLD: i32 = 4;
-    for policy in POLICIES {
-        for corrupt in corruptions(policy) {
-            for torn in [0, WORLD - 1] {
-                let storage = two_generation_job(policy, WORLD);
-                corrupt(&storage, 1, torn).unwrap();
-                let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
-                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
-                for (rank, image) in (0..WORLD).zip(&images) {
-                    assert_eq!(image.metadata.generation, 0, "{policy:?}");
-                    assert_eq!(image.upper_half, storage.read(0, rank).unwrap().upper_half);
-                }
-                let (generation, _) = storage.latest_valid_images_any_size().unwrap();
-                assert_eq!(generation, 0, "{policy:?}, rank {torn} torn");
-                assert_eq!(storage.latest_valid_generation(WORLD as usize).unwrap(), 0);
-            }
-        }
-    }
-}
-
-#[test]
 fn a_job_read_reports_the_lowest_failing_rank() {
     const WORLD: i32 = 4;
     for policy in POLICIES {
@@ -962,7 +963,11 @@ fn a_job_read_reports_the_lowest_failing_rank() {
 #[test]
 fn concurrent_readers_promote_each_shared_cold_chunk_once() {
     const WORLD: i32 = 4;
-    for policy in POLICIES {
+    // Flat images write no chunks, so only the chunked policies spill and promote.
+    for policy in [
+        StoragePolicy::Incremental,
+        StoragePolicy::IncrementalCompressed,
+    ] {
         let storage = CheckpointStorage::unmetered()
             .with_chunk_size(4096)
             .with_cold_tier(ColdTier::in_temp().unwrap());
