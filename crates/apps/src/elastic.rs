@@ -10,7 +10,7 @@
 //! computed state is **bit-identical for any hosting of the shards** — including a
 //! single rank hosting everything (`M = 1`) and a grown world where fresh ranks host
 //! nothing. That partition-independence is what lets an elastic restart
-//! ([`elastic::resize_job`]) move a checkpoint taken at `N` ranks onto `M` ranks and
+//! ([`elastic::restart_job`]) move a checkpoint taken at `N` ranks onto `M` ranks and
 //! still finish with the same answer as the uninterrupted run.
 //!
 //! The wire traffic still follows the hosting: halos between co-hosted shards are
@@ -145,7 +145,7 @@ fn init_state(
 /// Execute (or resume) `profile` elastically on `session` according to `config`.
 ///
 /// On a fresh world this decomposes into `world_size` logical shards (one per rank).
-/// On a restored world — same size or resized through [`elastic::resize_job`] with
+/// On a restored world — same size or resized through [`elastic::restart_job`] with
 /// [`SkeletonRepartition`] — it picks up the shard table from [`STATE_REGION`] and
 /// continues; the final shard checksums are identical either way.
 pub fn run_elastic(

@@ -7,7 +7,7 @@
 
 use ckpt_store::codec::{lz_compress, lz_decompress};
 use ckpt_store::{CheckpointStorage, StorageConfig, StoragePolicy};
-use elastic::{resize_job_from_storage, RemapPolicy};
+use elastic::{restart_job_from_storage, RemapPolicy};
 use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
     job_checksum, run_app, run_app_elastic, AppId, ElasticReport, RunConfig, SkeletonRepartition,
@@ -365,11 +365,10 @@ fn elastic_resize_works_across_codec_generations() {
     let lowers = MpichFactory::mpich()
         .launch(3, registry.clone(), 3)
         .unwrap();
-    let (ranks, _) = resize_job_from_storage(
+    let (ranks, _) = restart_job_from_storage(
         lowers,
         &reader,
-        RemapPolicy::Block,
-        &SkeletonRepartition::default(),
+        Some((RemapPolicy::Block, &SkeletonRepartition::default())),
         ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed),
         registry.clone(),
     )

@@ -3,7 +3,7 @@
 //! to completion with results identical to the uninterrupted `N`-rank run.
 
 use ckpt_store::CheckpointStorage;
-use elastic::{resize_job_from_storage, RemapPolicy, Repartition};
+use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
     job_checksum, run_app_elastic, AppId, ElasticReport, RunConfig, SkeletonRepartition,
@@ -67,11 +67,10 @@ fn run_resized(
     let lowers = MpichFactory::mpich()
         .launch(new_world, registry.clone(), session_id)
         .unwrap();
-    let (ranks, _) = resize_job_from_storage(
+    let (ranks, _) = restart_job_from_storage(
         lowers,
         storage,
-        RemapPolicy::Block,
-        repartition,
+        Some((RemapPolicy::Block, repartition)),
         ManaConfig::new_design(),
         registry.clone(),
     )

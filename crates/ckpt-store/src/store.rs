@@ -533,8 +533,8 @@ impl CheckpointStorage {
     /// announces after a peer already aborted the round joins the dead round, and
     /// its write is released when it aborts in turn. A restarted job that reuses
     /// the generation number drops the tombstone first, with
-    /// [`forget_generation`](CheckpointStorage::forget_generation), once no flush
-    /// of the dead incarnation can still land.
+    /// [`abort_pending`](CheckpointStorage::abort_pending), once no flush of the
+    /// dead incarnation can still land.
     pub fn begin_generation(&self, generation: u64, expected_ranks: usize) {
         self.pending
             .lock()
@@ -599,14 +599,21 @@ impl CheckpointStorage {
         }
     }
 
-    /// Drop a generation's pending entry entirely, abort tombstone included. Only
-    /// safe once no flush of that generation can still be in flight (the tombstone
-    /// exists precisely to catch stragglers) — restart uses it after aborting the
-    /// dead incarnation's rounds with its flusher pool drained, so the restarted
-    /// job's *synchronous* checkpoints can reuse the generation number without the
-    /// stale tombstone hiding them forever.
-    pub fn forget_generation(&self, generation: u64) {
-        self.pending.lock().remove(&generation);
+    /// Abort every pending generation, then drop its pending entry, abort tombstone
+    /// included, and return them ascending. This is restart's hygiene for the
+    /// generations a dead incarnation never committed: torn by definition, their
+    /// half-landed slots are released, and dropping the tombstone lets the
+    /// restarted job's *synchronous* checkpoints reuse the numbers without the stale
+    /// tombstone hiding them forever. Only safe once no flush of the dead
+    /// incarnation can still be in flight: the tombstone exists precisely to catch
+    /// stragglers.
+    pub fn abort_pending(&self) -> Vec<u64> {
+        let pending = self.pending_generations();
+        for &generation in &pending {
+            self.abort_generation(generation);
+            self.pending.lock().remove(&generation);
+        }
+        pending
     }
 
     /// Abort a pending generation: release every slot already written for it (the
@@ -1091,7 +1098,8 @@ impl CheckpointStorage {
 
     /// The newest generation that validates end to end at **its own** recorded world
     /// size — whatever that size is — together with the validated images in rank
-    /// order. This is the elastic-restart entry point: the caller learns the
+    /// order. A generation missing any rank of the world its images record is
+    /// skipped. This is the elastic-restart entry point: the caller learns the
     /// checkpointed rank count from the returned images and maps it onto the new
     /// world, instead of asserting a size up front.
     ///
@@ -1116,22 +1124,27 @@ impl CheckpointStorage {
 
     /// Walk committed generations newest first and return the first whose every rank
     /// reads back and validates, with its images. `world_size: None` takes each
-    /// generation's own rank set, which must be a contiguous `0..n`.
+    /// generation's own rank set, which must be a contiguous `0..n` whose every image
+    /// records a world of `n` ranks.
     fn newest_valid(&self, world_size: Option<usize>) -> Option<(u64, Vec<CheckpointImage>)> {
         self.generations().into_iter().rev().find_map(|generation| {
-            let world_size = match world_size {
-                Some(world_size) => world_size,
+            let (world_size, own_size) = match world_size {
+                Some(world_size) => (world_size, false),
                 None => {
                     let ranks = self.ranks_in_generation(generation);
                     // Only a contiguous 0..world_size rank set is a whole job's checkpoint.
                     if ranks.is_empty() || ranks.iter().enumerate().any(|(i, &r)| r != i as Rank) {
                         return None;
                     }
-                    ranks.len()
+                    (ranks.len(), true)
                 }
             };
             let images = self.read_job(generation, world_size).ok()?;
-            Some((generation, images))
+            // A standalone checkpoint is never announced as pending, so a job whose
+            // tail ranks died before writing leaves a shorter rank set that looks
+            // committed; its images still record the whole world.
+            let whole = !own_size || images.iter().all(|i| i.metadata.world_size == world_size);
+            whole.then_some((generation, images))
         })
     }
 

@@ -888,13 +888,22 @@ fn compressible_upper(rank: i32, regions: u8) -> UpperHalfSpace {
 /// region of every rank, so each of its ranks holds a chunk no other slot shares.
 fn two_generation_job(policy: StoragePolicy, world: i32) -> CheckpointStorage {
     let storage = CheckpointStorage::unmetered();
+    // Each image records the job's real size: the any-size lookup skips a generation
+    // whose images record a world other than its rank count.
+    let image = |rank, generation, upper: &UpperHalfSpace| {
+        let metadata = ImageMetadata {
+            world_size: world as usize,
+            ..metadata(rank, generation)
+        };
+        CheckpointImage::new(metadata, upper.clone())
+    };
     for rank in 0..world {
         let mut upper = compressible_upper(rank, 3);
-        storage.write_image(policy, &image_of(rank, 0, &upper));
+        storage.write_image(policy, &image(rank, 0, &upper));
         upper.mark_clean();
         upper.advance_epoch();
         upper.region_mut("app.region1").unwrap()[1000] ^= 0xA5;
-        storage.write_image(policy, &image_of(rank, 1, &upper));
+        storage.write_image(policy, &image(rank, 1, &upper));
     }
     storage
 }

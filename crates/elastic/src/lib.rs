@@ -1,20 +1,20 @@
 //! # elastic
 //!
-//! Elastic restart for the MANA reproduction: restore a checkpoint generation taken
-//! by an `N`-rank world onto `M` fresh ranks — shrinking (`M < N`, e.g. after
-//! unhealed node loss), growing (`M > N`), or the bit-identical degenerate identity
-//! case (`M == N`).
+//! The one restart engine of the MANA reproduction: restore a checkpoint generation
+//! taken by an `N`-rank world onto `M` fresh ranks — the same size (`M == N`, the
+//! identity map, which moves no state), shrinking (`M < N`, e.g. after unhealed
+//! node loss) or growing (`M > N`).
 //!
 //! The subsystem has three layers:
 //!
 //! * [`RankMap`] ([`rankmap`]) — the explicit old-rank→new-rank assignment
 //!   ([`RemapPolicy::Block`], [`RemapPolicy::RoundRobin`], or custom), with the
-//!   hosted/primary/membership-remap queries both other layers share.
-//! * The restore engine ([`restore`]) — [`resize_job`] / [`resize_job_from_storage`]
+//!   hosted/primary/new-rank queries both other layers share.
+//! * The restore engine ([`restore`]) — [`restart_job`] / [`restart_job_from_storage`]
 //!   dismantle every image of a generation, rewrite virtual-id memberships, replay
-//!   logs, collective ledgers and drain counters through the map, synthesize state
-//!   for fresh ranks, and reassemble each new rank via MANA's standard
-//!   record-replay restart.
+//!   logs, collective ledgers and drain counters through a non-identity map,
+//!   synthesize state for fresh ranks, and reassemble each new rank via MANA's
+//!   standard record-replay restart.
 //! * [`Repartition`] ([`repartition`]) — the application hook that redistributes
 //!   domain state: each new rank ingests the state slices of the old ranks mapped
 //!   onto it. [`NoRepartition`] is the explicit no-op.
@@ -35,4 +35,4 @@ pub mod restore;
 
 pub use rankmap::{RankMap, RemapPolicy};
 pub use repartition::{NoRepartition, Repartition};
-pub use restore::{resize_job, resize_job_from_storage};
+pub use restore::{restart_job, restart_job_from_storage};

@@ -73,8 +73,8 @@ impl RankMap {
         })
     }
 
-    /// The identity map (`M == N`, every rank adopts itself): the degenerate case an
-    /// elastic restart must handle bit-identically to the legacy restart path.
+    /// The identity map (`M == N`, every rank adopts itself): every same-size
+    /// restart, which the restart engine handles without moving any state.
     pub fn identity(world: usize) -> MpiResult<Self> {
         RankMap::validate_sizes(world, world)?;
         Ok(RankMap {
@@ -171,20 +171,6 @@ impl RankMap {
             .find(|(_, &target)| target == new)
             .map(|(old, _)| old as Rank)
     }
-
-    /// Remap a membership list of old world ranks into new world ranks, in old
-    /// order, with duplicates collapsed (two co-hosted old members become one new
-    /// member).
-    pub fn remap_members(&self, members: &[Rank]) -> MpiResult<Vec<Rank>> {
-        let mut out: Vec<Rank> = Vec::with_capacity(members.len());
-        for &old in members {
-            let new = self.new_rank_of(old)?;
-            if !out.contains(&new) {
-                out.push(new);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +208,6 @@ mod tests {
         // M=1: everything collapses onto rank 0.
         let collapse = RankMap::block(5, 1).unwrap();
         assert_eq!(collapse.hosted_by(0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(collapse.remap_members(&[0, 2, 4]).unwrap(), vec![0]);
     }
 
     #[test]
@@ -241,7 +226,6 @@ mod tests {
         assert!(RankMap::block(4, 0).is_err());
         let map = RankMap::custom(2, vec![1, 1, 0]).unwrap();
         assert_eq!(map.hosted_by(1), vec![0, 1]);
-        assert_eq!(map.remap_members(&[0, 1, 2]).unwrap(), vec![1, 0]);
         assert!(map.new_rank_of(9).is_err());
     }
 }

@@ -13,11 +13,12 @@ use split_proc::address_space::UpperHalfSpace;
 
 /// Redistributes application domain state across a resized world.
 ///
-/// Called once per new rank during an elastic restart, after MANA's state has been
-/// adopted (for ranks with a primary) or freshly initialized (for fresh ranks on
-/// growth), and before the new world runs its first step. `old` holds every old
-/// rank's upper half in rank order — the implementation typically reads only the
-/// regions of `map.hosted_by(new_rank)` and rewrites its state region in `upper`.
+/// Called once per new rank during a resized restart — never under the identity
+/// map, which moves no state — after MANA's state has been adopted (for ranks with
+/// a primary) or freshly initialized (for fresh ranks on growth), and before the new
+/// world runs its first step. `old` holds every old rank's upper half in rank order
+/// — the implementation typically reads only the regions of `map.hosted_by(new_rank)`
+/// and rewrites its state region in `upper`.
 pub trait Repartition: Send + Sync {
     /// Rebuild `new_rank`'s application state in `upper` from the old world's upper
     /// halves, following `map`.
@@ -41,10 +42,10 @@ pub trait Repartition: Send + Sync {
     }
 }
 
-/// A repartition that moves nothing: correct only for the identity map (the
-/// degenerate `M == N` resize) or for applications whose per-rank state is
-/// host-independent. Useful in tests and as the explicit "no application state"
-/// choice.
+/// A repartition that moves nothing: correct only for applications whose per-rank
+/// state is host-independent. The engine never calls a hook under the identity map,
+/// so this is also what a same-size restart passes. Useful in tests and as the
+/// explicit "no application state" choice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoRepartition;
 

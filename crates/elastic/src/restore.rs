@@ -1,15 +1,19 @@
-//! The elastic restart engine: restore an `N`-rank checkpoint generation onto `M`
-//! fresh lower halves.
+//! The restart engine: restore an `N`-rank checkpoint generation onto `M` fresh
+//! lower halves. Every restart — same size or resized, same MPI implementation or
+//! another — runs through [`restart_job`].
 //!
-//! The identity restart path ([`mana::restart::restart_rank`]) requires the new world
-//! to match the checkpointed one exactly. This module relaxes that: it dismantles
-//! every image of a generation ([`mana::dismantle_image`]), performs *surgery* on the
-//! recovered state through a [`RankMap`] — rewriting communicator memberships, drain
-//! counters and object-creation replay logs into the new world's coordinates — and
-//! hands the adjusted state to [`mana::assemble_rank`], whose standard record-replay
-//! then rebuilds every surviving MPI object in the resized lower halves.
+//! The engine dismantles every image of a generation ([`mana::dismantle_image`]),
+//! maps the recovered state onto the new world through a [`RankMap`], and hands each
+//! new rank's state to [`mana::assemble_rank`], whose record-replay rebuilds every
+//! surviving MPI object in the fresh lower halves.
 //!
-//! What survives a real resize (`M != N`):
+//! When the sizes match the map is the identity, and an identity map moves no
+//! state: the engine performs no surgery, takes no snapshot of the old world and
+//! never calls the [`Repartition`] hook. A real resize (`M != N`) performs *surgery*
+//! on the recovered state — rewriting communicator memberships, drain counters and
+//! object-creation replay logs into the new world's coordinates — before assembly.
+//!
+//! What survives a real resize:
 //!
 //! * **The world communicator** and every *world-equivalent* derived object (a
 //!   `dup` of world, a `comm_create` over the full membership, the world's group):
@@ -28,11 +32,10 @@
 //! in-flight messages, or hold live request objects: those images encode cross-rank
 //! state in old-world coordinates that no rank map can translate. Checkpoints taken
 //! at step boundaries (as the proxy apps and the job runtime do) are always eligible.
-//! The identity map (`M == N`) skips surgery entirely and behaves bit-identically to
-//! the legacy restart path.
+//! A same-size restart accepts all three.
 
 use crate::rankmap::{RankMap, RemapPolicy};
-use crate::repartition::Repartition;
+use crate::repartition::{NoRepartition, Repartition};
 use mana::config::ManaConfig;
 use mana::record::{CollectiveKind, CollectiveLog, CreationRecipe, ReplayEvent, ReplayLog};
 use mana::restart::{assemble_rank, dismantle_image, RestoredUpper};
@@ -53,13 +56,22 @@ use std::sync::Arc;
 /// halves, following `map`.
 ///
 /// `lowers` must come from a single fresh launch of the new `M`-rank world; `images`
-/// are the per-rank images of one complete generation of the old `N`-rank world. The
-/// application's `repartition` hook is invoked once per new rank — after MANA's state
-/// has been adopted or synthesized, before replay — so domain state follows the map.
+/// are the per-rank images of one complete generation of the old `N`-rank world, in
+/// any order (they are ordered by their recorded rank). Unless `map` is the identity,
+/// the application's `repartition` hook is invoked once per new rank — after MANA's
+/// state has been adopted or synthesized, before replay — so domain state follows the
+/// map.
 ///
 /// Collective across the job: the creation replay makes collective calls, so every
-/// new rank is assembled on its own thread. Returns the rebuilt ranks in rank order.
-pub fn resize_job(
+/// new rank but the last is assembled on a thread of its own, and the last on the
+/// calling thread, which would otherwise only sit in `join`. Returns the rebuilt
+/// ranks in rank order; when several ranks fail, the lowest rank's error is returned.
+///
+/// Lower halves that do not form the map's new world, or images that do not form one
+/// complete generation of its old world, fail with [`MpiError::Checkpoint`] at any
+/// size; a checkpoint a real resize cannot translate fails with
+/// [`MpiError::ElasticResize`].
+pub fn restart_job(
     lowers: Vec<Box<dyn MpiApi>>,
     images: Vec<CheckpointImage>,
     map: &RankMap,
@@ -67,117 +79,67 @@ pub fn resize_job(
     config: ManaConfig,
     registry: Arc<RwLock<UserFunctionRegistry>>,
 ) -> MpiResult<Vec<ManaRank>> {
-    let old_world = map.old_world();
-    let new_world = map.new_world();
-    let lowers = validate_lowers(lowers, new_world)?;
-    let (generation, states) = dismantle_generation(images, old_world)?;
-    let identity = map.is_identity();
-
-    let mut states = if identity {
-        // The degenerate M == N case: no surgery; behave exactly like the legacy
-        // restart path (which also clears any straddled-collective registration —
-        // the restored application re-runs the interrupted step from its start).
-        let mut states = states;
+    let lowers = validate_lowers(lowers, map.new_world())?;
+    let (generation, mut states) = dismantle_generation(images, map.old_world())?;
+    if map.is_identity() {
+        // The restored application re-runs the interrupted step from its beginning,
+        // re-issuing every collective of the step in order: a straddled collective
+        // is re-executed as a fresh issue that receives the same sequence number
+        // (begin hands out the completed count, which the pending registration never
+        // advanced), so its pending record is cleared.
         for state in &mut states {
             state.collectives.clear_pending();
         }
-        states
     } else {
-        rewrite_generation(states, map, repartition.consumes_derived_comms())?
-    };
-
-    // Snapshot what the per-new-rank assembly needs from the *whole* old world
-    // before the old states are moved: every old upper half (for the repartition
-    // hook) and every old counter vector (for the merge).
-    let old_uppers: Vec<UpperHalfSpace> = states.iter().map(|s| s.upper.clone()).collect();
-    let old_counters: Vec<DrainCounters> = states.iter().map(|s| s.counters.clone()).collect();
-    let plan = if map.has_fresh_ranks() {
-        Some(fresh_plan(states.first().ok_or_else(|| {
-            MpiError::ElasticResize("cannot resize an empty generation".into())
-        })?)?)
-    } else {
-        None
-    };
-
-    let mut slots: Vec<Option<RestoredUpper>> = states.drain(..).map(Some).collect();
-    let mut new_states: Vec<RestoredUpper> = Vec::with_capacity(new_world);
-    for j in 0..new_world {
-        let new_rank = j as Rank;
-        match map.primary_of(new_rank) {
-            Some(primary) => {
-                let mut state = slots
-                    .get_mut(primary as usize)
-                    .and_then(Option::take)
-                    .ok_or_else(|| {
-                        MpiError::Internal(format!(
-                            "rank map assigned old rank {primary} as primary twice"
-                        ))
-                    })?;
-                if !identity {
-                    fix_self_comm(&mut state, new_rank)?;
-                    state.counters = merged_counters(&old_counters, map, new_rank)?;
-                }
-                new_states.push(state);
-            }
-            None => {
-                let plan = plan.as_ref().ok_or_else(|| {
-                    MpiError::Internal("fresh rank encountered without a synthesis plan".into())
-                })?;
-                new_states.push(synthesize_fresh(plan, new_world, config)?);
-            }
-        }
+        states = remap_generation(states, map, repartition, config)?;
     }
-
-    for (j, state) in new_states.iter_mut().enumerate() {
-        repartition.repartition(&old_uppers, map, j as Rank, &mut state.upper)?;
-    }
-
-    let handles: Vec<_> = lowers
-        .into_iter()
-        .zip(new_states)
-        .map(|(lower, state)| {
-            let registry = Arc::clone(&registry);
-            std::thread::spawn(move || {
-                assemble_rank(lower, state, config, registry, generation + 1)
-            })
-        })
-        .collect();
-    let mut ranks = Vec::with_capacity(handles.len());
-    for handle in handles {
-        ranks.push(handle.join().map_err(|_| {
-            MpiError::Checkpoint("a rank panicked during elastic restart".into())
-        })??);
-    }
-    ranks.sort_by_key(|r| r.world_rank());
-    Ok(ranks)
+    assemble_job(lowers, states, config, registry, generation + 1)
 }
 
-/// Resize a whole job out of a [`ckpt_store::CheckpointStorage`]: find the newest
-/// complete, valid generation at *any* world size, build a rank map from its size
-/// onto `lowers.len()` ranks with `policy`, and [`resize_job`] onto it.
+/// Restart a whole job out of a [`ckpt_store::CheckpointStorage`] onto `lowers`,
+/// from the newest generation that validates end to end for **every** rank, at
+/// whatever world size it was checkpointed with.
 ///
-/// Mirrors [`mana::restart_job_from_storage`]'s hygiene: generations still pending
-/// (an asynchronous flush the dead incarnation never committed) are aborted and
-/// forgotten first. Returns the rebuilt ranks plus the generation restored from.
-pub fn resize_job_from_storage(
+/// Each candidate generation's manifests and chunks (or flat images) are verified
+/// before any rank is rebuilt; a generation with a corrupt or truncated piece — the
+/// torn-write case a preempted job can leave behind — is skipped for the job as a
+/// whole, so all ranks restart from the same older generation rather than a torn
+/// mix.
+///
+/// When the generation's size matches `lowers.len()` the map is the identity. When
+/// it differs, the generation is remapped with `remap`'s policy and repartition
+/// hook; without `remap` the restart fails with a typed
+/// [`MpiError::WorldSizeMismatch`] naming both sizes.
+///
+/// Generations still *pending* (an asynchronous flush the dead incarnation never
+/// committed) are aborted and forgotten first. Callers driving their own
+/// [`ckpt_store::FlusherPool`] must drain it (`wait_idle`) or drop it before
+/// restarting from the same storage, so no dead-incarnation flush is still in flight
+/// when the restarted job reuses a generation number. Returns the rebuilt ranks in
+/// rank order plus the generation restored from.
+pub fn restart_job_from_storage(
     lowers: Vec<Box<dyn MpiApi>>,
     storage: &ckpt_store::CheckpointStorage,
-    policy: RemapPolicy,
-    repartition: &dyn Repartition,
+    remap: Option<(RemapPolicy, &dyn Repartition)>,
     config: ManaConfig,
     registry: Arc<RwLock<UserFunctionRegistry>>,
 ) -> MpiResult<(Vec<ManaRank>, u64)> {
-    for generation in storage.pending_generations() {
-        storage.abort_generation(generation);
-        storage.forget_generation(generation);
-    }
+    storage.abort_pending();
     let (generation, images) = storage.latest_valid_images_any_size()?;
-    let map = if images.len() == lowers.len() {
-        RankMap::identity(lowers.len())?
-    } else {
-        RankMap::with_policy(policy, images.len(), lowers.len())?
+    let (checkpointed, offered) = (images.len(), lowers.len());
+    let map = match remap {
+        _ if checkpointed == offered => RankMap::identity(offered)?,
+        Some((policy, _)) => RankMap::with_policy(policy, checkpointed, offered)?,
+        None => {
+            return Err(MpiError::WorldSizeMismatch {
+                checkpointed,
+                offered,
+                generation,
+            })
+        }
     };
-    let ranks = resize_job(lowers, images, &map, repartition, config, registry)?;
+    let repartition = remap.map_or(&NoRepartition as &dyn Repartition, |(_, hook)| hook);
+    let ranks = restart_job(lowers, images, &map, repartition, config, registry)?;
     Ok((ranks, generation))
 }
 
@@ -188,7 +150,7 @@ fn validate_lowers(
     new_world: usize,
 ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
     if lowers.len() != new_world {
-        return Err(MpiError::ElasticResize(format!(
+        return Err(MpiError::Checkpoint(format!(
             "rank map targets a {new_world}-rank world but {} lower halves were offered",
             lowers.len()
         )));
@@ -196,7 +158,7 @@ fn validate_lowers(
     lowers.sort_by_key(|l| l.world_rank());
     for (i, lower) in lowers.iter().enumerate() {
         if lower.world_rank() != i as Rank || lower.world_size() != new_world {
-            return Err(MpiError::ElasticResize(format!(
+            return Err(MpiError::Checkpoint(format!(
                 "offered lower halves do not form a contiguous {new_world}-rank world \
                  (slot {i} holds rank {} of {})",
                 lower.world_rank(),
@@ -214,7 +176,7 @@ fn dismantle_generation(
     old_world: usize,
 ) -> MpiResult<(u64, Vec<RestoredUpper>)> {
     if images.len() != old_world {
-        return Err(MpiError::ElasticResize(format!(
+        return Err(MpiError::Checkpoint(format!(
             "rank map describes a {old_world}-rank checkpointed world but {} images \
              were offered",
             images.len()
@@ -224,28 +186,117 @@ fn dismantle_generation(
     let generation = images
         .first()
         .map(|image| image.metadata.generation)
-        .ok_or_else(|| MpiError::ElasticResize("cannot resize an empty generation".into()))?;
+        .ok_or_else(|| MpiError::Checkpoint("cannot restart an empty generation".into()))?;
     let mut states = Vec::with_capacity(images.len());
     for (i, image) in images.into_iter().enumerate() {
         if image.metadata.rank != i as Rank
             || image.metadata.world_size != old_world
             || image.metadata.generation != generation
         {
-            return Err(MpiError::ElasticResize(format!(
+            return Err(MpiError::Checkpoint(format!(
                 "images do not form one complete generation: slot {i} holds rank {} \
                  of a {}-rank world, generation {} (expected generation {generation})",
                 image.metadata.rank, image.metadata.world_size, image.metadata.generation
             )));
         }
-        let (_, state) = dismantle_image(image)?;
-        states.push(state);
+        states.push(dismantle_image(image)?);
     }
     Ok((generation, states))
 }
 
-/// Validate and rewrite every old rank's state into new-world coordinates (the
-/// non-identity path). `consume` is the application's
-/// [`Repartition::consumes_derived_comms`] answer.
+/// Bind every new rank's state to its lower half: every rank but the last on a
+/// thread of its own, the last on the calling thread, which would otherwise only sit
+/// in `join`. Every thread is joined. `lowers` and `states` are both in new-rank
+/// order, so the ranks come back in rank order; the lowest failing rank's error wins.
+fn assemble_job(
+    lowers: Vec<Box<dyn MpiApi>>,
+    states: Vec<RestoredUpper>,
+    config: ManaConfig,
+    registry: Arc<RwLock<UserFunctionRegistry>>,
+    next_generation: u64,
+) -> MpiResult<Vec<ManaRank>> {
+    let mut work = lowers.into_iter().zip(states);
+    let inline = work.next_back();
+    let assemble = |(lower, state)| {
+        assemble_rank(lower, state, config, Arc::clone(&registry), next_generation)
+    };
+    let results: Vec<MpiResult<ManaRank>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = work
+            .map(|rank| scope.spawn(move || assemble(rank)))
+            .collect();
+        let inline = inline.map(assemble);
+        spawned
+            .into_iter()
+            .map(|handle| {
+                handle.join().unwrap_or_else(|_| {
+                    Err(MpiError::Checkpoint(
+                        "a rank panicked during restart".into(),
+                    ))
+                })
+            })
+            .chain(inline)
+            .collect()
+    });
+    results.into_iter().collect()
+}
+
+/// Map a dismantled `N`-rank generation onto the `M` ranks of a non-identity `map`:
+/// rewrite every old rank's state into new-world coordinates, hand each adopted
+/// state to its new rank (merging the drain counters of every old rank it hosts),
+/// synthesize state for fresh ranks, and let the application's `repartition` hook
+/// move its domain state. Returns the new ranks' states in new-rank order.
+fn remap_generation(
+    states: Vec<RestoredUpper>,
+    map: &RankMap,
+    repartition: &dyn Repartition,
+    config: ManaConfig,
+) -> MpiResult<Vec<RestoredUpper>> {
+    let new_world = map.new_world();
+    let states = rewrite_generation(states, map, repartition.consumes_derived_comms())?;
+
+    // Snapshot what the per-new-rank assembly needs from the *whole* old world
+    // before the old states are moved: every old upper half (for the repartition
+    // hook) and every old counter vector (for the merge).
+    let old_uppers: Vec<UpperHalfSpace> = states.iter().map(|s| s.upper.clone()).collect();
+    let old_counters: Vec<DrainCounters> = states.iter().map(|s| s.counters.clone()).collect();
+    let plan = match states.first() {
+        Some(template) if map.has_fresh_ranks() => Some(fresh_plan(template)?),
+        _ => None,
+    };
+
+    let mut slots: Vec<Option<RestoredUpper>> = states.into_iter().map(Some).collect();
+    let mut new_states: Vec<RestoredUpper> = Vec::with_capacity(new_world);
+    for j in 0..new_world {
+        let new_rank = j as Rank;
+        let mut state = match map.primary_of(new_rank) {
+            Some(primary) => {
+                let mut state = slots
+                    .get_mut(primary as usize)
+                    .and_then(Option::take)
+                    .ok_or_else(|| {
+                        MpiError::Internal(format!(
+                            "rank map assigned old rank {primary} as primary twice"
+                        ))
+                    })?;
+                fix_self_comm(&mut state, new_rank)?;
+                state.counters = merged_counters(&old_counters, map, new_rank)?;
+                state
+            }
+            None => {
+                let plan = plan.as_ref().ok_or_else(|| {
+                    MpiError::Internal("fresh rank encountered without a synthesis plan".into())
+                })?;
+                synthesize_fresh(plan, new_world, config)?
+            }
+        };
+        repartition.repartition(&old_uppers, map, new_rank, &mut state.upper)?;
+        new_states.push(state);
+    }
+    Ok(new_states)
+}
+
+/// Validate and rewrite every old rank's state into new-world coordinates.
+/// `consume` is the application's [`Repartition::consumes_derived_comms`] answer.
 fn rewrite_generation(
     mut states: Vec<RestoredUpper>,
     map: &RankMap,

@@ -1,8 +1,9 @@
-//! Engine-level elastic-restart tests: remap edge cases exercised directly against
-//! `resize_job` / `resize_job_from_storage`, without the proxy applications.
+//! Engine-level restart tests: remap edge cases and the identity map exercised
+//! directly against `restart_job` / `restart_job_from_storage`, without the proxy
+//! applications.
 
-use ckpt_store::CheckpointStorage;
-use elastic::{resize_job, resize_job_from_storage, NoRepartition, RankMap, RemapPolicy};
+use ckpt_store::{CheckpointStorage, StoragePolicy};
+use elastic::{restart_job, restart_job_from_storage, NoRepartition, RankMap, RemapPolicy};
 use mana::ckpt::regions;
 use mana::record::{CollectiveKind, CollectiveLog};
 use mana::virtid::VirtualId;
@@ -13,6 +14,7 @@ use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::{HandleKind, Rank};
 use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 type Registry = Arc<RwLock<UserFunctionRegistry>>;
@@ -98,11 +100,10 @@ fn world_dup_survives_a_shrink_with_remapped_membership() {
     checkpoint_with_world_dup(&registry, &storage);
 
     let lowers = launch(2, &registry, 2);
-    let (ranks, generation) = resize_job_from_storage(
+    let (ranks, generation) = restart_job_from_storage(
         lowers,
         &storage,
-        RemapPolicy::Block,
-        &NoRepartition,
+        Some((RemapPolicy::Block, &NoRepartition)),
         ManaConfig::new_design(),
         registry.clone(),
     )
@@ -141,11 +142,10 @@ fn total_collapse_onto_one_rank() {
     checkpoint_with_world_dup(&registry, &storage);
 
     let lowers = launch(1, &registry, 3);
-    let (ranks, _) = resize_job_from_storage(
+    let (ranks, _) = restart_job_from_storage(
         lowers,
         &storage,
-        RemapPolicy::RoundRobin,
-        &NoRepartition,
+        Some((RemapPolicy::RoundRobin, &NoRepartition)),
         ManaConfig::new_design(),
         registry.clone(),
     )
@@ -210,11 +210,10 @@ fn subset_communicator_rejects_resize_unless_consumed() {
     checkpoint_with_parity_split(&registry, &storage);
 
     // Without the application's promise to rebuild, the live split is a clean error.
-    let err = resize_job_from_storage(
+    let err = restart_job_from_storage(
         launch(2, &registry, 2),
         &storage,
-        RemapPolicy::Block,
-        &NoRepartition,
+        Some((RemapPolicy::Block, &NoRepartition)),
         ManaConfig::new_design(),
         registry.clone(),
     )
@@ -228,11 +227,10 @@ fn subset_communicator_rejects_resize_unless_consumed() {
 
     // With the promise, the split is dropped everywhere and the resize completes;
     // the stored handle is dead, the world is fully usable.
-    let (ranks, _) = resize_job_from_storage(
+    let (ranks, _) = restart_job_from_storage(
         launch(2, &registry, 3),
         &storage,
-        RemapPolicy::Block,
-        &ConsumesComms,
+        Some((RemapPolicy::Block, &ConsumesComms)),
         ManaConfig::new_design(),
         registry.clone(),
     )
@@ -264,11 +262,10 @@ fn growth_adds_fresh_ranks_that_participate_in_the_world() {
         }
     });
 
-    let (ranks, _) = resize_job_from_storage(
+    let (ranks, _) = restart_job_from_storage(
         launch(3, &registry, 2),
         &storage,
-        RemapPolicy::Block,
-        &NoRepartition,
+        Some((RemapPolicy::Block, &NoRepartition)),
         ManaConfig::new_design(),
         registry.clone(),
     )
@@ -294,51 +291,53 @@ fn growth_adds_fresh_ranks_that_participate_in_the_world() {
     assert_eq!(images.len(), 3);
 }
 
+/// The identity map leaves no trace of itself: a world restored at its own size
+/// re-checkpoints exactly the images the uninterrupted world checkpoints next,
+/// region by region.
 #[test]
-fn identity_resize_is_bit_identical_to_the_legacy_restart() {
+fn identity_restart_recheckpoints_what_the_uninterrupted_world_does() {
     let registry = registry();
     let storage = CheckpointStorage::unmetered();
-    checkpoint_with_world_dup(&registry, &storage);
-
-    let (legacy, generation_a) = mana::restart_job_from_storage(
-        launch(4, &registry, 2),
-        &storage,
-        ManaConfig::new_design(),
-        registry.clone(),
-    )
-    .unwrap();
-    // Sizes match, so the storage entry point takes the identity map.
-    let (elastic_ranks, generation_b) = resize_job_from_storage(
-        launch(4, &registry, 3),
-        &storage,
-        RemapPolicy::Block,
-        &NoRepartition,
-        ManaConfig::new_design(),
-        registry.clone(),
-    )
-    .unwrap();
-    assert_eq!(generation_a, generation_b);
-
-    // Checkpoint both restored worlds and compare the images region by region:
-    // the elastic identity path must leave no trace of itself.
-    let store_a = CheckpointStorage::unmetered();
-    let store_b = CheckpointStorage::unmetered();
-    let ckpt = |store: CheckpointStorage| {
-        move |session: &mut Session| {
-            session.checkpoint_into(&store)?;
+    let uninterrupted = CheckpointStorage::unmetered();
+    run_job(4, &registry, 1, {
+        let (storage, uninterrupted) = (storage.clone(), uninterrupted.clone());
+        move |session| {
+            let world = session.world()?;
+            let dup = session.comm_dup(world)?;
+            session.upper_mut().store_json("test.dup", &dup)?;
+            session.allreduce(&[1u64], Op::sum(), dup)?;
+            session.checkpoint_into(&storage)?;
+            // The uninterrupted world's next checkpoint: generation 1.
+            session.checkpoint_into(&uninterrupted)?;
             Ok(())
         }
-    };
-    drive_ranks(legacy, ckpt(store_a.clone()));
-    drive_ranks(elastic_ranks, ckpt(store_b.clone()));
+    });
 
-    let (gen_a, images_a) = store_a.latest_valid_images_any_size().unwrap();
-    let (gen_b, images_b) = store_b.latest_valid_images_any_size().unwrap();
-    assert_eq!(gen_a, gen_b);
+    let (ranks, generation) = restart_job_from_storage(
+        launch(4, &registry, 2),
+        &storage,
+        None,
+        ManaConfig::new_design(),
+        registry.clone(),
+    )
+    .unwrap();
+    assert_eq!(generation, 0);
+    let restored = CheckpointStorage::unmetered();
+    drive_ranks(ranks, {
+        let restored = restored.clone();
+        move |session| {
+            session.checkpoint_into(&restored)?;
+            Ok(())
+        }
+    });
+
+    let (gen_a, images_a) = uninterrupted.latest_valid_images_any_size().unwrap();
+    let (gen_b, images_b) = restored.latest_valid_images_any_size().unwrap();
+    assert_eq!((gen_a, gen_b), (1, 1));
+    assert_eq!(images_a.len(), images_b.len());
     for (a, b) in images_a.iter().zip(images_b.iter()) {
         assert_eq!(a.metadata.rank, b.metadata.rank);
         assert_eq!(a.metadata.world_size, b.metadata.world_size);
-        assert_eq!(a.metadata.generation, b.metadata.generation);
         let mut names_a = a.upper_half.region_names();
         let mut names_b = b.upper_half.region_names();
         names_a.sort_unstable();
@@ -348,12 +347,94 @@ fn identity_resize_is_bit_identical_to_the_legacy_restart() {
             assert_eq!(
                 a.upper_half.region(name).unwrap(),
                 b.upper_half.region(name).unwrap(),
-                "region {name} of rank {} differs between legacy restart and \
-                 identity resize",
+                "region {name} of rank {} differs between the uninterrupted world and \
+                 the identity restart",
                 a.metadata.rank
             );
         }
     }
+}
+
+/// A repartition hook that counts its calls.
+#[derive(Default)]
+struct CountingRepartition(AtomicUsize);
+
+impl elastic::Repartition for CountingRepartition {
+    fn repartition(
+        &self,
+        _old: &[split_proc::address_space::UpperHalfSpace],
+        _map: &RankMap,
+        _new_rank: Rank,
+        _upper: &mut split_proc::address_space::UpperHalfSpace,
+    ) -> MpiResult<()> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// An identity map moves no state, so a same-size restart never calls the
+/// application's hook (nor copies the old world's upper halves for it); a resize
+/// calls it once per new rank.
+#[test]
+fn same_size_restart_never_calls_the_repartition_hook() {
+    let registry = registry();
+    let storage = CheckpointStorage::unmetered();
+    checkpoint_with_world_dup(&registry, &storage);
+
+    let counting = CountingRepartition::default();
+    let restart = |world: usize, session: u64| {
+        restart_job_from_storage(
+            launch(world, &registry, session),
+            &storage,
+            Some((RemapPolicy::Block, &counting)),
+            ManaConfig::new_design(),
+            registry.clone(),
+        )
+        .unwrap()
+    };
+    let (ranks, _) = restart(4, 2);
+    assert_eq!(ranks.len(), 4);
+    assert_eq!(counting.0.load(Ordering::SeqCst), 0);
+    drop(ranks);
+    let (ranks, _) = restart(2, 3);
+    assert_eq!(ranks.len(), 2);
+    assert_eq!(counting.0.load(Ordering::SeqCst), 2);
+}
+
+/// A standalone checkpoint is never announced as pending, so a generation whose tail
+/// ranks died before writing looks committed. Its images still record the 4-rank
+/// world, so the engine skips it and restores the last whole generation.
+#[test]
+fn generation_missing_its_tail_ranks_falls_back_to_the_last_whole_one() {
+    let registry = registry();
+    let written = CheckpointStorage::unmetered();
+    run_job(4, &registry, 1, {
+        let written = written.clone();
+        move |session| {
+            session.checkpoint_into(&written)?;
+            session.checkpoint_into(&written)?;
+            Ok(())
+        }
+    });
+    // Generation 0 on every rank, generation 1 on ranks 0 and 1 only.
+    let storage = CheckpointStorage::unmetered();
+    for (generation, ranks) in [(0, 0..4), (1, 0..2)] {
+        for rank in ranks {
+            let image = written.read(generation, rank).unwrap();
+            storage.write_image(StoragePolicy::FullImage, &image);
+        }
+    }
+
+    let (ranks, generation) = restart_job_from_storage(
+        launch(4, &registry, 2),
+        &storage,
+        None,
+        ManaConfig::new_design(),
+        registry.clone(),
+    )
+    .unwrap();
+    assert_eq!(generation, 0);
+    assert_eq!(ranks.len(), 4);
 }
 
 #[test]
@@ -382,7 +463,7 @@ fn straddled_collective_checkpoint_is_rejected_under_resize() {
         .unwrap();
 
     let map = RankMap::block(2, 1).unwrap();
-    let err = resize_job(
+    let err = restart_job(
         launch(1, &registry, 2),
         images,
         &map,
@@ -408,11 +489,10 @@ fn identity_restart_path_reports_a_typed_world_size_mismatch() {
             Ok(())
         }
     });
-    let (_, mut images) = storage.latest_valid_images_any_size().unwrap();
-    let mut lowers = launch(4, &registry, 2);
-    let err = mana::restart_rank(
-        lowers.remove(0),
-        images.remove(0),
+    let err = restart_job_from_storage(
+        launch(4, &registry, 2),
+        &storage,
+        None,
         ManaConfig::new_design(),
         registry.clone(),
     )

@@ -46,19 +46,16 @@ impl ExaMpiFactory {
             SubsetFeature::CollectiveRegistration,
         ]
     }
-}
 
-impl MpiImplementationFactory for ExaMpiFactory {
-    fn name(&self) -> &'static str {
-        "exampi"
-    }
-
-    fn launch(
+    /// Launch a `world_size`-rank job, like [`MpiImplementationFactory::launch`], and
+    /// also hand back the fabric its lower halves are connected to, for fault
+    /// injection and inspection.
+    pub fn launch_with_fabric(
         &self,
         world_size: usize,
         registry: Arc<RwLock<UserFunctionRegistry>>,
         session: u64,
-    ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
+    ) -> MpiResult<(Vec<Box<dyn MpiApi>>, Fabric)> {
         let fabric = Fabric::new(FabricConfig::new(
             world_size,
             session.wrapping_mul(0xd6e8_feb8_6659_fd93),
@@ -79,7 +76,23 @@ impl MpiImplementationFactory for ExaMpiFactory {
             );
             ranks.push(Box::new(engine));
         }
-        Ok(ranks)
+        Ok((ranks, fabric))
+    }
+}
+
+impl MpiImplementationFactory for ExaMpiFactory {
+    fn name(&self) -> &'static str {
+        "exampi"
+    }
+
+    fn launch(
+        &self,
+        world_size: usize,
+        registry: Arc<RwLock<UserFunctionRegistry>>,
+        session: u64,
+    ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
+        self.launch_with_fabric(world_size, registry, session)
+            .map(|(ranks, _)| ranks)
     }
 }
 

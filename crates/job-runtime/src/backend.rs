@@ -1,7 +1,12 @@
 //! The backend selector: which simulated MPI implementation a job runs on.
 
-use mpi_model::api::MpiImplementationFactory;
+use mpi_model::api::{MpiApi, MpiImplementationFactory};
+use mpi_model::error::MpiResult;
+use mpi_model::op::UserFunctionRegistry;
+use net_sim::Fabric;
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A simulated MPI implementation a [`crate::JobRuntime`] can launch its lower halves
 /// on. The whole point of the implementation-oblivious design is that the same job —
@@ -42,6 +47,30 @@ impl Backend {
         }
     }
 
+    /// Launch `world` lower halves on this backend under session `session`, together
+    /// with the fabric they are connected to.
+    pub fn launch(
+        self,
+        world: usize,
+        registry: Arc<RwLock<UserFunctionRegistry>>,
+        session: u64,
+    ) -> MpiResult<(Vec<Box<dyn MpiApi>>, Fabric)> {
+        match self {
+            Backend::Mpich => {
+                mpich_sim::MpichFactory::mpich().launch_with_fabric(world, registry, session)
+            }
+            Backend::CrayMpi => {
+                mpich_sim::MpichFactory::cray().launch_with_fabric(world, registry, session)
+            }
+            Backend::OpenMpi => {
+                openmpi_sim::OpenMpiFactory::new().launch_with_fabric(world, registry, session)
+            }
+            Backend::ExaMpi => {
+                exampi_sim::ExaMpiFactory::new().launch_with_fabric(world, registry, session)
+            }
+        }
+    }
+
     /// The implementation name the backend's lower halves report.
     pub fn name(self) -> &'static str {
         match self {
@@ -67,6 +96,13 @@ mod tests {
         for backend in Backend::ALL {
             assert_eq!(Backend::from_name(backend.name()), Some(backend));
             assert_eq!(backend.factory().name(), backend.name());
+            let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
+            let (lowers, fabric) = backend.launch(3, registry, 1).unwrap();
+            assert_eq!(lowers.len(), 3);
+            assert_eq!(fabric.world_size(), 3);
+            assert!(lowers
+                .iter()
+                .all(|l| l.implementation_name() == backend.name()));
         }
         assert_eq!(Backend::from_name("lam/mpi"), None);
     }

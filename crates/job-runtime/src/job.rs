@@ -8,8 +8,7 @@ use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
 use ckpt_service::ServiceHandle;
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
-use elastic::{resize_job_from_storage, RemapPolicy, Repartition};
-use mana::restart::restart_job_from_storage;
+use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
 use mpi_model::api::MpiApi;
 use mpi_model::error::{MpiError, MpiResult};
@@ -77,7 +76,7 @@ where
 
 /// Elastic-restart policy for a job: how checkpointed ranks are remapped onto a
 /// world of a different size, and how the application's domain state follows them
-/// (see [`elastic::resize_job`]).
+/// (see [`elastic::restart_job`]).
 #[derive(Clone)]
 pub struct ElasticConfig {
     /// How old ranks are assigned to new ranks.
@@ -570,9 +569,8 @@ impl JobRuntime {
         arm_chaos: bool,
     ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
         let session = self.session.fetch_add(1, Ordering::SeqCst);
-        let capture = Fabric::capture_next();
-        let lowers = backend.factory().launch(world, self.registry(), session)?;
-        self.adopt_fabric(capture.take(), arm_chaos);
+        let (lowers, fabric) = backend.launch(world, self.registry(), session)?;
+        self.adopt_fabric(fabric, arm_chaos);
         Ok(lowers)
     }
 
@@ -591,24 +589,22 @@ impl JobRuntime {
         }
     }
 
-    /// The current incarnation's fabric (captured from the backend factory at
+    /// The current incarnation's fabric (handed back by the backend at
     /// launch/restart), for fault injection and inspection. `None` before the
     /// first launch.
     pub fn fabric(&self) -> Option<Fabric> {
         self.fabric.lock().clone()
     }
 
-    /// Track a freshly captured fabric; with `arm_chaos`, install the not-yet-fired
+    /// Track a freshly launched fabric; with `arm_chaos`, install the not-yet-fired
     /// chaos remainder on it. Restart leaves the fabric unarmed so a leftover fault
     /// cannot fire while ranks are still being *restored* — the self-healing loop
     /// re-arms the remainder once the restore has succeeded.
-    fn adopt_fabric(&self, fabric: Option<Fabric>, arm_chaos: bool) {
-        if let Some(fabric) = &fabric {
-            if arm_chaos {
-                self.arm_remaining_chaos(fabric);
-            }
+    fn adopt_fabric(&self, fabric: Fabric, arm_chaos: bool) {
+        if arm_chaos {
+            self.arm_remaining_chaos(&fabric);
         }
-        *self.fabric.lock() = fabric;
+        *self.fabric.lock() = Some(fabric);
     }
 
     /// Install the not-yet-fired chaos remainder on `fabric` (no-op when the
@@ -677,35 +673,67 @@ impl JobRuntime {
         self.run_ranks(ranks, body)
     }
 
-    /// Restart the job from the newest fully-valid generation on the configured
-    /// backend and run one closure per restored rank. Returns the results and the
-    /// generation actually restored.
-    pub fn resume<T, F>(&self, body: F) -> MpiResult<(Vec<T>, u64)>
-    where
-        T: Send + 'static,
-        F: Fn(Session, JobCtx) -> MpiResult<T> + Send + Sync + 'static,
-    {
-        self.resume_on(self.config.backend, body)
-    }
-
-    /// Like [`JobRuntime::resume`], but restarting onto a different backend — the
-    /// paper §9 cross-implementation restart as a one-argument switch.
-    pub fn resume_on<T, F>(&self, backend: Backend, body: F) -> MpiResult<(Vec<T>, u64)>
-    where
-        T: Send + 'static,
-        F: Fn(Session, JobCtx) -> MpiResult<T> + Send + Sync + 'static,
-    {
-        let (ranks, generation) = self.restart(backend)?;
-        Ok((self.run_ranks(ranks, body)?, generation))
-    }
-
-    /// Relaunch lower halves on `backend` and restore every rank from the newest
-    /// generation that validates end to end for the whole job.
+    /// Relaunch the current world on `backend` and restore every rank from the
+    /// newest generation that validates end to end for the whole job — on a
+    /// *different* MPI implementation, too: the paper's §9 cross-implementation
+    /// restart as a one-argument switch. A generation checkpointed at another world
+    /// size is remapped through [`JobConfig::elastic`]; without one the restart fails
+    /// with [`MpiError::WorldSizeMismatch`]. Returns the restored ranks and the
+    /// generation restored from; drive them with [`JobRuntime::run_restored`] or
+    /// [`JobRuntime::run_steps_restored`].
     pub fn restart(&self, backend: Backend) -> MpiResult<(Vec<ManaRank>, u64)> {
+        self.restore(backend, self.current_world_size())
+    }
+
+    /// Relaunch **`new_world` ranks** — a different count than the checkpoint was
+    /// taken with — and restore the newest fully-valid generation onto them, using
+    /// the rank-map policy and [`Repartition`] hook from [`JobConfig::elastic`].
+    ///
+    /// Fails with [`MpiError::ElasticResize`] when the job has no elastic
+    /// configuration, when the checkpoint cannot survive a resize (a straddled
+    /// collective, in-flight messages), or when live derived communicators exist and
+    /// the repartition hook does not consume them; a launch or stored generation
+    /// that does not form a whole world fails with [`MpiError::Checkpoint`], as
+    /// [`JobRuntime::restart`] does. On success the runtime's world size *becomes*
+    /// `new_world`: subsequent launches, restarts and coordinators all use it.
+    pub fn restart_resized(&self, new_world: usize) -> MpiResult<(Vec<ManaRank>, u64)> {
+        if self.config.elastic.is_none() {
+            return Err(MpiError::ElasticResize(
+                "this job has no elastic configuration; set JobConfig::elastic \
+                 (with_elastic) to allow restarts onto a different world size"
+                    .into(),
+            ));
+        }
+        if new_world == 0 {
+            return Err(MpiError::ElasticResize(
+                "cannot resize a job onto an empty world".into(),
+            ));
+        }
+        self.restore(self.config.backend, new_world)
+    }
+
+    /// The one restore behind [`JobRuntime::restart`] and
+    /// [`JobRuntime::restart_resized`]: let the dead incarnation's flushes land,
+    /// relaunch `world` lower halves on `backend`, and restore through the restart
+    /// engine ([`elastic::restart_job_from_storage`]), which aborts pending
+    /// generations and remaps a generation of another size with the job's elastic
+    /// configuration.
+    fn restore(&self, backend: Backend, world: usize) -> MpiResult<(Vec<ManaRank>, u64)> {
         self.wait_flushes_landed();
-        let lowers = self.relaunch(backend, self.current_world_size(), false)?;
-        let (ranks, generation) =
-            restart_job_from_storage(lowers, &self.storage, self.config.mana, self.registry())?;
+        let lowers = self.relaunch(backend, world, false)?;
+        let remap = self
+            .config
+            .elastic
+            .as_ref()
+            .map(|elastic| (elastic.policy, elastic.repartition.as_ref()));
+        let (ranks, generation) = restart_job_from_storage(
+            lowers,
+            &self.storage,
+            remap,
+            self.config.mana,
+            self.registry(),
+        )?;
+        self.world_size.store(world, Ordering::SeqCst);
         // A fallback legitimately regresses the generation counter: rewind the
         // ledger to the restored generation so `published_generation` tracks the
         // resumed run instead of staying pinned to a dead incarnation's higher
@@ -714,63 +742,20 @@ impl JobRuntime {
         Ok((ranks, generation))
     }
 
-    /// Relaunch **`new_world` ranks** — a different count than the checkpoint was
-    /// taken with — and restore the newest fully-valid generation onto them through
-    /// the elastic resize engine ([`elastic::resize_job_from_storage`]), using the
-    /// rank-map policy and [`Repartition`] hook from [`JobConfig::elastic`].
-    ///
-    /// Fails with [`MpiError::ElasticResize`] when the job has no elastic
-    /// configuration, when the checkpoint cannot survive a resize (a straddled
-    /// collective, in-flight messages), or when live derived communicators exist and
-    /// the repartition hook does not consume them. On success the runtime's world
-    /// size *becomes* `new_world`: subsequent launches, restarts and coordinators
-    /// all use it.
-    pub fn restart_resized(&self, new_world: usize) -> MpiResult<(Vec<ManaRank>, u64)> {
-        let elastic = self.config.elastic.as_ref().ok_or_else(|| {
-            MpiError::ElasticResize(
-                "this job has no elastic configuration; set JobConfig::elastic \
-                 (with_elastic) to allow restarts onto a different world size"
-                    .into(),
-            )
-        })?;
-        if new_world == 0 {
-            return Err(MpiError::ElasticResize(
-                "cannot resize a job onto an empty world".into(),
-            ));
-        }
-        self.wait_flushes_landed();
-        let lowers = self.relaunch(self.config.backend, new_world, false)?;
-        let (ranks, generation) = resize_job_from_storage(
-            lowers,
-            &self.storage,
-            elastic.policy,
-            elastic.repartition.as_ref(),
-            self.config.mana,
-            self.registry(),
-        )?;
-        self.world_size.store(new_world, Ordering::SeqCst);
-        self.ledger.rewind_to(generation);
-        Ok((ranks, generation))
-    }
-
-    /// [`JobRuntime::resume_steps`] onto a **resized** world: restart the newest
-    /// generation onto `new_world` ranks via [`JobRuntime::restart_resized`] and
-    /// continue stepping to `total_steps`.
-    pub fn resume_steps_resized<T, F>(
+    /// Run one closure per rank of a restored world — what [`JobRuntime::restart`]
+    /// or [`JobRuntime::restart_resized`] returned — each on its own thread, against
+    /// the typed [`Session`] API. Returns the results in rank order and the
+    /// generation restored from.
+    pub fn run_restored<T, F>(
         &self,
-        new_world: usize,
-        total_steps: u64,
-        step_fn: F,
-    ) -> MpiResult<JobRun<T>>
+        (ranks, generation): (Vec<ManaRank>, u64),
+        body: F,
+    ) -> MpiResult<(Vec<T>, u64)>
     where
         T: Send + 'static,
-        F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
+        F: Fn(Session, JobCtx) -> MpiResult<T> + Send + Sync + 'static,
     {
-        self.drive_restored(
-            self.restart_resized(new_world)?,
-            total_steps,
-            Arc::new(step_fn),
-        )
+        Ok((self.run_ranks(ranks, body)?, generation))
     }
 
     fn run_ranks<T, F>(&self, ranks: Vec<ManaRank>, body: F) -> MpiResult<Vec<T>>
@@ -808,24 +793,26 @@ impl JobRuntime {
         self.drive(self.coordinator(), ranks, 0, total_steps, Arc::new(step_fn))
     }
 
-    /// Restart from the newest fully-valid generation and continue stepping to
-    /// `total_steps`. The step counter resumes from the ledger's record of the
-    /// restored generation (work since the last commit is repeated, exactly as a
-    /// real preempted job repeats it).
-    pub fn resume_steps<T, F>(&self, total_steps: u64, step_fn: F) -> MpiResult<JobRun<T>>
+    /// Drive a restored world — what [`JobRuntime::restart`] or
+    /// [`JobRuntime::restart_resized`] returned — on to `total_steps`, exactly like
+    /// [`JobRuntime::run_steps`]. The step counter resumes from the ledger's record
+    /// of the restored generation (work since the last commit is repeated, exactly
+    /// as a real preempted job repeats it).
+    pub fn run_steps_restored<T, F>(
+        &self,
+        restored: (Vec<ManaRank>, u64),
+        total_steps: u64,
+        step_fn: F,
+    ) -> MpiResult<JobRun<T>>
     where
         T: Send + 'static,
         F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
     {
-        self.drive_restored(
-            self.restart(self.config.backend)?,
-            total_steps,
-            Arc::new(step_fn),
-        )
+        self.drive_restored(restored, total_steps, Arc::new(step_fn))
     }
 
-    /// Drive ranks restored from `generation` on to `total_steps`, resuming the step
-    /// counter from the ledger's record of that generation.
+    /// [`JobRuntime::run_steps_restored`] for a step function already shared with
+    /// earlier incarnations.
     fn drive_restored<T, F>(
         &self,
         (ranks, generation): (Vec<ManaRank>, u64),
@@ -846,7 +833,7 @@ impl JobRuntime {
     }
 
     /// Run to completion, resuming through any injected preemption: `run_steps`
-    /// followed by as many `resume_steps` as it takes.
+    /// followed by as many restart-then-`run_steps_restored` rounds as it takes.
     pub fn run_to_completion<T, F>(&self, total_steps: u64, step_fn: F) -> MpiResult<JobRun<T>>
     where
         T: Send + 'static,
@@ -973,7 +960,10 @@ impl JobRuntime {
             // moment after the failure must count as committed, not be mistaken
             // for "nothing to fall back to".
             self.wait_flushes_landed();
-            let pending = self.storage.pending_generations();
+            // The dead incarnation's pending rounds are torn by definition: abort
+            // them whichever way the job resumes. Every flush has landed (above), so
+            // the tombstones have nothing left to catch and are dropped with them.
+            let pending = self.storage.abort_pending();
             // With an elastic policy and ranks declared dead (an unhealed node
             // loss), the job does not relaunch at full size and wait for
             // replacement nodes: it shrinks the world onto the survivors.
@@ -987,11 +977,10 @@ impl JobRuntime {
             };
             let (relaunched, restored, resume_step) =
                 if self.ledger.published_generation().is_some() {
-                    // `restart`/`restart_resized` abort the dead incarnation's
-                    // pending generations and rewind the ledger to the restored
-                    // one. The restore runs with chaos unarmed; the remainder is
-                    // re-armed below, so a leftover fault targets the resumed run,
-                    // not the restore.
+                    // `restart`/`restart_resized` rewind the ledger to the restored
+                    // generation. The restore runs with chaos unarmed; the remainder
+                    // is re-armed below, so a leftover fault targets the resumed
+                    // run, not the restore.
                     let (ranks, generation) = match shrink_to {
                         Some(survivors) => {
                             let resized = self.restart_resized(survivors)?;
@@ -1012,14 +1001,7 @@ impl JobRuntime {
                     let step = self.ledger.steps_at(generation).unwrap_or(0);
                     (ranks, Some(generation), step)
                 } else {
-                    // Nothing committed yet: abort the dead incarnation's pending
-                    // rounds and relaunch from the initial state. Every flush has
-                    // landed (above), so the tombstones have nothing left to catch;
-                    // drop them before the new incarnation reuses the numbers.
-                    for &generation in &pending {
-                        self.storage.abort_generation(generation);
-                        self.storage.forget_generation(generation);
-                    }
+                    // Nothing committed yet: relaunch from the initial state.
                     (self.launch()?, None, 0)
                 };
             if !pending.is_empty() {

@@ -1,4 +1,4 @@
-//! Elastic restart at the job level: resized resumes driven by [`JobRuntime`],
+//! Elastic restart at the job level: resized restarts driven by [`JobRuntime`],
 //! chained restarts across mixed-size generations, and the self-healing loop
 //! shrinking a world onto the survivors of a node failure.
 //!
@@ -15,7 +15,7 @@ use job_runtime::{
 };
 use mana::Session;
 use mana_apps::{AppId, ElasticShard, ElasticWorldState, SkeletonRepartition, STATE_REGION};
-use mpi_model::error::MpiResult;
+use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 
 const WORLD: usize = 4;
@@ -99,7 +99,7 @@ fn preempted_job_resumes_on_a_smaller_world_with_identical_results() {
     assert!(run.was_preempted());
 
     let finished = runtime
-        .resume_steps_resized(2, STEPS, shard_fold_step)
+        .run_steps_restored(runtime.restart_resized(2).unwrap(), STEPS, shard_fold_step)
         .unwrap();
     let results = finished.results().unwrap();
     assert_eq!(results.len(), 2, "the resumed world has 2 ranks");
@@ -118,7 +118,7 @@ fn preempted_job_resumes_on_a_larger_world_with_identical_results() {
     assert!(run.was_preempted());
 
     let finished = runtime
-        .resume_steps_resized(6, STEPS, shard_fold_step)
+        .run_steps_restored(runtime.restart_resized(6).unwrap(), STEPS, shard_fold_step)
         .unwrap();
     let results = finished.results().unwrap();
     assert_eq!(results.len(), 6, "the resumed world has 6 ranks");
@@ -131,8 +131,53 @@ fn restart_without_an_elastic_policy_is_a_typed_error() {
     runtime.run_steps(4, shard_fold_step).unwrap();
     let err = runtime.restart_resized(2).unwrap_err();
     assert!(
-        matches!(err, mpi_model::error::MpiError::ElasticResize(_)),
+        matches!(err, MpiError::ElasticResize(_)),
         "expected ElasticResize, got {err:?}"
+    );
+
+    // Without an elastic policy, a generation of another size is never restored
+    // onto this world: the restart names both sizes.
+    let smaller =
+        JobRuntime::with_storage(JobConfig::new(2, Backend::Mpich), runtime.storage().clone());
+    let err = smaller.restart(Backend::Mpich).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MpiError::WorldSizeMismatch {
+                checkpointed: WORLD,
+                offered: 2,
+                ..
+            }
+        ),
+        "expected WorldSizeMismatch naming 4 and 2, got {err:?}"
+    );
+}
+
+/// A job resized onto fewer ranks restarts at its new size before it has
+/// checkpointed there: the same-size restart reads the newest generation at any
+/// size and remaps the 4-rank generation onto the 2-rank world again.
+#[test]
+fn a_resized_job_restarts_at_its_new_size_before_checkpointing_there() {
+    let reference = baseline();
+    let runtime = JobRuntime::new(elastic_config().with_kill_at_step(4));
+    let run = runtime.run_steps(STEPS, shard_fold_step).unwrap();
+    assert!(run.was_preempted());
+
+    let (ranks, resized_generation) = runtime.restart_resized(2).unwrap();
+    assert_eq!(ranks.len(), 2);
+    drop(ranks);
+
+    let (ranks, generation) = runtime.restart(Backend::Mpich).unwrap();
+    assert_eq!(ranks.len(), 2, "the restart keeps the resized world");
+    assert_eq!(generation, resized_generation);
+    let finished = runtime
+        .run_steps_restored((ranks, generation), STEPS, shard_fold_step)
+        .unwrap();
+    let results = finished.results().unwrap();
+    assert_eq!(results.len(), 2);
+    assert!(
+        results.iter().all(|&v| v == reference),
+        "the restart after a resize diverged from the uninterrupted {WORLD}-rank run"
     );
 }
 
@@ -145,10 +190,12 @@ fn chained_restarts_across_mixed_size_generations() {
     // 3 ranks to step 6, 2 ranks to completion. Each resize restores the newest
     // generation regardless of the world size it was written by.
     runtime.run_steps(4, shard_fold_step).unwrap();
-    runtime.resume_steps_resized(3, 6, shard_fold_step).unwrap();
+    runtime
+        .run_steps_restored(runtime.restart_resized(3).unwrap(), 6, shard_fold_step)
+        .unwrap();
     assert_eq!(runtime.current_world_size(), 3);
     let finished = runtime
-        .resume_steps_resized(2, STEPS, shard_fold_step)
+        .run_steps_restored(runtime.restart_resized(2).unwrap(), STEPS, shard_fold_step)
         .unwrap();
 
     let results = finished.results().unwrap();

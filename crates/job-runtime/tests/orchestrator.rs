@@ -35,8 +35,9 @@ fn quickstart_scenario_runs_on_all_backends() {
 
         assert_eq!(runtime.published_generation(), Some(0));
 
+        let restored = runtime.restart(backend).unwrap();
         let (results, generation) = runtime
-            .resume(|mut session, _ctx| {
+            .run_restored(restored, |mut session, _ctx| {
                 let me = session.world_rank();
                 let (saved_me, saved_sum, world, _int, sum): (
                     i32,
@@ -59,7 +60,7 @@ fn quickstart_scenario_runs_on_all_backends() {
 /// Checkpoint under MPICH, resume the same job under Open MPI (and back) — the §9
 /// cross-implementation restart as a one-argument switch on the orchestrator.
 #[test]
-fn cross_implementation_restart_via_resume_on() {
+fn cross_implementation_restart_onto_another_backend() {
     for (first, second) in [
         (Backend::Mpich, Backend::OpenMpi),
         (Backend::OpenMpi, Backend::Mpich),
@@ -75,8 +76,9 @@ fn cross_implementation_restart_via_resume_on() {
             })
             .unwrap();
 
+        let restored = runtime.restart(second).unwrap();
         let (names, _generation) = runtime
-            .resume_on(second, |mut session, _ctx| {
+            .run_restored(restored, |mut session, _ctx| {
                 let (me, world): (i32, Comm) = session.upper().load_json(STATE)?;
                 assert_eq!(me, session.world_rank());
                 session.barrier(world)?;
@@ -107,8 +109,9 @@ fn inflight_messages_survive_a_coordinated_checkpoint() {
         })
         .unwrap();
 
+    let restored = runtime.restart(Backend::Mpich).unwrap();
     let (buffered, _) = runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let me = session.world_rank();
             let buffered = session.buffered_messages();
             let world: Comm = session.upper().load_json(STATE)?;
@@ -148,7 +151,9 @@ fn preemptible_job_scenario_runs_on_all_backends() {
         // Checkpoints committed after steps 2 and 4; step 5's work is lost.
         assert_eq!(run.generation(), Some(1));
 
-        let resumed = runtime.resume_steps(8, step_fn).unwrap();
+        let resumed = runtime
+            .run_steps_restored(runtime.restart(backend).unwrap(), 8, step_fn)
+            .unwrap();
         let results = resumed.results().unwrap();
         // Every rank ran its final step (step index 7).
         assert_eq!(results, vec![7, 7, 7]);
@@ -391,8 +396,9 @@ fn jobctx_async_checkpoint_round_trips() {
         .unwrap();
     assert_eq!(runtime.published_generation(), Some(0));
 
+    let restored = runtime.restart(Backend::OpenMpi).unwrap();
     let (results, generation) = runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let (me, total, world): (i32, i32, Comm) = session.upper().load_json(STATE)?;
             assert_eq!(me, session.world_rank());
             Ok(session.allreduce(&[total], Op::<i32>::sum(), world)?[0])

@@ -103,7 +103,9 @@ fn a_preempted_service_job_restarts_from_its_tenant_view() {
 
     // The restart resumes the step counter from the tenant view's newest committed
     // generation and re-runs the lost work.
-    let resumed = runtime.resume_steps(8, step).unwrap();
+    let resumed = runtime
+        .run_steps_restored(runtime.restart(Backend::Mpich).unwrap(), 8, step)
+        .unwrap();
     assert!(!resumed.was_preempted());
     assert_eq!(runtime.published_generation(), Some(3));
     let stats = tenant.stats();

@@ -83,7 +83,7 @@ fn eight_ranks_checkpoint_concurrently_without_interleaving() {
     }
 }
 
-/// The same stress shape through `resume_steps`: after the torn-generation fallback,
+/// The same stress shape through `run_steps_restored`: after the torn-generation fallback,
 /// the job repeats the lost interval and still finishes with a complete ledger.
 #[test]
 fn restart_after_torn_generation_completes_the_job() {
@@ -99,7 +99,9 @@ fn restart_after_torn_generation_completes_the_job() {
     // The vacated nodes tore the newest generation on the way down.
     runtime.storage().corrupt_fresh_chunk(2, 5).unwrap();
 
-    let resumed = runtime.resume_steps(STEPS, stress_step).unwrap();
+    let resumed = runtime
+        .run_steps_restored(runtime.restart(Backend::Mpich).unwrap(), STEPS, stress_step)
+        .unwrap();
     let results = resumed.results().unwrap();
     assert_eq!(results, vec![STEPS - 1; WORLD]);
     // Resumed from generation 1 (steps_at = 2), repeated steps 2..4, committing
@@ -206,7 +208,13 @@ fn preemption_mid_allreduce_resumes_with_identical_results() {
         "the straddled-collective generation must be complete for every rank"
     );
 
-    let resumed = runtime.resume_steps(STEPS, collective_step).unwrap();
+    let resumed = runtime
+        .run_steps_restored(
+            runtime.restart(Backend::Mpich).unwrap(),
+            STEPS,
+            collective_step,
+        )
+        .unwrap();
     assert!(!resumed.was_preempted());
     let results = resumed.results().unwrap();
     assert_eq!(

@@ -25,11 +25,13 @@
 //!   `MPI_Test`/`MPI_Alltoall` (§5 categories 1 and 3), then serializes the upper half
 //!   (application regions + MANA descriptors + drained-message buffer) into a
 //!   [`split_proc::CheckpointImage`].
-//! * **Restart** ([`restart`]): launches a fresh lower half (same or *different* MPI
-//!   implementation), re-resolves every global constant, replays the recorded
-//!   object-creation log to build semantically equivalent communicators, groups,
-//!   datatypes and ops, and rebinds the descriptors' physical handles — leaving every
-//!   virtual id the application holds in its own memory valid.
+//! * **Restart** ([`restart`]): binds one rank's checkpointed state to a fresh lower
+//!   half (same or *different* MPI implementation), re-resolves every global
+//!   constant, replays the recorded object-creation log to build semantically
+//!   equivalent communicators, groups, datatypes and ops, and rebinds the
+//!   descriptors' physical handles — leaving every virtual id the application holds
+//!   in its own memory valid. The job-level restart engine that drives it lives in
+//!   `crates/elastic`.
 //! * **MPI-subset auditing** ([`subset_check`]): verifies that a candidate lower half
 //!   provides the three categories of functions MANA needs (§5).
 //! * **The typed session layer** ([`api`]): [`api::Session`] and the typed handles
@@ -59,8 +61,6 @@ pub use ckpt::{
 };
 pub use config::{GgidPolicy, ManaConfig, StoragePolicy, VirtIdMode};
 pub use record::{CollectiveKind, CollectiveLog, CollectiveRecord};
-pub use restart::{
-    assemble_rank, dismantle_image, restart_job_from_storage, restart_rank, RestoredUpper,
-};
+pub use restart::{assemble_rank, dismantle_image, RestoredUpper};
 pub use runtime::{AppHandle, ManaRank};
 pub use virtid::{Descriptor, VirtualId, VirtualIdTable};

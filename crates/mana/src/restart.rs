@@ -18,8 +18,12 @@
 //! 4. Hand back a [`ManaRank`] whose virtual ids — including any the application has
 //!    stored inside its own (restored) data structures — are valid again.
 //!
-//! All ranks of the job must call [`restart_rank`] concurrently (each with its own
-//! lower half from the same freshly launched job), because step 3 replays collective
+//! This module is the per-rank seam: [`dismantle_image`] performs step 1 and
+//! [`assemble_rank`] steps 2–4. The job-level restart — choosing the generation,
+//! mapping the checkpointed ranks onto the new world, running every rank's assembly
+//! — is the restart engine in `crates/elastic`, which every restart goes through.
+//! All ranks of the job must be assembled concurrently (each with its own lower half
+//! from the same freshly launched job), because step 3 replays collective
 //! communicator-creation calls.
 
 use crate::ckpt::regions;
@@ -36,7 +40,7 @@ use mpi_model::types::{PhysHandle, Rank};
 use parking_lot::RwLock;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::crossing::CrossingCounter;
-use split_proc::image::{CheckpointImage, ImageMetadata};
+use split_proc::image::CheckpointImage;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -45,10 +49,10 @@ use std::sync::Arc;
 /// buffer, drain counters and collective ledger, plus the application's upper half
 /// with the MANA-internal regions already unmapped.
 ///
-/// This is the seam the elastic-restart subsystem edits through: `crates/elastic`
-/// dismantles every image of a generation, rewrites memberships, counters and replay
-/// logs through its rank map, and hands the surgically adjusted state back to
-/// [`assemble_rank`]. The identity path ([`restart_rank`]) passes it straight through.
+/// This is the seam the restart engine edits through: `crates/elastic` dismantles
+/// every image of a generation, rewrites memberships, counters and replay logs
+/// through its rank map when the world is resized, and hands the state back to
+/// [`assemble_rank`]. Under the identity map it passes straight through.
 #[derive(Debug, Clone)]
 pub struct RestoredUpper {
     /// The virtual-id translator (physical bindings already cleared).
@@ -56,7 +60,7 @@ pub struct RestoredUpper {
     /// The object-creation replay log.
     pub replay_log: ReplayLog,
     /// The collective-progress ledger, pending record included: the caller decides
-    /// whether to clear it (identity restart) or reject it (resize).
+    /// whether to clear it (same-size restart) or reject it (resize).
     pub collectives: CollectiveLog,
     /// Messages drained from the network at checkpoint time.
     pub buffered: Vec<BufferedMessage>,
@@ -66,12 +70,12 @@ pub struct RestoredUpper {
     pub upper: UpperHalfSpace,
 }
 
-/// Take a checkpoint image apart into its metadata and the MANA state it carries.
+/// Take a checkpoint image apart into the MANA state it carries.
 ///
 /// Physical bindings recorded before the checkpoint are cleared (they have no meaning
-/// in any new session); the pending collective record, if any, is **kept** — the
-/// identity path clears it, the elastic path rejects it.
-pub fn dismantle_image(image: CheckpointImage) -> MpiResult<(ImageMetadata, RestoredUpper)> {
+/// in any new session); the pending collective record, if any, is **kept** — a
+/// same-size restart clears it, a resize rejects it.
+pub fn dismantle_image(image: CheckpointImage) -> MpiResult<RestoredUpper> {
     let mut upper = image.upper_half;
     let mut translator: Translator = upper.load_json(regions::TRANSLATOR)?;
     let replay_log: ReplayLog = upper.load_json(regions::REPLAY_LOG)?;
@@ -83,17 +87,14 @@ pub fn dismantle_image(image: CheckpointImage) -> MpiResult<(ImageMetadata, Rest
     }
     // No physical handle recorded before the checkpoint has any meaning now.
     translator.clear_physical_bindings();
-    Ok((
-        image.metadata,
-        RestoredUpper {
-            translator,
-            replay_log,
-            collectives,
-            buffered,
-            counters,
-            upper,
-        },
-    ))
+    Ok(RestoredUpper {
+        translator,
+        replay_log,
+        collectives,
+        buffered,
+        counters,
+        upper,
+    })
 }
 
 /// Bind recovered (and possibly remapped) MANA state to a fresh lower half: rebind
@@ -158,43 +159,6 @@ pub fn assemble_rank(
     replay_creations(&mut rank)?;
     rank.translator.rebuild_indexes();
     Ok(rank)
-}
-
-/// Rebuild one rank from `image` on top of `lower`.
-///
-/// Collective across the job: every rank must call this concurrently with lower halves
-/// obtained from a single [`mpi_model::api::MpiImplementationFactory::launch`] call.
-pub fn restart_rank(
-    lower: Box<dyn MpiApi>,
-    image: CheckpointImage,
-    config: ManaConfig,
-    registry: Arc<RwLock<UserFunctionRegistry>>,
-) -> MpiResult<ManaRank> {
-    if image.metadata.world_size != lower.world_size() {
-        return Err(MpiError::WorldSizeMismatch {
-            checkpointed: image.metadata.world_size,
-            offered: lower.world_size(),
-            generation: image.metadata.generation,
-        });
-    }
-    if image.metadata.rank != lower.world_rank() {
-        return Err(MpiError::Checkpoint(format!(
-            "image for rank {} restored onto rank {}",
-            image.metadata.rank,
-            lower.world_rank()
-        )));
-    }
-
-    let (metadata, mut restored) = dismantle_image(image)?;
-    // The collective ledger carries the published sequence numbers plus any
-    // straddled (registered-but-not-completed) collective. The pending record is
-    // cleared here: the restored application re-runs the interrupted step from its
-    // beginning, re-issuing every collective of the step in order — the straddled
-    // one is re-executed as a fresh issue that receives the same sequence number
-    // (begin hands out the completed count, which the pending registration never
-    // advanced).
-    restored.collectives.clear_pending();
-    assemble_rank(lower, restored, config, registry, metadata.generation + 1)
 }
 
 /// Step 2: re-resolve every predefined object and rebind its descriptor.
@@ -394,91 +358,4 @@ fn build_datatype(rank: &mut ManaRank, descriptor: &TypeDescriptor) -> MpiResult
                 .type_create_struct(block_lengths, byte_displacements, &member_handles)
         }
     }
-}
-
-/// A helper for tests and the harness: checkpoint-restart round trip for a whole job.
-///
-/// `lowers` must come from a single fresh `launch` of the new implementation; `images`
-/// are the per-rank images of one checkpoint generation, indexed by rank. Returns the
-/// restarted ranks in rank order. The ranks restart concurrently because the creation
-/// replay makes collective calls: every rank but the last gets a thread of its own,
-/// and the last is replayed on the calling thread, which would otherwise only sit in
-/// `join`. The error of the lowest failing rank wins.
-pub fn restart_job(
-    lowers: Vec<Box<dyn MpiApi>>,
-    images: Vec<CheckpointImage>,
-    config: ManaConfig,
-    registry: Arc<RwLock<UserFunctionRegistry>>,
-) -> MpiResult<Vec<ManaRank>> {
-    if lowers.len() != images.len() {
-        return Err(MpiError::Checkpoint(
-            "rank count mismatch between new job and checkpoint images".into(),
-        ));
-    }
-    let mut work = lowers.into_iter().zip(images);
-    let inline = work.next_back();
-    let handles: Vec<_> = work
-        .map(|(lower, image)| {
-            let registry = Arc::clone(&registry);
-            std::thread::spawn(move || restart_rank(lower, image, config, registry))
-        })
-        .collect();
-    let inline = inline.map(|(lower, image)| restart_rank(lower, image, config, registry));
-    let mut ranks = Vec::with_capacity(handles.len() + 1);
-    for handle in handles {
-        ranks.push(
-            handle
-                .join()
-                .map_err(|_| MpiError::Checkpoint("a rank panicked during restart".into()))??,
-        );
-    }
-    if let Some(rank) = inline {
-        ranks.push(rank?);
-    }
-    ranks.sort_by_key(|r| r.world_rank());
-    Ok(ranks)
-}
-
-/// Restart a whole job from a [`ckpt_store::CheckpointStorage`], using the newest
-/// generation that validates end to end for **every** rank.
-///
-/// Each candidate generation's manifests and chunks (or flat images) are CRC- and
-/// digest-verified before any rank is rebuilt; a generation with a corrupt or
-/// truncated piece — the torn-write case a preempted job can leave behind — is skipped
-/// for the job as a whole, so all ranks restart from the same older generation rather
-/// than a torn mix. A generation's images are read concurrently, by min(W, cores)
-/// readers with the calling thread among them, and no rank is rebuilt before all W
-/// have validated. Returns the restarted ranks in rank order plus the generation that
-/// was actually used.
-///
-/// Generations still *pending* (an asynchronous flush the dead incarnation never
-/// committed) are aborted first — torn by definition, their half-landed slots are
-/// released and the round tombstoned. Callers driving their own
-/// [`ckpt_store::FlusherPool`] must drain it (`wait_idle`) or drop it before
-/// restarting from the same storage, so no dead-incarnation flush is still in flight
-/// when the restarted job reuses a generation number.
-pub fn restart_job_from_storage(
-    lowers: Vec<Box<dyn MpiApi>>,
-    storage: &ckpt_store::CheckpointStorage,
-    config: ManaConfig,
-    registry: Arc<RwLock<UserFunctionRegistry>>,
-) -> MpiResult<(Vec<ManaRank>, u64)> {
-    let world_size = lowers.len();
-    // Any generation still pending belongs to the incarnation that died: its flush
-    // never committed, so the round is torn by definition. Abort it — releasing any
-    // half-landed slots and tombstoning the round — so the restarted job can reuse
-    // the generation number with fresh flush accounting instead of inheriting the
-    // dead round's partial rank set (which would let a mixed-round generation
-    // commit).
-    for generation in storage.pending_generations() {
-        storage.abort_generation(generation);
-        // With no flush of the dead incarnation left in flight (the caller drained
-        // its pool — see above), the tombstone has nothing left to catch. Drop it,
-        // or it would hide the restarted job's own checkpoints when they reuse the
-        // generation number through the *synchronous* path, which never announces.
-        storage.forget_generation(generation);
-    }
-    let (generation, images) = storage.latest_valid_images(world_size)?;
-    let ranks = restart_job(lowers, images, config, registry)?;
-    Ok((ranks, generation))
 }

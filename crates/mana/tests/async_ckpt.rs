@@ -4,8 +4,8 @@
 //! stall-clock regression tests.
 
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool};
+use elastic::restart_job_from_storage;
 use mana::ckpt::LocalDrainObserver;
-use mana::restart::restart_job_from_storage;
 use mana::{DrainObserver, DrainPlan, ManaConfig, ManaRank, Op, Session, StoragePolicy};
 use mpi_model::api::MpiImplementationFactory;
 use mpi_model::error::MpiResult;
@@ -91,7 +91,8 @@ fn async_checkpoint_round_trips_through_restart() {
         .launch(2, Arc::clone(&registry), 2)
         .unwrap();
     let (restored, generation) =
-        restart_job_from_storage(lowers, &storage, incremental(), Arc::clone(&registry)).unwrap();
+        restart_job_from_storage(lowers, &storage, None, incremental(), Arc::clone(&registry))
+            .unwrap();
     assert_eq!(generation, 0);
     job_runtime::run_world(restored, |_, rank| {
         let session = Session::new(rank);
@@ -157,7 +158,8 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
         .launch(2, Arc::clone(&registry), 2)
         .unwrap();
     let (restored, generation) =
-        restart_job_from_storage(lowers, &storage, incremental(), Arc::clone(&registry)).unwrap();
+        restart_job_from_storage(lowers, &storage, None, incremental(), Arc::clone(&registry))
+            .unwrap();
     assert_eq!(
         generation, 0,
         "newest committed generation, not the torn one"

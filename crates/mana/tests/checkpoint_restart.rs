@@ -18,9 +18,13 @@
 //! paper's baseline) into the `ckpt-store` engine.
 
 use ckpt_store::CheckpointStorage;
+use elastic::{restart_job, restart_job_from_storage, NoRepartition, RankMap};
 use job_runtime::{run_world, Backend, JobConfig, JobRuntime};
-use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
-use mpi_model::types::ANY_SOURCE;
+use mana::ckpt::regions;
+use mana::record::{CreationRecipe, ReplayEvent, ReplayLog};
+use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy, VirtualId};
+use mpi_model::error::MpiError;
+use mpi_model::types::{HandleKind, PhysHandle, ANY_SOURCE};
 use serde::{Deserialize, Serialize};
 
 /// Application state the "app" stores in its upper half: the typed handles it holds
@@ -156,19 +160,12 @@ fn run_scenario(first: Backend, second: Backend, config: ManaConfig, world_size:
     }
 
     // --- Restart under the second implementation (a brand-new session). ---
-    let images: Vec<_> = (0..world_size)
-        .map(|r| storage.read(0, r as i32).unwrap())
-        .collect();
-    assert!(images
-        .iter()
-        .all(|i| i.metadata.implementation == first.name()));
-    let new_lowers = second
-        .factory()
-        .launch(world_size, runtime.registry(), 2)
-        .unwrap();
+    assert!((0..world_size)
+        .all(|r| storage.read(0, r as i32).unwrap().metadata.implementation == first.name()));
+    let (new_lowers, _) = second.launch(world_size, runtime.registry(), 2).unwrap();
     let second_name = second.name();
-    let restarted =
-        mana::restart::restart_job(new_lowers, images, config, runtime.registry()).unwrap();
+    let (restarted, _) =
+        restart_job_from_storage(new_lowers, &storage, None, config, runtime.registry()).unwrap();
     run_world(restarted, move |_, rank| {
         assert_eq!(rank.implementation_name(), second_name);
         phase_after(Session::new(rank));
@@ -268,23 +265,21 @@ fn multiple_checkpoint_generations() {
     // Three generations of two ranks each.
     assert_eq!(storage.stats().full_image_count, 6);
     // The restart path works from the latest generation.
-    let images: Vec<_> = (0..2).map(|r| storage.read(2, r).unwrap()).collect();
-    let new_lowers = Backend::Mpich
-        .factory()
-        .launch(2, runtime.registry(), 9)
-        .unwrap();
-    let restarted = mana::restart::restart_job(
+    let (new_lowers, _) = Backend::Mpich.launch(2, runtime.registry(), 9).unwrap();
+    let (restarted, generation) = restart_job_from_storage(
         new_lowers,
-        images,
+        &storage,
+        None,
         ManaConfig::new_design(),
         runtime.registry(),
     )
     .unwrap();
+    assert_eq!(generation, 2);
     assert_eq!(restarted.len(), 2);
     assert_eq!(restarted[0].generation(), 3);
 }
 
-/// `restart_job` replays the last rank on the calling thread and the others on
+/// `restart_job` assembles the last rank on the calling thread and the others on
 /// threads of their own: the ranks still come back in rank order, and when several
 /// ranks fail the lowest rank's error is the one returned.
 #[test]
@@ -298,45 +293,66 @@ fn restart_job_keeps_rank_order_and_reports_the_lowest_failing_rank() {
     runtime
         .run(move |mut session, _ctx| session.checkpoint_into(&storage_for_ranks).map(|_| ()))
         .unwrap();
-    let images = || -> Vec<_> {
-        (0..world_size)
-            .map(|r| storage.read(0, r as i32).unwrap())
+    // Rank r's replay fails on a dup of a communicator that was never created,
+    // whose handle names r.
+    let missing_parent = |rank: i32| VirtualId::new(HandleKind::Comm, false, 900 + rank as u32);
+    let images = |broken: &[i32]| -> Vec<_> {
+        (0..world_size as i32)
+            .map(|r| {
+                let mut image = storage.read(0, r).unwrap();
+                if broken.contains(&r) {
+                    let mut log: ReplayLog =
+                        image.upper_half.load_json(regions::REPLAY_LOG).unwrap();
+                    log.push(ReplayEvent {
+                        recipe: CreationRecipe::CommDup {
+                            parent: missing_parent(r),
+                        },
+                        vid: None,
+                        freed: false,
+                    });
+                    image
+                        .upper_half
+                        .store_json(regions::REPLAY_LOG, &log)
+                        .unwrap();
+                }
+                image
+            })
             .collect()
     };
     let restart = |images, nonce| {
-        let lowers = Backend::Mpich
-            .factory()
+        let (lowers, _) = Backend::Mpich
             .launch(world_size, runtime.registry(), nonce)
             .unwrap();
-        mana::restart::restart_job(lowers, images, ManaConfig::new_design(), runtime.registry())
+        restart_job(
+            lowers,
+            images,
+            &RankMap::identity(world_size).unwrap(),
+            &NoRepartition,
+            ManaConfig::new_design(),
+            runtime.registry(),
+        )
+    };
+    let failing_rank = |error: MpiError| match error {
+        MpiError::InvalidHandle { handle, .. } => (0..world_size as i32)
+            .find(|&r| handle == PhysHandle(missing_parent(r).bits() as u64))
+            .unwrap_or_else(|| panic!("unexpected handle {handle:?}")),
+        other => panic!("expected InvalidHandle, got {other:?}"),
     };
 
-    let restarted = restart(images(), 2).unwrap();
+    // Images in any order come back as ranks in rank order.
+    let mut shuffled = images(&[]);
+    shuffled.reverse();
+    let restarted = restart(shuffled, 2).unwrap();
     let order: Vec<i32> = restarted.iter().map(|rank| rank.world_rank()).collect();
     assert_eq!(order, vec![0, 1, 2]);
 
-    // Ranks 0 and 1 are handed each other's images: both fail, rank 2 (inline)
-    // restarts fine, and the error is rank 0's.
-    let mut swapped = images();
-    swapped.swap(0, 1);
-    let error = restart(swapped, 3).unwrap_err();
-    assert!(
-        error
-            .to_string()
-            .contains("image for rank 1 restored onto rank 0"),
-        "{error}"
-    );
-
+    // Ranks 0 and 1 fail on their own threads, rank 2 (inline) restarts fine, and
+    // the error is rank 0's.
+    assert_eq!(failing_rank(restart(images(&[1, 0]), 3).unwrap_err()), 0);
     // The inline rank's own failure is reported when it is the only one.
-    let mut misplaced = images();
-    misplaced[2].metadata.rank = 1;
-    let error = restart(misplaced, 4).unwrap_err();
-    assert!(
-        error
-            .to_string()
-            .contains("image for rank 1 restored onto rank 2"),
-        "{error}"
-    );
+    assert_eq!(failing_rank(restart(images(&[2]), 4).unwrap_err()), 2);
+    // A spawned rank's failure beats the inline rank's.
+    assert_eq!(failing_rank(restart(images(&[1, 2]), 5).unwrap_err()), 1);
 }
 
 #[test]

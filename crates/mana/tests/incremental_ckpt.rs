@@ -109,8 +109,9 @@ fn corrupt_newest_generation_falls_back_to_previous() {
     );
 
     // The restored ranks carry generation 0's marker and still communicate.
+    let restored = runtime.restart(Backend::Mpich).unwrap();
     let (_, generation) = runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let marker = session.upper().region(MARKER_REGION).unwrap().to_vec();
             assert_eq!(marker, vec![session.world_rank() as u8, 0]);
             let world = session.world()?;

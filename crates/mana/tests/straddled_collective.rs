@@ -8,16 +8,14 @@
 //! as divergent.
 
 use ckpt_store::CheckpointStorage;
-use job_runtime::run_world;
-use mana::restart::restart_job_from_storage;
+use elastic::restart_job_from_storage;
+use job_runtime::{run_world, Backend};
 use mana::{
     CheckpointIntercept, CollectiveKind, IntentOutcome, LocalDrainObserver, ManaConfig, ManaRank,
     Op, Session,
 };
-use mpi_model::api::MpiImplementationFactory;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;
-use mpich_sim::MpichFactory;
 use net_sim::Fabric;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,15 +68,16 @@ fn two_collective_step(session: &mut Session, between: impl FnOnce()) -> MpiResu
     Ok((total, digest))
 }
 
-fn launch(nonce: u64) -> (Vec<ManaRank>, Arc<RwLock<UserFunctionRegistry>>) {
+fn launch(nonce: u64) -> (Vec<ManaRank>, Fabric) {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let ranks = MpichFactory::mpich()
+    let (lowers, fabric) = Backend::Mpich
         .launch(WORLD, Arc::clone(&registry), nonce)
-        .unwrap()
+        .unwrap();
+    let ranks = lowers
         .into_iter()
         .map(|lower| ManaRank::new(lower, ManaConfig::new_design(), Arc::clone(&registry)).unwrap())
         .collect();
-    (ranks, registry)
+    (ranks, fabric)
 }
 
 /// Run the step with a checkpoint intent landing while rank 1 is parked in the
@@ -103,9 +102,7 @@ fn straddle_the_second_collective(outcome: IntentOutcome) -> Vec<Option<(u64, u6
     // there in intent-patience slices, parking afresh each time, so rank 0 sees a
     // park however far ahead rank 1 ran — and that is when the intent lands.
     // Pending record at rank 1: the *second* collective of the step.
-    let capture = Fabric::capture_next();
-    let (ranks, _) = launch(1);
-    let fabric = capture.take().expect("the launch builds the fabric");
+    let (ranks, fabric) = launch(1);
     let interrupted = {
         let storage = storage.clone();
         let pending_at_service = Arc::clone(&pending_at_service);
@@ -151,11 +148,12 @@ fn straddle_the_second_collective(outcome: IntentOutcome) -> Vec<Option<(u64, u6
     // ranks committed — and re-run the whole step: the allreduce is re-issued
     // *first*, which must not trip over the restored pending allgather record.
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let lowers = MpichFactory::mpich()
+    let (lowers, _) = Backend::Mpich
         .launch(WORLD, Arc::clone(&registry), 2)
         .unwrap();
     let (restored, generation) =
-        restart_job_from_storage(lowers, &storage, ManaConfig::new_design(), registry).unwrap();
+        restart_job_from_storage(lowers, &storage, None, ManaConfig::new_design(), registry)
+            .unwrap();
     assert_eq!(generation, 0);
     assert_eq!(storage.generations(), vec![0]);
     for rank in &restored {

@@ -274,8 +274,9 @@ fn typed_handles_survive_restart_like_raw_handles() {
         })
         .unwrap();
 
+    let restored = runtime.restart(Backend::OpenMpi).unwrap();
     runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let (world, double, row): (Comm, Datatype<f64>, Comm) =
                 session.upper().load_json(TYPED)?;
             let (raw_world, raw_double, raw_row): (AppHandle, AppHandle, AppHandle) =
@@ -317,8 +318,9 @@ fn derived_struct_datatype_survives_restart() {
         })
         .unwrap();
 
+    let restored = runtime.restart(Backend::Mpich).unwrap();
     runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let saved: Datatype<Particle> = session.upper().load_json(STATE)?;
             assert_eq!(session.type_size(saved)?, 32, "replayed derived type works");
             // Resolving the datatype again finds the restored descriptor instead of

@@ -126,12 +126,12 @@ pub enum MpiError {
         /// Human-readable reason the job was aborted.
         String,
     ),
-    /// A checkpoint generation was offered to a world of a different size through the
-    /// identity restart path, which can only restore a rank onto the rank it was
-    /// checkpointed from. Restoring onto a resized world is possible — but only
-    /// through the elastic path (`crates/elastic`: `resize_job` /
-    /// `JobRuntime::restart_resized`), which rewrites the virtual-id tables and drain
-    /// counters through an explicit rank map instead of assuming identity.
+    /// The newest valid checkpoint generation was taken at a different world size than
+    /// the world offered to restore it, and the restart was given no remap policy.
+    /// Same-size restart is the identity rank map; restoring onto a resized world
+    /// needs an elastic configuration (`JobConfig::with_elastic`, or a remap passed to
+    /// `elastic::restart_job_from_storage`), whose rank map rewrites the virtual-id
+    /// tables and drain counters instead of assuming identity.
     WorldSizeMismatch {
         /// Ranks in the world when the checkpoint was taken.
         checkpointed: usize,
@@ -258,9 +258,9 @@ impl std::fmt::Display for MpiError {
             } => write!(
                 f,
                 "generation {generation} was checkpointed with {checkpointed} ranks but \
-                 offered to a world of {offered}; the identity restart path cannot resize \
-                 a world — use the elastic path (crates/elastic: resize_job / \
-                 JobRuntime::restart_resized) to remap {checkpointed} ranks onto {offered}"
+                 offered to a world of {offered}, and no remap policy was given; give the \
+                 job an elastic configuration (JobConfig::with_elastic) to remap \
+                 {checkpointed} ranks onto {offered}"
             ),
             MpiError::ElasticResize(reason) => {
                 write!(f, "elastic restart cannot resize this generation: {reason}")

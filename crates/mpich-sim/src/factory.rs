@@ -79,19 +79,16 @@ impl MpichFactory {
             SubsetFeature::CollectiveRegistration,
         ]
     }
-}
 
-impl MpiImplementationFactory for MpichFactory {
-    fn name(&self) -> &'static str {
-        self.variant.name()
-    }
-
-    fn launch(
+    /// Launch a `world_size`-rank job, like [`MpiImplementationFactory::launch`], and
+    /// also hand back the fabric its lower halves are connected to, for fault
+    /// injection and inspection.
+    pub fn launch_with_fabric(
         &self,
         world_size: usize,
         registry: Arc<RwLock<UserFunctionRegistry>>,
         session: u64,
-    ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
+    ) -> MpiResult<(Vec<Box<dyn MpiApi>>, Fabric)> {
         let fabric = Fabric::new(FabricConfig::new(
             world_size,
             session.wrapping_mul(0x9e37_79b9),
@@ -112,7 +109,23 @@ impl MpiImplementationFactory for MpichFactory {
             );
             ranks.push(Box::new(engine));
         }
-        Ok(ranks)
+        Ok((ranks, fabric))
+    }
+}
+
+impl MpiImplementationFactory for MpichFactory {
+    fn name(&self) -> &'static str {
+        self.variant.name()
+    }
+
+    fn launch(
+        &self,
+        world_size: usize,
+        registry: Arc<RwLock<UserFunctionRegistry>>,
+        session: u64,
+    ) -> MpiResult<Vec<Box<dyn MpiApi>>> {
+        self.launch_with_fabric(world_size, registry, session)
+            .map(|(ranks, _)| ranks)
     }
 }
 

@@ -26,7 +26,7 @@ use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::status::Status;
 use mpi_model::types::{ContextId, Rank};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -290,28 +290,6 @@ impl std::fmt::Debug for Fabric {
     }
 }
 
-thread_local! {
-    /// Capture slot armed by [`Fabric::capture_next`]: the next fabric constructed on
-    /// this thread clones itself into the slot. This is how an orchestrator obtains
-    /// the fabric an MPI implementation factory builds internally during `launch`,
-    /// without widening the factory trait with network-specific types.
-    static CAPTURE: RefCell<Option<Arc<Mutex<Option<Fabric>>>>> = const { RefCell::new(None) };
-}
-
-/// Handle returned by [`Fabric::capture_next`]; yields the captured fabric once one
-/// has been constructed on the arming thread.
-#[derive(Clone)]
-pub struct FabricCapture {
-    slot: Arc<Mutex<Option<Fabric>>>,
-}
-
-impl FabricCapture {
-    /// The captured fabric, if one has been constructed since arming.
-    pub fn take(&self) -> Option<Fabric> {
-        self.slot.lock().take()
-    }
-}
-
 impl Fabric {
     /// Create a new fabric for `config.world_size` ranks.
     pub fn new(config: FabricConfig) -> Self {
@@ -322,7 +300,7 @@ impl Fabric {
             })
             .collect();
         let n = config.world_size;
-        let fabric = Fabric {
+        Fabric {
             inner: Arc::new(FabricInner {
                 world_size: n,
                 session_nonce: config.session_nonce,
@@ -350,22 +328,7 @@ impl Fabric {
                 events: Mutex::new(Vec::new()),
                 stats: FabricStats::new(),
             }),
-        };
-        CAPTURE.with(|slot| {
-            if let Some(capture) = slot.borrow_mut().take() {
-                *capture.lock() = Some(fabric.clone());
-            }
-        });
-        fabric
-    }
-
-    /// Arm a one-shot capture on the *current thread*: the next [`Fabric::new`] call
-    /// made from this thread (typically inside an MPI implementation factory's
-    /// synchronous `launch`) clones the new fabric into the returned handle.
-    pub fn capture_next() -> FabricCapture {
-        let slot = Arc::new(Mutex::new(None));
-        CAPTURE.with(|cell| *cell.borrow_mut() = Some(Arc::clone(&slot)));
-        FabricCapture { slot }
+        }
     }
 
     /// Number of ranks connected to this fabric.
@@ -2152,20 +2115,6 @@ mod tests {
     // ------------------------------------------------------------------
     // Chaos lane
     // ------------------------------------------------------------------
-
-    #[test]
-    fn capture_hook_grabs_next_fabric_on_thread() {
-        let capture = Fabric::capture_next();
-        assert!(capture.take().is_none());
-        let capture = Fabric::capture_next();
-        let f = fabric(3);
-        let grabbed = capture.take().expect("fabric captured");
-        assert_eq!(grabbed.world_size(), 3);
-        assert_eq!(grabbed.session_nonce(), f.session_nonce());
-        // One-shot: a second fabric is not captured.
-        let _g = fabric(2);
-        assert!(capture.take().is_none());
-    }
 
     #[test]
     fn delayed_message_is_masked_by_resequencing() {

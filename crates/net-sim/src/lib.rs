@@ -43,6 +43,6 @@ pub mod stats;
 
 pub use bytes::PayloadBuf;
 pub use chaos::{ChaosAction, ChaosEvent, ChaosMenu, ChaosPlan, FaultKind, SplitMix64};
-pub use fabric::{Endpoint, Fabric, FabricCapture, FabricConfig};
+pub use fabric::{Endpoint, Fabric, FabricConfig};
 pub use message::{Envelope, MatchSpec};
 pub use stats::FabricStats;

@@ -88,7 +88,11 @@ fn main() {
 
     println!("\n== resume: restart from the mid-step generation ==");
     let resumed = runtime
-        .resume_steps(STEPS, solver_step)
+        .run_steps_restored(
+            runtime.restart(Backend::Mpich).expect("restart"),
+            STEPS,
+            solver_step,
+        )
         .expect("resume run");
     let results = resumed.results().expect("resumed run completes");
     println!(

@@ -62,8 +62,9 @@ fn main() {
         .expect("mpich phase");
 
     println!("\n== restart that generation under Open MPI and finish the run ==");
+    let restored = runtime.restart(Backend::OpenMpi).expect("restart");
     let (reports, generation) = runtime
-        .resume_on(Backend::OpenMpi, |mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let implementation = session.implementation_name();
             let report = run_app(
                 AppId::CoMd,

@@ -3,7 +3,7 @@
 //! A job of N logical shards is preempted mid-run after committing a
 //! checkpoint generation. Because the job carries an elastic policy
 //! ([`JobConfig::with_elastic`]), the same generation can be restored onto a
-//! *different* rank count: [`JobRuntime::resume_steps_resized`] rewrites each
+//! *different* rank count: [`JobRuntime::restart_resized`] rewrites each
 //! survivor's virtual-id tables, counters and ledgers onto the new world,
 //! synthesizes upper halves for any fresh ranks, and lets the
 //! [`SkeletonRepartition`] rebalance the logical shards over the new hosts.
@@ -106,7 +106,7 @@ fn resize_case(from: usize, to: usize) -> MpiResult<()> {
     );
 
     let results = runtime
-        .resume_steps_resized(to, STEPS, shard_fold_step)?
+        .run_steps_restored(runtime.restart_resized(to)?, STEPS, shard_fold_step)?
         .results()?;
     assert_eq!(results.len(), to, "the resized world has {to} ranks");
     assert!(

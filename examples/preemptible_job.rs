@@ -3,11 +3,11 @@
 //! an XFEL beamline or an urgent-computing reservation needs the machine — and is
 //! later resumed on a fresh allocation without losing work.
 //!
-//! The whole lifecycle is three orchestrator calls: `run_steps` drives the job with
+//! The whole lifecycle is four orchestrator calls: `run_steps` drives the job with
 //! periodic coordinated checkpoints and the injected preemption, the eviction tears
-//! the final generation mid-write, and `resume_steps` restarts from the newest
-//! generation that validates end to end — repeating only the interval the torn
-//! checkpoint lost.
+//! the final generation mid-write, `restart` brings the job back from the newest
+//! generation that validates end to end, and `run_steps_restored` drives it on —
+//! repeating only the interval the torn checkpoint lost.
 //!
 //! ```text
 //! cargo run --example preemptible_job
@@ -81,7 +81,11 @@ fn main() {
 
     println!("== later: job resumes on a new allocation ==");
     let resumed = runtime
-        .resume_steps(TOTAL_STEPS, lulesh_step)
+        .run_steps_restored(
+            runtime.restart(Backend::CrayMpi).expect("restart"),
+            TOTAL_STEPS,
+            lulesh_step,
+        )
         .expect("resume");
     println!(
         "restart validated generations {:?}; torn generation {last_generation} rejected, \

@@ -60,8 +60,9 @@ fn main() {
         "\n== phase 2: restart generation {} on a brand-new MPI session ==",
         runtime.published_generation().expect("one commit")
     );
+    let restored = runtime.restart(backend).expect("restart");
     let (results, generation) = runtime
-        .resume(|mut session, _ctx| {
+        .run_restored(restored, |mut session, _ctx| {
             let me = session.world_rank();
             // Recover the saved typed handles and keep going — they are still valid,
             // and they come back with their element types attached.

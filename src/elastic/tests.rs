@@ -82,7 +82,7 @@ fn resized_run_matches(from: usize, to: usize) -> bool {
         "the kill-at-step preemption never fired"
     );
     let results = runtime
-        .resume_steps_resized(to, STEPS, shard_fold_step)
+        .run_steps_restored(runtime.restart_resized(to).unwrap(), STEPS, shard_fold_step)
         .unwrap()
         .results()
         .unwrap();

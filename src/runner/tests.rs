@@ -4,7 +4,7 @@
 
 use crate::launch_mana_job_with_registry;
 use ckpt_store::CheckpointStorage;
-use mana::restart::restart_job_from_storage;
+use elastic::restart_job_from_storage;
 use mana::{ManaConfig, Session, StoragePolicy};
 use mana_apps::{run_app, AppId, AppReport, RunConfig};
 use mpi_model::api::MpiImplementationFactory;
@@ -84,7 +84,7 @@ fn round_trip(
 
     let lowers = factory.launch(RANKS, Arc::clone(&registry), 13)?;
     let (restarted, _generation) =
-        restart_job_from_storage(lowers, &storage, mana, Arc::clone(&registry))?;
+        restart_job_from_storage(lowers, &storage, None, mana, Arc::clone(&registry))?;
     let finish = run_config(ITERATIONS, None);
     let resumed = job_runtime::run_world(restarted, move |_, rank| {
         run_app(app, &mut Session::new(rank), &finish)

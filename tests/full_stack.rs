@@ -2,8 +2,8 @@
 //! wrappers → simulated MPI implementation → simulated fabric → checkpoint store) run
 //! end to end, across implementations and virtual-id designs.
 
+use elastic::restart_job_from_storage;
 use mana_repro::ckpt_store::CheckpointStorage;
-use mana_repro::mana::restart::restart_job_from_storage;
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, AppReport, RunConfig};
 use mpi_model::api::MpiImplementationFactory;
@@ -109,7 +109,7 @@ fn run_small_scale(
 
     let new_lowers = factory.launch(RANKS, Arc::clone(&registry), 13)?;
     let (restarted, _generation) =
-        restart_job_from_storage(new_lowers, &storage, mana, Arc::clone(&registry))?;
+        restart_job_from_storage(new_lowers, &storage, None, mana, Arc::clone(&registry))?;
     let finish = run_config(ITERATIONS, None);
     let resumed = job_runtime::run_world(restarted, move |_, rank| {
         run_app(app, &mut Session::new(rank), &finish)
