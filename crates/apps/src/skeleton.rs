@@ -323,7 +323,7 @@ pub fn run(
 mod tests {
     use super::*;
     use mana::{ManaConfig, ManaRank};
-    use mpi_model::api::MpiImplementationFactory;
+    use mpi_engine::Backend;
     use mpi_model::op::UserFunctionRegistry;
     use parking_lot::RwLock;
     use std::sync::Arc;
@@ -351,9 +351,8 @@ mod tests {
     #[test]
     fn skeleton_runs_and_is_deterministic() {
         let reg = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-        let factory = mpich_sim::MpichFactory::mpich();
         let run_once = || {
-            let lowers = factory.launch(4, reg.clone(), 1).unwrap();
+            let (lowers, _) = Backend::Mpich.launch(4, reg.clone(), 1).unwrap();
             let handles: Vec<_> = lowers
                 .into_iter()
                 .map(|lower| {

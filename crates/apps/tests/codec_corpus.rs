@@ -12,9 +12,8 @@ use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
     job_checksum, run_app, run_app_elastic, AppId, ElasticReport, RunConfig, SkeletonRepartition,
 };
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::op::UserFunctionRegistry;
-use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use split_proc::image::CheckpointImage;
 use std::sync::Arc;
@@ -54,9 +53,10 @@ fn checkpoint_app(
     session_id: u64,
 ) -> Vec<CheckpointImage> {
     let registry = registry();
-    let lowers = MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(WORLD, registry.clone(), session_id)
-        .unwrap();
+        .unwrap()
+        .0;
     let handles: Vec<_> = lowers
         .into_iter()
         .map(|lower| {
@@ -329,9 +329,10 @@ fn elastic_resize_works_across_codec_generations() {
                        session_id: u64,
                        config: RunConfig|
      -> Vec<ElasticReport> {
-        let lowers = MpichFactory::mpich()
+        let lowers = Backend::Mpich
             .launch(world, registry.clone(), session_id)
-            .unwrap();
+            .unwrap()
+            .0;
         let handles: Vec<_> = lowers
             .into_iter()
             .map(|lower| {
@@ -362,9 +363,7 @@ fn elastic_resize_works_across_codec_generations() {
 
     // Resize reads through a new-default-config view of the same chunk space.
     let reader = storage.clone().with_config(StorageConfig::default());
-    let lowers = MpichFactory::mpich()
-        .launch(3, registry.clone(), 3)
-        .unwrap();
+    let lowers = Backend::Mpich.launch(3, registry.clone(), 3).unwrap().0;
     let (ranks, _) = restart_job_from_storage(
         lowers,
         &reader,

@@ -8,9 +8,8 @@ use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
     job_checksum, run_app_elastic, AppId, ElasticReport, RunConfig, SkeletonRepartition,
 };
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::op::UserFunctionRegistry;
-use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -35,9 +34,10 @@ fn run_fresh(
     session_id: u64,
     config: RunConfig,
 ) -> Vec<ElasticReport> {
-    let lowers = MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(world, registry.clone(), session_id)
-        .unwrap();
+        .unwrap()
+        .0;
     let handles: Vec<_> = lowers
         .into_iter()
         .map(|lower| {
@@ -64,9 +64,10 @@ fn run_resized(
     repartition: &dyn Repartition,
     config: RunConfig,
 ) -> Vec<ElasticReport> {
-    let lowers = MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(new_world, registry.clone(), session_id)
-        .unwrap();
+        .unwrap()
+        .0;
     let (ranks, _) = restart_job_from_storage(
         lowers,
         storage,

@@ -8,11 +8,11 @@ use mana::ckpt::regions;
 use mana::record::{CollectiveKind, CollectiveLog};
 use mana::virtid::VirtualId;
 use mana::{Comm, ManaConfig, ManaRank, Op, Session};
-use mpi_model::api::{MpiApi, MpiImplementationFactory};
+use mpi_engine::Backend;
+use mpi_model::api::MpiApi;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::{HandleKind, Rank};
-use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,9 +24,10 @@ fn registry() -> Registry {
 }
 
 fn launch(world: usize, registry: &Registry, session: u64) -> Vec<Box<dyn MpiApi>> {
-    MpichFactory::mpich()
+    Backend::Mpich
         .launch(world, registry.clone(), session)
         .unwrap()
+        .0
 }
 
 /// Run `body` concurrently on a fresh `world`-rank job and return the per-rank

@@ -2,7 +2,6 @@
 //! checkpoints, inject preemptions, and restart from storage — one API for every
 //! scenario the examples and tests used to hand-roll with `thread::spawn` loops.
 
-use crate::backend::Backend;
 use crate::coordinator::{CommitLedger, Coordinator};
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
@@ -10,6 +9,7 @@ use ckpt_service::ServiceHandle;
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
 use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
+use mpi_engine::Backend;
 use mpi_model::api::MpiApi;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;

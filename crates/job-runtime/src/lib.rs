@@ -26,8 +26,8 @@
 //!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
 //! (kill-at-step), restart from the newest fully-valid generation (optionally on a
-//! *different* MPI implementation), and a [`Backend`] selector spanning `mpich-sim`,
-//! `openmpi-sim` and `exampi-sim`.
+//! *different* MPI implementation), and a [`Backend`] selector over the four simulated
+//! implementations of [`mpi_engine::personality`].
 //!
 //! A job can also run as one **tenant of a shared multi-tenant checkpoint service**
 //! ([`JobRuntime::with_service`]): checkpoints land in the tenant's namespaced view
@@ -65,16 +65,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod coordinator;
 mod job;
 mod recovery;
 mod round;
 
-pub use backend::Backend;
 pub use coordinator::{CommitLedger, Coordinator, IntentSnapshot};
 pub use elastic::{RankMap, RemapPolicy, Repartition};
 pub use job::{run_world, ElasticConfig, JobConfig, JobCtx, JobRun, JobRuntime};
+pub use mpi_engine::Backend;
 pub use recovery::{
     HeartbeatMonitor, MonitorReport, RecoveryEvent, RecoveryEventKind, RecoveryLog,
 };

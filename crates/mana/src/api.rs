@@ -993,15 +993,16 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::ManaConfig;
-    use mpi_model::api::MpiImplementationFactory;
+    use mpi_engine::Backend;
     use mpi_model::op::UserFunctionRegistry;
     use parking_lot::RwLock;
 
     fn session() -> Session {
         let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-        let mut lowers = mpich_sim::MpichFactory::mpich()
+        let mut lowers = Backend::Mpich
             .launch(1, Arc::clone(&registry), 1)
-            .unwrap();
+            .unwrap()
+            .0;
         Session::new(ManaRank::new(lowers.remove(0), ManaConfig::new_design(), registry).unwrap())
     }
 

@@ -7,7 +7,7 @@
 //! The crate sits between an MPI application (the proxy mini-apps in `mana-apps`, the
 //! examples, or your own code written against [`runtime::ManaRank`]) and *any*
 //! simulated MPI implementation that satisfies the required subset of paper §5
-//! (`mpich-sim`, `openmpi-sim`, `exampi-sim`). It provides:
+//! (the four `mpi_engine::Backend` personalities). It provides:
 //!
 //! * **Wrapper (stub) functions** for the MPI calls the application makes
 //!   ([`wrappers`]): each call translates application-visible *virtual ids* into the

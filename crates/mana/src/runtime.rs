@@ -525,9 +525,7 @@ impl ManaRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_model::api::MpiImplementationFactory;
-    use mpich_sim::MpichFactory;
-    use openmpi_sim::OpenMpiFactory;
+    use mpi_engine::Backend;
 
     fn registry() -> Arc<RwLock<UserFunctionRegistry>> {
         Arc::new(RwLock::new(UserFunctionRegistry::new()))
@@ -546,19 +544,19 @@ mod tests {
     #[test]
     fn legacy_mode_rejected_on_openmpi_but_accepted_on_mpich() {
         let reg = registry();
-        let mut openmpi = OpenMpiFactory::new().launch(1, reg.clone(), 1).unwrap();
+        let mut openmpi = Backend::OpenMpi.launch(1, reg.clone(), 1).unwrap().0;
         let err = ManaRank::new(openmpi.remove(0), ManaConfig::legacy_design(), reg.clone())
             .expect_err("legacy ids cannot serve Open MPI");
         assert!(matches!(err, MpiError::Unsupported { .. }));
 
-        let mut mpich = MpichFactory::mpich().launch(1, reg.clone(), 1).unwrap();
+        let mut mpich = Backend::Mpich.launch(1, reg.clone(), 1).unwrap().0;
         assert!(ManaRank::new(mpich.remove(0), ManaConfig::legacy_design(), reg).is_ok());
     }
 
     #[test]
     fn constants_are_cached_and_kinds_checked() {
         let reg = registry();
-        let mut ranks = MpichFactory::mpich().launch(1, reg.clone(), 1).unwrap();
+        let mut ranks = Backend::Mpich.launch(1, reg.clone(), 1).unwrap().0;
         let mut mana = ManaRank::new(ranks.remove(0), ManaConfig::new_design(), reg).unwrap();
         let a = mana.world().unwrap();
         let b = mana.world().unwrap();

@@ -14,7 +14,7 @@
 use mana::config::ManaConfig;
 use mana::runtime::ManaRank;
 use mana::{Op, Session};
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::typed::{DoubleInt, MpiData};
 use parking_lot::RwLock;
@@ -121,9 +121,10 @@ const ROUNDS: usize = 200;
 /// mailboxes and the sessions' caches.
 fn step_counts() -> Vec<StepCounts> {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let lowers = mpich_sim::MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(2, Arc::clone(&registry), 1)
-        .unwrap();
+        .unwrap()
+        .0;
     let halo: Vec<f64> = (0..512).map(|i| i as f64 * 0.25).collect();
     // Per rank and round: allocations of the point-to-point call and of the allreduce.
     let per_rank: Vec<Vec<[u64; 2]>> = std::thread::scope(|scope| {

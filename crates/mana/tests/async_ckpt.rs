@@ -7,7 +7,7 @@ use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool};
 use elastic::restart_job_from_storage;
 use mana::ckpt::LocalDrainObserver;
 use mana::{DrainObserver, DrainPlan, ManaConfig, ManaRank, Op, Session, StoragePolicy};
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::error::MpiResult;
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::Rank;
@@ -22,9 +22,10 @@ fn launch_ranks(
     config: ManaConfig,
     registry: &Arc<RwLock<UserFunctionRegistry>>,
 ) -> Vec<ManaRank> {
-    mpich_sim::MpichFactory::mpich()
+    Backend::Mpich
         .launch(world, Arc::clone(registry), session_id)
         .expect("launch")
+        .0
         .into_iter()
         .map(|lower| ManaRank::new(lower, config, Arc::clone(registry)).expect("wrap"))
         .collect()
@@ -87,9 +88,10 @@ fn async_checkpoint_round_trips_through_restart() {
     assert!(storage.pending_generations().is_empty());
     assert_eq!(storage.generations(), vec![0]);
 
-    let lowers = mpich_sim::MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(2, Arc::clone(&registry), 2)
-        .unwrap();
+        .unwrap()
+        .0;
     let (restored, generation) =
         restart_job_from_storage(lowers, &storage, None, incremental(), Arc::clone(&registry))
             .unwrap();
@@ -154,9 +156,10 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
     // Phase 3: restart — the job comes back on generation 0's state. The torn
     // pending round is aborted and forgotten (no dead-incarnation flush can still
     // be in flight: the pool above was drained with `wait_idle`).
-    let lowers = mpich_sim::MpichFactory::mpich()
+    let lowers = Backend::Mpich
         .launch(2, Arc::clone(&registry), 2)
-        .unwrap();
+        .unwrap()
+        .0;
     let (restored, generation) =
         restart_job_from_storage(lowers, &storage, None, incremental(), Arc::clone(&registry))
             .unwrap();

@@ -10,13 +10,12 @@
 
 use mana::runtime::AppHandle;
 use mana::{ManaConfig, ManaRank};
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
 use mpi_model::error::MpiError;
 use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
 use mpi_model::types::HandleKind;
-use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -31,9 +30,10 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let mut lowers = MpichFactory::mpich()
+    let mut lowers = Backend::Mpich
         .launch(1, Arc::clone(&registry), 1)
-        .unwrap();
+        .unwrap()
+        .0;
     let mut rank = ManaRank::new(lowers.remove(0), ManaConfig::new_design(), registry).unwrap();
     let comm = rank.world().unwrap();
     let group = rank.comm_group(comm).unwrap();

@@ -10,20 +10,20 @@
 use ckpt_store::CheckpointStorage;
 use job_runtime::run_world;
 use mana::{ManaConfig, ManaRank, StoragePolicy};
-use mpi_model::api::MpiImplementationFactory;
+use mpi_engine::Backend;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
 use mpi_model::error::MpiError;
 use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
-use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 fn launch_mana(world: usize) -> Vec<ManaRank> {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    MpichFactory::mpich()
+    Backend::Mpich
         .launch(world, Arc::clone(&registry), 1)
         .unwrap()
+        .0
         .into_iter()
         .map(|lower| {
             let config = ManaConfig::new_design().with_storage(StoragePolicy::FullImage);

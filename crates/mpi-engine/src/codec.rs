@@ -19,9 +19,6 @@ use mpi_model::types::{HandleKind, PhysHandle};
 /// fact that MPICH handles *look* stable across restarts (and that relying on that
 /// stability is exactly how the original MANA became Cray-MPI-specific).
 pub trait HandleCodec: Send + 'static {
-    /// Short name of the encoding (for diagnostics).
-    fn name(&self) -> &'static str;
-
     /// Mint the physical handle for the object of `kind` stored at `index`.
     ///
     /// `predefined` is `Some` when the object being encoded is a predefined constant
@@ -45,10 +42,6 @@ pub trait HandleCodec: Send + 'static {
 
     /// The null handle for `kind` (`MPI_COMM_NULL`, `MPI_REQUEST_NULL`, ...).
     fn null(&self, kind: HandleKind) -> PhysHandle;
-
-    /// Nominal width, in bits, of the handle type in this implementation's `mpi.h`.
-    /// (32 for the MPICH family's `int` handles, 64 for pointer handles.)
-    fn handle_bits(&self) -> u32;
 }
 
 #[cfg(test)]
@@ -62,10 +55,6 @@ pub(crate) mod test_support {
     pub struct PlainCodec;
 
     impl HandleCodec for PlainCodec {
-        fn name(&self) -> &'static str {
-            "plain-test"
-        }
-
         fn encode(
             &mut self,
             kind: HandleKind,
@@ -87,10 +76,6 @@ pub(crate) mod test_support {
         fn null(&self, kind: HandleKind) -> PhysHandle {
             // Distinct null per kind, all with index bits zero and a marker nibble.
             PhysHandle(0xF000_0000_0000_0000 | kind.tag() as u64)
-        }
-
-        fn handle_bits(&self) -> u32 {
-            64
         }
     }
 }

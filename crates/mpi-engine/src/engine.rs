@@ -25,17 +25,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Static configuration describing one implementation's personality.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Implementation name ("mpich", "openmpi", "exampi", "craympi", ...).
     pub name: &'static str,
-    /// Constant resolution policy reported by this implementation.
+    /// Constant resolution policy reported by this implementation. Under
+    /// [`ConstantResolution::LazySharedPointer`] predefined constants materialize on
+    /// first use (ExaMPI); under every other policy, eagerly at init.
     pub resolution: ConstantResolution,
     /// Features this implementation provides; anything else returns `Unsupported`.
-    pub features: Vec<SubsetFeature>,
-    /// Whether predefined constants are materialized lazily on first use (ExaMPI) or
-    /// eagerly at init (MPICH, Open MPI).
-    pub lazy_constants: bool,
+    pub features: &'static [SubsetFeature],
 }
 
 /// One rank's lower half: MPI semantics generic over the handle codec.
@@ -85,7 +84,7 @@ impl<C: HandleCodec> Engine<C> {
             requests: ObjectStore::new(HandleKind::Request),
             constants: HashMap::new(),
         };
-        if !engine.config.lazy_constants {
+        if engine.config.resolution != ConstantResolution::LazySharedPointer {
             for object in PredefinedObject::all() {
                 // analyzer: allow(no-panic): infallible by construction — predefined objects materialize into freshly created empty stores, and the constructor has no Result channel
                 engine
@@ -379,7 +378,7 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
     }
 
     fn provided_features(&self) -> Vec<SubsetFeature> {
-        self.config.features.clone()
+        self.config.features.to_vec()
     }
 
     fn world_rank(&self) -> Rank {

@@ -1,6 +1,6 @@
 //! # mpi-engine
 //!
-//! The shared semantic core of the three simulated MPI implementations.
+//! The simulated MPI implementations: one engine, four personalities.
 //!
 //! The paper's analysis (§3) is that MPI implementations differ, from MANA's point of
 //! view, in three externally visible ways:
@@ -13,10 +13,11 @@
 //! 3. **Feature coverage** — full MPI-3 versus an experimental subset (§5).
 //!
 //! What they do *not* differ in — the message-matching rules, collective semantics,
-//! communicator/group algebra — is standardized by MPI itself. This crate implements
-//! that standardized behaviour once, generically over a [`codec::HandleCodec`] that
-//! each implementation crate supplies, so that `mpich-sim`, `openmpi-sim` and
-//! `exampi-sim` differ exactly where real implementations differ and MANA can be tested
+//! communicator/group algebra — is standardized by MPI itself. The [`Engine`]
+//! implements that standardized behaviour once, generically over a
+//! [`codec::HandleCodec`], and [`personality`] supplies the differences as data: one
+//! [`Backend`] row per implementation plus one codec per handle representation. So the
+//! backends differ exactly where real implementations differ, and MANA can be tested
 //! against genuinely different handle/constant regimes without triplicating the MPI
 //! semantics. (The real systems of course also differ internally; those differences are
 //! invisible through the `mpi.h` boundary that MANA — and this reproduction — operate
@@ -27,7 +28,9 @@
 
 pub mod codec;
 pub mod engine;
+pub mod factory;
 pub mod objects;
+pub mod personality;
 pub mod store;
 
 #[cfg(test)]
@@ -35,4 +38,5 @@ mod tests;
 
 pub use codec::HandleCodec;
 pub use engine::{Engine, EngineConfig};
+pub use personality::Backend;
 pub use store::ObjectStore;

@@ -1,7 +1,7 @@
 //! The ExaMPI handle encoding: enum discriminants for primitive datatypes (with
 //! aliasing), lazily-salted shared-pointer values for everything else.
 
-use mpi_engine::HandleCodec;
+use crate::codec::HandleCodec;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
 use mpi_model::types::{HandleKind, PhysHandle};
@@ -24,13 +24,6 @@ pub struct ExaMpiCodec {
 }
 
 impl ExaMpiCodec {
-    /// Create the codec.
-    pub fn new() -> Self {
-        ExaMpiCodec {
-            reverse: HashMap::new(),
-        }
-    }
-
     /// The enum discriminant ExaMPI assigns to a primitive datatype. Aliased types
     /// share a discriminant (the paper's `MPI_INT8_T` / `MPI_CHAR` example).
     pub fn primitive_discriminant(p: PrimitiveType) -> u64 {
@@ -58,10 +51,6 @@ impl ExaMpiCodec {
 }
 
 impl HandleCodec for ExaMpiCodec {
-    fn name(&self) -> &'static str {
-        "exampi-enum-and-shared-pointer"
-    }
-
     fn encode(
         &mut self,
         kind: HandleKind,
@@ -74,8 +63,7 @@ impl HandleCodec for ExaMpiCodec {
                 let discriminant = ENUM_TAG | Self::primitive_discriminant(p);
                 // Aliased primitives: keep the first index the discriminant was bound
                 // to, so both MPI_CHAR and MPI_INT8_T resolve to one underlying object.
-                if let Some(&existing) = self.reverse.get(&discriminant).as_ref() {
-                    let _ = existing;
+                if self.reverse.contains_key(&discriminant) {
                     return PhysHandle(discriminant);
                 }
                 discriminant
@@ -96,10 +84,6 @@ impl HandleCodec for ExaMpiCodec {
     fn null(&self, kind: HandleKind) -> PhysHandle {
         PhysHandle(0xEAEA_0000_0000_0000 | kind.tag() as u64)
     }
-
-    fn handle_bits(&self) -> u32 {
-        64
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +92,7 @@ mod tests {
 
     #[test]
     fn char_and_int8_alias() {
-        let mut codec = ExaMpiCodec::new();
+        let mut codec = ExaMpiCodec::default();
         let char_h = codec.encode(
             HandleKind::Datatype,
             1,
@@ -128,7 +112,7 @@ mod tests {
 
     #[test]
     fn non_aliased_primitives_are_distinct() {
-        let mut codec = ExaMpiCodec::new();
+        let mut codec = ExaMpiCodec::default();
         let int_h = codec.encode(
             HandleKind::Datatype,
             3,
@@ -147,8 +131,8 @@ mod tests {
 
     #[test]
     fn derived_and_non_datatype_objects_are_session_salted() {
-        let mut a = ExaMpiCodec::new();
-        let mut b = ExaMpiCodec::new();
+        let mut a = ExaMpiCodec::default();
+        let mut b = ExaMpiCodec::default();
         let ha = a.encode(HandleKind::Comm, 1, 1, Some(PredefinedObject::CommWorld));
         let hb = b.encode(HandleKind::Comm, 1, 2, Some(PredefinedObject::CommWorld));
         assert_ne!(
@@ -163,7 +147,7 @@ mod tests {
 
     #[test]
     fn roundtrip_all_kinds() {
-        let mut codec = ExaMpiCodec::new();
+        let mut codec = ExaMpiCodec::default();
         for kind in HandleKind::ALL {
             for index in [1u32, 7, 300] {
                 let h = codec.encode(kind, index, 3, None);
@@ -174,7 +158,7 @@ mod tests {
 
     #[test]
     fn nulls_and_garbage() {
-        let codec = ExaMpiCodec::new();
+        let codec = ExaMpiCodec::default();
         for kind in HandleKind::ALL {
             assert_eq!(codec.decode(codec.null(kind)), None);
         }

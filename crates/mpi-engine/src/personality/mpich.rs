@@ -1,6 +1,6 @@
 //! The MPICH-family handle encoding: 32-bit integers with a two-level table layout.
 
-use mpi_engine::HandleCodec;
+use crate::codec::HandleCodec;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::types::{HandleKind, PhysHandle};
 
@@ -37,17 +37,10 @@ const VALID_TAG: u32 = 0x4;
 /// session number: an MPICH handle for the "same" object looks identical before a
 /// checkpoint and after a restart, which is precisely the property that made MANA's
 /// original integer virtual ids appear to work while actually being Cray-MPI-specific.
-#[derive(Debug, Default, Clone)]
-pub struct MpichCodec {
-    _private: (),
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MpichCodec;
 
 impl MpichCodec {
-    /// Create the codec.
-    pub fn new() -> Self {
-        MpichCodec { _private: () }
-    }
-
     /// Split a slab index into (first-level, second-level) table indices.
     pub fn split_index(index: u32) -> (u32, u32) {
         (index >> L2_BITS, index & L2_MASK)
@@ -55,10 +48,6 @@ impl MpichCodec {
 }
 
 impl HandleCodec for MpichCodec {
-    fn name(&self) -> &'static str {
-        "mpich-two-level-table"
-    }
-
     fn encode(
         &mut self,
         kind: HandleKind,
@@ -103,10 +92,6 @@ impl HandleCodec for MpichCodec {
         // (e.g. MPI_COMM_NULL == 0x04000000 in real MPICH; here a compact analogue).
         PhysHandle(0x0C00_0000u64 | kind.tag() as u64)
     }
-
-    fn handle_bits(&self) -> u32 {
-        32
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +100,7 @@ mod tests {
 
     #[test]
     fn roundtrip_all_kinds() {
-        let mut codec = MpichCodec::new();
+        let mut codec = MpichCodec;
         for kind in HandleKind::ALL {
             for &index in &[1u32, 2, 511, 512, 513, 100_000] {
                 let handle = codec.encode(kind, index, 0, None);
@@ -127,7 +112,7 @@ mod tests {
 
     #[test]
     fn predefined_bit_does_not_change_index() {
-        let mut codec = MpichCodec::new();
+        let mut codec = MpichCodec;
         let plain = codec.encode(HandleKind::Comm, 1, 0, None);
         let builtin = codec.encode(HandleKind::Comm, 1, 0, Some(PredefinedObject::CommWorld));
         assert_ne!(plain, builtin, "builtin bit is visible in the handle");
@@ -136,7 +121,7 @@ mod tests {
 
     #[test]
     fn handles_are_session_stable() {
-        let mut codec = MpichCodec::new();
+        let mut codec = MpichCodec;
         let a = codec.encode(HandleKind::Datatype, 7, 1, None);
         let b = codec.encode(HandleKind::Datatype, 7, 99, None);
         assert_eq!(a, b, "MPICH-style handles ignore the session");
@@ -144,7 +129,7 @@ mod tests {
 
     #[test]
     fn null_handles_are_distinct_and_undecodable() {
-        let codec = MpichCodec::new();
+        let codec = MpichCodec;
         let mut nulls: Vec<u64> = HandleKind::ALL
             .iter()
             .map(|&k| codec.null(k).bits())
@@ -159,7 +144,7 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        let codec = MpichCodec::new();
+        let codec = MpichCodec;
         assert_eq!(codec.decode(PhysHandle(0)), None);
         assert_eq!(codec.decode(PhysHandle(u64::MAX)), None);
         assert_eq!(
@@ -175,10 +160,5 @@ mod tests {
         assert_eq!(MpichCodec::split_index(511), (0, 511));
         assert_eq!(MpichCodec::split_index(512), (1, 0));
         assert_eq!(MpichCodec::split_index(1025), (2, 1));
-    }
-
-    #[test]
-    fn handle_width_is_32() {
-        assert_eq!(MpichCodec::new().handle_bits(), 32);
     }
 }

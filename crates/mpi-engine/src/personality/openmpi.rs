@@ -2,7 +2,7 @@
 //! arenas", salted with the library session so no two sessions produce the same
 //! addresses.
 
-use mpi_engine::HandleCodec;
+use crate::codec::HandleCodec;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::types::{HandleKind, PhysHandle};
 use std::collections::HashMap;
@@ -33,13 +33,6 @@ pub struct OpenMpiCodec {
 }
 
 impl OpenMpiCodec {
-    /// Create the codec.
-    pub fn new() -> Self {
-        OpenMpiCodec {
-            reverse: HashMap::new(),
-        }
-    }
-
     /// The simulated arena base address for a kind within a session.
     pub fn arena_base(kind: HandleKind, session: u64) -> u64 {
         // A plausible-looking user-space heap address, spread per session and per kind.
@@ -50,10 +43,6 @@ impl OpenMpiCodec {
 }
 
 impl HandleCodec for OpenMpiCodec {
-    fn name(&self) -> &'static str {
-        "openmpi-struct-pointer"
-    }
-
     fn encode(
         &mut self,
         kind: HandleKind,
@@ -78,10 +67,6 @@ impl HandleCodec for OpenMpiCodec {
         // as fixed addresses in a "data segment" well away from the arenas.
         PhysHandle(0x5555_5555_0000 | ((kind.tag() as u64) * 0x40))
     }
-
-    fn handle_bits(&self) -> u32 {
-        64
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +75,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut codec = OpenMpiCodec::new();
+        let mut codec = OpenMpiCodec::default();
         for kind in HandleKind::ALL {
             for index in [1u32, 2, 3, 1000] {
                 let h = codec.encode(kind, index, 42, None);
@@ -101,19 +86,18 @@ mod tests {
 
     #[test]
     fn handles_do_not_fit_in_32_bits() {
-        let mut codec = OpenMpiCodec::new();
+        let mut codec = OpenMpiCodec::default();
         let h = codec.encode(HandleKind::Comm, 1, 1, None);
         assert!(
             h.bits() > u32::MAX as u64,
             "Open MPI handles are pointers; truncating them to int loses information"
         );
-        assert_eq!(codec.handle_bits(), 64);
     }
 
     #[test]
     fn sessions_produce_different_addresses() {
-        let mut a = OpenMpiCodec::new();
-        let mut b = OpenMpiCodec::new();
+        let mut a = OpenMpiCodec::default();
+        let mut b = OpenMpiCodec::default();
         let ha = a.encode(HandleKind::Comm, 1, 1, Some(PredefinedObject::CommWorld));
         let hb = b.encode(HandleKind::Comm, 1, 2, Some(PredefinedObject::CommWorld));
         assert_ne!(
@@ -126,7 +110,7 @@ mod tests {
 
     #[test]
     fn distinct_objects_have_distinct_addresses() {
-        let mut codec = OpenMpiCodec::new();
+        let mut codec = OpenMpiCodec::default();
         let mut seen = std::collections::HashSet::new();
         for kind in HandleKind::ALL {
             for index in 1..50u32 {
@@ -137,7 +121,7 @@ mod tests {
 
     #[test]
     fn null_handles_do_not_decode() {
-        let codec = OpenMpiCodec::new();
+        let codec = OpenMpiCodec::default();
         for kind in HandleKind::ALL {
             assert_eq!(codec.decode(codec.null(kind)), None);
         }

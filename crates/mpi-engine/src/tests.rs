@@ -2,41 +2,17 @@
 
 use crate::codec::test_support::PlainCodec;
 use crate::engine::{Engine, EngineConfig};
+use crate::personality::FULL;
 use mpi_model::api::MpiApi;
 use mpi_model::buffer::{bytes_to_f64, bytes_to_i32, f64_to_bytes, i32_to_bytes};
 use mpi_model::constants::{ConstantResolution, PredefinedObject};
 use mpi_model::datatype::{PrimitiveType, TypeCombiner};
 use mpi_model::error::MpiError;
 use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
-use mpi_model::subset::SubsetFeature;
 use mpi_model::types::{ANY_SOURCE, ANY_TAG};
 use net_sim::{Fabric, FabricConfig};
 use parking_lot::RwLock;
 use std::sync::Arc;
-
-fn full_features() -> Vec<SubsetFeature> {
-    vec![
-        SubsetFeature::Send,
-        SubsetFeature::Recv,
-        SubsetFeature::Iprobe,
-        SubsetFeature::Test,
-        SubsetFeature::CommGroup,
-        SubsetFeature::GroupTranslateRanks,
-        SubsetFeature::TypeGetEnvelope,
-        SubsetFeature::TypeGetContents,
-        SubsetFeature::Alltoall,
-        SubsetFeature::NonBlockingPointToPoint,
-        SubsetFeature::Barrier,
-        SubsetFeature::Bcast,
-        SubsetFeature::Reduce,
-        SubsetFeature::Gather,
-        SubsetFeature::CommDup,
-        SubsetFeature::CommSplit,
-        SubsetFeature::CommCreate,
-        SubsetFeature::DerivedDatatypes,
-        SubsetFeature::UserOps,
-    ]
-}
 
 fn launch_test_engines(world_size: usize) -> Vec<Engine<PlainCodec>> {
     let fabric = Fabric::new(FabricConfig::new(world_size, 7));
@@ -47,8 +23,7 @@ fn launch_test_engines(world_size: usize) -> Vec<Engine<PlainCodec>> {
                 EngineConfig {
                     name: "test-engine",
                     resolution: ConstantResolution::CompileTimeInteger,
-                    features: full_features(),
-                    lazy_constants: false,
+                    features: FULL,
                 },
                 PlainCodec,
                 fabric.endpoint(rank as i32).unwrap(),
@@ -442,8 +417,7 @@ fn user_defined_op() {
                 EngineConfig {
                     name: "test-engine",
                     resolution: ConstantResolution::CompileTimeInteger,
-                    features: full_features(),
-                    lazy_constants: false,
+                    features: FULL,
                 },
                 PlainCodec,
                 fabric.endpoint(rank).unwrap(),
@@ -480,8 +454,7 @@ fn unsupported_feature_is_reported() {
             name: "tiny",
             resolution: ConstantResolution::LazySharedPointer,
             // Only the strictly required MANA subset: no comm_dup, no derived types.
-            features: mpi_model::subset::REQUIRED_SUBSET.to_vec(),
-            lazy_constants: true,
+            features: &mpi_model::subset::REQUIRED_SUBSET,
         },
         PlainCodec,
         fabric.endpoint(0).unwrap(),
@@ -503,15 +476,14 @@ fn unsupported_feature_is_reported() {
 }
 
 #[test]
-fn lazy_constants_resolve_on_demand() {
+fn lazily_resolved_constants_materialize_on_demand() {
     let fabric = Fabric::new(FabricConfig::new(1, 7));
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let mut api = Engine::new(
         EngineConfig {
             name: "lazy",
             resolution: ConstantResolution::LazySharedPointer,
-            features: full_features(),
-            lazy_constants: true,
+            features: FULL,
         },
         PlainCodec,
         fabric.endpoint(0).unwrap(),

@@ -6,7 +6,7 @@
 //! The real MANA system ("Implementation-Oblivious Transparent Checkpoint-Restart for
 //! MPI", SC 2023) interposes on the `mpi.h` C API of a production MPI library. In this
 //! reproduction the `mpi.h` contract is expressed as the [`api::MpiApi`] trait: every
-//! simulated implementation (`mpich-sim`, `openmpi-sim`, `exampi-sim`) implements it,
+//! simulated implementation (the `mpi-engine` personalities) implements it,
 //! and MANA's wrapper layer only ever talks to the lower half through it. The trait
 //! deliberately deals in *physical handles* ([`types::PhysHandle`]) whose bit-level
 //! meaning is private to each implementation, exactly as the integer handles of the

@@ -6,7 +6,7 @@
 //! expressed in terms of MPI calls that the hosting implementation provides. The paper
 //! groups the required functions into three categories; this module encodes them as an
 //! auditable feature list so a candidate implementation (like the deliberately-minimal
-//! `exampi-sim`) can be checked for MANA compatibility before it is used.
+//! ExaMPI personality) can be checked for MANA compatibility before it is used.
 
 use serde::{Deserialize, Serialize};
 

@@ -5,8 +5,8 @@
 //!
 //! The fabric exists for two reasons that mirror the paper:
 //!
-//! 1. **It is what the lower half talks to.** All three simulated MPI implementations
-//!    (`mpich-sim`, `openmpi-sim`, `exampi-sim`) move bytes exclusively through a
+//! 1. **It is what the lower half talks to.** Every simulated MPI implementation
+//!    (the `mpi-engine` personalities) moves bytes exclusively through a
 //!    [`fabric::Endpoint`], so the MANA layer above them never needs network-specific
 //!    knowledge — the "Network-Agnostic" half of MANA's design.
 //! 2. **It holds state that cannot be checkpointed.** Messages that have been injected

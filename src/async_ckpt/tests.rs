@@ -3,6 +3,7 @@
 //! a real `ManaRank`: the async stall must be at most half the sync write.
 
 use ckpt_store::{CheckpointStorage, FlusherPool};
+use job_runtime::Backend;
 use mana::{ManaConfig, ManaRank, StoragePolicy};
 use std::time::Instant;
 
@@ -14,7 +15,7 @@ const STATE_REGION: &str = "app.comd.state";
 
 fn comd_rank(session: u64) -> ManaRank {
     let config = ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed);
-    let mut rank = crate::launch_mana_job(&mpich_sim::MpichFactory::mpich(), 1, config, session)
+    let mut rank = crate::launch_mana_job(&Backend::Mpich, 1, config, session)
         .unwrap()
         .pop()
         .unwrap();

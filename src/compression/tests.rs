@@ -2,6 +2,7 @@
 //! actual checkpoint images: LZ must never write more bytes than RLE.
 
 use ckpt_store::{CheckpointStorage, StorageConfig, StoragePolicy};
+use job_runtime::Backend;
 use mana::{ManaConfig, Session};
 use mana_apps::{run_app, AppId, RunConfig};
 use split_proc::image::CheckpointImage;
@@ -12,8 +13,7 @@ const WORLD: usize = 2;
 fn checkpoint_app(app: AppId, session: u64) -> Vec<CheckpointImage> {
     let storage = CheckpointStorage::unmetered();
     let mana = ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed);
-    let ranks =
-        crate::launch_mana_job(&mpich_sim::MpichFactory::mpich(), WORLD, mana, session).unwrap();
+    let ranks = crate::launch_mana_job(&Backend::Mpich, WORLD, mana, session).unwrap();
     let config = RunConfig {
         iterations: 3,
         state_scale: 2e-7,

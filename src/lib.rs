@@ -14,14 +14,12 @@
 
 pub use ckpt_service;
 pub use ckpt_store;
-pub use exampi_sim;
 pub use job_runtime;
 pub use mana;
 pub use mana_apps;
+pub use mpi_engine;
 pub use mpi_model;
-pub use mpich_sim;
 pub use net_sim;
-pub use openmpi_sim;
 pub use split_proc;
 
 use mana::{ManaConfig, ManaRank};
@@ -120,17 +118,12 @@ mod service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use job_runtime::Backend;
     use mpi_model::constants::PredefinedObject;
 
     #[test]
     fn launch_and_run_ranks() {
-        let ranks = launch_mana_job(
-            &mpich_sim::MpichFactory::mpich(),
-            3,
-            ManaConfig::new_design(),
-            1,
-        )
-        .unwrap();
+        let ranks = launch_mana_job(&Backend::Mpich, 3, ManaConfig::new_design(), 1).unwrap();
         assert_eq!(ranks.len(), 3);
         let results = run_ranks(ranks, |mut rank| {
             let world = rank.constant(PredefinedObject::CommWorld)?;
@@ -143,13 +136,7 @@ mod tests {
 
     #[test]
     fn run_ranks_reports_which_rank_panicked() {
-        let ranks = launch_mana_job(
-            &mpich_sim::MpichFactory::mpich(),
-            3,
-            ManaConfig::new_design(),
-            2,
-        )
-        .unwrap();
+        let ranks = launch_mana_job(&Backend::Mpich, 3, ManaConfig::new_design(), 2).unwrap();
         let err = run_ranks(ranks, |rank| {
             if rank.world_rank() == 1 {
                 panic!("deliberate test panic");

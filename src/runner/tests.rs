@@ -5,6 +5,7 @@
 use crate::launch_mana_job_with_registry;
 use ckpt_store::CheckpointStorage;
 use elastic::restart_job_from_storage;
+use job_runtime::Backend;
 use mana::{ManaConfig, Session, StoragePolicy};
 use mana_apps::{run_app, AppId, AppReport, RunConfig};
 use mpi_model::api::MpiImplementationFactory;
@@ -105,7 +106,7 @@ fn small_scale_run_measures_crossings() {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let iterations = 4;
     let reports = run_job(
-        &mpich_sim::MpichFactory::mpich(),
+        &Backend::Mpich,
         3,
         ManaConfig::new_design(),
         AppId::CoMd,
@@ -123,12 +124,7 @@ fn small_scale_run_measures_crossings() {
 
 #[test]
 fn checkpoint_restart_round_trip_is_equivalent() {
-    let result = round_trip(
-        AppId::Lammps,
-        &openmpi_sim::OpenMpiFactory::new(),
-        ManaConfig::new_design(),
-    )
-    .unwrap();
+    let result = round_trip(AppId::Lammps, &Backend::OpenMpi, ManaConfig::new_design()).unwrap();
     assert!(
         result.restart_equivalent,
         "restart must not change the results"
@@ -140,7 +136,7 @@ fn checkpoint_restart_round_trip_is_equivalent() {
 fn incremental_policy_round_trip_is_equivalent() {
     let result = round_trip(
         AppId::CoMd,
-        &mpich_sim::MpichFactory::mpich(),
+        &Backend::Mpich,
         ManaConfig::new_design().with_storage(StoragePolicy::Incremental),
     )
     .unwrap();

@@ -4,6 +4,7 @@
 
 use elastic::restart_job_from_storage;
 use mana_repro::ckpt_store::CheckpointStorage;
+use mana_repro::job_runtime::Backend;
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, AppReport, RunConfig};
 use mpi_model::api::MpiImplementationFactory;
@@ -128,8 +129,7 @@ fn every_app_restarts_equivalently_on_mpich() {
         ManaConfig::new_design().with_storage(StoragePolicy::Incremental),
     ] {
         for app in AppId::ALL {
-            let result =
-                run_small_scale(app, &mpich_sim::MpichFactory::mpich(), mana, true).unwrap();
+            let result = run_small_scale(app, &Backend::Mpich, mana, true).unwrap();
             assert!(
                 result.restart_equivalent,
                 "{} must produce identical results across a checkpoint/restart under {:?}",
@@ -146,13 +146,8 @@ fn every_app_restarts_equivalently_on_mpich() {
 #[test]
 fn every_app_restarts_equivalently_on_openmpi() {
     for app in AppId::ALL {
-        let result = run_small_scale(
-            app,
-            &openmpi_sim::OpenMpiFactory::new(),
-            ManaConfig::new_design(),
-            true,
-        )
-        .unwrap();
+        let result =
+            run_small_scale(app, &Backend::OpenMpi, ManaConfig::new_design(), true).unwrap();
         assert!(
             result.restart_equivalent,
             "{} failed on Open MPI",
@@ -164,13 +159,8 @@ fn every_app_restarts_equivalently_on_openmpi() {
 #[test]
 fn exampi_runs_the_compatible_apps() {
     for app in [AppId::CoMd, AppId::Lulesh] {
-        let result = run_small_scale(
-            app,
-            &exampi_sim::ExaMpiFactory::new(),
-            ManaConfig::new_design(),
-            true,
-        )
-        .unwrap();
+        let result =
+            run_small_scale(app, &Backend::ExaMpi, ManaConfig::new_design(), true).unwrap();
         assert!(result.restart_equivalent, "{} failed on ExaMPI", app.name());
     }
 }
@@ -179,7 +169,7 @@ fn exampi_runs_the_compatible_apps() {
 fn legacy_virtid_design_still_works_on_the_mpich_family() {
     let result = run_small_scale(
         AppId::Lammps,
-        &mpich_sim::MpichFactory::cray(),
+        &Backend::CrayMpi,
         ManaConfig::legacy_design(),
         true,
     )
@@ -193,13 +183,8 @@ fn call_mix_ordering_matches_section_6_3() {
     // paper's context-switch rates do (LAMMPS most chatty, LULESH least).
     let mut per_iter = std::collections::HashMap::new();
     for app in AppId::ALL {
-        let result = run_small_scale(
-            app,
-            &mpich_sim::MpichFactory::mpich(),
-            ManaConfig::new_design(),
-            false,
-        )
-        .unwrap();
+        let result =
+            run_small_scale(app, &Backend::Mpich, ManaConfig::new_design(), false).unwrap();
         per_iter.insert(app, result.crossings_per_rank_per_iteration);
     }
     assert!(per_iter[&AppId::Lammps] > per_iter[&AppId::Lulesh]);
@@ -213,12 +198,9 @@ fn subset_audit_matches_the_paper() {
     // All three implementations satisfy §5's required subset; only ExaMPI drops
     // optional features.
     for (factory, full_featured) in [
-        (
-            &mpich_sim::MpichFactory::mpich() as &dyn MpiImplementationFactory,
-            true,
-        ),
-        (&openmpi_sim::OpenMpiFactory::new(), true),
-        (&exampi_sim::ExaMpiFactory::new(), false),
+        (&Backend::Mpich as &dyn MpiImplementationFactory, true),
+        (&Backend::OpenMpi, true),
+        (&Backend::ExaMpi, false),
     ] {
         let ranks = mana_repro::launch_mana_job(factory, 1, ManaConfig::new_design(), 5).unwrap();
         let audit = ranks[0].audit_lower_half();

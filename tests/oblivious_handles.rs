@@ -3,6 +3,7 @@
 //! as different as 32-bit table indices, 64-bit struct pointers, and
 //! lazily-materialized shared pointers.
 
+use mana_repro::job_runtime::Backend;
 use mana_repro::mana::{ManaConfig, Op, Session};
 use mana_repro::mpi_model::constants::{ConstantResolution, PredefinedObject};
 use mana_repro::{launch_mana_job, run_ranks};
@@ -30,9 +31,9 @@ fn same_app_everywhere(factory: &dyn MpiImplementationFactory) -> Vec<(String, u
 
 #[test]
 fn identical_application_code_runs_on_all_three_implementations() {
-    let mpich = same_app_everywhere(&mpich_sim::MpichFactory::mpich());
-    let openmpi = same_app_everywhere(&openmpi_sim::OpenMpiFactory::new());
-    let exampi = same_app_everywhere(&exampi_sim::ExaMpiFactory::new());
+    let mpich = same_app_everywhere(&Backend::Mpich);
+    let openmpi = same_app_everywhere(&Backend::OpenMpi);
+    let exampi = same_app_everywhere(&Backend::ExaMpi);
     for results in [&mpich, &openmpi, &exampi] {
         // 3 ranks: even row has 2 members (sum 4), odd row has 1 (sum 2).
         assert_eq!(results[0].2, 4);
@@ -70,10 +71,10 @@ fn physical_constant_regimes_really_do_differ_underneath() {
                 .unwrap(),
         )
     };
-    let (mpich_res, mpich_world) = probe(&mpich_sim::MpichFactory::mpich(), 1);
-    let (ompi_res, ompi_world_a) = probe(&openmpi_sim::OpenMpiFactory::new(), 1);
-    let (_, ompi_world_b) = probe(&openmpi_sim::OpenMpiFactory::new(), 2);
-    let (exampi_res, _) = probe(&exampi_sim::ExaMpiFactory::new(), 1);
+    let (mpich_res, mpich_world) = probe(&Backend::Mpich, 1);
+    let (ompi_res, ompi_world_a) = probe(&Backend::OpenMpi, 1);
+    let (_, ompi_world_b) = probe(&Backend::OpenMpi, 2);
+    let (exampi_res, _) = probe(&Backend::ExaMpi, 1);
 
     assert_eq!(mpich_res, ConstantResolution::CompileTimeInteger);
     assert_eq!(ompi_res, ConstantResolution::StartupResolvedPointer);
