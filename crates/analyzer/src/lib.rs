@@ -1,27 +1,18 @@
-//! In-tree static analysis for this workspace.
+//! The lock-order analyzer for this workspace (`cargo run -p analyzer --
+//! lock-graph DIR`).
 //!
-//! Two engines, one binary (`cargo run -p analyzer -- <command>`):
+//! It merges the per-process dumps recorded by the instrumented `parking_lot` shim
+//! (`MANA_LOCK_ORDER_DIR=... cargo test`), builds the global lock-order graph,
+//! detects cycles, and writes `LOCK_graph.json` with named construction sites. The
+//! same dumps carry the shim's held-across-block findings: a traced lock still
+//! held when its thread parked on a condvar or slept through
+//! `net_sim::clock::sleep`. Any cycle or finding fails the run.
 //!
-//! * **`lint`** — a lightweight Rust lexer plus repo-specific rules (see
-//!   [`lint::RULES`]): no panicking constructs in library error paths, no wall
-//!   clock inside deterministic simulator paths, no lock guard held across a
-//!   blocking fabric call. Suppressions are explicit and audited:
-//!   `// analyzer: allow(rule-name): reason`.
-//! * **`lock-graph`** — merges the per-process lock-acquisition dumps recorded by
-//!   the instrumented `parking_lot` shim (`MANA_LOCK_ORDER_DIR=... cargo test`),
-//!   builds the global lock-order graph, detects cycles, and writes
-//!   `LOCK_graph.json` with named construction sites.
-//!
-//! Why in-tree rather than clippy lints: the rules encode *this repo's*
-//! invariants — which modules are deterministic, which calls block on the
-//! simulated fabric, which error paths must stay typed — none of which a generic
-//! linter can know. The token-level engine is deliberately heuristic: cheap, no
-//! syn dependency, tuned to this codebase's idiom, with escape hatches that force
-//! a written reason.
+//! The repo's static rules (no panics in library code, time only through
+//! `net_sim::clock`, no unnamed payload copies, every exemption an `#[expect]` with
+//! a reason) are clippy configuration: `[workspace.lints.clippy]` in the root
+//! `Cargo.toml` and `clippy.toml`.
 
-pub mod lexer;
-pub mod lint;
 pub mod lockgraph;
 
-pub use lint::{lint_repo, lint_source, LintReport, Violation};
 pub use lockgraph::{LockGraph, LockGraphReport, LockOrderDump};

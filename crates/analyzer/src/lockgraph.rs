@@ -10,9 +10,14 @@
 //! ambiguous at site granularity — it may be a disciplined ordered acquisition of
 //! distinct instances — so it is reported separately as `self_nesting`, not
 //! counted as a cycle.
+//!
+//! The dumps also carry the shim's held-across-block findings (`held_across_block`):
+//! a traced lock still held when its thread parked on a condvar or slept. Each one
+//! is exact — it happened on a path the traced suite ran — and names the held
+//! lock's construction site and the wait's call site.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// One edge as written by the shim's dump format.
@@ -35,6 +40,8 @@ pub struct LockOrderDump {
     pub sites: Vec<String>,
     /// Observed (held → acquired) pairs.
     pub edges: Vec<DumpEdge>,
+    /// Locks held across a blocking wait.
+    pub held_across_block: Vec<HeldAcrossBlock>,
 }
 
 /// The merged, analyzed graph — also the `LOCK_graph.json` schema.
@@ -54,6 +61,20 @@ pub struct LockGraphReport {
     /// for audit, not gated: site granularity cannot distinguish ordered striping
     /// from true self-deadlock.
     pub self_nesting: Vec<String>,
+    /// Locks held while their thread blocked. Empty means no park or sleep on any
+    /// traced path held a lock other than the one it parked on.
+    pub held_across_block: Vec<HeldAcrossBlock>,
+}
+
+/// A lock held across a blocking wait, by site name (the same in dump and report).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct HeldAcrossBlock {
+    /// Construction site of the lock held.
+    pub held: String,
+    /// Call site (`file:line:col`) of the condvar park or sleep.
+    pub at: String,
+    /// Times observed (summed across merged processes in the report).
+    pub count: u64,
 }
 
 /// An edge in the merged graph, by site name.
@@ -73,6 +94,7 @@ pub struct LockGraph {
     sites: Vec<String>,
     index: HashMap<String, usize>,
     edges: HashMap<(usize, usize), u64>,
+    blocks: BTreeMap<(String, String), u64>,
     processes: u64,
 }
 
@@ -106,6 +128,10 @@ impl LockGraph {
             let from = self.intern(from);
             let to = self.intern(to);
             *self.edges.entry((from, to)).or_insert(0) += edge.count;
+        }
+        for block in &dump.held_across_block {
+            let key = (block.held.clone(), block.at.clone());
+            *self.blocks.entry(key).or_insert(0) += block.count;
         }
         // Sites with no edges still matter for coverage reporting.
         for site in &dump.sites {
@@ -176,6 +202,15 @@ impl LockGraph {
             })
             .collect();
         edges.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
+        let held_across_block = self
+            .blocks
+            .iter()
+            .map(|((held, at), &count)| HeldAcrossBlock {
+                held: held.clone(),
+                at: at.clone(),
+                count,
+            })
+            .collect();
         let mut sites = self.sites.clone();
         sites.sort();
 
@@ -185,6 +220,7 @@ impl LockGraph {
             edges,
             cycles,
             self_nesting,
+            held_across_block,
         }
     }
 }
@@ -224,7 +260,10 @@ fn strongly_connected(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                 if low[v] == index[v] {
                     let mut component = Vec::new();
                     loop {
-                        // analyzer: allow(no-panic): Tarjan invariant — v is on the stack when its SCC root pops
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Tarjan invariant — v is on the stack when its SCC root pops"
+                        )]
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
                         component.push(w);
@@ -278,6 +317,7 @@ mod tests {
                 .iter()
                 .map(|&(from, to)| DumpEdge { from, to, count: 1 })
                 .collect(),
+            held_across_block: Vec::new(),
         }
     }
 
@@ -318,11 +358,20 @@ mod tests {
         let mut graph = LockGraph::new();
         graph.add_dump(&dump(&["x", "y"], &[(0, 1)])).unwrap();
         // Second process numbers the same sites differently.
-        graph.add_dump(&dump(&["y", "x"], &[(1, 0)])).unwrap();
+        let mut second = dump(&["y", "x"], &[(1, 0)]);
+        let block = |count| HeldAcrossBlock {
+            held: "x".into(),
+            at: "z.rs:3:9".into(),
+            count,
+        };
+        second.held_across_block = vec![block(1), block(2)];
+        graph.add_dump(&second).unwrap();
         let report = graph.report();
         assert_eq!(report.sites, vec!["x".to_string(), "y".to_string()]);
         assert_eq!(report.edges.len(), 1);
         assert_eq!(report.edges[0].count, 2);
+        assert_eq!(report.held_across_block.len(), 1);
+        assert_eq!(report.held_across_block[0].count, 3);
     }
 
     #[test]

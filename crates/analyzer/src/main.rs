@@ -1,146 +1,72 @@
-//! `analyzer` CLI: `lint` walks the repo and prints violations; `lock-graph`
-//! merges lock-order dumps and writes `LOCK_graph.json`; `rules` lists the rule
-//! table. Exit codes: 0 clean, 1 findings, 2 usage/IO error.
+//! `analyzer` CLI: `lock-graph` merges lock-order dumps and writes
+//! `LOCK_graph.json`. Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
 use analyzer::lockgraph::LockGraph;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: analyzer <command>
+usage: analyzer lock-graph DIR [--out FILE]
 
-commands:
-  lint [--root DIR]               lint the repo (default root: current dir);
-                                  exit 1 if any violation
-  lock-graph DIR [--out FILE]     merge lock_order.*.json dumps from DIR, write
-                                  the analyzed graph (default LOCK_graph.json);
-                                  exit 1 if any lock-order cycle
-  rules                           list lint rules
+  merge the lock_order.*.json dumps from DIR and write the analyzed graph
+  (default LOCK_graph.json); exit 1 on any lock-order cycle or any lock held
+  across a blocking wait
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("lock-graph") => cmd_lock_graph(&args[1..]),
-        Some("rules") => {
-            for rule in analyzer::lint::RULES {
-                println!("{:<24} {}", rule.name, rule.summary);
-            }
-            ExitCode::SUCCESS
-        }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (dir, out) = match args[..] {
+        ["lock-graph", dir] => (dir, "LOCK_graph.json"),
+        ["lock-graph", dir, "--out", out] => (dir, out),
         _ => {
             eprint!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match lock_graph(Path::new(dir), Path::new(out)) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(err) => {
+            eprintln!("lock-graph: {err}");
             ExitCode::from(2)
         }
     }
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => {
-                    eprintln!("--root needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown lint arg: {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let report = match analyzer::lint_repo(&root) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("lint failed: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    for violation in &report.violations {
-        println!("{violation}");
-    }
-    if report.violations.is_empty() {
-        eprintln!("analyzer lint: {} files clean", report.files_scanned);
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "analyzer lint: {} violation(s) across {} files scanned",
-            report.violations.len(),
-            report.files_scanned
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_lock_graph(args: &[String]) -> ExitCode {
-    let Some(dir) = args.first() else {
-        eprintln!("lock-graph needs a dump directory");
-        return ExitCode::from(2);
-    };
-    let mut out_path = PathBuf::from("LOCK_graph.json");
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(path) => out_path = PathBuf::from(path),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown lock-graph arg: {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+/// Merge, analyze and write the graph; `Ok(true)` when it has no findings.
+fn lock_graph(dir: &Path, out: &Path) -> Result<bool, String> {
     let mut graph = LockGraph::new();
-    let loaded = match graph.add_dir(PathBuf::from(dir).as_path()) {
-        Ok(loaded) => loaded,
-        Err(err) => {
-            eprintln!("lock-graph failed: {err}");
-            return ExitCode::from(2);
-        }
-    };
+    let loaded = graph.add_dir(dir)?;
     if loaded == 0 {
-        eprintln!(
-            "lock-graph: no lock_order.*.json dumps in {dir} — was the test suite \
-             run with MANA_LOCK_ORDER_DIR set?"
-        );
-        return ExitCode::from(2);
+        return Err(format!(
+            "no lock_order.*.json dumps in {} — was the test suite run with \
+             MANA_LOCK_ORDER_DIR set?",
+            dir.display()
+        ));
     }
     let report = graph.report();
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("lock-graph: serialize failed: {err:?}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(err) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("lock-graph: write {}: {err}", out_path.display());
-        return ExitCode::from(2);
-    }
+    let json = serde_json::to_string_pretty(&report)
+        .map_err(|err| format!("serialize failed: {err:?}"))?;
+    std::fs::write(out, json + "\n").map_err(|err| format!("write {}: {err}", out.display()))?;
     eprintln!(
-        "lock-graph: {} dump(s), {} sites, {} edges, {} self-nesting site(s), {} cycle(s) -> {}",
-        loaded,
+        "lock-graph: {loaded} dump(s), {} sites, {} edges, {} self-nesting site(s), {} cycle(s), \
+         {} held across a block -> {}",
         report.sites.len(),
         report.edges.len(),
         report.self_nesting.len(),
         report.cycles.len(),
-        out_path.display()
+        report.held_across_block.len(),
+        out.display()
     );
     for cycle in &report.cycles {
         eprintln!("  CYCLE: {}", cycle.join(" -> "));
     }
-    if report.cycles.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    for finding in &report.held_across_block {
+        eprintln!(
+            "  HELD ACROSS BLOCK: lock built at {} held while blocking at {} ({}x)",
+            finding.held, finding.at, finding.count
+        );
     }
+    Ok(report.cycles.is_empty() && report.held_across_block.is_empty())
 }

@@ -1,14 +1,17 @@
 //! End-to-end test of the lock-order engine: a seeded two-thread acquisition
-//! inversion must surface as a cycle naming both construction sites, flowing
-//! through the same dump format the instrumented test suite produces.
+//! inversion must surface as a cycle naming both construction sites, and a lock
+//! held across a condvar park as a held-across-block finding naming the lock and
+//! the park, both flowing through the same dump format the instrumented test suite
+//! produces.
 //!
 //! This file deliberately holds the only tracing-enabled test in the analyzer
 //! test binary: [`parking_lot::order`]'s edge table is process-global, and a
 //! single writer keeps the assertions precise.
 
-use analyzer::lockgraph::{DumpEdge, LockGraph, LockOrderDump};
-use parking_lot::{order, Mutex};
+use analyzer::lockgraph::{DumpEdge, HeldAcrossBlock, LockGraph, LockOrderDump};
+use parking_lot::{order, Condvar, Mutex};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn seeded_inversion_reports_cycle_with_both_sites_named() {
@@ -54,6 +57,16 @@ fn seeded_inversion_reports_cycle_with_both_sites_named() {
         .expect("thread 2");
     }
 
+    // Park briefly on a third lock while still holding A: A is held across the
+    // block, the parked-on lock is not.
+    let parked = (Mutex::new(()), Condvar::new());
+    let guard_a = lock_a.lock();
+    let mut guard = parked.0.lock();
+    let park_line = line!() + 1;
+    parked.1.wait_for(&mut guard, Duration::from_millis(1));
+    drop(guard);
+    drop(guard_a);
+
     let snap = order::snapshot();
     let site_a = format!("lock_order.rs:{a_line}:");
     let site_b = format!("lock_order.rs:{b_line}:");
@@ -87,6 +100,17 @@ fn seeded_inversion_reports_cycle_with_both_sites_named() {
             )
         });
     assert!(cycle.len() >= 2);
+
+    let park_site = format!("lock_order.rs:{park_line}:");
+    assert_eq!(
+        report.held_across_block.len(),
+        1,
+        "{:?}",
+        report.held_across_block
+    );
+    let finding = &report.held_across_block[0];
+    assert!(finding.held.contains(&site_a), "{finding:?}");
+    assert!(finding.at.contains(&park_site), "{finding:?}");
 }
 
 #[test]
@@ -101,6 +125,11 @@ fn dump_writer_and_reader_agree_on_an_empty_graph() {
             to: 1,
             count: 3,
         }],
+        held_across_block: vec![HeldAcrossBlock {
+            held: "y.rs:2:5".into(),
+            at: "z.rs:3:9".into(),
+            count: 2,
+        }],
     };
     let text = serde_json::to_string_pretty(&dump).expect("serializes");
     let back: LockOrderDump = serde_json::from_str(&text).expect("parses");
@@ -108,4 +137,7 @@ fn dump_writer_and_reader_agree_on_an_empty_graph() {
     assert_eq!(back.sites, dump.sites);
     assert_eq!(back.edges.len(), 1);
     assert_eq!(back.edges[0].count, 3);
+    assert_eq!(back.held_across_block.len(), 1);
+    assert_eq!(back.held_across_block[0].at, "z.rs:3:9");
+    assert_eq!(back.held_across_block[0].count, 2);
 }

@@ -5,6 +5,12 @@
 //! (RLE + FNV-1a, version-1 manifests) must restore bit-identically under the new
 //! default configuration — including through an elastic resize.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::codec::{lz_compress, lz_decompress};
 use ckpt_store::{CheckpointStorage, StorageConfig, StoragePolicy};
 use elastic::{restart_job_from_storage, RemapPolicy};

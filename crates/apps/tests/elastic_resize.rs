@@ -2,6 +2,11 @@
 //! checkpointed at `N` ranks restarts onto `M` ranks (shrunk and grown) and runs
 //! to completion with results identical to the uninterrupted `N`-rank run.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::CheckpointStorage;
 use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{ManaConfig, ManaRank, Session};

@@ -188,6 +188,10 @@ struct MatchTables {
 
 impl MatchTables {
     fn new() -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible by construction — a boxed slice of exactly N elements always converts to a boxed N-element array"
+        )]
         fn table<const N: usize>() -> Box<[u32; N]> {
             // Built on the heap (a 256 KiB array literal would live on the stack
             // first) and zeroed, so the allocator hands out untouched pages: a thread
@@ -195,7 +199,6 @@ impl MatchTables {
             // The content is irrelevant — `head` is filled per chunk, `prev` is
             // written before it is read.
             let table = vec![0u32; N].into_boxed_slice().try_into();
-            // analyzer: allow(no-panic): infallible by construction — a boxed slice of exactly N elements always converts to a boxed N-element array
             table.expect("a vector of N elements boxes to an N-element array")
         }
         MatchTables {
@@ -576,9 +579,11 @@ mod reference {
                     out.push(rest as u8);
                 }
                 // Insert every covered position into the chains so later matches can
-                // reach into this match's span. (Indexing two tables by different
-                // keys, so an iterator form would not simplify this.)
-                #[allow(clippy::needless_range_loop)]
+                // reach into this match's span.
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "indexes two tables by different keys, so an iterator form would not simplify this"
+                )]
                 for position in i..(i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1)) {
                     let bucket = hash4(data, position);
                     prev[position] = head[bucket];

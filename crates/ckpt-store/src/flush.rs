@@ -123,7 +123,10 @@ impl FlushHandle {
         loop {
             match *outcome {
                 FlushOutcome::Done(report) => return report,
-                // analyzer: allow(no-panic): deliberate panic propagation — the worker already panicked; resurfacing it on the waiter is the documented contract (see doc comment)
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate panic propagation — the worker already panicked; resurfacing it on the waiter is the documented contract (see doc comment)"
+                )]
                 FlushOutcome::Poisoned => panic!(
                     "flusher worker panicked while flushing generation {} of rank {}",
                     self.generation, self.rank

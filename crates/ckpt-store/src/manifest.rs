@@ -111,7 +111,10 @@ impl Manifest {
     /// Encode to the CRC-trailed binary form, negotiating the oldest version that
     /// can carry the content (see the module docs).
     pub fn encode(&self) -> Vec<u8> {
-        // analyzer: allow(no-panic): infallible by construction — metadata is a plain string/number struct; the value-model serializer has no failure mode for it, and encode() has no Result channel
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible by construction — metadata is a plain string/number struct; the value-model serializer has no failure mode for it, and encode() has no Result channel"
+        )]
         let metadata =
             serde_json::to_vec(&self.metadata).expect("image metadata always serializes");
         let version = self.wire_version();

@@ -1459,6 +1459,10 @@ impl CheckpointStorage {
                 // The stored buffer is immutable (readers may hold refcounts on it);
                 // corruption rebuilds the entry around a flipped copy, exactly like a
                 // torn write replacing the on-disk bytes.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fault injection: corruption rebuilds the chunk around a flipped copy, as a torn write would"
+                )]
                 let mut flipped = stored.to_vec();
                 let position = flipped.len() / 2;
                 flipped[position] ^= 0x01;

@@ -1,6 +1,11 @@
 //! Engine-level tests for the incremental, content-addressed checkpoint store:
 //! round-trips, dedup, dirty-region reuse, compression, integrity fallback, and GC.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
 use mpi_model::error::MpiResult;
 use split_proc::address_space::UpperHalfSpace;

@@ -2,6 +2,11 @@
 //! directly against `restart_job` / `restart_job_from_storage`, without the proxy
 //! applications.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::{CheckpointStorage, StoragePolicy};
 use elastic::{restart_job, restart_job_from_storage, NoRepartition, RankMap, RemapPolicy};
 use mana::ckpt::regions;

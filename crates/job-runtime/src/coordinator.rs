@@ -17,12 +17,13 @@
 use mana::DrainObserver;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
+use net_sim::clock;
 use net_sim::Fabric;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a rank parks at the commit barrier between looks at its fabric's
 /// failure lane — the fabric's own wait slice.
@@ -403,7 +404,7 @@ impl Coordinator {
             return Ok(self.release_round(&mut state, generation));
         }
         let round = state.round;
-        let deadline = Instant::now() + self.barrier_timeout;
+        let deadline = clock::now() + self.barrier_timeout;
         while state.round == round && state.poisoned.is_none() {
             self.barrier_cv.wait_for(&mut state, BARRIER_SLICE);
             // Between slices, with the barrier unlocked, the rank shows it is alive
@@ -416,7 +417,7 @@ impl Coordinator {
             }
             let failure = match alive {
                 Err(error) => Some(error),
-                Ok(()) if Instant::now() >= deadline => Some(MpiError::Checkpoint(format!(
+                Ok(()) if clock::now() >= deadline => Some(MpiError::Checkpoint(format!(
                     "commit barrier timed out after {:?} with {}/{} ranks arrived \
                      (a peer likely died mid-checkpoint)",
                     self.barrier_timeout, state.arrived, self.world_size

@@ -13,11 +13,12 @@ use mpi_engine::Backend;
 use mpi_model::api::MpiApi;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::UserFunctionRegistry;
+use net_sim::clock;
 use net_sim::{ChaosPlan, Fabric};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Run one closure per worker, each on its own thread, and collect the results in
 /// launch order. A panic in a worker is surfaced as an [`MpiError::Internal`] naming
@@ -954,7 +955,7 @@ impl JobRuntime {
             }
             // Blackout clock: from the detector's first declaration (or now, for
             // failures that surfaced without one) to the resumed world stepping.
-            let blackout_start = report.first_detection.unwrap_or_else(Instant::now);
+            let blackout_start = report.first_detection.unwrap_or_else(clock::now);
             // Let the dead incarnation's straggler flushes land *before* deciding
             // what the newest committed generation is — a flush that commits a
             // moment after the failure must count as committed, not be mistaken
@@ -1090,7 +1091,7 @@ impl JobRuntime {
                         // its peers are already parked in this step's collective
                         // registration phase when the intent lands — the "some ranks
                         // registered, others not yet entered" straddle.
-                        std::thread::sleep(Duration::from_millis(10));
+                        clock::sleep(Duration::from_millis(10));
                         if vacate_here {
                             coordinator.request_preempting_checkpoint();
                         } else {

@@ -17,6 +17,7 @@
 
 use crate::coordinator::Coordinator;
 use mpi_model::types::Rank;
+use net_sim::clock;
 use net_sim::Fabric;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -146,7 +147,7 @@ impl RecoveryLog {
     pub fn new() -> Self {
         RecoveryLog {
             inner: Arc::new(LogInner {
-                epoch: Instant::now(),
+                epoch: clock::now(),
                 events: Mutex::new(Vec::new()),
             }),
         }
@@ -221,8 +222,11 @@ impl RecoveryLog {
 
     /// The whole event stream as pretty-printed JSON (the `RECOVERY_log.json`
     /// artifact format).
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction — events are derived plain structs with no non-serializable fields, and the artifact writer has no Result channel"
+    )]
     pub fn to_json(&self) -> String {
-        // analyzer: allow(no-panic): infallible by construction — events are derived plain structs with no non-serializable fields, and the artifact writer has no Result channel
         serde_json::to_string_pretty(&self.events()).expect("recovery events serialize")
     }
 }
@@ -278,13 +282,13 @@ impl HeartbeatMonitor {
         let handle = std::thread::spawn(move || {
             let mut declared: Vec<Rank> = Vec::new();
             while !stop_flag.load(Ordering::Acquire) {
-                std::thread::sleep(poll);
+                clock::sleep(poll);
                 let ages = fabric.heartbeat_ages();
                 let mut newly: Vec<Rank> = Vec::new();
                 for (index, age) in ages.iter().enumerate() {
                     let rank = index as Rank;
                     if *age > deadline && !declared.contains(&rank) {
-                        let now = Instant::now();
+                        let now = clock::now();
                         let latency = fabric
                             .failure_instant(rank)
                             .map(|at| now.saturating_duration_since(at).as_millis() as u64);
@@ -304,10 +308,7 @@ impl HeartbeatMonitor {
                 if newly.is_empty() {
                     continue;
                 }
-                state
-                    .first_detection
-                    .lock()
-                    .get_or_insert_with(Instant::now);
+                state.first_detection.lock().get_or_insert_with(clock::now);
                 state.declared.lock().extend(newly.iter().copied());
                 let cause = newly
                     .iter()
@@ -414,10 +415,10 @@ mod tests {
         );
         // Rank 1 dies; rank 0 keeps beating (as its fabric ops would).
         fabric.kill_rank(1, "crash");
-        let deadline_hit = Instant::now() + Duration::from_secs(2);
-        while !fabric.aborted() && Instant::now() < deadline_hit {
+        let deadline_hit = clock::now() + Duration::from_secs(2);
+        while !fabric.aborted() && clock::now() < deadline_hit {
             fabric.beat(0);
-            std::thread::sleep(Duration::from_millis(2));
+            clock::sleep(Duration::from_millis(2));
         }
         assert!(fabric.aborted(), "monitor never aborted the fabric");
         let report = monitor.stop();
@@ -493,7 +494,7 @@ mod tests {
         for _ in 0..30 {
             fabric.beat(0);
             fabric.beat(1);
-            std::thread::sleep(Duration::from_millis(5));
+            clock::sleep(Duration::from_millis(5));
         }
         assert!(!monitor.detected_failure());
         let report = monitor.stop();

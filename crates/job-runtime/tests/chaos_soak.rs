@@ -13,6 +13,11 @@
 //!   generation and relaunches, and the final results are *still* bit-identical,
 //!   with every event narrated in the `RecoveryLog`.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use std::time::Duration;
 
 use job_runtime::{Backend, ChaosMenu, ChaosPlan, JobConfig, JobRuntime, RecoveryEventKind};

@@ -7,8 +7,14 @@
 //! bit-identical no matter how many physical ranks host the shards — which is
 //! what lets every resized run be compared against the uninterrupted baseline.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
+use net_sim::clock;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use job_runtime::{
     Backend, ChaosPlan, FaultKind, JobConfig, JobRuntime, RecoveryEventKind, RemapPolicy,
@@ -218,13 +224,13 @@ fn node_failure_shrinks_the_world_onto_the_survivors() {
         std::thread::spawn(move || runtime.run_steps_self_healing(STEPS, shard_fold_step))
     };
     // Once a generation has committed, take out the node hosting ranks 2 and 3.
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = clock::now() + Duration::from_secs(10);
     loop {
         if runtime.published_generation().is_some() {
             break;
         }
-        assert!(Instant::now() < deadline, "no checkpoint ever committed");
-        std::thread::sleep(Duration::from_millis(1));
+        assert!(clock::now() < deadline, "no checkpoint ever committed");
+        clock::sleep(Duration::from_millis(1));
     }
     let fabric = runtime.fabric().expect("world is up");
     fabric.install_chaos(ChaosPlan::from_faults(vec![FaultKind::KillNode {

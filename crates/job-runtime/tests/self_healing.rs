@@ -11,8 +11,14 @@
 //! - a **rank crash under the shared checkpoint service** aborts only the dead
 //!   tenant's pending generations — a neighbor tenant's history is untouched.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
+use net_sim::clock;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ckpt_service::{CkptService, ServiceConfig};
 use job_runtime::{
@@ -54,7 +60,7 @@ fn folding_step(session: &mut Session, step: u64) -> MpiResult<u64> {
         .wrapping_add(payload[0] as u64)
         .wrapping_add(step * 7 + me as u64);
     session.upper_mut().store_json(STATE, &state)?;
-    std::thread::sleep(Duration::from_millis(3));
+    clock::sleep(Duration::from_millis(3));
     Ok(state)
 }
 
@@ -76,13 +82,13 @@ fn run_with_live_fabric(
         let runtime = Arc::clone(&runtime);
         std::thread::spawn(move || runtime.run_steps_self_healing(STEPS, folding_step))
     };
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = clock::now() + Duration::from_secs(10);
     let fabric = loop {
         if let Some(fabric) = runtime.fabric() {
             break fabric;
         }
-        assert!(Instant::now() < deadline, "world never came up");
-        std::thread::sleep(Duration::from_millis(1));
+        assert!(clock::now() < deadline, "world never came up");
+        clock::sleep(Duration::from_millis(1));
     };
     with_fabric(&fabric);
     let (run, log) = driver.join().unwrap().unwrap();
@@ -179,7 +185,7 @@ fn partition_during_the_commit_round_discards_it_and_wakes_survivors_fast() {
                         if let Some(fabric) = fabric_cell.get() {
                             break fabric.clone();
                         }
-                        std::thread::sleep(Duration::from_millis(1));
+                        clock::sleep(Duration::from_millis(1));
                     };
                     fabric.inject_partition(&[2], None);
                     let monitor = HeartbeatMonitor::spawn(
@@ -193,24 +199,24 @@ fn partition_during_the_commit_round_discards_it_and_wakes_survivors_fast() {
                 } else if me == 2 {
                     // Enter the round late, so the cut is already up: ranks 0 and 1
                     // are parked in the checkpoint collectives waiting for us.
-                    std::thread::sleep(Duration::from_millis(40));
+                    clock::sleep(Duration::from_millis(40));
                 }
                 ctx.checkpoint(&mut session)?;
                 Ok(())
             })
         })
     };
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = clock::now() + Duration::from_secs(10);
     loop {
         if let Some(fabric) = runtime.fabric() {
             fabric_cell.set(fabric).ok();
             break;
         }
-        assert!(Instant::now() < deadline, "world never came up");
-        std::thread::sleep(Duration::from_millis(1));
+        assert!(clock::now() < deadline, "world never came up");
+        clock::sleep(Duration::from_millis(1));
     }
 
-    let started = Instant::now();
+    let started = clock::now();
     let outcome: MpiResult<Vec<()>> = driver.join().unwrap();
     let stranded_for = started.elapsed();
     assert!(

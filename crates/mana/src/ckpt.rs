@@ -26,9 +26,10 @@ use mpi_model::buffer::{bytes_to_u64, u64_to_bytes};
 use mpi_model::constants::PredefinedObject;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{HandleKind, Rank, ANY_SOURCE, ANY_TAG};
+use net_sim::clock;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper-half region names used for MANA's own state inside a checkpoint image.
 pub mod regions {
@@ -417,7 +418,7 @@ impl ManaRank {
 
         let mut backoff = BACKOFF_FLOOR;
         let mut last_stamp = observer.progress_stamp();
-        let mut frozen_since = Instant::now();
+        let mut frozen_since = clock::now();
         loop {
             let satisfied = self
                 .counters
@@ -432,7 +433,7 @@ impl ManaRank {
             if drained > 0 {
                 observer.record_progress(self.world_rank, drained);
                 backoff = BACKOFF_FLOOR;
-                frozen_since = Instant::now();
+                frozen_since = clock::now();
                 continue;
             }
             // A declared-dead peer that still owes us messages can never satisfy the
@@ -457,7 +458,7 @@ impl ManaRank {
             if stamp != last_stamp {
                 last_stamp = stamp;
                 backoff = BACKOFF_FLOOR;
-                frozen_since = Instant::now();
+                frozen_since = clock::now();
             } else if frozen_since.elapsed() >= observer.stall_budget() {
                 let shortfalls = self.drain_shortfall(expected_from);
                 return Err(MpiError::Checkpoint(format!(
@@ -477,7 +478,7 @@ impl ManaRank {
             let remaining = observer
                 .stall_budget()
                 .saturating_sub(frozen_since.elapsed());
-            std::thread::sleep(backoff.min(remaining));
+            clock::sleep(backoff.min(remaining));
             backoff = (backoff * 2).min(BACKOFF_CAP);
         }
     }

@@ -71,8 +71,11 @@ impl VirtualId {
     }
 
     /// The object kind encoded in the id.
+    #[expect(
+        clippy::expect_used,
+        reason = "provable invariant — every constructor (new/from_bits) validates the kind tag, and the field is private"
+    )]
     pub fn kind(self) -> HandleKind {
-        // analyzer: allow(no-panic): provable invariant — every constructor (new/from_bits) validates the kind tag, and the field is private
         HandleKind::from_tag(self.0 >> KIND_SHIFT).expect("kind bits validated at construction")
     }
 

@@ -11,6 +11,12 @@
 //! thread-local, so neither the libtest harness thread nor the peer rank can leak
 //! into a count.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use mana::config::ManaConfig;
 use mana::runtime::ManaRank;
 use mana::{Op, Session};
@@ -105,12 +111,19 @@ fn codec_counts() {
 }
 
 /// Allocations of one typed call on a 2-rank world: rank 0 sends 512 `f64`s, rank 1
-/// receives them, then both allreduce one `f64` (counted over both ranks, since
-/// which of them arrives last and assembles the round's result is a race).
+/// receives them; the same again non-blocking; rank 0 broadcasts 512 `f64`s; then
+/// both allreduce one `f64` (counted over both ranks, since which of them arrives
+/// last and assembles the round's result is a race).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct StepCounts {
     send: u64,
     recv: u64,
+    isend: u64,
+    send_wait: u64,
+    irecv: u64,
+    recv_wait: u64,
+    /// Root, then non-root.
+    bcast: [u64; 2],
     allreduce: u64,
 }
 
@@ -126,8 +139,9 @@ fn step_counts() -> Vec<StepCounts> {
         .unwrap()
         .0;
     let halo: Vec<f64> = (0..512).map(|i| i as f64 * 0.25).collect();
-    // Per rank and round: allocations of the point-to-point call and of the allreduce.
-    let per_rank: Vec<Vec<[u64; 2]>> = std::thread::scope(|scope| {
+    // Per rank and round: allocations of the blocking point-to-point call, the
+    // non-blocking post and its wait, the bcast and the allreduce.
+    let per_rank: Vec<Vec<[u64; 5]>> = std::thread::scope(|scope| {
         let ranks: Vec<_> = lowers
             .into_iter()
             .map(|lower| {
@@ -147,12 +161,26 @@ fn step_counts() -> Vec<StepCounts> {
                                 assert_eq!(&got, halo);
                             }
                         });
+                        let (post, request) = allocations_in(|| {
+                            if me == 0 {
+                                session.isend(halo, 1, 6, world).unwrap()
+                            } else {
+                                session.irecv::<f64>(512, 0, 6, world).unwrap()
+                            }
+                        });
+                        let (wait, (got, _)) =
+                            allocations_in(|| request.wait(&mut session).unwrap());
+                        assert_eq!(got.len(), if me == 0 { 0 } else { 512 });
+                        let mut data = if me == 0 { halo.clone() } else { Vec::new() };
+                        let (bcast, ()) =
+                            allocations_in(|| session.bcast(&mut data, 0, world).unwrap());
+                        assert_eq!(&data, halo);
                         let (allreduce, sum) = allocations_in(|| {
                             session.allreduce(&[1.0f64], Op::sum(), world).unwrap()
                         });
                         assert_eq!(sum, [2.0]);
                         if round >= WARM_UP {
-                            counts.push([p2p, allreduce]);
+                            counts.push([p2p, post, wait, bcast, allreduce]);
                         }
                     }
                     counts
@@ -162,28 +190,67 @@ fn step_counts() -> Vec<StepCounts> {
         ranks.into_iter().map(|rank| rank.join().unwrap()).collect()
     });
     std::iter::zip(&per_rank[0], &per_rank[1])
-        .map(|(sender, receiver)| StepCounts {
-            send: sender[0],
-            recv: receiver[0],
-            allreduce: sender[1] + receiver[1],
+        .map(|(root, leaf)| StepCounts {
+            send: root[0],
+            recv: leaf[0],
+            isend: root[1],
+            send_wait: root[2],
+            irecv: leaf[1],
+            recv_wait: leaf[2],
+            bcast: [root[3], leaf[3]],
+            allreduce: root[4] + leaf[4],
         })
         .collect()
 }
 
+/// Rounds in which isend or irecv may pay one allocation more than its steady count:
+/// every request takes a fresh slot in the session's virtual-id table (ids are never
+/// reused), so the table's slot vector doubles now and then — at most once per power
+/// of two of requests posted, a handful of rounds out of [`ROUNDS`]. A copy on the
+/// path would cost one more in every round.
+const SLOT_GROWTH_ROUNDS: usize = 8;
+
 #[test]
 fn typed_step_path_allocation_counts_are_exact() {
     codec_counts();
-    // Send: the payload, encoded in place. Receive: the decoded elements. Allreduce,
-    // per rank: the encoded send buffer the byte-level call borrows, the payload the
-    // engine copies it into, the accumulator and the decoded result; per round: the
-    // fabric's slot map, ordered contributions and their `Arc`, and one fan-out
-    // vector per reader.
+    // Send: the payload, encoded in place. Receive: the decoded elements. Isend: the
+    // payload; the eager send completes it, so its wait allocates nothing. Irecv
+    // posts a descriptor without allocating; its wait decodes the elements.
+    // Allreduce, per rank: the encoded send buffer the byte-level call borrows, the
+    // payload the engine copies it into, the accumulator and the decoded result; per
+    // round: the fabric's slot map, ordered contributions and their `Arc`, and one
+    // fan-out vector per reader. Bcast, per rank: the root's encoded buffer, the
+    // payload the engine copies it into and the decoded result; the non-root's empty
+    // contribution, its receive buffer and the decoded result; per round the same
+    // five as the allreduce, split two and three between the ranks by which arrives
+    // last — a race, so the pair is compared in sorted order.
     let expected = StepCounts {
         send: 1,
         recv: 1,
+        isend: 1,
+        send_wait: 0,
+        irecv: 0,
+        recv_wait: 1,
+        bcast: [3 + 2, 3 + 3],
         allreduce: 2 * 4 + 5,
     };
+    let mut grown = 0;
     for (round, counts) in step_counts().into_iter().enumerate() {
-        assert_eq!(counts, expected, "round {round}");
+        let isend_grew = counts.isend == expected.isend + 1;
+        let irecv_grew = counts.irecv == expected.irecv + 1;
+        grown += usize::from(isend_grew) + usize::from(irecv_grew);
+        let mut bcast = counts.bcast;
+        bcast.sort_unstable();
+        let steady = StepCounts {
+            isend: counts.isend - u64::from(isend_grew),
+            irecv: counts.irecv - u64::from(irecv_grew),
+            bcast,
+            ..counts
+        };
+        assert_eq!(steady, expected, "round {round}: {counts:?}");
     }
+    assert!(
+        grown <= 2 * SLOT_GROWTH_ROUNDS,
+        "isend and irecv paid one more allocation in {grown} posts over {ROUNDS} rounds"
+    );
 }

@@ -12,6 +12,11 @@
 //! UPDATE_API_SURFACE=1 cargo test -p mana --test api_surface
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 const SOURCE: &str = include_str!("../src/api.rs");
 const GOLDEN: &str = include_str!("api_surface.golden");
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/api_surface.golden");

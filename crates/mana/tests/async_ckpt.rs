@@ -3,6 +3,11 @@
 //! mid-flush must restart from the newest *committed* generation) and the drain-loop
 //! stall-clock regression tests.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool};
 use elastic::restart_job_from_storage;
 use mana::ckpt::LocalDrainObserver;
@@ -11,10 +16,11 @@ use mpi_engine::Backend;
 use mpi_model::error::MpiResult;
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::Rank;
+use net_sim::clock;
 use parking_lot::RwLock;
 use split_proc::image::CheckpointImage;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn launch_ranks(
     world: usize,
@@ -242,7 +248,7 @@ fn drain_fails_fast_when_a_shortfall_peer_is_dead() {
 
     // Expect 2 messages from rank 0, which the detector says is dead.
     let plan = DrainPlan::synthetic(vec![2], 0);
-    let start = Instant::now();
+    let start = clock::now();
     let err = rank.drain_quiescent(&plan, &DeadPeerObserver).unwrap_err();
     let elapsed = start.elapsed();
 
@@ -268,7 +274,7 @@ fn drain_stall_fires_on_budget_and_reports_the_real_wait() {
     let budget = Duration::from_millis(100);
     // Expect 3 messages from rank 0 that were never sent: the drain can only stall.
     let plan = DrainPlan::synthetic(vec![3], 0);
-    let start = Instant::now();
+    let start = clock::now();
     let err = rank
         .drain_quiescent(&plan, &FrozenObserver { budget })
         .unwrap_err();

@@ -17,6 +17,11 @@
 //! The standalone checkpoints here write flat images (`StoragePolicy::FullImage`, the
 //! paper's baseline) into the `ckpt-store` engine.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::CheckpointStorage;
 use elastic::{restart_job, restart_job_from_storage, NoRepartition, RankMap};
 use job_runtime::{run_world, Backend, JobConfig, JobRuntime};

@@ -8,6 +8,12 @@
 //!   (world/self communicators, named datatypes, built-in ops) fail cleanly with
 //!   [`MpiError::FreePredefined`] and leave the descriptor intact.
 
+#![expect(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use mana::runtime::AppHandle;
 use mana::{ManaConfig, ManaRank};
 use mpi_engine::Backend;

@@ -2,6 +2,11 @@
 //! stack: incremental generations, dirty-region savings, and job-level fallback to an
 //! older generation when a chunk of the newest one is corrupt.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::{CheckpointStorage, StoragePolicy};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{ManaConfig, Op};

@@ -7,6 +7,11 @@
 //! call against the pending second-collective record would wrongly reject the replay
 //! as divergent.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::CheckpointStorage;
 use elastic::restart_job_from_storage;
 use job_runtime::{run_world, Backend};

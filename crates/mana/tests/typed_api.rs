@@ -7,6 +7,13 @@
 //!   (`Datatype<f64>`, `Comm`) survive restart exactly like raw `AppHandle`s do
 //!   (both forms are stored side by side and compared after the restart).
 
+#![expect(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::runtime::AppHandle;
 use mana::{Comm, Datatype, Op, Session};

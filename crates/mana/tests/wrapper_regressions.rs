@@ -7,6 +7,11 @@
 //!   (or the peer-rank translation) failed, because the `?` early-returns skipped
 //!   `translator.remove`.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use ckpt_store::CheckpointStorage;
 use job_runtime::run_world;
 use mana::{ManaConfig, ManaRank, StoragePolicy};

@@ -86,7 +86,10 @@ impl<C: HandleCodec> Engine<C> {
         };
         if engine.config.resolution != ConstantResolution::LazySharedPointer {
             for object in PredefinedObject::all() {
-                // analyzer: allow(no-panic): infallible by construction — predefined objects materialize into freshly created empty stores, and the constructor has no Result channel
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible by construction — predefined objects materialize into freshly created empty stores, and the constructor has no Result channel"
+                )]
                 engine
                     .materialize_constant(object)
                     .expect("materializing predefined constants cannot fail");
@@ -1093,9 +1096,13 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
             PayloadBuf::new()
         };
         let all = self.exchange(idx, contribution)?;
+        // Non-root ranks materialize into their receive buffer; the fabric-side
+        // fan-out to all N readers shared one allocation.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "MPI_Bcast's contract is an owned receive buffer: one copy per non-root rank"
+        )]
         if my_rank != root {
-            // Non-root ranks materialize into their receive buffer; the fabric-side
-            // fan-out to all N readers shared one allocation.
             *buf = all[root as usize].to_vec();
         }
         Ok(())
@@ -1124,6 +1131,10 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
         if my_rank != root {
             return Ok(None);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the root reduces in place into an owned accumulator, which MPI_Reduce returns"
+        )]
         let mut accumulator = all[0].to_vec();
         let registry = self.registry.read();
         for contribution in &all[1..] {
@@ -1146,6 +1157,10 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
         let op_desc = self.ops.get(oidx)?.descriptor;
         let idx = self.comm_index(comm)?;
         let all = self.exchange(idx, PayloadBuf::copy_from_slice(sendbuf))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each rank reduces in place into an owned accumulator, which MPI_Allreduce returns"
+        )]
         let mut accumulator = all[0].to_vec();
         let registry = self.registry.read();
         for contribution in &all[1..] {

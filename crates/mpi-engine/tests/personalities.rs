@@ -4,6 +4,11 @@
 //! implementation, so a refactor that silently changes an encoding, a feature or a
 //! name fails here.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use job_runtime::Backend;
 use mpi_model::constants::{ConstantResolution, PredefinedObject};
 use mpi_model::datatype::PrimitiveType;
@@ -262,6 +267,10 @@ fn every_backend_carries_traffic() {
                             api.send(&[5, 6], byte, 1, 0, world).unwrap();
                             Vec::new()
                         }
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the row compares the received bytes as an owned vector"
+                        )]
                         1 => api.recv(byte, 16, 0, 0, world).unwrap().0.to_vec(),
                         _ => Vec::new(),
                     };

@@ -76,29 +76,17 @@ impl TypedBuffer {
 
     /// Interpret the contents as `f64` values.
     pub fn as_f64(&self) -> Vec<f64> {
-        self.bytes
-            .chunks_exact(8)
-            // analyzer: allow(no-panic): provable invariant — chunks_exact(8) yields exactly 8-byte slices
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
+        bytes_to_f64(&self.bytes)
     }
 
     /// Interpret the contents as `i32` values.
     pub fn as_i32(&self) -> Vec<i32> {
-        self.bytes
-            .chunks_exact(4)
-            // analyzer: allow(no-panic): provable invariant — chunks_exact(4) yields exactly 4-byte slices
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
+        bytes_to_i32(&self.bytes)
     }
 
     /// Interpret the contents as `u64` values.
     pub fn as_u64(&self) -> Vec<u64> {
-        self.bytes
-            .chunks_exact(8)
-            // analyzer: allow(no-panic): provable invariant — chunks_exact(8) yields exactly 8-byte slices
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
+        bytes_to_u64(&self.bytes)
     }
 
     /// Raw byte view.
@@ -132,6 +120,16 @@ impl TypedBuffer {
     }
 }
 
+/// Decode little-endian `N`-byte elements. Trailing partial elements are dropped.
+fn from_le_chunks<const N: usize, T>(bytes: &[u8], decode: fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .as_chunks::<N>()
+        .0
+        .iter()
+        .map(|c| decode(*c))
+        .collect()
+}
+
 /// Encode a slice of `f64` into little-endian bytes.
 pub fn f64_to_bytes(values: &[f64]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -139,11 +137,7 @@ pub fn f64_to_bytes(values: &[f64]) -> Vec<u8> {
 
 /// Decode little-endian bytes into `f64` values. Trailing partial elements are dropped.
 pub fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        // analyzer: allow(no-panic): provable invariant — chunks_exact(8) yields exactly 8-byte slices
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    from_le_chunks(bytes, f64::from_le_bytes)
 }
 
 /// Encode a slice of `i32` into little-endian bytes.
@@ -153,11 +147,7 @@ pub fn i32_to_bytes(values: &[i32]) -> Vec<u8> {
 
 /// Decode little-endian bytes into `i32` values. Trailing partial elements are dropped.
 pub fn bytes_to_i32(bytes: &[u8]) -> Vec<i32> {
-    bytes
-        .chunks_exact(4)
-        // analyzer: allow(no-panic): provable invariant — chunks_exact(4) yields exactly 4-byte slices
-        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    from_le_chunks(bytes, i32::from_le_bytes)
 }
 
 /// Encode a slice of `u64` into little-endian bytes.
@@ -167,11 +157,7 @@ pub fn u64_to_bytes(values: &[u64]) -> Vec<u8> {
 
 /// Decode little-endian bytes into `u64` values. Trailing partial elements are dropped.
 pub fn bytes_to_u64(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        // analyzer: allow(no-panic): provable invariant — chunks_exact(8) yields exactly 8-byte slices
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    from_le_chunks(bytes, u64::from_le_bytes)
 }
 
 #[cfg(test)]

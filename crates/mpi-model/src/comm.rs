@@ -46,9 +46,12 @@ impl CommDescriptor {
     }
 
     /// A self communicator for `world_rank`, with the conventional context 2.
+    #[expect(
+        clippy::expect_used,
+        reason = "provable invariant — a one-member vec has no duplicates, the only from_members failure mode"
+    )]
     pub fn self_comm(world_rank: Rank) -> Self {
         CommDescriptor {
-            // analyzer: allow(no-panic): provable invariant — a one-member vec has no duplicates, the only from_members failure mode
             group: GroupDescriptor::from_members(vec![world_rank])
                 .expect("single-member group is always valid"),
             context: 2,

@@ -78,11 +78,14 @@ impl PredefinedObject {
     }
 
     /// The stable slot of this constant in [`PredefinedObject::all`].
+    #[expect(
+        clippy::expect_used,
+        reason = "provable invariant — the table enumerates every variant; the unit test below locks the bijection"
+    )]
     pub fn slot(self) -> usize {
         PredefinedObject::all()
             .iter()
             .position(|&o| o == self)
-            // analyzer: allow(no-panic): provable invariant — the table enumerates every variant; the unit test below locks the bijection
             .expect("every predefined object appears in all()")
     }
 

@@ -72,11 +72,14 @@ impl PrimitiveType {
     }
 
     /// Stable index of this primitive in [`PrimitiveType::ALL`].
+    #[expect(
+        clippy::expect_used,
+        reason = "provable invariant — the table enumerates every variant; the unit test below locks the bijection"
+    )]
     pub fn index(self) -> usize {
         PrimitiveType::ALL
             .iter()
             .position(|&p| p == self)
-            // analyzer: allow(no-panic): provable invariant — the table enumerates every variant; the unit test below locks the bijection
             .expect("every primitive is in ALL")
     }
 

@@ -55,11 +55,14 @@ impl PredefinedOp {
     ];
 
     /// Stable index of this op in [`PredefinedOp::ALL`].
+    #[expect(
+        clippy::expect_used,
+        reason = "provable invariant — the table enumerates every variant; the unit test below locks the bijection"
+    )]
     pub fn index(self) -> usize {
         PredefinedOp::ALL
             .iter()
             .position(|&o| o == self)
-            // analyzer: allow(no-panic): provable invariant — the table enumerates every variant; the unit test below locks the bijection
             .expect("every op is in ALL")
     }
 
@@ -174,14 +177,15 @@ impl OpDescriptor {
 
 macro_rules! reduce_numeric {
     ($ty:ty, $inout:expr, $incoming:expr, $op:expr) => {{
-        let width = std::mem::size_of::<$ty>();
+        const WIDTH: usize = std::mem::size_of::<$ty>();
         for (dst, src) in $inout
-            .chunks_exact_mut(width)
-            .zip($incoming.chunks_exact(width))
+            .as_chunks_mut::<WIDTH>()
+            .0
+            .iter_mut()
+            .zip($incoming.as_chunks::<WIDTH>().0)
         {
-            // analyzer: allow(no-panic): provable invariant — chunks_exact(width) yields exactly width-byte slices
-            let a = <$ty>::from_le_bytes(dst.try_into().unwrap());
-            let b = <$ty>::from_le_bytes(src.try_into().unwrap());
+            let a = <$ty>::from_le_bytes(*dst);
+            let b = <$ty>::from_le_bytes(*src);
             let r: $ty = match $op {
                 PredefinedOp::Sum => a.wrapping_add_model(b),
                 PredefinedOp::Prod => a.wrapping_mul_model(b),
@@ -221,7 +225,7 @@ macro_rules! reduce_numeric {
                     ))
                 }
             };
-            dst.copy_from_slice(&r.to_le_bytes());
+            *dst = r.to_le_bytes();
         }
         Ok(())
     }};
@@ -259,14 +263,11 @@ macro_rules! impl_numeric_float {
         impl NumericModel for $ty {
             fn wrapping_add_model(self, other: Self) -> Self { self + other }
             fn wrapping_mul_model(self, other: Self) -> Self { self * other }
-            fn band_model(self, _other: Self) -> Self {
-                // Bitwise ops on floating types are erroneous in MPI; the caller
-                // filters this case out, so reaching here is a model bug.
-                // analyzer: allow(no-panic): caller invariant — reduce() rejects bitwise ops on float types before dispatch
-                unreachable!("bitwise op on float")
-            }
-            // analyzer: allow(no-panic): caller invariant — reduce() rejects bitwise ops on float types before dispatch
-            fn bor_model(self, _other: Self) -> Self { unreachable!("bitwise op on float") }
+            // Bitwise ops on floating types are erroneous in MPI and
+            // apply_predefined rejects them before dispatch; on the bits they
+            // are still total, so no panic hides in this macro body.
+            fn band_model(self, other: Self) -> Self { <$ty>::from_bits(self.to_bits() & other.to_bits()) }
+            fn bor_model(self, other: Self) -> Self { <$ty>::from_bits(self.to_bits() | other.to_bits()) }
             fn zero_model() -> Self { 0.0 }
             fn one_model() -> Self { 1.0 }
         }
@@ -337,16 +338,33 @@ fn apply_loc(op: PredefinedOp, inout: &mut [u8], incoming: &[u8]) -> MpiResult<(
         .chunks_exact_mut(PAIR)
         .zip(incoming.chunks_exact(PAIR))
     {
-        // analyzer: allow(no-panic): provable invariant — chunks_exact(12) yields exactly 12-byte slices
+        #[expect(
+            clippy::unwrap_used,
+            reason = "provable invariant — chunks_exact(12) yields exactly 12-byte slices"
+        )]
         let a_val = f64::from_le_bytes(dst[..8].try_into().unwrap());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "provable invariant — chunks_exact(12) yields exactly 12-byte slices"
+        )]
         let a_idx = i32::from_le_bytes(dst[8..12].try_into().unwrap());
-        // analyzer: allow(no-panic): provable invariant — chunks_exact(12) yields exactly 12-byte slices
+        #[expect(
+            clippy::unwrap_used,
+            reason = "provable invariant — chunks_exact(12) yields exactly 12-byte slices"
+        )]
         let b_val = f64::from_le_bytes(src[..8].try_into().unwrap());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "provable invariant — chunks_exact(12) yields exactly 12-byte slices"
+        )]
         let b_idx = i32::from_le_bytes(src[8..12].try_into().unwrap());
         let take_b = match op {
             PredefinedOp::MaxLoc => b_val > a_val || (b_val == a_val && b_idx < a_idx),
             PredefinedOp::MinLoc => b_val < a_val || (b_val == a_val && b_idx < a_idx),
-            // analyzer: allow(no-panic): caller invariant — this helper is dispatched only for MaxLoc/MinLoc
+            #[expect(
+                clippy::unreachable,
+                reason = "caller invariant — this helper is dispatched only for MaxLoc/MinLoc"
+            )]
             _ => unreachable!(),
         };
         if take_b {

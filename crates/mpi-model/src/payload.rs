@@ -58,7 +58,10 @@ impl PayloadBuf {
     /// no copy — what a marshaller that knows its output size up front should use.
     pub fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
         let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        // analyzer: allow(no-panic): provable invariant — `data` was created on the line above and never cloned
+        #[expect(
+            clippy::expect_used,
+            reason = "provable invariant — `data` was created on the line above and never cloned"
+        )]
         fill(Arc::get_mut(&mut data).expect("a fresh Arc has one owner"));
         PayloadBuf {
             data,
@@ -184,6 +187,10 @@ impl<const N: usize> From<[u8; N]> for PayloadBuf {
 }
 
 impl From<PayloadBuf> for Vec<u8> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the conversion out to an owned vector is a copy by definition; callers that want to share take the PayloadBuf"
+    )]
     fn from(buf: PayloadBuf) -> Vec<u8> {
         buf.to_vec()
     }

@@ -200,14 +200,13 @@ impl MpiData for DoubleInt {
     }
 
     fn decode_element(bytes: &[u8]) -> MpiResult<Self> {
-        if bytes.len() != 12 {
-            return short_payload(12, bytes.len());
+        match (bytes.len(), bytes.first_chunk(), bytes.last_chunk()) {
+            (12, Some(value), Some(index)) => Ok(DoubleInt {
+                value: f64::from_le_bytes(*value),
+                index: i32::from_le_bytes(*index),
+            }),
+            _ => short_payload(12, bytes.len()),
         }
-        Ok(DoubleInt {
-            // analyzer: allow(no-panic): provable invariant — length 12 is checked directly above
-            value: f64::from_le_bytes(bytes[..8].try_into().unwrap()),
-            index: i32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        })
     }
 }
 

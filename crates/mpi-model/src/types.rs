@@ -184,7 +184,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "the test pins the signs of the wildcard and internal-tag constants"
+    )]
     fn wildcards_are_negative() {
         assert!(ANY_SOURCE < 0);
         assert!(ANY_TAG < 0);

@@ -2263,7 +2263,7 @@ mod tests {
         assert_eq!(f.pending_messages(), 1);
         // Isolated rank's beats are suppressed while the partition is active.
         let before = f.heartbeat_ages()[2];
-        std::thread::sleep(Duration::from_millis(10));
+        crate::clock::sleep(Duration::from_millis(10));
         let _ = e2.pending_incoming(); // would normally beat
         assert!(f.heartbeat_ages()[2] >= before);
         // After heal, the held message is delivered and beats resume.
@@ -2288,13 +2288,13 @@ mod tests {
         let f = fabric(2);
         f.enable_heartbeats();
         let e0 = f.endpoint(0).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        crate::clock::sleep(Duration::from_millis(20));
         let ages = f.heartbeat_ages();
         assert!(ages[0] >= Duration::from_millis(15));
         e0.send(1, 0, 1, 0, vec![]).unwrap();
         assert!(f.heartbeat_ages()[0] < Duration::from_millis(15));
         // Manual beats work too (compute-only phases).
-        std::thread::sleep(Duration::from_millis(20));
+        crate::clock::sleep(Duration::from_millis(20));
         f.beat(0);
         assert!(f.heartbeat_ages()[0] < Duration::from_millis(15));
     }

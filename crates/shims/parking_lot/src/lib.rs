@@ -10,12 +10,14 @@
 //!   locks are recovered transparently;
 //! * `Condvar::wait_for` takes `&mut MutexGuard` rather than consuming the guard.
 //!
-//! Because every lock in the workspace goes through this shim, it is also the natural
-//! instrumentation point for the in-tree deadlock detector: the [`order`] module can
-//! tag each lock with its construction site and record per-thread acquisition orders,
-//! which the `analyzer` crate turns into a lock-order graph with cycle detection. The
-//! tracing is env-var gated (`MANA_LOCK_ORDER` / `MANA_LOCK_ORDER_DIR`) and costs one
-//! branch per operation when off.
+//! Because every lock and every condvar park in the workspace goes through this shim,
+//! it is also the natural instrumentation point for the in-tree deadlock detector: the
+//! [`order`] module can tag each lock with its construction site and record
+//! per-thread acquisition orders, which the `analyzer` crate turns into a lock-order
+//! graph with cycle detection, and it records every traced lock still held when its
+//! thread parks on a [`Condvar`] (a held-across-block finding). The tracing is
+//! env-var gated (`MANA_LOCK_ORDER` / `MANA_LOCK_ORDER_DIR`) and costs one branch per
+//! operation when off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -115,14 +117,14 @@ pub struct MutexGuard<'a, T: ?Sized> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        // analyzer: allow(no-panic): guard invariant — `inner` is Some outside Condvar::wait
+        // Guard invariant: `inner` is Some outside Condvar::wait.
         self.inner.as_ref().expect("guard present outside wait")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // analyzer: allow(no-panic): guard invariant — `inner` is Some outside Condvar::wait
+        // Guard invariant: `inner` is Some outside Condvar::wait.
         self.inner.as_mut().expect("guard present outside wait")
     }
 }
@@ -291,13 +293,16 @@ impl Condvar {
     }
 
     /// Block until notified, releasing the guard's lock while waiting.
+    #[track_caller]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // analyzer: allow(no-panic): guard invariant — `inner` is Some outside a wait
+        // Guard invariant: `inner` is Some outside a wait.
         let std_guard = guard.inner.take().expect("guard present outside wait");
         // The lock is released for the duration of the park: the held-stack must not
-        // show it, or a concurrent acquisition would record a phantom edge.
+        // show it, or a concurrent acquisition would record a phantom edge. Whatever
+        // the stack still shows is held across the park.
         if let Some(site) = guard.site {
             order::on_release(site);
+            order::on_block(std::panic::Location::caller());
         }
         let std_guard = self
             .inner
@@ -312,15 +317,17 @@ impl Condvar {
 
     /// Block until notified or `timeout` elapses, releasing the guard's lock while
     /// waiting.
+    #[track_caller]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
-        // analyzer: allow(no-panic): guard invariant — `inner` is Some outside a wait
+        // Guard invariant: `inner` is Some outside a wait.
         let std_guard = guard.inner.take().expect("guard present outside wait");
         if let Some(site) = guard.site {
             order::on_release(site);
+            order::on_block(std::panic::Location::caller());
         }
         let (std_guard, result) = self
             .inner
@@ -437,26 +444,83 @@ mod tests {
         );
     }
 
+    /// The held-across-block findings recorded at a wait on `line` of this file,
+    /// as `(held lock's construction site, wait call site)`.
+    fn findings_at_line(line: u32) -> Vec<(String, String)> {
+        let snap = order::snapshot();
+        let at_line = format!("lib.rs:{line}:");
+        snap.held_across_block
+            .iter()
+            .filter(|(_, at, _)| at.contains(&at_line))
+            .map(|(held, at, _)| (held.clone(), at.clone()))
+            .collect()
+    }
+
     #[test]
     fn condvar_wait_releases_held_entry() {
+        // The finding is planted on purpose: under an ambient traced run it would
+        // land in the suite's dump and fail the held-across-block gate.
+        if order::ambient() {
+            eprintln!("skipping: ambient lock-order tracing is enabled");
+            return;
+        }
         order::force_enable();
         let outer = Arc::new(Mutex::new(0u32));
+        let outer_line = line!() - 1;
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        // Holding `outer` then waiting on `pair.0`: while parked, `pair.0` must not
-        // be on the held stack, so a helper acquiring it records no phantom edges
-        // beyond the legitimate outer->pair one from this thread.
+        // Holding `outer` then parking on `pair.0`: the park releases `pair.0`, so
+        // only `outer` is held across it. The waker cannot set the flag before the
+        // park, because it needs `pair.0`, which only the park releases.
+        let _outer_guard = outer.lock();
+        let mut guard = pair.0.lock();
         let pair2 = Arc::clone(&pair);
         let waker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
             *pair2.0.lock() = true;
             pair2.1.notify_all();
         });
-        let _outer_guard = outer.lock();
-        let mut guard = pair.0.lock();
+        let wait_line = line!() + 2;
         while !*guard {
             pair.1.wait(&mut guard);
         }
         drop(guard);
         waker.join().unwrap();
+
+        let findings = findings_at_line(wait_line);
+        assert_eq!(findings.len(), 1, "only `outer` is held: {findings:?}");
+        assert!(
+            findings[0].0.contains(&format!("lib.rs:{outer_line}:")),
+            "the finding names the held lock's construction site: {findings:?}"
+        );
+    }
+
+    /// Parks on a fresh condvar for a millisecond from one line; returns that line.
+    fn park_briefly() -> u32 {
+        let pair = (Mutex::new(()), Condvar::new());
+        let mut guard = pair.0.lock();
+        pair.1.wait_for(&mut guard, Duration::from_millis(1));
+        line!() - 1
+    }
+
+    #[test]
+    fn parks_holding_nothing_else_record_nothing() {
+        order::force_enable();
+        let state = Mutex::new(7u32);
+        // The condvar idiom: the park releases the only lock held.
+        let park_line = park_briefly();
+        // Early drop.
+        let guard = state.lock();
+        let value = *guard;
+        drop(guard);
+        park_briefly();
+        // A temporary guard, dropped at the end of its statement.
+        let sum = *state.lock() + value;
+        park_briefly();
+        // Scope exit.
+        {
+            let _guard = state.lock();
+        }
+        park_briefly();
+        assert_eq!(sum, 14);
+        assert_eq!(findings_at_line(park_line), Vec::new());
     }
 }

@@ -7,11 +7,20 @@
 //! crate (`cargo run -p analyzer -- lock-graph`) merges the per-process dumps from a
 //! whole test-suite run, detects cycles, and emits `LOCK_graph.json`.
 //!
+//! The same held stack checks one more rule at every blocking wait: a thread that
+//! parks must hold nothing but the lock it parks on, or every peer that needs the
+//! held lock waits out the park with it. [`crate::Condvar::wait`] /
+//! [`crate::Condvar::wait_for`] (every fabric, flusher, service and barrier wait) and
+//! `net_sim::clock::sleep` call [`on_block`], which records each other traced lock
+//! still held as a *held-across-block* finding, named by the lock's construction
+//! site and the wait's call site. `lock-graph` reports them as `held_across_block`
+//! and fails on any.
+//!
 //! Cost model:
 //!
 //! * **Off (the default):** one relaxed atomic load plus a cached-`OnceLock` read per
-//!   lock construction, and a `None` check per acquire/release. No allocation, no
-//!   global contention, no I/O.
+//!   lock construction, and a `None` check per acquire/release and condvar wait. No
+//!   allocation, no global contention, no I/O.
 //! * **On:** a thread-local held-stack push/pop per acquisition, and a global-table
 //!   touch only the *first* time a given (held, acquired) pair is seen by a thread.
 //!
@@ -60,6 +69,13 @@ pub fn enabled() -> bool {
     FORCED.load(Ordering::Relaxed) || env_enabled()
 }
 
+/// Whether the environment (`MANA_LOCK_ORDER` / `MANA_LOCK_ORDER_DIR`) switched
+/// tracing on. A test that plants a finding on purpose skips when it is: the
+/// finding would land in the suite's dump and fail the gate on a manufactured case.
+pub fn ambient() -> bool {
+    env_enabled()
+}
+
 /// Turn tracing on programmatically (for tests). Locks constructed before the call
 /// carry no site tag and stay untraced.
 pub fn force_enable() {
@@ -84,6 +100,12 @@ fn registry() -> &'static StdMutex<Registry> {
 fn edges() -> &'static StdMutex<HashMap<(u32, u32), u64>> {
     static EDGES: OnceLock<StdMutex<HashMap<(u32, u32), u64>>> = OnceLock::new();
     EDGES.get_or_init(|| StdMutex::new(HashMap::new()))
+}
+
+/// Held-across-block findings: (held site, wait call site) → times observed.
+fn blocks() -> &'static StdMutex<HashMap<(u32, String), u64>> {
+    static BLOCKS: OnceLock<StdMutex<HashMap<(u32, String), u64>>> = OnceLock::new();
+    BLOCKS.get_or_init(|| StdMutex::new(HashMap::new()))
 }
 
 /// Registered on first use per tracing thread; its drop runs when the thread exits
@@ -164,6 +186,22 @@ pub(crate) fn on_release(site: u32) {
     });
 }
 
+/// The current thread is about to block at `at` (a condvar park, after its own lock
+/// was released, or a sleep): every traced lock it still holds is a finding.
+pub fn on_block(at: &'static Location<'static>) {
+    let held = HELD
+        .try_with(|held| held.borrow().clone())
+        .unwrap_or_default();
+    if held.is_empty() {
+        return;
+    }
+    let at = format!("{}:{}:{}", at.file(), at.line(), at.column());
+    let mut table = blocks().lock().unwrap_or_else(|p| p.into_inner());
+    for site in held {
+        *table.entry((site, at.clone())).or_insert(0) += 1;
+    }
+}
+
 /// An in-memory copy of everything recorded so far.
 #[derive(Debug, Clone)]
 pub struct LockOrderSnapshot {
@@ -171,6 +209,9 @@ pub struct LockOrderSnapshot {
     pub sites: Vec<String>,
     /// `(held, then_acquired, times_observed)` edges.
     pub edges: Vec<(u32, u32, u64)>,
+    /// `(held lock's site name, wait call site, times_observed)`: a lock held
+    /// while the thread blocked (see [`on_block`]).
+    pub held_across_block: Vec<(String, String, u64)>,
 }
 
 impl LockOrderSnapshot {
@@ -182,15 +223,8 @@ impl LockOrderSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    \"");
-            for c in site.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
+            out.push_str("\n    ");
+            push_json_string(&mut out, site);
         }
         out.push_str("\n  ],\n  \"edges\": [");
         for (i, (from, to, count)) in self.edges.iter().enumerate() {
@@ -201,9 +235,32 @@ impl LockOrderSnapshot {
                 "\n    {{\"from\": {from}, \"to\": {to}, \"count\": {count}}}"
             ));
         }
+        out.push_str("\n  ],\n  \"held_across_block\": [");
+        for (i, (held, at, count)) in self.held_across_block.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n    {\"held\": ");
+            push_json_string(&mut out, held);
+            out.push_str(", \"at\": ");
+            push_json_string(&mut out, at);
+            out.push_str(&format!(", \"count\": {count}}}"));
+        }
         out.push_str("\n  ]\n}\n");
         out
     }
+}
+
+fn push_json_string(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Snapshot the global site table and edge set.
@@ -217,17 +274,19 @@ pub fn snapshot() -> LockOrderSnapshot {
         table.iter().map(|(&(a, b), &n)| (a, b, n)).collect()
     };
     edge_list.sort_unstable();
+    let mut held_across_block: Vec<(String, String, u64)> = {
+        let table = blocks().lock().unwrap_or_else(|p| p.into_inner());
+        table
+            .iter()
+            .map(|((held, at), &n)| (sites[*held as usize].clone(), at.clone(), n))
+            .collect()
+    };
+    held_across_block.sort_unstable();
     LockOrderSnapshot {
         sites,
         edges: edge_list,
+        held_across_block,
     }
-}
-
-/// Forget everything recorded so far (global tables only; other threads' held
-/// stacks are untouched). For tests.
-pub fn reset() {
-    edges().lock().unwrap_or_else(|p| p.into_inner()).clear();
-    SEEN.with(|seen| seen.borrow_mut().clear());
 }
 
 /// Write the current snapshot to `MANA_LOCK_ORDER_DIR/lock_order.<pid>.json`

@@ -73,7 +73,10 @@ impl CheckpointImage {
 
     /// Encode to the binary image format.
     pub fn encode(&self) -> Vec<u8> {
-        // analyzer: allow(no-panic): infallible by construction — metadata is a plain string/number struct with no non-serializable fields, and encode() has no Result channel
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible by construction — metadata is a plain string/number struct with no non-serializable fields, and encode() has no Result channel"
+        )]
         let metadata =
             serde_json::to_vec(&self.metadata).expect("image metadata always serializes");
         let regions_len: usize = self

@@ -108,14 +108,20 @@ fn xxh_merge_round(acc: u64, lane: u64) -> u64 {
 }
 
 #[inline]
+#[expect(
+    clippy::unwrap_used,
+    reason = "provable invariant — every caller checks `at + 8 <= len` first"
+)]
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    // analyzer: allow(no-panic): provable invariant — every caller checks `at + 8 <= len` first
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 #[inline]
+#[expect(
+    clippy::unwrap_used,
+    reason = "provable invariant — every caller checks `at + 4 <= len` first"
+)]
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    // analyzer: allow(no-panic): provable invariant — every caller checks `at + 4 <= len` first
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
@@ -221,14 +227,20 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read a little-endian `u32`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "provable invariant — take(4) returns exactly 4 bytes or errors"
+    )]
     pub fn u32(&mut self) -> MpiResult<u32> {
-        // analyzer: allow(no-panic): provable invariant — take(4) returns exactly 4 bytes or errors
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "provable invariant — take(8) returns exactly 8 bytes or errors"
+    )]
     pub fn u64(&mut self) -> MpiResult<u64> {
-        // analyzer: allow(no-panic): provable invariant — take(8) returns exactly 8 bytes or errors
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }

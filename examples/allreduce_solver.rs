@@ -19,6 +19,11 @@
 //! cargo run --example allreduce_solver
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with the message"
+)]
+
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{Op, Session};
 use mana_repro::mpi_model::error::MpiResult;

@@ -11,6 +11,7 @@
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Op, Session};
 use mpi_model::error::MpiResult;
+use net_sim::clock;
 
 const STEPS: u64 = 8;
 const WORLD: usize = 4;
@@ -37,7 +38,7 @@ fn main() -> MpiResult<()> {
             config = config.with_async_checkpoint();
         }
         let runtime = JobRuntime::new(config);
-        let started = std::time::Instant::now();
+        let started = clock::now();
         let run = runtime.run_steps(STEPS, step)?;
         let wall = started.elapsed();
 

@@ -10,6 +10,11 @@
 //! cargo run --example cross_implementation
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with the message"
+)]
+
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{ManaConfig, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, RunConfig};

@@ -7,6 +7,11 @@
 //! cargo run --example implementation_shootout
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with the message"
+)]
+
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana_apps::{run_app, AppId, RunConfig};
 

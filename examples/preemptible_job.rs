@@ -13,6 +13,11 @@
 //! cargo run --example preemptible_job
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with the message"
+)]
+
 use mana_repro::ckpt_store::CheckpointStorage;
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};

@@ -13,6 +13,12 @@
 //! `Session` resolves each predefined handle once and `allreduce::<i32>` carries its
 //! own encoding.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example stops at its first failure, with the message"
+)]
+
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{Comm, Datatype, ManaConfig, Op, StoragePolicy};
 

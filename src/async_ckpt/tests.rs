@@ -5,7 +5,7 @@
 use ckpt_store::{CheckpointStorage, FlusherPool};
 use job_runtime::Backend;
 use mana::{ManaConfig, ManaRank, StoragePolicy};
-use std::time::Instant;
+use net_sim::clock;
 
 /// A quarter of CoMD's full-scale per-rank state (8 MB): large enough that the
 /// chunk/compress work dominates timer noise.
@@ -50,12 +50,12 @@ fn async_stall_is_at_most_half_the_sync_write() {
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for round in 0..=ROUNDS {
         dirty_state(&mut sync_rank, round);
-        let start = Instant::now();
+        let start = clock::now();
         sync_rank.write_checkpoint_into(&sync_storage).unwrap();
         let sync_s = start.elapsed().as_secs_f64();
 
         dirty_state(&mut async_rank, round);
-        let start = Instant::now();
+        let start = clock::now();
         let image = async_rank.snapshot_checkpoint().unwrap();
         let handle = pool.submit(StoragePolicy::IncrementalCompressed, image);
         let async_s = start.elapsed().as_secs_f64();

@@ -3,11 +3,11 @@
 //! store against a serialized baseline.
 
 use ckpt_store::{CheckpointStorage, StoragePolicy, StoreReport, DEFAULT_SHARD_COUNT};
+use net_sim::clock;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use split_proc::store::StoreConfig;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// 100 regions of 80 KiB: a 7.8 MiB upper half.
 const REGIONS: usize = 100;
@@ -87,7 +87,7 @@ fn parallel_write(shards: usize, serialize_writes: bool) -> (f64, usize) {
         })
         .collect();
 
-    let start = Instant::now();
+    let start = clock::now();
     let writers: Vec<_> = images
         .into_iter()
         .map(|image| {

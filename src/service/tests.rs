@@ -5,9 +5,9 @@
 use ckpt_service::{CkptService, ServiceConfig, ServiceHandle, TenantQuota};
 use ckpt_store::StoragePolicy;
 use job_runtime::{Backend, JobConfig, JobRuntime};
+use net_sim::clock;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use std::time::Instant;
 
 const FLEET_JOBS: usize = 12;
 const FLEET_STATE_BYTES: usize = 8 * 1024;
@@ -59,7 +59,7 @@ fn write_generations(handle: &ServiceHandle, seed: u64) -> u64 {
 /// one service, over the MB/s of one tenant alone on its own service.
 fn throughput_ratio() -> f64 {
     let single = CkptService::new(ServiceConfig::default()).unwrap();
-    let start = Instant::now();
+    let start = clock::now();
     let logical = write_generations(&single.register_tenant("solo"), 1_000);
     let single_mb_s = logical as f64 / 1e6 / start.elapsed().as_secs_f64();
 
@@ -67,7 +67,7 @@ fn throughput_ratio() -> f64 {
     let handles: Vec<ServiceHandle> = (0..TENANTS)
         .map(|t| shared.register_tenant(&format!("tenant-{t}")))
         .collect();
-    let start = Instant::now();
+    let start = clock::now();
     let writers: Vec<_> = handles
         .into_iter()
         .enumerate()

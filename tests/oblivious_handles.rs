@@ -3,6 +3,11 @@
 //! as different as 32-bit table indices, 64-bit struct pointers, and
 //! lazily-materialized shared pointers.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use mana_repro::job_runtime::Backend;
 use mana_repro::mana::{ManaConfig, Op, Session};
 use mana_repro::mpi_model::constants::{ConstantResolution, PredefinedObject};
