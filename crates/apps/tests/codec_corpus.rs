@@ -1,9 +1,8 @@
 //! Codec acceptance tests over the real checkpoint corpus: every proxy application's
-//! checkpoint image must survive the LZ codec bit-identically, corrupted or truncated
-//! streams must never decode silently into a valid image, incompressible content must
-//! fall back to stored-raw framing, and images written before the codec switch
-//! (RLE + FNV-1a, version-1 manifests) must restore bit-identically under the new
-//! default configuration — including through an elastic resize.
+//! checkpoint image must survive the LZ codec bit-identically, never cost more bytes
+//! than the run-length codec LZ replaced, corrupted or truncated streams must never
+//! decode silently into a valid image, incompressible content must fall back to
+//! stored-raw framing, and a compressed store must carry an elastic resize.
 
 #![expect(
     clippy::expect_used,
@@ -12,7 +11,7 @@
 )]
 
 use ckpt_store::codec::{lz_compress, lz_decompress};
-use ckpt_store::{CheckpointStorage, StorageConfig, StoragePolicy};
+use ckpt_store::{CheckpointStorage, StoragePolicy};
 use elastic::{restart_job_from_storage, RemapPolicy};
 use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
@@ -89,13 +88,13 @@ fn checkpoint_app(
         .collect()
 }
 
-/// The images of every proxy app, each checkpointed into its own store under
-/// `config`. Returned together with the store that holds them.
-fn corpus(config: StorageConfig) -> Vec<(AppId, CheckpointStorage, Vec<CheckpointImage>)> {
+/// The images of every proxy app, each checkpointed into its own store. Returned
+/// together with the store that holds them.
+fn corpus() -> Vec<(AppId, CheckpointStorage, Vec<CheckpointImage>)> {
     APPS.iter()
         .enumerate()
         .map(|(index, &app)| {
-            let storage = CheckpointStorage::unmetered().with_config(config);
+            let storage = CheckpointStorage::unmetered();
             let images = checkpoint_app(app, &storage, index as u64 + 1);
             (app, storage, images)
         })
@@ -104,8 +103,7 @@ fn corpus(config: StorageConfig) -> Vec<(AppId, CheckpointStorage, Vec<Checkpoin
 
 #[test]
 fn lz_round_trips_every_proxy_app_image_bit_identically() {
-    for (app, storage, images) in corpus(StorageConfig::default()) {
-        assert_eq!(storage.config(), StorageConfig::default());
+    for (app, _, images) in corpus() {
         for image in &images {
             // Direct codec round-trip over the real upper-half bytes of this app.
             for (name, data) in image.upper_half.iter() {
@@ -117,41 +115,48 @@ fn lz_round_trips_every_proxy_app_image_bit_identically() {
                     );
                 }
             }
-            // Store-level round-trip under both codec generations: writing this
-            // image into a fresh store and reading it back must reproduce the
-            // encoded image bit for bit.
-            let reference = image.encode();
-            for echo_config in [StorageConfig::default(), StorageConfig::legacy()] {
-                let echo = CheckpointStorage::unmetered().with_config(echo_config);
-                echo.write_image(StoragePolicy::IncrementalCompressed, image);
-                let back = echo
-                    .read(image.metadata.generation, image.metadata.rank)
-                    .unwrap();
-                assert_eq!(
-                    back.encode(),
-                    reference,
-                    "{app:?} image changed through a {echo_config:?} store"
-                );
-            }
+            // Store-level round-trip: writing this image into a fresh store and
+            // reading it back must reproduce the encoded image bit for bit.
+            let echo = CheckpointStorage::unmetered();
+            echo.write_image(StoragePolicy::IncrementalCompressed, image);
+            let back = echo
+                .read(image.metadata.generation, image.metadata.rank)
+                .unwrap();
+            assert_eq!(
+                back.encode(),
+                image.encode(),
+                "{app:?} image changed through the store"
+            );
         }
     }
 }
 
+/// Bytes the run-length codec LZ replaced wrote for each app's images of this
+/// corpus — each rank's image into a fresh store under `IncrementalCompressed`,
+/// manifests included, summed over the ranks — recorded when that codec was retired.
+const RLE_WRITTEN_BYTES: [(AppId, usize); 6] = [
+    (AppId::CoMd, 5132),
+    (AppId::Hpcg, 5596),
+    (AppId::Lammps, 5612),
+    (AppId::Lulesh, 5139),
+    (AppId::Sw4, 5592),
+    (AppId::Vasp, 5627),
+];
+
 #[test]
 fn lz_never_loses_to_rle_on_the_checkpoint_corpus() {
-    for (app, _, images) in corpus(StorageConfig::default()) {
-        let mut lz_written = 0usize;
-        let mut rle_written = 0usize;
-        for image in &images {
-            let lz_store = CheckpointStorage::unmetered(); // default: LZ + XXH64
-            let rle_store = CheckpointStorage::unmetered().with_config(StorageConfig::legacy());
-            lz_written += lz_store
-                .write_image(StoragePolicy::IncrementalCompressed, image)
-                .written_bytes;
-            rle_written += rle_store
-                .write_image(StoragePolicy::IncrementalCompressed, image)
-                .written_bytes;
-        }
+    for ((app, _, images), (recorded_app, rle_written)) in
+        corpus().into_iter().zip(RLE_WRITTEN_BYTES)
+    {
+        assert_eq!(app, recorded_app);
+        let lz_written: usize = images
+            .iter()
+            .map(|image| {
+                CheckpointStorage::unmetered()
+                    .write_image(StoragePolicy::IncrementalCompressed, image)
+                    .written_bytes
+            })
+            .sum();
         assert!(
             lz_written <= rle_written,
             "{app:?}: LZ wrote {lz_written} bytes, RLE wrote {rle_written}"
@@ -167,7 +172,7 @@ fn lz_streams_of_the_proxy_app_corpus_are_pinned() {
     // stood before its kernels went word-at-a-time: the parse is frozen, so any
     // later edit that moves it changed stored bytes and must be undone, not re-pinned.
     let mut all = Vec::new();
-    for (_, _, images) in corpus(StorageConfig::default()) {
+    for (_, _, images) in corpus() {
         for image in &images {
             for (_, data) in image.upper_half.iter() {
                 let stream = lz_compress(data);
@@ -267,63 +272,11 @@ fn incompressible_chunks_fall_back_to_stored_raw_framing() {
 }
 
 #[test]
-fn legacy_images_restore_bit_identically_under_the_new_default_config() {
-    // Write the corpus the way the pre-codec store did (RLE + FNV-1a, version-1
-    // manifests), then read it through a view configured with the new defaults:
-    // reads follow the manifest's own record, so nothing may change.
-    for (app, storage, images) in corpus(StorageConfig::legacy()) {
-        let reader = storage.clone().with_config(StorageConfig::default());
-        assert_eq!(reader.config(), StorageConfig::default());
-        let generation = *storage.generations().last().unwrap();
-        for (rank, image) in images.iter().enumerate() {
-            let restored = reader.read(generation, rank as i32).unwrap();
-            assert_eq!(
-                restored.encode(),
-                image.encode(),
-                "{app:?} rank {rank} legacy image changed under the new config"
-            );
-        }
-    }
-}
-
-#[test]
-fn generations_written_under_different_configs_coexist_in_one_store() {
-    // Generation G written under the legacy config, generation G+1 written after
-    // the switch: both must restore bit-identically from the same catalog. The
-    // store re-chunks everything at the switch (clean-region reuse is gated on the
-    // digest matching), so the new generation never mixes digest spaces.
-    let storage = CheckpointStorage::unmetered().with_config(StorageConfig::legacy());
-    let images = checkpoint_app(AppId::Lulesh, &storage, 5);
-    let generation = *storage.generations().last().unwrap();
-
-    let switched = storage.clone().with_config(StorageConfig::default());
-    let mut next_images = Vec::new();
-    for image in &images {
-        let mut metadata = image.metadata.clone();
-        metadata.generation = generation + 1;
-        let next = CheckpointImage::new(metadata, image.upper_half.clone());
-        switched.write_image(StoragePolicy::IncrementalCompressed, &next);
-        next_images.push(next);
-    }
-
-    for (rank, (old, new)) in images.iter().zip(&next_images).enumerate() {
-        let rank = rank as i32;
-        assert_eq!(
-            switched.read(generation, rank).unwrap().encode(),
-            old.encode()
-        );
-        assert_eq!(
-            switched.read(generation + 1, rank).unwrap().encode(),
-            new.encode()
-        );
-    }
-}
-
-#[test]
 fn elastic_resize_works_across_codec_generations() {
-    // Checkpoint elastically at 4 ranks under the legacy config, resize onto 3
-    // ranks reading through the new default config, and require the finished job
-    // checksum to equal the uninterrupted 4-rank run.
+    // Checkpoint elastically at 4 ranks into a compressing store, resize onto 3
+    // ranks from it, and require the finished job checksum to equal the
+    // uninterrupted 4-rank run. The other resize tests run the flat-image policy;
+    // this is the one whose generation is LZ chunks behind manifests.
     let registry = registry();
     let elastic_config = |iterations, checkpoint| RunConfig {
         iterations,
@@ -359,7 +312,7 @@ fn elastic_resize_works_across_codec_generations() {
     let baseline = run_elastic(4, &registry, 1, elastic_config(6, None));
     let expected = job_checksum(&baseline);
 
-    let storage = CheckpointStorage::unmetered().with_config(StorageConfig::legacy());
+    let storage = CheckpointStorage::unmetered();
     run_elastic(
         4,
         &registry,
@@ -367,12 +320,10 @@ fn elastic_resize_works_across_codec_generations() {
         elastic_config(3, Some((3, storage.clone()))),
     );
 
-    // Resize reads through a new-default-config view of the same chunk space.
-    let reader = storage.clone().with_config(StorageConfig::default());
     let lowers = Backend::Mpich.launch(3, registry.clone(), 3).unwrap().0;
     let (ranks, _) = restart_job_from_storage(
         lowers,
-        &reader,
+        &storage,
         Some((RemapPolicy::Block, &SkeletonRepartition::default())),
         ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed),
         registry.clone(),
@@ -397,6 +348,6 @@ fn elastic_resize_works_across_codec_generations() {
     assert_eq!(
         job_checksum(&finished),
         expected,
-        "resize across codec generations diverged from the uninterrupted run"
+        "resize from a compressed store diverged from the uninterrupted run"
     );
 }

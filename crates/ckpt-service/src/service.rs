@@ -398,7 +398,7 @@ impl std::fmt::Debug for CkptService {
 }
 
 impl CkptService {
-    /// A service over a fresh unmetered chunk space, with the default
+    /// A service over a fresh chunk space, with the default
     /// [`ReclaimOldest`] GC policy. When `config.hot_bytes_target` is set, a
     /// tempdir-rooted cold tier is attached.
     pub fn new(config: ServiceConfig) -> MpiResult<Self> {
@@ -413,8 +413,8 @@ impl CkptService {
         ))
     }
 
-    /// A service over a caller-built chunk space (cold tier, write-time model and
-    /// chunk size included) with an explicit GC policy. The storage must not be
+    /// A service over a caller-built chunk space (cold tier, shard count and chunk
+    /// size included) with an explicit GC policy. The storage must not be
     /// shared elsewhere: tenants are views of it.
     pub fn with_storage(
         config: ServiceConfig,

@@ -1,7 +1,6 @@
-//! Fixed-size chunking, content digests, and the in-tree RLE codec.
+//! Fixed-size chunking and content digests.
 
 use crate::codec::{Digest, StoredForm};
-use mpi_model::error::{MpiError, MpiResult};
 use serde::{Deserialize, Serialize};
 
 /// Default chunk size: 64 KiB balances dedup granularity against per-chunk overhead
@@ -20,15 +19,13 @@ pub struct ChunkRef {
     pub raw_len: u32,
     /// Bytes the chunk occupies in the store (post-compression if compressed).
     pub stored_len: u32,
-    /// The form the stored bytes take (raw / RLE / LZ) — the read path decodes by
-    /// this record, never by the store's current codec configuration.
+    /// The form the stored bytes take (raw / LZ) — the read path decodes by this
+    /// record.
     pub form: StoredForm,
 }
 
 impl ChunkRef {
     /// The store key: digest plus length, shrinking the collision window further.
-    /// Images written under different digest functions therefore occupy disjoint
-    /// key spaces and never alias each other.
     pub fn key(&self) -> (u64, u32) {
         (self.digest, self.raw_len)
     }
@@ -49,100 +46,6 @@ pub fn for_each_chunk(
     }
 }
 
-// ----------------------------------------------------------------------------------
-// RLE codec
-// ----------------------------------------------------------------------------------
-//
-// Stream of ops. Control byte `c`:
-//   c < 0x80  → literal run: the next `c + 1` bytes are copied verbatim (1..=128);
-//   c >= 0x80 → repeat run: the next byte repeats `(c - 0x80) + RUN_MIN` times
-//               (RUN_MIN..=RUN_MIN+127).
-// Runs shorter than RUN_MIN are cheaper as literals, so the encoder never emits them.
-
-const RUN_MIN: usize = 3;
-const RUN_MAX: usize = RUN_MIN + 127;
-const LITERAL_MAX: usize = 128;
-
-/// RLE-compress `data`; returns `None` unless the compressed form is strictly smaller
-/// (incompressible chunks are stored raw).
-pub fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() / 2);
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-    while i < data.len() {
-        // Measure the run starting at i.
-        let byte = data[i];
-        let mut run = 1usize;
-        while i + run < data.len() && data[i + run] == byte && run < RUN_MAX {
-            run += 1;
-        }
-        if run >= RUN_MIN {
-            flush_literals(&mut out, &data[literal_start..i]);
-            out.push(0x80 | (run - RUN_MIN) as u8);
-            out.push(byte);
-            i += run;
-            literal_start = i;
-        } else {
-            i += run;
-        }
-        if out.len() >= data.len() {
-            return None; // already not worth it
-        }
-    }
-    flush_literals(&mut out, &data[literal_start..]);
-    (out.len() < data.len()).then_some(out)
-}
-
-fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
-    while !literals.is_empty() {
-        let take = literals.len().min(LITERAL_MAX);
-        out.push((take - 1) as u8);
-        out.extend_from_slice(&literals[..take]);
-        literals = &literals[take..];
-    }
-}
-
-/// Decompress an RLE stream produced by [`rle_compress`], verifying the expected
-/// output length.
-pub fn rle_decompress(stream: &[u8], expected_len: usize) -> MpiResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
-    let mut i = 0usize;
-    while i < stream.len() {
-        let control = stream[i];
-        i += 1;
-        if control < 0x80 {
-            let take = control as usize + 1;
-            if i + take > stream.len() {
-                return Err(MpiError::Checkpoint(
-                    "truncated RLE literal run in chunk".into(),
-                ));
-            }
-            out.extend_from_slice(&stream[i..i + take]);
-            i += take;
-        } else {
-            let run = (control & 0x7F) as usize + RUN_MIN;
-            let byte = *stream
-                .get(i)
-                .ok_or_else(|| MpiError::Checkpoint("truncated RLE repeat run in chunk".into()))?;
-            i += 1;
-            out.resize(out.len() + run, byte);
-        }
-        if out.len() > expected_len {
-            return Err(MpiError::Checkpoint(format!(
-                "RLE chunk decompressed past its recorded length ({} > {expected_len})",
-                out.len()
-            )));
-        }
-    }
-    if out.len() != expected_len {
-        return Err(MpiError::Checkpoint(format!(
-            "RLE chunk decompressed to {} bytes, expected {expected_len}",
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,60 +53,18 @@ mod tests {
     #[test]
     fn chunking_covers_all_bytes_in_order() {
         let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        for digest_fn in [Digest::Fnv1a64, Digest::Xx64] {
-            let mut reassembled = Vec::new();
-            let mut count = 0;
-            for_each_chunk(&data, 128, digest_fn, |digest, piece| {
-                assert_eq!(digest, digest_fn.hash(piece));
-                reassembled.extend_from_slice(piece);
-                count += 1;
-            });
-            assert_eq!(reassembled, data);
-            assert_eq!(count, 3); // 128 + 128 + 44
-        }
+        let mut reassembled = Vec::new();
+        let mut count = 0;
+        for_each_chunk(&data, 128, Digest::Xx64, |digest, piece| {
+            assert_eq!(digest, Digest::Xx64.hash(piece));
+            reassembled.extend_from_slice(piece);
+            count += 1;
+        });
+        assert_eq!(reassembled, data);
+        assert_eq!(count, 3); // 128 + 128 + 44
 
         let mut none = 0;
         for_each_chunk(&[], 128, Digest::Xx64, |_, _| none += 1);
         assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn rle_roundtrips_compressible_data() {
-        let mut data = vec![0u8; 10_000];
-        data[5000..5010].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        let compressed = rle_compress(&data).expect("zero-dominated data compresses");
-        assert!(compressed.len() < data.len() / 10);
-        assert_eq!(rle_decompress(&compressed, data.len()).unwrap(), data);
-    }
-
-    #[test]
-    fn rle_roundtrips_long_runs_and_alternations() {
-        // Max-length runs, runs of exactly RUN_MIN, and alternating bytes.
-        let mut data = vec![7u8; RUN_MAX * 3 + 1];
-        data.extend_from_slice(&[1, 1, 1]);
-        data.extend((0..500u32).map(|i| (i % 2) as u8));
-        match rle_compress(&data) {
-            Some(compressed) => {
-                assert_eq!(rle_decompress(&compressed, data.len()).unwrap(), data)
-            }
-            None => panic!("run-dominated data should compress"),
-        }
-    }
-
-    #[test]
-    fn rle_declines_incompressible_data() {
-        // A permutation-ish byte sequence with no runs ≥ 3.
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(97) % 256) as u8)
-            .collect();
-        assert!(rle_compress(&data).is_none());
-    }
-
-    #[test]
-    fn rle_decompress_rejects_malformed_streams() {
-        assert!(rle_decompress(&[0x05], 6).is_err()); // literal run cut off
-        assert!(rle_decompress(&[0x80], 3).is_err()); // repeat run missing byte
-        assert!(rle_decompress(&[0x80, 9], 100).is_err()); // too short overall
-        assert!(rle_decompress(&[0xFF, 9], 2).is_err()); // overruns expected length
     }
 }

@@ -1,11 +1,12 @@
-//! Codec and digest selection for the chunk store, plus the in-tree LZ compressor.
+//! The chunk store's one on-store format, plus the in-tree LZ compressor.
 //!
-//! The store's wire-visible knobs live in [`StorageConfig`]: which compressor a
-//! compressing policy uses ([`Codec`]) and which content-address digest chunks are
-//! keyed and validated by ([`Digest`]). The defaults are the strongest pair (LZ +
-//! XXH64); [`StorageConfig::legacy`] reproduces the pre-codec store (RLE + FNV-1a)
-//! byte for byte, which is what keeps old checkpoint images restorable — see the
-//! manifest's version negotiation ([`crate::manifest`]).
+//! Every store writes chunks the same way: content-addressed by XXH64 ([`Digest`]),
+//! and under a compressing policy run through the LZ codec below, whose stream is
+//! kept only when it is strictly smaller than the chunk ([`StoredForm`]). The
+//! manifest ([`crate::manifest`]) records both per image, under tags that never
+//! change: digest XXH64 = 1, stored forms Raw = 0 and LZ = 2. The values earlier
+//! formats used (digest tag 0, stored-form tag 1) are refused as typed errors.
+//! Nothing here is configurable; [`StorageConfig`] is the format as a value.
 //!
 //! ## LZ stream format (self-framed, byte-exact)
 //!
@@ -15,10 +16,9 @@
 //! * `c >= 0x80` — match: copy `(c & 0x7F) + 4` bytes from `distance` bytes back in
 //!   the produced output, where `distance` is the following little-endian `u16`
 //!   (1..=65535, may be shorter than the match length — overlapping copies
-//!   replicate runs, which is what subsumes RLE). When `(c & 0x7F) == 0x7F` the
-//!   distance is followed by extension bytes, each adding its value to the length,
-//!   ending with the first byte below 255 (so a multi-KiB run is one op — this is
-//!   what keeps LZ from ever losing to RLE on run-dominated data).
+//!   replicate runs). When `(c & 0x7F) == 0x7F` the distance is followed by
+//!   extension bytes, each adding its value to the length, ending with the first
+//!   byte below 255 (so a multi-KiB run is one op).
 //!
 //! The decoder validates everything: a match may not reach behind the start of the
 //! produced output, the stream may not end inside an op, and the final length must
@@ -27,24 +27,12 @@
 
 use mpi_model::error::{MpiError, MpiResult};
 use serde::{Deserialize, Serialize};
-use split_proc::integrity::{fnv1a64, xxh64};
+use split_proc::integrity::xxh64;
 
-/// Which compressor a compressing [`crate::StoragePolicy`] runs chunks through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Codec {
-    /// The original run-length codec: only byte runs compress.
-    Rle,
-    /// The LZ77-style codec below: runs *and* repeated byte strings compress, so it
-    /// never does worse than RLE on the corpus (both fall back to stored-raw).
-    Lz,
-}
-
-/// Which 64-bit digest chunks are content-addressed and validated by.
+/// The 64-bit digest chunks are content-addressed and validated by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Digest {
-    /// FNV-1a/64 — the pre-codec store's digest; kept for old images.
-    Fnv1a64,
-    /// XXH64 (seed 0) — stronger mixing at lower cost per byte.
+    /// XXH64 (seed 0).
     Xx64,
 }
 
@@ -52,7 +40,6 @@ impl Digest {
     /// Digest `bytes` with this function.
     pub fn hash(self, bytes: &[u8]) -> u64 {
         match self {
-            Digest::Fnv1a64 => fnv1a64(bytes),
             Digest::Xx64 => xxh64(bytes),
         }
     }
@@ -60,7 +47,6 @@ impl Digest {
     /// Stable on-manifest tag.
     pub fn tag(self) -> u8 {
         match self {
-            Digest::Fnv1a64 => 0,
             Digest::Xx64 => 1,
         }
     }
@@ -68,7 +54,6 @@ impl Digest {
     /// Decode an on-manifest tag.
     pub fn from_tag(tag: u8) -> MpiResult<Digest> {
         match tag {
-            0 => Ok(Digest::Fnv1a64),
             1 => Ok(Digest::Xx64),
             other => Err(MpiError::Checkpoint(format!(
                 "unknown chunk digest tag {other}"
@@ -78,14 +63,11 @@ impl Digest {
 }
 
 /// The form a chunk's bytes take in the store — recorded per chunk in the manifest,
-/// so the read path decodes by what was written, never by current configuration.
+/// so the read path decodes by what was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StoredForm {
-    /// Stored verbatim (incompressible under the codec in force, or a
-    /// non-compressing policy).
+    /// Stored verbatim (incompressible, or a non-compressing policy).
     Raw,
-    /// RLE stream ([`crate::chunk::rle_compress`]).
-    Rle,
     /// LZ stream ([`lz_compress`]).
     Lz,
 }
@@ -96,13 +78,10 @@ impl StoredForm {
         self != StoredForm::Raw
     }
 
-    /// Stable on-manifest tag. Tags 0 and 1 coincide with version-1 manifests'
-    /// `compressed` boolean, which is what lets a Raw/Rle-only manifest still be
-    /// written in the old format.
+    /// Stable on-manifest tag.
     pub fn tag(self) -> u8 {
         match self {
             StoredForm::Raw => 0,
-            StoredForm::Rle => 1,
             StoredForm::Lz => 2,
         }
     }
@@ -111,7 +90,6 @@ impl StoredForm {
     pub fn from_tag(tag: u8) -> MpiResult<StoredForm> {
         match tag {
             0 => Ok(StoredForm::Raw),
-            1 => Ok(StoredForm::Rle),
             2 => Ok(StoredForm::Lz),
             other => Err(MpiError::Checkpoint(format!(
                 "unknown chunk stored-form tag {other}"
@@ -120,32 +98,18 @@ impl StoredForm {
     }
 }
 
-/// The store's codec/digest selection.
+/// The store's on-store format as a value: the digest every chunk is addressed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StorageConfig {
-    /// Compressor used by compressing policies.
-    pub codec: Codec,
     /// Content-address digest for chunk keys and read-path validation.
     pub digest: Digest,
 }
 
 impl Default for StorageConfig {
-    /// The current defaults: LZ compression, XXH64 content addressing.
+    /// XXH64 content addressing — the only format there is.
     fn default() -> Self {
         StorageConfig {
-            codec: Codec::Lz,
             digest: Digest::Xx64,
-        }
-    }
-}
-
-impl StorageConfig {
-    /// The pre-codec store's behaviour: RLE + FNV-1a/64. A store configured this way
-    /// writes version-1 manifests bit-identical to what older builds produced.
-    pub fn legacy() -> Self {
-        StorageConfig {
-            codec: Codec::Rle,
-            digest: Digest::Fnv1a64,
         }
     }
 }
@@ -263,7 +227,7 @@ fn match_length(data: &[u8], candidate: usize, at: usize) -> usize {
 }
 
 /// LZ-compress `data`; returns `None` unless the compressed form is strictly smaller
-/// (incompressible chunks are stored raw, exactly like the RLE codec's contract).
+/// (incompressible chunks are stored raw).
 ///
 /// The parse is frozen: greedy, longest match among the first 32 hash-chain
 /// candidates, ties to the nearest. Everything below is a faster way to
@@ -448,7 +412,7 @@ fn lz_decompress_onto(stream: &[u8], expected_len: usize, out: &mut Vec<u8>) -> 
                 return Err(overrun(produced, len));
             }
             // A distance shorter than the length is an overlapping copy replicating
-            // the last `distance` bytes (the RLE case). The bytes from `start` on
+            // the last `distance` bytes (a run). The bytes from `start` on
             // are periodic in `distance`, and every piece begins a whole number of
             // periods in, so each copy can take everything produced so far: the
             // pieces double, and a non-overlapping match is one piece.
@@ -470,19 +434,12 @@ fn lz_decompress_onto(stream: &[u8], expected_len: usize, out: &mut Vec<u8>) -> 
     Ok(())
 }
 
-/// Compress `data` under `codec`, returning the stored bytes and their form.
-/// Falls back to stored-raw (borrowed nowhere — the caller keeps `data`) when the
-/// codec cannot shrink the chunk.
-pub fn compress_chunk(codec: Codec, data: &[u8]) -> (Vec<u8>, StoredForm) {
-    match codec {
-        Codec::Rle => match crate::chunk::rle_compress(data) {
-            Some(stream) => (stream, StoredForm::Rle),
-            None => (data.to_vec(), StoredForm::Raw),
-        },
-        Codec::Lz => match lz_compress(data) {
-            Some(stream) => (stream, StoredForm::Lz),
-            None => (data.to_vec(), StoredForm::Raw),
-        },
+/// LZ-compress `data`, returning the stored bytes and their form. Falls back to
+/// stored-raw (a copy — the caller keeps `data`) when LZ cannot shrink the chunk.
+pub fn compress_chunk(data: &[u8]) -> (Vec<u8>, StoredForm) {
+    match lz_compress(data) {
+        Some(stream) => (stream, StoredForm::Lz),
+        None => (data.to_vec(), StoredForm::Raw),
     }
 }
 
@@ -498,8 +455,6 @@ pub(crate) fn decode_chunk_onto(
 ) -> MpiResult<()> {
     match form {
         StoredForm::Raw => out.extend_from_slice(stored),
-        // The legacy codec keeps its own buffer: only pre-codec images carry it.
-        StoredForm::Rle => out.extend_from_slice(&crate::chunk::rle_decompress(stored, raw_len)?),
         StoredForm::Lz => lz_decompress_onto(stored, raw_len, out)?,
     }
     Ok(())
@@ -654,7 +609,7 @@ mod reference {
                     )));
                 }
                 // Byte-at-a-time: a distance shorter than the length is an overlapping
-                // copy that replicates the last `distance` bytes (the RLE case).
+                // copy that replicates the last `distance` bytes (a run).
                 let start = out.len() - distance;
                 for offset in 0..len {
                     let byte = out[start + offset];
@@ -700,7 +655,7 @@ mod tests {
         assert!(stream.len() < data.len() / 10);
         assert_eq!(lz_decompress(&stream, data.len()).unwrap(), data);
 
-        // Repeated strings (not runs) — the case RLE cannot touch.
+        // Repeated strings (not runs) — the case run-length coding cannot touch.
         let phrase = b"the quick brown checkpoint fox ".repeat(64);
         let stream = lz_compress(&phrase).expect("repeated strings compress");
         assert!(stream.len() < phrase.len() / 4);
@@ -740,7 +695,7 @@ mod tests {
             })
             .collect();
         assert!(lz_compress(&data).is_none());
-        let (stored, form) = compress_chunk(Codec::Lz, &data);
+        let (stored, form) = compress_chunk(&data);
         assert_eq!(form, StoredForm::Raw);
         assert_eq!(stored, data);
     }
@@ -752,9 +707,14 @@ mod tests {
             let at = block * 4000;
             data[at..at + 100].copy_from_slice(&[block as u8 + 1; 100]);
         }
+        // The run-length codec the store wrote before LZ encoded this input in 620
+        // bytes (recorded when it was retired).
+        const RLE_STREAM_LEN: usize = 620;
         let lz = lz_compress(&data).unwrap().len();
-        let rle = crate::chunk::rle_compress(&data).unwrap().len();
-        assert!(lz <= rle, "LZ ({lz}) must not lose to RLE ({rle}) on runs");
+        assert!(
+            lz <= RLE_STREAM_LEN,
+            "LZ ({lz}) must not lose to RLE ({RLE_STREAM_LEN}) on runs"
+        );
     }
 
     #[test]
@@ -770,44 +730,35 @@ mod tests {
 
     #[test]
     fn digests_and_tags_round_trip() {
-        assert_ne!(
-            Digest::Fnv1a64.hash(b"checkpoint"),
-            Digest::Xx64.hash(b"checkpoint")
-        );
-        for digest in [Digest::Fnv1a64, Digest::Xx64] {
-            assert_eq!(Digest::from_tag(digest.tag()).unwrap(), digest);
-        }
-        assert!(Digest::from_tag(9).is_err());
-        for form in [StoredForm::Raw, StoredForm::Rle, StoredForm::Lz] {
+        assert_eq!(Digest::Xx64.hash(b"checkpoint"), xxh64(b"checkpoint"));
+        assert_eq!(Digest::Xx64.tag(), 1);
+        assert_eq!(Digest::from_tag(1).unwrap(), Digest::Xx64);
+        assert_eq!((StoredForm::Raw.tag(), StoredForm::Lz.tag()), (0, 2));
+        for form in [StoredForm::Raw, StoredForm::Lz] {
             assert_eq!(StoredForm::from_tag(form.tag()).unwrap(), form);
         }
-        assert!(StoredForm::from_tag(9).is_err());
+        // The retired FNV-1a digest (0) and RLE form (1) are refused, as is any
+        // other unknown tag.
+        for tag in [0, 2, 9] {
+            assert!(Digest::from_tag(tag).is_err(), "digest tag {tag}");
+        }
+        for tag in [1, 3, 9] {
+            assert!(StoredForm::from_tag(tag).is_err(), "form tag {tag}");
+        }
         assert!(!StoredForm::Raw.is_compressed());
         assert!(StoredForm::Lz.is_compressed());
     }
 
     #[test]
-    fn config_defaults_and_legacy() {
-        let current = StorageConfig::default();
-        assert_eq!(current.codec, Codec::Lz);
-        assert_eq!(current.digest, Digest::Xx64);
-        let legacy = StorageConfig::legacy();
-        assert_eq!(legacy.codec, Codec::Rle);
-        assert_eq!(legacy.digest, Digest::Fnv1a64);
-    }
-
-    #[test]
     fn decode_chunk_dispatches_by_form_and_appends() {
         let data = vec![3u8; 1000];
-        for codec in [Codec::Rle, Codec::Lz] {
-            let (stored, form) = compress_chunk(codec, &data);
-            assert!(form.is_compressed());
-            // Onto a non-empty tail: earlier content stays, and no match reaches it.
-            let mut out = vec![3u8; 7];
-            decode_chunk_onto(form, &stored, data.len(), &mut out).unwrap();
-            assert_eq!(out[..7], [3u8; 7]);
-            assert_eq!(out[7..], data[..]);
-        }
+        let (stored, form) = compress_chunk(&data);
+        assert_eq!(form, StoredForm::Lz);
+        // Onto a non-empty tail: earlier content stays, and no match reaches it.
+        let mut out = vec![3u8; 7];
+        decode_chunk_onto(form, &stored, data.len(), &mut out).unwrap();
+        assert_eq!(out[..7], [3u8; 7]);
+        assert_eq!(out[7..], data[..]);
         let mut out = Vec::new();
         decode_chunk_onto(StoredForm::Raw, &data, data.len(), &mut out).unwrap();
         assert_eq!(out, data);

@@ -12,12 +12,11 @@
 //! * **Chunk store** ([`chunk`]) — fixed-size chunking, 64-bit content digests,
 //!   reference-counted chunk entries, optional per-chunk compression. A chunk
 //!   whose digest is already stored costs zero new bytes, whoever wrote it first.
-//! * **Codec selection** ([`codec`]) — which compressor (RLE or the in-tree LZ) and
-//!   which digest (FNV-1a/64 or XXH64) writes use, via
-//!   [`CheckpointStorage::with_config`]. Reads are config-independent: every
-//!   manifest records the digest and per-chunk stored form it was written with, so
-//!   images from any earlier configuration restore bit-identically
-//!   ([`StorageConfig::legacy`] reproduces the pre-codec store exactly).
+//! * **One on-store format** ([`codec`]) — chunks are addressed by XXH64 and, under
+//!   a compressing policy, stored as an in-tree LZ stream when that is smaller.
+//!   Nothing about the format is configurable; every manifest records the digest
+//!   and each chunk's stored form under stable tags, and the retired pre-LZ
+//!   format's values are refused as typed errors.
 //! * **Dirty-region tracking** — [`split_proc::address_space::UpperHalfSpace`] records
 //!   which regions were touched since the previous checkpoint epoch; clean regions are
 //!   re-referenced from the previous generation's manifest without even re-hashing
@@ -56,7 +55,7 @@ pub mod store;
 pub mod tier;
 
 pub use chunk::{ChunkRef, DEFAULT_CHUNK_SIZE};
-pub use codec::{Codec, Digest, StorageConfig, StoredForm};
+pub use codec::{Digest, StorageConfig, StoredForm};
 pub use flush::{FlushHandle, FlusherPool};
 pub use manifest::{Manifest, RegionManifest};
 pub use store::{
@@ -77,8 +76,8 @@ pub enum StoragePolicy {
     /// the previous generation are re-chunked, and only chunks whose digest is new
     /// reach storage.
     Incremental,
-    /// [`StoragePolicy::Incremental`] plus per-chunk compression under the store's
-    /// configured [`Codec`] (kept only when it actually shrinks the chunk).
+    /// [`StoragePolicy::Incremental`] plus per-chunk LZ compression (kept only when
+    /// it actually shrinks the chunk).
     IncrementalCompressed,
 }
 

@@ -1,31 +1,26 @@
 //! The CRC-validated checkpoint manifest: how to reassemble one rank's image for one
 //! generation from content-addressed chunks.
 //!
-//! Binary layout (version 1, the pre-codec format):
+//! Binary layout (version 2, the only one written or read):
 //!
 //! ```text
 //! magic (8 bytes, "CKPTMANI")
-//! version (u32 LE)
+//! version (u32 LE, 2)
 //! metadata length (u32 LE) | metadata JSON (split_proc ImageMetadata)
-//! upper epoch (u64 LE) | policy tag (u8) | chunk size (u32 LE)
+//! upper epoch (u64 LE) | policy tag (u8) | chunk size (u32 LE) | digest tag (u8)
 //! region count (u32 LE)
 //! per region:
 //!   name length (u32 LE) | name UTF-8 | region length (u64 LE) | reused flag (u8)
 //!   chunk count (u32 LE)
-//!   per chunk: digest (u64 LE) | raw length (u32 LE) | stored length (u32 LE) | flags (u8)
+//!   per chunk: digest (u64 LE) | raw length (u32 LE) | stored length (u32 LE) | form (u8)
 //! crc32 of everything above (u32 LE)
 //! ```
 //!
-//! Version 2 inserts one `digest tag (u8)` immediately after the chunk size, naming
-//! the digest function chunks were content-addressed with, and widens the per-chunk
-//! flags byte from a compressed boolean to a [`StoredForm`] tag (0 = raw, 1 = RLE,
-//! 2 = LZ — the first two coincide with version 1's boolean).
-//!
-//! **Version negotiation:** [`Manifest::encode`] emits the *oldest* version able to
-//! represent the content — a manifest whose digest is FNV-1a and whose chunks are all
-//! raw/RLE encodes byte-identically to what pre-codec builds wrote, so a store
-//! running [`crate::codec::StorageConfig::legacy`] produces images old readers still
-//! accept, and images written before the codec switch decode unchanged here.
+//! The digest tag names the function chunks were content-addressed with (1 = XXH64)
+//! and the per-chunk form byte is a [`StoredForm`] tag (0 = raw, 2 = LZ). Version 1,
+//! digest tag 0 (FNV-1a/64) and form tag 1 (RLE) belonged to the retired pre-LZ
+//! format: a manifest carrying any of them decodes to an [`MpiError::Checkpoint`]
+//! naming the value.
 
 use crate::chunk::ChunkRef;
 use crate::codec::{Digest, StoredForm};
@@ -35,10 +30,8 @@ use split_proc::image::ImageMetadata;
 use split_proc::integrity::{crc32, Cursor};
 
 const MAGIC: &[u8; 8] = b"CKPTMANI";
-/// The pre-codec format: FNV-1a digests, boolean compressed flag.
-const VERSION_LEGACY: u32 = 1;
-/// Adds the digest tag and the stored-form byte.
-const VERSION_CURRENT: u32 = 2;
+/// The format version written and read.
+const VERSION: u32 = 2;
 
 /// One region's reassembly recipe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +56,7 @@ pub struct Manifest {
     pub upper_epoch: u64,
     /// Policy this manifest was written under.
     pub policy: StoragePolicy,
-    /// Digest function the chunks were content-addressed with. Version-1 manifests
-    /// decode with [`Digest::Fnv1a64`] (the only digest that existed then).
+    /// Digest function the chunks were content-addressed with.
     pub digest: Digest,
     /// Chunk size used when the image was split.
     pub chunk_size: u32,
@@ -95,21 +87,7 @@ impl Manifest {
         self.regions.iter().flat_map(|r| r.chunks.iter())
     }
 
-    /// The oldest format version able to represent this manifest. FNV-addressed,
-    /// raw/RLE-only content fits version 1 exactly (the stored-form tags 0 and 1
-    /// coincide with the old compressed boolean); XXH64 digests or LZ chunks need
-    /// version 2.
-    fn wire_version(&self) -> u32 {
-        let legacy_forms = self.chunk_refs().all(|chunk| chunk.form != StoredForm::Lz);
-        if self.digest == Digest::Fnv1a64 && legacy_forms {
-            VERSION_LEGACY
-        } else {
-            VERSION_CURRENT
-        }
-    }
-
-    /// Encode to the CRC-trailed binary form, negotiating the oldest version that
-    /// can carry the content (see the module docs).
+    /// Encode to the CRC-trailed binary form (see the module docs).
     pub fn encode(&self) -> Vec<u8> {
         #[expect(
             clippy::expect_used,
@@ -117,18 +95,15 @@ impl Manifest {
         )]
         let metadata =
             serde_json::to_vec(&self.metadata).expect("image metadata always serializes");
-        let version = self.wire_version();
         let mut out = Vec::with_capacity(64 + metadata.len() + self.regions.len() * 48);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(metadata.len() as u32).to_le_bytes());
         out.extend_from_slice(&metadata);
         out.extend_from_slice(&self.upper_epoch.to_le_bytes());
         out.push(policy_tag(self.policy));
         out.extend_from_slice(&self.chunk_size.to_le_bytes());
-        if version >= VERSION_CURRENT {
-            out.push(self.digest.tag());
-        }
+        out.push(self.digest.tag());
         out.extend_from_slice(&(self.regions.len() as u32).to_le_bytes());
         for region in &self.regions {
             out.extend_from_slice(&(region.name.len() as u32).to_le_bytes());
@@ -156,10 +131,9 @@ impl Manifest {
             return Err(MpiError::Checkpoint("bad checkpoint manifest magic".into()));
         }
         let version = cursor.u32()?;
-        if !(VERSION_LEGACY..=VERSION_CURRENT).contains(&version) {
+        if version != VERSION {
             return Err(MpiError::Checkpoint(format!(
-                "unsupported checkpoint manifest version {version} \
-                 (expected {VERSION_LEGACY}..={VERSION_CURRENT})"
+                "unsupported checkpoint manifest version {version} (expected {VERSION})"
             )));
         }
         if bytes.len() < 16 {
@@ -182,11 +156,7 @@ impl Manifest {
         let upper_epoch = cursor.u64()?;
         let policy = policy_from_tag(cursor.u8()?)?;
         let chunk_size = cursor.u32()?;
-        let digest = if version >= VERSION_CURRENT {
-            Digest::from_tag(cursor.u8()?)?
-        } else {
-            Digest::Fnv1a64 // the only digest the version-1 format ever carried
-        };
+        let digest = Digest::from_tag(cursor.u8()?)?;
         let region_count = cursor.u32()? as usize;
         let mut regions = Vec::with_capacity(region_count.min(1 << 16));
         for _ in 0..region_count {
@@ -219,22 +189,7 @@ impl Manifest {
                 }
                 chunked_len += u64::from(raw_len);
                 let stored_len = cursor.u32()?;
-                let flags = cursor.u8()?;
-                let form = if version >= VERSION_CURRENT {
-                    StoredForm::from_tag(flags)?
-                } else {
-                    // Version 1's flags byte is a strict boolean: anything else is
-                    // corruption, not a forward-compat form.
-                    match flags {
-                        0 => StoredForm::Raw,
-                        1 => StoredForm::Rle,
-                        other => {
-                            return Err(MpiError::Checkpoint(format!(
-                                "bad chunk flags byte {other} in version-1 manifest"
-                            )))
-                        }
-                    }
-                };
+                let form = StoredForm::from_tag(cursor.u8()?)?;
                 chunks.push(ChunkRef {
                     digest: chunk_digest,
                     raw_len,
@@ -294,7 +249,7 @@ fn policy_from_tag(tag: u8) -> MpiResult<StoragePolicy> {
 mod tests {
     use super::*;
 
-    fn sample_manifest(digest: Digest, compressed_form: StoredForm) -> Manifest {
+    fn sample_manifest(first_form: StoredForm) -> Manifest {
         Manifest {
             metadata: ImageMetadata {
                 rank: 2,
@@ -304,7 +259,7 @@ mod tests {
             },
             upper_epoch: 5,
             policy: StoragePolicy::IncrementalCompressed,
-            digest,
+            digest: Digest::Xx64,
             chunk_size: 65536,
             regions: vec![
                 RegionManifest {
@@ -315,7 +270,7 @@ mod tests {
                             digest: 0xDEAD_BEEF_0123_4567,
                             raw_len: 65536,
                             stored_len: 120,
-                            form: compressed_form,
+                            form: first_form,
                         },
                         ChunkRef {
                             digest: 0x0102_0304_0506_0708,
@@ -343,7 +298,7 @@ mod tests {
         encoded[payload_end..].copy_from_slice(&crc.to_le_bytes());
     }
 
-    /// Offset of the first sample chunk's record (digest | raw_len | stored_len | flags).
+    /// Offset of the first sample chunk's record (digest | raw_len | stored_len | form).
     fn first_chunk_at(encoded: &[u8]) -> usize {
         let digest = 0xDEAD_BEEF_0123_4567u64.to_le_bytes();
         (0..encoded.len())
@@ -353,14 +308,11 @@ mod tests {
 
     #[test]
     fn roundtrip_both_versions() {
-        for (digest, form) in [
-            (Digest::Fnv1a64, StoredForm::Rle), // encodes as version 1
-            (Digest::Xx64, StoredForm::Lz),     // needs version 2
-            (Digest::Xx64, StoredForm::Rle),    // digest alone forces version 2
-            (Digest::Fnv1a64, StoredForm::Lz),  // form alone forces version 2
-        ] {
-            let manifest = sample_manifest(digest, form);
+        // Both stored forms, with the first chunk raw and with it LZ-compressed.
+        for form in [StoredForm::Raw, StoredForm::Lz] {
+            let manifest = sample_manifest(form);
             let encoded = manifest.encode();
+            assert_eq!(&encoded[8..12], &2u32.to_le_bytes());
             let decoded = Manifest::decode(&encoded).unwrap();
             assert_eq!(decoded, manifest);
             assert_eq!(decoded.base_epoch(), 6);
@@ -372,93 +324,70 @@ mod tests {
     }
 
     #[test]
-    fn legacy_content_encodes_as_version_1() {
-        // FNV + raw/RLE chunks must produce the pre-codec byte layout: version word
-        // 1, no digest byte (a version-2 encode of the same content is exactly one
-        // byte longer), flags byte equal to the old compressed boolean.
-        let legacy = sample_manifest(Digest::Fnv1a64, StoredForm::Rle);
-        let encoded = legacy.encode();
-        assert_eq!(&encoded[8..12], &1u32.to_le_bytes());
-        let modern = sample_manifest(Digest::Xx64, StoredForm::Rle);
-        let modern_encoded = modern.encode();
-        assert_eq!(&modern_encoded[8..12], &2u32.to_le_bytes());
-        assert_eq!(modern_encoded.len(), encoded.len() + 1);
-        // And the decoded legacy manifest carries the implied FNV digest.
-        assert_eq!(Manifest::decode(&encoded).unwrap().digest, Digest::Fnv1a64);
-    }
-
-    #[test]
-    fn version_1_rejects_lz_flags_byte() {
-        // Hand-corrupt a version-1 manifest's chunk flags to the LZ tag and refresh
-        // the CRC: the strict boolean check must still reject it.
-        let legacy = sample_manifest(Digest::Fnv1a64, StoredForm::Rle);
-        let mut encoded = legacy.encode();
-        let flag_at = first_chunk_at(&encoded) + 16;
-        assert_eq!(encoded[flag_at], 1);
-        encoded[flag_at] = 2;
-        reseal(&mut encoded);
-        assert!(Manifest::decode(&encoded).is_err());
-    }
-
-    #[test]
     fn rejects_crc_valid_manifests_with_impossible_lengths() {
-        for (digest, form) in [
-            (Digest::Fnv1a64, StoredForm::Rle), // version 1
-            (Digest::Xx64, StoredForm::Lz),     // version 2
-        ] {
-            let manifest = sample_manifest(digest, form);
-            let pristine = manifest.encode();
-            let chunk_at = first_chunk_at(&pristine);
-            let forge = |edit: &dyn Fn(&mut Vec<u8>)| {
-                let mut forged = pristine.clone();
-                edit(&mut forged);
-                reseal(&mut forged);
-                match Manifest::decode(&forged) {
-                    Err(MpiError::Checkpoint(message)) => message,
-                    other => panic!("forged manifest accepted: {other:?}"),
-                }
-            };
-            // A chunk claiming 4 GiB of raw bytes: what `read` would have reserved.
-            let message = forge(&|bytes| {
-                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&u32::MAX.to_le_bytes())
-            });
-            assert!(message.contains("chunk size"), "{message}");
-            // One byte over the chunk size is already too many.
-            let message = forge(&|bytes| {
-                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_537u32.to_le_bytes())
-            });
-            assert!(message.contains("chunk size"), "{message}");
-            // A chunk within bounds, but the region no longer adds up.
-            let message = forge(&|bytes| {
-                bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_535u32.to_le_bytes())
-            });
-            assert!(message.contains("add up"), "{message}");
-            // A region length of 2^60 over the same chunks (the u64 precedes the
-            // reused flag and the chunk count, 13 bytes before the first chunk).
-            let message = forge(&|bytes| {
-                bytes[chunk_at - 13..chunk_at - 5].copy_from_slice(&(1u64 << 60).to_le_bytes())
-            });
-            assert!(message.contains("add up"), "{message}");
-            // Chunk size 0 with chunks present. The u32 follows the metadata, the
-            // epoch and the policy tag.
-            let metadata_len = u32::from_le_bytes(pristine[12..16].try_into().unwrap()) as usize;
-            let chunk_size_at = 16 + metadata_len + 8 + 1;
-            assert_eq!(
-                pristine[chunk_size_at..chunk_size_at + 4],
-                65_536u32.to_le_bytes()
-            );
-            let message = forge(&|bytes| bytes[chunk_size_at..chunk_size_at + 4].fill(0));
-            assert!(message.contains("chunk size"), "{message}");
-            // And the untouched encoding still decodes after a reseal.
-            let mut resealed = pristine.clone();
-            reseal(&mut resealed);
-            assert_eq!(Manifest::decode(&resealed).unwrap(), manifest);
-        }
+        let manifest = sample_manifest(StoredForm::Lz);
+        let pristine = manifest.encode();
+        let chunk_at = first_chunk_at(&pristine);
+        let forge = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut forged = pristine.clone();
+            edit(&mut forged);
+            reseal(&mut forged);
+            match Manifest::decode(&forged) {
+                Err(MpiError::Checkpoint(message)) => message,
+                other => panic!("forged manifest accepted: {other:?}"),
+            }
+        };
+        // A chunk claiming 4 GiB of raw bytes: what `read` would have reserved.
+        let message = forge(&|bytes| {
+            bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&u32::MAX.to_le_bytes())
+        });
+        assert!(message.contains("chunk size"), "{message}");
+        // One byte over the chunk size is already too many.
+        let message = forge(&|bytes| {
+            bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_537u32.to_le_bytes())
+        });
+        assert!(message.contains("chunk size"), "{message}");
+        // A chunk within bounds, but the region no longer adds up.
+        let message = forge(&|bytes| {
+            bytes[chunk_at + 8..chunk_at + 12].copy_from_slice(&65_535u32.to_le_bytes())
+        });
+        assert!(message.contains("add up"), "{message}");
+        // A region length of 2^60 over the same chunks (the u64 precedes the
+        // reused flag and the chunk count, 13 bytes before the first chunk).
+        let message = forge(&|bytes| {
+            bytes[chunk_at - 13..chunk_at - 5].copy_from_slice(&(1u64 << 60).to_le_bytes())
+        });
+        assert!(message.contains("add up"), "{message}");
+        // Chunk size 0 with chunks present. The u32 follows the metadata, the
+        // epoch and the policy tag; the digest tag follows it.
+        let metadata_len = u32::from_le_bytes(pristine[12..16].try_into().unwrap()) as usize;
+        let chunk_size_at = 16 + metadata_len + 8 + 1;
+        assert_eq!(
+            pristine[chunk_size_at..chunk_size_at + 4],
+            65_536u32.to_le_bytes()
+        );
+        let message = forge(&|bytes| bytes[chunk_size_at..chunk_size_at + 4].fill(0));
+        assert!(message.contains("chunk size"), "{message}");
+        // The retired pre-LZ format's values, each in an otherwise valid manifest:
+        // version word 1, digest tag 0 (FNV-1a/64), chunk form tag 1 (RLE).
+        let digest_tag_at = chunk_size_at + 4;
+        assert_eq!(pristine[digest_tag_at], Digest::Xx64.tag());
+        assert_eq!(pristine[chunk_at + 16], StoredForm::Lz.tag());
+        let message = forge(&|bytes| bytes[8..12].copy_from_slice(&1u32.to_le_bytes()));
+        assert!(message.contains("version 1"), "{message}");
+        let message = forge(&|bytes| bytes[digest_tag_at] = 0);
+        assert!(message.contains("digest tag 0"), "{message}");
+        let message = forge(&|bytes| bytes[chunk_at + 16] = 1);
+        assert!(message.contains("stored-form tag 1"), "{message}");
+        // And the untouched encoding still decodes after a reseal.
+        let mut resealed = pristine.clone();
+        reseal(&mut resealed);
+        assert_eq!(Manifest::decode(&resealed).unwrap(), manifest);
     }
 
     #[test]
     fn rejects_zero_length_chunks_under_a_zero_chunk_size() {
-        let mut manifest = sample_manifest(Digest::Xx64, StoredForm::Lz);
+        let mut manifest = sample_manifest(StoredForm::Lz);
         manifest.chunk_size = 0;
         manifest.regions[0].len = 0;
         for chunk in &mut manifest.regions[0].chunks {
@@ -469,22 +398,17 @@ mod tests {
 
     #[test]
     fn rejects_corruption_and_truncation_everywhere() {
-        for (digest, form) in [
-            (Digest::Fnv1a64, StoredForm::Rle),
-            (Digest::Xx64, StoredForm::Lz),
-        ] {
-            let encoded = sample_manifest(digest, form).encode();
-            for cut in 0..encoded.len() {
-                assert!(Manifest::decode(&encoded[..cut]).is_err(), "cut at {cut}");
-            }
-            for position in 0..encoded.len() {
-                let mut corrupted = encoded.clone();
-                corrupted[position] ^= 0x10;
-                assert!(
-                    Manifest::decode(&corrupted).is_err(),
-                    "flip at {position} accepted"
-                );
-            }
+        let encoded = sample_manifest(StoredForm::Lz).encode();
+        for cut in 0..encoded.len() {
+            assert!(Manifest::decode(&encoded[..cut]).is_err(), "cut at {cut}");
+        }
+        for position in 0..encoded.len() {
+            let mut corrupted = encoded.clone();
+            corrupted[position] ^= 0x10;
+            assert!(
+                Manifest::decode(&corrupted).is_err(),
+                "flip at {position} accepted"
+            );
         }
     }
 }

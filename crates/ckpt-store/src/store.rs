@@ -2,7 +2,7 @@
 //! blobs, shared by all ranks of a job (clone-shared, like the flat store).
 
 use crate::chunk::{for_each_chunk, ChunkRef, DEFAULT_CHUNK_SIZE};
-use crate::codec::{compress_chunk, decode_chunk_onto, StorageConfig, StoredForm};
+use crate::codec::{compress_chunk, decode_chunk_onto, Digest, StorageConfig, StoredForm};
 use crate::manifest::{Manifest, RegionManifest};
 use crate::tier::ColdTier;
 use crate::StoragePolicy;
@@ -12,7 +12,6 @@ use mpi_model::types::Rank;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use split_proc::image::CheckpointImage;
-use split_proc::store::StoreConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,8 +42,6 @@ pub struct StoreReport {
     pub regions_reused: usize,
     /// Bytes saved by compression on the chunks this write stored.
     pub compression_saved_bytes: usize,
-    /// Modelled write time for `written_bytes` (0 when unmetered).
-    pub write_time_s: f64,
 }
 
 impl StoreReport {
@@ -55,17 +52,6 @@ impl StoreReport {
             f64::INFINITY
         } else {
             self.logical_bytes as f64 / self.written_bytes as f64
-        }
-    }
-
-    /// Effective bandwidth in MB/s measured against the bytes actually written, or
-    /// `None` for an unmetered store (no write-time model, so no bandwidth exists —
-    /// reporting `0 MB/s` would be a lie, not a measurement).
-    pub fn effective_bandwidth_mb_s(&self) -> Option<f64> {
-        if self.write_time_s > 0.0 {
-            Some(self.written_bytes as f64 / 1.0e6 / self.write_time_s)
-        } else {
-            None
         }
     }
 }
@@ -290,11 +276,6 @@ pub struct CheckpointStorage {
     /// Cold tier + LRU clock + occupancy counters, shared by every clone and every
     /// tenant view of this chunk space.
     tier: Arc<TierState>,
-    model: Option<StoreConfig>,
-    /// Codec + digest selection for *writes*. Reads are config-independent: they
-    /// decode by what each manifest records, which is what lets a store restore
-    /// images written under any earlier configuration.
-    config: StorageConfig,
     chunk_size: usize,
 }
 
@@ -317,27 +298,14 @@ impl std::fmt::Debug for CheckpointStorage {
 }
 
 impl CheckpointStorage {
-    /// An unmetered engine (write time reported as zero) with the default chunk size
-    /// and shard count.
+    /// An empty engine with the default chunk size and shard count.
     pub fn unmetered() -> Self {
         CheckpointStorage {
             shards: Arc::new((0..DEFAULT_SHARD_COUNT).map(|_| Mutex::default()).collect()),
             catalog: Arc::new(Mutex::new(Catalog::default())),
             pending: Arc::new(Mutex::new(BTreeMap::new())),
             tier: Arc::new(TierState::default()),
-            model: None,
-            config: StorageConfig::default(),
             chunk_size: DEFAULT_CHUNK_SIZE,
-        }
-    }
-
-    /// An engine whose write times follow the given filesystem model, applied to the
-    /// bytes each write physically stores (incremental checkpoints therefore finish
-    /// proportionally faster, which is the whole point).
-    pub fn with_model(model: StoreConfig) -> Self {
-        CheckpointStorage {
-            model: Some(model),
-            ..CheckpointStorage::unmetered()
         }
     }
 
@@ -347,18 +315,9 @@ impl CheckpointStorage {
         self
     }
 
-    /// Override the codec/digest selection for subsequent writes.
-    /// [`StorageConfig::legacy`] reproduces the pre-codec store byte for byte;
-    /// reads always follow each manifest's own record, so images written under a
-    /// different configuration restore unchanged.
-    pub fn with_config(mut self, config: StorageConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The codec/digest selection writes currently use.
+    /// The on-store format every write uses — the same for every store.
     pub fn config(&self) -> StorageConfig {
-        self.config
+        StorageConfig::default()
     }
 
     /// Override the number of digest-keyed chunk shards. `1` reproduces the old
@@ -392,12 +351,12 @@ impl CheckpointStorage {
 
     /// A new catalog namespace over the **same** content-addressed chunk space.
     ///
-    /// The view shares the chunk shards (and their reference counts), the cold tier,
-    /// the LRU clock and the write-time model with `self`, but has a fresh, empty
-    /// catalog and pending table. This is the tenancy primitive of the multi-tenant
-    /// checkpoint service: every tenant writes generations and manifests into its own
-    /// namespace — `generations`, `read`, `prune_before`, `latest_valid_images` are
-    /// all per-tenant — while identical chunks written by different tenants are
+    /// The view shares the chunk shards (and their reference counts), the cold tier
+    /// and the LRU clock with `self`, but has a fresh, empty catalog and pending
+    /// table. This is the tenancy primitive of the multi-tenant checkpoint service:
+    /// every tenant writes generations and manifests into its own namespace —
+    /// `generations`, `read`, `prune_before`, `latest_valid_images` are all
+    /// per-tenant — while identical chunks written by different tenants are
     /// stored once. Shared reference counts make cross-tenant GC safe: a tenant
     /// pruning its generations only frees chunks no other tenant references.
     ///
@@ -409,8 +368,6 @@ impl CheckpointStorage {
             catalog: Arc::new(Mutex::new(Catalog::default())),
             pending: Arc::new(Mutex::new(BTreeMap::new())),
             tier: Arc::clone(&self.tier),
-            model: self.model,
-            config: self.config,
             chunk_size: self.chunk_size,
         }
     }
@@ -685,7 +642,6 @@ impl CheckpointStorage {
             chunks_reused: 0,
             regions_reused: 0,
             compression_saved_bytes: 0,
-            write_time_s: 0.0,
         };
 
         // Rewriting an existing (generation, rank) — e.g. re-checkpointing after a
@@ -701,10 +657,6 @@ impl CheckpointStorage {
                 .lock()
                 .full_images
                 .insert((generation, rank), Arc::new(encoded));
-        }
-
-        if let Some(model) = self.model {
-            report.write_time_s = model.write_time_s(report.written_bytes as f64 / 1.0e6);
         }
         report
     }
@@ -734,14 +686,9 @@ impl CheckpointStorage {
         }
         .and_then(|bytes| Manifest::decode(&bytes).ok())
         .filter(|m| m.base_epoch() == upper.epoch())
-        // A manifest records one digest function for all its chunks, so clean-region
-        // reuse across a digest change would stamp old-digest references into a
-        // new-digest manifest and fail validation on read. After a config switch the
-        // first checkpoint re-chunks everything; reuse resumes from then on.
-        .filter(|m| m.digest == self.config.digest)
-        // Likewise one chunk size: a manifest's chunks are bounded by the size it
-        // records (decode enforces it), so regions chunked at another size are
-        // re-chunked rather than carried over.
+        // A manifest's chunks are bounded by the chunk size it records (decode
+        // enforces it), so regions chunked at another size are re-chunked rather
+        // than carried over.
         .filter(|m| m.chunk_size as usize == self.chunk_size);
 
         // The image's regions and the previous manifest's are both in name order, so
@@ -784,70 +731,65 @@ impl CheckpointStorage {
             // generation. Only the per-digest shard is locked, and never while
             // compressing, so concurrent rank writes proceed in parallel.
             let mut chunks = Vec::with_capacity(data.len() / self.chunk_size + 1);
-            for_each_chunk(
-                data,
-                self.chunk_size,
-                self.config.digest,
-                |digest, piece| {
-                    let key = (digest, piece.len() as u32);
-                    if let Some((stored_len, form)) = self.bump_chunk_ref(key) {
-                        report.chunks_reused += 1;
-                        chunks.push(ChunkRef {
-                            digest,
-                            raw_len: piece.len() as u32,
-                            stored_len,
-                            form,
-                        });
-                        return;
-                    }
-                    let (stored, form) = if policy.compresses() {
-                        compress_chunk(self.config.codec, piece)
-                    } else {
-                        (piece.to_vec(), StoredForm::Raw)
-                    };
-                    // Re-check under the shard lock: another rank may have stored the
-                    // same content while we were compressing. Whoever loses the race
-                    // re-references the winner's copy instead of inserting a duplicate.
-                    let now = self.tick();
-                    let mut shard = self.shard(digest).lock();
-                    if let Some(entry) = shard.chunks.get_mut(&key) {
-                        entry.refs += 1;
-                        entry.touch = now;
-                        report.chunks_reused += 1;
-                        chunks.push(ChunkRef {
-                            digest,
-                            raw_len: piece.len() as u32,
-                            stored_len: entry.stored_len,
-                            form: entry.form,
-                        });
-                        return;
-                    }
-                    if form.is_compressed() {
-                        report.compression_saved_bytes += piece.len() - stored.len();
-                    }
-                    report.chunks_new += 1;
-                    report.written_bytes += stored.len();
+            for_each_chunk(data, self.chunk_size, Digest::Xx64, |digest, piece| {
+                let key = (digest, piece.len() as u32);
+                if let Some((stored_len, form)) = self.bump_chunk_ref(key) {
+                    report.chunks_reused += 1;
                     chunks.push(ChunkRef {
                         digest,
                         raw_len: piece.len() as u32,
-                        stored_len: stored.len() as u32,
+                        stored_len,
                         form,
                     });
-                    self.tier
-                        .hot_bytes
-                        .fetch_add(stored.len(), Ordering::Relaxed);
-                    shard.chunks.insert(
-                        key,
-                        ChunkEntry {
-                            refs: 1,
-                            stored_len: stored.len() as u32,
-                            payload: ChunkPayload::Hot(stored.into()),
-                            form,
-                            touch: now,
-                        },
-                    );
-                },
-            );
+                    return;
+                }
+                let (stored, form) = if policy.compresses() {
+                    compress_chunk(piece)
+                } else {
+                    (piece.to_vec(), StoredForm::Raw)
+                };
+                // Re-check under the shard lock: another rank may have stored the
+                // same content while we were compressing. Whoever loses the race
+                // re-references the winner's copy instead of inserting a duplicate.
+                let now = self.tick();
+                let mut shard = self.shard(digest).lock();
+                if let Some(entry) = shard.chunks.get_mut(&key) {
+                    entry.refs += 1;
+                    entry.touch = now;
+                    report.chunks_reused += 1;
+                    chunks.push(ChunkRef {
+                        digest,
+                        raw_len: piece.len() as u32,
+                        stored_len: entry.stored_len,
+                        form: entry.form,
+                    });
+                    return;
+                }
+                if form.is_compressed() {
+                    report.compression_saved_bytes += piece.len() - stored.len();
+                }
+                report.chunks_new += 1;
+                report.written_bytes += stored.len();
+                chunks.push(ChunkRef {
+                    digest,
+                    raw_len: piece.len() as u32,
+                    stored_len: stored.len() as u32,
+                    form,
+                });
+                self.tier
+                    .hot_bytes
+                    .fetch_add(stored.len(), Ordering::Relaxed);
+                shard.chunks.insert(
+                    key,
+                    ChunkEntry {
+                        refs: 1,
+                        stored_len: stored.len() as u32,
+                        payload: ChunkPayload::Hot(stored.into()),
+                        form,
+                        touch: now,
+                    },
+                );
+            });
             regions.push(RegionManifest {
                 name: name.to_string(),
                 len: data.len() as u64,
@@ -860,7 +802,7 @@ impl CheckpointStorage {
             metadata: image.metadata.clone(),
             upper_epoch: upper.epoch(),
             policy,
-            digest: self.config.digest,
+            digest: Digest::Xx64,
             chunk_size: self.chunk_size as u32,
             regions,
         };
@@ -951,13 +893,11 @@ impl CheckpointStorage {
                     Some(hot) => hot,
                     None => self.promote_chunk(chunk)?,
                 };
-                // Decode by the *manifest's* record, never by this store's current
-                // codec configuration — that is what keeps images written under any
-                // earlier config restorable. A compressed chunk is decoded straight
-                // onto the region's tail and digested there: no buffer per chunk, no
-                // second copy. A raw one is digested where it is stored and appended
-                // after (copying it cold and hashing the copy measured 7% slower on
-                // a 32 MiB image).
+                // Decode by the manifest's per-chunk record. A compressed chunk is
+                // decoded straight onto the region's tail and digested there: no
+                // buffer per chunk, no second copy. A raw one is digested where it is
+                // stored and appended after (copying it cold and hashing the copy
+                // measured 7% slower on a 32 MiB image).
                 let chunk_start = data.len();
                 let raw: &[u8] = if form.is_compressed() {
                     decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)?;

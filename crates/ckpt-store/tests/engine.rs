@@ -10,7 +10,6 @@ use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
 use mpi_model::error::MpiResult;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::StoreConfig;
 
 fn metadata(rank: i32, generation: u64) -> ImageMetadata {
     ImageMetadata {
@@ -148,7 +147,7 @@ fn compression_shrinks_compressible_chunks_and_roundtrips() {
         StoragePolicy::IncrementalCompressed,
         &image_of(0, 0, &upper),
     );
-    // The 16 identical zero chunks dedup down to a single stored chunk, which RLE
+    // The 16 identical zero chunks dedup down to a single stored chunk, which LZ
     // then collapses; only the incompressible half of "app.mixed" is stored raw.
     assert!(compressed.compression_saved_bytes > 60_000);
     assert!(
@@ -157,7 +156,7 @@ fn compression_shrinks_compressible_chunks_and_roundtrips() {
     );
     assert!(
         compressed.written_bytes < compressed.logical_bytes / 4,
-        "zero-dominated state should RLE-compress well \
+        "zero-dominated state should compress well \
          (wrote {} of {} logical bytes)",
         compressed.written_bytes,
         compressed.logical_bytes
@@ -408,33 +407,6 @@ fn epoch_mismatch_disables_region_reuse_but_not_dedup() {
     assert_eq!(gen1.chunks_new, 0);
     assert_eq!(gen1.chunks_reused, gen0.chunks_new);
     assert!(storage.read(1, 0).is_ok());
-}
-
-#[test]
-fn metered_incremental_writes_model_less_time_than_full() {
-    let storage = CheckpointStorage::with_model(StoreConfig::nfs_discovery());
-    let mut upper = synthetic_upper(0, 64, 64 * 1024); // 4 MiB
-
-    let full = storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
-    let gen0 = storage.write_image(StoragePolicy::Incremental, &image_of(0, 1, &upper));
-    upper.mark_clean();
-    upper.advance_epoch();
-    upper.region_mut("app.region000").unwrap()[0] ^= 1;
-    let gen1 = storage.write_image(StoragePolicy::Incremental, &image_of(0, 2, &upper));
-
-    assert!(full.write_time_s > 0.0 && gen0.write_time_s > 0.0);
-    assert!(
-        gen1.write_time_s < full.write_time_s / 2.0,
-        "incremental write ({:.3}s) should be far below the full image ({:.3}s)",
-        gen1.write_time_s,
-        full.write_time_s
-    );
-    assert!(gen1.effective_bandwidth_mb_s().unwrap() > 0.0);
-
-    // An unmetered write has no bandwidth — `None`, not a fabricated zero.
-    let unmetered = CheckpointStorage::unmetered();
-    let report = unmetered.write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper));
-    assert_eq!(report.effective_bandwidth_mb_s(), None);
 }
 
 /// Hammer the prune/write race the sharded engine must survive: writers keep

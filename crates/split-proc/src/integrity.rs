@@ -1,11 +1,10 @@
 //! Integrity primitives shared by the checkpoint image format and the `ckpt-store`
 //! storage engine: CRC-32 (IEEE) for end-to-end corruption detection of manifests and
-//! cold-tier frames, XXH64 for the flat image's seal and the default chunk content
-//! address, and FNV-1a/64 for the legacy content address.
+//! cold-tier frames, XXH64 for the flat image's seal and the chunk content address.
 //!
-//! All are implemented in-tree (no registry access) and are deliberately simple: the
+//! Both are implemented in-tree (no registry access) and are deliberately simple: the
 //! threat model is bit rot and truncation on a checkpoint filesystem, not an
-//! adversary. FNV-1a/64 collisions between distinct chunks of the same length are
+//! adversary. XXH64 collisions between distinct chunks of the same length are
 //! astronomically unlikely at the store sizes this simulation handles, and the chunk
 //! store keys on `(digest, length)` to shrink the window further.
 
@@ -76,16 +75,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a 64-bit digest of `bytes` (the chunk content address).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 // XXH64 prime constants (the published algorithm parameters).
 const XXH_PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
 const XXH_PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -125,10 +114,10 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
-/// XXH64 digest of `bytes` with seed 0: a stronger-mixing, faster-diffusing content
-/// address than FNV-1a for the multi-KiB chunks the store keys on. Matches the
-/// published XXH64 algorithm bit for bit (see the known-vector test), so digests are
-/// stable across builds and comparable with external tooling.
+/// XXH64 digest of `bytes` with seed 0: the content address of the multi-KiB chunks
+/// the store keys on. Matches the published XXH64 algorithm bit for bit (see the
+/// known-vector test), so digests are stable across builds and comparable with
+/// external tooling.
 pub fn xxh64(bytes: &[u8]) -> u64 {
     let len = bytes.len();
     let mut hash;
@@ -300,21 +289,6 @@ mod tests {
             corrupted[position] ^= 0x01;
             assert_ne!(crc32(&corrupted), baseline, "flip at {position} undetected");
         }
-    }
-
-    #[test]
-    fn fnv_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
-    }
-
-    #[test]
-    fn fnv_distinguishes_neighbouring_chunks() {
-        let a = vec![0u8; 65536];
-        let mut b = a.clone();
-        b[40000] = 1;
-        assert_ne!(fnv1a64(&a), fnv1a64(&b));
     }
 
     #[test]

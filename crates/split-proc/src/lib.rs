@@ -18,13 +18,10 @@
 //!   serialized into, and restored from, a checkpoint image.
 //! * [`image`] — the checkpoint image format (binary, self-describing) and its
 //!   round-trip encoding.
-//! * [`store`] — the write-time model of a simulated checkpoint filesystem with a
-//!   configurable per-rank bandwidth, reproducing the size-vs-time behaviour of
-//!   Table 3.
 //! * [`crossing`] — the upper↔lower crossing counter and cost model (FSGSBASE vs
 //!   `prctl`), which is what turns "MPI calls per second" into the runtime overheads of
 //!   Figures 2-4.
-//! * [`integrity`] — CRC-32, FNV-1a and XXH64 digests shared by the image format and
+//! * [`integrity`] — CRC-32 and XXH64 digests shared by the image format and
 //!   the `ckpt-store` incremental storage engine.
 
 #![forbid(unsafe_code)]
@@ -34,9 +31,7 @@ pub mod address_space;
 pub mod crossing;
 pub mod image;
 pub mod integrity;
-pub mod store;
 
 pub use address_space::{MemoryRegion, UpperHalfSpace};
 pub use crossing::{CrossingCounter, CrossingMode, CrossingProfile};
 pub use image::CheckpointImage;
-pub use store::StoreConfig;

@@ -23,7 +23,6 @@ use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, RunConfig};
 use mana_repro::mpi_model::error::MpiResult;
-use mana_repro::split_proc::store::StoreConfig;
 
 const RANKS: usize = 4;
 const TOTAL_STEPS: u64 = 12;
@@ -53,8 +52,7 @@ fn lulesh_step(session: &mut Session, step: u64) -> MpiResult<mana_repro::mana_a
 }
 
 fn main() {
-    // A parallel filesystem: checkpoint-on-notice has to finish within the notice.
-    let storage = CheckpointStorage::with_model(StoreConfig::parallel_fs());
+    let storage = CheckpointStorage::unmetered();
     let runtime = JobRuntime::with_storage(
         JobConfig::new(RANKS, Backend::CrayMpi)
             .with_mana(ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed))
@@ -85,16 +83,19 @@ fn main() {
     );
 
     println!("== later: job resumes on a new allocation ==");
+    let restored = runtime.restart(Backend::CrayMpi).expect("restart");
+    let restored_generation = restored.1;
+    assert!(
+        restored_generation < last_generation,
+        "the torn generation {last_generation} must be rejected, \
+         but the job restored generation {restored_generation}"
+    );
     let resumed = runtime
-        .run_steps_restored(
-            runtime.restart(Backend::CrayMpi).expect("restart"),
-            TOTAL_STEPS,
-            lulesh_step,
-        )
+        .run_steps_restored(restored, TOTAL_STEPS, lulesh_step)
         .expect("resume");
     println!(
         "restart validated generations {:?}; torn generation {last_generation} rejected, \
-         job resumed from an earlier one and repeated the lost interval",
+         job resumed from generation {restored_generation} and repeated the lost interval",
         storage.generations()
     );
     for report in resumed.results().expect("completed") {

@@ -6,7 +6,6 @@ use ckpt_store::{CheckpointStorage, StoragePolicy, StoreReport, DEFAULT_SHARD_CO
 use net_sim::clock;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::StoreConfig;
 use std::sync::{Arc, Mutex};
 
 /// 100 regions of 80 KiB: a 7.8 MiB upper half.
@@ -32,12 +31,12 @@ fn image_of(
 
 /// Write generation 0 of a mildly compressible upper half, dirty one byte in
 /// `dirty_fraction` of its regions, write generation 1 under `policy`, and report
-/// what generation 1 cost on the modelled NFSv3 store.
+/// what generation 1 cost.
 fn measure(policy: StoragePolicy, dirty_fraction: f64) -> StoreReport {
-    let storage = CheckpointStorage::with_model(StoreConfig::nfs_discovery());
+    let storage = CheckpointStorage::unmetered();
     let mut upper = UpperHalfSpace::new();
     for r in 0..REGIONS {
-        // Runs of a region-dependent byte broken by position noise: RLE wins some.
+        // Runs of a region-dependent byte broken by position noise: LZ wins some.
         let data: Vec<u8> = (0..REGION_BYTES)
             .map(|i| {
                 if i % 7 == 0 {
@@ -117,7 +116,6 @@ fn one_percent_dirty_beats_full_by_ten_x() {
     let full = measure(StoragePolicy::FullImage, 0.01);
     let incremental = measure(StoragePolicy::Incremental, 0.01);
     assert!(incremental.written_bytes * 10 <= full.written_bytes);
-    assert!(incremental.write_time_s < full.write_time_s);
 }
 
 #[test]
