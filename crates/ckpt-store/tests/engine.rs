@@ -7,7 +7,7 @@
 )]
 
 use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
-use mpi_model::error::MpiResult;
+use mpi_model::error::{MpiError, MpiResult};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 
@@ -844,6 +844,12 @@ const POLICIES: [StoragePolicy; 3] = [
     StoragePolicy::IncrementalCompressed,
 ];
 
+/// The policies that write chunks, the unit a region pass reads.
+const CHUNKED: [StoragePolicy; 2] = [
+    StoragePolicy::Incremental,
+    StoragePolicy::IncrementalCompressed,
+];
+
 /// A rank's upper half of `regions` × 64 KiB that LZ compresses (one pseudo-random
 /// byte in seven), with content unique to each (rank, region).
 fn compressible_upper(rank: i32, regions: u8) -> UpperHalfSpace {
@@ -948,41 +954,188 @@ fn a_job_read_reports_the_lowest_failing_rank() {
 
 #[test]
 fn concurrent_readers_promote_each_shared_cold_chunk_once() {
-    const WORLD: i32 = 4;
     // Flat images write no chunks, so only the chunked policies spill and promote.
-    for policy in [
-        StoragePolicy::Incremental,
-        StoragePolicy::IncrementalCompressed,
-    ] {
-        let storage = CheckpointStorage::unmetered()
-            .with_chunk_size(4096)
-            .with_cold_tier(ColdTier::in_temp().unwrap());
-        // Every rank holds the same 64 chunks of shared regions plus one region of
-        // its own, so concurrent readers race to promote the same cold chunks.
-        let shared = compressible_upper(0, 4);
-        for rank in 0..WORLD {
-            let mut upper = shared.clone();
-            upper.map_region("app.own", vec![rank as u8 + 1; 8192]);
-            storage.write_image(policy, &image_of(rank, 0, &upper));
+    for policy in CHUNKED {
+        // One rank's regions are read by concurrent readers too, so a one-rank job
+        // races as well as a four-rank one.
+        for world in [1, 4] {
+            let storage = CheckpointStorage::unmetered()
+                .with_chunk_size(4096)
+                .with_cold_tier(ColdTier::in_temp().unwrap());
+            // Every rank holds the same 64 chunks of shared regions, one region that
+            // repeats the first of them chunk for chunk, and one region of its own, so
+            // concurrent readers race to promote the same cold chunks — across ranks,
+            // and across two regions of one rank.
+            let mut shared = compressible_upper(0, 4);
+            let twin = shared.region("app.region0").unwrap().to_vec();
+            shared.map_region("app.twin", twin);
+            for rank in 0..world {
+                let mut upper = shared.clone();
+                upper.map_region("app.own", vec![rank as u8 + 1; 8192]);
+                storage.write_image(policy, &image_of(rank, 0, &upper));
+            }
+            storage.spill_over(0);
+            assert_eq!(storage.hot_bytes(), 0, "{policy:?}");
+
+            let (generation, images) = storage.latest_valid_images(world as usize).unwrap();
+            assert_eq!(generation, 0);
+            for (rank, image) in (0..world).zip(&images) {
+                assert_eq!(
+                    image.upper_half,
+                    storage.read(0, rank).unwrap().upper_half,
+                    "{policy:?} rank {rank}"
+                );
+                assert_eq!(
+                    image.upper_half.region("app.twin").unwrap(),
+                    shared.region("app.region0").unwrap()
+                );
+            }
+            let stats = storage.stats();
+            assert_eq!(stats.cold_chunk_count, 0, "{policy:?}");
+            assert_eq!(
+                storage.hot_bytes(),
+                stats.chunk_bytes,
+                "{policy:?}, world {world}: a chunk promoted by two readers was counted twice"
+            );
         }
+    }
+}
+
+#[test]
+fn an_empty_world_has_no_checkpoint() {
+    let storage = two_generation_job(StoragePolicy::Incremental, 2);
+    for error in [
+        storage.read_job(1, 0).unwrap_err(),
+        storage.latest_valid_images(0).unwrap_err(),
+        storage.latest_valid_generation(0).unwrap_err(),
+    ] {
+        assert!(
+            matches!(&error, MpiError::Checkpoint(message) if message.contains("empty world")),
+            "{error:?}"
+        );
+    }
+}
+
+#[test]
+fn a_torn_manifest_fails_the_job_read_before_any_chunk_is_read() {
+    const WORLD: i32 = 4;
+    for policy in CHUNKED {
+        let storage = two_generation_job(policy, WORLD);
+        storage.corrupt_manifest(1, WORLD - 1).unwrap();
+        let reads = storage.stats().chunk_reads;
+        let error = format!("{:?}", storage.read_job(1, WORLD as usize).unwrap_err());
+        assert!(
+            error.contains(&format!("rank {}", WORLD - 1)),
+            "{policy:?}: {error}"
+        );
+        assert_eq!(storage.stats().chunk_reads, reads, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_generation_missing_its_tail_ranks_is_skipped_before_any_chunk_is_read() {
+    const WORLD: i32 = 4;
+    for policy in CHUNKED {
+        let storage = two_generation_job(policy, WORLD);
+        // Generation 2 holds ranks 0 and 1 only, whose images record the 4-rank world:
+        // the tail ranks died before writing.
+        for rank in 0..2 {
+            let metadata = ImageMetadata {
+                world_size: WORLD as usize,
+                ..metadata(rank, 2)
+            };
+            let image = CheckpointImage::new(metadata, compressible_upper(rank, 3));
+            storage.write_image(policy, &image);
+        }
+        let reads = storage.stats().chunk_reads;
+        let (generation, images) = storage.latest_valid_images_any_size().unwrap();
+        assert_eq!(generation, 1, "{policy:?}");
+        assert_eq!(images.len(), WORLD as usize, "{policy:?}");
+        let any_size_reads = storage.stats().chunk_reads - reads;
+        storage.read_job(1, WORLD as usize).unwrap();
+        assert_eq!(
+            any_size_reads,
+            storage.stats().chunk_reads - reads - any_size_reads,
+            "{policy:?}: only generation 1's chunks are read"
+        );
+    }
+}
+
+#[test]
+fn a_one_rank_image_with_edge_sized_regions_round_trips_through_a_spill() {
+    const CHUNK: usize = 4096;
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered()
+            .with_chunk_size(CHUNK)
+            .with_cold_tier(ColdTier::in_temp().unwrap());
+        let mut upper = compressible_upper(0, 4);
+        upper.map_region("app.empty", Vec::new());
+        upper.map_region("app.short", vec![7; CHUNK / 3]);
+        upper.map_region(
+            "app.ragged",
+            (0..5 * CHUNK + 123).map(|i| i as u8).collect(),
+        );
+        let image = CheckpointImage::new(
+            ImageMetadata {
+                world_size: 1,
+                ..metadata(0, 0)
+            },
+            upper.clone(),
+        );
+        storage.write_image(policy, &image);
         storage.spill_over(0);
         assert_eq!(storage.hot_bytes(), 0, "{policy:?}");
 
-        let (generation, images) = storage.latest_valid_images(WORLD as usize).unwrap();
-        assert_eq!(generation, 0);
-        for (rank, image) in (0..WORLD).zip(&images) {
-            assert_eq!(
-                image.upper_half,
-                storage.read(0, rank).unwrap().upper_half,
-                "{policy:?} rank {rank}"
-            );
+        assert_eq!(storage.read(0, 0).unwrap().upper_half, upper, "{policy:?}");
+        let (generation, images) = storage.latest_valid_images_any_size().unwrap();
+        assert_eq!(generation, 0, "{policy:?}");
+        assert_eq!(images.len(), 1, "{policy:?}");
+        assert_eq!(images[0].metadata, image.metadata, "{policy:?}");
+        assert_eq!(images[0].upper_half, upper, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_one_rank_read_reports_its_first_torn_region() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered().with_chunk_size(4096);
+        let mut upper = compressible_upper(0, 6);
+        // Each generation dirties one region and the fresh chunk of each is torn, so
+        // generation 2 holds two torn regions: app.region4, whose torn chunk it
+        // inherits clean from generation 1, and its own app.region2.
+        for (generation, dirty) in [
+            (0, None),
+            (1, Some("app.region4")),
+            (2, Some("app.region2")),
+        ] {
+            if let Some(region) = dirty {
+                upper.region_mut(region).unwrap()[4321] ^= 0x5A;
+            }
+            storage.write_image(policy, &image_of(0, generation, &upper));
+            upper.mark_clean();
+            upper.advance_epoch();
+            if generation > 0 {
+                storage.corrupt_fresh_chunk(generation, 0).unwrap();
+            }
         }
-        let stats = storage.stats();
-        assert_eq!(stats.cold_chunk_count, 0, "{policy:?}");
-        assert_eq!(
-            storage.hot_bytes(),
-            stats.chunk_bytes,
-            "{policy:?}: a chunk promoted by two readers was counted twice"
+        // Readers finish in any order; the answer must not depend on which.
+        for _ in 0..20 {
+            for error in [
+                storage.read(2, 0).unwrap_err(),
+                storage.read_job(2, 1).unwrap_err(),
+            ] {
+                let error = error.to_string();
+                assert!(
+                    error.contains("generation 2, rank 0: region \"app.region2\": "),
+                    "{policy:?}: {error}"
+                );
+                assert!(!error.contains("app.region4"), "{policy:?}: {error}");
+            }
+        }
+        let error = storage.read(1, 0).unwrap_err().to_string();
+        assert!(
+            error.contains("region \"app.region4\""),
+            "{policy:?}: {error}"
         );
     }
 }
