@@ -436,6 +436,8 @@ fn lz_decompress_onto(stream: &[u8], expected_len: usize, out: &mut Vec<u8>) -> 
 
 /// LZ-compress `data`, returning the stored bytes and their form. Falls back to
 /// stored-raw (a copy — the caller keeps `data`) when LZ cannot shrink the chunk.
+/// The store's write path calls [`lz_compress`] itself and keeps that fallback as a
+/// window of the region instead of this copy.
 pub fn compress_chunk(data: &[u8]) -> (Vec<u8>, StoredForm) {
     match lz_compress(data) {
         Some(stream) => (stream, StoredForm::Lz),

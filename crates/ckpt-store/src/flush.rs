@@ -3,9 +3,13 @@
 //!
 //! The synchronous write path stalls a rank for the whole chunk/compress/store cost
 //! of its image. The asynchronous split instead has the rank **snapshot** (freeze an
-//! owned [`CheckpointImage`], a memory copy) and hand the image to a [`FlusherPool`],
-//! which performs the expensive storage write on a worker thread and completes a
-//! [`FlushHandle`] the submitter can wait on (or poll) later.
+//! owned [`CheckpointImage`] whose regions it shares with the live upper half by
+//! refcount, copying no bytes) and hand the image to a [`FlusherPool`], which
+//! performs the expensive storage write on a worker thread and completes a
+//! [`FlushHandle`] the submitter can wait on (or poll) later. The write keeps each
+//! raw chunk as a window of its region rather than a copy, so a byte the
+//! application later changes is copied once, by the application's own `region_mut`
+//! of its region (copy-on-write), and a byte it never changes is never copied.
 //!
 //! Generation visibility is governed by the store's pending table (see
 //! [`CheckpointStorage::begin_generation`]): a generation announced as pending stays

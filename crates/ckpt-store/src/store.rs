@@ -2,7 +2,7 @@
 //! blobs, shared by all ranks of a job (clone-shared, like the flat store).
 
 use crate::chunk::{for_each_chunk, ChunkRef, DEFAULT_CHUNK_SIZE};
-use crate::codec::{compress_chunk, decode_chunk_onto, Digest, StorageConfig, StoredForm};
+use crate::codec::{decode_chunk_onto, lz_compress, Digest, StorageConfig, StoredForm};
 use crate::manifest::{Manifest, RegionManifest};
 use crate::tier::ColdTier;
 use crate::StoragePolicy;
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -159,11 +159,38 @@ pub struct SpillReport {
     pub hot_bytes: usize,
 }
 
+/// A hot chunk's stored bytes. Either kind clones as a refcount bump, so reads hand
+/// the stored bytes out without a copy per read.
+#[derive(Clone)]
+enum Body {
+    /// Bytes the store owns: an LZ stream, a promoted cold chunk or a corrupted copy.
+    Owned(PayloadBuf),
+    /// A raw chunk kept as `len` bytes at `start` of the upper-half region it was cut
+    /// from, shared with the image that handed the region over (see
+    /// [`UpperHalfSpace::iter_shared`]). The region stays allocated until the last
+    /// window into it is freed; the space copies it before its next mutation.
+    Window {
+        region: Arc<Vec<u8>>,
+        start: usize,
+        len: usize,
+    },
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Window { region, start, len } => &region[*start..*start + *len],
+        }
+    }
+}
+
 /// Where a chunk's stored payload currently lives.
 enum ChunkPayload {
-    /// Resident in memory. A [`PayloadBuf`], so reads hand the stored bytes out as
-    /// a refcount bump on this allocation instead of a copy per read.
-    Hot(PayloadBuf),
+    /// Resident in memory.
+    Hot(Body),
     /// Demoted to the cold tier; fetched (and CRC-revalidated) on next read.
     Cold,
 }
@@ -742,7 +769,8 @@ impl CheckpointStorage {
             .iter()
             .peekable();
         let mut regions = Vec::with_capacity(upper.region_count());
-        for (name, data) in upper.iter() {
+        for (name, region) in upper.iter_shared() {
+            let data: &[u8] = region;
             while previous_regions
                 .next_if(|r| r.name.as_str() < name)
                 .is_some()
@@ -773,7 +801,10 @@ impl CheckpointStorage {
             // generation. Only the per-digest shard is locked, and never while
             // compressing, so concurrent rank writes proceed in parallel.
             let mut chunks = Vec::with_capacity(data.len() / self.chunk_size + 1);
+            let mut offset = 0;
             for_each_chunk(data, self.chunk_size, Digest::Xx64, |digest, piece| {
+                let start = offset;
+                offset += piece.len();
                 let key = (digest, piece.len() as u32);
                 if let Some((stored_len, form)) = self.bump_chunk_ref(key) {
                     report.chunks_reused += 1;
@@ -785,10 +816,19 @@ impl CheckpointStorage {
                     });
                     return;
                 }
-                let (stored, form) = if policy.compresses() {
-                    compress_chunk(piece)
-                } else {
-                    (piece.to_vec(), StoredForm::Raw)
+                // An LZ stream is the store's own bytes; a raw chunk (uncompressed
+                // policy, or LZ did not shrink it) is a window of the region, no copy.
+                let (stored, form) = match policy.compresses().then(|| lz_compress(piece)).flatten()
+                {
+                    Some(stream) => (Body::Owned(stream.into()), StoredForm::Lz),
+                    None => (
+                        Body::Window {
+                            region: Arc::clone(region),
+                            start,
+                            len: piece.len(),
+                        },
+                        StoredForm::Raw,
+                    ),
                 };
                 // Re-check under the shard lock: another rank may have stored the
                 // same content while we were compressing. Whoever loses the race
@@ -826,7 +866,7 @@ impl CheckpointStorage {
                     ChunkEntry {
                         refs: 1,
                         stored_len: stored.len() as u32,
-                        payload: ChunkPayload::Hot(stored.into()),
+                        payload: ChunkPayload::Hot(stored),
                         form,
                         touch: now,
                     },
@@ -1082,15 +1122,18 @@ impl CheckpointStorage {
                 })?;
                 entry.touch = now;
                 match &entry.payload {
-                    // A PayloadBuf clone is a refcount bump on the stored allocation,
-                    // not a copy — the hot read path shares.
+                    // A body clone is a refcount bump on the stored allocation, not a
+                    // copy — the hot read path shares.
                     ChunkPayload::Hot(stored) => Some((stored.clone(), entry.form)),
                     ChunkPayload::Cold => None,
                 }
             };
             let (stored, form) = match hot {
                 Some(hot) => hot,
-                None => self.promote_chunk(chunk)?,
+                None => {
+                    let (stored, form) = self.promote_chunk(chunk)?;
+                    (Body::Owned(stored), form)
+                }
             };
             // Decode by the manifest's per-chunk record. A compressed chunk is decoded
             // straight onto the region's tail and digested there: no buffer per
@@ -1148,7 +1191,7 @@ impl CheckpointStorage {
         let form = match shard.chunks.get_mut(&chunk.key()) {
             Some(entry) => {
                 if matches!(entry.payload, ChunkPayload::Cold) {
-                    entry.payload = ChunkPayload::Hot(stored.clone());
+                    entry.payload = ChunkPayload::Hot(Body::Owned(stored.clone()));
                     self.tier
                         .hot_bytes
                         .fetch_add(stored.len(), Ordering::Relaxed);
@@ -1548,17 +1591,14 @@ impl CheckpointStorage {
             .ok_or_else(|| MpiError::Checkpoint("private chunk vanished".into()))?;
         match &mut entry.payload {
             ChunkPayload::Hot(stored) => {
-                // The stored buffer is immutable (readers may hold refcounts on it);
-                // corruption rebuilds the entry around a flipped copy, exactly like a
-                // torn write replacing the on-disk bytes.
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "fault injection: corruption rebuilds the chunk around a flipped copy, as a torn write would"
-                )]
-                let mut flipped = stored.to_vec();
+                // The stored buffer is immutable (readers may hold refcounts on it,
+                // and a window's region is the live upper half's); corruption
+                // rebuilds the entry around a flipped copy, exactly like a torn write
+                // replacing the on-disk bytes.
+                let mut flipped = stored[..].to_vec();
                 let position = flipped.len() / 2;
                 flipped[position] ^= 0x01;
-                *stored = flipped.into();
+                *stored = Body::Owned(flipped.into());
                 Ok(())
             }
             // The private chunk was demoted: corrupt its spill file instead, which

@@ -10,6 +10,7 @@ use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
 use mpi_model::error::{MpiError, MpiResult};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
+use std::sync::Arc;
 
 fn metadata(rank: i32, generation: u64) -> ImageMetadata {
     ImageMetadata {
@@ -1137,5 +1138,132 @@ fn a_one_rank_read_reports_its_first_torn_region() {
             error.contains("region \"app.region4\""),
             "{policy:?}: {error}"
         );
+    }
+}
+
+// ----------------------------------------------------------------------------------
+// Raw chunks are windows of the regions they were cut from
+// ----------------------------------------------------------------------------------
+
+/// How many holders share the buffer of every region of `upper`, in name order: 1
+/// where the live space owns a region alone.
+fn holders(upper: &UpperHalfSpace) -> Vec<usize> {
+    upper
+        .iter_shared()
+        .map(|(_, region)| Arc::strong_count(region))
+        .collect()
+}
+
+/// A deep copy of every region's bytes, in name order.
+fn contents(upper: &UpperHalfSpace) -> Vec<Vec<u8>> {
+    upper.iter().map(|(_, data)| data.to_vec()).collect()
+}
+
+/// Four single-chunk regions of xorshift noise, which LZ cannot shrink: every chunk
+/// is stored raw, as a window, under both chunked policies.
+fn windowed_upper(rank: i32) -> UpperHalfSpace {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ rank as u64;
+    let mut upper = UpperHalfSpace::new();
+    for r in 0..4 {
+        let noise = (0..32 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        upper.map_region(format!("app.region{r:03}"), noise);
+    }
+    upper
+}
+
+#[test]
+fn corrupting_a_window_chunk_leaves_the_live_region_untouched() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered();
+        let upper = windowed_upper(0);
+        let before = contents(&upper);
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        assert_eq!(
+            holders(&upper),
+            vec![2; 4],
+            "{policy:?}: the store shares every region"
+        );
+
+        storage.corrupt_fresh_chunk(0, 0).unwrap();
+        let error = storage.read(0, 0).unwrap_err().to_string();
+        assert!(error.contains("digest"), "{policy:?}: {error}");
+        assert_eq!(
+            contents(&upper),
+            before,
+            "{policy:?}: the live bytes are not the store's to flip"
+        );
+    }
+}
+
+#[test]
+fn pruning_the_last_generation_that_holds_a_window_spares_the_live_region() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered();
+        let mut upper = windowed_upper(0);
+        let before = contents(&upper);
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        // A newer generation of other content, so generation 0 — the only one that
+        // holds windows of `upper` — is not the restart point and can go.
+        let other = windowed_upper(1);
+        storage.write_image(policy, &image_of(1, 1, &other));
+        assert_eq!(holders(&upper), vec![2; 4], "{policy:?}");
+
+        assert_eq!(storage.prune_before(1).pruned, vec![0], "{policy:?}");
+        assert_eq!(
+            holders(&upper),
+            vec![1; 4],
+            "{policy:?}: every window was freed"
+        );
+        assert_eq!(contents(&upper), before, "{policy:?}");
+        // Unshared again, so the next mutation is in place.
+        let unmoved = upper.region("app.region000").unwrap().as_ptr();
+        upper.region_mut("app.region000").unwrap()[0] ^= 0x01;
+        assert_eq!(
+            upper.region("app.region000").unwrap().as_ptr(),
+            unmoved,
+            "{policy:?}"
+        );
+        assert_eq!(storage.read(1, 1).unwrap().upper_half, other, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_spilled_window_chunk_round_trips_after_the_live_region_moves_on() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered().with_cold_tier(ColdTier::in_temp().unwrap());
+        let mut upper = windowed_upper(0);
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        assert_eq!(holders(&upper), vec![2; 4], "{policy:?}");
+
+        storage.spill_over(0);
+        assert_eq!(storage.hot_bytes(), 0, "{policy:?}");
+        assert_eq!(
+            holders(&upper),
+            vec![1; 4],
+            "{policy:?}: a cold chunk holds no window"
+        );
+        for name in [
+            "app.region000",
+            "app.region001",
+            "app.region002",
+            "app.region003",
+        ] {
+            upper.region_mut(name).unwrap().fill(0xEE);
+        }
+        // Once promoted from the spill files, then once more from the promoted copies.
+        for _ in 0..2 {
+            assert_eq!(
+                storage.read(0, 0).unwrap().upper_half,
+                windowed_upper(0),
+                "{policy:?}"
+            );
+        }
     }
 }

@@ -134,10 +134,10 @@ pub struct JobConfig {
     /// fires in.
     pub preempt_mid_step_at: Option<u64>,
     /// Asynchronous checkpoint flush: at a step-boundary checkpoint, ranks freeze
-    /// their upper half (a memory copy) and return to computation immediately while
-    /// a background flusher pool chunks, compresses and stores the images. The
-    /// generation is published only once every rank's flush lands — no rank ever
-    /// blocks on the commit.
+    /// their upper half (a copy-on-write clone, no bytes copied) and return to
+    /// computation immediately while a background flusher pool chunks, compresses
+    /// and stores the images. The generation is published only once every rank's
+    /// flush lands — no rank ever blocks on the commit.
     ///
     /// **Precedence:** [`JobConfig::checkpoint_mid_step`] wins. In mid-step mode
     /// *every* checkpoint — boundary checkpoints included — is serviced

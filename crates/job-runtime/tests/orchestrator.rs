@@ -311,6 +311,109 @@ fn async_checkpoint_publishes_every_boundary_generation() {
     }
 }
 
+/// `len` bytes of xorshift noise from `seed`, which LZ cannot shrink.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// The freeze shares the live regions and the store keeps raw chunks as windows of
+/// them (copy-on-write), so a step that overwrites every region in place while the
+/// previous boundary's flush is still in flight must not reach that flush. Every
+/// committed generation must read back exactly as the application wrote its state at
+/// that boundary — raw (windowed) and LZ chunks, through the private pool and through
+/// a tenant whose every submission takes the synchronous fallback.
+#[test]
+fn overwrites_after_a_boundary_never_reach_its_generation() {
+    const WORLD: usize = 2;
+    const STEPS: u64 = 5;
+    const BYTES: usize = 128 * 1024;
+    fn seed(rank: i32, step: u64) -> u64 {
+        ((rank as u64 + 1) << 32) | step
+    }
+    let step_fn = |session: &mut Session, step: u64| -> MpiResult<()> {
+        let me = session.world_rank();
+        let upper = session.upper_mut();
+        if step == 0 {
+            upper.map_region("app.noise", vec![0; BYTES]);
+            upper.map_region("app.runs", vec![0; BYTES]);
+        }
+        upper
+            .region_mut("app.noise")?
+            .copy_from_slice(&noise(seed(me, step), BYTES));
+        upper.region_mut("app.runs")?.fill(seed(me, step) as u8);
+        Ok(())
+    };
+    let tenant_with_no_slots = || {
+        let service = CkptService::new(ServiceConfig {
+            max_in_flight_total: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        service.register_tenant_with("job", TenantQuota::default().with_max_in_flight(WORLD))
+    };
+    for policy in [
+        StoragePolicy::Incremental,
+        StoragePolicy::IncrementalCompressed,
+    ] {
+        let config = || {
+            JobConfig::new(WORLD, Backend::Mpich)
+                .with_mana(ManaConfig::new_design().with_storage(policy))
+                .with_checkpoint_every(1)
+                .with_async_checkpoint()
+        };
+        let routes = [
+            ("private pool", JobRuntime::new(config())),
+            (
+                "tenant, sync fallback",
+                JobRuntime::with_service(config(), tenant_with_no_slots()),
+            ),
+        ];
+        for (route, runtime) in routes {
+            assert!(!runtime.run_steps(STEPS, step_fn).unwrap().was_preempted());
+            let ledger = runtime
+                .run(|_session, ctx| Ok(Arc::clone(ctx.coordinator().ledger())))
+                .unwrap()
+                .remove(0);
+            let storage = runtime.storage();
+            assert_eq!(
+                storage.generations().len(),
+                STEPS as usize,
+                "{route}, {policy:?}"
+            );
+            for generation in storage.generations() {
+                let steps = ledger.steps_at(generation).unwrap();
+                let last = steps - 1;
+                for image in storage.read_job(generation, WORLD).unwrap() {
+                    let rank = image.metadata.rank;
+                    let at = format!("{route}, {policy:?}: generation {generation}, rank {rank}");
+                    let upper = &image.upper_half;
+                    assert_eq!(
+                        upper.region("app.noise").unwrap(),
+                        noise(seed(rank, last), BYTES),
+                        "{at}"
+                    );
+                    assert!(
+                        upper
+                            .region("app.runs")
+                            .unwrap()
+                            .iter()
+                            .all(|&b| b == seed(rank, last) as u8),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A synchronous round whose commit barrier is poisoned fails on every rank and
 /// leaves nothing behind: no pending entry, no manifest, nothing published. Rank 0
 /// aborts before it enters the round, and rank 1 cannot pass the drain until rank 0

@@ -333,8 +333,9 @@ impl ManaRank {
     }
 
     /// The fast half of the asynchronous checkpoint split: freeze this rank's
-    /// checkpoint image (one memory copy of the upper half, with the MANA regions
-    /// serialized in) and immediately return the rank to computation. The caller
+    /// checkpoint image (the MANA regions serialized in, then a clone of the upper
+    /// half that shares every region by refcount — no bytes are copied) and
+    /// immediately return the rank to computation. The caller
     /// announces the generation pending in its store
     /// ([`CheckpointStorage::begin_generation`]) and hands the frozen image to a
     /// [`ckpt_store::FlusherPool`], which performs the expensive chunk/compress/store
@@ -342,8 +343,10 @@ impl ManaRank {
     ///
     /// Generation and dirty-tracking epoch advance *here*, at freeze time: every
     /// application write after this call is dirty relative to this snapshot, exactly
-    /// as it would be after a synchronous write. The caller must have completed the
-    /// drain phases first.
+    /// as it would be after a synchronous write. The regions are copy-on-write: the
+    /// application's next `region_mut` of a region the frozen image (or the store it
+    /// is flushed into) still shares copies that region, on the rank, outside the
+    /// stall. The caller must have completed the drain phases first.
     pub fn snapshot_checkpoint(&mut self) -> MpiResult<CheckpointImage> {
         let image = self.with_built_image(|image| image.clone())?;
         self.upper.mark_clean();
@@ -353,19 +356,18 @@ impl ManaRank {
     }
 
     /// Build the checkpoint image for this rank without writing it anywhere (used by
-    /// tests and by the Table 3 bench, which only needs sizes). This path pays one
-    /// clone of the upper half; the write paths serialize in place (the upper half is
-    /// moved into the image and back) and do not.
+    /// tests and by the Table 3 bench, which only needs sizes). The image shares the
+    /// upper half's regions by refcount, as a frozen snapshot does.
     pub fn build_image(&mut self) -> MpiResult<CheckpointImage> {
         self.with_built_image(|image| image.clone())
     }
 
-    /// Run `consume` over this rank's checkpoint image without cloning the upper
-    /// half: the MANA regions (descriptor table, replay log, drained messages,
-    /// counters, collective ledger) are serialized *into* the live upper half, the
-    /// space is moved into the image for the duration of the call, then moved back
-    /// and the MANA regions unmapped. Peak memory stays one upper half, where the
-    /// old clone-based path briefly held two.
+    /// Run `consume` over this rank's checkpoint image: the MANA regions (descriptor
+    /// table, replay log, drained messages, counters, collective ledger) are
+    /// serialized *into* the live upper half, the space is moved into the image for
+    /// the duration of the call, then moved back and the MANA regions unmapped.
+    /// Whatever `consume` keeps of the image (a clone, or a store's windows of raw
+    /// chunks) shares the regions by refcount rather than copying them.
     fn with_built_image<R>(&mut self, consume: impl FnOnce(&CheckpointImage) -> R) -> MpiResult<R> {
         self.upper
             .store_json(regions::TRANSLATOR, &self.translator)?;

@@ -18,6 +18,7 @@ use mpi_model::op::UserFunctionRegistry;
 use mpi_model::types::Rank;
 use net_sim::clock;
 use parking_lot::RwLock;
+use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::CheckpointImage;
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,6 +111,95 @@ fn async_checkpoint_round_trips_through_restart() {
         Ok(())
     })
     .unwrap();
+}
+
+/// A deep copy of a frozen upper half: its own buffers, none shared.
+fn deep_copy(upper: &UpperHalfSpace) -> UpperHalfSpace {
+    let mut copy = UpperHalfSpace::new();
+    for (name, data) in upper.iter() {
+        copy.map_region(name, data.to_vec());
+    }
+    copy.set_epoch(upper.epoch());
+    copy
+}
+
+/// The freeze shares the live regions (copy-on-write) and the store keeps raw chunks
+/// as windows of them, so an application write after the freeze must copy rather
+/// than reach a queued flush. Generation 1 is frozen while the only flusher is held
+/// inside generation 0's completion callback, then every live region is overwritten
+/// before the flusher is released: both generations must read back bit-identical to
+/// their frozen state, raw (windowed) and LZ chunks alike, under both policies.
+#[test]
+fn overwriting_every_region_before_the_flush_leaves_the_frozen_state() {
+    let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
+    for policy in [
+        StoragePolicy::Incremental,
+        StoragePolicy::IncrementalCompressed,
+    ] {
+        let storage = CheckpointStorage::unmetered();
+        let pool = FlusherPool::with_workers(storage.clone(), 1);
+        let config = ManaConfig::new_design().with_storage(policy);
+        let mut rank = launch_ranks(1, 1, config, &registry)
+            .pop()
+            .expect("one rank");
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let noise: Vec<u8> = (0..256 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        rank.upper_mut().map_region("app.noise", noise);
+        rank.upper_mut().map_region("app.runs", vec![7; 256 * 1024]);
+        let overwrite = |rank: &mut ManaRank, fill: u8| {
+            let names: Vec<String> = rank
+                .upper()
+                .region_names()
+                .into_iter()
+                .map(String::from)
+                .collect();
+            for name in names {
+                rank.upper_mut()
+                    .region_mut(&name)
+                    .expect("mapped")
+                    .fill(fill);
+            }
+        };
+
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let mut expected = Vec::new();
+        let mut frozen = |rank: &mut ManaRank| {
+            let image = freeze(rank).expect("freeze");
+            storage.begin_generation(image.metadata.generation, 1);
+            expected.push(deep_copy(&image.upper_half));
+            image
+        };
+        let first = pool.submit_with(policy, frozen(&mut rank), move |_| {
+            let _ = held.recv();
+        });
+        overwrite(&mut rank, 0x11);
+        let second = pool.submit(policy, frozen(&mut rank));
+        overwrite(&mut rank, 0x22);
+        release.send(()).expect("the flusher is held");
+        first.wait();
+        second.wait();
+        assert_eq!(storage.generations(), vec![0, 1], "{policy:?}");
+        for (generation, at_freeze) in expected.iter().enumerate() {
+            let back = storage.read(generation as u64, 0).expect("committed");
+            assert_eq!(
+                &back.upper_half, at_freeze,
+                "{policy:?}: generation {generation}"
+            );
+        }
+        assert!(
+            rank.upper()
+                .iter()
+                .all(|(_, data)| data.iter().all(|&b| b == 0x22)),
+            "{policy:?}: the live state is the last overwrite"
+        );
+    }
 }
 
 /// **Acceptance scenario**: a job killed mid-flush. Generation 0 committed; the job

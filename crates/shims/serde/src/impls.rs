@@ -5,6 +5,7 @@ use crate::value::{Number, Value};
 use crate::{Deserialize, Error, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::Arc;
 
 fn type_error(expected: &str, found: &Value) -> Error {
     Error::custom(format!("expected {expected}, found {}", found.kind_name()))
@@ -194,6 +195,18 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     fn from_value(value: &Value) -> Result<Self, Error> {
         T::from_value(value).map(Box::new)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Arc<T> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        T::from_value(value).map(Arc::new)
     }
 }
 

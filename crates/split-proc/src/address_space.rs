@@ -10,6 +10,7 @@
 use mpi_model::error::{MpiError, MpiResult};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One named region of upper-half memory.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,9 +52,16 @@ impl MemoryRegion {
 /// always sound. The **epoch** counter ties dirty information to a specific previous
 /// checkpoint: it is advanced once per successful checkpoint, and an incremental store
 /// only trusts the clean set when the epochs line up.
+///
+/// Regions are **copy-on-write**: each is an `Arc<Vec<u8>>`, so cloning a space (the
+/// asynchronous checkpoint's freeze) bumps one refcount per region instead of
+/// copying its bytes, and a store may keep windows of a region it was handed
+/// ([`iter_shared`](UpperHalfSpace::iter_shared)). The copy is paid by the next
+/// [`region_mut`](UpperHalfSpace::region_mut) of a region that is still shared, and
+/// only for that region.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UpperHalfSpace {
-    regions: BTreeMap<String, Vec<u8>>,
+    regions: BTreeMap<String, Arc<Vec<u8>>>,
     /// Regions touched since the last [`mark_clean`](UpperHalfSpace::mark_clean). Not
     /// serialized: a decoded image starts clean relative to its own checkpoint.
     #[serde(skip)]
@@ -83,14 +91,16 @@ impl UpperHalfSpace {
     pub fn map_region(&mut self, name: impl Into<String>, data: Vec<u8>) {
         let name = name.into();
         self.dirty.insert(name.clone());
-        self.regions.insert(name, data);
+        self.regions.insert(name, Arc::new(data));
     }
 
-    /// Remove a region (e.g. when the application frees a large buffer).
+    /// Remove a region (e.g. when the application frees a large buffer). The bytes
+    /// are copied out only if a frozen image or a store still shares the region.
     pub fn unmap_region(&mut self, name: &str) -> MpiResult<Vec<u8>> {
         self.dirty.remove(name);
         self.regions
             .remove(name)
+            .map(Arc::unwrap_or_clone)
             .ok_or_else(|| MpiError::Checkpoint(format!("no region named {name:?} to unmap")))
     }
 
@@ -102,12 +112,14 @@ impl UpperHalfSpace {
             .ok_or_else(|| MpiError::Checkpoint(format!("no region named {name:?}")))
     }
 
-    /// Mutable view of a region. Conservatively marks the region dirty.
+    /// Mutable view of a region. Conservatively marks the region dirty. A region
+    /// still shared with a frozen image or a store is copied first (that sharer keeps
+    /// the old bytes); an unshared one is handed out in place.
     pub fn region_mut(&mut self, name: &str) -> MpiResult<&mut Vec<u8>> {
         match self.regions.get_mut(name) {
             Some(data) => {
                 self.dirty.insert(name.to_string());
-                Ok(data)
+                Ok(Arc::make_mut(data))
             }
             None => Err(MpiError::Checkpoint(format!("no region named {name:?}"))),
         }
@@ -137,6 +149,13 @@ impl UpperHalfSpace {
     /// Iterate over `(name, data)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
         self.regions.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+
+    /// Iterate over `(name, region)` pairs in name order, handing out the shared
+    /// buffers themselves: a store that keeps a clone of one holds the bytes without
+    /// copying them, and the space copies the region on its next `region_mut`.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (&str, &Arc<Vec<u8>>)> {
+        self.regions.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     // ------------------------------------------------------------------
@@ -313,6 +332,39 @@ mod tests {
         assert_eq!(a, b, "dirty marks must not affect equality");
         b.advance_epoch();
         assert_ne!(a, b, "epoch participates in equality");
+    }
+
+    #[test]
+    fn a_clone_shares_regions_until_one_is_mutated() {
+        let mut live = UpperHalfSpace::new();
+        live.map_region("a", vec![1, 2, 3]);
+        live.map_region("b", vec![4, 5]);
+        let frozen = live.clone();
+        for ((_, mine), (_, theirs)) in live.iter_shared().zip(frozen.iter_shared()) {
+            assert!(Arc::ptr_eq(mine, theirs), "a clone copies no region");
+        }
+
+        live.region_mut("a").unwrap()[0] = 9;
+        let shares = |name: &str| {
+            let mine = live.iter_shared().find(|(n, _)| *n == name).unwrap().1;
+            let theirs = frozen.iter_shared().find(|(n, _)| *n == name).unwrap().1;
+            Arc::ptr_eq(mine, theirs)
+        };
+        assert!(!shares("a"), "the mutated region was copied");
+        assert!(shares("b"), "an untouched region stays shared");
+        assert_eq!(live.region("a").unwrap(), &[9, 2, 3]);
+        assert_eq!(
+            frozen.region("a").unwrap(),
+            &[1, 2, 3],
+            "the clone keeps its bytes"
+        );
+
+        // The copy is now the live space's own: a second mutation is in place.
+        let before = live.region("a").unwrap().as_ptr();
+        live.region_mut("a").unwrap()[1] = 8;
+        assert_eq!(live.region("a").unwrap().as_ptr(), before);
+        assert_eq!(live.unmap_region("b").unwrap(), vec![4, 5]);
+        assert_eq!(frozen.region("b").unwrap(), &[4, 5]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! once with synchronous checkpoint writes and once with
 //! [`JobConfig::async_checkpoint`] — identical results, identical committed
 //! generations, but with the async flush the ranks only ever stall for the snapshot
-//! (a memory copy) while the chunk/compress/store work rides the flusher pool.
+//! (a copy-on-write clone of the upper half) while the chunk/compress/store work
+//! rides the flusher pool.
 //!
 //! ```text
 //! cargo run --release --example async_checkpoint

@@ -8,6 +8,7 @@ use job_runtime::{Backend, JobConfig, JobRuntime};
 use net_sim::clock;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
+use std::sync::{Arc, Barrier};
 
 const FLEET_JOBS: usize = 12;
 const FLEET_STATE_BYTES: usize = 8 * 1024;
@@ -67,12 +68,21 @@ fn throughput_ratio() -> f64 {
     let handles: Vec<ServiceHandle> = (0..TENANTS)
         .map(|t| shared.register_tenant(&format!("tenant-{t}")))
         .collect();
-    let start = clock::now();
+    // The clock starts once every writer is up: thread spawns are not tenant writes.
+    let ready = Arc::new(Barrier::new(TENANTS + 1));
     let writers: Vec<_> = handles
         .into_iter()
         .enumerate()
-        .map(|(t, handle)| std::thread::spawn(move || write_generations(&handle, 2_000 + t as u64)))
+        .map(|(t, handle)| {
+            let ready = Arc::clone(&ready);
+            std::thread::spawn(move || {
+                ready.wait();
+                write_generations(&handle, 2_000 + t as u64)
+            })
+        })
         .collect();
+    ready.wait();
+    let start = clock::now();
     let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
     let aggregate_mb_s = total as f64 / 1e6 / start.elapsed().as_secs_f64();
     aggregate_mb_s / single_mb_s
