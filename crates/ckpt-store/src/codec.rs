@@ -434,17 +434,6 @@ fn lz_decompress_onto(stream: &[u8], expected_len: usize, out: &mut Vec<u8>) -> 
     Ok(())
 }
 
-/// LZ-compress `data`, returning the stored bytes and their form. Falls back to
-/// stored-raw (a copy — the caller keeps `data`) when LZ cannot shrink the chunk.
-/// The store's write path calls [`lz_compress`] itself and keeps that fallback as a
-/// window of the region instead of this copy.
-pub fn compress_chunk(data: &[u8]) -> (Vec<u8>, StoredForm) {
-    match lz_compress(data) {
-        Some(stream) => (stream, StoredForm::Lz),
-        None => (data.to_vec(), StoredForm::Raw),
-    }
-}
-
 /// Decode a stored chunk according to its recorded form, appending its `raw_len`
 /// bytes to `out` — the read path reassembles a region in place instead of through
 /// a buffer per chunk. Length and content of what was appended are for the caller's
@@ -697,9 +686,6 @@ mod tests {
             })
             .collect();
         assert!(lz_compress(&data).is_none());
-        let (stored, form) = compress_chunk(&data);
-        assert_eq!(form, StoredForm::Raw);
-        assert_eq!(stored, data);
     }
 
     #[test]
@@ -754,11 +740,10 @@ mod tests {
     #[test]
     fn decode_chunk_dispatches_by_form_and_appends() {
         let data = vec![3u8; 1000];
-        let (stored, form) = compress_chunk(&data);
-        assert_eq!(form, StoredForm::Lz);
+        let stored = lz_compress(&data).unwrap();
         // Onto a non-empty tail: earlier content stays, and no match reaches it.
         let mut out = vec![3u8; 7];
-        decode_chunk_onto(form, &stored, data.len(), &mut out).unwrap();
+        decode_chunk_onto(StoredForm::Lz, &stored, data.len(), &mut out).unwrap();
         assert_eq!(out[..7], [3u8; 7]);
         assert_eq!(out[7..], data[..]);
         let mut out = Vec::new();

@@ -280,10 +280,23 @@ impl Slot {
     }
 }
 
-/// What one unit of the region pass produced.
+/// Copy a region's pending run of windows into `data`, allocating `data` for the
+/// whole region when this is the read's first copy.
+fn copy_run(data: &mut Vec<u8>, run: Option<(Arc<Vec<u8>>, usize)>, region_len: u64) {
+    if data.capacity() == 0 {
+        data.reserve_exact(region_len as usize);
+    }
+    if let Some((buffer, end)) = run {
+        data.extend_from_slice(&buffer[..end]);
+    }
+}
+
+/// What one unit of the region pass produced. A region is either a buffer the
+/// read assembled or, when its raw chunks tile one stored window's region, that
+/// region itself (see [`CheckpointStorage::read_region`]).
 enum Piece {
     Image(CheckpointImage),
-    Region(Vec<u8>),
+    Region(Arc<Vec<u8>>),
 }
 
 /// One digest-keyed slice of the content-addressed chunk space, behind its own lock.
@@ -1104,9 +1117,20 @@ impl CheckpointStorage {
 
     /// One unit of the region pass: reassemble a region of a chunked image from its
     /// chunks, checking each chunk's digest and length and then the region's length.
-    fn read_region(&self, digest: Digest, region: &RegionManifest) -> MpiResult<Vec<u8>> {
-        let mut data = Vec::with_capacity(region.len as usize);
-        for chunk in &region.chunks {
+    ///
+    /// Nothing is copied while the raw chunks read so far are windows of one stored
+    /// buffer, each starting where the previous one ended from offset 0: the loop only
+    /// extends that pending run. The first chunk that breaks it (an LZ stream, a
+    /// promoted cold chunk, an owned or corrupted copy, a window of another buffer or
+    /// at another offset) copies the run into a fresh buffer, and every chunk after is
+    /// appended to it. A run that still tiles its whole buffer at the end, which is
+    /// exactly the region's length, *is* the region: it is handed back with a
+    /// refcount bump, and the space it is mapped into copies it on its first write.
+    fn read_region(&self, digest: Digest, region: &RegionManifest) -> MpiResult<Arc<Vec<u8>>> {
+        // Allocated only when the first chunk is copied.
+        let mut data = Vec::new();
+        let mut run: Option<(Arc<Vec<u8>>, usize)> = None;
+        for (index, chunk) in region.chunks.iter().enumerate() {
             self.tier.chunk_reads.fetch_add(1, Ordering::Relaxed);
             let now = self.tick();
             // Hot chunks are served straight from the shard; a cold chunk is fetched
@@ -1135,27 +1159,50 @@ impl CheckpointStorage {
                     (Body::Owned(stored), form)
                 }
             };
+            let check = |raw: &[u8]| {
+                if raw.len() != chunk.raw_len as usize || digest.hash(raw) != chunk.digest {
+                    return Err(MpiError::Checkpoint(format!(
+                        "chunk {:#018x} failed digest validation",
+                        chunk.digest
+                    )));
+                }
+                Ok(())
+            };
             // Decode by the manifest's per-chunk record. A compressed chunk is decoded
             // straight onto the region's tail and digested there: no buffer per
-            // chunk, no second copy. A raw one is digested where it is stored and
-            // appended after (copying it cold and hashing the copy measured 7% slower
-            // on a 32 MiB image).
-            let chunk_start = data.len();
-            let raw: &[u8] = if form.is_compressed() {
+            // chunk, no second copy. A raw one is digested where it is stored, then
+            // extends the run or is appended.
+            if form.is_compressed() {
+                copy_run(&mut data, run.take(), region.len);
+                let chunk_start = data.len();
                 decode_chunk_onto(form, &stored, chunk.raw_len as usize, &mut data)?;
-                &data[chunk_start..]
-            } else {
-                &stored
+                check(&data[chunk_start..])?;
+                continue;
+            }
+            check(&stored)?;
+            let window = match &stored {
+                Body::Window { region, start, len } => Some((region, *start, *len)),
+                Body::Owned(_) => None,
             };
-            if raw.len() != chunk.raw_len as usize || digest.hash(raw) != chunk.digest {
-                return Err(MpiError::Checkpoint(format!(
-                    "chunk {:#018x} failed digest validation",
-                    chunk.digest
-                )));
+            run = match (run, window) {
+                (None, Some((buffer, 0, len))) if index == 0 => Some((Arc::clone(buffer), len)),
+                (Some((buffer, end)), Some((window, start, len)))
+                    if Arc::ptr_eq(&buffer, window) && start == end =>
+                {
+                    Some((buffer, end + len))
+                }
+                (run, _) => {
+                    copy_run(&mut data, run, region.len);
+                    data.extend_from_slice(&stored);
+                    None
+                }
+            };
+        }
+        match run {
+            Some((buffer, end)) if end == buffer.len() && end == region.len as usize => {
+                return Ok(buffer);
             }
-            if !form.is_compressed() {
-                data.extend_from_slice(&stored);
-            }
+            run => copy_run(&mut data, run, region.len),
         }
         if data.len() != region.len as usize {
             return Err(MpiError::Checkpoint(format!(
@@ -1164,7 +1211,7 @@ impl CheckpointStorage {
                 region.len
             )));
         }
-        Ok(data)
+        Ok(Arc::new(data))
     }
 
     /// Fetch a cold chunk's stored form from the spill file (the tier re-validates

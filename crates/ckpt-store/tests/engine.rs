@@ -1074,7 +1074,7 @@ fn a_one_rank_image_with_edge_sized_regions_round_trips_through_a_spill() {
         upper.map_region("app.short", vec![7; CHUNK / 3]);
         upper.map_region(
             "app.ragged",
-            (0..5 * CHUNK + 123).map(|i| i as u8).collect(),
+            (0..5 * CHUNK + 123).map(|i| i as u8).collect::<Vec<u8>>(),
         );
         let image = CheckpointImage::new(
             ImageMetadata {
@@ -1165,7 +1165,7 @@ fn windowed_upper(rank: i32) -> UpperHalfSpace {
     let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ rank as u64;
     let mut upper = UpperHalfSpace::new();
     for r in 0..4 {
-        let noise = (0..32 * 1024)
+        let noise: Vec<u8> = (0..32 * 1024)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -1265,5 +1265,204 @@ fn a_spilled_window_chunk_round_trips_after_the_live_region_moves_on() {
                 "{policy:?}"
             );
         }
+    }
+}
+
+// ----------------------------------------------------------------------------------
+// A read adopts the buffer its raw chunks tile
+// ----------------------------------------------------------------------------------
+
+/// `len` bytes of xorshift noise, which LZ cannot shrink, distinct for each `seed`.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed << 1 | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// Write `upper` as generation 0 under `policy`, spill every chunk first when
+/// `spill`, and read it back twice (a spilled chunk is promoted by the first read).
+/// Both reads must be bit-identical to `upper`; returns, per region in name order,
+/// whether the second read *is* the buffer the space handed over.
+fn adopted(
+    storage: &CheckpointStorage,
+    policy: StoragePolicy,
+    upper: &UpperHalfSpace,
+    spill: bool,
+) -> Vec<bool> {
+    storage.write_image(policy, &image_of(0, 0, upper));
+    if spill {
+        storage.spill_over(0);
+        assert_eq!(storage.hot_bytes(), 0, "{policy:?}");
+    }
+    assert_eq!(&storage.read(0, 0).unwrap().upper_half, upper, "{policy:?}");
+    let restored = storage.read(0, 0).unwrap().upper_half;
+    assert_eq!(&restored, upper, "{policy:?}");
+    restored
+        .iter_shared()
+        .zip(upper.iter_shared())
+        .map(|((_, mine), (_, theirs))| Arc::ptr_eq(mine, theirs))
+        .collect()
+}
+
+const CHUNK: usize = ckpt_store::DEFAULT_CHUNK_SIZE;
+
+#[test]
+fn a_read_adopts_every_region_its_raw_chunks_tile() {
+    for policy in CHUNKED {
+        let mut upper = UpperHalfSpace::new();
+        // One chunk, several whole chunks, and whole chunks plus a short tail.
+        for (r, len) in [CHUNK, 4 * CHUNK, 2 * CHUNK + 123].into_iter().enumerate() {
+            upper.map_region(format!("app.region{r}"), noise(r as u64 + 1, len));
+        }
+        let storage = CheckpointStorage::unmetered();
+        assert_eq!(
+            adopted(&storage, policy, &upper, false),
+            vec![true; 3],
+            "{policy:?}: every region is the buffer that was written"
+        );
+    }
+}
+
+#[test]
+fn a_region_mixing_lz_and_raw_chunks_is_copied() {
+    let mut upper = UpperHalfSpace::new();
+    let (raw, lz) = (&noise(7, CHUNK)[..], &[0u8; CHUNK][..]);
+    for (name, parts) in [
+        ("app.lz_first", [lz, raw, raw]),
+        ("app.lz_middle", [raw, lz, raw]),
+        ("app.lz_last", [raw, raw, lz]),
+    ] {
+        upper.map_region(name, parts.concat());
+    }
+    let storage = CheckpointStorage::unmetered();
+    assert_eq!(
+        adopted(
+            &storage,
+            StoragePolicy::IncrementalCompressed,
+            &upper,
+            false
+        ),
+        vec![false; 3]
+    );
+}
+
+#[test]
+fn a_region_holding_another_regions_chunk_is_copied() {
+    let a = noise(1, 2 * CHUNK);
+    let mut upper = UpperHalfSpace::new();
+    upper.map_region("app.a", a.clone());
+    // A window of `app.a` after a chunk of its own, and one before.
+    upper.map_region("app.b", [&noise(2, CHUNK)[..], &a[CHUNK..]].concat());
+    upper.map_region("app.c", [&a[..CHUNK], &noise(3, CHUNK)[..]].concat());
+    // All of `app.d` is the first window of `app.a`, which is longer.
+    upper.map_region("app.d", a[..CHUNK].to_vec());
+    // `app.e` equals `app.a`: each of its chunks is `app.a`'s, so its raw chunks tile
+    // `app.a`'s buffer, and the read hands that buffer out for both.
+    upper.map_region("app.e", a.clone());
+    let storage = CheckpointStorage::unmetered();
+    assert_eq!(
+        adopted(&storage, StoragePolicy::Incremental, &upper, false),
+        vec![true, false, false, false, false]
+    );
+    let restored = storage.read(0, 0).unwrap().upper_half;
+    let shared: Vec<_> = restored.iter_shared().map(|(_, region)| region).collect();
+    assert!(Arc::ptr_eq(shared[0], shared[4]));
+}
+
+#[test]
+fn a_region_behind_a_spill_is_copied() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered().with_cold_tier(ColdTier::in_temp().unwrap());
+        let upper = windowed_upper(0);
+        assert_eq!(
+            adopted(&storage, policy, &upper, true),
+            vec![false; 4],
+            "{policy:?}: a promoted chunk is the store's own copy"
+        );
+    }
+}
+
+#[test]
+fn a_store_with_a_small_chunk_size_adopts_only_a_region_that_tiles_itself() {
+    const SMALL: usize = 4096;
+    let block = noise(5, SMALL);
+    let mut upper = UpperHalfSpace::new();
+    upper.map_region("app.noise", noise(4, 5 * SMALL + 17));
+    // The third chunk repeats the first, so it is stored once and read back as a
+    // window of the same buffer at another offset.
+    upper.map_region(
+        "app.repeats",
+        [&block[..], &noise(6, SMALL)[..], &block[..]].concat(),
+    );
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered().with_chunk_size(SMALL);
+        assert_eq!(
+            adopted(&storage, policy, &upper, false),
+            vec![true, false],
+            "{policy:?}"
+        );
+    }
+}
+
+#[test]
+fn writing_to_a_restored_region_leaves_its_generation_unchanged() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered();
+        let upper = windowed_upper(0);
+        let before = contents(&upper);
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        drop(upper);
+
+        let mut restored = storage.read(0, 0).unwrap().upper_half;
+        assert_eq!(
+            holders(&restored),
+            vec![2; 4],
+            "{policy:?}: the restored space shares every region with the store"
+        );
+        for name in [
+            "app.region000",
+            "app.region001",
+            "app.region002",
+            "app.region003",
+        ] {
+            restored.region_mut(name).unwrap().fill(0xEE);
+        }
+        assert_eq!(
+            holders(&restored),
+            vec![1; 4],
+            "{policy:?}: each write copied"
+        );
+        assert_eq!(
+            contents(&storage.read(0, 0).unwrap().upper_half),
+            before,
+            "{policy:?}"
+        );
+    }
+}
+
+#[test]
+fn pruning_after_a_restart_leaves_the_restored_bytes() {
+    for policy in CHUNKED {
+        let storage = CheckpointStorage::unmetered();
+        let upper = windowed_upper(0);
+        let before = contents(&upper);
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        drop(upper);
+        let restored = storage.read(0, 0).unwrap().upper_half;
+
+        storage.write_image(policy, &image_of(1, 1, &windowed_upper(1)));
+        assert_eq!(storage.prune_before(1).pruned, vec![0], "{policy:?}");
+        assert_eq!(
+            holders(&restored),
+            vec![1; 4],
+            "{policy:?}: the pruned generation's windows are gone"
+        );
+        assert_eq!(contents(&restored), before, "{policy:?}");
     }
 }

@@ -414,6 +414,90 @@ fn overwrites_after_a_boundary_never_reach_its_generation() {
     }
 }
 
+/// A restart adopts the store's buffers: each restored region whose raw chunks tile
+/// one stored buffer *is* that buffer. The restarted job overwrites every region in
+/// place and checkpoints again; the restored generation, read from storage once more,
+/// must still be exactly what the restart handed out.
+#[test]
+fn a_restarted_job_writing_in_place_leaves_its_restored_generation() {
+    const WORLD: usize = 2;
+    const BYTES: usize = 256 * 1024;
+    for policy in [
+        StoragePolicy::Incremental,
+        StoragePolicy::IncrementalCompressed,
+    ] {
+        let runtime = JobRuntime::new(
+            JobConfig::new(WORLD, Backend::Mpich)
+                .with_mana(ManaConfig::new_design().with_storage(policy)),
+        );
+        runtime
+            .run(|mut session, ctx| {
+                let me = session.world_rank() as u64;
+                let upper = session.upper_mut();
+                upper.map_region("app.noise", noise(me + 1, BYTES));
+                upper.map_region("app.runs", vec![me as u8 + 1; BYTES]);
+                ctx.checkpoint(&mut session)?;
+                Ok(())
+            })
+            .unwrap();
+
+        let (ranks, generation) = runtime.restart(Backend::Mpich).unwrap();
+        let restored: Vec<Vec<(String, Vec<u8>)>> = ranks
+            .iter()
+            .map(|rank| {
+                let (_, noise) = rank
+                    .upper()
+                    .iter_shared()
+                    .find(|(name, _)| *name == "app.noise")
+                    .unwrap();
+                assert!(
+                    Arc::strong_count(noise) > 1,
+                    "{policy:?}: the restored noise is the store's buffer"
+                );
+                rank.upper()
+                    .iter()
+                    .map(|(name, data)| (name.to_string(), data.to_vec()))
+                    .collect()
+            })
+            .collect();
+        assert!(restored.iter().all(|regions| regions.len() == 2));
+
+        runtime
+            .run_restored((ranks, generation), |mut session, ctx| {
+                let upper = session.upper_mut();
+                for name in ["app.noise", "app.runs"] {
+                    upper.region_mut(name)?.fill(0xEE);
+                }
+                ctx.checkpoint(&mut session)?;
+                Ok(())
+            })
+            .unwrap();
+
+        let storage = runtime.storage();
+        assert!(
+            storage.generations().contains(&(generation + 1)),
+            "{policy:?}"
+        );
+        let reread = storage.read_job(generation, WORLD).unwrap();
+        for (image, regions) in reread.iter().zip(&restored) {
+            for (name, bytes) in regions {
+                assert_eq!(
+                    image.upper_half.region(name).unwrap(),
+                    &bytes[..],
+                    "{policy:?}: rank {}, {name}",
+                    image.metadata.rank
+                );
+            }
+        }
+        for image in storage.read_job(generation + 1, WORLD).unwrap() {
+            for name in ["app.noise", "app.runs"] {
+                let region = image.upper_half.region(name).unwrap();
+                assert!(region.iter().all(|&b| b == 0xEE), "{policy:?}: {name}");
+            }
+        }
+    }
+}
+
 /// A synchronous round whose commit barrier is poisoned fails on every rank and
 /// leaves nothing behind: no pending entry, no manifest, nothing published. Rank 0
 /// aborts before it enters the round, and rank 1 cannot pass the drain until rank 0

@@ -87,20 +87,22 @@ impl UpperHalfSpace {
         UpperHalfSpace::default()
     }
 
-    /// Create or overwrite a region.
-    pub fn map_region(&mut self, name: impl Into<String>, data: Vec<u8>) {
+    /// Create or overwrite a region. A `Vec` becomes the region; an `Arc` (a store
+    /// read handing back a buffer it still shares) is taken as it is, and the space
+    /// copies it on its first [`region_mut`](UpperHalfSpace::region_mut).
+    pub fn map_region(&mut self, name: impl Into<String>, data: impl Into<Arc<Vec<u8>>>) {
         let name = name.into();
         self.dirty.insert(name.clone());
-        self.regions.insert(name, Arc::new(data));
+        self.regions.insert(name, data.into());
     }
 
-    /// Remove a region (e.g. when the application frees a large buffer). The bytes
-    /// are copied out only if a frozen image or a store still shares the region.
-    pub fn unmap_region(&mut self, name: &str) -> MpiResult<Vec<u8>> {
+    /// Remove a region (e.g. when the application frees a large buffer) and hand
+    /// back its buffer, which a frozen image or a store may still share: nothing is
+    /// copied.
+    pub fn unmap_region(&mut self, name: &str) -> MpiResult<Arc<Vec<u8>>> {
         self.dirty.remove(name);
         self.regions
             .remove(name)
-            .map(Arc::unwrap_or_clone)
             .ok_or_else(|| MpiError::Checkpoint(format!("no region named {name:?} to unmap")))
     }
 
@@ -252,7 +254,7 @@ mod tests {
         assert_eq!(space.region("heap").unwrap(), &[1, 2, 3]);
         space.region_mut("heap").unwrap().push(4);
         assert_eq!(space.total_bytes(), 4);
-        assert_eq!(space.unmap_region("heap").unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(*space.unmap_region("heap").unwrap(), vec![1, 2, 3, 4]);
         assert!(space.region("heap").is_err());
         assert!(space.unmap_region("heap").is_err());
     }
@@ -363,7 +365,14 @@ mod tests {
         let before = live.region("a").unwrap().as_ptr();
         live.region_mut("a").unwrap()[1] = 8;
         assert_eq!(live.region("a").unwrap().as_ptr(), before);
-        assert_eq!(live.unmap_region("b").unwrap(), vec![4, 5]);
+        let unmapped = live.unmap_region("b").unwrap();
+        assert!(
+            Arc::ptr_eq(
+                &unmapped,
+                frozen.iter_shared().find(|(n, _)| *n == "b").unwrap().1
+            ),
+            "unmapping a shared region copies nothing"
+        );
         assert_eq!(frozen.region("b").unwrap(), &[4, 5]);
     }
 
