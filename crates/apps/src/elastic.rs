@@ -76,7 +76,7 @@ pub struct ElasticWorldState {
 }
 
 /// What one rank reports after an elastic run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticReport {
     /// The application that ran.
     pub app: AppId,

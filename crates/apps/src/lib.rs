@@ -26,11 +26,11 @@
 
 pub mod comd;
 pub mod elastic;
-pub mod hpcg;
-pub mod lammps;
-pub mod lulesh;
+pub(crate) mod hpcg;
+pub(crate) mod lammps;
+pub(crate) mod lulesh;
 pub mod skeleton;
-pub mod sw4;
+pub(crate) mod sw4;
 pub mod vasp;
 pub mod workloads;
 
@@ -52,7 +52,7 @@ pub fn run_app_elastic(
 }
 
 /// The communication/memory profile of the named proxy application.
-pub fn profile_of(app: AppId) -> AppProfile {
+pub(crate) fn profile_of(app: AppId) -> AppProfile {
     match app {
         AppId::CoMd => comd::profile(),
         AppId::Hpcg => hpcg::profile(),

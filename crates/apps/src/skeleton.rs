@@ -46,15 +46,6 @@ impl AppId {
         AppId::Vasp,
     ];
 
-    /// The five applications of the paper's Table 1, in figure order.
-    pub const TABLE1: [AppId; 5] = [
-        AppId::Hpcg,
-        AppId::Lulesh,
-        AppId::CoMd,
-        AppId::Lammps,
-        AppId::Sw4,
-    ];
-
     /// Display name as used in the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -69,7 +60,7 @@ impl AppId {
 }
 
 /// Static description of one proxy application's communication and memory behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Which application this is.
     pub id: AppId,
@@ -149,7 +140,7 @@ impl RunConfig {
 }
 
 /// What one rank reports after running (or resuming) a proxy application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppReport {
     /// The application that ran.
     pub app: AppId,

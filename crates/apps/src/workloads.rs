@@ -7,11 +7,10 @@
 //! text and figures; they are *reference* values, not measurements of this machine.
 
 use crate::skeleton::AppId;
-use serde::{Deserialize, Serialize};
 
 /// Runtime bars (seconds) reported by the paper for one application on the Discovery
 /// cluster (Figures 2 and 3). `None` means the paper did not run that combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperRuntimes {
     /// native/MPICH
     pub native_mpich: Option<f64>,
@@ -30,7 +29,7 @@ pub struct PaperRuntimes {
 }
 
 /// One Table 1 workload plus every reference number the paper attaches to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The application.
     pub app: AppId,
@@ -161,7 +160,7 @@ pub fn single_node_workloads() -> Vec<WorkloadSpec> {
 
 /// One Table 2 workload (Perlmutter, Cray MPI, userspace FSGSBASE available) with the
 /// Figure 4 runtime bars.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerlmutterSpec {
     /// The application.
     pub app: AppId,
@@ -228,7 +227,16 @@ mod tests {
         let specs = single_node_workloads();
         assert_eq!(specs.len(), 5);
         let apps: Vec<AppId> = specs.iter().map(|s| s.app).collect();
-        assert_eq!(apps, AppId::TABLE1.to_vec());
+        assert_eq!(
+            apps,
+            [
+                AppId::Hpcg,
+                AppId::Lulesh,
+                AppId::CoMd,
+                AppId::Lammps,
+                AppId::Sw4
+            ]
+        );
         // The VASP proxy is deliberately outside the paper's Table 1.
         assert!(!apps.contains(&AppId::Vasp));
         assert!(AppId::ALL.contains(&AppId::Vasp));

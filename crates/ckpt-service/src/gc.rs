@@ -6,10 +6,8 @@
 //! guarantees still hold: a tenant's newest committed generation (its only restart
 //! point) and any pending generation are never reclaimed.
 
-use serde::{Deserialize, Serialize};
-
 /// Limits applied to one tenant of a [`CkptService`](crate::CkptService).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Maximum **logical** bytes across the tenant's committed generations, or
     /// `None` for unlimited. Logical bytes (the uncompressed upper-half payload
@@ -72,7 +70,7 @@ impl TenantUsage {
     }
 
     /// Whether the usage exceeds either quota axis.
-    pub fn over_quota(&self) -> bool {
+    pub(crate) fn over_quota(&self) -> bool {
         let over_bytes = self
             .quota
             .max_logical_bytes

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gc;
+pub(crate) mod gc;
 pub mod service;
 
 pub use gc::{GcPolicy, ReclaimOldest, TenantQuota, TenantUsage};

@@ -16,7 +16,6 @@ use ckpt_store::{
 use mpi_model::error::MpiResult;
 use mpi_model::types::Rank;
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use split_proc::image::CheckpointImage;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -118,7 +117,7 @@ impl std::fmt::Debug for RejectedSubmission {
 }
 
 /// Per-tenant accounting, as reported by [`ServiceHandle::stats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// The tenant's id.
     pub tenant: TenantId,
@@ -167,7 +166,7 @@ impl TenantStats {
 }
 
 /// Service-wide accounting, as reported by [`CkptService::stats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Per-tenant accounting, in registration order.
     pub tenants: Vec<TenantStats>,
@@ -473,11 +472,6 @@ impl CkptService {
         self.inner.in_flight_total.load(Ordering::Relaxed)
     }
 
-    /// Block until every tenant's in-flight submissions have landed.
-    pub fn wait_all_idle(&self) {
-        self.inner.flusher.wait_idle();
-    }
-
     /// Service-wide accounting: per-tenant stats plus shared-space occupancy.
     pub fn stats(&self) -> ServiceStats {
         let entries: Vec<Arc<TenantEntry>> = self.inner.tenants.lock().values().cloned().collect();
@@ -514,11 +508,6 @@ impl std::fmt::Debug for ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// This tenant's id.
-    pub fn tenant_id(&self) -> TenantId {
-        self.entry.id
-    }
-
     /// This tenant's storage view: its own generations/manifests namespace over the
     /// shared chunk space. `JobRuntime` jobs attached to the service checkpoint into
     /// (and restart from) exactly this view.

@@ -1,7 +1,6 @@
 //! Fixed-size chunking and content digests.
 
 use crate::codec::{Digest, StoredForm};
-use serde::{Deserialize, Serialize};
 
 /// Default chunk size: 64 KiB balances dedup granularity against per-chunk overhead
 /// (digest + manifest entry) for the multi-MiB upper halves of Table 3.
@@ -9,7 +8,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 /// One chunk reference inside a region manifest: enough to find the chunk in the
 /// store and to verify it end-to-end after reassembly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRef {
     /// Digest of the *uncompressed* chunk content (the content address). Which
     /// digest function produced it is recorded once per manifest

@@ -26,11 +26,10 @@
 //! decompressed bytes, a corrupted or truncated stored chunk cannot decode silently.
 
 use mpi_model::error::{MpiError, MpiResult};
-use serde::{Deserialize, Serialize};
 use split_proc::integrity::xxh64;
 
 /// The 64-bit digest chunks are content-addressed and validated by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Digest {
     /// XXH64 (seed 0).
     Xx64,
@@ -64,7 +63,7 @@ impl Digest {
 
 /// The form a chunk's bytes take in the store — recorded per chunk in the manifest,
 /// so the read path decodes by what was written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoredForm {
     /// Stored verbatim (incompressible, or a non-compressing policy).
     Raw,
@@ -74,7 +73,7 @@ pub enum StoredForm {
 
 impl StoredForm {
     /// Whether this form needs a decompression pass on read.
-    pub fn is_compressed(self) -> bool {
+    pub(crate) fn is_compressed(self) -> bool {
         self != StoredForm::Raw
     }
 
@@ -99,7 +98,7 @@ impl StoredForm {
 }
 
 /// The store's on-store format as a value: the digest every chunk is addressed by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StorageConfig {
     /// Content-address digest for chunk keys and read-path validation.
     pub digest: Digest,

@@ -88,19 +88,6 @@ impl FlushHandle {
         matches!(*self.state.outcome.lock(), FlushOutcome::Done(_))
     }
 
-    /// Whether the worker processing this flush panicked (the flush never landed).
-    pub fn is_poisoned(&self) -> bool {
-        matches!(*self.state.outcome.lock(), FlushOutcome::Poisoned)
-    }
-
-    /// The flush's store report, if it has landed (non-blocking).
-    pub fn try_report(&self) -> Option<StoreReport> {
-        match *self.state.outcome.lock() {
-            FlushOutcome::Done(report) => Some(report),
-            _ => None,
-        }
-    }
-
     /// A handle that is already complete: carries `report` as if a background write
     /// had just landed. This is what the admission-control fallback path hands back
     /// after performing a rejected submission's write synchronously — the caller's
@@ -211,11 +198,6 @@ impl FlusherPool {
         &self.shared.storage
     }
 
-    /// Number of flusher threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submit one rank's frozen image for background writing under `policy`.
     pub fn submit(&self, policy: StoragePolicy, image: CheckpointImage) -> FlushHandle {
         self.submit_inner(self.shared.storage.clone(), policy, image, None)
@@ -277,12 +259,6 @@ impl FlusherPool {
         drop(state);
         self.shared.work_cv.notify_one();
         handle
-    }
-
-    /// Flush jobs queued or in flight right now.
-    pub fn backlog(&self) -> usize {
-        let state = self.shared.state.lock();
-        state.jobs.len() + state.active
     }
 
     /// Block until every submitted flush has landed (queue empty and no worker busy).
@@ -378,13 +354,8 @@ mod tests {
         let report = handle.wait();
         assert_eq!(report.generation, 0);
         assert!(handle.is_flushed());
-        assert_eq!(
-            handle.try_report().unwrap().written_bytes,
-            report.written_bytes
-        );
         assert_eq!(storage.read(0, 0).unwrap().metadata.rank, 0);
         pool.wait_idle();
-        assert_eq!(pool.backlog(), 0);
     }
 
     #[test]

@@ -64,10 +64,8 @@ pub use store::{
 };
 pub use tier::ColdTier;
 
-use serde::{Deserialize, Serialize};
-
 /// How a rank's checkpoint image is written to storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoragePolicy {
     /// The legacy baseline: one flat, XXH64-sealed image per `(generation, rank)`,
     /// with no sharing across generations.
@@ -92,7 +90,7 @@ impl StoragePolicy {
     }
 
     /// Whether this policy uses the chunked incremental path.
-    pub fn is_incremental(self) -> bool {
+    pub(crate) fn is_incremental(self) -> bool {
         !matches!(self, StoragePolicy::FullImage)
     }
 

@@ -68,7 +68,7 @@ impl Manifest {
     /// The epoch the upper half entered after this checkpoint completed. An
     /// incremental write may only reuse this manifest's clean regions when the live
     /// upper half is still in exactly this epoch.
-    pub fn base_epoch(&self) -> u64 {
+    pub(crate) fn base_epoch(&self) -> u64 {
         self.upper_epoch + 1
     }
 
@@ -83,7 +83,7 @@ impl Manifest {
     }
 
     /// Every chunk reference in the manifest, in region order.
-    pub fn chunk_refs(&self) -> impl Iterator<Item = &ChunkRef> {
+    pub(crate) fn chunk_refs(&self) -> impl Iterator<Item = &ChunkRef> {
         self.regions.iter().flat_map(|r| r.chunks.iter())
     }
 

@@ -10,7 +10,6 @@ use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::payload::PayloadBuf;
 use mpi_model::types::Rank;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -20,7 +19,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What one checkpoint write cost, physically and logically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreReport {
     /// Checkpoint generation written.
     pub generation: u64,
@@ -82,7 +81,7 @@ pub struct PruneReport {
 
 /// Occupancy of one digest-keyed chunk shard — the real numbers the service's
 /// tiering and GC decisions are driven by, not a recomputation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Distinct chunks resident in this shard (hot or cold).
     pub chunk_count: usize,
@@ -97,7 +96,7 @@ pub struct ShardStats {
 }
 
 /// Aggregate occupancy of the store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageStats {
     /// Distinct chunks held.
     pub chunk_count: usize,
@@ -424,11 +423,6 @@ impl CheckpointStorage {
             ..TierState::default()
         });
         self
-    }
-
-    /// Whether a cold tier is attached.
-    pub fn has_cold_tier(&self) -> bool {
-        self.tier.cold.is_some()
     }
 
     /// A new catalog namespace over the **same** content-addressed chunk space.

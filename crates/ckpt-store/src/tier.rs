@@ -107,7 +107,7 @@ impl ColdTier {
 
     /// Flip one byte of a spilled chunk's payload on disk (integrity testing: the
     /// CRC re-validation on promote must refuse it).
-    pub fn corrupt_spilled(&self, key: (u64, u32)) -> MpiResult<()> {
+    pub(crate) fn corrupt_spilled(&self, key: (u64, u32)) -> MpiResult<()> {
         let path = self.path_of(key);
         let mut framed = std::fs::read(&path)
             .map_err(|e| MpiError::Checkpoint(format!("reading cold chunk {path:?}: {e}")))?;

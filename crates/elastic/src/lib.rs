@@ -7,7 +7,7 @@
 //!
 //! The subsystem has three layers:
 //!
-//! * [`RankMap`] ([`rankmap`]) — the explicit old-rank→new-rank assignment
+//! * [`RankMap`] (`rankmap`) — the explicit old-rank→new-rank assignment
 //!   ([`RemapPolicy::Block`], [`RemapPolicy::RoundRobin`], or custom), with the
 //!   hosted/primary/new-rank queries both other layers share.
 //! * The restore engine ([`restore`]) — [`restart_job`] / [`restart_job_from_storage`]
@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod rankmap;
+pub(crate) mod rankmap;
 pub mod repartition;
 pub mod restore;
 

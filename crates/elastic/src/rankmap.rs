@@ -8,10 +8,9 @@
 
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
-use serde::{Deserialize, Serialize};
 
 /// Built-in assignment policies for resizing an `N`-rank world onto `M` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemapPolicy {
     /// Contiguous blocks: old rank `i` lands on new rank `i * M / N`. Keeps
     /// neighbouring old ranks co-hosted, which preserves halo locality.
@@ -32,7 +31,7 @@ pub enum RemapPolicy {
 /// New ranks that no old rank maps onto (possible when growing, `M > N`) start with
 /// no adopted state: they hold empty shards until the application's repartition
 /// hook assigns them work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankMap {
     old_world: usize,
     new_world: usize,
@@ -42,7 +41,11 @@ pub struct RankMap {
 
 impl RankMap {
     /// Build a map with the given policy.
-    pub fn with_policy(policy: RemapPolicy, old_world: usize, new_world: usize) -> MpiResult<Self> {
+    pub(crate) fn with_policy(
+        policy: RemapPolicy,
+        old_world: usize,
+        new_world: usize,
+    ) -> MpiResult<Self> {
         match policy {
             RemapPolicy::Block => RankMap::block(old_world, new_world),
             RemapPolicy::RoundRobin => RankMap::round_robin(old_world, new_world),
@@ -63,7 +66,7 @@ impl RankMap {
     }
 
     /// Round-robin assignment: old rank `i` → new rank `i % M`.
-    pub fn round_robin(old_world: usize, new_world: usize) -> MpiResult<Self> {
+    pub(crate) fn round_robin(old_world: usize, new_world: usize) -> MpiResult<Self> {
         RankMap::validate_sizes(old_world, new_world)?;
         let assignment = (0..old_world).map(|i| (i % new_world) as Rank).collect();
         Ok(RankMap {
@@ -114,7 +117,7 @@ impl RankMap {
     }
 
     /// Ranks in the checkpointed world.
-    pub fn old_world(&self) -> usize {
+    pub(crate) fn old_world(&self) -> usize {
         self.old_world
     }
 
@@ -124,7 +127,7 @@ impl RankMap {
     }
 
     /// Whether this map is the identity (same sizes, every rank adopting itself).
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.old_world == self.new_world
             && self
                 .assignment
@@ -145,7 +148,7 @@ impl RankMap {
 
     /// The old ranks adopted by new rank `new`, in ascending old-rank order. Empty
     /// for a fresh rank (one no old rank maps onto).
-    pub fn hosted_by(&self, new: Rank) -> Vec<Rank> {
+    pub(crate) fn hosted_by(&self, new: Rank) -> Vec<Rank> {
         self.assignment
             .iter()
             .enumerate()
@@ -156,7 +159,7 @@ impl RankMap {
 
     /// Whether any new rank hosts no old rank at all (possible only when growing):
     /// such *fresh* ranks synthesize their MANA state instead of adopting one.
-    pub fn has_fresh_ranks(&self) -> bool {
+    pub(crate) fn has_fresh_ranks(&self) -> bool {
         (0..self.new_world as Rank).any(|new| !self.assignment.contains(&new))
     }
 
@@ -164,7 +167,7 @@ impl RankMap {
     /// restart engine restores the primary's MANA state (translator, replay log,
     /// collective ledger) onto the new rank; co-hosted non-primary ranks contribute
     /// their drain counters and — through the repartition hook — their domain state.
-    pub fn primary_of(&self, new: Rank) -> Option<Rank> {
+    pub(crate) fn primary_of(&self, new: Rank) -> Option<Rank> {
         self.assignment
             .iter()
             .enumerate()

@@ -620,12 +620,10 @@ fn synthesize_fresh(
     config: ManaConfig,
 ) -> MpiResult<RestoredUpper> {
     let full_new: Vec<Rank> = (0..new_world as Rank).collect();
-    let policy = config.ggid_policy;
     let mut translator = Translator::new(config.virtid_mode);
     let world_vid = translator.insert_with(
         HandleKind::Comm,
         Some(PredefinedObject::CommWorld),
-        policy,
         |vid, seq| {
             let mut descriptor = blank_descriptor(HandleKind::Comm, PhysHandle::NULL);
             descriptor.vid = vid;
@@ -646,7 +644,7 @@ fn synthesize_fresh(
                 MpiError::Internal("fresh-rank synthesis plan references a later product".into())
             })?,
         };
-        let vid = translator.insert_with(HandleKind::Comm, None, policy, |vid, seq| {
+        let vid = translator.insert_with(HandleKind::Comm, None, |vid, seq| {
             let mut descriptor = blank_descriptor(HandleKind::Comm, PhysHandle::NULL);
             descriptor.vid = vid;
             descriptor.creation_seq = seq;

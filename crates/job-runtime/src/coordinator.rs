@@ -66,7 +66,7 @@ impl CommitLedger {
     }
 
     /// Number of committed generations recorded.
-    pub fn committed_count(&self) -> usize {
+    pub(crate) fn committed_count(&self) -> usize {
         self.commits.lock().len()
     }
 
@@ -75,7 +75,7 @@ impl CommitLedger {
     /// a fallback legitimately regresses the generation counter — without this, the
     /// in-run never-regress guard of the commit recording would pin
     /// `published_generation` to a dead incarnation's higher number forever.
-    pub fn rewind_to(&self, generation: u64) {
+    pub(crate) fn rewind_to(&self, generation: u64) {
         let mut commits = self.commits.lock();
         commits.retain(|g, _| *g <= generation);
         self.published.store(generation, Ordering::SeqCst);
@@ -120,7 +120,7 @@ struct BarrierState {
 
 /// One atomically-read view of the broadcast checkpoint-intent state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntentSnapshot {
+pub(crate) struct IntentSnapshot {
     /// Number of intents broadcast up to this snapshot.
     pub epoch: u64,
     /// Whether the newest broadcast intent asks ranks to vacate after committing.
@@ -145,8 +145,6 @@ pub struct Coordinator {
     drained_total: AtomicU64,
     /// Periodic checkpoint interval in steps (0 = never).
     checkpoint_every: u64,
-    /// Step boundaries with an explicitly requested (broadcast) checkpoint.
-    requested: Mutex<std::collections::BTreeSet<u64>>,
     /// The mid-step checkpoint-intent state, encoded as `(epoch << 1) | vacates` so
     /// a single atomic load yields a consistent [`IntentSnapshot`] — the epoch and
     /// its vacate flag can never be read torn. Ranks (through their mid-step
@@ -189,7 +187,6 @@ impl Coordinator {
             stall_budget: Duration::from_secs(5),
             drained_total: AtomicU64::new(0),
             checkpoint_every: checkpoint_every.unwrap_or(0),
-            requested: Mutex::new(std::collections::BTreeSet::new()),
             intent: AtomicU64::new(0),
             barrier: Mutex::new(BarrierState {
                 round: 0,
@@ -210,7 +207,7 @@ impl Coordinator {
     }
 
     /// Override the drain stall budget (tests use a short one).
-    pub fn with_stall_budget(mut self, budget: Duration) -> Self {
+    pub(crate) fn with_stall_budget(mut self, budget: Duration) -> Self {
         self.stall_budget = budget;
         self
     }
@@ -218,7 +215,7 @@ impl Coordinator {
     /// The fabric the world's ranks talk over. A rank parked at the commit barrier
     /// makes no fabric call, so without this it is as silent as a dead one — and a
     /// survivor waiting there for a killed peer is declared dead along with it.
-    pub fn on_fabric(mut self, fabric: Option<Fabric>) -> Self {
+    pub(crate) fn on_fabric(mut self, fabric: Option<Fabric>) -> Self {
         self.fabric = fabric;
         self
     }
@@ -256,7 +253,7 @@ impl Coordinator {
     /// Record that the failure detector declared these ranks dead. From now on any
     /// drain whose shortfall involves one of them fails fast with a "peer dead"
     /// diagnostic instead of waiting out the stall budget.
-    pub fn note_dead_ranks(&self, ranks: &[Rank]) {
+    pub(crate) fn note_dead_ranks(&self, ranks: &[Rank]) {
         self.dead.lock().extend(ranks.iter().copied());
     }
 
@@ -283,24 +280,13 @@ impl Coordinator {
     }
 
     // ------------------------------------------------------------------
-    // Phase 1: intent broadcast
+    // Phase 1: periodic checkpoint boundaries
     // ------------------------------------------------------------------
 
-    /// Request a coordinated checkpoint at the given future step boundary (the
-    /// broadcast form of checkpoint intent: every rank will observe it at the same
-    /// logical point, because every rank asks at every boundary).
-    pub fn request_checkpoint_at(&self, boundary: u64) {
-        self.requested.lock().insert(boundary);
-    }
-
     /// Whether the job checkpoints at this step boundary (`boundary` = number of
-    /// completed steps): either the periodic interval divides it or an explicit
-    /// request targeted it.
+    /// completed steps): the periodic interval divides it.
     pub fn checkpoint_due(&self, boundary: u64) -> bool {
-        let periodic = self.checkpoint_every > 0
-            && boundary > 0
-            && boundary.is_multiple_of(self.checkpoint_every);
-        periodic || self.requested.lock().contains(&boundary)
+        self.checkpoint_every > 0 && boundary > 0 && boundary.is_multiple_of(self.checkpoint_every)
     }
 
     // ------------------------------------------------------------------
@@ -311,14 +297,14 @@ impl Coordinator {
     /// Ranks running in mid-step mode ([`crate::JobConfig::checkpoint_mid_step`])
     /// service it at their next safe point — typically inside the registration phase
     /// of whatever collective they are approaching or parked in.
-    pub fn request_checkpoint_now(&self) {
+    pub(crate) fn request_checkpoint_now(&self) {
         self.raise_intent(false);
     }
 
     /// Broadcast a *preempting* checkpoint intent: once the resulting generation
     /// commits, every rank vacates its allocation (the injected "preemption notice
     /// lands mid-collective" scenario).
-    pub fn request_preempting_checkpoint(&self) {
+    pub(crate) fn request_preempting_checkpoint(&self) {
         self.raise_intent(true);
     }
 
@@ -333,12 +319,12 @@ impl Coordinator {
     }
 
     /// The current intent epoch (number of mid-step intents broadcast so far).
-    pub fn intent_epoch(&self) -> u64 {
+    pub(crate) fn intent_epoch(&self) -> u64 {
         self.intent.load(Ordering::SeqCst) >> 1
     }
 
     /// A consistent snapshot of the intent state (one atomic load).
-    pub fn intent_snapshot(&self) -> IntentSnapshot {
+    pub(crate) fn intent_snapshot(&self) -> IntentSnapshot {
         IntentSnapshot::decode(self.intent.load(Ordering::SeqCst))
     }
 
@@ -639,8 +625,6 @@ mod tests {
         assert!(!coordinator.checkpoint_due(2));
         assert!(coordinator.checkpoint_due(3));
         assert!(coordinator.checkpoint_due(6));
-        coordinator.request_checkpoint_at(4);
-        assert!(coordinator.checkpoint_due(4));
         assert!(!coordinator.checkpoint_due(5));
     }
 }

@@ -105,7 +105,7 @@ pub struct JobConfig {
     pub world_size: usize,
     /// Which simulated MPI implementation hosts the lower halves.
     pub backend: Backend,
-    /// Per-rank MANA configuration (virtual-id design, ggid policy, storage policy).
+    /// Per-rank MANA configuration (virtual-id design, storage policy).
     pub mana: ManaConfig,
     /// Take a coordinated checkpoint every this many completed steps.
     ///
@@ -118,7 +118,7 @@ pub struct JobConfig {
     /// any checkpoint due at that boundary). Consumed by the first run it fires in.
     pub kill_at_step: Option<u64>,
     /// Mid-step checkpoint mode: install a checkpoint hook on every rank so a
-    /// broadcast checkpoint intent ([`Coordinator::request_checkpoint_now`]) is
+    /// broadcast checkpoint intent (`Coordinator::request_checkpoint_now`) is
     /// delivered *inside* a step, at the two-phase collective safe points, instead of
     /// waiting for the next step boundary.
     pub checkpoint_mid_step: bool,
@@ -279,12 +279,6 @@ impl JobConfig {
     /// Set the failure-detector deadline (see [`JobConfig::heartbeat_deadline`]).
     pub fn with_heartbeat_deadline(mut self, deadline: Duration) -> Self {
         self.heartbeat_deadline = deadline;
-        self
-    }
-
-    /// Bound the number of automatic recoveries (see [`JobConfig::max_recoveries`]).
-    pub fn with_max_recoveries(mut self, recoveries: u32) -> Self {
-        self.max_recoveries = recoveries;
         self
     }
 

@@ -38,7 +38,7 @@
 //!
 //! With [`JobConfig::checkpoint_mid_step`], intent broadcast is no longer confined to
 //! step boundaries: every rank carries a mid-step checkpoint hook, and an intent raised
-//! at any moment ([`Coordinator::request_checkpoint_now`]) is serviced at the safe
+//! at any moment (`Coordinator::request_checkpoint_now`) is serviced at the safe
 //! points of MANA's two-phase collective protocol — ranks caught in a collective's
 //! registration phase withdraw, checkpoint, and re-register, so the checkpoint lands
 //! with every rank provably outside any collective's critical phase.
@@ -70,7 +70,7 @@ mod job;
 mod recovery;
 mod round;
 
-pub use coordinator::{CommitLedger, Coordinator, IntentSnapshot};
+pub use coordinator::{CommitLedger, Coordinator};
 pub use elastic::{RankMap, RemapPolicy, Repartition};
 pub use job::{run_world, ElasticConfig, JobConfig, JobCtx, JobRun, JobRuntime};
 pub use mpi_engine::Backend;

@@ -250,7 +250,7 @@ struct MonitorShared {
 /// [`Fabric::heartbeat_ages`] against a deadline.
 ///
 /// On expiry it (in order) records the detection in the [`RecoveryLog`] with its
-/// ground-truth latency, feeds the dead ranks to [`Coordinator::note_dead_ranks`]
+/// ground-truth latency, feeds the dead ranks to `Coordinator::note_dead_ranks`
 /// (drains fail fast), poisons the commit barrier via [`Coordinator::abort`], and
 /// aborts the fabric — waking every rank blocked in a receive or collective with
 /// [`mpi_model::error::MpiError::JobAborted`] so the incarnation can be joined.
@@ -339,11 +339,6 @@ impl HeartbeatMonitor {
             shared,
             handle,
         }
-    }
-
-    /// Whether the detector has declared any rank dead so far.
-    pub fn detected_failure(&self) -> bool {
-        !self.shared.declared.lock().is_empty()
     }
 
     /// Stop polling, join the detector thread, and return what it observed.
@@ -496,7 +491,6 @@ mod tests {
             fabric.beat(1);
             clock::sleep(Duration::from_millis(5));
         }
-        assert!(!monitor.detected_failure());
         let report = monitor.stop();
         assert!(report.declared_dead.is_empty());
         assert!(!fabric.aborted());

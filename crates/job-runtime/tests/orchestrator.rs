@@ -7,6 +7,7 @@ use ckpt_service::{CkptService, ServiceConfig, TenantQuota};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
 use mpi_model::error::MpiResult;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const STATE: &str = "app.state";
@@ -313,7 +314,7 @@ fn async_checkpoint_publishes_every_boundary_generation() {
 
 /// `len` bytes of xorshift noise from `seed`, which LZ cannot shrink.
 fn noise(seed: u64, len: usize) -> Vec<u8> {
-    let mut state = seed | 1;
+    let mut state = seed << 1 | 1;
     (0..len)
         .map(|_| {
             state ^= state << 13;
@@ -337,6 +338,17 @@ fn overwrites_after_a_boundary_never_reach_its_generation() {
     const BYTES: usize = 128 * 1024;
     fn seed(rank: i32, step: u64) -> u64 {
         ((rank as u64 + 1) << 32) | step
+    }
+    for rank in 0..WORLD as i32 {
+        let streams: BTreeSet<Vec<u8>> = (0..STEPS)
+            .map(|step| noise(seed(rank, step), BYTES))
+            .collect();
+        assert_eq!(
+            streams.len(),
+            STEPS as usize,
+            "rank {rank}: every step must write its own app.noise, or a leak between \
+             two generations could not show there"
+        );
     }
     let step_fn = |session: &mut Session, step: u64| -> MpiResult<()> {
         let me = session.world_rank();

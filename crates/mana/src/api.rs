@@ -62,23 +62,12 @@ impl Comm {
     pub fn handle(self) -> AppHandle {
         self.0
     }
-
-    /// Wrap a byte-layer communicator handle (unchecked: the kind is validated on
-    /// first use, as with any raw handle).
-    pub fn from_handle(handle: AppHandle) -> Comm {
-        Comm(handle)
-    }
 }
 
 impl Group {
     /// The underlying byte-layer handle.
     pub fn handle(self) -> AppHandle {
         self.0
-    }
-
-    /// Wrap a byte-layer group handle.
-    pub fn from_handle(handle: AppHandle) -> Group {
-        Group(handle)
     }
 }
 
@@ -96,7 +85,7 @@ impl<T: MpiData> Datatype<T> {
     }
 
     /// Wrap a byte-layer datatype handle, asserting it describes elements of `T`.
-    pub fn from_handle(handle: AppHandle) -> Datatype<T> {
+    pub(crate) fn from_handle(handle: AppHandle) -> Datatype<T> {
         Datatype {
             handle,
             _elem: PhantomData,
@@ -176,11 +165,6 @@ impl<T: MpiData> Op<T> {
         Op::predefined(PredefinedOp::Sum)
     }
 
-    /// `MPI_PROD`.
-    pub fn prod() -> Op<T> {
-        Op::predefined(PredefinedOp::Prod)
-    }
-
     /// `MPI_MAX`.
     pub fn max() -> Op<T> {
         Op::predefined(PredefinedOp::Max)
@@ -191,34 +175,9 @@ impl<T: MpiData> Op<T> {
         Op::predefined(PredefinedOp::Min)
     }
 
-    /// `MPI_LAND`.
-    pub fn logical_and() -> Op<T> {
-        Op::predefined(PredefinedOp::LogicalAnd)
-    }
-
-    /// `MPI_LOR`.
-    pub fn logical_or() -> Op<T> {
-        Op::predefined(PredefinedOp::LogicalOr)
-    }
-
-    /// `MPI_BAND` (integer element types only; floats error at reduce time).
-    pub fn bitwise_and() -> Op<T> {
-        Op::predefined(PredefinedOp::BitwiseAnd)
-    }
-
-    /// `MPI_BOR` (integer element types only; floats error at reduce time).
-    pub fn bitwise_or() -> Op<T> {
-        Op::predefined(PredefinedOp::BitwiseOr)
-    }
-
     /// `MPI_MAXLOC` (meaningful on [`mpi_model::typed::DoubleInt`] pairs).
     pub fn maxloc() -> Op<T> {
         Op::predefined(PredefinedOp::MaxLoc)
-    }
-
-    /// `MPI_MINLOC` (meaningful on [`mpi_model::typed::DoubleInt`] pairs).
-    pub fn minloc() -> Op<T> {
-        Op::predefined(PredefinedOp::MinLoc)
     }
 }
 
@@ -380,7 +339,6 @@ const OPS: usize = PredefinedOp::ALL.len();
 #[derive(Default)]
 struct ConstCache {
     comm_world: Option<AppHandle>,
-    comm_self: Option<AppHandle>,
     datatypes: [Option<AppHandle>; PRIMITIVES],
     ops: [Option<AppHandle>; OPS],
 }
@@ -416,12 +374,6 @@ impl Session {
             derived: HashMap::new(),
             reaper: Arc::new(ReaperState::default()),
         }
-    }
-
-    /// Unwrap back into the byte-layer runtime.
-    pub fn into_rank(mut self) -> ManaRank {
-        self.reap();
-        self.rank
     }
 
     /// The underlying byte-layer runtime (read-only).
@@ -482,16 +434,6 @@ impl Session {
         }
         let handle = self.rank.constant(PredefinedObject::CommWorld)?;
         self.consts.comm_world = Some(handle);
-        Ok(Comm(handle))
-    }
-
-    /// `MPI_COMM_SELF` as a typed handle (resolved once per session).
-    pub fn comm_self(&mut self) -> MpiResult<Comm> {
-        if let Some(handle) = self.consts.comm_self {
-            return Ok(Comm(handle));
-        }
-        let handle = self.rank.constant(PredefinedObject::CommSelf)?;
-        self.consts.comm_self = Some(handle);
         Ok(Comm(handle))
     }
 
@@ -922,15 +864,6 @@ impl Session {
     pub fn checkpoint_into(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
         self.reap();
         self.rank.checkpoint_into(storage)
-    }
-
-    /// Service a pending mid-step checkpoint intent, if any (see
-    /// [`ManaRank::service_pending_intent`]). Reaps dropped requests first: a
-    /// serviced intent writes a checkpoint image, and an abandoned descriptor
-    /// serialized into it would leak permanently after restart.
-    pub fn service_pending_intent(&mut self) -> MpiResult<()> {
-        self.reap();
-        self.rank.service_pending_intent()
     }
 
     // ------------------------------------------------------------------

@@ -38,9 +38,9 @@ pub mod regions {
     /// The object-creation replay log.
     pub const REPLAY_LOG: &str = "mana.replay_log";
     /// Messages drained from the network at checkpoint time.
-    pub const BUFFERED: &str = "mana.buffered";
+    pub(crate) const BUFFERED: &str = "mana.buffered";
     /// Per-peer send/receive counters.
-    pub const COUNTERS: &str = "mana.counters";
+    pub(crate) const COUNTERS: &str = "mana.counters";
     /// The collective-progress ledger (published sequence numbers + the pending
     /// registration of a straddled collective).
     pub const COLLECTIVES: &str = "mana.collectives";
@@ -60,39 +60,23 @@ const BACKOFF_CAP: Duration = Duration::from_millis(1);
 /// noticed by a rank waiting for its peers.
 const INTENT_PATIENCE: Duration = Duration::from_micros(256);
 
-/// The drain's expected traffic and the job-wide collective agreement, produced by
-/// [`ManaRank::begin_checkpoint`]: how many point-to-point messages each world rank
-/// has sent this rank since job start, plus the world-communicator collective epoch
-/// every rank reported — the proof that no rank sits inside a collective's critical
-/// phase (all ranks are *between* the same pair of world collectives).
+/// The drain's expected traffic, produced by [`ManaRank::begin_checkpoint`] once every
+/// rank reported the same world-communicator collective epoch (the proof that no rank
+/// sits inside a collective's critical phase): how many point-to-point messages each
+/// world rank has sent this rank since job start.
 #[derive(Debug, Clone)]
 pub struct DrainPlan {
     expected_from: Vec<u64>,
-    collective_epoch: u64,
 }
 
 impl DrainPlan {
     /// A hand-built plan: expect `expected_from[i]` cumulative messages from world
-    /// rank `i`, at the given collective epoch. For tests and stall-path diagnostics
+    /// rank `i`. For tests and stall-path diagnostics
     /// that need a plan no real exchange would produce (e.g. a peer that never
     /// sends); real checkpoints get their plan from
     /// [`ManaRank::begin_checkpoint`].
-    pub fn synthetic(expected_from: Vec<u64>, collective_epoch: u64) -> Self {
-        DrainPlan {
-            expected_from,
-            collective_epoch,
-        }
-    }
-
-    /// Expected cumulative message count from each world rank.
-    pub fn expected_from(&self) -> &[u64] {
-        &self.expected_from
-    }
-
-    /// The job-agreed collective epoch: completed collectives on the world
-    /// communicator, identical on every rank at checkpoint time.
-    pub fn collective_epoch(&self) -> u64 {
-        self.collective_epoch
+    pub fn synthetic(expected_from: Vec<u64>) -> Self {
+        DrainPlan { expected_from }
     }
 }
 
@@ -130,7 +114,7 @@ pub trait CheckpointIntercept: Send + Sync {
 
 /// One peer this rank is still waiting on during a drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainShortfall {
+pub(crate) struct DrainShortfall {
     /// The peer world rank that still owes messages.
     pub peer: Rank,
     /// Messages that peer has sent this rank since job start.
@@ -287,15 +271,13 @@ impl ManaRank {
                 )));
             }
         }
-        Ok(DrainPlan {
-            expected_from,
-            collective_epoch: my_epoch,
-        })
+        Ok(DrainPlan { expected_from })
     }
 
     /// Phase 4 of the checkpoint protocol: a world barrier confirming every rank has
-    /// drained, then a refresh of ggids a lazy policy deferred (paper §4.2: "At the
-    /// time of checkpoint, the structures may be further updated"). After this returns
+    /// drained, then a refresh of every ggid a membership rewrite cleared (an elastic
+    /// restart resets them; paper §4.2: "At the time of checkpoint, the structures may
+    /// be further updated"). After this returns
     /// the rank is safe to snapshot. Collective.
     pub fn complete_drain(&mut self) -> MpiResult<()> {
         let world = self.world()?;
@@ -557,7 +539,7 @@ impl ManaRank {
     /// (between wrapper calls, or inside a collective wrapper strictly outside the
     /// critical phase). Returns [`MpiError::Preempted`] when the serviced intent asks
     /// the rank to vacate.
-    pub fn service_pending_intent(&mut self) -> MpiResult<()> {
+    pub(crate) fn service_pending_intent(&mut self) -> MpiResult<()> {
         let Some(hook) = self.intercept.clone() else {
             return Ok(());
         };
@@ -572,7 +554,7 @@ impl ManaRank {
 
     /// The peers this rank is still waiting on, with expected/received counts — the
     /// payload of the stall diagnostic.
-    pub fn drain_shortfall(&self, expected_from: &[u64]) -> Vec<DrainShortfall> {
+    pub(crate) fn drain_shortfall(&self, expected_from: &[u64]) -> Vec<DrainShortfall> {
         self.counters
             .received_from
             .iter()

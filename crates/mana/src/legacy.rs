@@ -15,9 +15,7 @@
 //! layer can run in either mode and the Figure 2/3 "MANA" vs "MANA+virtId" bars can be
 //! generated from the same code path.
 
-use crate::config::GgidPolicy;
 use crate::virtid::{Descriptor, VirtualId};
-use mpi_model::comm::ggid_of_members;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{HandleKind, PhysHandle, Rank};
@@ -65,7 +63,6 @@ impl LegacyTables {
         &mut self,
         kind: HandleKind,
         predefined: Option<PredefinedObject>,
-        ggid_policy: GgidPolicy,
         mut build: impl FnMut(VirtualId, u64) -> Descriptor,
     ) -> VirtualId {
         let index = self.next_index;
@@ -76,11 +73,7 @@ impl LegacyTables {
         let mut descriptor = build(vid, seq);
         descriptor.vid = vid;
         descriptor.creation_seq = seq;
-        if let Some(members) = &descriptor.members_world {
-            if descriptor.ggid.is_none() && ggid_policy.eager_for(members.len()) {
-                descriptor.ggid = Some(ggid_of_members(members));
-            }
-        }
+        descriptor.ggid_or_compute();
         let key = map_key(kind, index);
         self.translation.insert(key.clone(), descriptor.phys);
         if let Some(members) = descriptor.members_world.clone() {
@@ -136,25 +129,8 @@ impl LegacyTables {
             })
     }
 
-    /// physical→virtual translation: O(n) iteration over all values (paper §4.1,
-    /// drawback 5).
-    pub fn physical_to_virtual(&self, phys: PhysHandle) -> Option<VirtualId> {
-        self.descriptors
-            .values()
-            .find(|d| d.phys == phys && !phys.is_null())
-            .map(|d| d.vid)
-    }
-
-    /// Membership lookup from the *separate* metadata map (a second string-keyed
-    /// lookup, as the legacy design required).
-    pub fn members_of(&self, vid: VirtualId) -> Option<&[Rank]> {
-        self.members
-            .get(&map_key(vid.kind(), vid.index()))
-            .map(|m| m.as_slice())
-    }
-
     /// Rebind a descriptor to a new physical handle (restart path).
-    pub fn rebind(&mut self, vid: VirtualId, new_phys: PhysHandle) -> MpiResult<()> {
+    pub(crate) fn rebind(&mut self, vid: VirtualId, new_phys: PhysHandle) -> MpiResult<()> {
         let key = map_key(vid.kind(), vid.index());
         let descriptor = self
             .descriptors
@@ -169,7 +145,7 @@ impl LegacyTables {
     }
 
     /// Drop all physical bindings (lower half discarded).
-    pub fn clear_physical_bindings(&mut self) {
+    pub(crate) fn clear_physical_bindings(&mut self) {
         for descriptor in self.descriptors.values_mut() {
             descriptor.phys = PhysHandle::NULL;
         }
@@ -200,11 +176,9 @@ mod tests {
     use crate::virtid::blank_descriptor;
 
     fn insert_comm(tables: &mut LegacyTables, phys: u64, members: Vec<Rank>) -> VirtualId {
-        tables.insert_with(HandleKind::Comm, None, GgidPolicy::Eager, |_vid, _seq| {
-            Descriptor {
-                members_world: Some(members.clone()),
-                ..blank_descriptor(HandleKind::Comm, PhysHandle(phys))
-            }
+        tables.insert_with(HandleKind::Comm, None, |_vid, _seq| Descriptor {
+            members_world: Some(members.clone()),
+            ..blank_descriptor(HandleKind::Comm, PhysHandle(phys))
         })
     }
 
@@ -213,23 +187,8 @@ mod tests {
         let mut tables = LegacyTables::new();
         let vid = insert_comm(&mut tables, 0x10, vec![0, 1, 2]);
         assert_eq!(tables.virtual_to_physical(vid).unwrap(), PhysHandle(0x10));
-        assert_eq!(tables.members_of(vid).unwrap(), &[0, 1, 2]);
         assert_eq!(tables.len(), 1);
         assert!(tables.get(vid).unwrap().ggid.is_some());
-    }
-
-    #[test]
-    fn reverse_lookup_is_linear_but_correct() {
-        let mut tables = LegacyTables::new();
-        let mut vids = vec![];
-        for i in 0..100u64 {
-            vids.push(insert_comm(&mut tables, 0x1000 + i, vec![0]));
-        }
-        assert_eq!(
-            tables.physical_to_virtual(PhysHandle(0x1000 + 57)),
-            Some(vids[57])
-        );
-        assert_eq!(tables.physical_to_virtual(PhysHandle(0xdead)), None);
     }
 
     #[test]
@@ -251,7 +210,6 @@ mod tests {
         let world = tables.insert_with(
             HandleKind::Comm,
             Some(PredefinedObject::CommWorld),
-            GgidPolicy::Eager,
             |_vid, _seq| Descriptor {
                 predefined: Some(PredefinedObject::CommWorld),
                 members_world: Some(vec![0, 1]),

@@ -32,7 +32,7 @@
 //!   descriptors' physical handles — leaving every virtual id the application holds
 //!   in its own memory valid. The job-level restart engine that drives it lives in
 //!   `crates/elastic`.
-//! * **MPI-subset auditing** ([`subset_check`]): verifies that a candidate lower half
+//! * **MPI-subset auditing** (`subset_check`): verifies that a candidate lower half
 //!   provides the three categories of functions MANA needs (§5).
 //! * **The typed session layer** ([`api`]): [`api::Session`] and the typed handles
 //!   ([`api::Comm`], [`api::Datatype`], [`api::Op`], [`api::Request`]) — the
@@ -50,17 +50,15 @@ pub mod legacy;
 pub mod record;
 pub mod restart;
 pub mod runtime;
-pub mod subset_check;
+pub(crate) mod subset_check;
 pub mod virtid;
 pub mod wrappers;
 
 pub use api::{Comm, Datatype, Group, Op, Request, Session};
-pub use ckpt::{
-    CheckpointIntercept, DrainObserver, DrainPlan, DrainShortfall, IntentOutcome,
-    LocalDrainObserver,
-};
-pub use config::{GgidPolicy, ManaConfig, StoragePolicy, VirtIdMode};
+pub use ckpt::{CheckpointIntercept, DrainObserver, DrainPlan, IntentOutcome, LocalDrainObserver};
+pub use config::{ManaConfig, StoragePolicy, VirtIdMode};
 pub use record::{CollectiveKind, CollectiveLog, CollectiveRecord};
 pub use restart::{assemble_rank, dismantle_image, RestoredUpper};
 pub use runtime::{AppHandle, ManaRank};
+pub use subset_check::ManaCompatibility;
 pub use virtid::{Descriptor, VirtualId, VirtualIdTable};

@@ -136,7 +136,7 @@ impl ReplayLog {
     }
 
     /// Mark the event that produced `vid` as freed.
-    pub fn mark_freed(&mut self, vid: VirtualId) {
+    pub(crate) fn mark_freed(&mut self, vid: VirtualId) {
         if let Some(event) = self
             .events
             .iter_mut()
@@ -154,7 +154,7 @@ impl ReplayLog {
 
     /// Mutable access to one event by position (used to record late facts such as
     /// `MPI_Type_commit` having been called on an already-recorded datatype).
-    pub fn event_mut(&mut self, index: usize) -> &mut ReplayEvent {
+    pub(crate) fn event_mut(&mut self, index: usize) -> &mut ReplayEvent {
         &mut self.events[index]
     }
 
@@ -166,14 +166,6 @@ impl ReplayLog {
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Number of events that will need collective replay at restart.
-    pub fn collective_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.recipe.is_collective())
-            .count()
     }
 }
 
@@ -300,11 +292,6 @@ impl CollectiveLog {
         self.completed.get(&comm).copied().unwrap_or(0)
     }
 
-    /// Collectives completed across all communicators.
-    pub fn total_completed(&self) -> u64 {
-        self.total_completed
-    }
-
     /// Drop the record of a freed communicator (its sequence numbers die with it).
     pub fn forget_comm(&mut self, comm: VirtualId) {
         self.completed.remove(&comm);
@@ -336,7 +323,6 @@ mod tests {
             None,
         ));
         assert_eq!(log.len(), 2);
-        assert_eq!(log.collective_events(), 2);
         log.mark_freed(vid(2));
         assert!(log.events()[0].freed);
         assert!(!log.events()[1].freed);
@@ -386,13 +372,11 @@ mod tests {
         log.complete(world, 0).unwrap();
         assert!(log.pending().is_none());
         assert_eq!(log.completed_on(world), 1);
-        assert_eq!(log.total_completed(), 1);
         assert_eq!(log.begin(world, CollectiveKind::Barrier).unwrap(), 1);
         log.complete(world, 1).unwrap();
         // Completing without a matching registration is an internal error.
         assert!(log.complete(world, 5).is_err());
         log.forget_comm(world);
         assert_eq!(log.completed_on(world), 0);
-        assert_eq!(log.total_completed(), 2, "totals survive forget_comm");
     }
 }

@@ -99,7 +99,7 @@ pub fn dismantle_image(image: CheckpointImage) -> MpiResult<RestoredUpper> {
 
 /// Bind recovered (and possibly remapped) MANA state to a fresh lower half: rebind
 /// every predefined object, replay the creation log — making collective calls where
-/// the original creation was collective — and rebuild the translator's indexes.
+/// the original creation was collective.
 ///
 /// Collective across the job: every rank of the new world must call this concurrently
 /// with lower halves from a single `launch`. `generation` is the generation the
@@ -157,7 +157,6 @@ pub fn assemble_rank(
 
     rebind_predefined(&mut rank)?;
     replay_creations(&mut rank)?;
-    rank.translator.rebuild_indexes();
     Ok(rank)
 }
 

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// Magic pattern stored in the upper 32 bits of an [`AppHandle`], standing in for the
 /// remaining bytes of whatever handle type the MPI implementation's `mpi.h` declares.
-pub const APP_HANDLE_MAGIC: u64 = 0x4D41_4E41_0000_0000; // "MANA" << 32
+pub(crate) const APP_HANDLE_MAGIC: u64 = 0x4D41_4E41_0000_0000; // "MANA" << 32
 
 /// The handle type the *application* sees.
 ///
@@ -42,12 +42,12 @@ pub struct AppHandle(pub u64);
 
 impl AppHandle {
     /// Wrap a virtual id into an application-visible handle.
-    pub fn from_virtual(vid: VirtualId) -> Self {
+    pub(crate) fn from_virtual(vid: VirtualId) -> Self {
         AppHandle(APP_HANDLE_MAGIC | vid.bits() as u64)
     }
 
     /// Recover the embedded virtual id.
-    pub fn virtual_id(self) -> MpiResult<VirtualId> {
+    pub(crate) fn virtual_id(self) -> MpiResult<VirtualId> {
         VirtualId::from_bits(self.0 as u32).ok_or_else(|| {
             MpiError::Internal(format!(
                 "application handle {:#x} does not carry a MANA virtual id",
@@ -105,12 +105,11 @@ impl Translator {
         &mut self,
         kind: HandleKind,
         predefined: Option<PredefinedObject>,
-        ggid_policy: crate::config::GgidPolicy,
         build: impl FnMut(VirtualId, u64) -> Descriptor,
     ) -> VirtualId {
         match self {
-            Translator::Unified(t) => t.insert_with(kind, predefined, ggid_policy, build),
-            Translator::Legacy(t) => t.insert_with(kind, predefined, ggid_policy, build),
+            Translator::Unified(t) => t.insert_with(kind, predefined, build),
+            Translator::Legacy(t) => t.insert_with(kind, predefined, build),
         }
     }
 
@@ -146,16 +145,8 @@ impl Translator {
         }
     }
 
-    /// Rare physical→virtual translation.
-    pub fn physical_to_virtual(&self, phys: PhysHandle) -> Option<VirtualId> {
-        match self {
-            Translator::Unified(t) => t.physical_to_virtual(phys),
-            Translator::Legacy(t) => t.physical_to_virtual(phys),
-        }
-    }
-
     /// Rebind a virtual id to a new physical handle.
-    pub fn rebind(&mut self, vid: VirtualId, phys: PhysHandle) -> MpiResult<()> {
+    pub(crate) fn rebind(&mut self, vid: VirtualId, phys: PhysHandle) -> MpiResult<()> {
         match self {
             Translator::Unified(t) => t.rebind(vid, phys),
             Translator::Legacy(t) => t.rebind(vid, phys),
@@ -163,7 +154,7 @@ impl Translator {
     }
 
     /// Drop all physical bindings.
-    pub fn clear_physical_bindings(&mut self) {
+    pub(crate) fn clear_physical_bindings(&mut self) {
         match self {
             Translator::Unified(t) => t.clear_physical_bindings(),
             Translator::Legacy(t) => t.clear_physical_bindings(),
@@ -197,13 +188,6 @@ impl Translator {
     /// Whether the translator holds no descriptors.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Rebuild any derived indexes after deserialization + rebinding.
-    pub fn rebuild_indexes(&mut self) {
-        if let Translator::Unified(t) = self {
-            t.rebuild_reverse_index();
-        }
     }
 }
 
@@ -333,11 +317,6 @@ impl ManaRank {
         self.crossings.total()
     }
 
-    /// A clone of the crossing counter (shared; useful for job-wide aggregation).
-    pub fn crossing_counter(&self) -> CrossingCounter {
-        self.crossings.clone()
-    }
-
     /// Number of live virtual-id descriptors.
     pub fn descriptor_count(&self) -> usize {
         self.translator.len()
@@ -364,21 +343,10 @@ impl ManaRank {
         &self.collectives
     }
 
-    /// Whether collectives on this rank run through the two-phase protocol (the lower
-    /// half advertises collective registration).
-    pub fn two_phase_collectives(&self) -> bool {
-        self.two_phase
-    }
-
     /// Install a mid-step checkpoint hook: collective wrappers will consult it at
     /// their safe points and service pending checkpoint intents through it.
     pub fn set_intercept(&mut self, intercept: Arc<dyn CheckpointIntercept>) {
         self.intercept = Some(intercept);
-    }
-
-    /// Remove the mid-step checkpoint hook.
-    pub fn clear_intercept(&mut self) {
-        self.intercept = None;
     }
 
     /// Read-only view of the application's upper-half address space.
@@ -426,7 +394,6 @@ impl ManaRank {
         }
         self.cross();
         let phys = self.lower.resolve_constant(object)?;
-        let ggid_policy = self.config.ggid_policy;
         let members = match object {
             PredefinedObject::CommWorld => Some((0..self.world_size as Rank).collect::<Vec<_>>()),
             PredefinedObject::CommSelf => Some(vec![self.world_rank]),
@@ -444,18 +411,16 @@ impl ManaRank {
             _ => None,
         };
         let kind = object.kind();
-        let vid = self
-            .translator
-            .insert_with(kind, Some(object), ggid_policy, |vid, seq| {
-                let mut d = crate::virtid::blank_descriptor(kind, phys);
-                d.vid = vid;
-                d.creation_seq = seq;
-                d.predefined = Some(object);
-                d.members_world = members.clone();
-                d.datatype = datatype.clone();
-                d.op = op;
-                d
-            });
+        let vid = self.translator.insert_with(kind, Some(object), |vid, seq| {
+            let mut d = crate::virtid::blank_descriptor(kind, phys);
+            d.vid = vid;
+            d.creation_seq = seq;
+            d.predefined = Some(object);
+            d.members_world = members.clone();
+            d.datatype = datatype.clone();
+            d.op = op;
+            d
+        });
         Ok(AppHandle::from_virtual(vid))
     }
 

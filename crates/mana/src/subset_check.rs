@@ -10,10 +10,9 @@
 
 use mpi_model::api::MpiApi;
 use mpi_model::subset::{required_category, ComplianceReport, SubsetFeature, REQUIRED_SUBSET};
-use serde::{Deserialize, Serialize};
 
 /// The result of auditing one lower half for MANA support.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManaCompatibility {
     /// The raw compliance report (provided vs required features).
     pub report: ComplianceReport,
@@ -31,12 +30,12 @@ impl ManaCompatibility {
 }
 
 /// Audit a lower half via its self-reported feature list.
-pub fn audit_api(api: &dyn MpiApi) -> ManaCompatibility {
+pub(crate) fn audit_api(api: &dyn MpiApi) -> ManaCompatibility {
     audit_features(api.implementation_name(), &api.provided_features())
 }
 
 /// Audit an explicit feature list.
-pub fn audit_features(name: &str, provided: &[SubsetFeature]) -> ManaCompatibility {
+pub(crate) fn audit_features(name: &str, provided: &[SubsetFeature]) -> ManaCompatibility {
     let report = ComplianceReport::audit(name, provided);
     let mut missing_by_category: Vec<(u8, Vec<SubsetFeature>)> = vec![];
     for &feature in &report.missing_required {

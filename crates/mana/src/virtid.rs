@@ -15,12 +15,9 @@
 //!
 //! * a single integer-indexed lookup on the virtual→physical path (no string
 //!   comparisons, no per-type map dispatch),
-//! * an O(1) physical→virtual reverse lookup via an auxiliary hash map (the legacy
-//!   design iterates, O(n)),
 //! * all metadata co-located with the translation entry, so one lookup serves a whole
 //!   wrapper call.
 
-use crate::config::GgidPolicy;
 use mpi_model::comm::ggid_of_members;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::TypeDescriptor;
@@ -29,12 +26,11 @@ use mpi_model::op::OpDescriptor;
 use mpi_model::request::RequestRecord;
 use mpi_model::types::{HandleKind, PhysHandle, Rank};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Number of bits reserved for the table index / ggid portion of a virtual id.
-pub const INDEX_BITS: u32 = 28;
+pub(crate) const INDEX_BITS: u32 = 28;
 /// Mask selecting the index bits.
-pub const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
+pub(crate) const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
 /// Bit position of the predefined flag.
 const PREDEF_SHIFT: u32 = INDEX_BITS; // 28
 /// Bit position of the 3-bit kind field.
@@ -80,7 +76,7 @@ impl VirtualId {
     }
 
     /// Whether the id names a predefined object.
-    pub fn is_predefined(self) -> bool {
+    pub(crate) fn is_predefined(self) -> bool {
         (self.0 >> PREDEF_SHIFT) & 1 == 1
     }
 
@@ -133,8 +129,8 @@ pub struct Descriptor {
     pub phys: PhysHandle,
     /// If this descriptor stands for a predefined object, which one.
     pub predefined: Option<PredefinedObject>,
-    /// Global group id for communicators and groups (paper §4.2). `None` until
-    /// computed (see [`GgidPolicy`]).
+    /// Global group id for communicators and groups (paper §4.2). Computed when the
+    /// descriptor is inserted with its members.
     pub ggid: Option<u32>,
     /// For communicators and groups: the member world ranks in rank order.
     pub members_world: Option<Vec<Rank>>,
@@ -165,10 +161,6 @@ impl Descriptor {
 pub struct VirtualIdTable {
     /// Slot `i` holds the descriptor whose vid index is `i`.
     slots: Vec<Option<Descriptor>>,
-    /// O(1) physical→virtual lookup (not serialized: physical handles are
-    /// session-specific and rebuilt at restart).
-    #[serde(skip)]
-    reverse: HashMap<PhysHandle, VirtualId>,
     /// Monotone creation counter. Indices are never reused, so a stale virtual id can
     /// never silently alias a newer object.
     next_index: u32,
@@ -199,7 +191,6 @@ impl VirtualIdTable {
         &mut self,
         kind: HandleKind,
         predefined: Option<PredefinedObject>,
-        ggid_policy: GgidPolicy,
         mut build: impl FnMut(VirtualId, u64) -> Descriptor,
     ) -> VirtualId {
         let index = self.next_index;
@@ -210,14 +201,7 @@ impl VirtualIdTable {
         let mut descriptor = build(vid, seq);
         descriptor.vid = vid;
         descriptor.creation_seq = seq;
-        if let Some(members) = &descriptor.members_world {
-            if descriptor.ggid.is_none() && ggid_policy.eager_for(members.len()) {
-                descriptor.ggid = Some(ggid_of_members(members));
-            }
-        }
-        if !descriptor.phys.is_null() {
-            self.reverse.insert(descriptor.phys, vid);
-        }
+        descriptor.ggid_or_compute();
         if self.slots.len() <= index as usize {
             self.slots.resize(index as usize + 1, None);
         }
@@ -259,10 +243,7 @@ impl VirtualIdTable {
                 handle: PhysHandle(vid.bits() as u64),
             })?;
         match slot.take() {
-            Some(descriptor) if descriptor.vid == vid => {
-                self.reverse.remove(&descriptor.phys);
-                Ok(descriptor)
-            }
+            Some(descriptor) if descriptor.vid == vid => Ok(descriptor),
             other => {
                 *slot = other;
                 Err(MpiError::InvalidHandle {
@@ -279,46 +260,18 @@ impl VirtualIdTable {
         Ok(self.get(vid)?.phys)
     }
 
-    /// Translate a physical handle back to its virtual id (used by the rare wrapper
-    /// that receives a physical handle from the lower half).
-    pub fn physical_to_virtual(&self, phys: PhysHandle) -> Option<VirtualId> {
-        self.reverse.get(&phys).copied()
-    }
-
     /// Rebind a descriptor to a new physical handle (restart path).
-    pub fn rebind(&mut self, vid: VirtualId, new_phys: PhysHandle) -> MpiResult<()> {
-        let old = {
-            let descriptor = self.get_mut(vid)?;
-            let old = descriptor.phys;
-            descriptor.phys = new_phys;
-            old
-        };
-        self.reverse.remove(&old);
-        if !new_phys.is_null() {
-            self.reverse.insert(new_phys, vid);
-        }
+    pub(crate) fn rebind(&mut self, vid: VirtualId, new_phys: PhysHandle) -> MpiResult<()> {
+        self.get_mut(vid)?.phys = new_phys;
         Ok(())
     }
 
     /// Clear every physical binding (called when the lower half is discarded at
     /// checkpoint/restart, so no stale physical handle can leak across sessions).
-    pub fn clear_physical_bindings(&mut self) {
-        self.reverse.clear();
+    pub(crate) fn clear_physical_bindings(&mut self) {
         for slot in self.slots.iter_mut().flatten() {
             slot.phys = PhysHandle::NULL;
         }
-    }
-
-    /// Rebuild the reverse map from the slots (after deserialization followed by
-    /// rebinding).
-    pub fn rebuild_reverse_index(&mut self) {
-        self.reverse = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|d| !d.phys.is_null())
-            .map(|d| (d.phys, d.vid))
-            .collect();
     }
 
     /// Iterate over live descriptors in creation order.
@@ -326,14 +279,6 @@ impl VirtualIdTable {
         let mut live: Vec<&Descriptor> = self.slots.iter().flatten().collect();
         live.sort_by_key(|d| d.creation_seq);
         live
-    }
-
-    /// Iterate over live descriptors of one kind in creation order.
-    pub fn iter_kind(&self, kind: HandleKind) -> Vec<&Descriptor> {
-        self.iter_in_creation_order()
-            .into_iter()
-            .filter(|d| d.kind == kind)
-            .collect()
     }
 
     /// Find the virtual id of the predefined object `object`, if it has been entered.
@@ -387,7 +332,7 @@ mod tests {
     #[test]
     fn insert_get_translate_remove() {
         let mut table = VirtualIdTable::new();
-        let vid = table.insert_with(HandleKind::Comm, None, GgidPolicy::Eager, |vid, seq| {
+        let vid = table.insert_with(HandleKind::Comm, None, |vid, seq| {
             Descriptor {
                 members_world: Some(vec![0, 1, 2]),
                 phys: PhysHandle(0xabc),
@@ -397,55 +342,34 @@ mod tests {
         });
         assert_eq!(table.len(), 1);
         assert_eq!(table.virtual_to_physical(vid).unwrap(), PhysHandle(0xabc));
-        assert_eq!(table.physical_to_virtual(PhysHandle(0xabc)), Some(vid));
         assert!(
             table.get(vid).unwrap().ggid.is_some(),
-            "eager policy computes ggid"
+            "insertion computes the ggid"
         );
         table.remove(vid).unwrap();
         assert!(table.get(vid).is_err());
-        assert_eq!(table.physical_to_virtual(PhysHandle(0xabc)), None);
-    }
-
-    #[test]
-    fn lazy_ggid_policy_defers() {
-        let mut table = VirtualIdTable::new();
-        let vid = table.insert_with(HandleKind::Comm, None, GgidPolicy::Lazy, |vid, seq| {
-            Descriptor {
-                members_world: Some(vec![0, 1]),
-                ..blank_descriptor(HandleKind::Comm, PhysHandle(1))
-            }
-            .with_vid_seq(vid, seq)
-        });
-        assert!(table.get(vid).unwrap().ggid.is_none());
-        let computed = table.get_mut(vid).unwrap().ggid_or_compute();
-        assert!(computed.is_some());
-        assert_eq!(table.get(vid).unwrap().ggid, computed);
     }
 
     #[test]
     fn rebind_and_clear() {
         let mut table = VirtualIdTable::new();
-        let vid = table.insert_with(HandleKind::Datatype, None, GgidPolicy::Eager, |vid, seq| {
+        let vid = table.insert_with(HandleKind::Datatype, None, |vid, seq| {
             blank_descriptor(HandleKind::Datatype, PhysHandle(5)).with_vid_seq(vid, seq)
         });
         table.rebind(vid, PhysHandle(77)).unwrap();
         assert_eq!(table.virtual_to_physical(vid).unwrap(), PhysHandle(77));
-        assert_eq!(table.physical_to_virtual(PhysHandle(5)), None);
-        assert_eq!(table.physical_to_virtual(PhysHandle(77)), Some(vid));
         table.clear_physical_bindings();
         assert!(table.virtual_to_physical(vid).unwrap().is_null());
-        assert_eq!(table.physical_to_virtual(PhysHandle(77)), None);
     }
 
     #[test]
     fn indices_are_not_reused() {
         let mut table = VirtualIdTable::new();
-        let a = table.insert_with(HandleKind::Group, None, GgidPolicy::Eager, |vid, seq| {
+        let a = table.insert_with(HandleKind::Group, None, |vid, seq| {
             blank_descriptor(HandleKind::Group, PhysHandle(1)).with_vid_seq(vid, seq)
         });
         table.remove(a).unwrap();
-        let b = table.insert_with(HandleKind::Group, None, GgidPolicy::Eager, |vid, seq| {
+        let b = table.insert_with(HandleKind::Group, None, |vid, seq| {
             blank_descriptor(HandleKind::Group, PhysHandle(2)).with_vid_seq(vid, seq)
         });
         assert_ne!(a.index(), b.index(), "stale vids never alias new objects");
@@ -458,7 +382,6 @@ mod tests {
         let world = table.insert_with(
             HandleKind::Comm,
             Some(PredefinedObject::CommWorld),
-            GgidPolicy::Eager,
             |vid, seq| {
                 Descriptor {
                     predefined: Some(PredefinedObject::CommWorld),
@@ -468,7 +391,7 @@ mod tests {
                 .with_vid_seq(vid, seq)
             },
         );
-        let dt = table.insert_with(HandleKind::Datatype, None, GgidPolicy::Eager, |vid, seq| {
+        let dt = table.insert_with(HandleKind::Datatype, None, |vid, seq| {
             blank_descriptor(HandleKind::Datatype, PhysHandle(2)).with_vid_seq(vid, seq)
         });
         let order: Vec<VirtualId> = table
@@ -477,7 +400,6 @@ mod tests {
             .map(|d| d.vid)
             .collect();
         assert_eq!(order, vec![world, dt]);
-        assert_eq!(table.iter_kind(HandleKind::Comm).len(), 1);
         assert_eq!(
             table.find_predefined(PredefinedObject::CommWorld),
             Some(world)
@@ -490,7 +412,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_descriptors_but_not_reverse_index() {
         let mut table = VirtualIdTable::new();
-        let vid = table.insert_with(HandleKind::Comm, None, GgidPolicy::Eager, |vid, seq| {
+        let vid = table.insert_with(HandleKind::Comm, None, |vid, seq| {
             Descriptor {
                 members_world: Some(vec![0, 1, 2, 3]),
                 ..blank_descriptor(HandleKind::Comm, PhysHandle(0x1234))
@@ -498,15 +420,11 @@ mod tests {
             .with_vid_seq(vid, seq)
         });
         let json = serde_json::to_string(&table).unwrap();
-        let mut restored: VirtualIdTable = serde_json::from_str(&json).unwrap();
+        let restored: VirtualIdTable = serde_json::from_str(&json).unwrap();
         assert_eq!(
             restored.get(vid).unwrap().members_world,
             Some(vec![0, 1, 2, 3])
         );
-        // The reverse index is rebuilt explicitly, mirroring the restart path.
-        assert_eq!(restored.physical_to_virtual(PhysHandle(0x1234)), None);
-        restored.rebuild_reverse_index();
-        assert_eq!(restored.physical_to_virtual(PhysHandle(0x1234)), Some(vid));
     }
 
     impl Descriptor {

@@ -9,7 +9,7 @@
 //! is the quantity behind the paper's §6.3 context-switch analysis.
 
 use crate::record::{CollectiveKind, CreationRecipe, ReplayEvent};
-use crate::runtime::{AppHandle, BufferedMessage, ManaRank};
+use crate::runtime::{AppHandle, ManaRank};
 use crate::virtid::blank_descriptor;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::OpDescriptor;
@@ -57,10 +57,9 @@ impl ManaRank {
         let members = self.lower.group_members(group)?;
         self.cross();
         self.lower.group_free(group)?;
-        let ggid_policy = self.config.ggid_policy;
         let vid = self
             .translator
-            .insert_with(HandleKind::Comm, None, ggid_policy, |vid, seq| {
+            .insert_with(HandleKind::Comm, None, |vid, seq| {
                 let mut d = blank_descriptor(HandleKind::Comm, phys);
                 d.vid = vid;
                 d.creation_seq = seq;
@@ -161,10 +160,9 @@ impl ManaRank {
         let group_phys = self.lower.comm_group(phys)?;
         self.cross();
         let members = self.lower.group_members(group_phys)?;
-        let ggid_policy = self.config.ggid_policy;
         let vid = self
             .translator
-            .insert_with(HandleKind::Group, None, ggid_policy, |vid, seq| {
+            .insert_with(HandleKind::Group, None, |vid, seq| {
                 let mut d = blank_descriptor(HandleKind::Group, group_phys);
                 d.vid = vid;
                 d.creation_seq = seq;
@@ -197,10 +195,9 @@ impl ManaRank {
         let new_phys = self.lower.group_incl(phys, ranks)?;
         self.cross();
         let members = self.lower.group_members(new_phys)?;
-        let ggid_policy = self.config.ggid_policy;
         let vid = self
             .translator
-            .insert_with(HandleKind::Group, None, ggid_policy, |vid, seq| {
+            .insert_with(HandleKind::Group, None, |vid, seq| {
                 let mut d = blank_descriptor(HandleKind::Group, new_phys);
                 d.vid = vid;
                 d.creation_seq = seq;
@@ -251,16 +248,15 @@ impl ManaRank {
         phys: PhysHandle,
         descriptor: mpi_model::datatype::TypeDescriptor,
     ) -> AppHandle {
-        let ggid_policy = self.config.ggid_policy;
-        let vid =
-            self.translator
-                .insert_with(HandleKind::Datatype, None, ggid_policy, |vid, seq| {
-                    let mut d = blank_descriptor(HandleKind::Datatype, phys);
-                    d.vid = vid;
-                    d.creation_seq = seq;
-                    d.datatype = Some(descriptor.clone());
-                    d
-                });
+        let vid = self
+            .translator
+            .insert_with(HandleKind::Datatype, None, |vid, seq| {
+                let mut d = blank_descriptor(HandleKind::Datatype, phys);
+                d.vid = vid;
+                d.creation_seq = seq;
+                d.datatype = Some(descriptor.clone());
+                d
+            });
         self.replay_log.push(ReplayEvent::new(
             CreationRecipe::DerivedDatatype {
                 descriptor,
@@ -435,10 +431,9 @@ impl ManaRank {
     pub fn op_create(&mut self, func_id: u64, commutative: bool) -> MpiResult<AppHandle> {
         self.cross();
         let phys = self.lower.op_create(func_id, commutative)?;
-        let ggid_policy = self.config.ggid_policy;
         let vid = self
             .translator
-            .insert_with(HandleKind::Op, None, ggid_policy, |vid, seq| {
+            .insert_with(HandleKind::Op, None, |vid, seq| {
                 let mut d = blank_descriptor(HandleKind::Op, phys);
                 d.vid = vid;
                 d.creation_seq = seq;
@@ -588,7 +583,6 @@ impl ManaRank {
         comm: AppHandle,
     ) -> MpiResult<AppHandle> {
         let comm_vid = comm.virtual_id()?;
-        let ggid_policy = self.config.ggid_policy;
         let mut record = RequestRecord::pending(
             RequestKind::Send,
             dest,
@@ -597,15 +591,15 @@ impl ManaRank {
             len,
         );
         record.complete(Status::new(dest, tag, len));
-        let vid =
-            self.translator
-                .insert_with(HandleKind::Request, None, ggid_policy, |vid, seq| {
-                    let mut d = blank_descriptor(HandleKind::Request, PhysHandle::NULL);
-                    d.vid = vid;
-                    d.creation_seq = seq;
-                    d.request = Some(record.clone());
-                    d
-                });
+        let vid = self
+            .translator
+            .insert_with(HandleKind::Request, None, |vid, seq| {
+                let mut d = blank_descriptor(HandleKind::Request, PhysHandle::NULL);
+                d.vid = vid;
+                d.creation_seq = seq;
+                d.request = Some(record.clone());
+                d
+            });
         Ok(AppHandle::from_virtual(vid))
     }
 
@@ -626,7 +620,6 @@ impl ManaRank {
         // argument position.
         let _ = self.phys(datatype, HandleKind::Datatype)?;
         let comm_vid = comm.virtual_id()?;
-        let ggid_policy = self.config.ggid_policy;
         let record = RequestRecord::pending(
             RequestKind::Recv,
             source,
@@ -634,15 +627,15 @@ impl ManaRank {
             PhysHandle(comm_vid.bits() as u64),
             max_bytes,
         );
-        let vid =
-            self.translator
-                .insert_with(HandleKind::Request, None, ggid_policy, |vid, seq| {
-                    let mut d = blank_descriptor(HandleKind::Request, PhysHandle::NULL);
-                    d.vid = vid;
-                    d.creation_seq = seq;
-                    d.request = Some(record.clone());
-                    d
-                });
+        let vid = self
+            .translator
+            .insert_with(HandleKind::Request, None, |vid, seq| {
+                let mut d = blank_descriptor(HandleKind::Request, PhysHandle::NULL);
+                d.vid = vid;
+                d.creation_seq = seq;
+                d.request = Some(record.clone());
+                d
+            });
         Ok(AppHandle::from_virtual(vid))
     }
 
@@ -996,11 +989,5 @@ impl ManaRank {
             rank.cross();
             rank.lower.scatter(sendbuf, block_bytes, root, phys)
         })
-    }
-
-    /// Deliver any still-buffered drained message into `buffered` inspection (test
-    /// support; applications normally drain the buffer through `recv`).
-    pub fn buffered_snapshot(&self) -> Vec<BufferedMessage> {
-        self.buffered.clone()
     }
 }

@@ -337,7 +337,7 @@ fn drain_fails_fast_when_a_shortfall_peer_is_dead() {
     let mut rank = ranks.pop().unwrap();
 
     // Expect 2 messages from rank 0, which the detector says is dead.
-    let plan = DrainPlan::synthetic(vec![2], 0);
+    let plan = DrainPlan::synthetic(vec![2]);
     let start = clock::now();
     let err = rank.drain_quiescent(&plan, &DeadPeerObserver).unwrap_err();
     let elapsed = start.elapsed();
@@ -363,7 +363,7 @@ fn drain_stall_fires_on_budget_and_reports_the_real_wait() {
 
     let budget = Duration::from_millis(100);
     // Expect 3 messages from rank 0 that were never sent: the drain can only stall.
-    let plan = DrainPlan::synthetic(vec![3], 0);
+    let plan = DrainPlan::synthetic(vec![3]);
     let start = clock::now();
     let err = rank
         .drain_quiescent(&plan, &FrozenObserver { budget })

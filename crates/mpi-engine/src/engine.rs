@@ -103,17 +103,6 @@ impl<C: HandleCodec> Engine<C> {
         self.session
     }
 
-    /// Number of live objects of each kind, for leak checks in tests.
-    pub fn live_object_counts(&self) -> [(HandleKind, usize); 5] {
-        [
-            (HandleKind::Comm, self.comms.len()),
-            (HandleKind::Group, self.groups.len()),
-            (HandleKind::Request, self.requests.len()),
-            (HandleKind::Op, self.ops.len()),
-            (HandleKind::Datatype, self.types.len()),
-        ]
-    }
-
     fn check_initialized(&self) -> MpiResult<()> {
         if self.finalized {
             Err(MpiError::NotInitialized)

@@ -39,4 +39,3 @@ mod tests;
 pub use codec::HandleCodec;
 pub use engine::{Engine, EngineConfig};
 pub use personality::Backend;
-pub use store::ObjectStore;

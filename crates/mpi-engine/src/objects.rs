@@ -11,7 +11,7 @@ use net_sim::message::MatchSpec;
 
 /// A communicator object inside the lower half.
 #[derive(Debug, Clone)]
-pub struct CommObject {
+pub(crate) struct CommObject {
     /// Membership and context.
     pub descriptor: CommDescriptor,
     /// Per-communicator collective sequence number. All members call collectives on a
@@ -33,7 +33,7 @@ impl CommObject {
     }
 
     /// Advance and return the previous collective sequence number.
-    pub fn next_collective(&mut self) -> u64 {
+    pub(crate) fn next_collective(&mut self) -> u64 {
         let seq = self.collective_seq;
         self.collective_seq += 1;
         seq
@@ -42,7 +42,7 @@ impl CommObject {
 
 /// A group object inside the lower half.
 #[derive(Debug, Clone)]
-pub struct GroupObject {
+pub(crate) struct GroupObject {
     /// Membership, ordered by group rank.
     pub descriptor: GroupDescriptor,
     /// Whether this is a predefined group (`MPI_GROUP_EMPTY`).
@@ -51,7 +51,7 @@ pub struct GroupObject {
 
 /// A datatype object inside the lower half.
 #[derive(Debug, Clone)]
-pub struct TypeObject {
+pub(crate) struct TypeObject {
     /// Structural description of the type.
     pub descriptor: TypeDescriptor,
     /// Physical handles of the inner types this type was constructed from, in
@@ -66,7 +66,7 @@ pub struct TypeObject {
 
 /// A reduction-op object inside the lower half.
 #[derive(Debug, Clone)]
-pub struct OpObject {
+pub(crate) struct OpObject {
     /// Predefined op or user registration.
     pub descriptor: OpDescriptor,
     /// Whether this is a predefined op.
@@ -75,7 +75,7 @@ pub struct OpObject {
 
 /// A request object inside the lower half.
 #[derive(Debug, Clone)]
-pub struct RequestObject {
+pub(crate) struct RequestObject {
     /// The implementation-independent record (kind, peer, tag, state).
     pub record: RequestRecord,
     /// For receive requests: the matching spec to use when progressing the request.

@@ -19,14 +19,14 @@ const ENUM_TAG: u64 = 0xEA00_0000_0000_0000;
 /// * All other objects get shared-pointer-like addresses salted with the session, known
 ///   only after they are first created (ExaMPI's lazy constants).
 #[derive(Debug, Default)]
-pub struct ExaMpiCodec {
+pub(crate) struct ExaMpiCodec {
     reverse: HashMap<u64, (HandleKind, u32)>,
 }
 
 impl ExaMpiCodec {
     /// The enum discriminant ExaMPI assigns to a primitive datatype. Aliased types
     /// share a discriminant (the paper's `MPI_INT8_T` / `MPI_CHAR` example).
-    pub fn primitive_discriminant(p: PrimitiveType) -> u64 {
+    pub(crate) fn primitive_discriminant(p: PrimitiveType) -> u64 {
         match p {
             // Char and Int8 share a representation.
             PrimitiveType::Char | PrimitiveType::Int8 => 1,

@@ -38,11 +38,11 @@ const VALID_TAG: u32 = 0x4;
 /// checkpoint and after a restart, which is precisely the property that made MANA's
 /// original integer virtual ids appear to work while actually being Cray-MPI-specific.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct MpichCodec;
+pub(crate) struct MpichCodec;
 
 impl MpichCodec {
     /// Split a slab index into (first-level, second-level) table indices.
-    pub fn split_index(index: u32) -> (u32, u32) {
+    pub(crate) fn split_index(index: u32) -> (u32, u32) {
         (index >> L2_BITS, index & L2_MASK)
     }
 }

@@ -28,13 +28,13 @@ fn struct_size(kind: HandleKind) -> u64 {
 /// Decoding is a reverse lookup of addresses this codec itself minted; foreign values
 /// (including addresses from a previous session) do not decode.
 #[derive(Debug, Default)]
-pub struct OpenMpiCodec {
+pub(crate) struct OpenMpiCodec {
     reverse: HashMap<u64, (HandleKind, u32)>,
 }
 
 impl OpenMpiCodec {
     /// The simulated arena base address for a kind within a session.
-    pub fn arena_base(kind: HandleKind, session: u64) -> u64 {
+    pub(crate) fn arena_base(kind: HandleKind, session: u64) -> u64 {
         // A plausible-looking user-space heap address, spread per session and per kind.
         0x7f30_0000_0000
             | (session.wrapping_mul(0x1_f351_7d1d) & 0x0000_00ff_f000_0000)

@@ -10,12 +10,10 @@ use mpi_model::types::{HandleKind, PhysHandle};
 
 /// A slab of objects of one kind, addressed by `u32` index.
 #[derive(Debug)]
-pub struct ObjectStore<T> {
+pub(crate) struct ObjectStore<T> {
     kind: HandleKind,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
-    live: usize,
-    total_created: u64,
 }
 
 impl<T> ObjectStore<T> {
@@ -26,20 +24,11 @@ impl<T> ObjectStore<T> {
             // Slot 0 is permanently unoccupied.
             slots: vec![None],
             free: Vec::new(),
-            live: 0,
-            total_created: 0,
         }
-    }
-
-    /// The object kind this store holds.
-    pub fn kind(&self) -> HandleKind {
-        self.kind
     }
 
     /// Insert an object, returning its index.
     pub fn insert(&mut self, value: T) -> u32 {
-        self.live += 1;
-        self.total_created += 1;
         if let Some(index) = self.free.pop() {
             self.slots[index as usize] = Some(value);
             index
@@ -87,39 +76,7 @@ impl<T> ObjectStore<T> {
             handle: PhysHandle(index as u64),
         })?;
         self.free.push(index);
-        self.live -= 1;
         Ok(value)
-    }
-
-    /// Whether an object is live at `index`.
-    pub fn contains(&self, index: u32) -> bool {
-        self.slots
-            .get(index as usize)
-            .map(|s| s.is_some())
-            .unwrap_or(false)
-    }
-
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the store holds no live objects.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of objects ever created (live + freed). Useful for leak tests.
-    pub fn total_created(&self) -> u64 {
-        self.total_created
-    }
-
-    /// Iterate over `(index, object)` pairs of live objects.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
     }
 }
 
@@ -130,18 +87,13 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut store: ObjectStore<String> = ObjectStore::new(HandleKind::Comm);
-        assert!(store.is_empty());
         let a = store.insert("a".to_string());
         let b = store.insert("b".to_string());
         assert_ne!(a, 0, "index 0 is reserved");
         assert_ne!(a, b);
         assert_eq!(store.get(a).unwrap(), "a");
-        assert_eq!(store.len(), 2);
         assert_eq!(store.remove(a).unwrap(), "a");
         assert!(store.get(a).is_err());
-        assert_eq!(store.len(), 1);
-        assert!(store.contains(b));
-        assert!(!store.contains(a));
     }
 
     #[test]
@@ -151,7 +103,6 @@ mod tests {
         store.remove(a).unwrap();
         let b = store.insert(2);
         assert_eq!(a, b, "freed index is reused");
-        assert_eq!(store.total_created(), 2);
     }
 
     #[test]
@@ -169,15 +120,5 @@ mod tests {
             Err(MpiError::InvalidHandle { kind, .. }) => assert_eq!(kind, HandleKind::Group),
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn iteration_skips_freed_slots() {
-        let mut store: ObjectStore<u8> = ObjectStore::new(HandleKind::Op);
-        let a = store.insert(10);
-        let _b = store.insert(20);
-        store.remove(a).unwrap();
-        let items: Vec<u8> = store.iter().map(|(_, v)| *v).collect();
-        assert_eq!(items, vec![20]);
     }
 }

@@ -490,9 +490,6 @@ fn lazily_resolved_constants_materialize_on_demand() {
         registry,
         1,
     );
-    // Nothing materialized yet beyond what the engine strictly needs.
-    let counts: usize = api.live_object_counts().iter().map(|(_, c)| c).sum();
-    assert_eq!(counts, 0, "lazy engine materializes no constants at init");
     let world = api.resolve_constant(PredefinedObject::CommWorld).unwrap();
     let again = api.resolve_constant(PredefinedObject::CommWorld).unwrap();
     assert_eq!(world, again, "resolution is cached within a session");

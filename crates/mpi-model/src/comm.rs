@@ -7,10 +7,9 @@
 
 use crate::group::GroupDescriptor;
 use crate::types::{ContextId, Rank};
-use serde::{Deserialize, Serialize};
 
 /// Result of `MPI_Comm_compare`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommComparison {
     /// Same object (same context): `MPI_IDENT`.
     Identical,
@@ -28,7 +27,7 @@ pub enum CommComparison {
 /// records one per communicator virtual id so the restart coordinator can re-create a
 /// semantically equivalent communicator from the world communicator of the fresh lower
 /// half.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommDescriptor {
     /// The member group.
     pub group: GroupDescriptor,
@@ -111,7 +110,7 @@ pub fn ggid_of_members(members: &[Rank]) -> u32 {
 }
 
 /// One rank's contribution to an `MPI_Comm_split`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitContribution {
     /// The contributing rank, identified by its rank in the parent communicator.
     pub parent_rank: Rank,

@@ -89,11 +89,6 @@ impl PredefinedObject {
             .expect("every predefined object appears in all()")
     }
 
-    /// Inverse of [`PredefinedObject::slot`].
-    pub fn from_slot(slot: usize) -> Option<PredefinedObject> {
-        PredefinedObject::all().get(slot).copied()
-    }
-
     /// Whether this constant denotes a "null" handle.
     pub fn is_null(self) -> bool {
         matches!(
@@ -107,7 +102,7 @@ impl PredefinedObject {
     }
 
     /// The MPI constant name (`MPI_COMM_WORLD`, `MPI_INT`, ...).
-    pub fn mpi_name(self) -> String {
+    pub(crate) fn mpi_name(self) -> String {
         match self {
             PredefinedObject::CommWorld => "MPI_COMM_WORLD".to_string(),
             PredefinedObject::CommSelf => "MPI_COMM_SELF".to_string(),
@@ -128,7 +123,7 @@ impl PredefinedObject {
 /// This is reported by each [`crate::api::MpiApi`] implementation so that MANA (and the
 /// tests) can verify that the virtual-id layer genuinely insulates the application from
 /// the differences. It mirrors the three concrete designs discussed in paper §4.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstantResolution {
     /// MPICH family: constants are fixed integers baked into `mpi.h`; identical in both
     /// halves and across sessions.
@@ -142,22 +137,6 @@ pub enum ConstantResolution {
     LazySharedPointer,
 }
 
-impl ConstantResolution {
-    /// Whether the physical value of a constant is stable across sessions (restarts).
-    ///
-    /// Only the MPICH-family encoding is stable; this is precisely why the original
-    /// MANA prototype, which assumed stability, was not implementation-oblivious.
-    pub fn stable_across_sessions(self) -> bool {
-        matches!(self, ConstantResolution::CompileTimeInteger)
-    }
-
-    /// Whether the constant's physical value is known as soon as the library is
-    /// initialized (as opposed to lazily on first use).
-    pub fn known_at_startup(self) -> bool {
-        !matches!(self, ConstantResolution::LazySharedPointer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,9 +146,7 @@ mod tests {
         let all = PredefinedObject::all();
         for (i, obj) in all.iter().enumerate() {
             assert_eq!(obj.slot(), i);
-            assert_eq!(PredefinedObject::from_slot(i), Some(*obj));
         }
-        assert_eq!(PredefinedObject::from_slot(all.len()), None);
         // 8 special handles + primitives + ops
         assert_eq!(
             all.len(),
@@ -195,15 +172,6 @@ mod tests {
     fn null_detection() {
         assert!(PredefinedObject::CommNull.is_null());
         assert!(!PredefinedObject::CommWorld.is_null());
-    }
-
-    #[test]
-    fn resolution_policies() {
-        assert!(ConstantResolution::CompileTimeInteger.stable_across_sessions());
-        assert!(!ConstantResolution::StartupResolvedPointer.stable_across_sessions());
-        assert!(!ConstantResolution::LazySharedPointer.stable_across_sessions());
-        assert!(ConstantResolution::StartupResolvedPointer.known_at_startup());
-        assert!(!ConstantResolution::LazySharedPointer.known_at_startup());
     }
 
     #[test]

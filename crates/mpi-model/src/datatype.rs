@@ -83,13 +83,8 @@ impl PrimitiveType {
             .expect("every primitive is in ALL")
     }
 
-    /// Inverse of [`PrimitiveType::index`].
-    pub fn from_index(index: usize) -> Option<Self> {
-        PrimitiveType::ALL.get(index).copied()
-    }
-
     /// The MPI name of this primitive (`MPI_INT`, ...).
-    pub fn mpi_name(self) -> &'static str {
+    pub(crate) fn mpi_name(self) -> &'static str {
         match self {
             PrimitiveType::Char => "MPI_CHAR",
             PrimitiveType::Int8 => "MPI_INT8_T",
@@ -108,7 +103,7 @@ impl PrimitiveType {
 
 /// The constructor that produced a derived datatype, as reported by
 /// `MPI_Type_get_envelope` (`MPI_COMBINER_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TypeCombiner {
     /// A predefined (named) datatype; has no contents to decode.
     Named,
@@ -124,23 +119,9 @@ pub enum TypeCombiner {
     Struct,
 }
 
-impl TypeCombiner {
-    /// MPI constant name for this combiner.
-    pub fn mpi_name(self) -> &'static str {
-        match self {
-            TypeCombiner::Named => "MPI_COMBINER_NAMED",
-            TypeCombiner::Dup => "MPI_COMBINER_DUP",
-            TypeCombiner::Contiguous => "MPI_COMBINER_CONTIGUOUS",
-            TypeCombiner::Vector => "MPI_COMBINER_VECTOR",
-            TypeCombiner::Indexed => "MPI_COMBINER_INDEXED",
-            TypeCombiner::Struct => "MPI_COMBINER_STRUCT",
-        }
-    }
-}
-
 /// The result of `MPI_Type_get_envelope`: how many integers, addresses and datatypes
 /// `MPI_Type_get_contents` will return, and which combiner built the type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TypeEnvelope {
     /// Number of integer arguments in the contents.
     pub num_integers: usize,
@@ -155,7 +136,7 @@ pub struct TypeEnvelope {
 /// The result of `MPI_Type_get_contents`: the constructor arguments, with inner
 /// datatypes given as portable [`TypeDescriptor`]s rather than handles so the record is
 /// self-contained across a checkpoint/restart boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeContents {
     /// Integer arguments (counts, block lengths, strides) in constructor order.
     pub integers: Vec<i64>,
@@ -245,56 +226,6 @@ impl TypeDescriptor {
         }
     }
 
-    /// The span in bytes from the first to one past the last byte touched by one
-    /// element of this datatype (the MPI "extent", assuming no artificial resizing).
-    pub fn extent(&self) -> usize {
-        match self {
-            TypeDescriptor::Primitive(p) => p.size(),
-            TypeDescriptor::Dup(inner) => inner.extent(),
-            TypeDescriptor::Contiguous { count, inner } => count * inner.extent(),
-            TypeDescriptor::Vector {
-                count,
-                block_length,
-                stride,
-                inner,
-            } => {
-                if *count == 0 || *block_length == 0 {
-                    return 0;
-                }
-                let elem = inner.extent() as i64;
-                let last_block_start = stride * (*count as i64 - 1) * elem;
-                let span = last_block_start.max(0) + (*block_length as i64) * elem;
-                span.max((*block_length as i64) * elem) as usize
-            }
-            TypeDescriptor::Indexed {
-                block_lengths,
-                displacements,
-                inner,
-            } => {
-                let elem = inner.extent() as i64;
-                block_lengths
-                    .iter()
-                    .zip(displacements.iter())
-                    .map(|(len, disp)| (disp * elem + (*len as i64) * elem).max(0) as usize)
-                    .max()
-                    .unwrap_or(0)
-            }
-            TypeDescriptor::Struct {
-                block_lengths,
-                byte_displacements,
-                types,
-            } => block_lengths
-                .iter()
-                .zip(byte_displacements.iter())
-                .zip(types.iter())
-                .map(|((len, disp), ty)| {
-                    (disp + (*len as i64) * ty.extent() as i64).max(0) as usize
-                })
-                .max()
-                .unwrap_or(0),
-        }
-    }
-
     /// Depth of the constructor tree (a primitive has depth 1). Useful for tests and
     /// for the record-replay cost model.
     pub fn depth(&self) -> usize {
@@ -308,26 +239,6 @@ impl TypeDescriptor {
                 1 + types.iter().map(|t| t.depth()).max().unwrap_or(0)
             }
         }
-    }
-
-    /// Number of constructor calls required to rebuild this datatype (primitives are
-    /// free). This is the restart-time replay cost for the datatype.
-    pub fn constructor_count(&self) -> usize {
-        match self {
-            TypeDescriptor::Primitive(_) => 0,
-            TypeDescriptor::Dup(inner)
-            | TypeDescriptor::Contiguous { inner, .. }
-            | TypeDescriptor::Vector { inner, .. }
-            | TypeDescriptor::Indexed { inner, .. } => 1 + inner.constructor_count(),
-            TypeDescriptor::Struct { types, .. } => {
-                1 + types.iter().map(|t| t.constructor_count()).sum::<usize>()
-            }
-        }
-    }
-
-    /// Whether this descriptor is a predefined (named) type.
-    pub fn is_primitive(&self) -> bool {
-        matches!(self, TypeDescriptor::Primitive(_))
     }
 
     /// The envelope `MPI_Type_get_envelope` would report for this type.
@@ -432,13 +343,18 @@ impl TypeDescriptor {
             }
         }
     }
+}
 
-    /// Rebuild a descriptor from an envelope and contents, i.e. perform the decoding
-    /// MANA does at restart when it reconstructs datatypes from recorded information.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rebuild a descriptor from its envelope and contents: the decoding oracle the
+    /// round-trip tests hold `envelope` and `contents` to.
     ///
     /// `named` supplies the descriptor for the `Named` combiner (which carries no
     /// contents of its own).
-    pub fn from_envelope_contents(
+    fn from_envelope_contents(
         envelope: TypeEnvelope,
         contents: Option<&TypeContents>,
         named: Option<PrimitiveType>,
@@ -543,11 +459,6 @@ impl TypeDescriptor {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn vec_of_doubles() -> TypeDescriptor {
         TypeDescriptor::Vector {
@@ -569,9 +480,8 @@ mod tests {
     #[test]
     fn primitive_index_roundtrip() {
         for p in PrimitiveType::ALL {
-            assert_eq!(PrimitiveType::from_index(p.index()), Some(p));
+            assert_eq!(PrimitiveType::ALL[p.index()], p);
         }
-        assert_eq!(PrimitiveType::from_index(999), None);
     }
 
     #[test]
@@ -581,9 +491,7 @@ mod tests {
             inner: Box::new(TypeDescriptor::Primitive(PrimitiveType::Int)),
         };
         assert_eq!(t.size(), 40);
-        assert_eq!(t.extent(), 40);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.constructor_count(), 1);
     }
 
     #[test]
@@ -591,8 +499,6 @@ mod tests {
         let t = vec_of_doubles();
         // size counts only the 4*2 doubles
         assert_eq!(t.size(), 64);
-        // extent spans strides: (4-1)*3*8 + 2*8 = 72 + 16
-        assert_eq!(t.extent(), 88);
     }
 
     #[test]
@@ -606,8 +512,6 @@ mod tests {
             ],
         };
         assert_eq!(t.size(), 8 + 12);
-        assert_eq!(t.extent(), 8 + 3 * 4);
-        assert_eq!(t.constructor_count(), 1);
     }
 
     #[test]
@@ -634,7 +538,7 @@ mod tests {
         let t = vec_of_doubles();
         let env = t.envelope();
         let contents = t.contents().unwrap();
-        let rebuilt = TypeDescriptor::from_envelope_contents(env, Some(&contents), None).unwrap();
+        let rebuilt = from_envelope_contents(env, Some(&contents), None).unwrap();
         assert_eq!(rebuilt, t);
     }
 
@@ -645,12 +549,8 @@ mod tests {
             displacements: vec![0, 10, 20],
             inner: Box::new(TypeDescriptor::Primitive(PrimitiveType::Float)),
         };
-        let rebuilt = TypeDescriptor::from_envelope_contents(
-            idx.envelope(),
-            Some(&idx.contents().unwrap()),
-            None,
-        )
-        .unwrap();
+        let rebuilt =
+            from_envelope_contents(idx.envelope(), Some(&idx.contents().unwrap()), None).unwrap();
         assert_eq!(rebuilt, idx);
 
         let st = TypeDescriptor::Struct {
@@ -661,12 +561,8 @@ mod tests {
                 idx.clone(),
             ],
         };
-        let rebuilt = TypeDescriptor::from_envelope_contents(
-            st.envelope(),
-            Some(&st.contents().unwrap()),
-            None,
-        )
-        .unwrap();
+        let rebuilt =
+            from_envelope_contents(st.envelope(), Some(&st.contents().unwrap()), None).unwrap();
         assert_eq!(rebuilt, st);
     }
 
@@ -677,7 +573,6 @@ mod tests {
             inner: Box::new(vec_of_doubles()),
         };
         assert_eq!(t.depth(), 3);
-        assert_eq!(t.constructor_count(), 2);
         assert_eq!(t.size(), 2 * 64);
     }
 
@@ -686,12 +581,8 @@ mod tests {
         let t = TypeDescriptor::Dup(Box::new(vec_of_doubles()));
         assert_eq!(t.size(), vec_of_doubles().size());
         assert_eq!(t.envelope().combiner, TypeCombiner::Dup);
-        let rebuilt = TypeDescriptor::from_envelope_contents(
-            t.envelope(),
-            Some(&t.contents().unwrap()),
-            None,
-        )
-        .unwrap();
+        let rebuilt =
+            from_envelope_contents(t.envelope(), Some(&t.contents().unwrap()), None).unwrap();
         assert_eq!(rebuilt, t);
     }
 }

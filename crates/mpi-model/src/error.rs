@@ -7,13 +7,12 @@
 
 use crate::constants::PredefinedObject;
 use crate::types::{HandleKind, PhysHandle, Rank, Tag};
-use serde::{Deserialize, Serialize};
 
 /// Result alias used throughout the workspace.
 pub type MpiResult<T> = Result<T, MpiError>;
 
 /// Errors raised by the simulated MPI implementations, the fabric, or MANA itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
     /// A handle was passed to an operation but does not name a live object.
     InvalidHandle {

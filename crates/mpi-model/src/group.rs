@@ -8,11 +8,10 @@
 
 use crate::error::{MpiError, MpiResult};
 use crate::types::Rank;
-use serde::{Deserialize, Serialize};
 
 /// Value returned by `MPI_Group_translate_ranks` when a rank has no equivalent in the
 /// target group (`MPI_UNDEFINED`).
-pub const UNDEFINED_RANK: Rank = -32766;
+pub(crate) const UNDEFINED_RANK: Rank = -32766;
 
 /// An ordered set of world ranks, i.e. the payload of an `MPI_Group`.
 ///
@@ -20,7 +19,7 @@ pub const UNDEFINED_RANK: Rank = -32766;
 /// implementations store one of these inside their group objects, and MANA records one
 /// in each group/communicator virtual-id descriptor so the membership survives a
 /// checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupDescriptor {
     /// Member world ranks; position in this vector is the member's group rank.
     members: Vec<Rank>,
@@ -95,7 +94,7 @@ impl GroupDescriptor {
     }
 
     /// `MPI_Group_translate_ranks`: for each rank in `ranks` (interpreted in `self`),
-    /// find the rank of the same process in `other`, or [`UNDEFINED_RANK`] if absent.
+    /// find the rank of the same process in `other`, or `MPI_UNDEFINED` (-32766) if absent.
     pub fn translate_ranks(&self, ranks: &[Rank], other: &GroupDescriptor) -> MpiResult<Vec<Rank>> {
         ranks
             .iter()
@@ -113,49 +112,6 @@ impl GroupDescriptor {
             .map(|&r| self.world_rank(r))
             .collect::<MpiResult<Vec<_>>>()?;
         GroupDescriptor::from_members(members)
-    }
-
-    /// `MPI_Group_excl`: the subgroup of all members except the listed group ranks,
-    /// preserving order.
-    pub fn excl(&self, ranks: &[Rank]) -> MpiResult<GroupDescriptor> {
-        for &r in ranks {
-            // validate
-            self.world_rank(r)?;
-        }
-        let excluded: std::collections::HashSet<Rank> = ranks.iter().copied().collect();
-        let members = self
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !excluded.contains(&(*i as Rank)))
-            .map(|(_, &m)| m)
-            .collect();
-        GroupDescriptor::from_members(members)
-    }
-
-    /// `MPI_Group_union`: members of `self` followed by members of `other` not already
-    /// present (MPI-mandated ordering).
-    pub fn union(&self, other: &GroupDescriptor) -> GroupDescriptor {
-        let mut members = self.members.clone();
-        for &m in &other.members {
-            if !members.contains(&m) {
-                members.push(m);
-            }
-        }
-        GroupDescriptor { members }
-    }
-
-    /// `MPI_Group_intersection`: members of `self` that are also in `other`, in
-    /// `self`'s order.
-    pub fn intersection(&self, other: &GroupDescriptor) -> GroupDescriptor {
-        GroupDescriptor {
-            members: self
-                .members
-                .iter()
-                .copied()
-                .filter(|m| other.members.contains(m))
-                .collect(),
-        }
     }
 
     /// `MPI_Group_difference`: members of `self` not in `other`, in `self`'s order.
@@ -190,7 +146,7 @@ impl GroupDescriptor {
 }
 
 /// Result of `MPI_Group_compare` / `MPI_Comm_compare` (group part).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupComparison {
     /// `MPI_IDENT`: same members in the same order.
     Identical,
@@ -228,11 +184,7 @@ mod tests {
         let sub = g.incl(&[5, 0, 3]).unwrap();
         assert_eq!(sub.members(), &[5, 0, 3]);
         assert_eq!(sub.rank_of(0), Some(1));
-
-        let rest = g.excl(&[0, 1]).unwrap();
-        assert_eq!(rest.members(), &[2, 3, 4, 5]);
         assert!(g.incl(&[7]).is_err());
-        assert!(g.excl(&[7]).is_err());
     }
 
     #[test]
@@ -252,8 +204,6 @@ mod tests {
         let world = GroupDescriptor::world(6);
         let a = world.incl(&[0, 1, 2, 3]).unwrap();
         let b = world.incl(&[2, 3, 4, 5]).unwrap();
-        assert_eq!(a.union(&b).members(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(a.intersection(&b).members(), &[2, 3]);
         assert_eq!(a.difference(&b).members(), &[0, 1]);
     }
 

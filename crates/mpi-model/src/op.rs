@@ -66,13 +66,8 @@ impl PredefinedOp {
             .expect("every op is in ALL")
     }
 
-    /// Inverse of [`PredefinedOp::index`].
-    pub fn from_index(index: usize) -> Option<Self> {
-        PredefinedOp::ALL.get(index).copied()
-    }
-
     /// MPI constant name of this op.
-    pub fn mpi_name(self) -> &'static str {
+    pub(crate) fn mpi_name(self) -> &'static str {
         match self {
             PredefinedOp::Sum => "MPI_SUM",
             PredefinedOp::Prod => "MPI_PROD",
@@ -86,19 +81,13 @@ impl PredefinedOp {
             PredefinedOp::MinLoc => "MPI_MINLOC",
         }
     }
-
-    /// All predefined operations are commutative (MPI guarantees this for its
-    /// built-ins; only user ops may be non-commutative).
-    pub fn is_commutative(self) -> bool {
-        true
-    }
 }
 
 /// Signature of a user-defined reduction function: `(inout, incoming, element_type)`.
 ///
 /// `inout` is updated in place, combining it with `incoming` element-wise, matching the
 /// semantics of the C callback passed to `MPI_Op_create`.
-pub type UserFunction = Arc<dyn Fn(&mut [u8], &[u8], PrimitiveType) + Send + Sync>;
+pub(crate) type UserFunction = Arc<dyn Fn(&mut [u8], &[u8], PrimitiveType) + Send + Sync>;
 
 /// Registry of user-defined reduction functions.
 ///
@@ -120,11 +109,6 @@ impl UserFunctionRegistry {
     /// Re-registering the same id replaces the previous function (as after a restart).
     pub fn register(&mut self, func_id: u64, commutative: bool, f: UserFunction) {
         self.functions.insert(func_id, (f, commutative));
-    }
-
-    /// Remove a registration (`MPI_Op_free` of a user op).
-    pub fn unregister(&mut self, func_id: u64) {
-        self.functions.remove(&func_id);
     }
 
     /// Look up a registered function.
@@ -163,16 +147,6 @@ pub enum OpDescriptor {
         /// Whether the user declared the operation commutative.
         commutative: bool,
     },
-}
-
-impl OpDescriptor {
-    /// Whether this op may be applied in any order by the implementation.
-    pub fn is_commutative(&self) -> bool {
-        match self {
-            OpDescriptor::Predefined(p) => p.is_commutative(),
-            OpDescriptor::User { commutative, .. } => *commutative,
-        }
-    }
 }
 
 macro_rules! reduce_numeric {
@@ -281,7 +255,7 @@ impl_numeric_float!(f32, f64);
 /// Both buffers must contain whole elements of `element_type` and have equal length.
 /// This is the kernel every simulated implementation's `MPI_Reduce`/`MPI_Allreduce`
 /// uses once the fabric has delivered contributions.
-pub fn apply_predefined(
+pub(crate) fn apply_predefined(
     op: PredefinedOp,
     element_type: PrimitiveType,
     inout: &mut [u8],
@@ -530,25 +504,12 @@ mod tests {
             apply_op(&missing, PrimitiveType::Int, &mut a, &b, &reg),
             Err(MpiError::UnknownUserFunction(99))
         );
-        reg.unregister(42);
-        assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn op_descriptor_commutativity() {
-        assert!(OpDescriptor::Predefined(PredefinedOp::Sum).is_commutative());
-        assert!(!OpDescriptor::User {
-            func_id: 1,
-            commutative: false
-        }
-        .is_commutative());
     }
 
     #[test]
     fn op_index_roundtrip() {
         for op in PredefinedOp::ALL {
-            assert_eq!(PredefinedOp::from_index(op.index()), Some(op));
+            assert_eq!(PredefinedOp::ALL[op.index()], op);
         }
-        assert_eq!(PredefinedOp::from_index(100), None);
     }
 }

@@ -134,11 +134,6 @@ impl PayloadBuf {
     pub fn shares_allocation_with(&self, other: &PayloadBuf) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
-
-    /// Number of live references to the backing allocation (diagnostics only).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.data)
-    }
 }
 
 impl Default for PayloadBuf {
@@ -277,7 +272,7 @@ mod tests {
         let b = a.clone();
         assert!(a.shares_allocation_with(&b));
         assert_eq!(a, b);
-        assert_eq!(a.ref_count(), 2);
+        assert_eq!(Arc::strong_count(&a.data), 2);
     }
 
     #[test]
@@ -306,7 +301,7 @@ mod tests {
             bytes[1] = 7;
         });
         assert_eq!(a, [0, 7, 0, 0]);
-        assert_eq!(a.ref_count(), 1);
+        assert_eq!(Arc::strong_count(&a.data), 1);
         assert!(PayloadBuf::filled(0, |bytes| assert!(bytes.is_empty())).is_empty());
     }
 

@@ -30,13 +30,6 @@ pub enum RequestState {
     Inactive,
 }
 
-impl RequestState {
-    /// Whether the request has completed (successfully).
-    pub fn is_complete(&self) -> bool {
-        matches!(self, RequestState::Complete(_))
-    }
-}
-
 /// Implementation-independent record of a posted non-blocking operation.
 ///
 /// MANA keeps one of these in the virtual-id descriptor of every live `MPI_Request` so
@@ -102,10 +95,10 @@ mod tests {
     fn lifecycle() {
         let mut r = RequestRecord::pending(RequestKind::Send, 2, 9, PhysHandle(0x44), 128);
         assert!(r.in_flight());
-        assert!(!r.state.is_complete());
+        assert!(!matches!(r.state, RequestState::Complete(_)));
         r.complete(Status::new(2, 9, 128));
         assert!(!r.in_flight());
-        assert!(r.state.is_complete());
+        assert!(matches!(r.state, RequestState::Complete(_)));
         match r.state {
             RequestState::Complete(s) => assert_eq!(s.count_bytes, 128),
             _ => panic!("expected complete"),

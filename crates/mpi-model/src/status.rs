@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 
 /// The information MPI returns about a received (or probed) message.
 ///
-/// `MPI_Get_count` is folded in as [`Status::count_bytes`] plus
-/// [`Status::element_count`], since the simulated fabric always knows the exact byte
-/// length of the payload.
+/// `MPI_Get_count` is folded in as [`Status::count_bytes`], since the simulated fabric
+/// always knows the exact byte length of the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Status {
     /// Rank of the sender, in the communicator the receive/probe was posted on.
@@ -31,20 +30,6 @@ impl Status {
             cancelled: false,
         }
     }
-
-    /// Number of whole elements of `element_size` bytes in the payload
-    /// (the `MPI_Get_count` result), or `None` if the payload is not a whole number of
-    /// elements (`MPI_UNDEFINED` in real MPI).
-    pub fn element_count(&self, element_size: usize) -> Option<usize> {
-        if element_size == 0 {
-            return None;
-        }
-        if self.count_bytes.is_multiple_of(element_size) {
-            Some(self.count_bytes / element_size)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -54,9 +39,6 @@ mod tests {
     #[test]
     fn element_count() {
         let s = Status::new(3, 7, 32);
-        assert_eq!(s.element_count(8), Some(4));
-        assert_eq!(s.element_count(5), None);
-        assert_eq!(s.element_count(0), None);
         assert_eq!(s.source, 3);
         assert_eq!(s.tag, 7);
         assert!(!s.cancelled);

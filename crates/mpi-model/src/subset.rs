@@ -8,11 +8,9 @@
 //! auditable feature list so a candidate implementation (like the deliberately-minimal
 //! ExaMPI personality) can be checked for MANA compatibility before it is used.
 
-use serde::{Deserialize, Serialize};
-
 /// Functional features an MPI implementation may provide, at the granularity MANA and
 /// the proxy applications care about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SubsetFeature {
     // -- Category 1 (paper §5): send, detect and receive messages in the network --
     /// Blocking `MPI_Send`.
@@ -103,7 +101,7 @@ pub fn required_category(feature: SubsetFeature) -> Option<u8> {
 
 /// A report of which features an implementation claims, and whether that satisfies the
 /// required MANA subset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComplianceReport {
     /// Name of the implementation audited.
     pub implementation: String,

@@ -17,7 +17,6 @@
 use crate::datatype::{PrimitiveType, TypeDescriptor, TypeEnvelope};
 use crate::error::{MpiError, MpiResult};
 use crate::payload::PayloadBuf;
-use serde::{Deserialize, Serialize};
 
 /// A Rust type that can travel through the MPI interface as a typed element.
 ///
@@ -176,7 +175,7 @@ impl MpiData for bool {
 }
 
 /// The `MPI_DOUBLE_INT` value/index pair operated on by `MPI_MAXLOC`/`MPI_MINLOC`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoubleInt {
     /// The compared value.
     pub value: f64,

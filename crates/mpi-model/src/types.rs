@@ -18,12 +18,6 @@ pub const ANY_SOURCE: Rank = -1;
 /// Wildcard tag for receive/probe operations (`MPI_ANY_TAG`).
 pub const ANY_TAG: Tag = -2;
 
-/// Tag value reserved for MANA-internal control traffic (drain counts, barriers).
-///
-/// Real MANA sends its bookkeeping messages over the application's MPI library too;
-/// keeping the tag far away from typical application tags avoids interference.
-pub const MANA_INTERNAL_TAG: Tag = 0x7ead_0000_u32 as i32 & 0x7fff_ffff;
-
 /// The five kinds of MPI objects whose ids MANA virtualizes (paper §1.2, point 3),
 /// plus `File`/`Win` style kinds are deliberately absent because MANA (and the paper)
 /// exclude one-sided communication and MPI-IO state from transparent checkpointing.
@@ -186,12 +180,11 @@ mod tests {
     #[test]
     #[expect(
         clippy::assertions_on_constants,
-        reason = "the test pins the signs of the wildcard and internal-tag constants"
+        reason = "the test pins the signs of the wildcard constants"
     )]
     fn wildcards_are_negative() {
         assert!(ANY_SOURCE < 0);
         assert!(ANY_TAG < 0);
-        assert!(MANA_INTERNAL_TAG > 0, "internal tag must be a valid tag");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   re-delivered envelope references the same allocation as the injected one.
 //! * A collective result is an `Arc<Vec<PayloadBuf>>`; all `N` readers receive
 //!   refcount bumps of the same `N` contribution buffers.
-//! * [`FabricStats`](crate::stats::FabricStats) counts `bytes_shared` (refcount
+//! * `FabricStats` counts `bytes_shared` (refcount
 //!   bumps observed at fan-out/redelivery) against `bytes_copied` (genuine
 //!   materializations), so "the fabric reshares" is a measured claim.
 

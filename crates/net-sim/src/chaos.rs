@@ -24,7 +24,6 @@
 //! SplitMix64, so a failing soak seed can be replayed exactly.
 
 use mpi_model::types::Rank;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic 64-bit RNG (SplitMix64). Small, fast, and good enough for fault
 /// scheduling; never use wall-clock entropy here — plans must replay exactly.
@@ -54,7 +53,7 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `[lo, hi)`; `hi` must exceed `lo`.
-    pub fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.below(hi - lo)
     }
 }
@@ -62,7 +61,7 @@ impl SplitMix64 {
 /// One injectable fault. `nth`/`at_op` style triggers count *fabric operations*
 /// (sends, receives, probes, collective entries), which makes plans deterministic for
 /// a deterministic workload regardless of thread scheduling jitter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
     /// Hold the `nth` injected point-to-point message for `hold_ms` before delivering
     /// it. Masked by the mailbox re-sequencing lane.
@@ -221,7 +220,7 @@ impl ChaosMenu {
 /// A deterministic, replayable schedule of faults for one job. Faults are identified
 /// by their index in `faults`; the fabric reports which ids fired so an orchestrator
 /// can re-install only the unfired remainder after a recovery.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Seed the plan was rolled from (0 for hand-built plans); recorded so a failing
     /// soak can name the exact seed to replay.
@@ -345,8 +344,8 @@ impl ChaosPlan {
 
 /// A timestamped record of one chaos action the fabric actually took. Timestamps are
 /// microseconds since the owning fabric's creation instant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosEvent {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ChaosEvent {
     /// Microseconds since fabric creation.
     pub at_micros: u64,
     /// Id (plan index) of the fault that caused this event, if any; partition heals
@@ -357,8 +356,8 @@ pub struct ChaosEvent {
 }
 
 /// The concrete action taken by the chaos layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChaosAction {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ChaosAction {
     /// A message was held for later delivery (delay or reorder).
     MessageHeld {
         /// Sender world rank.

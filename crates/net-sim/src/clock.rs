@@ -44,12 +44,6 @@ pub(crate) fn reads() -> u64 {
     READS.with(std::cell::Cell::get)
 }
 
-/// Elapsed time since `start`, via the approved clock.
-#[inline]
-pub fn elapsed_since(start: Instant) -> Duration {
-    now().duration_since(start)
-}
-
 /// Put the calling thread to sleep for `duration`. The only approved
 /// `thread::sleep` in the workspace.
 #[track_caller]
@@ -72,7 +66,7 @@ mod tests {
         let a = now();
         let b = now();
         assert!(b >= a);
-        assert!(elapsed_since(a) >= Duration::ZERO);
+        assert!(now().duration_since(a) >= Duration::ZERO);
         assert_eq!(reads(), 3);
     }
 

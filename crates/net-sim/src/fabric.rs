@@ -336,11 +336,6 @@ impl Fabric {
         self.inner.world_size
     }
 
-    /// The per-session hardware nonce (never stable across restarts).
-    pub fn session_nonce(&self) -> u64 {
-        self.inner.session_nonce
-    }
-
     /// Obtain the endpoint for `world_rank`.
     pub fn endpoint(&self, world_rank: Rank) -> MpiResult<Endpoint> {
         if world_rank < 0 || world_rank as usize >= self.inner.world_size {
@@ -365,7 +360,8 @@ impl Fabric {
     /// Total number of point-to-point messages currently in flight (injected but not
     /// yet received — chaos-held messages included), across all ranks. After a correct
     /// MANA drain this is zero.
-    pub fn pending_messages(&self) -> usize {
+    #[cfg(test)]
+    fn pending_messages(&self) -> usize {
         let queued: usize = self
             .inner
             .slots
@@ -376,7 +372,8 @@ impl Fabric {
     }
 
     /// Number of in-flight messages addressed to one rank (chaos-held included).
-    pub fn pending_for_rank(&self, world_rank: Rank) -> MpiResult<usize> {
+    #[cfg(test)]
+    fn pending_for_rank(&self, world_rank: Rank) -> MpiResult<usize> {
         let slot =
             self.inner
                 .slots
@@ -403,7 +400,8 @@ impl Fabric {
     /// Total number of envelopes that arrived out of order at some mailbox and were
     /// re-sequenced before becoming visible — a direct measure of how much network
     /// misbehaviour the transport masked.
-    pub fn resequenced_messages(&self) -> u64 {
+    #[cfg(test)]
+    fn resequenced_messages(&self) -> u64 {
         self.inner
             .slots
             .iter()
@@ -438,7 +436,8 @@ impl Fabric {
 
     /// Everything the chaos layer has actually done, in order. Timestamps are
     /// microseconds since fabric creation.
-    pub fn chaos_events(&self) -> Vec<ChaosEvent> {
+    #[cfg(test)]
+    fn chaos_events(&self) -> Vec<ChaosEvent> {
         self.inner.events.lock().clone()
     }
 
@@ -1023,11 +1022,6 @@ impl Endpoint {
         self.inner.world_size
     }
 
-    /// The per-session hardware nonce.
-    pub fn session_nonce(&self) -> u64 {
-        self.inner.session_nonce
-    }
-
     /// Allocate a fresh communication context.
     pub fn allocate_context(&self) -> ContextId {
         self.inner.next_context.fetch_add(1, Ordering::Relaxed)
@@ -1213,7 +1207,8 @@ impl Endpoint {
 
     /// Number of messages currently queued for this rank (any context). Also beats,
     /// since drain loops poll this while otherwise quiet.
-    pub fn pending_incoming(&self) -> usize {
+    #[cfg(test)]
+    fn pending_incoming(&self) -> usize {
         let _ = self.inner.tick_wait(self.world_rank);
         self.slot(self.world_rank)
             .map(|s| s.mailbox.lock().pending())
@@ -1221,7 +1216,8 @@ impl Endpoint {
     }
 
     /// Number of messages currently queued for this rank on one context.
-    pub fn pending_incoming_for_context(&self, context: ContextId) -> usize {
+    #[cfg(test)]
+    fn pending_incoming_for_context(&self, context: ContextId) -> usize {
         let _ = self.inner.tick_wait(self.world_rank);
         self.slot(self.world_rank)
             .map(|s| s.mailbox.lock().pending_for_context(context))
@@ -1238,7 +1234,8 @@ impl Endpoint {
     }
 
     /// Whether this endpoint is still open.
-    pub fn is_open(&self) -> bool {
+    #[cfg(test)]
+    fn is_open(&self) -> bool {
         self.slot(self.world_rank)
             .map(|s| s.open.load(Ordering::Acquire))
             .unwrap_or(false)

@@ -42,7 +42,6 @@ pub mod message;
 pub mod stats;
 
 pub use bytes::PayloadBuf;
-pub use chaos::{ChaosAction, ChaosEvent, ChaosMenu, ChaosPlan, FaultKind, SplitMix64};
+pub use chaos::{ChaosMenu, ChaosPlan, FaultKind, SplitMix64};
 pub use fabric::{Endpoint, Fabric, FabricConfig};
 pub use message::{Envelope, MatchSpec};
-pub use stats::FabricStats;

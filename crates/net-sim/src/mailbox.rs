@@ -20,7 +20,7 @@
 //! envelope, and the payload is a refcounted [`crate::bytes::PayloadBuf`], so even
 //! paths that must duplicate an envelope (chaos retransmit, collective fan-out)
 //! share one allocation. The fabric's `bytes_copied` / `bytes_shared` counters
-//! ([`crate::stats::FabricStats`]) measure this.
+//! (`crate::stats::FabricStats`) measure this.
 
 use crate::message::{Envelope, MatchSpec};
 use mpi_model::types::Rank;
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 /// which (together with the monotone sequence numbers assigned at injection) gives the
 /// per-(sender, context) FIFO ordering MPI guarantees.
 #[derive(Debug, Default)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     envelopes: Vec<Envelope>,
     /// Envelopes that arrived ahead of a per-(source, destination) sequence gap:
     /// unmatchable until the gap fills.
@@ -114,12 +114,14 @@ impl Mailbox {
     }
 
     /// Number of envelopes currently parked behind a sequence gap.
-    pub fn parked(&self) -> usize {
+    #[cfg(test)]
+    fn parked(&self) -> usize {
         self.parked.len()
     }
 
     /// Number of undelivered envelopes queued for a particular context.
-    pub fn pending_for_context(&self, context: u64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_for_context(&self, context: u64) -> usize {
         self.envelopes
             .iter()
             .chain(self.parked.iter())
@@ -128,17 +130,13 @@ impl Mailbox {
     }
 
     /// Number of undelivered envelopes from a particular world rank.
-    pub fn pending_from(&self, source_world: Rank) -> usize {
+    #[cfg(test)]
+    fn pending_from(&self, source_world: Rank) -> usize {
         self.envelopes
             .iter()
             .chain(self.parked.iter())
             .filter(|e| e.source_world == source_world)
             .count()
-    }
-
-    /// Iterate over the matchable queued envelopes (oldest first).
-    pub fn iter(&self) -> impl Iterator<Item = &Envelope> {
-        self.envelopes.iter()
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::bytes::PayloadBuf;
 use mpi_model::types::{ContextId, Rank, SeqNo, Tag, ANY_SOURCE, ANY_TAG};
-use serde::{Deserialize, Serialize};
 
 /// A message travelling through the fabric.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// the MPI implementation has already translated communicator-relative ranks. The
 /// communicator is represented by its context id, which is what isolates traffic on
 /// different communicators from one another.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// World rank of the sender.
     pub source_world: Rank,
@@ -52,7 +51,7 @@ impl Envelope {
 
 /// Receive/probe matching specification: context is always exact, source and tag may be
 /// wildcards (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchSpec {
     /// Context id of the communicator the receive is posted on.
     pub context: ContextId,

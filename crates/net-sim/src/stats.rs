@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters describing all traffic a fabric has carried.
 #[derive(Debug, Default)]
-pub struct FabricStats {
+pub(crate) struct FabricStats {
     /// Point-to-point messages injected.
     pub messages_sent: AtomicU64,
     /// Point-to-point payload bytes injected.
@@ -41,35 +41,35 @@ impl FabricStats {
     }
 
     /// Record a point-to-point injection of `bytes` payload bytes.
-    pub fn record_send(&self, bytes: usize) {
+    pub(crate) fn record_send(&self, bytes: usize) {
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Record a point-to-point receive.
-    pub fn record_recv(&self) {
+    pub(crate) fn record_recv(&self) {
         self.messages_received.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one rank's contribution to a collective.
-    pub fn record_collective(&self, bytes: usize) {
+    pub(crate) fn record_collective(&self, bytes: usize) {
         self.collective_rounds.fetch_add(1, Ordering::Relaxed);
         self.collective_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Record that `bytes` payload bytes were materialized into a fresh allocation.
-    pub fn record_payload_copy(&self, bytes: usize) {
+    pub(crate) fn record_payload_copy(&self, bytes: usize) {
         self.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Record that `bytes` payload bytes were handed off by sharing the allocation.
-    pub fn record_payload_share(&self, bytes: usize) {
+    pub(crate) fn record_payload_share(&self, bytes: usize) {
         self.bytes_shared.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Record that a rank is about to park in a blocking wait.
-    pub fn record_park(&self) {
+    pub(crate) fn record_park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -88,7 +88,7 @@ impl FabricStats {
     }
 }
 
-/// A point-in-time copy of [`FabricStats`].
+/// A point-in-time copy of `FabricStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Point-to-point messages injected.

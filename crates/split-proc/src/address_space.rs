@@ -12,35 +12,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// One named region of upper-half memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoryRegion {
-    /// Region name (unique within a space).
-    pub name: String,
-    /// Region contents.
-    pub data: Vec<u8>,
-}
-
-impl MemoryRegion {
-    /// Create a region.
-    pub fn new(name: impl Into<String>, data: Vec<u8>) -> Self {
-        MemoryRegion {
-            name: name.into(),
-            data,
-        }
-    }
-
-    /// Region length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
 /// The upper half of one rank's split process: everything that will be saved at
 /// checkpoint time and restored at restart time.
 ///
@@ -59,15 +30,14 @@ impl MemoryRegion {
 /// ([`iter_shared`](UpperHalfSpace::iter_shared)). The copy is paid by the next
 /// [`region_mut`](UpperHalfSpace::region_mut) of a region that is still shared, and
 /// only for that region.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UpperHalfSpace {
     regions: BTreeMap<String, Arc<Vec<u8>>>,
     /// Regions touched since the last [`mark_clean`](UpperHalfSpace::mark_clean). Not
-    /// serialized: a decoded image starts clean relative to its own checkpoint.
-    #[serde(skip)]
+    /// written to an image: a decoded image starts clean relative to its own checkpoint.
     dirty: BTreeSet<String>,
     /// Checkpoint epoch (number of completed checkpoint cycles this address space has
-    /// been through). Serialized so dirty tracking stays coherent across restarts.
+    /// been through). Written to the image so dirty tracking stays coherent across restarts.
     epoch: u64,
 }
 
@@ -374,13 +344,5 @@ mod tests {
             "unmapping a shared region copies nothing"
         );
         assert_eq!(frozen.region("b").unwrap(), &[4, 5]);
-    }
-
-    #[test]
-    fn memory_region_basics() {
-        let r = MemoryRegion::new("x", vec![0; 8]);
-        assert_eq!(r.len(), 8);
-        assert!(!r.is_empty());
-        assert!(MemoryRegion::new("y", vec![]).is_empty());
     }
 }

@@ -13,12 +13,11 @@
 //! [`CrossingCounter`] produces the §6.3 context-switch counts; [`CrossingProfile`]
 //! turns a count into simulated overhead seconds for the Figure 2/3/4 reproductions.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How the `fs` register is switched when crossing between halves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossingMode {
     /// Userspace FSGSBASE instructions (modern kernels; Perlmutter in the paper).
     Fsgsbase,
@@ -70,12 +69,6 @@ impl CrossingCounter {
         self.crossings.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record several round trips at once (used by wrappers that make multiple
-    /// lower-half calls, e.g. a wrapped wait that polls `MPI_Test` repeatedly).
-    pub fn record_many(&self, n: u64) {
-        self.crossings.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Total crossings recorded so far.
     pub fn total(&self) -> u64 {
         self.crossings.load(Ordering::Relaxed)
@@ -83,7 +76,7 @@ impl CrossingCounter {
 }
 
 /// A crossing regime plus bookkeeping to convert call counts into overhead time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossingProfile {
     /// The `fs`-switch mechanism available on this "machine".
     pub mode: CrossingMode,
@@ -135,7 +128,9 @@ mod tests {
         let counter = CrossingCounter::new();
         let clone = counter.clone();
         counter.record();
-        clone.record_many(4);
+        for _ in 0..4 {
+            clone.record();
+        }
         assert_eq!(counter.total(), 5);
         assert_eq!(clone.total(), 5);
     }

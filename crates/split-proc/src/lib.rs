@@ -32,6 +32,6 @@ pub mod crossing;
 pub mod image;
 pub mod integrity;
 
-pub use address_space::{MemoryRegion, UpperHalfSpace};
+pub use address_space::UpperHalfSpace;
 pub use crossing::{CrossingCounter, CrossingMode, CrossingProfile};
 pub use image::CheckpointImage;
