@@ -58,7 +58,7 @@ const BACKOFF_CAP: Duration = Duration::from_millis(1);
 /// Longest a rank registered for a collective stays parked in the lower half between
 /// looks at its [`CheckpointIntercept`]: the bound on how late a mid-step intent is
 /// noticed by a rank waiting for its peers.
-const INTENT_PATIENCE: Duration = Duration::from_micros(256);
+pub(crate) const INTENT_PATIENCE: Duration = Duration::from_micros(256);
 
 /// The drain's expected traffic, produced by [`ManaRank::begin_checkpoint`] once every
 /// rank reported the same world-communicator collective epoch (the proof that no rank
@@ -518,13 +518,6 @@ impl ManaRank {
             }
         }
         Ok(drained)
-    }
-
-    /// How long a registered rank may stay parked in the lower half before it comes
-    /// back to look for an intent: [`INTENT_PATIENCE`] while an intercept is
-    /// installed, the lower half's own blocking bound otherwise.
-    pub(crate) fn intent_patience(&self) -> Option<Duration> {
-        self.intercept.as_ref().map(|_| INTENT_PATIENCE)
     }
 
     /// Whether a checkpoint intent is pending on the installed intercept.

@@ -134,7 +134,7 @@ pub fn assemble_rank(
 
     let world_rank = lower.world_rank();
     let world_size = lower.world_size();
-    let two_phase = lower
+    let registration_supported = lower
         .provided_features()
         .contains(&mpi_model::subset::SubsetFeature::CollectiveRegistration);
     let mut rank = ManaRank {
@@ -151,7 +151,7 @@ pub fn assemble_rank(
         world_rank,
         world_size,
         generation,
-        two_phase,
+        registration_supported,
         intercept: None,
     };
 

@@ -7,7 +7,9 @@
 //! lives in, and the drain bookkeeping needed at checkpoint time. The application calls
 //! the wrapper methods defined in [`crate::wrappers`]; every wrapped call translates
 //! virtual ids to physical handles, crosses into the lower half exactly once (counted),
-//! and translates any returned handles back.
+//! and translates any returned handles back. The one exception is a collective on a
+//! rank with a mid-step intercept, which crosses once more for its registration round
+//! (and again for each look at the intercept while it waits).
 
 use crate::ckpt::CheckpointIntercept;
 use crate::config::{ManaConfig, VirtIdMode};
@@ -228,10 +230,11 @@ pub struct ManaRank {
     pub(crate) generation: u64,
     /// Whether the lower half supports the registration phase of the two-phase
     /// collective protocol (cached from its feature list at construction).
-    pub(crate) two_phase: bool,
+    pub(crate) registration_supported: bool,
     /// The mid-step checkpoint hook, if an orchestrator installed one: collective
-    /// wrappers consult it at their safe points (before registering and after
-    /// completing — never inside the critical phase).
+    /// wrappers consult it at their registration-phase safe points (before
+    /// registering and while waiting for the round — never inside the critical
+    /// phase).
     pub(crate) intercept: Option<Arc<dyn CheckpointIntercept>>,
 }
 
@@ -269,7 +272,7 @@ impl ManaRank {
         }
         let world_rank = lower.world_rank();
         let world_size = lower.world_size();
-        let two_phase = lower
+        let registration_supported = lower
             .provided_features()
             .contains(&SubsetFeature::CollectiveRegistration);
         Ok(ManaRank {
@@ -286,7 +289,7 @@ impl ManaRank {
             world_rank,
             world_size,
             generation: 0,
-            two_phase,
+            registration_supported,
             intercept: None,
         })
     }
@@ -345,8 +348,26 @@ impl ManaRank {
 
     /// Install a mid-step checkpoint hook: collective wrappers will consult it at
     /// their safe points and service pending checkpoint intents through it.
+    ///
+    /// The hook also switches this rank's collectives onto the registration round of
+    /// the two-phase protocol (without one, a collective is a single crossing), so
+    /// install one on every rank of the world before the world's first collective.
+    /// In a world whose ranks disagree, the ranks with a hook wait for a
+    /// registration that the ranks without one never make: no round ever commits,
+    /// and the collective fails with the lower half's blocking-timeout error.
     pub fn set_intercept(&mut self, intercept: Arc<dyn CheckpointIntercept>) {
         self.intercept = Some(intercept);
+    }
+
+    /// Whether this rank's collectives run the registration round of the two-phase
+    /// protocol: only where the lower half offers it *and* an intercept is
+    /// installed. The round exists so that a checkpoint intent can be serviced
+    /// inside a collective wrapper, and only an intercept services one there; a rank
+    /// without one is checkpointed at step boundaries, outside every collective, so
+    /// the round would buy nothing for its extra crossing, board lock and
+    /// rendezvous.
+    pub(crate) fn runs_registration_round(&self) -> bool {
+        self.registration_supported && self.intercept.is_some()
     }
 
     /// Read-only view of the application's upper-half address space.

@@ -8,6 +8,7 @@
 //! crossing (plus the small number of bookkeeping calls creation wrappers make), which
 //! is the quantity behind the paper's §6.3 context-switch analysis.
 
+use crate::ckpt::INTENT_PATIENCE;
 use crate::record::{CollectiveKind, CreationRecipe, ReplayEvent};
 use crate::runtime::{AppHandle, ManaRank};
 use crate::virtid::blank_descriptor;
@@ -795,7 +796,8 @@ impl ManaRank {
     // Collective communication (two-phase protocol)
     // ------------------------------------------------------------------
 
-    /// Run one collective through the two-phase protocol.
+    /// Run one collective, through the two-phase protocol where a rank can take a
+    /// checkpoint intent inside it (see [`ManaRank::runs_registration_round`]).
     ///
     /// Phase one — **registration** ("trivial barrier"): the wrapper publishes the
     /// collective's sequence number into the upper half ([`crate::record::CollectiveLog`])
@@ -807,7 +809,8 @@ impl ManaRank {
     /// re-registers. Phase two — the **critical phase**: once the round commits,
     /// every member is obliged to run the real lower-half collective promptly and
     /// without checkpointing, so at checkpoint time every rank provably sits either
-    /// before or after the collective, never inside it.
+    /// before or after the collective, never inside it. With the round, a collective
+    /// is two crossings: the registration and the collective itself.
     ///
     /// Intents are serviced *only* at registration-phase safe points (wrapper entry,
     /// or withdrawal from an uncommitted round) and at the orchestrator's step
@@ -819,9 +822,12 @@ impl ManaRank {
     /// An intent that arrives during the critical phase therefore waits for the next
     /// registration or boundary.
     ///
-    /// On lower halves without [`CollectiveRegistration`] support the collective runs
-    /// directly (sequence numbers are still published, so checkpoint-time epoch
-    /// agreement holds, but intents cannot be serviced inside a step).
+    /// Every other rank runs the collective directly, in one crossing: a rank
+    /// without an intercept is checkpointed only at step boundaries, where it sits
+    /// outside every collective by construction, and a lower half without
+    /// [`CollectiveRegistration`] cannot host the round. Sequence numbers are
+    /// published on both paths, so checkpoint-time epoch agreement and the
+    /// checkpoint bytes do not depend on which one ran.
     ///
     /// [`CollectiveRegistration`]: mpi_model::subset::SubsetFeature::CollectiveRegistration
     fn two_phase_collective<R>(
@@ -832,13 +838,14 @@ impl ManaRank {
     ) -> MpiResult<R> {
         let comm_vid = comm.virtual_id()?;
         let phys = self.phys(comm, HandleKind::Comm)?;
-        if self.two_phase {
+        let registration = self.runs_registration_round();
+        if registration {
             // Safe point: an intent that arrived since the last wrapper call is
             // serviced before this collective begins.
             self.service_pending_intent()?;
         }
         let seq = self.collectives.begin(comm_vid, kind)?;
-        let result = if self.two_phase {
+        let result = if registration {
             self.register_and_await(phys)
                 .and_then(|()| body(self, phys))
         } else {
@@ -864,15 +871,17 @@ impl ManaRank {
     /// round to commit, servicing checkpoint intents by withdraw-checkpoint-re-register
     /// while it has not. The wait happens in the lower half, parked until the last
     /// registrant wakes it: the registering call itself waits out the first slice (a
-    /// rank whose own registration commits the round never waits at all), and while
-    /// an intercept is installed the slices are short enough to look for an intent
-    /// between them. A round that never commits — a peer died before registering —
-    /// fails the wait with the lower half's blocking timeout instead of hanging.
+    /// rank whose own registration commits the round never waits at all), and the
+    /// slices ([`INTENT_PATIENCE`]) are short enough to look for an intent between
+    /// them. A round that never commits — a peer died before registering, or never
+    /// registers because it has no intercept — fails the wait with the lower half's
+    /// blocking timeout instead of hanging.
     fn register_and_await(&mut self, phys: PhysHandle) -> MpiResult<()> {
-        let patience = self.intent_patience();
         'register: loop {
             self.cross();
-            let (ticket, mut committed) = self.lower.collective_register(phys, patience)?;
+            let (ticket, mut committed) = self
+                .lower
+                .collective_register(phys, Some(INTENT_PATIENCE))?;
             while !committed {
                 if self.intent_pending() {
                     self.cross();
@@ -888,7 +897,7 @@ impl ManaRank {
                     return Ok(());
                 }
                 self.cross();
-                committed = self.lower.collective_ready(ticket, patience)?;
+                committed = self.lower.collective_ready(ticket, Some(INTENT_PATIENCE))?;
             }
             return Ok(());
         }

@@ -6,6 +6,9 @@
 //! * `wait`/`test` used to leak the request descriptor when the lower-half receive
 //!   (or the peer-rank translation) failed, because the `?` early-returns skipped
 //!   `translator.remove`.
+//!
+//! It also pins what a collective costs in crossings with and without the
+//! registration round, which only ranks with an installed intercept run.
 
 #![expect(
     clippy::unwrap_used,
@@ -14,11 +17,11 @@
 
 use ckpt_store::CheckpointStorage;
 use job_runtime::run_world;
-use mana::{ManaConfig, ManaRank, StoragePolicy};
+use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, StoragePolicy};
 use mpi_engine::Backend;
 use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
-use mpi_model::error::MpiError;
+use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::op::{PredefinedOp, UserFunctionRegistry};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -218,12 +221,27 @@ fn pending_test_keeps_the_request_retryable() {
     assert_eq!(rank.descriptor_count(), before);
 }
 
-/// On a one-rank world every registration commits its own round, so a collective is
-/// exactly two crossings: the registration and the collective itself. Nothing waits,
-/// and nothing is polled.
-#[test]
-fn a_one_rank_allreduce_crosses_into_the_lower_half_exactly_twice() {
+/// An intercept that never raises an intent: it only switches the rank's collectives
+/// onto the registration round.
+struct SilentIntercept;
+
+impl CheckpointIntercept for SilentIntercept {
+    fn intent_pending(&self) -> bool {
+        false
+    }
+
+    fn service(&self, _rank: &mut ManaRank) -> MpiResult<IntentOutcome> {
+        // Never called: no intent is ever pending.
+        Ok(IntentOutcome::Continue)
+    }
+}
+
+/// The crossings of one `u64` sum allreduce over `world` on a one-rank world.
+fn one_rank_allreduce_crossings(intercept: bool) -> u64 {
     let mut rank = launch_mana(1).remove(0);
+    if intercept {
+        rank.set_intercept(Arc::new(SilentIntercept));
+    }
     let world = rank.world().unwrap();
     let unsigned_long = rank
         .constant(PredefinedObject::Datatype(PrimitiveType::UnsignedLong))
@@ -236,5 +254,110 @@ fn a_one_rank_allreduce_crosses_into_the_lower_half_exactly_twice() {
         .allreduce(&7u64.to_le_bytes(), unsigned_long, sum, world)
         .unwrap();
     assert_eq!(total, 7u64.to_le_bytes());
-    assert_eq!(rank.crossings() - before, 2, "register, then the allreduce");
+    rank.crossings() - before
+}
+
+/// With an intercept installed, a collective runs the registration round. On a
+/// one-rank world every registration commits its own round, so the collective is
+/// exactly two crossings: the registration and the collective itself. Nothing waits,
+/// and nothing is polled.
+#[test]
+fn a_one_rank_allreduce_crosses_into_the_lower_half_exactly_twice() {
+    assert_eq!(
+        one_rank_allreduce_crossings(true),
+        2,
+        "register, then the allreduce"
+    );
+}
+
+/// Without an intercept no intent can be serviced inside the collective, so there is
+/// no registration round: the collective is exactly one crossing.
+#[test]
+fn a_one_rank_allreduce_without_an_intercept_crosses_exactly_once() {
+    assert_eq!(
+        one_rank_allreduce_crossings(false),
+        1,
+        "the allreduce alone"
+    );
+}
+
+/// What one rank of [`run_collectives`] saw: each collective's result bytes (empty
+/// for a barrier) and the crossings it cost, in call order.
+type CollectiveRun = Vec<(Vec<u8>, u64)>;
+
+/// Allreduce, alltoall, bcast and barrier, first on world and then on a `comm_dup`
+/// of it, on a two-rank world, with or without an intercept on every rank.
+fn run_collectives(intercept: bool) -> Vec<CollectiveRun> {
+    run_world(launch_mana(2), move |index, mut rank: ManaRank| {
+        if intercept {
+            rank.set_intercept(Arc::new(SilentIntercept));
+        }
+        let me = index as u64;
+        let unsigned_long =
+            rank.constant(PredefinedObject::Datatype(PrimitiveType::UnsignedLong))?;
+        let sum = rank.constant(PredefinedObject::Op(PredefinedOp::Sum))?;
+        let world = rank.world()?;
+        let dup = rank.comm_dup(world)?;
+        let mut run = CollectiveRun::new();
+        for comm in [world, dup] {
+            let before = rank.crossings();
+            let total = rank.allreduce(&(me * 7 + 3).to_le_bytes(), unsigned_long, sum, comm)?;
+            run.push((total, rank.crossings() - before));
+
+            let blocks: Vec<u8> = (0..2u8).flat_map(|to| [index as u8, to, 0xa5]).collect();
+            let before = rank.crossings();
+            let exchanged = rank.alltoall(&blocks, 3, comm)?;
+            run.push((exchanged, rank.crossings() - before));
+
+            let mut buf = if index == 1 {
+                vec![9, 8, 7, 6]
+            } else {
+                Vec::new()
+            };
+            let before = rank.crossings();
+            rank.bcast(&mut buf, 1, comm)?;
+            run.push((buf, rank.crossings() - before));
+
+            let before = rank.crossings();
+            rank.barrier(comm)?;
+            run.push((Vec::new(), rank.crossings() - before));
+        }
+        Ok(run)
+    })
+    .unwrap()
+}
+
+/// The registration round changes what a collective costs, never what it computes:
+/// the same collectives give bit-identical results with and without an intercept,
+/// cost exactly one crossing each without one, and at least two with one (a
+/// registrant parked for its peer comes back every intent-patience slice to look
+/// for an intent, and crosses again each time).
+#[test]
+fn collectives_give_the_same_bytes_with_and_without_the_registration_round() {
+    let direct = run_collectives(false);
+    let registered = run_collectives(true);
+    for (rank, (direct, registered)) in std::iter::zip(&direct, &registered).enumerate() {
+        assert_eq!(direct.len(), 8, "rank {rank}");
+        let results = |run: &CollectiveRun| {
+            run.iter()
+                .map(|(bytes, _)| bytes.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(results(direct), results(registered), "rank {rank}");
+        for (call, ((_, without), (_, with))) in std::iter::zip(direct, registered).enumerate() {
+            assert_eq!(
+                *without, 1,
+                "rank {rank}, call {call}: without an intercept"
+            );
+            assert!(
+                *with >= 2,
+                "rank {rank}, call {call}: with an intercept, {with}"
+            );
+        }
+    }
+    // The results are the collectives' own, not merely equal between the runs.
+    let total = (0..2u64).map(|me| me * 7 + 3).sum::<u64>();
+    assert_eq!(direct[0][0].0, total.to_le_bytes());
+    assert_eq!(direct[1][1].0, vec![0, 1, 0xa5, 1, 1, 0xa5]);
+    assert_eq!(direct[0][6].0, vec![9, 8, 7, 6]);
 }
