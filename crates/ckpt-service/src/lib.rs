@@ -19,6 +19,9 @@
 //!   a total in-flight cap and per-tenant in-flight budgets; a rejected submission
 //!   returns a typed, retryable [`AdmissionError`] *with the image handed back*, so
 //!   the job can fall back to a synchronous write instead of skipping a checkpoint.
+//!   This is the only asynchronous route into storage: a job without a shared
+//!   service flushes as the sole tenant of a private one
+//!   ([`CkptService::sole_tenant`]), which writes the job's own store.
 //! * **Disk tiering** — when the hot set outgrows its target, least-recently-
 //!   referenced chunks spill to a tempdir-rooted cold tier and are CRC-revalidated
 //!   on promote, transparently to reads and restart.

@@ -8,6 +8,9 @@
 //! write per tenant, enforces quotas through a pluggable [`GcPolicy`], applies
 //! admission control to async submissions, and demotes the least-recently-referenced
 //! chunks to the cold tier when the hot set outgrows its target.
+//! A job without a shared service flushes as the [sole tenant](CkptService::sole_tenant)
+//! of a private one. The handles own the pool, and no flush callback does, so
+//! dropping the last handle drains the pool on the dropping thread.
 
 use crate::gc::{GcPolicy, ReclaimOldest, TenantQuota, TenantUsage};
 use ckpt_store::{
@@ -193,23 +196,15 @@ impl ServiceStats {
     }
 }
 
-/// How a landed write reached storage, for accounting purposes.
-enum LandKind {
-    /// Via the shared flusher pool (an admitted async submission).
-    Async,
-    /// Synchronously, as the fallback for a rejected async submission.
-    SyncFallback,
-    /// Synchronously, by the job's own write path (reported after the fact).
-    External,
-}
-
 /// Mutable per-tenant accounting, behind the tenant's own lock so one tenant's
 /// quota enforcement never blocks another tenant's submissions.
+#[derive(Default)]
 struct TenantState {
     quota: TenantQuota,
     in_flight: usize,
     /// Logical bytes per (generation, rank) landed so far. Keyed per rank so a
     /// restarted job rewriting a generation replaces — not double-counts — it.
+    /// Each quota check drops the generations that left the view.
     gen_logical: BTreeMap<u64, BTreeMap<Rank, u64>>,
     logical_bytes_written: u64,
     physical_bytes_written: u64,
@@ -223,23 +218,6 @@ struct TenantState {
 }
 
 impl TenantState {
-    fn new(quota: TenantQuota) -> Self {
-        TenantState {
-            quota,
-            in_flight: 0,
-            gen_logical: BTreeMap::new(),
-            logical_bytes_written: 0,
-            physical_bytes_written: 0,
-            chunks_new: 0,
-            chunks_reused: 0,
-            reclaimed_generations: 0,
-            reclaimed_physical_bytes: 0,
-            reclaimed_logical_bytes: 0,
-            rejected_submissions: 0,
-            sync_fallbacks: 0,
-        }
-    }
-
     fn account(&mut self, report: &StoreReport) {
         self.logical_bytes_written += report.logical_bytes as u64;
         self.physical_bytes_written += report.written_bytes as u64;
@@ -262,9 +240,11 @@ struct TenantEntry {
     idle_cv: Condvar,
 }
 
+/// The service's accounting: what a flush callback holds. It does not own the
+/// flusher pool, so a callback that drops the last reference to it never joins
+/// the worker it runs on.
 struct ServiceInner {
     base: CheckpointStorage,
-    flusher: FlusherPool,
     config: ServiceConfig,
     gc: Box<dyn GcPolicy>,
     tenants: Mutex<BTreeMap<TenantId, Arc<TenantEntry>>>,
@@ -276,23 +256,15 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    fn note_landed(
-        self: &Arc<Self>,
-        entry: &Arc<TenantEntry>,
-        report: &StoreReport,
-        kind: LandKind,
-    ) {
+    /// Account one landed write — `sync_fallback` when it is a rejected
+    /// submission written synchronously — then enforce the quota and the hot-set
+    /// target.
+    fn note_landed(&self, entry: &TenantEntry, report: &StoreReport, sync_fallback: bool) {
         {
             let mut state = entry.state.lock();
             state.account(report);
-            match kind {
-                LandKind::Async => {
-                    state.in_flight = state.in_flight.saturating_sub(1);
-                    self.in_flight_total.fetch_sub(1, Ordering::Relaxed);
-                    entry.idle_cv.notify_all();
-                }
-                LandKind::SyncFallback => state.sync_fallbacks += 1,
-                LandKind::External => {}
+            if sync_fallback {
+                state.sync_fallbacks += 1;
             }
         }
         self.enforce_quota(entry);
@@ -304,8 +276,16 @@ impl ServiceInner {
     /// (reference counts are shared across the whole chunk space).
     fn enforce_quota(&self, entry: &TenantEntry) {
         let committed = entry.view.generations();
+        let pending = entry.view.pending_generations();
         let cutoff = {
-            let state = entry.state.lock();
+            let mut state = entry.state.lock();
+            // A generation below the oldest committed one that is not pending is
+            // gone from the view, whoever pruned it: its accounting goes too.
+            if let Some(&oldest) = committed.first() {
+                state
+                    .gen_logical
+                    .retain(|generation, _| *generation >= oldest || pending.contains(generation));
+            }
             let generations = committed
                 .iter()
                 .map(|g| {
@@ -385,6 +365,7 @@ impl ServiceInner {
 #[derive(Clone)]
 pub struct CkptService {
     inner: Arc<ServiceInner>,
+    flusher: Arc<FlusherPool>,
 }
 
 impl std::fmt::Debug for CkptService {
@@ -420,15 +401,17 @@ impl CkptService {
         storage: CheckpointStorage,
         gc: Box<dyn GcPolicy>,
     ) -> Self {
-        let flusher = if config.flusher_workers == 0 {
-            FlusherPool::new(storage.clone())
-        } else {
-            FlusherPool::with_workers(storage.clone(), config.flusher_workers)
+        let workers = match config.flusher_workers {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(4),
+            workers => workers,
         };
         CkptService {
+            flusher: Arc::new(FlusherPool::new(workers)),
             inner: Arc::new(ServiceInner {
                 base: storage,
-                flusher,
                 config,
                 gc,
                 tenants: Mutex::new(BTreeMap::new()),
@@ -446,17 +429,43 @@ impl CkptService {
 
     /// Register a tenant with an explicit quota.
     pub fn register_tenant_with(&self, name: &str, quota: TenantQuota) -> ServiceHandle {
+        self.register(name, quota, self.inner.base.tenant_view())
+    }
+
+    /// A private service whose one tenant writes `storage`'s own catalog rather
+    /// than a view of it: how a job without a shared service checkpoints
+    /// asynchronously. The tenant has no quota and no in-flight budget of its own,
+    /// so only the service-wide cap of [`ServiceConfig::default`] admits its
+    /// submissions.
+    pub fn sole_tenant(storage: CheckpointStorage) -> ServiceHandle {
+        let service = CkptService::with_storage(
+            ServiceConfig::default(),
+            storage.clone(),
+            Box::new(ReclaimOldest),
+        );
+        service.register(
+            "job",
+            TenantQuota::default().with_max_in_flight(usize::MAX),
+            storage,
+        )
+    }
+
+    fn register(&self, name: &str, quota: TenantQuota, view: CheckpointStorage) -> ServiceHandle {
         let id = self.inner.next_tenant.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(TenantEntry {
             id,
             name: name.to_string(),
-            view: self.inner.base.tenant_view(),
-            state: Mutex::new(TenantState::new(quota)),
+            view,
+            state: Mutex::new(TenantState {
+                quota,
+                ..TenantState::default()
+            }),
             idle_cv: Condvar::new(),
         });
         self.inner.tenants.lock().insert(id, Arc::clone(&entry));
         ServiceHandle {
             inner: Arc::clone(&self.inner),
+            flusher: Arc::clone(&self.flusher),
             entry,
         }
     }
@@ -495,6 +504,7 @@ impl CkptService {
 #[derive(Clone)]
 pub struct ServiceHandle {
     inner: Arc<ServiceInner>,
+    flusher: Arc<FlusherPool>,
     entry: Arc<TenantEntry>,
 }
 
@@ -522,7 +532,9 @@ impl ServiceHandle {
 
     /// Submit one rank's frozen image for background writing through the shared
     /// pool, with a completion callback (runs on the worker thread after the write
-    /// lands and is accounted).
+    /// lands and is accounted, and before the tenant's in-flight slot is released).
+    /// The callback must not hold a handle on this service: it is dropped on the
+    /// worker thread, and dropping the last handle joins the workers.
     ///
     /// Admission control applies: when the shared pool is saturated or this tenant
     /// is out of in-flight budget, the submission is rejected with a typed,
@@ -564,13 +576,14 @@ impl ServiceHandle {
             state.in_flight += 1;
             self.inner.in_flight_total.fetch_add(1, Ordering::Relaxed);
         }
-        let inner = Arc::clone(&self.inner);
-        let entry = Arc::clone(&self.entry);
+        let admitted = Admitted {
+            inner: Arc::clone(&self.inner),
+            entry: Arc::clone(&self.entry),
+        };
         Ok(self
-            .inner
             .flusher
             .submit_to(&self.entry.view, policy, image, move |report| {
-                inner.note_landed(&entry, report, LandKind::Async);
+                admitted.inner.note_landed(&admitted.entry, report, false);
                 on_flushed(report);
             }))
     }
@@ -596,8 +609,7 @@ impl ServiceHandle {
         image: &CheckpointImage,
     ) -> StoreReport {
         let report = self.entry.view.write_image(policy, image);
-        self.inner
-            .note_landed(&self.entry, &report, LandKind::SyncFallback);
+        self.inner.note_landed(&self.entry, &report, true);
         report
     }
 
@@ -606,14 +618,13 @@ impl ServiceHandle {
     /// writes into the view itself and reports here afterwards). Quota enforcement
     /// and spill checks run on the spot.
     pub fn note_external_write(&self, report: &StoreReport) {
-        self.inner
-            .note_landed(&self.entry, report, LandKind::External);
+        self.inner.note_landed(&self.entry, report, false);
     }
 
-    /// Block until **this tenant's** in-flight submissions have landed. Unlike
-    /// draining the shared pool, this cannot be starved by other tenants' traffic —
-    /// which is what a restarting job needs before aborting its pending
-    /// generations.
+    /// Block until **this tenant's** in-flight submissions have landed and their
+    /// callbacks have run. Unlike draining the shared pool, this cannot be starved
+    /// by other tenants' traffic — which is what a restarting job needs before
+    /// aborting its pending generations.
     pub fn wait_idle(&self) {
         let mut state = self.entry.state.lock();
         while state.in_flight > 0 {
@@ -629,5 +640,58 @@ impl ServiceHandle {
     /// This tenant's accounting.
     pub fn stats(&self) -> TenantStats {
         self.inner.tenant_stats(&self.entry)
+    }
+}
+
+/// One admitted submission's in-flight slot, carried by its flush callback and
+/// released when that is dropped: after the submitter's callback has run, or while
+/// unwinding from a write or callback that panicked.
+struct Admitted {
+    inner: Arc<ServiceInner>,
+    entry: Arc<TenantEntry>,
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        let mut state = self.entry.state.lock();
+        state.in_flight = state.in_flight.saturating_sub(1);
+        self.inner.in_flight_total.fetch_sub(1, Ordering::Relaxed);
+        self.entry.idle_cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use split_proc::address_space::UpperHalfSpace;
+    use split_proc::image::ImageMetadata;
+
+    /// A tenant without a quota whose generations are pruned through its own view
+    /// keeps accounting for the live generations only, not one entry per
+    /// generation it ever wrote.
+    #[test]
+    fn accounting_forgets_generations_pruned_through_the_view() {
+        let service = CkptService::new(ServiceConfig::default()).unwrap();
+        let tenant = service.register_tenant("pruned-by-hand");
+        for generation in 0..8 {
+            let mut upper = UpperHalfSpace::new();
+            upper.map_region("app.state", vec![generation as u8; 4096]);
+            let metadata = ImageMetadata {
+                rank: 0,
+                world_size: 1,
+                generation,
+                implementation: "mpich".into(),
+            };
+            let image = CheckpointImage::new(metadata, upper);
+            let report = tenant
+                .storage()
+                .write_image(StoragePolicy::Incremental, &image);
+            tenant.note_external_write(&report);
+            tenant.storage().prune_before(generation);
+        }
+        tenant.enforce_quota();
+        assert_eq!(tenant.storage().generations(), vec![7]);
+        assert_eq!(tenant.entry.state.lock().gen_logical.len(), 1);
+        assert_eq!(tenant.stats().live_logical_bytes, 4096);
     }
 }

@@ -1,13 +1,15 @@
 //! Service-level behavior: cross-tenant dedup with namespace isolation, quota GC
 //! that only ever touches the over-quota tenant, typed admission control with the
-//! synchronous fallback, tenant-scoped idle waits, and the cold tier round trip.
+//! synchronous fallback, tenant-scoped idle waits, dropping the service mid-flush,
+//! and the cold tier round trip.
 
 use ckpt_service::{AdmissionError, CkptService, ReclaimOldest, ServiceConfig, TenantQuota};
 use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
 use parking_lot::Mutex;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A deterministic image: content depends on (seed, generation, rank) only, so two
 /// tenants using the same seed produce bit-identical chunk streams.
@@ -298,6 +300,46 @@ fn async_submissions_account_and_wait_idle_is_tenant_scoped() {
     assert_eq!(handle.storage().generations(), vec![0]);
     assert_eq!(handle.storage().latest_valid_generation(2).unwrap(), 0);
     assert!(handle.stats().logical_bytes_written > 0);
+}
+
+/// Dropping the last handles on the service while a flush is in flight drains the
+/// pool on the dropping thread: the flush lands and its handle reports it. No flush
+/// callback owns the pool, so no worker is left to join itself when the callback
+/// releases the last reference to the service's accounting.
+#[test]
+fn dropping_the_service_mid_flush_lands_the_flush() {
+    let service = CkptService::with_storage(
+        ServiceConfig {
+            flusher_workers: 1,
+            ..ServiceConfig::default()
+        },
+        CheckpointStorage::unmetered(),
+        Box::new(ReclaimOldest),
+    );
+    let handle = service.register_tenant("dropped");
+    let view = handle.storage().clone();
+    view.begin_generation(0, 1);
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, held) = mpsc::channel::<()>();
+    let flush = handle
+        .submit_with(
+            StoragePolicy::Incremental,
+            image(15, 0, 0, 1, 4096),
+            move |_| {
+                entered_tx.send(()).unwrap();
+                // Held until the service has been dropped, or for a bounded while
+                // when the drop waits for this very flush.
+                let _ = held.recv_timeout(Duration::from_millis(200));
+            },
+        )
+        .unwrap();
+    entered.recv().unwrap();
+    drop((service, handle));
+    drop(release);
+    let report = flush.wait();
+    assert_eq!(report.generation, 0);
+    assert!(flush.is_flushed());
+    assert_eq!(view.generations(), vec![0]);
 }
 
 #[test]

@@ -11,6 +11,10 @@
 //! application later changes is copied once, by the application's own `region_mut`
 //! of its region (copy-on-write), and a byte it never changes is never copied.
 //!
+//! The pool is the flusher of the checkpoint service (`ckpt-service`): the service
+//! admits every submission under its in-flight caps and names the storage each job
+//! writes. The pool itself owns no storage and bounds nothing.
+//!
 //! Generation visibility is governed by the store's pending table (see
 //! [`CheckpointStorage::begin_generation`]): a generation announced as pending stays
 //! invisible to `generations()`/`read`/`latest_valid_images` until every rank's flush
@@ -30,18 +34,18 @@ use std::thread::JoinHandle;
 /// Callback a submitter attaches to a flush job; runs on the worker thread after the
 /// image has reached storage (and after the store's per-rank flush accounting), but
 /// before the job's [`FlushHandle`] completes — so a waiter that observes the handle
-/// done also observes everything the callback published.
+/// done also observes everything the callback published. The callback must not own
+/// the pool: whatever it captures is dropped on the worker thread.
 type FlushCallback = Box<dyn FnOnce(&StoreReport) + Send>;
 
 struct FlushJob {
     policy: StoragePolicy,
     image: CheckpointImage,
-    /// Storage this job writes into. Usually the pool's own storage; a multi-tenant
-    /// service instead routes each job into the submitting tenant's view (see
-    /// [`FlusherPool::submit_to`]).
+    /// The storage this job writes into (a tenant's view of the service's chunk
+    /// space, or a job's own store).
     storage: CheckpointStorage,
     handle: Arc<HandleState>,
-    on_flushed: Option<FlushCallback>,
+    on_flushed: FlushCallback,
 }
 
 /// Where one flush job stands.
@@ -141,49 +145,32 @@ impl std::fmt::Debug for FlushHandle {
 #[derive(Default)]
 struct PoolState {
     jobs: VecDeque<FlushJob>,
-    /// Jobs currently being written by a worker.
-    active: usize,
     shutdown: bool,
 }
 
+#[derive(Default)]
 struct PoolShared {
-    storage: CheckpointStorage,
     state: Mutex<PoolState>,
     /// Workers wait here for jobs (or shutdown).
     work_cv: Condvar,
-    /// [`FlusherPool::wait_idle`] waits here for the queue to drain.
-    idle_cv: Condvar,
 }
 
-/// A pool of background flusher threads sharing one [`CheckpointStorage`].
+/// A pool of background flusher threads; each job names the storage it writes.
 ///
 /// Jobs are processed FIFO; jobs from different ranks run concurrently across the
 /// workers (the sharded store admits them in parallel, exactly like the synchronous
-/// parallel write phase). Dropping the pool drains the remaining queue, then joins
-/// the workers.
+/// parallel write phase). The pool bounds nothing itself: its owner, the checkpoint
+/// service, admits submissions. Dropping the pool drains the remaining queue on the
+/// dropping thread, then joins the workers.
 pub struct FlusherPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl FlusherPool {
-    /// A pool over `storage` with one worker per available core, capped at 4.
-    pub fn new(storage: CheckpointStorage) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4);
-        FlusherPool::with_workers(storage, workers)
-    }
-
-    /// A pool over `storage` with exactly `workers` flusher threads (min 1).
-    pub fn with_workers(storage: CheckpointStorage, workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            storage,
-            state: Mutex::new(PoolState::default()),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-        });
+    /// A pool of exactly `workers` flusher threads (min 1).
+    pub fn new(workers: usize) -> Self {
+        let shared = Arc::new(PoolShared::default());
         let workers = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -193,39 +180,11 @@ impl FlusherPool {
         FlusherPool { shared, workers }
     }
 
-    /// The storage engine flushes land in.
-    pub fn storage(&self) -> &CheckpointStorage {
-        &self.shared.storage
-    }
-
-    /// Submit one rank's frozen image for background writing under `policy`.
-    pub fn submit(&self, policy: StoragePolicy, image: CheckpointImage) -> FlushHandle {
-        self.submit_inner(self.shared.storage.clone(), policy, image, None)
-    }
-
-    /// [`FlusherPool::submit`] with a completion callback that runs on the worker
-    /// thread once the write has landed — after the store's per-rank flush
-    /// accounting, before the job's [`FlushHandle`] completes, so a waiter that
-    /// observes the handle done also observes everything the callback published.
-    pub fn submit_with(
-        &self,
-        policy: StoragePolicy,
-        image: CheckpointImage,
-        on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
-    ) -> FlushHandle {
-        self.submit_inner(
-            self.shared.storage.clone(),
-            policy,
-            image,
-            Some(Box::new(on_flushed)),
-        )
-    }
-
-    /// Submit a flush that writes into `storage` instead of the pool's own — the
-    /// multi-tenant path: one shared worker pool, each job landing in the submitting
-    /// tenant's storage view. The per-rank flush accounting
-    /// (`note_rank_flushed`) runs against the same `storage`, so pending-generation
-    /// commits stay within the tenant's namespace.
+    /// Submit one rank's frozen image for background writing into `storage` under
+    /// `policy`. The per-rank flush accounting (`note_rank_flushed`) runs against
+    /// the same `storage`, so a pending generation commits within the namespace it
+    /// was announced in; then `on_flushed` runs on the worker thread, before the
+    /// returned [`FlushHandle`] completes.
     pub fn submit_to(
         &self,
         storage: &CheckpointStorage,
@@ -233,40 +192,20 @@ impl FlusherPool {
         image: CheckpointImage,
         on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
     ) -> FlushHandle {
-        self.submit_inner(storage.clone(), policy, image, Some(Box::new(on_flushed)))
-    }
-
-    fn submit_inner(
-        &self,
-        storage: CheckpointStorage,
-        policy: StoragePolicy,
-        image: CheckpointImage,
-        on_flushed: Option<FlushCallback>,
-    ) -> FlushHandle {
         let handle = FlushHandle {
             state: Arc::new(HandleState::default()),
             generation: image.metadata.generation,
             rank: image.metadata.rank,
         };
-        let mut state = self.shared.state.lock();
-        state.jobs.push_back(FlushJob {
+        self.shared.state.lock().jobs.push_back(FlushJob {
             policy,
             image,
-            storage,
+            storage: storage.clone(),
             handle: Arc::clone(&handle.state),
-            on_flushed,
+            on_flushed: Box::new(on_flushed),
         });
-        drop(state);
         self.shared.work_cv.notify_one();
         handle
-    }
-
-    /// Block until every submitted flush has landed (queue empty and no worker busy).
-    pub fn wait_idle(&self) {
-        let mut state = self.shared.state.lock();
-        while !state.jobs.is_empty() || state.active > 0 {
-            self.shared.idle_cv.wait(&mut state);
-        }
     }
 }
 
@@ -286,7 +225,6 @@ fn worker_loop(shared: &PoolShared) {
             let mut state = shared.state.lock();
             loop {
                 if let Some(job) = state.jobs.pop_front() {
-                    state.active += 1;
                     break job;
                 }
                 if state.shutdown {
@@ -296,9 +234,8 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         // Panic containment: a panic in the storage write or the submitter's
-        // callback must not wedge the pool — `active` is decremented and the handle
-        // completed (as poisoned) either way, so `wait`/`wait_idle` report the
-        // failure instead of hanging forever.
+        // callback must not wedge the pool — the handle completes (as poisoned)
+        // either way, so `wait` reports the failure instead of hanging forever.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let report = job.storage.write_image(job.policy, &job.image);
             // Per-rank flush accounting: the write that completes a pending
@@ -308,9 +245,7 @@ fn worker_loop(shared: &PoolShared) {
             // jobs commit within their tenant's namespace.
             job.storage
                 .note_rank_flushed(report.generation, report.rank);
-            if let Some(on_flushed) = job.on_flushed {
-                on_flushed(&report);
-            }
+            (job.on_flushed)(&report);
             report
         }));
         *job.handle.outcome.lock() = match outcome {
@@ -318,11 +253,6 @@ fn worker_loop(shared: &PoolShared) {
             Err(_) => FlushOutcome::Poisoned,
         };
         job.handle.done_cv.notify_all();
-        let mut state = shared.state.lock();
-        state.active -= 1;
-        if state.jobs.is_empty() && state.active == 0 {
-            shared.idle_cv.notify_all();
-        }
     }
 }
 
@@ -346,29 +276,35 @@ mod tests {
         )
     }
 
+    /// Submit `image` into `storage` with no completion callback.
+    fn submit(
+        pool: &FlusherPool,
+        storage: &CheckpointStorage,
+        image: CheckpointImage,
+    ) -> FlushHandle {
+        pool.submit_to(storage, StoragePolicy::Incremental, image, |_| {})
+    }
+
     #[test]
     fn flush_lands_and_handle_reports() {
         let storage = CheckpointStorage::unmetered();
-        let pool = FlusherPool::with_workers(storage.clone(), 2);
-        let handle = pool.submit(StoragePolicy::Incremental, image(0, 1, 0, 0x5A));
+        let pool = FlusherPool::new(2);
+        let handle = submit(&pool, &storage, image(0, 1, 0, 0x5A));
         let report = handle.wait();
         assert_eq!(report.generation, 0);
         assert!(handle.is_flushed());
         assert_eq!(storage.read(0, 0).unwrap().metadata.rank, 0);
-        pool.wait_idle();
     }
 
     #[test]
     fn pending_generation_commits_only_when_every_rank_flushed() {
         let storage = CheckpointStorage::unmetered();
-        let pool = FlusherPool::with_workers(storage.clone(), 1);
+        let pool = FlusherPool::new(1);
         storage.begin_generation(3, 2);
-        pool.submit(StoragePolicy::Incremental, image(0, 2, 3, 1))
-            .wait();
+        submit(&pool, &storage, image(0, 2, 3, 1)).wait();
         assert!(storage.is_pending(3));
         assert!(storage.generations().is_empty());
-        pool.submit(StoragePolicy::Incremental, image(1, 2, 3, 2))
-            .wait();
+        submit(&pool, &storage, image(1, 2, 3, 2)).wait();
         assert!(!storage.is_pending(3));
         assert_eq!(storage.generations(), vec![3]);
         assert_eq!(storage.latest_valid_generation(2).unwrap(), 3);
@@ -377,10 +313,11 @@ mod tests {
     #[test]
     fn callback_runs_before_the_handle_completes() {
         let storage = CheckpointStorage::unmetered();
-        let pool = FlusherPool::with_workers(storage, 1);
+        let pool = FlusherPool::new(1);
         let seen = Arc::new(Mutex::new(None));
         let seen_in_cb = Arc::clone(&seen);
-        let handle = pool.submit_with(StoragePolicy::Incremental, image(0, 1, 0, 9), move |r| {
+        let image = image(0, 1, 0, 9);
+        let handle = pool.submit_to(&storage, StoragePolicy::Incremental, image, move |r| {
             *seen_in_cb.lock() = Some(r.generation);
         });
         handle.wait();
@@ -391,9 +328,9 @@ mod tests {
     fn drop_drains_the_queue() {
         let storage = CheckpointStorage::unmetered();
         let handles: Vec<FlushHandle> = {
-            let pool = FlusherPool::with_workers(storage.clone(), 1);
+            let pool = FlusherPool::new(1);
             (0..4)
-                .map(|g| pool.submit(StoragePolicy::Incremental, image(0, 1, g, g as u8)))
+                .map(|g| submit(&pool, &storage, image(0, 1, g, g as u8)))
                 .collect()
         };
         for handle in handles {

@@ -29,8 +29,10 @@
 //!   chunks no surviving generation references. The newest committed generation and
 //!   any generation with a flush in flight are never pruned, whatever the cutoff.
 //! * **Asynchronous flush** ([`flush`]) — a [`FlusherPool`] writes frozen images off
-//!   the ranks' critical path; generations move through a *pending → committed*
-//!   state so a half-flushed generation is never visible to readers or restart.
+//!   the ranks' critical path, each into the storage its submitter names (the
+//!   checkpoint service in `ckpt-service` owns the pool and admits its
+//!   submissions); generations move through a *pending → committed* state so a
+//!   half-flushed generation is never visible to readers or restart.
 //! * **Tenant views** ([`CheckpointStorage::tenant_view`]) — additional catalog
 //!   namespaces over one shared chunk space: each tenant's generations, reads and
 //!   GC are isolated, while identical chunks written by different tenants are

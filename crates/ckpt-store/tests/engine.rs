@@ -633,7 +633,7 @@ fn concurrent_prune_with_sync_and_async_checkpoints_keeps_a_restart_point() {
     const GENERATIONS: u64 = 40;
 
     let storage = CheckpointStorage::unmetered().with_chunk_size(512);
-    let pool = Arc::new(FlusherPool::with_workers(storage.clone(), 2));
+    let pool = Arc::new(FlusherPool::new(2));
     let done = Arc::new(AtomicBool::new(false));
     let round_barrier = Arc::new(Barrier::new(WORLD));
 
@@ -666,7 +666,8 @@ fn concurrent_prune_with_sync_and_async_checkpoints_keeps_a_restart_point() {
                         storage.write_image(StoragePolicy::Incremental, &image);
                         storage.note_rank_flushed(generation, rank);
                     } else {
-                        pool.submit(StoragePolicy::Incremental, image).wait();
+                        pool.submit_to(&storage, StoragePolicy::Incremental, image, |_| {})
+                            .wait();
                     }
                     upper.mark_clean();
                     upper.advance_epoch();
@@ -708,7 +709,6 @@ fn concurrent_prune_with_sync_and_async_checkpoints_keeps_a_restart_point() {
     for writer in writers {
         writer.join().unwrap();
     }
-    pool.wait_idle();
     done.store(true, Ordering::SeqCst);
     pruner.join().unwrap();
 

@@ -112,11 +112,11 @@ pub fn restart_job(
 /// [`MpiError::WorldSizeMismatch`] naming both sizes.
 ///
 /// Generations still *pending* (an asynchronous flush the dead incarnation never
-/// committed) are aborted and forgotten first. Callers driving their own
-/// [`ckpt_store::FlusherPool`] must drain it (`wait_idle`) or drop it before
-/// restarting from the same storage, so no dead-incarnation flush is still in flight
-/// when the restarted job reuses a generation number. Returns the rebuilt ranks in
-/// rank order plus the generation restored from.
+/// committed) are aborted and forgotten first. A caller with asynchronous flushes
+/// must let them land before restarting from the same storage (a service tenant's
+/// `wait_idle`), so no dead-incarnation flush is still in flight when the restarted
+/// job reuses a generation number. Returns the rebuilt ranks in rank order plus the
+/// generation restored from.
 pub fn restart_job_from_storage(
     lowers: Vec<Box<dyn MpiApi>>,
     storage: &ckpt_store::CheckpointStorage,

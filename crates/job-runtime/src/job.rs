@@ -5,8 +5,8 @@
 use crate::coordinator::{CommitLedger, Coordinator};
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
-use ckpt_service::ServiceHandle;
-use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
+use ckpt_service::{CkptService, ServiceHandle};
+use ckpt_store::{CheckpointStorage, FlushHandle, StoreReport};
 use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
 use mpi_engine::Backend;
@@ -298,15 +298,8 @@ impl JobConfig {
 pub struct JobCtx {
     coordinator: Arc<Coordinator>,
     storage: CheckpointStorage,
-    /// Lazily spawned, shared with the owning [`JobRuntime`]: the pool's worker
-    /// threads only exist once some rank actually takes an async checkpoint.
-    flusher: Arc<OnceLock<Arc<FlusherPool>>>,
-    /// Present when the job is attached to a shared [`CkptService`] tenant
-    /// ([`JobRuntime::with_service`]): checkpoints are accounted (and, async, routed)
-    /// through this handle instead of a private pool.
-    ///
-    /// [`CkptService`]: ckpt_service::CkptService
-    service: Option<ServiceHandle>,
+    /// Shared with the owning [`JobRuntime`] (see its field of the same name).
+    tenancy: Arc<OnceLock<ServiceHandle>>,
 }
 
 impl JobCtx {
@@ -326,9 +319,9 @@ impl JobCtx {
     /// write. Collective, like [`JobCtx::checkpoint`]. The generation publishes only
     /// when every rank's flush lands.
     ///
-    /// On a service-attached job the submission goes through the tenant's admission
-    /// control; a rejection falls back to a synchronous write on this thread (the
-    /// checkpoint is never skipped) and the returned handle is already complete.
+    /// The submission goes through the job's tenancy's admission control; a
+    /// rejection falls back to a synchronous write on this thread (the checkpoint
+    /// is never skipped) and the returned handle is already complete.
     pub fn checkpoint_async(&self, session: &mut Session) -> MpiResult<FlushHandle> {
         self.round(session, true)
     }
@@ -341,20 +334,20 @@ impl JobCtx {
         Ok(handle)
     }
 
-    /// Where this job's checkpoints go: the store written in place, or — when
-    /// `asynchronous` — the service tenancy's shared pool, else the job's private
-    /// flusher pool, spawned on first use.
+    /// Where this job's checkpoints go: the store written in place (metered into
+    /// the tenancy, if there is one), or — when `asynchronous` — the job's
+    /// tenancy, made on first use as the sole tenant of a private service.
     fn sink(&self, asynchronous: bool) -> Sink {
-        match (asynchronous, &self.service) {
-            (false, meter) => Sink::Store {
+        if asynchronous {
+            let tenancy = self
+                .tenancy
+                .get_or_init(|| CkptService::sole_tenant(self.storage.clone()));
+            Sink::Tenant(tenancy.clone())
+        } else {
+            Sink::Store {
                 storage: self.storage.clone(),
-                meter: meter.clone(),
-            },
-            (true, Some(service)) => Sink::Tenant(service.clone()),
-            (true, None) => Sink::Pool(Arc::clone(
-                self.flusher
-                    .get_or_init(|| Arc::new(FlusherPool::new(self.storage.clone()))),
-            )),
+                meter: self.tenancy.get().cloned(),
+            }
         }
     }
 
@@ -434,13 +427,13 @@ pub struct JobRuntime {
     /// elastic shrink).
     world_size: AtomicUsize,
     storage: CheckpointStorage,
-    /// Spawned lazily on first async checkpoint (a purely synchronous job never
-    /// pays for idle flusher threads); shared across runs and restarts. Never
-    /// materialized on a service-attached job — those ride the service's pool.
-    flusher: Arc<OnceLock<Arc<FlusherPool>>>,
-    /// The shared-service tenancy this job runs under, if any: `storage` is then the
-    /// tenant's namespaced view of the service's chunk space.
-    service: Option<ServiceHandle>,
+    /// The service tenancy asynchronous checkpoints go through, shared across runs
+    /// and restarts. [`JobRuntime::with_service`] sets it at construction, and
+    /// `storage` is then the tenant's view of the service's chunk space. Otherwise
+    /// the first asynchronous round makes the job the sole tenant of a private
+    /// service over `storage` itself, so a synchronous job spawns no flusher
+    /// thread.
+    tenancy: Arc<OnceLock<ServiceHandle>>,
     registry: Arc<RwLock<UserFunctionRegistry>>,
     ledger: Arc<CommitLedger>,
     session: AtomicU64,
@@ -473,7 +466,9 @@ impl JobRuntime {
     }
 
     /// A runtime writing checkpoints into the given store (metered models, custom
-    /// shard counts, or a store shared with an inspector).
+    /// shard counts, or a store shared with an inspector). Its asynchronous
+    /// checkpoints flush as the sole tenant of a private [`CkptService`] over this
+    /// very store, so every generation lands in its catalog.
     pub fn with_storage(config: JobConfig, storage: CheckpointStorage) -> Self {
         let chaos = config.chaos.clone().map(|plan| ChaosArm {
             ids: (0..plan.faults.len()).collect(),
@@ -486,9 +481,8 @@ impl JobRuntime {
             mid_kill_armed: AtomicBool::new(config.preempt_mid_step_at.is_some()),
             world_size: AtomicUsize::new(config.world_size),
             config,
-            flusher: Arc::new(OnceLock::new()),
             storage,
-            service: None,
+            tenancy: Arc::new(OnceLock::new()),
             registry: Arc::new(RwLock::new(UserFunctionRegistry::new())),
             ledger: Arc::new(CommitLedger::new()),
             session: AtomicU64::new(1),
@@ -497,15 +491,15 @@ impl JobRuntime {
         }
     }
 
-    /// A runtime attached to a multi-tenant [`CkptService`](ckpt_service::CkptService)
-    /// tenancy: every checkpoint lands in the tenant's namespaced view of the
-    /// service's shared, deduplicated chunk space, asynchronous flushes ride the
-    /// service's shared pool under its admission control (a rejected submission
-    /// falls back to a synchronous write — a checkpoint is never skipped), and every
-    /// landed write is metered against the tenant's quota.
+    /// A runtime attached to a multi-tenant [`CkptService`] tenancy: every
+    /// checkpoint lands in the tenant's namespaced view of the service's shared,
+    /// deduplicated chunk space, asynchronous flushes ride the service's shared pool
+    /// under its admission control (a rejected submission falls back to a
+    /// synchronous write — a checkpoint is never skipped), and every landed write is
+    /// metered against the tenant's quota.
     pub fn with_service(config: JobConfig, service: ServiceHandle) -> Self {
         let mut runtime = JobRuntime::with_storage(config, service.storage().clone());
-        runtime.service = Some(service);
+        runtime.tenancy = Arc::new(OnceLock::from(service));
         runtime
     }
 
@@ -517,12 +511,6 @@ impl JobRuntime {
     /// The checkpoint store every generation of this job lands in.
     pub fn storage(&self) -> &CheckpointStorage {
         &self.storage
-    }
-
-    /// The service tenancy this job runs under, when constructed via
-    /// [`JobRuntime::with_service`].
-    pub fn service(&self) -> Option<&ServiceHandle> {
-        self.service.as_ref()
     }
 
     /// The shared user-function registry (survives restarts, as user-defined
@@ -573,14 +561,12 @@ impl JobRuntime {
     /// a vacated world (the simulated node-local flush daemon), so a restart waits
     /// here *before* aborting pending generations: a straggler landing after the
     /// abort-and-forget could otherwise be counted toward the new incarnation's
-    /// round for the same generation number. A service-attached job waits on its
-    /// *tenant-scoped* idle condition, never on the service's whole pool — a global
-    /// drain could be starved indefinitely by other tenants' traffic.
+    /// round for the same generation number. The wait is *tenant-scoped*, never on
+    /// the service's whole pool — a global drain could be starved indefinitely by
+    /// other tenants' traffic. A job with no tenancy has never flushed.
     fn wait_flushes_landed(&self) {
-        if let Some(service) = &self.service {
-            service.wait_idle();
-        } else if let Some(pool) = self.flusher.get() {
-            pool.wait_idle();
+        if let Some(tenancy) = self.tenancy.get() {
+            tenancy.wait_idle();
         }
     }
 
@@ -766,8 +752,7 @@ impl JobRuntime {
         JobCtx {
             coordinator,
             storage: self.storage.clone(),
-            flusher: Arc::clone(&self.flusher),
-            service: self.service.clone(),
+            tenancy: Arc::clone(&self.tenancy),
         }
     }
 
@@ -1044,8 +1029,7 @@ impl JobRuntime {
         }
         // Mid-step mode takes precedence (see `JobConfig::async_checkpoint`): all
         // its checkpoints are synchronous, so the flag is only effective without
-        // it — and only an effectively-async run without a service tenancy
-        // materializes the private flusher pool (service jobs ride the shared one).
+        // it — and only an effectively-async run makes the job's tenancy.
         let sink = self
             .ctx(Arc::clone(&coordinator))
             .sink(self.config.async_checkpoint && !self.config.checkpoint_mid_step);

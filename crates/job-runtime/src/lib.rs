@@ -20,8 +20,9 @@
 //!
 //! Every checkpoint — synchronous or asynchronous, at a step boundary or inside a
 //! step — runs the same round: quiesce → drain → freeze → sink. Only the sink
-//! differs: the store written in place (steps 3-4 above), the job's private
-//! flusher pool, or a service tenancy; an asynchronous sink publishes the
+//! differs: the store written in place (steps 3-4 above), or a service tenancy —
+//! a shared service's, or, for a job without one, that of a private service whose
+//! sole tenant writes the job's own store. The asynchronous sink publishes the
 //! generation when the last rank's background flush lands instead of at a barrier.
 //!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption

@@ -18,7 +18,7 @@
 
 use crate::coordinator::{Coordinator, IntentSnapshot};
 use ckpt_service::ServiceHandle;
-use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
+use ckpt_store::{CheckpointStorage, FlushHandle, StoreReport};
 use mana::{CheckpointIntercept, IntentOutcome, ManaRank};
 use mpi_model::error::MpiResult;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,15 +35,14 @@ pub(crate) enum Sink {
         storage: CheckpointStorage,
         meter: Option<ServiceHandle>,
     },
-    /// Freeze the image and submit it to the job's private flusher pool. The rank
-    /// returns at once; the worker that lands the last rank's image commits the
-    /// generation, and nobody blocks on a barrier.
-    Pool(Arc<FlusherPool>),
-    /// [`Sink::Pool`] through a service tenancy's admission control. A rejected
-    /// submission is written synchronously on the rank thread — a checkpoint is
-    /// never skipped — with the same barrier-free accounting: its peers may have
-    /// been admitted and returned to computation already, so a rank waiting at a
-    /// barrier for them would deadlock against flushes that only land later.
+    /// Freeze the image and submit it through a service tenancy's admission
+    /// control — a shared service's, or the job's private one. The rank returns at
+    /// once; the worker that lands the last rank's image commits the generation,
+    /// and nobody blocks on a barrier. A rejected submission is written
+    /// synchronously on the rank thread — a checkpoint is never skipped — with the
+    /// same barrier-free accounting: its peers may have been admitted and returned
+    /// to computation already, so a rank waiting at a barrier for them would
+    /// deadlock against flushes that only land later.
     Tenant(ServiceHandle),
 }
 
@@ -51,7 +50,6 @@ impl Sink {
     fn storage(&self) -> &CheckpointStorage {
         match self {
             Sink::Store { storage, .. } => storage,
-            Sink::Pool(pool) => pool.storage(),
             Sink::Tenant(service) => service.storage(),
         }
     }
@@ -93,17 +91,8 @@ fn deliver(
     steps: Option<u64>,
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
-    let policy = rank.config().storage;
     let world_rank = rank.world_rank();
-    // The commit accounting of a frozen image rides its flush completion, on
-    // whichever thread lands it.
-    let landed = || {
-        let coordinator = Arc::clone(coordinator);
-        move |report: &StoreReport| {
-            coordinator.note_flush_landed(report.generation, steps);
-        }
-    };
-    let handle = match sink {
+    match sink {
         Sink::Store { storage, meter } => {
             let report = rank.write_checkpoint_into(storage)?;
             let decided = coordinator.commit_inner(world_rank, report.generation, steps, intent)?;
@@ -111,11 +100,17 @@ fn deliver(
             if let Some(service) = meter {
                 service.note_external_write(&report);
             }
-            return Ok((FlushHandle::ready(report), decided));
+            Ok((FlushHandle::ready(report), decided))
         }
-        Sink::Pool(pool) => pool.submit_with(policy, rank.snapshot_checkpoint()?, landed()),
         Sink::Tenant(service) => {
-            match service.submit_with(policy, rank.snapshot_checkpoint()?, landed()) {
+            let policy = rank.config().storage;
+            // The commit accounting of a frozen image rides its flush completion,
+            // on whichever thread lands it.
+            let landing = Arc::clone(coordinator);
+            let landed = move |report: &StoreReport| {
+                landing.note_flush_landed(report.generation, steps);
+            };
+            let handle = match service.submit_with(policy, rank.snapshot_checkpoint()?, landed) {
                 Ok(handle) => handle,
                 Err(rejected) => {
                     // The caller owns the accounting the flusher worker would have
@@ -127,10 +122,10 @@ fn deliver(
                     coordinator.note_flush_landed(report.generation, steps);
                     FlushHandle::ready(report)
                 }
-            }
+            };
+            Ok((handle, None))
         }
-    };
-    Ok((handle, None))
+    }
 }
 
 /// One rank's mid-step checkpoint hook, installed when

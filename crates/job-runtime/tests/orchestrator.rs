@@ -221,11 +221,11 @@ fn incremental_policy_applies_through_the_orchestrator() {
 }
 
 /// Every route a boundary checkpoint can take through the step driver — the
-/// synchronous store, the private flusher pool, a service tenant whose submissions
-/// are admitted, a service tenant whose every submission takes the synchronous
-/// fallback, and mid-step mode's boundary hook — publishes every boundary
-/// generation, leaves nothing pending, stores the same bytes, and computes the same
-/// results.
+/// synchronous store, the sole tenant of the job's private service, a service tenant
+/// whose submissions are admitted, a service tenant whose every submission takes the
+/// synchronous fallback, and mid-step mode's boundary hook — publishes every
+/// boundary generation, leaves nothing pending, stores the same bytes, and computes
+/// the same results.
 #[test]
 fn async_checkpoint_publishes_every_boundary_generation() {
     const WORLD: usize = 4;
@@ -252,7 +252,7 @@ fn async_checkpoint_publishes_every_boundary_generation() {
     let routes = [
         ("sync store", JobRuntime::new(config())),
         (
-            "private pool",
+            "private tenant",
             JobRuntime::new(config().with_async_checkpoint()),
         ),
         (
@@ -329,8 +329,9 @@ fn noise(seed: u64, len: usize) -> Vec<u8> {
 /// them (copy-on-write), so a step that overwrites every region in place while the
 /// previous boundary's flush is still in flight must not reach that flush. Every
 /// committed generation must read back exactly as the application wrote its state at
-/// that boundary — raw (windowed) and LZ chunks, through the private pool and through
-/// a tenant whose every submission takes the synchronous fallback.
+/// that boundary — raw (windowed) and LZ chunks, through the job's private tenant and
+/// through a shared service's tenant whose every submission takes the synchronous
+/// fallback.
 #[test]
 fn overwrites_after_a_boundary_never_reach_its_generation() {
     const WORLD: usize = 2;
@@ -382,7 +383,7 @@ fn overwrites_after_a_boundary_never_reach_its_generation() {
                 .with_async_checkpoint()
         };
         let routes = [
-            ("private pool", JobRuntime::new(config())),
+            ("private tenant", JobRuntime::new(config())),
             (
                 "tenant, sync fallback",
                 JobRuntime::with_service(config(), tenant_with_no_slots()),
@@ -571,6 +572,34 @@ fn async_checkpoint_preemption_resumes_from_committed_generation() {
         .run_steps(8, step_fn)
         .unwrap();
     assert_eq!(resumed.results().unwrap(), reference.results().unwrap());
+}
+
+/// A job without a service flushes as the sole tenant of a private one. Dropping the
+/// runtime while a free-form body's un-waited asynchronous checkpoint may still be in
+/// flight drains that flusher: the generation commits in the job's own storage and
+/// no flush is poisoned.
+#[test]
+fn dropping_the_runtime_lands_an_unwaited_async_checkpoint() {
+    const WORLD: usize = 2;
+    let runtime = JobRuntime::new(JobConfig::new(WORLD, Backend::Mpich));
+    let storage = runtime.storage().clone();
+    let handles = runtime
+        .run(|mut session, ctx| {
+            let fill = session.world_rank() as u8;
+            session
+                .upper_mut()
+                .map_region("app.bulk", vec![fill; 1024 * 1024]);
+            ctx.checkpoint_async(&mut session)
+        })
+        .unwrap();
+    drop(runtime);
+    assert_eq!(storage.generations(), vec![0]);
+    assert!(storage.pending_generations().is_empty());
+    assert_eq!(storage.read_job(0, WORLD).unwrap().len(), WORLD);
+    for handle in handles {
+        assert!(handle.is_flushed(), "rank {}", handle.rank());
+        assert_eq!(handle.wait().generation, 0);
+    }
 }
 
 /// Free-form bodies can take async checkpoints through `JobCtx::checkpoint_async`:

@@ -320,8 +320,8 @@ impl ManaRank {
     /// immediately return the rank to computation. The caller
     /// announces the generation pending in its store
     /// ([`CheckpointStorage::begin_generation`]) and hands the frozen image to a
-    /// [`ckpt_store::FlusherPool`], which performs the expensive chunk/compress/store
-    /// work in the background.
+    /// [`ckpt_store::FlusherPool`] (in a job, through a checkpoint service tenancy),
+    /// which performs the expensive chunk/compress/store work in the background.
     ///
     /// Generation and dirty-tracking epoch advance *here*, at freeze time: every
     /// application write after this call is dirty relative to this snapshot, exactly

@@ -53,12 +53,15 @@ fn freeze(rank: &mut ManaRank) -> MpiResult<CheckpointImage> {
 }
 
 /// A standalone asynchronous checkpoint: freeze, announce the generation pending in
-/// the pool's store, and flush it in the background.
-fn checkpoint_async(rank: &mut ManaRank, pool: &FlusherPool) -> MpiResult<FlushHandle> {
+/// `storage`, and flush it there in the background.
+fn checkpoint_async(
+    rank: &mut ManaRank,
+    pool: &FlusherPool,
+    storage: &CheckpointStorage,
+) -> MpiResult<FlushHandle> {
     let image = freeze(rank)?;
-    pool.storage()
-        .begin_generation(image.metadata.generation, rank.world_size());
-    Ok(pool.submit(rank.config().storage, image))
+    storage.begin_generation(image.metadata.generation, rank.world_size());
+    Ok(pool.submit_to(storage, rank.config().storage, image, |_| {}))
 }
 
 /// The standalone (coordinator-less) async path: freeze, then flush. The
@@ -70,17 +73,18 @@ fn checkpoint_async(rank: &mut ManaRank, pool: &FlusherPool) -> MpiResult<FlushH
 fn async_checkpoint_round_trips_through_restart() {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let storage = CheckpointStorage::unmetered();
-    let pool = Arc::new(FlusherPool::with_workers(storage.clone(), 2));
+    let pool = Arc::new(FlusherPool::new(2));
 
     let ranks = launch_ranks(2, 1, incremental(), &registry);
     let pool_in_body = Arc::clone(&pool);
+    let storage_in_body = storage.clone();
     job_runtime::run_world(ranks, move |_, rank| {
         let mut session = Session::new(rank);
         let me = session.world_rank();
         let world = session.world()?;
         let total = session.allreduce(&[me + 1], Op::sum(), world)?[0];
         session.upper_mut().store_json(STATE, &(me, total))?;
-        let handle = checkpoint_async(session.rank_mut(), &pool_in_body)?;
+        let handle = checkpoint_async(session.rank_mut(), &pool_in_body, &storage_in_body)?;
         assert_eq!(handle.generation(), 0);
         // The rank is already back to computation; this write lands after the
         // freeze and must NOT appear in the checkpoint.
@@ -91,7 +95,8 @@ fn async_checkpoint_round_trips_through_restart() {
     })
     .unwrap();
 
-    pool.wait_idle();
+    // Dropping the pool drains it.
+    drop(pool);
     assert!(storage.pending_generations().is_empty());
     assert_eq!(storage.generations(), vec![0]);
 
@@ -137,7 +142,7 @@ fn overwriting_every_region_before_the_flush_leaves_the_frozen_state() {
         StoragePolicy::IncrementalCompressed,
     ] {
         let storage = CheckpointStorage::unmetered();
-        let pool = FlusherPool::with_workers(storage.clone(), 1);
+        let pool = FlusherPool::new(1);
         let config = ManaConfig::new_design().with_storage(policy);
         let mut rank = launch_ranks(1, 1, config, &registry)
             .pop()
@@ -176,11 +181,11 @@ fn overwriting_every_region_before_the_flush_leaves_the_frozen_state() {
             expected.push(deep_copy(&image.upper_half));
             image
         };
-        let first = pool.submit_with(policy, frozen(&mut rank), move |_| {
+        let first = pool.submit_to(&storage, policy, frozen(&mut rank), move |_| {
             let _ = held.recv();
         });
         overwrite(&mut rank, 0x11);
-        let second = pool.submit(policy, frozen(&mut rank));
+        let second = pool.submit_to(&storage, policy, frozen(&mut rank), |_| {});
         overwrite(&mut rank, 0x22);
         release.send(()).expect("the flusher is held");
         first.wait();
@@ -211,7 +216,7 @@ fn overwriting_every_region_before_the_flush_leaves_the_frozen_state() {
 fn killed_mid_flush_restarts_from_newest_committed_generation() {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let storage = CheckpointStorage::unmetered();
-    let pool = FlusherPool::with_workers(storage.clone(), 2);
+    let pool = FlusherPool::new(2);
 
     // Phase 1: a fully committed async generation 0, then freeze generation 1 on
     // both ranks and hand the frozen images back.
@@ -223,7 +228,7 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
         let mut session = Session::new(rank);
         let me = session.world_rank();
         session.upper_mut().store_json(STATE, &(me, "gen0"))?;
-        checkpoint_async(session.rank_mut(), &pool_in_body)?.wait();
+        checkpoint_async(session.rank_mut(), &pool_in_body, &storage_in_body)?.wait();
 
         // The state the torn generation 1 would carry.
         session.upper_mut().store_json(STATE, &(me, "gen1"))?;
@@ -235,11 +240,14 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
 
     // Phase 2: the kill lands mid-flush — only rank 0's image reaches the flusher.
     assert_eq!(images[0].metadata.generation, 1);
-    pool_world.submit(
-        StoragePolicy::Incremental,
-        images.into_iter().next().unwrap(),
-    );
-    pool_world.wait_idle();
+    pool_world
+        .submit_to(
+            &storage,
+            StoragePolicy::Incremental,
+            images.into_iter().next().unwrap(),
+            |_| {},
+        )
+        .wait();
 
     assert!(storage.is_pending(1), "generation 1 never commits");
     assert_eq!(storage.generations(), vec![0]);
@@ -251,7 +259,7 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
 
     // Phase 3: restart — the job comes back on generation 0's state. The torn
     // pending round is aborted and forgotten (no dead-incarnation flush can still
-    // be in flight: the pool above was drained with `wait_idle`).
+    // be in flight: the one flush above was waited for).
     let lowers = Backend::Mpich
         .launch(2, Arc::clone(&registry), 2)
         .unwrap()

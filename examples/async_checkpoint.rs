@@ -3,7 +3,7 @@
 //! [`JobConfig::async_checkpoint`] — identical results, identical committed
 //! generations, but with the async flush the ranks only ever stall for the snapshot
 //! (a copy-on-write clone of the upper half) while the chunk/compress/store work
-//! rides the flusher pool.
+//! rides the flusher pool of the job's private checkpoint service.
 //!
 //! ```text
 //! cargo run --release --example async_checkpoint

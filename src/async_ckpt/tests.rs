@@ -42,7 +42,8 @@ fn async_stall_is_at_most_half_the_sync_write() {
     let mut sync_rank = comd_rank(31);
     let sync_storage = CheckpointStorage::unmetered();
     let mut async_rank = comd_rank(32);
-    let pool = FlusherPool::with_workers(CheckpointStorage::unmetered(), 2);
+    let async_storage = CheckpointStorage::unmetered();
+    let pool = FlusherPool::new(2);
 
     // Fastest round per path: the one least polluted by preemption and page
     // faults. Round 0 is an unmeasured warm-up.
@@ -57,7 +58,12 @@ fn async_stall_is_at_most_half_the_sync_write() {
         dirty_state(&mut async_rank, round);
         let start = clock::now();
         let image = async_rank.snapshot_checkpoint().unwrap();
-        let handle = pool.submit(StoragePolicy::IncrementalCompressed, image);
+        let handle = pool.submit_to(
+            &async_storage,
+            StoragePolicy::IncrementalCompressed,
+            image,
+            |_| {},
+        );
         let async_s = start.elapsed().as_secs_f64();
         handle.wait();
         let flush_s = start.elapsed().as_secs_f64();
@@ -67,7 +73,6 @@ fn async_stall_is_at_most_half_the_sync_write() {
             async_flush = async_flush.min(flush_s);
         }
     }
-    pool.wait_idle();
     assert!(
         async_stall <= 0.5 * sync_stall,
         "async stall {:.2} ms over half the sync write {:.2} ms",
