@@ -275,8 +275,8 @@ fn incompressible_chunks_fall_back_to_stored_raw_framing() {
 fn elastic_resize_works_across_codec_generations() {
     // Checkpoint elastically at 4 ranks into a compressing store, resize onto 3
     // ranks from it, and require the finished job checksum to equal the
-    // uninterrupted 4-rank run. The other resize tests run the flat-image policy;
-    // this is the one whose generation is LZ chunks behind manifests.
+    // uninterrupted 4-rank run. The other resize tests run the full-image policy,
+    // raw window chunks; this is the one whose generation is LZ chunks.
     let registry = registry();
     let elastic_config = |iterations, checkpoint| RunConfig {
         iterations,

@@ -4,10 +4,11 @@
 //! reproduction — the subsystem behind the paper's Table 3 observation that checkpoint
 //! cost is dominated by how many bytes reach the filesystem.
 //!
-//! A flat image store writes every rank's complete image every generation (the
-//! [`StoragePolicy::FullImage`] baseline). The incremental policies instead decompose
-//! an image into fixed-size chunks addressed by content digest and share them across
-//! generations and ranks:
+//! Every policy decomposes a rank's image into fixed-size chunks addressed by
+//! content digest, shared across generations and ranks, and records one manifest
+//! per `(generation, rank)`. The [`StoragePolicy::FullImage`] baseline re-digests
+//! every region every generation; the incremental policies also reuse the chunk
+//! lists of regions that stayed clean:
 //!
 //! * **Chunk store** ([`chunk`]) — fixed-size chunking, 64-bit content digests,
 //!   reference-counted chunk entries, optional per-chunk compression. A chunk
@@ -18,9 +19,10 @@
 //!   and each chunk's stored form under stable tags, and the retired pre-LZ
 //!   format's values are refused as typed errors.
 //! * **Dirty-region tracking** — [`split_proc::address_space::UpperHalfSpace`] records
-//!   which regions were touched since the previous checkpoint epoch; clean regions are
-//!   re-referenced from the previous generation's manifest without even re-hashing
-//!   their data.
+//!   which regions were touched since the previous checkpoint epoch; under the
+//!   incremental policies clean regions are re-referenced from the previous
+//!   generation's manifest without even re-hashing their data. `FullImage` trusts
+//!   no dirty flag.
 //! * **Manifests** ([`manifest`]) — per `(generation, rank)` a CRC-32-validated
 //!   description of how to reassemble the image from chunks. Corruption or truncation
 //!   of a manifest *or any chunk* is detected at read time, so restart can fall back
@@ -41,10 +43,11 @@
 //!   CRC-framed files ([`CheckpointStorage::spill_over`]) and are transparently
 //!   promoted — with CRC re-validation — when a read needs them.
 //!
-//! The engine is selected through [`StoragePolicy`] (a `ManaConfig` knob in the MANA
-//! layer): `FullImage` preserves the legacy flat-image baseline — mirroring the
-//! paper's legacy-vs-new-design methodology — while `Incremental` and
-//! `IncrementalCompressed` exercise the new path.
+//! The policy is selected through [`StoragePolicy`] (a `ManaConfig` knob in the MANA
+//! layer): `FullImage` preserves the legacy baseline's cost model, every byte
+//! re-digested every generation — mirroring the paper's legacy-vs-new-design
+//! methodology — while `Incremental` and `IncrementalCompressed` exercise dirty
+//! tracking. All three write the same on-store format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,8 +72,10 @@ pub use tier::ColdTier;
 /// How a rank's checkpoint image is written to storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoragePolicy {
-    /// The legacy baseline: one flat, XXH64-sealed image per `(generation, rank)`,
-    /// with no sharing across generations.
+    /// The legacy baseline: every region of every image is re-digested every
+    /// generation, whatever its dirty flag says, and no previous manifest is
+    /// consulted. Chunks are still content-addressed, so an unchanged chunk is
+    /// stored once; the manifest records policy tag 0.
     FullImage,
     /// Content-addressed chunking with dirty-region reuse: only regions touched since
     /// the previous generation are re-chunked, and only chunks whose digest is new
@@ -91,7 +96,8 @@ impl StoragePolicy {
         }
     }
 
-    /// Whether this policy uses the chunked incremental path.
+    /// Whether this policy reuses a clean region's chunk list from the previous
+    /// generation instead of re-digesting the region (trusting its dirty flag).
     pub(crate) fn is_incremental(self) -> bool {
         !matches!(self, StoragePolicy::FullImage)
     }

@@ -1,5 +1,5 @@
-//! The checkpoint storage engine: ref-counted chunk store + manifests + full-image
-//! blobs, shared by all ranks of a job (clone-shared, like the flat store).
+//! The checkpoint storage engine: a ref-counted chunk store plus one manifest per
+//! `(generation, rank)`, shared by all ranks of a job (clone-shared).
 
 use crate::chunk::{for_each_chunk, ChunkRef, DEFAULT_CHUNK_SIZE};
 use crate::codec::{decode_chunk_onto, lz_compress, Digest, StorageConfig, StoredForm};
@@ -11,7 +11,7 @@ use mpi_model::payload::PayloadBuf;
 use mpi_model::types::Rank;
 use parking_lot::Mutex;
 use split_proc::address_space::UpperHalfSpace;
-use split_proc::image::{CheckpointImage, ImageMetadata};
+use split_proc::image::CheckpointImage;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,13 +27,13 @@ pub struct StoreReport {
     pub rank: Rank,
     /// Policy in force for this write.
     pub policy: StoragePolicy,
-    /// Uncompressed upper-half payload bytes (the size a flat image's regions occupy
-    /// regardless of policy) — the "logical" checkpoint size of Table 3.
+    /// Uncompressed upper-half payload bytes (what a full copy of the regions would
+    /// occupy, regardless of policy) — the "logical" checkpoint size of Table 3.
     pub logical_bytes: usize,
     /// Bytes that actually reached storage: new chunk payloads (post-compression)
-    /// plus the manifest, or the whole flat image under `FullImage`.
+    /// plus the manifest.
     pub written_bytes: usize,
-    /// Bytes of the manifest itself (0 for `FullImage`).
+    /// Bytes of the manifest itself.
     pub manifest_bytes: usize,
     /// Chunks newly stored by this write.
     pub chunks_new: usize,
@@ -46,7 +46,7 @@ pub struct StoreReport {
 }
 
 impl StoreReport {
-    /// `logical / written`: how many times smaller this write was than a flat image
+    /// `logical / written`: how many times smaller this write was than a full copy
     /// of the same upper half (1.0 ≈ no savings).
     pub fn reduction_factor(&self) -> f64 {
         if self.written_bytes == 0 {
@@ -124,16 +124,12 @@ pub struct StorageStats {
     pub manifest_count: usize,
     /// Bytes held by encoded manifests.
     pub manifest_bytes: usize,
-    /// Flat images held (FullImage policy writes).
-    pub full_image_count: usize,
-    /// Bytes held by flat images.
-    pub full_image_bytes: usize,
 }
 
 impl StorageStats {
     /// Total bytes resident in the store (in memory or spilled).
     pub fn total_bytes(&self) -> usize {
-        self.chunk_bytes + self.manifest_bytes + self.full_image_bytes
+        self.chunk_bytes + self.manifest_bytes
     }
 
     /// Fraction of chunk fetches served by promoting from the cold tier, or 0.0
@@ -261,24 +257,6 @@ fn slot_error(generation: u64, rank: Rank, region: Option<&str>, error: MpiError
     ))
 }
 
-/// One rank's slot of a generation, as the manifest pass leaves it.
-enum Slot {
-    /// A flat image, still sealed: the region pass decodes it as one unit.
-    Flat(Arc<Vec<u8>>),
-    /// A CRC-checked manifest: each of its regions is one unit of the region pass.
-    Chunked(Manifest),
-}
-
-impl Slot {
-    /// How many units of the region pass this slot is.
-    fn units(&self) -> usize {
-        match self {
-            Slot::Flat(_) => 1,
-            Slot::Chunked(manifest) => manifest.regions.len(),
-        }
-    }
-}
-
 /// Copy a region's pending run of windows into `data`, allocating `data` for the
 /// whole region when this is the read's first copy.
 fn copy_run(data: &mut Vec<u8>, run: Option<(Arc<Vec<u8>>, usize)>, region_len: u64) {
@@ -290,14 +268,6 @@ fn copy_run(data: &mut Vec<u8>, run: Option<(Arc<Vec<u8>>, usize)>, region_len: 
     }
 }
 
-/// What one unit of the region pass produced. A region is either a buffer the
-/// read assembled or, when its raw chunks tile one stored window's region, that
-/// region itself (see [`CheckpointStorage::read_region`]).
-enum Piece {
-    Image(CheckpointImage),
-    Region(Arc<Vec<u8>>),
-}
-
 /// One digest-keyed slice of the content-addressed chunk space, behind its own lock.
 #[derive(Default)]
 struct ChunkShard {
@@ -306,17 +276,14 @@ struct ChunkShard {
 }
 
 /// The per-job checkpoint catalog: which `(generation, rank)` slots exist and the
-/// encoded bytes of their manifests or flat images. Held separately from the chunk
-/// shards (and its lock is never held while a shard lock is taken), so catalog
-/// lookups and chunk traffic never contend with each other.
+/// encoded bytes of their manifests. Held separately from the chunk shards (and its
+/// lock is never held while a shard lock is taken), so catalog lookups and chunk
+/// traffic never contend with each other.
 #[derive(Default)]
 struct Catalog {
     /// Encoded manifests per `(generation, rank)` — kept encoded so every read
     /// re-validates the CRC, exactly like a file on a checkpoint filesystem.
     manifests: BTreeMap<(u64, Rank), Vec<u8>>,
-    /// Flat images per `(generation, rank)` (FullImage policy), refcounted so a read
-    /// can decode one after the catalog lock is released.
-    full_images: BTreeMap<(u64, Rank), Arc<Vec<u8>>>,
 }
 
 /// One generation announced as in flight by an asynchronous flush: which ranks'
@@ -372,7 +339,6 @@ impl std::fmt::Debug for CheckpointStorage {
         f.debug_struct("CheckpointStorage")
             .field("chunks", &stats.chunk_count)
             .field("manifests", &stats.manifest_count)
-            .field("full_images", &stats.full_image_count)
             .field("total_bytes", &stats.total_bytes())
             .finish()
     }
@@ -524,28 +490,21 @@ impl CheckpointStorage {
     /// release, so its chunks leak until the store is dropped (and its logical size
     /// is unknowable, reported as 0).
     fn release_slot(&self, generation: u64, rank: Rank) -> usize {
-        let (full_image, manifest) = {
-            let mut catalog = self.catalog.lock();
-            (
-                catalog.full_images.remove(&(generation, rank)),
-                catalog.manifests.remove(&(generation, rank)),
-            )
+        let manifest = self.catalog.lock().manifests.remove(&(generation, rank));
+        let Some(manifest) = manifest.and_then(|bytes| Manifest::decode(&bytes).ok()) else {
+            return 0;
         };
-        let mut logical = full_image.map_or(0, |bytes| bytes.len());
-        if let Some(manifest) = manifest.and_then(|bytes| Manifest::decode(&bytes).ok()) {
-            logical += manifest
-                .regions
-                .iter()
-                .map(|region| region.len as usize)
-                .sum::<usize>();
-            for chunk in manifest.chunk_refs() {
-                let mut shard = self.shard(chunk.digest).lock();
-                if let Some(entry) = shard.chunks.get_mut(&chunk.key()) {
-                    entry.refs = entry.refs.saturating_sub(1);
-                }
+        for chunk in manifest.chunk_refs() {
+            let mut shard = self.shard(chunk.digest).lock();
+            if let Some(entry) = shard.chunks.get_mut(&chunk.key()) {
+                entry.refs = entry.refs.saturating_sub(1);
             }
         }
-        logical
+        manifest
+            .regions
+            .iter()
+            .map(|region| region.len as usize)
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -674,7 +633,6 @@ impl CheckpointStorage {
             catalog
                 .manifests
                 .keys()
-                .chain(catalog.full_images.keys())
                 .filter(|(g, _)| *g == generation)
                 .copied()
                 .collect()
@@ -701,7 +659,8 @@ impl CheckpointStorage {
     // ------------------------------------------------------------------
 
     /// Write one rank's image for the generation recorded in its metadata, under the
-    /// given policy.
+    /// given policy. Every policy writes a manifest over content-addressed chunks;
+    /// raw chunks are windows of the image's regions, not copies.
     pub fn write_image(&self, policy: StoragePolicy, image: &CheckpointImage) -> StoreReport {
         let generation = image.metadata.generation;
         let rank = image.metadata.rank;
@@ -724,16 +683,7 @@ impl CheckpointStorage {
         // restart replaced a torn generation — must release whatever the slot held,
         // or the replaced manifest's chunk references leak forever.
         self.release_slot(generation, rank);
-        if policy.is_incremental() {
-            self.write_chunked(policy, image, &mut report);
-        } else {
-            let encoded = image.encode();
-            report.written_bytes = encoded.len();
-            self.catalog
-                .lock()
-                .full_images
-                .insert((generation, rank), Arc::new(encoded));
-        }
+        self.write_chunked(policy, image, &mut report);
         report
     }
 
@@ -747,25 +697,30 @@ impl CheckpointStorage {
         let generation = image.metadata.generation;
         let upper = &image.upper_half;
 
-        // The previous generation's manifest for this rank, if its epoch chain links
-        // directly to this image's epoch — otherwise dirty flags describe changes
-        // relative to some *other* checkpoint and clean-region reuse would be unsound.
-        // Copied out under the catalog lock, decoded outside it.
-        let previous = {
-            let catalog = self.catalog.lock();
-            catalog
-                .manifests
-                .range(..(generation, rank))
-                .rev()
-                .find(|((_, r), _)| *r == rank)
-                .map(|(_, bytes)| bytes.clone())
-        }
-        .and_then(|bytes| Manifest::decode(&bytes).ok())
-        .filter(|m| m.base_epoch() == upper.epoch())
-        // A manifest's chunks are bounded by the chunk size it records (decode
-        // enforces it), so regions chunked at another size are re-chunked rather
-        // than carried over.
-        .filter(|m| m.chunk_size as usize == self.chunk_size);
+        // The previous generation's manifest for this rank, if the policy reuses clean
+        // regions and its epoch chain links directly to this image's epoch — otherwise
+        // dirty flags describe changes relative to some *other* checkpoint and
+        // clean-region reuse would be unsound. `FullImage` trusts no dirty flag: it
+        // looks nothing up and re-digests every region. Copied out under the catalog
+        // lock, decoded outside it.
+        let previous = policy
+            .is_incremental()
+            .then(|| {
+                let catalog = self.catalog.lock();
+                catalog
+                    .manifests
+                    .range(..(generation, rank))
+                    .rev()
+                    .find(|((_, r), _)| *r == rank)
+                    .map(|(_, bytes)| bytes.clone())
+            })
+            .flatten()
+            .and_then(|bytes| Manifest::decode(&bytes).ok())
+            .filter(|m| m.base_epoch() == upper.epoch())
+            // A manifest's chunks are bounded by the chunk size it records (decode
+            // enforces it), so regions chunked at another size are re-chunked rather
+            // than carried over.
+            .filter(|m| m.chunk_size as usize == self.chunk_size);
 
         // The image's regions and the previous manifest's are both in name order, so
         // one forward walk pairs them up — no per-region search inside the stall. (A
@@ -909,9 +864,8 @@ impl CheckpointStorage {
     // ------------------------------------------------------------------
 
     /// Read one rank's image back, whichever policy wrote it, verifying the manifest
-    /// CRC and every chunk digest (or the flat image's XXH64 seal) end to end. Its
-    /// regions are read concurrently, exactly as a job's are (see
-    /// [`read_job`](CheckpointStorage::read_job)).
+    /// CRC and every chunk digest end to end. Its regions are read concurrently,
+    /// exactly as a job's are (see [`read_job`](CheckpointStorage::read_job)).
     ///
     /// A generation still pending (an asynchronous flush in flight) is refused: a
     /// half-flushed generation must never be observed, even piecewise.
@@ -945,89 +899,61 @@ impl CheckpointStorage {
         }
         // One catalog snapshot for every slot, copied out so that the decodes below run
         // with the catalog unlocked.
-        let (mut flats, mut manifests) = {
+        let mut manifests: BTreeMap<Rank, Vec<u8>> = {
             let span = ranks.clone().unwrap_or(0..Rank::MAX);
-            let keys = (generation, span.start)..(generation, span.end);
-            let catalog = self.catalog.lock();
-            let flats: BTreeMap<Rank, Arc<Vec<u8>>> = catalog
-                .full_images
-                .range(keys.clone())
-                .map(|(&(_, rank), bytes)| (rank, Arc::clone(bytes)))
-                .collect();
-            let manifests: BTreeMap<Rank, Vec<u8>> = catalog
+            self.catalog
+                .lock()
                 .manifests
-                .range(keys)
+                .range((generation, span.start)..(generation, span.end))
                 .map(|(&(_, rank), bytes)| (rank, bytes.clone()))
-                .collect();
-            (flats, manifests)
+                .collect()
         };
         let own_size = ranks.is_none();
         // A set with a gap misses one of 0..=its highest rank, and fails below.
-        let ranks = ranks.unwrap_or_else(|| {
-            0..flats
-                .keys()
-                .chain(manifests.keys())
-                .max()
-                .map_or(0, |&rank| rank + 1)
-        });
+        let ranks = ranks.unwrap_or_else(|| 0..manifests.keys().max().map_or(0, |&rank| rank + 1));
         if ranks.is_empty() {
             return Err(MpiError::Checkpoint(format!(
                 "generation {generation}: {EMPTY_WORLD}"
             )));
         }
         let world = ranks.len();
-        // A standalone checkpoint is never announced as pending, so a job whose tail
-        // ranks died before writing leaves a shorter rank set that looks committed;
-        // its images still record the whole world.
-        let whole = |metadata: &ImageMetadata| {
-            if own_size && metadata.world_size != world {
-                return Err(MpiError::Checkpoint(format!(
-                    "records a world of {} ranks, but the generation holds {world}",
-                    metadata.world_size
-                )));
-            }
-            Ok(())
-        };
         // Collected in rank order, so the first error is the lowest failing rank's.
         let slots = ranks
             .clone()
             .map(|rank| {
                 let in_slot = |error| slot_error(generation, rank, None, error);
-                if let Some(bytes) = flats.remove(&rank) {
-                    return Ok(Slot::Flat(bytes));
-                }
                 let bytes = manifests
                     .remove(&rank)
                     .ok_or_else(|| in_slot(MpiError::Checkpoint("no checkpoint".into())))?;
                 let manifest = Manifest::decode(&bytes).map_err(in_slot)?;
-                whole(&manifest.metadata).map_err(in_slot)?;
-                Ok(Slot::Chunked(manifest))
+                // A standalone checkpoint is never announced as pending, so a job whose
+                // tail ranks died before writing leaves a shorter rank set that looks
+                // committed; its images still record the whole world.
+                if own_size && manifest.metadata.world_size != world {
+                    return Err(in_slot(MpiError::Checkpoint(format!(
+                        "records a world of {} ranks, but the generation holds {world}",
+                        manifest.metadata.world_size
+                    ))));
+                }
+                Ok(manifest)
             })
             .collect::<MpiResult<Vec<_>>>()?;
 
-        // Phase 2, the region pass: one unit per region of a chunked slot and one per
-        // flat image, ordered by (rank, region).
-        let units: Vec<(Rank, &Slot, usize)> = ranks
+        // Phase 2, the region pass: one unit per region of every slot, ordered by
+        // (rank, region).
+        let units: Vec<(Rank, &RegionManifest, Digest)> = ranks
             .zip(&slots)
-            .flat_map(|(rank, slot)| (0..slot.units()).map(move |unit| (rank, slot, unit)))
+            .flat_map(|(rank, manifest)| {
+                manifest
+                    .regions
+                    .iter()
+                    .map(move |region| (rank, region, manifest.digest))
+            })
             .collect();
-        let run = |&(rank, slot, unit): &(Rank, &Slot, usize)| {
-            let piece = catch_unwind(AssertUnwindSafe(|| match slot {
-                Slot::Flat(bytes) => {
-                    let image = CheckpointImage::decode(bytes)?;
-                    whole(&image.metadata)?;
-                    Ok(Piece::Image(image))
-                }
-                Slot::Chunked(manifest) => self
-                    .read_region(manifest.digest, &manifest.regions[unit])
-                    .map(Piece::Region),
-            }))
-            .unwrap_or_else(|_| Err(MpiError::Checkpoint("reading panicked".into())));
-            let region = match slot {
-                Slot::Flat(_) => None,
-                Slot::Chunked(manifest) => Some(manifest.regions[unit].name.as_str()),
-            };
-            piece.map_err(|error| slot_error(generation, rank, region, error))
+        let run = |&(rank, region, digest): &(Rank, &RegionManifest, Digest)| {
+            catch_unwind(AssertUnwindSafe(|| self.read_region(digest, region)))
+                .unwrap_or_else(|_| Err(MpiError::Checkpoint("reading panicked".into())))
+                .map_err(|error| slot_error(generation, rank, Some(&region.name), error))
         };
         let readers = if units.len() < 2 {
             1
@@ -1084,27 +1010,21 @@ impl CheckpointStorage {
             .collect::<MpiResult<Vec<_>>>()?
             .into_iter();
         // Each slot takes its own units' pieces, in the order the units were queued.
-        let lost =
-            || MpiError::Checkpoint(format!("generation {generation}: a read unit was lost"));
         slots
             .into_iter()
-            .map(|slot| match slot {
-                Slot::Flat(_) => match pieces.next() {
-                    Some(Piece::Image(image)) => Ok(image),
-                    _ => Err(lost()),
-                },
-                Slot::Chunked(manifest) => {
-                    let mut upper = UpperHalfSpace::new();
-                    for region in manifest.regions {
-                        let Some(Piece::Region(data)) = pieces.next() else {
-                            return Err(lost());
-                        };
-                        upper.map_region(region.name, data);
-                    }
-                    upper.set_epoch(manifest.upper_epoch);
-                    upper.mark_clean();
-                    Ok(CheckpointImage::new(manifest.metadata, upper))
+            .map(|manifest| {
+                let mut upper = UpperHalfSpace::new();
+                for region in manifest.regions {
+                    let data = pieces.next().ok_or_else(|| {
+                        MpiError::Checkpoint(format!(
+                            "generation {generation}: a read unit was lost"
+                        ))
+                    })?;
+                    upper.map_region(region.name, data);
                 }
+                upper.set_epoch(manifest.upper_epoch);
+                upper.mark_clean();
+                Ok(CheckpointImage::new(manifest.metadata, upper))
             })
             .collect()
     }
@@ -1249,9 +1169,10 @@ impl CheckpointStorage {
 
     /// Whether a checkpoint exists (valid or not) for `(generation, rank)`.
     pub fn contains(&self, generation: u64, rank: Rank) -> bool {
-        let catalog = self.catalog.lock();
-        catalog.manifests.contains_key(&(generation, rank))
-            || catalog.full_images.contains_key(&(generation, rank))
+        self.catalog
+            .lock()
+            .manifests
+            .contains_key(&(generation, rank))
     }
 
     /// All **committed** generations with at least one checkpoint, ascending.
@@ -1262,13 +1183,13 @@ impl CheckpointStorage {
         // async generation implies `begin_generation` already ran, so a generation
         // that is half-flushed at the catalog snapshot is still pending when the
         // filter reads — it can never leak out as committed.
-        let generations: BTreeSet<u64> = {
-            let catalog = self.catalog.lock();
-            let mut generations: BTreeSet<u64> =
-                catalog.manifests.keys().map(|(g, _)| *g).collect();
-            generations.extend(catalog.full_images.keys().map(|(g, _)| *g));
-            generations
-        };
+        let generations: BTreeSet<u64> = self
+            .catalog
+            .lock()
+            .manifests
+            .keys()
+            .map(|(g, _)| *g)
+            .collect();
         let pending = self.pending.lock();
         generations
             .into_iter()
@@ -1279,21 +1200,12 @@ impl CheckpointStorage {
     /// The ranks holding a checkpoint in `generation`, ascending (used by tests that
     /// assert a committed generation is complete for the whole world).
     pub fn ranks_in_generation(&self, generation: u64) -> Vec<Rank> {
-        let catalog = self.catalog.lock();
-        let mut ranks: BTreeSet<Rank> = catalog
+        self.catalog
+            .lock()
             .manifests
-            .keys()
-            .filter(|(g, _)| *g == generation)
-            .map(|(_, r)| *r)
-            .collect();
-        ranks.extend(
-            catalog
-                .full_images
-                .keys()
-                .filter(|(g, _)| *g == generation)
-                .map(|(_, r)| *r),
-        );
-        ranks.into_iter().collect()
+            .range((generation, Rank::MIN)..=(generation, Rank::MAX))
+            .map(|((_, r), _)| *r)
+            .collect()
     }
 
     /// The newest generation for which **every** rank of a `world_size` job reads back
@@ -1365,8 +1277,8 @@ impl CheckpointStorage {
     /// 1. **Manifest pass**, on the calling thread: the pending check, one catalog
     ///    snapshot of every slot, and the decode and CRC check of every manifest. A
     ///    torn or missing manifest rejects the generation before any chunk is read.
-    /// 2. **Region pass**: every region of a chunked slot, and every flat image as a
-    ///    whole, is one unit in a queue ordered by (rank, region). min(cores, units)
+    /// 2. **Region pass**: every region of every slot is one unit in a queue ordered
+    ///    by (rank, region). min(cores, units)
     ///    readers — the calling thread is one of them — each read one contiguous run
     ///    of it, so a one-rank job still reads on every core and a wide job never
     ///    means one thread per rank. The images are then assembled in rank order.
@@ -1410,8 +1322,7 @@ impl CheckpointStorage {
             // protection from the real restart point). Lock order catalog → pending
             // is safe: no other path acquires the catalog while holding pending.
             let pending: BTreeSet<u64> = self.pending.lock().keys().copied().collect();
-            let mut all: BTreeSet<u64> = catalog.manifests.keys().map(|(g, _)| *g).collect();
-            all.extend(catalog.full_images.keys().map(|(g, _)| *g));
+            let all: BTreeSet<u64> = catalog.manifests.keys().map(|(g, _)| *g).collect();
             let newest_committed = all.iter().rev().find(|g| !pending.contains(g)).copied();
             let protected = |generation: u64| {
                 pending.contains(&generation) || Some(generation) == newest_committed
@@ -1423,10 +1334,6 @@ impl CheckpointStorage {
                     report.pruned.push(generation);
                 }
             }
-            let mut catalog = catalog;
-            catalog
-                .full_images
-                .retain(|(generation, _), _| *generation >= keep_from || protected(*generation));
             catalog
                 .manifests
                 .keys()
@@ -1536,8 +1443,8 @@ impl CheckpointStorage {
     /// Aggregate occupancy, including per-shard breakdowns and cold-tier counters.
     ///
     /// On a tenant view the chunk/shard numbers describe the **shared** chunk space
-    /// (they are the same from every view), while the manifest and full-image
-    /// numbers describe this view's own catalog namespace.
+    /// (they are the same from every view), while the manifest numbers describe
+    /// this view's own catalog namespace.
     pub fn stats(&self) -> StorageStats {
         let mut shards = Vec::with_capacity(self.shards.len());
         for shard in self.shards.iter() {
@@ -1570,14 +1477,10 @@ impl CheckpointStorage {
             shards,
             manifest_count: 0,
             manifest_bytes: 0,
-            full_image_count: 0,
-            full_image_bytes: 0,
         };
         let catalog = self.catalog.lock();
         stats.manifest_count = catalog.manifests.len();
         stats.manifest_bytes = catalog.manifests.values().map(|m| m.len()).sum();
-        stats.full_image_count = catalog.full_images.len();
-        stats.full_image_bytes = catalog.full_images.values().map(|i| i.len()).sum();
         stats
     }
 
@@ -1598,7 +1501,7 @@ impl CheckpointStorage {
                 .cloned()
                 .ok_or_else(|| {
                     MpiError::Checkpoint(format!(
-                        "no chunked checkpoint for generation {generation}, rank {rank}"
+                        "no checkpoint for generation {generation}, rank {rank}"
                     ))
                 })?;
             let others: Vec<Vec<u8>> = catalog
@@ -1653,26 +1556,17 @@ impl CheckpointStorage {
         }
     }
 
-    /// Flip one byte of the stored manifest (or flat image) for `(generation, rank)`.
+    /// Flip one byte of the stored manifest for `(generation, rank)`.
     pub fn corrupt_manifest(&self, generation: u64, rank: Rank) -> MpiResult<()> {
         let mut catalog = self.catalog.lock();
-        let catalog = &mut *catalog;
-        let bytes = match catalog.manifests.get_mut(&(generation, rank)) {
-            Some(bytes) => bytes,
-            // A reader may hold the stored image by refcount: `make_mut` then
-            // rebuilds the entry around a flipped copy, as a torn write would
-            // replace the stored bytes.
-            None => Arc::make_mut(
-                catalog
-                    .full_images
-                    .get_mut(&(generation, rank))
-                    .ok_or_else(|| {
-                        MpiError::Checkpoint(format!(
-                            "no checkpoint for generation {generation}, rank {rank}"
-                        ))
-                    })?,
-            ),
-        };
+        let bytes = catalog
+            .manifests
+            .get_mut(&(generation, rank))
+            .ok_or_else(|| {
+                MpiError::Checkpoint(format!(
+                    "no checkpoint for generation {generation}, rank {rank}"
+                ))
+            })?;
         let position = bytes.len() / 2;
         bytes[position] ^= 0x01;
         Ok(())

@@ -51,7 +51,9 @@ fn full_image_policy_roundtrips() {
     let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
     assert_eq!(report.policy, StoragePolicy::FullImage);
     assert!(report.written_bytes >= report.logical_bytes);
-    assert_eq!(report.chunks_new, 0);
+    assert_eq!(report.regions_reused, 0);
+    // Into an empty store, every chunk the write cut is new.
+    assert_eq!(report.chunks_new, storage.stats().chunk_count);
 
     let back = storage.read(0, 0).unwrap();
     assert_eq!(back.upper_half, upper);
@@ -90,7 +92,10 @@ fn one_percent_dirty_writes_ten_times_fewer_bytes() {
     let mut upper = synthetic_upper(0, 128, 64 * 1024);
     assert!(upper.total_bytes() >= 4 << 20);
 
-    let baseline = storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+    // The full-image baseline goes into a store of its own: in this one, the first
+    // incremental generation would dedup every chunk against it.
+    let baseline = CheckpointStorage::unmetered()
+        .write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
 
     let gen0 = storage.write_image(StoragePolicy::Incremental, &image_of(0, 1, &upper));
     upper.mark_clean();
@@ -265,7 +270,7 @@ fn latest_valid_generation_requires_every_rank() {
     // whole job falls back as one.
     const WORLD: i32 = 4;
     for policy in POLICIES {
-        for corrupt in corruptions(policy) {
+        for corrupt in CORRUPTIONS {
             for torn in [0, WORLD - 1] {
                 let storage = two_generation_job(policy, WORLD);
                 assert_eq!(
@@ -371,18 +376,63 @@ fn rewriting_a_generation_releases_the_replaced_manifests_chunks() {
     );
     assert_eq!(storage.read(0, 0).unwrap().upper_half, upper_b);
 
-    // Rewriting a chunked slot with a flat image also releases the manifest.
+    // A full-image rewrite replaces the manifest too, and releases its chunks.
     let storage = CheckpointStorage::unmetered();
     storage.write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper_a));
     storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper_b));
     assert_eq!(storage.read(0, 0).unwrap().upper_half, upper_b);
-    storage.prune_before(u64::MAX);
+    let report = storage.prune_before(u64::MAX);
+    assert!(
+        report.freed_bytes > 0,
+        "upper_a's orphaned chunks are freed"
+    );
     let stats = storage.stats();
     assert_eq!(
-        stats.chunk_count, 0,
+        stats.chunk_bytes, upper_b_chunk_bytes,
         "the replaced manifest's chunks are freed"
     );
-    assert_eq!(stats.full_image_count, 1, "the newest generation survives");
+    assert_eq!(stats.manifest_count, 1, "the newest generation survives");
+}
+
+/// Dirty flags can lie: a region changed and then marked clean again looks
+/// reusable. `Incremental` trusts the flag and re-references the stale chunks;
+/// `FullImage` re-digests every region, so it stores what the region holds.
+#[test]
+fn a_full_image_write_trusts_no_dirty_flag() {
+    let mut upper = synthetic_upper(0, 4, 16 * 1024);
+    let stores = [StoragePolicy::FullImage, StoragePolicy::Incremental].map(|policy| {
+        let storage = CheckpointStorage::unmetered();
+        storage.write_image(policy, &image_of(0, 0, &upper));
+        (policy, storage)
+    });
+    upper.mark_clean();
+    upper.advance_epoch();
+    upper.region_mut("app.region002").unwrap()[77] ^= 0xFF;
+    upper.mark_clean();
+    assert_eq!(upper.dirty_count(), 0, "the flags now lie");
+
+    let (policy, storage) = &stores[0];
+    let report = storage.write_image(*policy, &image_of(0, 1, &upper));
+    assert_eq!(report.regions_reused, 0, "{policy:?} reused a clean region");
+    assert_eq!(
+        report.chunks_new, 1,
+        "{policy:?}: the changed chunk is stored"
+    );
+    assert_eq!(storage.read(1, 0).unwrap().upper_half, upper, "{policy:?}");
+
+    let (policy, storage) = &stores[1];
+    let report = storage.write_image(*policy, &image_of(0, 1, &upper));
+    assert_eq!(report.regions_reused, 4, "{policy:?} trusts every flag");
+    assert_eq!(
+        contents(&storage.read(1, 0).unwrap().upper_half),
+        contents(&storage.read(0, 0).unwrap().upper_half),
+        "{policy:?} restores the stale bytes"
+    );
+    assert_ne!(
+        contents(&storage.read(1, 0).unwrap().upper_half),
+        contents(&upper),
+        "{policy:?}"
+    );
 }
 
 #[test]
@@ -838,15 +888,10 @@ fn tenant_views_share_chunks_but_not_catalogs() {
     assert_eq!(restored.upper_half, upper);
 }
 
-/// Every policy a job read decodes: flat images, raw chunks and LZ chunks.
+/// Every policy: each writes chunks, the unit a region pass reads — raw chunks
+/// under all three, LZ chunks too under `IncrementalCompressed`.
 const POLICIES: [StoragePolicy; 3] = [
     StoragePolicy::FullImage,
-    StoragePolicy::Incremental,
-    StoragePolicy::IncrementalCompressed,
-];
-
-/// The policies that write chunks, the unit a region pass reads.
-const CHUNKED: [StoragePolicy; 2] = [
     StoragePolicy::Incremental,
     StoragePolicy::IncrementalCompressed,
 ];
@@ -895,17 +940,11 @@ fn two_generation_job(policy: StoragePolicy, world: i32) -> CheckpointStorage {
 /// Tears one `(generation, rank)` slot of a store.
 type Corruption = fn(&CheckpointStorage, u64, i32) -> MpiResult<()>;
 
-/// The ways one slot of a generation can tear under `policy`: a flat image has no
-/// chunks, so only its stored bytes can be flipped.
-fn corruptions(policy: StoragePolicy) -> Vec<Corruption> {
-    match policy {
-        StoragePolicy::FullImage => vec![CheckpointStorage::corrupt_manifest],
-        _ => vec![
-            CheckpointStorage::corrupt_fresh_chunk,
-            CheckpointStorage::corrupt_manifest,
-        ],
-    }
-}
+/// The ways one slot of a generation can tear, under every policy.
+const CORRUPTIONS: [Corruption; 2] = [
+    CheckpointStorage::corrupt_fresh_chunk,
+    CheckpointStorage::corrupt_manifest,
+];
 
 #[test]
 fn a_job_wider_than_the_host_reads_back_in_rank_order() {
@@ -939,7 +978,7 @@ fn a_job_wider_than_the_host_reads_back_in_rank_order() {
 fn a_job_read_reports_the_lowest_failing_rank() {
     const WORLD: i32 = 4;
     for policy in POLICIES {
-        for corrupt in corruptions(policy) {
+        for corrupt in CORRUPTIONS {
             let storage = two_generation_job(policy, WORLD);
             corrupt(&storage, 1, 3).unwrap();
             corrupt(&storage, 1, 1).unwrap();
@@ -955,8 +994,7 @@ fn a_job_read_reports_the_lowest_failing_rank() {
 
 #[test]
 fn concurrent_readers_promote_each_shared_cold_chunk_once() {
-    // Flat images write no chunks, so only the chunked policies spill and promote.
-    for policy in CHUNKED {
+    for policy in POLICIES {
         // One rank's regions are read by concurrent readers too, so a one-rank job
         // races as well as a four-rank one.
         for world in [1, 4] {
@@ -1020,7 +1058,7 @@ fn an_empty_world_has_no_checkpoint() {
 #[test]
 fn a_torn_manifest_fails_the_job_read_before_any_chunk_is_read() {
     const WORLD: i32 = 4;
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = two_generation_job(policy, WORLD);
         storage.corrupt_manifest(1, WORLD - 1).unwrap();
         let reads = storage.stats().chunk_reads;
@@ -1036,7 +1074,7 @@ fn a_torn_manifest_fails_the_job_read_before_any_chunk_is_read() {
 #[test]
 fn a_generation_missing_its_tail_ranks_is_skipped_before_any_chunk_is_read() {
     const WORLD: i32 = 4;
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = two_generation_job(policy, WORLD);
         // Generation 2 holds ranks 0 and 1 only, whose images record the 4-rank world:
         // the tail ranks died before writing.
@@ -1065,7 +1103,7 @@ fn a_generation_missing_its_tail_ranks_is_skipped_before_any_chunk_is_read() {
 #[test]
 fn a_one_rank_image_with_edge_sized_regions_round_trips_through_a_spill() {
     const CHUNK: usize = 4096;
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered()
             .with_chunk_size(CHUNK)
             .with_cold_tier(ColdTier::in_temp().unwrap());
@@ -1098,7 +1136,7 @@ fn a_one_rank_image_with_edge_sized_regions_round_trips_through_a_spill() {
 
 #[test]
 fn a_one_rank_read_reports_its_first_torn_region() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered().with_chunk_size(4096);
         let mut upper = compressible_upper(0, 6);
         // Each generation dirties one region and the fresh chunk of each is torn, so
@@ -1160,7 +1198,7 @@ fn contents(upper: &UpperHalfSpace) -> Vec<Vec<u8>> {
 }
 
 /// Four single-chunk regions of xorshift noise, which LZ cannot shrink: every chunk
-/// is stored raw, as a window, under both chunked policies.
+/// is stored raw, as a window, under every policy.
 fn windowed_upper(rank: i32) -> UpperHalfSpace {
     let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ rank as u64;
     let mut upper = UpperHalfSpace::new();
@@ -1180,7 +1218,7 @@ fn windowed_upper(rank: i32) -> UpperHalfSpace {
 
 #[test]
 fn corrupting_a_window_chunk_leaves_the_live_region_untouched() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered();
         let upper = windowed_upper(0);
         let before = contents(&upper);
@@ -1204,7 +1242,7 @@ fn corrupting_a_window_chunk_leaves_the_live_region_untouched() {
 
 #[test]
 fn pruning_the_last_generation_that_holds_a_window_spares_the_live_region() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered();
         let mut upper = windowed_upper(0);
         let before = contents(&upper);
@@ -1236,7 +1274,7 @@ fn pruning_the_last_generation_that_holds_a_window_spares_the_live_region() {
 
 #[test]
 fn a_spilled_window_chunk_round_trips_after_the_live_region_moves_on() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered().with_cold_tier(ColdTier::in_temp().unwrap());
         let mut upper = windowed_upper(0);
         storage.write_image(policy, &image_of(0, 0, &upper));
@@ -1314,7 +1352,7 @@ const CHUNK: usize = ckpt_store::DEFAULT_CHUNK_SIZE;
 
 #[test]
 fn a_read_adopts_every_region_its_raw_chunks_tile() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let mut upper = UpperHalfSpace::new();
         // One chunk, several whole chunks, and whole chunks plus a short tail.
         for (r, len) in [CHUNK, 4 * CHUNK, 2 * CHUNK + 123].into_iter().enumerate() {
@@ -1377,7 +1415,7 @@ fn a_region_holding_another_regions_chunk_is_copied() {
 
 #[test]
 fn a_region_behind_a_spill_is_copied() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered().with_cold_tier(ColdTier::in_temp().unwrap());
         let upper = windowed_upper(0);
         assert_eq!(
@@ -1400,7 +1438,7 @@ fn a_store_with_a_small_chunk_size_adopts_only_a_region_that_tiles_itself() {
         "app.repeats",
         [&block[..], &noise(6, SMALL)[..], &block[..]].concat(),
     );
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered().with_chunk_size(SMALL);
         assert_eq!(
             adopted(&storage, policy, &upper, false),
@@ -1412,7 +1450,7 @@ fn a_store_with_a_small_chunk_size_adopts_only_a_region_that_tiles_itself() {
 
 #[test]
 fn writing_to_a_restored_region_leaves_its_generation_unchanged() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered();
         let upper = windowed_upper(0);
         let before = contents(&upper);
@@ -1448,7 +1486,7 @@ fn writing_to_a_restored_region_leaves_its_generation_unchanged() {
 
 #[test]
 fn pruning_after_a_restart_leaves_the_restored_bytes() {
-    for policy in CHUNKED {
+    for policy in POLICIES {
         let storage = CheckpointStorage::unmetered();
         let upper = windowed_upper(0);
         let before = contents(&upper);

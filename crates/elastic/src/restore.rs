@@ -100,7 +100,7 @@ pub fn restart_job(
 /// from the newest generation that validates end to end for **every** rank, at
 /// whatever world size it was checkpointed with.
 ///
-/// Each candidate generation's manifests and chunks (or flat images) are verified
+/// Each candidate generation's manifests and chunks are verified
 /// before any rank is rebuilt; a generation with a corrupt or truncated piece — the
 /// torn-write case a preempted job can leave behind — is skipped for the job as a
 /// whole, so all ranks restart from the same older generation rather than a torn

@@ -14,8 +14,9 @@
 //!   (the §9 "future work" scenario, possible here because nothing lower-half-specific
 //!   is stored in the image).
 //!
-//! The standalone checkpoints here write flat images (`StoragePolicy::FullImage`, the
-//! paper's baseline) into the `ckpt-store` engine.
+//! The standalone checkpoints here write full images (`StoragePolicy::FullImage`, the
+//! paper's baseline: every region re-digested, no clean-region reuse) into the
+//! `ckpt-store` engine.
 
 #![expect(
     clippy::unwrap_used,
@@ -140,7 +141,7 @@ fn phase_after(mut session: Session) {
     session.barrier(state.world).unwrap();
 }
 
-/// A runtime whose ranks write flat images.
+/// A runtime whose ranks write full images.
 fn full_image_runtime(world_size: usize, backend: Backend, config: ManaConfig) -> JobRuntime {
     JobRuntime::new(
         JobConfig::new(world_size, backend)
@@ -268,7 +269,7 @@ fn multiple_checkpoint_generations() {
         })
         .unwrap();
     // Three generations of two ranks each.
-    assert_eq!(storage.stats().full_image_count, 6);
+    assert_eq!(storage.stats().manifest_count, 6);
     // The restart path works from the latest generation.
     let (new_lowers, _) = Backend::Mpich.launch(2, runtime.registry(), 9).unwrap();
     let (restarted, generation) = restart_job_from_storage(

@@ -19,8 +19,8 @@
 //! generation instead of resurrecting silently wrong state. The seal is most of the
 //! work of an encode or decode, and XXH64 runs at several times the speed of the
 //! CRC-32 that sealed version 3. Version 3 images are rejected as an unsupported
-//! version: none outlives the process that wrote it (the store's catalog lives in
-//! memory, and the cold tier spills chunks, never flat images).
+//! version: none outlives the process that wrote it, and no store holds one (every
+//! storage policy writes manifests over chunks).
 //!
 //! The format mirrors the property the paper highlights in §4.2: the MANA-internal
 //! descriptor structures are *not* given a special section in the image — they are

@@ -144,9 +144,11 @@ fn best_parallel_writes(shards: usize) -> [(f64, usize); 2] {
 
 #[test]
 fn one_percent_dirty_beats_full_by_ten_x() {
-    let full = measure(StoragePolicy::FullImage, 0.01);
     let incremental = measure(StoragePolicy::Incremental, 0.01);
-    assert!(incremental.written_bytes * 10 <= full.written_bytes);
+    // A full image of the same upper half writes at least its logical bytes into a
+    // store that holds nothing to dedup against (and a FullImage generation 1 would
+    // dedup against its own generation 0, so it is no baseline).
+    assert!(incremental.written_bytes * 10 <= incremental.logical_bytes);
 }
 
 #[test]
