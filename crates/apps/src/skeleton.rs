@@ -76,10 +76,10 @@ pub struct AppProfile {
     pub alltoall_every: u64,
     /// Whether the application carves a sub-communicator out of the world at startup
     /// (row/plane communicators). Requires `MPI_Comm_split` from the lower half.
-    pub uses_split_comm: bool,
+    pub(crate) uses_split_comm: bool,
     /// Per-rank state in `f64` elements at scale 1.0, calibrated to the paper's
     /// Table 3 checkpoint sizes.
-    pub state_elements_full_scale: usize,
+    pub(crate) state_elements_full_scale: usize,
 }
 
 impl AppProfile {

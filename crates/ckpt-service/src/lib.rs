@@ -11,17 +11,19 @@
 //!   namespace ([`CheckpointStorage::tenant_view`]), but chunks are content-addressed
 //!   in one shared, ref-counted space: two jobs running the same app store identical
 //!   chunks once, and the saving is accounted per tenant ([`TenantStats`]).
-//! * **Quotas + pluggable GC** — per-tenant logical-byte and generation-count caps
-//!   ([`TenantQuota`]), enforced by a [`GcPolicy`] (default [`ReclaimOldest`]) that
-//!   reclaims a tenant's **oldest** committed generations and can never touch its
-//!   newest committed one — the store's own `prune_before` floor guarantees it.
+//! * **Quotas + GC** — per-tenant logical-byte and generation-count caps
+//!   ([`TenantQuota`]), enforced by reclaiming a tenant's **oldest** committed
+//!   generations after every landed write; GC never touches its newest committed
+//!   one — the store's own `prune_before` floor guarantees it.
 //! * **Admission control** — a shared [`FlusherPool`](ckpt_store::FlusherPool) with
 //!   a total in-flight cap and per-tenant in-flight budgets; a rejected submission
 //!   returns a typed, retryable [`AdmissionError`] *with the image handed back*, so
 //!   the job can fall back to a synchronous write instead of skipping a checkpoint.
-//!   This is the only asynchronous route into storage: a job without a shared
-//!   service flushes as the sole tenant of a private one
-//!   ([`CkptService::sole_tenant`]), which writes the job's own store.
+//!   This is the only route into storage: every job is a tenant from construction,
+//!   and a job without a shared service is the sole tenant of a private one
+//!   ([`CkptService::sole_tenant`]), which writes the job's own store. Its
+//!   synchronous writes are metered like any tenant's, and its pool spawns no
+//!   thread until the job flushes asynchronously.
 //! * **Disk tiering** — when the hot set outgrows its target, least-recently-
 //!   referenced chunks spill to a tempdir-rooted cold tier and are CRC-revalidated
 //!   on promote, transparently to reads and restart.
@@ -34,7 +36,7 @@
 pub(crate) mod gc;
 pub mod service;
 
-pub use gc::{GcPolicy, ReclaimOldest, TenantQuota, TenantUsage};
+pub use gc::TenantQuota;
 pub use service::{
     AdmissionError, CkptService, RejectedSubmission, ServiceConfig, ServiceHandle, ServiceStats,
     TenantId, TenantStats,

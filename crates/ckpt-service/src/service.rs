@@ -5,14 +5,18 @@
 //! and receive a [`ServiceHandle`]; each tenant writes generations into its own
 //! catalog namespace (a [`CheckpointStorage::tenant_view`]) while identical chunks
 //! written by different tenants are stored once. The service meters every landed
-//! write per tenant, enforces quotas through a pluggable [`GcPolicy`], applies
-//! admission control to async submissions, and demotes the least-recently-referenced
-//! chunks to the cold tier when the hot set outgrows its target.
-//! A job without a shared service flushes as the [sole tenant](CkptService::sole_tenant)
-//! of a private one. The handles own the pool, and no flush callback does, so
-//! dropping the last handle drains the pool on the dropping thread.
+//! write per tenant, enforces quotas by reclaiming each tenant's oldest committed
+//! generations, applies admission control to async submissions, and demotes the
+//! least-recently-referenced chunks to the cold tier when the hot set outgrows its
+//! target.
+//! Every job is a tenant: a job without a shared service is the
+//! [sole tenant](CkptService::sole_tenant) of a private one from construction. A
+//! shared service starts its pool when a tenant registers; a private one only when
+//! its job flushes asynchronously, so a synchronous job runs no flusher thread.
+//! The handles own the pool, and no flush callback does, so dropping the last
+//! handle drains the pool on the dropping thread.
 
-use crate::gc::{GcPolicy, ReclaimOldest, TenantQuota, TenantUsage};
+use crate::gc::{reclaim_cutoff, TenantQuota};
 use ckpt_store::{
     CheckpointStorage, ColdTier, FlushHandle, FlusherPool, StoragePolicy, StorageStats, StoreReport,
 };
@@ -174,9 +178,9 @@ pub struct ServiceStats {
     /// Per-tenant accounting, in registration order.
     pub tenants: Vec<TenantStats>,
     /// Logical bytes across every tenant's landed writes.
-    pub total_logical_bytes: u64,
+    pub(crate) total_logical_bytes: u64,
     /// Physical bytes across every tenant's landed writes.
-    pub total_physical_bytes: u64,
+    pub(crate) total_physical_bytes: u64,
     /// Async submissions currently in flight across all tenants.
     pub in_flight: usize,
     /// Occupancy of the shared chunk space (per-shard breakdown included).
@@ -246,7 +250,6 @@ struct TenantEntry {
 struct ServiceInner {
     base: CheckpointStorage,
     config: ServiceConfig,
-    gc: Box<dyn GcPolicy>,
     tenants: Mutex<BTreeMap<TenantId, Arc<TenantEntry>>>,
     next_tenant: AtomicU64,
     in_flight_total: AtomicUsize,
@@ -271,9 +274,10 @@ impl ServiceInner {
         self.maybe_spill();
     }
 
-    /// Apply the GC policy to one tenant. Only this tenant's generations are
-    /// candidates; the chunk sweep frees only chunks no tenant references any more
-    /// (reference counts are shared across the whole chunk space).
+    /// Reclaim one tenant's oldest generations down to its quota. Only this
+    /// tenant's generations are candidates; the chunk sweep frees only chunks no
+    /// tenant references any more (reference counts are shared across the whole
+    /// chunk space).
     fn enforce_quota(&self, entry: &TenantEntry) {
         let committed = entry.view.generations();
         let pending = entry.view.pending_generations();
@@ -286,7 +290,7 @@ impl ServiceInner {
                     .gen_logical
                     .retain(|generation, _| *generation >= oldest || pending.contains(generation));
             }
-            let generations = committed
+            let generations: Vec<(u64, u64)> = committed
                 .iter()
                 .map(|g| {
                     let bytes = state
@@ -297,10 +301,7 @@ impl ServiceInner {
                     (*g, bytes)
                 })
                 .collect();
-            self.gc.reclaim_cutoff(&TenantUsage {
-                quota: state.quota,
-                generations,
-            })
+            reclaim_cutoff(&state.quota, &generations)
         };
         let Some(cutoff) = cutoff else { return };
         let report = entry.view.prune_before(cutoff);
@@ -378,29 +379,20 @@ impl std::fmt::Debug for CkptService {
 }
 
 impl CkptService {
-    /// A service over a fresh chunk space, with the default
-    /// [`ReclaimOldest`] GC policy. When `config.hot_bytes_target` is set, a
-    /// tempdir-rooted cold tier is attached.
+    /// A service over a fresh chunk space. When `config.hot_bytes_target` is set,
+    /// a tempdir-rooted cold tier is attached.
     pub fn new(config: ServiceConfig) -> MpiResult<Self> {
         let mut storage = CheckpointStorage::unmetered();
         if config.hot_bytes_target.is_some() {
             storage = storage.with_cold_tier(ColdTier::in_temp()?);
         }
-        Ok(CkptService::with_storage(
-            config,
-            storage,
-            Box::new(ReclaimOldest),
-        ))
+        Ok(CkptService::with_storage(config, storage))
     }
 
     /// A service over a caller-built chunk space (cold tier, shard count and chunk
-    /// size included) with an explicit GC policy. The storage must not be
-    /// shared elsewhere: tenants are views of it.
-    pub fn with_storage(
-        config: ServiceConfig,
-        storage: CheckpointStorage,
-        gc: Box<dyn GcPolicy>,
-    ) -> Self {
+    /// size included). The storage must not be shared elsewhere: tenants are views
+    /// of it.
+    pub fn with_storage(config: ServiceConfig, storage: CheckpointStorage) -> Self {
         let workers = match config.flusher_workers {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -413,7 +405,6 @@ impl CkptService {
             inner: Arc::new(ServiceInner {
                 base: storage,
                 config,
-                gc,
                 tenants: Mutex::new(BTreeMap::new()),
                 next_tenant: AtomicU64::new(0),
                 in_flight_total: AtomicUsize::new(0),
@@ -427,22 +418,22 @@ impl CkptService {
         self.register_tenant_with(name, self.inner.config.default_quota)
     }
 
-    /// Register a tenant with an explicit quota.
+    /// Register a tenant with an explicit quota. The shared flusher pool starts
+    /// here, on the registering thread, if it has not yet: the first submission
+    /// comes from a rank thread, whose core binding the workers would inherit.
     pub fn register_tenant_with(&self, name: &str, quota: TenantQuota) -> ServiceHandle {
+        self.flusher.start();
         self.register(name, quota, self.inner.base.tenant_view())
     }
 
     /// A private service whose one tenant writes `storage`'s own catalog rather
-    /// than a view of it: how a job without a shared service checkpoints
-    /// asynchronously. The tenant has no quota and no in-flight budget of its own,
-    /// so only the service-wide cap of [`ServiceConfig::default`] admits its
-    /// submissions.
+    /// than a view of it: how a job without a shared service checkpoints. The
+    /// tenant has no quota and no in-flight budget of its own, so only the
+    /// service-wide cap of [`ServiceConfig::default`] admits its submissions. The
+    /// service is never started: it spawns no flusher thread until the tenant's
+    /// first asynchronous submission.
     pub fn sole_tenant(storage: CheckpointStorage) -> ServiceHandle {
-        let service = CkptService::with_storage(
-            ServiceConfig::default(),
-            storage.clone(),
-            Box::new(ReclaimOldest),
-        );
+        let service = CkptService::with_storage(ServiceConfig::default(), storage.clone());
         service.register(
             "job",
             TenantQuota::default().with_max_in_flight(usize::MAX),
@@ -523,6 +514,13 @@ impl ServiceHandle {
     /// (and restart from) exactly this view.
     pub fn storage(&self) -> &CheckpointStorage {
         &self.entry.view
+    }
+
+    /// Start the shared flusher pool on the calling thread, if it has not started
+    /// yet (see [`FlusherPool::start`]): what a job that is about to flush does
+    /// before its rank threads submit.
+    pub fn start_pool(&self) {
+        self.flusher.start();
     }
 
     /// This tenant's quota.

@@ -3,7 +3,7 @@
 //! synchronous fallback, tenant-scoped idle waits, dropping the service mid-flush,
 //! and the cold tier round trip.
 
-use ckpt_service::{AdmissionError, CkptService, ReclaimOldest, ServiceConfig, TenantQuota};
+use ckpt_service::{AdmissionError, CkptService, ServiceConfig, TenantQuota};
 use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
 use parking_lot::Mutex;
 use split_proc::address_space::UpperHalfSpace;
@@ -203,7 +203,6 @@ fn tenant_in_flight_budget_rejects_while_other_tenants_proceed() {
             ..ServiceConfig::default()
         },
         CheckpointStorage::unmetered(),
-        Box::new(ReclaimOldest),
     );
     let blocker = service.register_tenant("blocker");
     let budgeted =
@@ -314,7 +313,6 @@ fn dropping_the_service_mid_flush_lands_the_flush() {
             ..ServiceConfig::default()
         },
         CheckpointStorage::unmetered(),
-        Box::new(ReclaimOldest),
     );
     let handle = service.register_tenant("dropped");
     let view = handle.storage().clone();
@@ -353,7 +351,6 @@ fn cold_tier_spill_and_restart_round_trip_bit_identically() {
             ..ServiceConfig::default()
         },
         storage,
-        Box::new(ReclaimOldest),
     );
     let handle = service.register_tenant("cold");
     for generation in 0..3 {
@@ -402,8 +399,7 @@ fn corrupt_cold_chunk_fails_validation_and_restart_falls_back() {
     let storage = CheckpointStorage::unmetered()
         .with_chunk_size(4 * 1024)
         .with_cold_tier(ColdTier::in_temp().unwrap());
-    let service =
-        CkptService::with_storage(ServiceConfig::default(), storage, Box::new(ReclaimOldest));
+    let service = CkptService::with_storage(ServiceConfig::default(), storage);
     let handle = service.register_tenant("bitrot");
     for generation in 0..2 {
         let report = handle.storage().write_image(

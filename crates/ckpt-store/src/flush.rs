@@ -13,7 +13,9 @@
 //!
 //! The pool is the flusher of the checkpoint service (`ckpt-service`): the service
 //! admits every submission under its in-flight caps and names the storage each job
-//! writes. The pool itself owns no storage and bounds nothing.
+//! writes. The pool itself owns no storage and bounds nothing. It spawns its workers
+//! when its owner starts it or on its first submission, so the private service of
+//! a job that only ever checkpoints synchronously runs no flusher thread.
 //!
 //! Generation visibility is governed by the store's pending table (see
 //! [`CheckpointStorage::begin_generation`]): a generation announced as pending stays
@@ -28,7 +30,7 @@ use crate::StoragePolicy;
 use parking_lot::{Condvar, Mutex};
 use split_proc::image::CheckpointImage;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Callback a submitter attaches to a flush job; runs on the worker thread after the
@@ -160,24 +162,42 @@ struct PoolShared {
 /// Jobs are processed FIFO; jobs from different ranks run concurrently across the
 /// workers (the sharded store admits them in parallel, exactly like the synchronous
 /// parallel write phase). The pool bounds nothing itself: its owner, the checkpoint
-/// service, admits submissions. Dropping the pool drains the remaining queue on the
-/// dropping thread, then joins the workers.
+/// service, admits submissions. Dropping the pool lets the workers drain the
+/// remaining queue, then joins them.
 pub struct FlusherPool {
     shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
+    /// How many workers `start` spawns.
+    worker_count: usize,
+    /// Unset until the pool starts.
+    workers: OnceLock<Vec<JoinHandle<()>>>,
 }
 
 impl FlusherPool {
-    /// A pool of exactly `workers` flusher threads (min 1).
+    /// A pool of exactly `workers` flusher threads (min 1), spawned by
+    /// [`start`](FlusherPool::start) or else by the first
+    /// [`submit_to`](FlusherPool::submit_to).
     pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared::default());
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        FlusherPool { shared, workers }
+        FlusherPool {
+            shared: Arc::new(PoolShared::default()),
+            worker_count: workers.max(1),
+            workers: OnceLock::new(),
+        }
+    }
+
+    /// Spawn the workers on the calling thread, unless they are running already.
+    /// A thread inherits its spawner's core binding, so an owner that sets the
+    /// pool up on an unbound thread starts it there, rather than leaving the spawn
+    /// to the first submitter: a rank thread a launcher has bound to one core
+    /// would bind every worker to that core too.
+    pub fn start(&self) {
+        self.workers.get_or_init(|| {
+            (0..self.worker_count)
+                .map(|_| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::spawn(move || worker_loop(&shared))
+                })
+                .collect()
+        });
     }
 
     /// Submit one rank's frozen image for background writing into `storage` under
@@ -197,6 +217,7 @@ impl FlusherPool {
             generation: image.metadata.generation,
             rank: image.metadata.rank,
         };
+        self.start();
         self.shared.state.lock().jobs.push_back(FlushJob {
             policy,
             image,
@@ -211,9 +232,13 @@ impl FlusherPool {
 
 impl Drop for FlusherPool {
     fn drop(&mut self) {
+        // A pool that never received a submission has no worker and no job.
+        let Some(workers) = self.workers.take() else {
+            return;
+        };
         self.shared.state.lock().shutdown = true;
         self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
+        for worker in workers {
             let _ = worker.join();
         }
     }
@@ -337,5 +362,42 @@ mod tests {
             assert!(handle.is_flushed(), "drop must drain queued flushes");
         }
         assert_eq!(storage.generations().len(), 4);
+    }
+
+    /// The workers a pool has spawned so far.
+    fn spawned(pool: &FlusherPool) -> usize {
+        pool.workers.get().map_or(0, Vec::len)
+    }
+
+    #[test]
+    fn workers_spawn_on_the_first_submission() {
+        // A pool that never receives a submission spawns nothing and drops cleanly.
+        let idle = FlusherPool::new(3);
+        assert_eq!(spawned(&idle), 0);
+        drop(idle);
+        let started = FlusherPool::new(2);
+        started.start();
+        started.start();
+        assert_eq!(spawned(&started), 2, "start spawns the workers once");
+        drop(started);
+
+        let storage = CheckpointStorage::unmetered();
+        let handles: Vec<FlushHandle> = {
+            let pool = FlusherPool::new(3);
+            let mut handles = vec![submit(&pool, &storage, image(0, 1, 0, 0))];
+            assert_eq!(
+                spawned(&pool),
+                3,
+                "the first submission spawns every worker"
+            );
+            handles.extend((1..6).map(|g| submit(&pool, &storage, image(0, 1, g, g as u8))));
+            assert_eq!(spawned(&pool), 3, "later submissions spawn no more");
+            handles
+        };
+        // The drop landed whatever was still queued.
+        for handle in handles {
+            assert!(handle.is_flushed(), "drop must drain queued flushes");
+        }
+        assert_eq!(storage.generations().len(), 6);
     }
 }

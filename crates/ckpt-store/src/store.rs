@@ -90,7 +90,7 @@ pub struct ShardStats {
     /// Stored bytes resident in memory (hot payloads).
     pub hot_bytes: usize,
     /// Chunks whose payload currently lives in the cold tier.
-    pub cold_chunks: usize,
+    pub(crate) cold_chunks: usize,
     /// Sum of reference counts across this shard's chunks.
     pub refcount_total: u64,
 }
@@ -107,7 +107,7 @@ pub struct StorageStats {
     /// Chunks whose payload currently lives in the cold tier.
     pub cold_chunk_count: usize,
     /// Chunk payload bytes currently spilled to the cold tier.
-    pub cold_bytes: usize,
+    pub(crate) cold_bytes: usize,
     /// Sum of chunk reference counts across all shards.
     pub refcount_total: u64,
     /// Chunk fetches served by promoting a cold-tier payload (lifetime counter).
@@ -115,9 +115,9 @@ pub struct StorageStats {
     /// Total chunk fetches on the read path (lifetime counter, hot + cold).
     pub chunk_reads: u64,
     /// Chunks demoted to the cold tier over the store's lifetime.
-    pub spilled_chunks: u64,
+    pub(crate) spilled_chunks: u64,
     /// Stored bytes demoted to the cold tier over the store's lifetime.
-    pub spilled_bytes: u64,
+    pub(crate) spilled_bytes: u64,
     /// Per-shard occupancy, in shard order.
     pub shards: Vec<ShardStats>,
     /// Manifests held.
@@ -147,9 +147,9 @@ impl StorageStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillReport {
     /// Chunks demoted to the cold tier by this pass.
-    pub spilled_chunks: usize,
+    pub(crate) spilled_chunks: usize,
     /// Stored bytes demoted by this pass.
-    pub spilled_bytes: usize,
+    pub(crate) spilled_bytes: usize,
     /// Hot bytes resident after the pass.
     pub hot_bytes: usize,
 }

@@ -25,6 +25,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// How long the drain may observe zero job-wide progress before declaring a stall.
+/// On expiry the drain errors with a diagnostic naming every peer still owing
+/// messages (and by how many) rather than hanging. The error itself is not
+/// recoverable; under the self-healing loop a stall whose cause was a rank death is
+/// recovered anyway, because the heartbeat monitor's declaration (not the stall)
+/// marks the run recoverable.
+const STALL_BUDGET: Duration = Duration::from_secs(5);
+
 /// How long a rank parks at the commit barrier between looks at its fabric's
 /// failure lane — the fabric's own wait slice.
 const BARRIER_SLICE: Duration = Duration::from_millis(2);
@@ -140,7 +148,6 @@ impl IntentSnapshot {
 /// (the barrier is sized to the world), share it via `Arc` with every rank thread.
 pub struct Coordinator {
     world_size: usize,
-    stall_budget: Duration,
     /// Total messages drained job-wide, ever — the global progress stamp.
     drained_total: AtomicU64,
     /// Periodic checkpoint interval in steps (0 = never).
@@ -184,7 +191,6 @@ impl Coordinator {
     ) -> Self {
         Coordinator {
             world_size,
-            stall_budget: Duration::from_secs(5),
             drained_total: AtomicU64::new(0),
             checkpoint_every: checkpoint_every.unwrap_or(0),
             intent: AtomicU64::new(0),
@@ -204,12 +210,6 @@ impl Coordinator {
             dead: Mutex::new(BTreeSet::new()),
             ledger,
         }
-    }
-
-    /// Override the drain stall budget (tests use a short one).
-    pub(crate) fn with_stall_budget(mut self, budget: Duration) -> Self {
-        self.stall_budget = budget;
-        self
     }
 
     /// The fabric the world's ranks talk over. A rank parked at the commit barrier
@@ -485,7 +485,7 @@ impl DrainObserver for Coordinator {
     }
 
     fn stall_budget(&self) -> Duration {
-        self.stall_budget
+        STALL_BUDGET
     }
 
     fn dead_peers(&self) -> Vec<Rank> {

@@ -17,8 +17,15 @@ use net_sim::clock;
 use net_sim::{ChaosPlan, Fabric};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Upper bound on automatic recoveries before
+/// [`JobRuntime::run_steps_self_healing`] gives up and surfaces the last failure.
+/// Guards against a fault the fallback cannot outrun (e.g. storage with no
+/// committed generation and a deterministic crash at step 0). A completed run
+/// reports its actual recovery count in the [`RecoveryLog`]'s `JobCompleted` event.
+const MAX_RECOVERIES: u32 = 8;
 
 /// Run one closure per worker, each on its own thread, and collect the results in
 /// launch order. A panic in a worker is surfaced as an [`MpiError::Internal`] naming
@@ -107,65 +114,31 @@ pub struct JobConfig {
     pub backend: Backend,
     /// Per-rank MANA configuration (virtual-id design, storage policy).
     pub mana: ManaConfig,
-    /// Take a coordinated checkpoint every this many completed steps.
-    ///
-    /// Default: `None` — only explicitly requested checkpoints. A job without
-    /// committed generations has no fallback: a failure or preemption before the
-    /// first commit restarts from step 0 (self-healing runs log
-    /// `FallbackRestored { generation: None }`).
-    pub checkpoint_every: Option<u64>,
-    /// Inject a preemption: the job vacates after completing this many steps (after
-    /// any checkpoint due at that boundary). Consumed by the first run it fires in.
-    pub kill_at_step: Option<u64>,
-    /// Mid-step checkpoint mode: install a checkpoint hook on every rank so a
-    /// broadcast checkpoint intent (`Coordinator::request_checkpoint_now`) is
-    /// delivered *inside* a step, at the two-phase collective safe points, instead of
-    /// waiting for the next step boundary.
-    pub checkpoint_mid_step: bool,
-    /// Inject a checkpoint intent inside this step (so it lands while ranks straddle
-    /// whatever collective the step runs): rank 0 broadcasts the intent after a short
-    /// stagger that lets its peers enter their registration phase first. The job
-    /// continues afterwards. Implies [`JobConfig::checkpoint_mid_step`]. Consumed by
-    /// the first run it fires in.
-    pub mid_step_checkpoint_at: Option<u64>,
-    /// Like [`JobConfig::mid_step_checkpoint_at`], but the intent is *preempting*:
-    /// once the mid-step generation commits, every rank vacates, and the step the
-    /// intent interrupted is repeated after a resume. Consumed by the first run it
-    /// fires in.
-    pub preempt_mid_step_at: Option<u64>,
+    /// See [`JobConfig::with_checkpoint_every`]; `None` by default.
+    pub(crate) checkpoint_every: Option<u64>,
+    /// See [`JobConfig::with_kill_at_step`]; `None` by default.
+    pub(crate) kill_at_step: Option<u64>,
+    /// See [`JobConfig::with_checkpoint_mid_step`]; off by default.
+    pub(crate) checkpoint_mid_step: bool,
+    /// See [`JobConfig::with_mid_step_checkpoint_at`]; `None` by default.
+    pub(crate) mid_step_checkpoint_at: Option<u64>,
+    /// See [`JobConfig::with_preempt_mid_step_at`]; `None` by default.
+    pub(crate) preempt_mid_step_at: Option<u64>,
     /// Asynchronous checkpoint flush: at a step-boundary checkpoint, ranks freeze
     /// their upper half (a copy-on-write clone, no bytes copied) and return to
     /// computation immediately while a background flusher pool chunks, compresses
     /// and stores the images. The generation is published only once every rank's
     /// flush lands — no rank ever blocks on the commit.
     ///
-    /// **Precedence:** [`JobConfig::checkpoint_mid_step`] wins. In mid-step mode
-    /// *every* checkpoint — boundary checkpoints included — is serviced
-    /// synchronously through the mid-step hook, because intent-servicing ranks and
-    /// boundary-checkpointing ranks must fold into one commit round (and a
-    /// preempting intent needs its generation durable before the rank vacates), so
-    /// this flag has no effect while mid-step mode is on.
+    /// **Precedence:** mid-step mode ([`JobConfig::with_checkpoint_mid_step`])
+    /// wins. In mid-step mode *every* checkpoint — boundary checkpoints included —
+    /// is serviced synchronously through the mid-step hook, because
+    /// intent-servicing ranks and boundary-checkpointing ranks must fold into one
+    /// commit round (and a preempting intent needs its generation durable before
+    /// the rank vacates), so this flag has no effect while mid-step mode is on.
     pub async_checkpoint: bool,
-    /// How long the drain may observe zero job-wide progress before declaring a
-    /// stall.
-    ///
-    /// Default: 5 s. On expiry the drain errors with a diagnostic naming every
-    /// peer still owing messages (and by how many) rather than hanging. The error
-    /// itself is not recoverable; under the self-healing loop a stall whose cause
-    /// was a rank death is recovered anyway, because the heartbeat monitor's
-    /// declaration (not the stall) marks the run recoverable.
-    pub stall_budget: Duration,
-    /// Failure-detector deadline for the self-healing loop: a rank whose fabric
-    /// heartbeat is silent for longer than this is declared dead, the world is
-    /// aborted, and the job falls back to its newest committed generation.
-    ///
-    /// Default: 250 ms. Tune it above the job's longest natural heartbeat gap
-    /// (synchronous checkpoint writes and commit-barrier waits do not beat) and
-    /// above any transient outage that should stay *masked* — a partition that
-    /// heals inside the deadline is invisible, one that outlives it is a failure.
-    /// Only consulted by [`JobRuntime::run_steps_self_healing`]; plain runs spawn
-    /// no detector.
-    pub heartbeat_deadline: Duration,
+    /// See [`JobConfig::with_heartbeat_deadline`]; 250 ms by default.
+    pub(crate) heartbeat_deadline: Duration,
     /// Seeded fault schedule installed on each incarnation's fabric (see
     /// [`net_sim::ChaosPlan`]). Faults that already fired are *not* re-armed on a
     /// relaunched incarnation, so one scheduled crash kills the job once, not on
@@ -176,14 +149,6 @@ pub struct JobConfig {
     /// lethal faults require [`JobRuntime::run_steps_self_healing`] to complete
     /// the job, and fail a plain run with the underlying fabric error.
     pub chaos: Option<ChaosPlan>,
-    /// Upper bound on automatic recoveries before
-    /// [`JobRuntime::run_steps_self_healing`] gives up and surfaces the last
-    /// failure. Guards against a fault the fallback cannot outrun (e.g. storage
-    /// with no committed generation and a deterministic crash at step 0).
-    ///
-    /// Default: 8. A completed run reports its actual recovery count in the
-    /// [`RecoveryLog`](crate::RecoveryLog)'s `JobCompleted` event.
-    pub max_recoveries: u32,
     /// Elastic restart policy. When set, [`JobRuntime::restart_resized`] becomes
     /// available, and the self-healing loop resumes a job whose nodes were declared
     /// dead by **shrinking the world onto the survivors** instead of relaunching at
@@ -205,10 +170,8 @@ impl Default for JobConfig {
             mid_step_checkpoint_at: None,
             preempt_mid_step_at: None,
             async_checkpoint: false,
-            stall_budget: Duration::from_secs(5),
             heartbeat_deadline: Duration::from_millis(250),
             chaos: None,
-            max_recoveries: 8,
             elastic: None,
         }
     }
@@ -230,33 +193,49 @@ impl JobConfig {
         self
     }
 
-    /// Checkpoint every `steps` completed steps.
+    /// Take a coordinated checkpoint every `steps` completed steps.
+    ///
+    /// Without it, only explicitly requested checkpoints are taken. A job without
+    /// committed generations has no fallback: a failure or preemption before the
+    /// first commit restarts from step 0 (self-healing runs log
+    /// `FallbackRestored { generation: None }`).
     pub fn with_checkpoint_every(mut self, steps: u64) -> Self {
         self.checkpoint_every = Some(steps);
         self
     }
 
-    /// Inject a preemption after `steps` completed steps.
+    /// Inject a preemption: the job vacates after completing `steps` steps (after
+    /// any checkpoint due at that boundary). Consumed by the first run it fires in.
     pub fn with_kill_at_step(mut self, steps: u64) -> Self {
         self.kill_at_step = Some(steps);
         self
     }
 
-    /// Enable mid-step checkpoint-intent delivery (see
-    /// [`JobConfig::checkpoint_mid_step`]).
+    /// Mid-step checkpoint mode: install a checkpoint hook on every rank so a
+    /// broadcast checkpoint intent (`Coordinator::request_checkpoint_now`) is
+    /// delivered *inside* a step, at the two-phase collective safe points, instead of
+    /// waiting for the next step boundary.
     pub fn with_checkpoint_mid_step(mut self) -> Self {
         self.checkpoint_mid_step = true;
         self
     }
 
-    /// Inject a (non-preempting) checkpoint intent inside step `step`.
+    /// Inject a checkpoint intent inside step `step` (so it lands while ranks
+    /// straddle whatever collective the step runs): rank 0 broadcasts the intent
+    /// after a short stagger that lets its peers enter their registration phase
+    /// first. The job continues afterwards. Implies
+    /// [`JobConfig::with_checkpoint_mid_step`]. Consumed by the first run it fires
+    /// in.
     pub fn with_mid_step_checkpoint_at(mut self, step: u64) -> Self {
         self.checkpoint_mid_step = true;
         self.mid_step_checkpoint_at = Some(step);
         self
     }
 
-    /// Inject a preempting checkpoint intent inside step `step`.
+    /// Like [`JobConfig::with_mid_step_checkpoint_at`], but the intent is
+    /// *preempting*: once the mid-step generation commits, every rank vacates, and
+    /// the step the intent interrupted is repeated after a resume. Consumed by the
+    /// first run it fires in.
     pub fn with_preempt_mid_step_at(mut self, step: u64) -> Self {
         self.checkpoint_mid_step = true;
         self.preempt_mid_step_at = Some(step);
@@ -276,7 +255,16 @@ impl JobConfig {
         self
     }
 
-    /// Set the failure-detector deadline (see [`JobConfig::heartbeat_deadline`]).
+    /// Failure-detector deadline for the self-healing loop: a rank whose fabric
+    /// heartbeat is silent for longer than `deadline` is declared dead, the world
+    /// is aborted, and the job falls back to its newest committed generation.
+    ///
+    /// Default: 250 ms. Tune it above the job's longest natural heartbeat gap
+    /// (synchronous checkpoint writes and commit-barrier waits do not beat) and
+    /// above any transient outage that should stay *masked* — a partition that
+    /// heals inside the deadline is invisible, one that outlives it is a failure.
+    /// Only consulted by [`JobRuntime::run_steps_self_healing`]; plain runs spawn
+    /// no detector.
     pub fn with_heartbeat_deadline(mut self, deadline: Duration) -> Self {
         self.heartbeat_deadline = deadline;
         self
@@ -297,9 +285,8 @@ impl JobConfig {
 #[derive(Clone)]
 pub struct JobCtx {
     coordinator: Arc<Coordinator>,
-    storage: CheckpointStorage,
-    /// Shared with the owning [`JobRuntime`] (see its field of the same name).
-    tenancy: Arc<OnceLock<ServiceHandle>>,
+    /// The owning [`JobRuntime`]'s tenancy (see its field of the same name).
+    pub(crate) tenancy: ServiceHandle,
 }
 
 impl JobCtx {
@@ -311,7 +298,7 @@ impl JobCtx {
     /// `latest_valid_images`) only once the *last* rank has done so — not
     /// necessarily by the time this rank returns.
     pub fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
-        Ok(self.round(session, false)?.wait())
+        Ok(self.round(session, Sink::InPlace)?.wait())
     }
 
     /// Take a coordinated checkpoint with an asynchronous flush: the rank returns as
@@ -323,37 +310,18 @@ impl JobCtx {
     /// rejection falls back to a synchronous write on this thread (the checkpoint
     /// is never skipped) and the returned handle is already complete.
     pub fn checkpoint_async(&self, session: &mut Session) -> MpiResult<FlushHandle> {
-        self.round(session, true)
+        self.round(session, Sink::Pool)
     }
 
-    fn round(&self, session: &mut Session, asynchronous: bool) -> MpiResult<FlushHandle> {
+    fn round(&self, session: &mut Session, sink: Sink) -> MpiResult<FlushHandle> {
         session.reap();
-        let sink = self.sink(asynchronous);
-        let (handle, _) =
-            checkpoint_round(session.rank_mut(), &self.coordinator, &sink, None, None)?;
+        let (handle, _) = checkpoint_round(session.rank_mut(), self, sink, None, None)?;
         Ok(handle)
     }
 
-    /// Where this job's checkpoints go: the store written in place (metered into
-    /// the tenancy, if there is one), or — when `asynchronous` — the job's
-    /// tenancy, made on first use as the sole tenant of a private service.
-    fn sink(&self, asynchronous: bool) -> Sink {
-        if asynchronous {
-            let tenancy = self
-                .tenancy
-                .get_or_init(|| CkptService::sole_tenant(self.storage.clone()));
-            Sink::Tenant(tenancy.clone())
-        } else {
-            Sink::Store {
-                storage: self.storage.clone(),
-                meter: self.tenancy.get().cloned(),
-            }
-        }
-    }
-
-    /// The storage engine checkpoints go into.
+    /// The storage engine checkpoints go into: the tenancy's view.
     pub fn storage(&self) -> &CheckpointStorage {
-        &self.storage
+        self.tenancy.storage()
     }
 
     /// The coordinator driving this world.
@@ -415,8 +383,8 @@ enum RankOutcome<T> {
 /// The coordinated job orchestrator.
 ///
 /// One `JobRuntime` owns a job across its whole life: the initial launch, every
-/// coordinated checkpoint (through one shared sharded [`CheckpointStorage`]), an
-/// injected preemption, and the restart onto a fresh world — possibly on a different
+/// coordinated checkpoint (through one checkpoint-service tenancy), an injected
+/// preemption, and the restart onto a fresh world — possibly on a different
 /// [`Backend`]. All scenarios the examples cover (quickstart, cross-implementation
 /// restart, preemptible job, implementation shootout) are method calls on this type.
 pub struct JobRuntime {
@@ -426,14 +394,11 @@ pub struct JobRuntime {
     /// [`JobRuntime::restart_resized`] (directly or via the self-healing loop's
     /// elastic shrink).
     world_size: AtomicUsize,
-    storage: CheckpointStorage,
-    /// The service tenancy asynchronous checkpoints go through, shared across runs
-    /// and restarts. [`JobRuntime::with_service`] sets it at construction, and
-    /// `storage` is then the tenant's view of the service's chunk space. Otherwise
-    /// the first asynchronous round makes the job the sole tenant of a private
-    /// service over `storage` itself, so a synchronous job spawns no flusher
-    /// thread.
-    tenancy: Arc<OnceLock<ServiceHandle>>,
+    /// The service tenancy every checkpoint goes through, shared across runs and
+    /// restarts: a shared service's ([`JobRuntime::with_service`]), or that of a
+    /// private service whose sole tenant writes the job's own store. Its storage
+    /// is where every generation lands and every restart reads.
+    tenancy: ServiceHandle,
     registry: Arc<RwLock<UserFunctionRegistry>>,
     ledger: Arc<CommitLedger>,
     session: AtomicU64,
@@ -466,10 +431,21 @@ impl JobRuntime {
     }
 
     /// A runtime writing checkpoints into the given store (metered models, custom
-    /// shard counts, or a store shared with an inspector). Its asynchronous
-    /// checkpoints flush as the sole tenant of a private [`CkptService`] over this
-    /// very store, so every generation lands in its catalog.
+    /// shard counts, or a store shared with an inspector). The job is the sole
+    /// tenant of a private [`CkptService`] over this very store, so every
+    /// generation lands in its catalog; the service's flusher pool spawns no thread
+    /// until the job first flushes asynchronously.
     pub fn with_storage(config: JobConfig, storage: CheckpointStorage) -> Self {
+        JobRuntime::with_service(config, CkptService::sole_tenant(storage))
+    }
+
+    /// A runtime attached to a multi-tenant [`CkptService`] tenancy: every
+    /// checkpoint lands in the tenant's namespaced view of the service's shared,
+    /// deduplicated chunk space, asynchronous flushes ride the service's shared pool
+    /// under its admission control (a rejected submission falls back to a
+    /// synchronous write — a checkpoint is never skipped), and every landed write is
+    /// metered against the tenant's quota.
+    pub fn with_service(config: JobConfig, tenancy: ServiceHandle) -> Self {
         let chaos = config.chaos.clone().map(|plan| ChaosArm {
             ids: (0..plan.faults.len()).collect(),
             remaining: plan.clone(),
@@ -481,26 +457,13 @@ impl JobRuntime {
             mid_kill_armed: AtomicBool::new(config.preempt_mid_step_at.is_some()),
             world_size: AtomicUsize::new(config.world_size),
             config,
-            storage,
-            tenancy: Arc::new(OnceLock::new()),
+            tenancy,
             registry: Arc::new(RwLock::new(UserFunctionRegistry::new())),
             ledger: Arc::new(CommitLedger::new()),
             session: AtomicU64::new(1),
             fabric: Mutex::new(None),
             chaos: Mutex::new(chaos),
         }
-    }
-
-    /// A runtime attached to a multi-tenant [`CkptService`] tenancy: every
-    /// checkpoint lands in the tenant's namespaced view of the service's shared,
-    /// deduplicated chunk space, asynchronous flushes ride the service's shared pool
-    /// under its admission control (a rejected submission falls back to a
-    /// synchronous write — a checkpoint is never skipped), and every landed write is
-    /// metered against the tenant's quota.
-    pub fn with_service(config: JobConfig, service: ServiceHandle) -> Self {
-        let mut runtime = JobRuntime::with_storage(config, service.storage().clone());
-        runtime.tenancy = Arc::new(OnceLock::from(service));
-        runtime
     }
 
     /// The job configuration.
@@ -510,7 +473,7 @@ impl JobRuntime {
 
     /// The checkpoint store every generation of this job lands in.
     pub fn storage(&self) -> &CheckpointStorage {
-        &self.storage
+        self.tenancy.storage()
     }
 
     /// The shared user-function registry (survives restarts, as user-defined
@@ -555,19 +518,6 @@ impl JobRuntime {
         let (lowers, fabric) = backend.launch(world, self.registry(), session)?;
         self.adopt_fabric(fabric, arm_chaos);
         Ok(lowers)
-    }
-
-    /// Let every flush of this job still in flight land. The flusher pool outlives
-    /// a vacated world (the simulated node-local flush daemon), so a restart waits
-    /// here *before* aborting pending generations: a straggler landing after the
-    /// abort-and-forget could otherwise be counted toward the new incarnation's
-    /// round for the same generation number. The wait is *tenant-scoped*, never on
-    /// the service's whole pool — a global drain could be starved indefinitely by
-    /// other tenants' traffic. A job with no tenancy has never flushed.
-    fn wait_flushes_landed(&self) {
-        if let Some(tenancy) = self.tenancy.get() {
-            tenancy.wait_idle();
-        }
     }
 
     /// The current incarnation's fabric (handed back by the backend at
@@ -632,7 +582,6 @@ impl JobRuntime {
                 self.config.checkpoint_every,
                 Arc::clone(&self.ledger),
             )
-            .with_stall_budget(self.config.stall_budget)
             .on_fabric(self.fabric()),
         )
     }
@@ -700,7 +649,13 @@ impl JobRuntime {
     /// generations and remaps a generation of another size with the job's elastic
     /// configuration.
     fn restore(&self, backend: Backend, world: usize) -> MpiResult<(Vec<ManaRank>, u64)> {
-        self.wait_flushes_landed();
+        // The flusher pool outlives a vacated world (the simulated node-local flush
+        // daemon), so let every flush of this job still in flight land *before* the
+        // engine aborts pending generations: a straggler landing after the
+        // abort-and-forget could otherwise be counted toward the new incarnation's
+        // round for the same generation number. The wait is tenant-scoped, never on
+        // the service's whole pool, which other tenants' traffic could starve.
+        self.tenancy.wait_idle();
         let lowers = self.relaunch(backend, world, false)?;
         let remap = self
             .config
@@ -709,7 +664,7 @@ impl JobRuntime {
             .map(|elastic| (elastic.policy, elastic.repartition.as_ref()));
         let (ranks, generation) = restart_job_from_storage(
             lowers,
-            &self.storage,
+            self.storage(),
             remap,
             self.config.mana,
             self.registry(),
@@ -751,8 +706,7 @@ impl JobRuntime {
     fn ctx(&self, coordinator: Arc<Coordinator>) -> JobCtx {
         JobCtx {
             coordinator,
-            storage: self.storage.clone(),
-            tenancy: Arc::clone(&self.tenancy),
+            tenancy: self.tenancy.clone(),
         }
     }
 
@@ -841,7 +795,7 @@ impl JobRuntime {
     /// Run to completion through **failures**: the self-healing loop of the chaos
     /// fabric work. Per incarnation it launches (or relaunches) the world with the
     /// not-yet-fired remainder of [`JobConfig::chaos`] armed on the fabric, spawns a
-    /// [`HeartbeatMonitor`] with [`JobConfig::heartbeat_deadline`], and drives steps
+    /// [`HeartbeatMonitor`] with the [heartbeat deadline](JobConfig::with_heartbeat_deadline), and drives steps
     /// exactly like [`JobRuntime::run_to_completion`]. When a rank dies (or falls
     /// silent past the deadline) the monitor aborts the world, the dead
     /// incarnation's pending generations are aborted, the job falls back to the
@@ -851,7 +805,7 @@ impl JobRuntime {
     ///
     /// Fails with the underlying error when a failure is *not* recoverable (a
     /// genuine bug rather than a detected fault), or with
-    /// [`MpiError::Internal`] after [`JobConfig::max_recoveries`] recoveries.
+    /// [`MpiError::Internal`] after `MAX_RECOVERIES` (8) recoveries.
     pub fn run_steps_self_healing<T, F>(
         &self,
         total_steps: u64,
@@ -923,11 +877,10 @@ impl JobRuntime {
                         return Err(error);
                     }
                     recoveries += 1;
-                    if recoveries > self.config.max_recoveries {
+                    if recoveries > MAX_RECOVERIES {
                         return Err(MpiError::Internal(format!(
-                            "job still failing after {} automatic recoveries \
-                             (last failure: {error:?})",
-                            self.config.max_recoveries
+                            "job still failing after {MAX_RECOVERIES} automatic recoveries \
+                             (last failure: {error:?})"
                         )));
                     }
                 }
@@ -939,11 +892,11 @@ impl JobRuntime {
             // what the newest committed generation is — a flush that commits a
             // moment after the failure must count as committed, not be mistaken
             // for "nothing to fall back to".
-            self.wait_flushes_landed();
+            self.tenancy.wait_idle();
             // The dead incarnation's pending rounds are torn by definition: abort
             // them whichever way the job resumes. Every flush has landed (above), so
             // the tombstones have nothing left to catch and are dropped with them.
-            let pending = self.storage.abort_pending();
+            let pending = self.storage().abort_pending();
             // With an elastic policy and ranks declared dead (an unhealed node
             // loss), the job does not relaunch at full size and wait for
             // replacement nodes: it shrinks the world onto the survivors.
@@ -1028,11 +981,16 @@ impl JobRuntime {
             )));
         }
         // Mid-step mode takes precedence (see `JobConfig::async_checkpoint`): all
-        // its checkpoints are synchronous, so the flag is only effective without
-        // it — and only an effectively-async run makes the job's tenancy.
-        let sink = self
-            .ctx(Arc::clone(&coordinator))
-            .sink(self.config.async_checkpoint && !self.config.checkpoint_mid_step);
+        // its checkpoints are synchronous, so the flag is only effective without it.
+        let sink = if self.config.async_checkpoint && !self.config.checkpoint_mid_step {
+            // Here, not on the first submitting rank thread, whose core binding
+            // the workers would inherit.
+            self.tenancy.start_pool();
+            Sink::Pool
+        } else {
+            Sink::InPlace
+        };
+        let ctx = self.ctx(coordinator);
         // An injected event fires only while still armed.
         let armed = |flag: &AtomicBool, at: Option<u64>| at.filter(|_| flag.load(Ordering::SeqCst));
         let kill_at = armed(&self.kill_armed, self.config.kill_at_step);
@@ -1040,12 +998,10 @@ impl JobRuntime {
         let mid_ckpt_at = armed(&self.mid_ckpt_armed, self.config.mid_step_checkpoint_at);
         let mid_kill_at = armed(&self.mid_kill_armed, self.config.preempt_mid_step_at);
         let outcomes = run_world(ranks, move |_, rank| {
+            let coordinator = &ctx.coordinator;
             let mut session = Session::new(rank);
             let intercept = mid_step.then(|| {
-                let hook = Arc::new(MidStepIntercept::new(
-                    Arc::clone(&coordinator),
-                    sink.clone(),
-                ));
+                let hook = Arc::new(MidStepIntercept::new(ctx.clone()));
                 session
                     .rank_mut()
                     .set_intercept(Arc::clone(&hook) as Arc<dyn CheckpointIntercept>);
@@ -1114,13 +1070,8 @@ impl JobRuntime {
                         if let Some(previous) = in_flight.take() {
                             previous.wait();
                         }
-                        let (handle, _) = checkpoint_round(
-                            session.rank_mut(),
-                            &coordinator,
-                            &sink,
-                            Some(boundary),
-                            None,
-                        )?;
+                        let (handle, _) =
+                            checkpoint_round(session.rank_mut(), &ctx, sink, Some(boundary), None)?;
                         *in_flight = Some(handle);
                     }
                     if kill_at == Some(boundary) && boundary < total_steps {

@@ -19,11 +19,15 @@
 //!    atomically published. A generation is never visible half-written.
 //!
 //! Every checkpoint — synchronous or asynchronous, at a step boundary or inside a
-//! step — runs the same round: quiesce → drain → freeze → sink. Only the sink
-//! differs: the store written in place (steps 3-4 above), or a service tenancy —
-//! a shared service's, or, for a job without one, that of a private service whose
-//! sole tenant writes the job's own store. The asynchronous sink publishes the
-//! generation when the last rank's background flush lands instead of at a barrier.
+//! step — runs the same round: quiesce → drain → freeze → sink, into the job's one
+//! checkpoint-service tenancy. Every job is a tenant from construction: of a shared
+//! service, or else the sole tenant of a private service that writes the job's own
+//! store. Only the route differs: the tenancy's storage written in place and
+//! metered afterwards (steps 3-4 above), or the frozen image submitted through the
+//! tenancy's admission control, which publishes the generation when the last
+//! rank's background flush lands instead of at a barrier. A job without a shared
+//! service that never checkpoints asynchronously runs no flusher thread: its
+//! private pool spawns its workers only when the job first flushes.
 //!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
 //! (kill-at-step), restart from the newest fully-valid generation (optionally on a
@@ -37,7 +41,7 @@
 //! synchronous fallback on rejection, so a checkpoint is never skipped), and every
 //! landed write is metered against the tenant's quota.
 //!
-//! With [`JobConfig::checkpoint_mid_step`], intent broadcast is no longer confined to
+//! With [`JobConfig::with_checkpoint_mid_step`], intent broadcast is no longer confined to
 //! step boundaries: every rank carries a mid-step checkpoint hook, and an intent raised
 //! at any moment (`Coordinator::request_checkpoint_now`) is serviced at the safe
 //! points of MANA's two-phase collective protocol — ranks caught in a collective's
@@ -53,11 +57,12 @@
 //! partitions are **lethal** and surface as missed heartbeats.
 //! [`JobRuntime::run_steps_self_healing`] is the one-call driver that survives
 //! them: a [`HeartbeatMonitor`] watches the fabric's heartbeat board and declares
-//! ranks dead past [`JobConfig::heartbeat_deadline`], the world is aborted (every
+//! ranks dead past [`JobConfig::with_heartbeat_deadline`], the world is aborted (every
 //! blocked rank wakes with a failure), straggler asynchronous flushes are allowed
 //! to land, pending generations of the dead incarnation are aborted, and the job
 //! falls back to its newest *committed* generation (or relaunches from scratch if
-//! nothing committed yet) and resumes — up to [`JobConfig::max_recoveries`] times.
+//! nothing committed yet) and resumes — up to eight times (`MAX_RECOVERIES`, a
+//! constant, not a knob).
 //! Every incident is narrated as a structured [`RecoveryLog`] event stream
 //! (detection latency, recovery blackout, fallback generation), which is also the
 //! CI soak's `RECOVERY_log.json` artifact format. `docs/RUNBOOK.md` at the repo

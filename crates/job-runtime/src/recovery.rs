@@ -238,7 +238,7 @@ pub struct MonitorReport {
     /// Ranks declared dead, in declaration order.
     pub declared_dead: Vec<Rank>,
     /// Instant of the first declaration (the start of the recovery blackout).
-    pub first_detection: Option<Instant>,
+    pub(crate) first_detection: Option<Instant>,
 }
 
 struct MonitorShared {

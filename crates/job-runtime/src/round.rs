@@ -4,10 +4,11 @@
 //! Every checkpoint the runtime takes — [`JobCtx::checkpoint`],
 //! [`JobCtx::checkpoint_async`], a step-boundary checkpoint of the drive loop, and
 //! a mid-step intent serviced inside a collective wrapper — is one call to
-//! [`checkpoint_round`]. The MPI-level phases are the same for all of them; only
-//! where the image goes differs, and that is the [`Sink`], chosen once per run.
+//! [`checkpoint_round`]. The MPI-level phases are the same for all of them, and so
+//! is where the image goes: the job's one checkpoint-service tenancy. Only how it
+//! gets there differs, and that is the [`Sink`], chosen once per run.
 //!
-//! The round announces the generation *pending* on the sink's storage, so a
+//! The round announces the generation *pending* on the tenancy's storage, so a
 //! half-written generation is never visible to readers nor mistaken for the newest
 //! committed one by a concurrent `prune_before`; a round that fails after the
 //! announcement aborts the generation, releasing whatever its ranks wrote. Both
@@ -16,43 +17,30 @@
 //! [`JobCtx::checkpoint`]: crate::JobCtx::checkpoint
 //! [`JobCtx::checkpoint_async`]: crate::JobCtx::checkpoint_async
 
-use crate::coordinator::{Coordinator, IntentSnapshot};
-use ckpt_service::ServiceHandle;
-use ckpt_store::{CheckpointStorage, FlushHandle, StoreReport};
+use crate::coordinator::IntentSnapshot;
+use crate::JobCtx;
+use ckpt_store::{FlushHandle, StoreReport};
 use mana::{CheckpointIntercept, IntentOutcome, ManaRank};
 use mpi_model::error::MpiResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Where a round's image goes.
-#[derive(Clone)]
+/// How a round's image reaches the job's tenancy.
+#[derive(Clone, Copy)]
 pub(crate) enum Sink {
-    /// Write the live upper half in place (no freeze copy), then arrive at the
-    /// commit barrier. The generation commits in storage only once the barrier has
-    /// seen every rank's write, and the write is metered against `meter`, a service
-    /// tenancy whose view `storage` is.
-    Store {
-        storage: CheckpointStorage,
-        meter: Option<ServiceHandle>,
-    },
-    /// Freeze the image and submit it through a service tenancy's admission
-    /// control — a shared service's, or the job's private one. The rank returns at
-    /// once; the worker that lands the last rank's image commits the generation,
-    /// and nobody blocks on a barrier. A rejected submission is written
-    /// synchronously on the rank thread — a checkpoint is never skipped — with the
-    /// same barrier-free accounting: its peers may have been admitted and returned
-    /// to computation already, so a rank waiting at a barrier for them would
-    /// deadlock against flushes that only land later.
-    Tenant(ServiceHandle),
-}
-
-impl Sink {
-    fn storage(&self) -> &CheckpointStorage {
-        match self {
-            Sink::Store { storage, .. } => storage,
-            Sink::Tenant(service) => service.storage(),
-        }
-    }
+    /// Write the live upper half in place into the tenancy's storage on the rank
+    /// thread (no freeze copy), then arrive at the commit barrier. The generation
+    /// commits in storage only once the barrier has seen every rank's write, and
+    /// the write is metered against the tenancy afterwards.
+    InPlace,
+    /// Freeze the image and submit it through the tenancy's admission control. The
+    /// rank returns at once; the worker that lands the last rank's image commits
+    /// the generation, and nobody blocks on a barrier. A rejected submission is
+    /// written synchronously on the rank thread — a checkpoint is never skipped —
+    /// with the same barrier-free accounting: its peers may have been admitted and
+    /// returned to computation already, so a rank waiting at a barrier for them
+    /// would deadlock against flushes that only land later.
+    Pool,
 }
 
 /// Run one rank through a coordinated checkpoint into `sink`. Collective: every
@@ -65,18 +53,19 @@ impl Sink {
 /// returns a [`FlushHandle`]; a synchronous one is already complete.
 pub(crate) fn checkpoint_round(
     rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    sink: &Sink,
+    ctx: &JobCtx,
+    sink: Sink,
     steps: Option<u64>,
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
+    let coordinator = ctx.coordinator();
     let plan = rank.begin_checkpoint()?;
     rank.drain_quiescent(&plan, coordinator.as_ref())?;
     rank.complete_drain()?;
     let generation = rank.generation();
-    let storage = sink.storage();
+    let storage = ctx.storage();
     storage.begin_generation(generation, coordinator.world_size());
-    let delivered = deliver(rank, coordinator, sink, steps, intent);
+    let delivered = deliver(rank, ctx, sink, steps, intent);
     if delivered.is_err() {
         // A no-op if the generation already committed in storage.
         storage.abort_generation(generation);
@@ -86,23 +75,25 @@ pub(crate) fn checkpoint_round(
 
 fn deliver(
     rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    sink: &Sink,
+    ctx: &JobCtx,
+    sink: Sink,
     steps: Option<u64>,
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
+    let coordinator = ctx.coordinator();
+    let service = &ctx.tenancy;
     let world_rank = rank.world_rank();
     match sink {
-        Sink::Store { storage, meter } => {
-            let report = rank.write_checkpoint_into(storage)?;
+        Sink::InPlace => {
+            let report = rank.write_checkpoint_into(service.storage())?;
             let decided = coordinator.commit_inner(world_rank, report.generation, steps, intent)?;
-            storage.note_rank_flushed(report.generation, world_rank);
-            if let Some(service) = meter {
-                service.note_external_write(&report);
-            }
+            service
+                .storage()
+                .note_rank_flushed(report.generation, world_rank);
+            service.note_external_write(&report);
             Ok((FlushHandle::ready(report), decided))
         }
-        Sink::Tenant(service) => {
+        Sink::Pool => {
             let policy = rank.config().storage;
             // The commit accounting of a frozen image rides its flush completion,
             // on whichever thread lands it.
@@ -133,12 +124,11 @@ fn deliver(
 ///
 /// The hook compares the coordinator's broadcast intent epoch against the epoch this
 /// rank last serviced; when behind, the rank's collective wrappers service the intent
-/// at their next safe point by running a round into its [`Sink::Store`] (recording
+/// at their next safe point by running a [`Sink::InPlace`] round (recording
 /// the step currently *in progress*, which a resume therefore re-runs) and, for a
 /// preempting intent, unwinding with [`mpi_model::error::MpiError::Preempted`].
 pub(crate) struct MidStepIntercept {
-    coordinator: Arc<Coordinator>,
-    sink: Sink,
+    ctx: JobCtx,
     /// The step this rank is currently executing (maintained by the drive loop).
     current_step: AtomicU64,
     /// The intent epoch this rank has serviced up to.
@@ -146,10 +136,9 @@ pub(crate) struct MidStepIntercept {
 }
 
 impl MidStepIntercept {
-    pub(crate) fn new(coordinator: Arc<Coordinator>, sink: Sink) -> Self {
+    pub(crate) fn new(ctx: JobCtx) -> Self {
         MidStepIntercept {
-            coordinator,
-            sink,
+            ctx,
             current_step: AtomicU64::new(0),
             serviced: AtomicU64::new(0),
         }
@@ -163,7 +152,7 @@ impl MidStepIntercept {
 
 impl CheckpointIntercept for MidStepIntercept {
     fn intent_pending(&self) -> bool {
-        self.coordinator.intent_epoch() > self.serviced.load(Ordering::SeqCst)
+        self.ctx.coordinator().intent_epoch() > self.serviced.load(Ordering::SeqCst)
     }
 
     fn service(&self, rank: &mut ManaRank) -> MpiResult<IntentOutcome> {
@@ -175,18 +164,13 @@ impl CheckpointIntercept for MidStepIntercept {
         // intent-servicing ranks and boundary-checkpointing ranks always fold into
         // the same round instead of splitting the world across two.
         let already = self.serviced.load(Ordering::SeqCst);
-        let snapshot = self.coordinator.intent_snapshot();
+        let snapshot = self.ctx.coordinator().intent_snapshot();
         // The checkpoint lands *inside* the current step (or exactly at a boundary,
         // where `current_step` equals the boundary): record the steps a resume may
         // safely assume completed.
         let steps = self.current_step.load(Ordering::SeqCst);
-        let (_, decided) = checkpoint_round(
-            rank,
-            &self.coordinator,
-            &self.sink,
-            Some(steps),
-            Some(snapshot),
-        )?;
+        let (_, decided) =
+            checkpoint_round(rank, &self.ctx, Sink::InPlace, Some(steps), Some(snapshot))?;
         let decided = decided.unwrap_or(snapshot);
         self.serviced
             .store(decided.epoch.max(already), Ordering::SeqCst);

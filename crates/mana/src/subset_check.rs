@@ -17,7 +17,7 @@ pub struct ManaCompatibility {
     /// The raw compliance report (provided vs required features).
     pub report: ComplianceReport,
     /// Required features missing, grouped by the paper's three categories.
-    pub missing_by_category: Vec<(u8, Vec<SubsetFeature>)>,
+    pub(crate) missing_by_category: Vec<(u8, Vec<SubsetFeature>)>,
     /// Optional features the implementation additionally provides.
     pub optional_features: Vec<SubsetFeature>,
 }

@@ -16,7 +16,7 @@ pub(crate) struct CommObject {
     pub descriptor: CommDescriptor,
     /// Per-communicator collective sequence number. All members call collectives on a
     /// communicator in the same order, so advancing this locally keeps ranks in step.
-    pub collective_seq: u64,
+    pub(crate) collective_seq: u64,
     /// Whether this is a predefined communicator (world/self), which `MPI_Comm_free`
     /// must refuse to free.
     pub predefined: bool,
@@ -79,7 +79,7 @@ pub(crate) struct RequestObject {
     /// The implementation-independent record (kind, peer, tag, state).
     pub record: RequestRecord,
     /// For receive requests: the matching spec to use when progressing the request.
-    pub match_spec: Option<MatchSpec>,
+    pub(crate) match_spec: Option<MatchSpec>,
     /// For receive requests: the receive-buffer capacity in bytes.
     pub max_bytes: usize,
     /// For completed receive requests: the received payload, held until the

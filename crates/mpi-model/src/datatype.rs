@@ -124,11 +124,11 @@ pub enum TypeCombiner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TypeEnvelope {
     /// Number of integer arguments in the contents.
-    pub num_integers: usize,
+    pub(crate) num_integers: usize,
     /// Number of address arguments in the contents.
-    pub num_addresses: usize,
+    pub(crate) num_addresses: usize,
     /// Number of inner datatypes in the contents.
-    pub num_datatypes: usize,
+    pub(crate) num_datatypes: usize,
     /// The combiner that constructed the type.
     pub combiner: TypeCombiner,
 }

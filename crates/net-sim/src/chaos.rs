@@ -342,64 +342,6 @@ impl ChaosPlan {
     }
 }
 
-/// A timestamped record of one chaos action the fabric actually took. Timestamps are
-/// microseconds since the owning fabric's creation instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ChaosEvent {
-    /// Microseconds since fabric creation.
-    pub at_micros: u64,
-    /// Id (plan index) of the fault that caused this event, if any; partition heals
-    /// and manual injections reuse the id of the fault that opened them.
-    pub fault_id: Option<usize>,
-    /// What happened.
-    pub action: ChaosAction,
-}
-
-/// The concrete action taken by the chaos layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ChaosAction {
-    /// A message was held for later delivery (delay or reorder).
-    MessageHeld {
-        /// Sender world rank.
-        source: Rank,
-        /// Destination world rank.
-        dest: Rank,
-        /// Fault category ("delay" / "reorder").
-        category: String,
-    },
-    /// A message was dropped and scheduled for retransmission.
-    MessageDropped {
-        /// Sender world rank.
-        source: Rank,
-        /// Destination world rank.
-        dest: Rank,
-    },
-    /// A previously held or dropped message was (re)delivered.
-    MessageReleased {
-        /// Sender world rank.
-        source: Rank,
-        /// Destination world rank.
-        dest: Rank,
-    },
-    /// A partition started; the listed ranks are isolated.
-    PartitionStarted {
-        /// Isolated world ranks.
-        isolated: Vec<Rank>,
-    },
-    /// A partition healed; held cross-cut traffic was released.
-    PartitionHealed {
-        /// Previously isolated world ranks.
-        isolated: Vec<Rank>,
-    },
-    /// A rank was killed (crash or node failure).
-    RankKilled {
-        /// The killed world rank.
-        rank: Rank,
-        /// Cause label, e.g. "crash", "crash-in-collective", "node-failure".
-        cause: String,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //!   survivors are wedged on a dead peer.
 
 use crate::bytes::PayloadBuf;
-use crate::chaos::{ChaosAction, ChaosEvent, ChaosPlan, FaultKind};
+use crate::chaos::{ChaosPlan, FaultKind};
 use crate::mailbox::Mailbox;
 use crate::message::{Envelope, MatchSpec};
 use crate::stats::{FabricStats, StatsSnapshot};
@@ -62,7 +62,7 @@ pub struct FabricConfig {
     ///
     /// This models the non-checkpointable NIC/switch state: a restarted job gets a new
     /// fabric with a new nonce, and nothing in a checkpoint image may depend on it.
-    pub session_nonce: u64,
+    pub(crate) session_nonce: u64,
 }
 
 impl FabricConfig {
@@ -202,7 +202,6 @@ struct DeathRecord {
 /// One active network partition: `isolated` ranks cannot reach the rest of the world
 /// (and their heartbeats are suppressed) until `heals_at`, if ever.
 struct ActivePartition {
-    fault_id: Option<usize>,
     isolated: HashSet<Rank>,
     started: Instant,
     heals_at: Option<Instant>,
@@ -268,7 +267,6 @@ struct FabricInner {
     partitions: Mutex<Vec<ActivePartition>>,
     held: Mutex<Vec<HeldEnvelope>>,
     chaos: Mutex<Option<ChaosExec>>,
-    events: Mutex<Vec<ChaosEvent>>,
     stats: FabricStats,
 }
 
@@ -325,7 +323,6 @@ impl Fabric {
                 partitions: Mutex::new(Vec::new()),
                 held: Mutex::new(Vec::new()),
                 chaos: Mutex::new(None),
-                events: Mutex::new(Vec::new()),
                 stats: FabricStats::new(),
             }),
         }
@@ -434,19 +431,12 @@ impl Fabric {
         }
     }
 
-    /// Everything the chaos layer has actually done, in order. Timestamps are
-    /// microseconds since fabric creation.
-    #[cfg(test)]
-    fn chaos_events(&self) -> Vec<ChaosEvent> {
-        self.inner.events.lock().clone()
-    }
-
     /// Kill `world_rank` immediately (manual fault injection): its next fabric
     /// operation — and every one after — fails with [`MpiError::RankKilled`], its
     /// heartbeats stop, and messages addressed to it vanish. Peers are *not* notified;
     /// detection is the failure detector's job.
     pub fn kill_rank(&self, world_rank: Rank, cause: &str) {
-        self.inner.kill(world_rank, cause, None);
+        self.inner.kill(world_rank, cause);
     }
 
     /// Ranks currently marked dead.
@@ -498,7 +488,6 @@ impl Fabric {
         self.inner.start_partition(
             isolated.iter().copied().collect(),
             heal_after.map(|d| crate::clock::now() + d),
-            None,
         );
     }
 
@@ -575,14 +564,6 @@ impl FabricInner {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    fn event(&self, fault_id: Option<usize>, action: ChaosAction) {
-        self.events.lock().push(ChaosEvent {
-            at_micros: self.micros(),
-            fault_id,
-            action,
-        });
-    }
-
     fn is_dead(&self, rank: Rank) -> bool {
         self.deaths.lock().contains_key(&rank)
     }
@@ -615,7 +596,7 @@ impl FabricInner {
         }
     }
 
-    fn kill(&self, rank: Rank, cause: &str, fault_id: Option<usize>) {
+    fn kill(&self, rank: Rank, cause: &str) {
         {
             let mut deaths = self.deaths.lock();
             if deaths.contains_key(&rank) {
@@ -629,13 +610,6 @@ impl FabricInner {
                 },
             );
         }
-        self.event(
-            fault_id,
-            ChaosAction::RankKilled {
-                rank,
-                cause: cause.to_string(),
-            },
-        );
         // Wake the victim wherever it is blocked so it notices its own death.
         self.set_lively();
     }
@@ -652,17 +626,8 @@ impl FabricInner {
         self.registrations.wake(self.registrations.lock());
     }
 
-    fn start_partition(
-        &self,
-        isolated: HashSet<Rank>,
-        heals_at: Option<Instant>,
-        fault_id: Option<usize>,
-    ) {
-        let mut ranks: Vec<Rank> = isolated.iter().copied().collect();
-        ranks.sort_unstable();
-        self.event(fault_id, ChaosAction::PartitionStarted { isolated: ranks });
+    fn start_partition(&self, isolated: HashSet<Rank>, heals_at: Option<Instant>) {
         self.partitions.lock().push(ActivePartition {
-            fault_id,
             isolated,
             started: crate::clock::now(),
             heals_at,
@@ -693,29 +658,20 @@ impl FabricInner {
     fn pump(&self) {
         let now = crate::clock::now();
         // Heal partitions whose deadline has passed.
-        let healed: Vec<(Option<usize>, Vec<Rank>)> = {
+        let healed = {
             let mut partitions = self.partitions.lock();
-            let mut healed = Vec::new();
-            partitions.retain(|p| match p.heals_at {
-                Some(at) if now >= at => {
-                    let mut ranks: Vec<Rank> = p.isolated.iter().copied().collect();
-                    ranks.sort_unstable();
-                    healed.push((p.fault_id, ranks));
-                    false
-                }
-                _ => true,
-            });
-            healed
+            let active = partitions.len();
+            partitions.retain(|p| p.heals_at.is_none_or(|at| now < at));
+            partitions.len() < active
         };
-        for (fault_id, isolated) in healed {
-            self.event(fault_id, ChaosAction::PartitionHealed { isolated });
+        if healed {
             // A rank the cut stalled in front of a collective is parked on the table.
             self.collectives.wake(self.collectives.lock());
         }
         // Fire global-op-count faults: partitions and node failures.
         let global = self.global_ops.load(Ordering::Relaxed);
-        let mut to_start: Vec<(usize, HashSet<Rank>, Option<Duration>)> = Vec::new();
-        let mut to_kill: Vec<(usize, Vec<Rank>)> = Vec::new();
+        let mut to_start: Vec<(HashSet<Rank>, Option<Duration>)> = Vec::new();
+        let mut to_kill: Vec<Rank> = Vec::new();
         {
             let mut chaos = self.chaos.lock();
             if let Some(exec) = chaos.as_mut() {
@@ -731,27 +687,24 @@ impl FabricInner {
                         } if *at_op <= global => {
                             exec.fired[id] = true;
                             to_start.push((
-                                id,
                                 isolated.iter().copied().collect(),
                                 heal_ms.map(Duration::from_millis),
                             ));
                         }
                         FaultKind::KillNode { ranks, at_op } if *at_op <= global => {
                             exec.fired[id] = true;
-                            to_kill.push((id, ranks.clone()));
+                            to_kill.extend(ranks);
                         }
                         _ => {}
                     }
                 }
             }
         }
-        for (id, isolated, heal) in to_start {
-            self.start_partition(isolated, heal.map(|d| now + d), Some(id));
+        for (isolated, heal) in to_start {
+            self.start_partition(isolated, heal.map(|d| now + d));
         }
-        for (id, ranks) in to_kill {
-            for rank in ranks {
-                self.kill(rank, "node-failure", Some(id));
-            }
+        for rank in to_kill {
+            self.kill(rank, "node-failure");
         }
         // Release held messages whose condition is met.
         let injected = self.injected_messages.load(Ordering::Relaxed);
@@ -788,13 +741,6 @@ impl FabricInner {
             due
         };
         for envelope in due {
-            self.event(
-                None,
-                ChaosAction::MessageReleased {
-                    source: envelope.source_world,
-                    dest: envelope.dest_world,
-                },
-            );
             // A release is a redelivery of the originally injected buffer — the
             // retransmit/reorder lane reshares, it never re-copies.
             self.stats.record_payload_share(envelope.payload.len());
@@ -811,7 +757,7 @@ impl FabricInner {
         }
         let ops = self.rank_ops[rank.max(0) as usize].fetch_add(1, Ordering::Relaxed) + 1;
         self.global_ops.fetch_add(1, Ordering::Relaxed);
-        let mut crash: Option<usize> = None;
+        let mut crash = false;
         {
             let mut chaos = self.chaos.lock();
             if let Some(exec) = chaos.as_mut() {
@@ -826,15 +772,15 @@ impl FabricInner {
                     {
                         if *victim == rank && *at_rank_op <= ops {
                             exec.fired[id] = true;
-                            crash = Some(id);
+                            crash = true;
                             break;
                         }
                     }
                 }
             }
         }
-        if let Some(id) = crash {
-            self.kill(rank, "crash", Some(id));
+        if crash {
+            self.kill(rank, "crash");
         }
         self.tick_wait(rank)
     }
@@ -873,7 +819,7 @@ impl FabricInner {
         }
         let entries =
             self.collective_entries[rank.max(0) as usize].fetch_add(1, Ordering::Relaxed) + 1;
-        let mut crash: Option<usize> = None;
+        let mut crash = false;
         {
             let mut chaos = self.chaos.lock();
             if let Some(exec) = chaos.as_mut() {
@@ -888,15 +834,15 @@ impl FabricInner {
                     {
                         if *victim == rank && *at_entry <= entries {
                             exec.fired[id] = true;
-                            crash = Some(id);
+                            crash = true;
                             break;
                         }
                     }
                 }
             }
         }
-        if let Some(id) = crash {
-            self.kill(rank, "crash-in-collective", Some(id));
+        if crash {
+            self.kill(rank, "crash-in-collective");
         }
         self.check_alive(rank)
     }
@@ -909,14 +855,6 @@ impl FabricInner {
             return;
         }
         if self.cut(envelope.source_world, envelope.dest_world) {
-            self.event(
-                None,
-                ChaosAction::MessageHeld {
-                    source: envelope.source_world,
-                    dest: envelope.dest_world,
-                    category: "partition".into(),
-                },
-            );
             self.held.lock().push(HeldEnvelope {
                 envelope,
                 release: Release::WhenConnected,
@@ -924,7 +862,7 @@ impl FabricInner {
             return;
         }
         let idx = self.injected_messages.fetch_add(1, Ordering::Relaxed);
-        let mut verdict: Option<(usize, Release, &'static str)> = None;
+        let mut verdict: Option<Release> = None;
         {
             let mut chaos = self.chaos.lock();
             if let Some(exec) = chaos.as_mut() {
@@ -935,31 +873,21 @@ impl FabricInner {
                     match fault {
                         FaultKind::DelayMessage { nth, hold_ms } if *nth == idx => {
                             exec.fired[id] = true;
-                            verdict = Some((
-                                id,
-                                Release::At(crate::clock::now() + Duration::from_millis(*hold_ms)),
-                                "delay",
+                            verdict = Some(Release::At(
+                                crate::clock::now() + Duration::from_millis(*hold_ms),
                             ));
                         }
                         FaultKind::DropMessage { nth, retransmit_ms } if *nth == idx => {
                             exec.fired[id] = true;
-                            verdict = Some((
-                                id,
-                                Release::At(
-                                    crate::clock::now() + Duration::from_millis(*retransmit_ms),
-                                ),
-                                "loss",
+                            verdict = Some(Release::At(
+                                crate::clock::now() + Duration::from_millis(*retransmit_ms),
                             ));
                         }
                         FaultKind::ReorderMessage { nth, overtaken_by } if *nth == idx => {
                             exec.fired[id] = true;
-                            verdict = Some((
-                                id,
-                                Release::AfterInjected(
-                                    idx + overtaken_by,
-                                    crate::clock::now() + REORDER_BACKSTOP,
-                                ),
-                                "reorder",
+                            verdict = Some(Release::AfterInjected(
+                                idx + overtaken_by,
+                                crate::clock::now() + REORDER_BACKSTOP,
                             ));
                         }
                         _ => {}
@@ -971,22 +899,7 @@ impl FabricInner {
             }
         }
         match verdict {
-            Some((id, release, category)) => {
-                let action = if category == "loss" {
-                    ChaosAction::MessageDropped {
-                        source: envelope.source_world,
-                        dest: envelope.dest_world,
-                    }
-                } else {
-                    ChaosAction::MessageHeld {
-                        source: envelope.source_world,
-                        dest: envelope.dest_world,
-                        category: category.into(),
-                    }
-                };
-                self.event(Some(id), action);
-                self.held.lock().push(HeldEnvelope { envelope, release });
-            }
+            Some(release) => self.held.lock().push(HeldEnvelope { envelope, release }),
             None => self.deliver(envelope),
         }
     }
@@ -2125,15 +2038,16 @@ mod tests {
         // Message 0 is held; message 1 arrives first but is parked behind the gap.
         e0.send(1, 0, 1, 0, vec![0]).unwrap();
         e0.send(1, 0, 1, 0, vec![1]).unwrap();
+        assert_eq!(f.fired_fault_ids(), vec![0], "the delay fired on message 0");
+        assert_eq!(f.pending_messages(), 2, "the held message stays in flight");
         let spec = MatchSpec::from_mpi_args(1, 0, 0);
         // Both must still arrive in order.
         for i in 0..2u8 {
             let env = e1.recv_blocking(&spec).unwrap();
             assert_eq!(env.payload, vec![i]);
         }
-        assert_eq!(f.fired_fault_ids(), vec![0]);
+        assert_eq!(f.pending_messages(), 0, "the held message was released");
         assert!(f.resequenced_messages() >= 1);
-        assert!(!f.chaos_events().is_empty());
     }
 
     #[test]
@@ -2146,18 +2060,13 @@ mod tests {
         let e0 = f.endpoint(0).unwrap();
         let e1 = f.endpoint(1).unwrap();
         e0.send(1, 0, 1, 0, vec![42]).unwrap();
+        assert_eq!(f.fired_fault_ids(), vec![0], "the loss fired on message 0");
         assert_eq!(f.pending_messages(), 1, "held messages stay in flight");
         let env = e1
             .recv_blocking(&MatchSpec::from_mpi_args(1, 0, 0))
             .unwrap();
-        assert_eq!(env.payload, vec![42]);
-        let events = f.chaos_events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::MessageDropped { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::MessageReleased { .. })));
+        assert_eq!(env.payload, vec![42], "the retransmission delivered it");
+        assert_eq!(f.pending_messages(), 0, "nothing is left held");
     }
 
     #[test]
@@ -2268,16 +2177,14 @@ mod tests {
             .recv_blocking(&MatchSpec::from_mpi_args(1, 0, 0))
             .unwrap();
         assert_eq!(env.payload, vec![7]);
-        assert!(!f.partitioned());
+        assert!(!f.partitioned(), "the partition healed");
+        assert_eq!(
+            f.pending_messages(),
+            0,
+            "the heal released the held message"
+        );
         let _ = e2.pending_incoming();
         assert!(f.heartbeat_ages()[2] < Duration::from_millis(100));
-        let events = f.chaos_events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::PartitionStarted { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::PartitionHealed { .. })));
     }
 
     #[test]

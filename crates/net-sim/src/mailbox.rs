@@ -45,7 +45,7 @@ pub(crate) struct Mailbox {
     pub consumed: u64,
     /// Total number of envelopes that arrived out of order and had to be parked
     /// (a direct count of how much network misbehaviour this lane has masked).
-    pub resequenced: u64,
+    pub(crate) resequenced: u64,
 }
 
 impl Mailbox {

@@ -30,7 +30,7 @@ pub struct Envelope {
     /// deliveries: an envelope arriving ahead of a gap is parked until the missing
     /// envelopes arrive, which is what masks chaos-injected delay, loss (with
     /// retransmission) and reordering from the MPI layer above.
-    pub pair_seq: SeqNo,
+    pub(crate) pair_seq: SeqNo,
     /// Payload bytes. A refcounted buffer: cloning the envelope (mailbox deposit,
     /// chaos retransmit, collective fan-out) shares the allocation instead of
     /// copying it.

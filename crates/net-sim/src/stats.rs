@@ -15,11 +15,11 @@ pub(crate) struct FabricStats {
     /// Point-to-point payload bytes injected.
     pub bytes_sent: AtomicU64,
     /// Point-to-point messages consumed by receives.
-    pub messages_received: AtomicU64,
+    pub(crate) messages_received: AtomicU64,
     /// Collective exchange rounds completed (one per collective call per communicator).
     pub collective_rounds: AtomicU64,
     /// Collective payload bytes contributed.
-    pub collective_bytes: AtomicU64,
+    pub(crate) collective_bytes: AtomicU64,
     /// Payload bytes genuinely materialized (a fresh allocation was filled). The
     /// initial injection of each payload counts here; so would any accidental
     /// re-copy on a retransmit or fan-out path.
@@ -96,11 +96,11 @@ pub struct StatsSnapshot {
     /// Point-to-point payload bytes injected.
     pub bytes_sent: u64,
     /// Point-to-point messages consumed by receives.
-    pub messages_received: u64,
+    pub(crate) messages_received: u64,
     /// Collective exchange rounds completed.
     pub collective_rounds: u64,
     /// Collective payload bytes contributed.
-    pub collective_bytes: u64,
+    pub(crate) collective_bytes: u64,
     /// Payload bytes genuinely materialized into fresh allocations.
     pub bytes_copied: u64,
     /// Payload bytes handed off by refcount bump instead of copying.

@@ -83,7 +83,7 @@ pub struct CrossingProfile {
     /// Additional fixed overhead per wrapped call spent inside the MANA wrapper itself
     /// (virtual-id translation, bookkeeping), in nanoseconds. The legacy and new
     /// virtual-id designs differ in this constant (paper §4.1 vs §4.2).
-    pub wrapper_overhead_ns: f64,
+    pub(crate) wrapper_overhead_ns: f64,
 }
 
 impl CrossingProfile {
