@@ -13,6 +13,7 @@ use parking_lot::Mutex;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::CheckpointImage;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -275,15 +276,36 @@ struct ChunkShard {
     chunks: HashMap<(u64, u32), ChunkEntry>,
 }
 
-/// The per-job checkpoint catalog: which `(generation, rank)` slots exist and the
-/// encoded bytes of their manifests. Held separately from the chunk shards (and its
-/// lock is never held while a shard lock is taken), so catalog lookups and chunk
-/// traffic never contend with each other.
+/// The per-job checkpoint catalog: which `(generation, rank)` slots exist, the
+/// encoded bytes of their manifests, and the resume step of each committed
+/// step-driven generation. Held separately from the chunk shards (and its lock is
+/// never held while a shard lock is taken), so catalog lookups and chunk traffic
+/// never contend with each other.
 #[derive(Default)]
 struct Catalog {
     /// Encoded manifests per `(generation, rank)` — kept encoded so every read
     /// re-validates the CRC, exactly like a file on a checkpoint filesystem.
     manifests: BTreeMap<(u64, Rank), Vec<u8>>,
+    /// The step a committed generation resumes from (see
+    /// [`CheckpointStorage::note_resume_step`]). Inserted in the critical section
+    /// that commits the generation, and removed with the first of its slots to be
+    /// released, so a pending, aborted or pruned generation never has one.
+    resume: BTreeMap<u64, u64>,
+}
+
+impl Catalog {
+    /// Commit pending `generation`: drop its entry from `pending` and make its
+    /// resume record readable, both under the caller's catalog and pending locks. A
+    /// round that noted no step (a free-form checkpoint) leaves no record, not a
+    /// stale one from an earlier round of the same number.
+    fn commit(&mut self, pending: &mut BTreeMap<u64, PendingGeneration>, generation: u64) {
+        if let Some(entry) = pending.remove(&generation) {
+            match entry.resume {
+                Some(step) => self.resume.insert(generation, step),
+                None => self.resume.remove(&generation),
+            };
+        }
+    }
 }
 
 /// One generation announced as in flight by an asynchronous flush: which ranks'
@@ -298,6 +320,8 @@ struct PendingGeneration {
     /// arrival instead of surfacing a slot of a dead round. It retires once every
     /// expected rank's slot has been released: no write of the round is left to land.
     aborted: bool,
+    /// The minimum over the noting ranks of their completed steps, if any noted one.
+    resume: Option<u64>,
 }
 
 /// The storage engine. Cloning shares the underlying store (all ranks of a job write
@@ -318,8 +342,9 @@ struct PendingGeneration {
 pub struct CheckpointStorage {
     shards: Arc<Vec<Mutex<ChunkShard>>>,
     catalog: Arc<Mutex<Catalog>>,
-    /// Generations announced but not yet fully flushed. Locked on its own, never
-    /// while the catalog or a shard lock is held.
+    /// Generations announced but not yet fully flushed. Never locked while a shard
+    /// lock is held; where both are needed, the catalog is locked first (a commit
+    /// and its resume record move together under both).
     pending: Arc<Mutex<BTreeMap<u64, PendingGeneration>>>,
     /// Cold tier + LRU clock + occupancy counters, shared by every clone and every
     /// tenant view of this chunk space.
@@ -490,7 +515,14 @@ impl CheckpointStorage {
     /// release, so its chunks leak until the store is dropped (and its logical size
     /// is unknowable, reported as 0).
     fn release_slot(&self, generation: u64, rank: Rank) -> usize {
-        let manifest = self.catalog.lock().manifests.remove(&(generation, rank));
+        let manifest = {
+            let mut catalog = self.catalog.lock();
+            let manifest = catalog.manifests.remove(&(generation, rank));
+            if manifest.is_some() {
+                catalog.resume.remove(&generation);
+            }
+            manifest
+        };
         let Some(manifest) = manifest.and_then(|bytes| Manifest::decode(&bytes).ok()) else {
             return 0;
         };
@@ -535,7 +567,29 @@ impl CheckpointStorage {
                 expected_ranks: expected_ranks.max(1),
                 flushed: BTreeSet::new(),
                 aborted: false,
+                resume: None,
             });
+    }
+
+    /// Record that a rank of pending `generation` had completed `step` steps when it
+    /// checkpointed. The generation's resume step is the minimum over the ranks that
+    /// note one — a resume must re-run whatever *any* rank had not completed — and it
+    /// becomes readable through [`resume_step`](CheckpointStorage::resume_step) in
+    /// the critical section that commits the generation. A no-op unless the
+    /// generation is pending and not aborted.
+    pub fn note_resume_step(&self, generation: u64, step: u64) {
+        let mut pending = self.pending.lock();
+        if let Some(entry) = pending.get_mut(&generation).filter(|entry| !entry.aborted) {
+            entry.resume = Some(entry.resume.map_or(step, |folded| folded.min(step)));
+        }
+    }
+
+    /// The step committed `generation` resumes from, if its round noted one (see
+    /// [`note_resume_step`](CheckpointStorage::note_resume_step)). `None` for a
+    /// pending, aborted, pruned or dropped generation, and for one written outside a
+    /// step-driven run.
+    pub fn resume_step(&self, generation: u64) -> Option<u64> {
+        self.catalog.lock().resume.get(&generation).copied()
     }
 
     /// Record that `rank`'s flush for a pending `generation` has landed. When the
@@ -545,26 +599,23 @@ impl CheckpointStorage {
     /// A flush landing on an **aborted** round is released on the spot (its round is
     /// dead; the slot must never surface) and reported as `false`.
     pub fn note_rank_flushed(&self, generation: u64, rank: Rank) -> bool {
-        let aborted_straggler = {
+        {
+            let mut catalog = self.catalog.lock();
             let mut pending = self.pending.lock();
             let Some(entry) = pending.get_mut(&generation) else {
                 return false;
             };
-            if entry.aborted {
-                true
-            } else {
+            if !entry.aborted {
                 entry.flushed.insert(rank);
-                if entry.flushed.len() >= entry.expected_ranks {
-                    pending.remove(&generation);
-                    return true;
+                let complete = entry.flushed.len() >= entry.expected_ranks;
+                if complete {
+                    catalog.commit(&mut pending, generation);
                 }
-                return false;
+                return complete;
             }
-        };
-        if aborted_straggler {
-            self.release_slot(generation, rank);
-            self.settle_aborted(generation, [rank]);
         }
+        self.release_slot(generation, rank);
+        self.settle_aborted(generation, [rank]);
         false
     }
 
@@ -585,9 +636,10 @@ impl CheckpointStorage {
     /// accounting). A no-op if the generation is not pending or its round was
     /// aborted.
     pub fn commit_generation(&self, generation: u64) {
+        let mut catalog = self.catalog.lock();
         let mut pending = self.pending.lock();
         if pending.get(&generation).is_some_and(|entry| !entry.aborted) {
-            pending.remove(&generation);
+            catalog.commit(&mut pending, generation);
         }
     }
 
@@ -1173,6 +1225,46 @@ impl CheckpointStorage {
             .lock()
             .manifests
             .contains_key(&(generation, rank))
+    }
+
+    /// The newest **committed** generation, if any: the highest catalogued generation
+    /// that is not pending. Walks the catalog's keys from the top without
+    /// allocating, so it is cheap enough to poll while a flush is outstanding.
+    pub fn newest_committed(&self) -> Option<u64> {
+        let catalog = self.catalog.lock();
+        let pending = self.pending.lock();
+        catalog
+            .manifests
+            .keys()
+            .rev()
+            .map(|&(generation, _)| generation)
+            .find(|generation| !pending.contains_key(generation))
+    }
+
+    /// Drop every committed generation newer than `generation` — its slots and its
+    /// resume record — and return them ascending. A restart calls this once it has
+    /// restored `generation`: anything newer failed validation, and left in place it
+    /// would stay the newest committed generation, the one
+    /// [`prune_before`](CheckpointStorage::prune_before) protects, while the
+    /// generation actually restored could be pruned. Pending generations are
+    /// [`abort_pending`](CheckpointStorage::abort_pending)'s.
+    pub fn drop_generations_after(&self, generation: u64) -> Vec<u64> {
+        let slots: Vec<(u64, Rank)> = {
+            let catalog = self.catalog.lock();
+            let pending = self.pending.lock();
+            catalog
+                .manifests
+                .range((Excluded((generation, Rank::MAX)), Unbounded))
+                .map(|(&slot, _)| slot)
+                .filter(|(newer, _)| !pending.contains_key(newer))
+                .collect()
+        };
+        for &(newer, rank) in &slots {
+            self.release_slot(newer, rank);
+        }
+        let mut dropped: Vec<u64> = slots.into_iter().map(|(newer, _)| newer).collect();
+        dropped.dedup();
+        dropped
     }
 
     /// All **committed** generations with at least one checkpoint, ascending.

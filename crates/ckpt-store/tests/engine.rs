@@ -1504,3 +1504,116 @@ fn pruning_after_a_restart_leaves_the_restored_bytes() {
         assert_eq!(contents(&restored), before, "{policy:?}");
     }
 }
+
+// ----------------------------------------------------------------------
+// The resume record: the step a committed generation resumes from
+// ----------------------------------------------------------------------
+
+/// Announce `generation` for a `world`-rank job, note each rank's `steps`, and write
+/// every rank's slot — a round whose flushes have not landed yet.
+fn round_in_flight(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
+    storage.begin_generation(generation, world);
+    for &step in steps {
+        storage.note_resume_step(generation, step);
+    }
+    for rank in 0..world as i32 {
+        let upper = synthetic_upper(rank + generation as i32 * 16, 1, 4_096);
+        storage.write_image(
+            StoragePolicy::Incremental,
+            &image_of(rank, generation, &upper),
+        );
+    }
+}
+
+/// Asynchronous flushes commit out of order (generation 5's smaller flushes land
+/// before generation 4's). The store's newest committed generation is the highest
+/// one committed so far, and a late lower commit never displaces it.
+#[test]
+fn out_of_order_commits_leave_the_highest_committed_generation_newest() {
+    let storage = CheckpointStorage::unmetered();
+    assert_eq!(storage.newest_committed(), None);
+    round_in_flight(&storage, 4, 2, &[8, 8]);
+    round_in_flight(&storage, 5, 2, &[12, 10]);
+    assert_eq!(storage.newest_committed(), None, "nothing has landed yet");
+
+    assert!(!storage.note_rank_flushed(5, 1));
+    assert!(storage.note_rank_flushed(5, 0));
+    assert_eq!(storage.newest_committed(), Some(5));
+    assert!(!storage.note_rank_flushed(4, 0));
+    assert_eq!(storage.newest_committed(), Some(5), "4 is still pending");
+    assert!(storage.note_rank_flushed(4, 1));
+    assert_eq!(
+        storage.newest_committed(),
+        Some(5),
+        "a late commit never regresses"
+    );
+    assert_eq!(storage.generations(), vec![4, 5]);
+    assert_eq!(storage.resume_step(4), Some(8));
+    assert_eq!(
+        storage.resume_step(5),
+        Some(10),
+        "the minimum over ranks wins"
+    );
+}
+
+/// A step-driven generation's record is readable from the moment it commits, by
+/// either commit path, and a round that noted no step leaves no record.
+#[test]
+fn a_committed_step_driven_generation_has_its_record() {
+    let storage = CheckpointStorage::unmetered();
+    round_in_flight(&storage, 0, 2, &[3, 2]);
+    storage.commit_generation(0);
+    assert_eq!(storage.newest_committed(), Some(0));
+    assert_eq!(storage.resume_step(0), Some(2));
+
+    round_in_flight(&storage, 1, 2, &[4]);
+    assert!(!storage.note_rank_flushed(1, 0));
+    assert!(storage.note_rank_flushed(1, 1));
+    assert_eq!(storage.resume_step(1), Some(4));
+
+    // A free-form round: committed, published, and without a record.
+    round_in_flight(&storage, 2, 2, &[]);
+    storage.commit_generation(2);
+    assert_eq!(storage.newest_committed(), Some(2));
+    assert_eq!(storage.resume_step(2), None);
+    // A step noted after the commit is ignored: the round's record is final.
+    storage.note_resume_step(2, 9);
+    storage.note_resume_step(1, 0);
+    assert_eq!(storage.resume_step(2), None);
+    assert_eq!(storage.resume_step(1), Some(4));
+}
+
+/// A pending, aborted, pruned or dropped generation has no record.
+#[test]
+fn a_pending_aborted_or_pruned_generation_has_no_record() {
+    let storage = CheckpointStorage::unmetered();
+    for generation in 0..3 {
+        round_in_flight(&storage, generation, 1, &[generation * 2 + 2]);
+        storage.commit_generation(generation);
+    }
+    round_in_flight(&storage, 3, 2, &[8, 8]);
+    assert!(storage.is_pending(3));
+    assert_eq!(storage.resume_step(3), None, "pending");
+    assert_eq!(storage.newest_committed(), Some(2));
+
+    storage.abort_generation(3);
+    storage.commit_generation(3);
+    assert_eq!(storage.resume_step(3), None, "aborted");
+
+    let report = storage.prune_before(2);
+    assert_eq!(report.pruned, vec![0, 1]);
+    assert_eq!(storage.resume_step(0), None, "pruned");
+    assert_eq!(storage.resume_step(1), None, "pruned");
+    assert_eq!(
+        storage.resume_step(2),
+        Some(6),
+        "the restart point keeps its record"
+    );
+
+    round_in_flight(&storage, 4, 1, &[10]);
+    storage.commit_generation(4);
+    assert_eq!(storage.drop_generations_after(2), vec![4]);
+    assert_eq!(storage.resume_step(4), None, "dropped");
+    assert_eq!(storage.newest_committed(), Some(2));
+    assert_eq!(storage.generations(), vec![2]);
+}

@@ -115,8 +115,11 @@ pub fn restart_job(
 /// committed) are aborted and forgotten first. A caller with asynchronous flushes
 /// must let them land before restarting from the same storage (a service tenant's
 /// `wait_idle`), so no dead-incarnation flush is still in flight when the restarted
-/// job reuses a generation number. Returns the rebuilt ranks in rank order plus the
-/// generation restored from.
+/// job reuses a generation number. Once the ranks are rebuilt, the committed
+/// generations newer than the one restored — those that failed validation — are
+/// dropped, so the restored generation is the store's newest committed one again:
+/// the restart point `prune_before` protects, and the one a later restart or resume
+/// reads. Returns the rebuilt ranks in rank order plus the generation restored from.
 pub fn restart_job_from_storage(
     lowers: Vec<Box<dyn MpiApi>>,
     storage: &ckpt_store::CheckpointStorage,
@@ -140,6 +143,7 @@ pub fn restart_job_from_storage(
     };
     let repartition = remap.map_or(&NoRepartition as &dyn Repartition, |(_, hook)| hook);
     let ranks = restart_job(lowers, images, &map, repartition, config, registry)?;
+    storage.drop_generations_after(generation);
     Ok((ranks, generation))
 }
 

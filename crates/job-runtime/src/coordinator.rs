@@ -10,17 +10,18 @@
 //!    diagnostic fires only on true job-wide quiescence failure;
 //! 3. **runs the commit barrier** — after the parallel per-rank writes, every rank
 //!    arrives with the generation it wrote; once all have arrived (and agree), the
-//!    generation is *atomically published*. A generation is never visible
-//!    half-written: either every rank's image committed, or the generation is not
-//!    published (and a restart falls back to the newest fully-valid one).
+//!    generation is *atomically committed* in the store. A generation is never
+//!    visible half-written: either every rank's image committed, or the generation
+//!    is not published (and a restart falls back to the newest fully-valid one).
 
+use ckpt_store::CheckpointStorage;
 use mana::DrainObserver;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 use net_sim::clock;
 use net_sim::Fabric;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,72 +38,26 @@ const STALL_BUDGET: Duration = Duration::from_secs(5);
 /// failure lane — the fabric's own wait slice.
 const BARRIER_SLICE: Duration = Duration::from_millis(2);
 
-/// Sentinel for "no generation published yet".
-const NO_GENERATION: u64 = u64::MAX;
-
-/// The job-level checkpoint ledger shared across world launches of one
-/// [`crate::JobRuntime`]: the atomically published latest generation and the
-/// generation → steps-completed map a restart uses to resume the step counter.
-#[derive(Debug, Default)]
+/// The job's checkpoint ledger, read from its store: the newest committed generation
+/// and the step each step-driven generation resumes from. It keeps nothing of its
+/// own, so a runtime built later over the same store reads the same ledger.
+#[derive(Debug)]
 pub struct CommitLedger {
-    published: AtomicU64,
-    commits: Mutex<BTreeMap<u64, Option<u64>>>,
+    storage: CheckpointStorage,
 }
 
 impl CommitLedger {
-    /// A fresh ledger with nothing published.
-    pub fn new() -> Self {
-        CommitLedger {
-            published: AtomicU64::new(NO_GENERATION),
-            commits: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The newest fully-committed generation, if any. This only moves once the commit
-    /// barrier has seen every rank of a world finish its write.
+    /// The newest committed generation in the store, if any. A synchronous round's
+    /// generation commits at its commit barrier; an asynchronous one's when the last
+    /// rank's background flush lands.
     pub fn published_generation(&self) -> Option<u64> {
-        match self.published.load(Ordering::SeqCst) {
-            NO_GENERATION => None,
-            generation => Some(generation),
-        }
+        self.storage.newest_committed()
     }
 
-    /// Steps completed at the time `generation` was committed (`None` when the
-    /// checkpoint was taken outside a step-driven run, or unknown).
+    /// The step committed `generation` resumes from (`None` when the checkpoint was
+    /// taken outside a step-driven run, or the generation is not committed).
     pub fn steps_at(&self, generation: u64) -> Option<u64> {
-        self.commits.lock().get(&generation).copied().flatten()
-    }
-
-    /// Number of committed generations recorded.
-    pub(crate) fn committed_count(&self) -> usize {
-        self.commits.lock().len()
-    }
-
-    /// Rewind the ledger to a restored generation: drop records of newer (dead or
-    /// torn) rounds and republish the restored generation. Called on restart, where
-    /// a fallback legitimately regresses the generation counter — without this, the
-    /// in-run never-regress guard of the commit recording would pin
-    /// `published_generation` to a dead incarnation's higher number forever.
-    pub(crate) fn rewind_to(&self, generation: u64) {
-        let mut commits = self.commits.lock();
-        commits.retain(|g, _| *g <= generation);
-        self.published.store(generation, Ordering::SeqCst);
-    }
-
-    fn record(&self, generation: u64, steps: Option<u64>) {
-        self.commits.lock().insert(generation, steps);
-        // Never regress the published generation: asynchronous flushes can commit
-        // out of order (generation G's flush may outlast G+1's), and the newest
-        // committed generation must stay published.
-        let _ = self
-            .published
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
-                if current == NO_GENERATION || generation > current {
-                    Some(generation)
-                } else {
-                    None
-                }
-            });
+        self.storage.resume_step(generation)
     }
 }
 
@@ -110,9 +65,6 @@ struct BarrierState {
     round: u64,
     arrived: usize,
     generation: Option<u64>,
-    /// Fold of the `steps` every arriver reported this round (minimum wins: a resume
-    /// must re-run anything *any* rank has not completed).
-    steps: Option<u64>,
     /// Fold of the intent snapshots the arrivers of this round are servicing (the
     /// newest epoch wins). Published as `decided_intent` when the round completes,
     /// so every rank of the round acts on one agreed `(epoch, vacates)` decision —
@@ -165,10 +117,6 @@ pub struct Coordinator {
     /// The world's fabric, if it has one to show: a rank parked at the commit
     /// barrier keeps beating on it and watches it for its own death or an abort.
     fabric: Option<Fabric>,
-    /// Per-generation asynchronous flush accounting: how many ranks' background
-    /// flushes have landed and the fold of their step counts (minimum wins, like the
-    /// blocking barrier). Nobody ever *waits* on this state — that is the point.
-    flush_rounds: Mutex<BTreeMap<u64, FlushRound>>,
     /// Ranks the failure detector has declared dead this incarnation. Feeds
     /// [`DrainObserver::dead_peers`], so a drain waiting on a dead peer fails fast
     /// ("peer dead: heartbeat expired") instead of burning the stall budget.
@@ -176,18 +124,12 @@ pub struct Coordinator {
     ledger: Arc<CommitLedger>,
 }
 
-#[derive(Default)]
-struct FlushRound {
-    landed: usize,
-    steps: Option<u64>,
-}
-
 impl Coordinator {
-    /// A coordinator for a world of `world_size` ranks, committing into `ledger`.
+    /// A coordinator for a world of `world_size` ranks, committing into `storage`.
     pub fn new(
         world_size: usize,
         checkpoint_every: Option<u64>,
-        ledger: Arc<CommitLedger>,
+        storage: CheckpointStorage,
     ) -> Self {
         Coordinator {
             world_size,
@@ -198,7 +140,6 @@ impl Coordinator {
                 round: 0,
                 arrived: 0,
                 generation: None,
-                steps: None,
                 intent: None,
                 decided_intent: None,
                 poisoned: None,
@@ -206,9 +147,8 @@ impl Coordinator {
             barrier_cv: Condvar::new(),
             barrier_timeout: Duration::from_secs(30),
             fabric: None,
-            flush_rounds: Mutex::new(BTreeMap::new()),
             dead: Mutex::new(BTreeSet::new()),
-            ledger,
+            ledger: Arc::new(CommitLedger { storage }),
         }
     }
 
@@ -241,7 +181,7 @@ impl Coordinator {
         self.world_size
     }
 
-    /// The shared commit ledger.
+    /// The ledger over the job's store.
     pub fn ledger(&self) -> &Arc<CommitLedger> {
         &self.ledger
     }
@@ -334,13 +274,22 @@ impl Coordinator {
 
     /// Arrive at the commit barrier having durably written `generation` for this
     /// rank. Blocks until every rank of the world has arrived, then (exactly once,
-    /// by the last arriver) atomically publishes the generation in the ledger.
+    /// by the last arriver) atomically commits the generation in the store. `steps`,
+    /// the steps this rank had completed, is noted on the generation's resume record
+    /// first (see [`CheckpointStorage::note_resume_step`]).
     ///
     /// Ranks arriving with *different* generations poison the barrier for everyone —
     /// interleaved generations would mean the two-phase protocol was violated.
     pub fn commit(&self, rank: Rank, generation: u64, steps: Option<u64>) -> MpiResult<()> {
-        self.commit_inner(rank, generation, steps, None)?;
+        self.note_steps(generation, steps);
+        self.commit_inner(rank, generation, None)?;
         Ok(())
+    }
+
+    fn note_steps(&self, generation: u64, steps: Option<u64>) {
+        if let Some(steps) = steps {
+            self.ledger.storage.note_resume_step(generation, steps);
+        }
     }
 
     /// [`Coordinator::commit`] that also folds the arrivers' mid-step intent
@@ -352,7 +301,6 @@ impl Coordinator {
         &self,
         rank: Rank,
         generation: u64,
-        steps: Option<u64>,
         intent: Option<IntentSnapshot>,
     ) -> MpiResult<Option<IntentSnapshot>> {
         let mut state = self.barrier.lock();
@@ -373,12 +321,6 @@ impl Coordinator {
             }
             Some(_) => {}
         }
-        // Fold the minimum step count over the round: if ranks serviced the intent at
-        // slightly different logical points, a resume must re-run from the earliest.
-        state.steps = match (state.steps, steps) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         // Fold the intent snapshots: the newest broadcast observed by any arriver is
         // the round's decision.
         state.intent = match (state.intent, intent) {
@@ -428,16 +370,15 @@ impl Coordinator {
         )))
     }
 
-    /// The last arriver's half of a round: the generation is complete for the whole
-    /// world, so publish it in the ledger and release every waiter with the round's
-    /// intent decision.
+    /// The last arriver's half of a round: every rank of the world has written the
+    /// generation, so commit it in the store — before any rank leaves the barrier —
+    /// and release every waiter with the round's intent decision.
     fn release_round(&self, state: &mut BarrierState, generation: u64) -> Option<IntentSnapshot> {
-        self.ledger.record(generation, state.steps);
+        self.ledger.storage.commit_generation(generation);
         let decided = state.intent.take();
         state.decided_intent = decided;
         state.arrived = 0;
         state.generation = None;
-        state.steps = None;
         state.round += 1;
         self.barrier_cv.notify_all();
         decided
@@ -447,31 +388,17 @@ impl Coordinator {
     // Phase 2c: asynchronous flush commit (no barrier, nobody blocks)
     // ------------------------------------------------------------------
 
-    /// Record that one rank's background flush of `generation` has landed. Called
-    /// from flusher-pool worker threads, never from rank threads — ranks return to
-    /// computation the moment their snapshot is frozen.
-    ///
-    /// When the last rank's flush lands, the generation's step fold is recorded in
-    /// the ledger (the storage engine itself committed the generation a moment
-    /// earlier, in the same worker, via its pending-flush accounting). Returns `true`
-    /// exactly once per generation, from the landing that completed it.
+    /// Account one rank's landed background flush of `generation`, for a caller that
+    /// drives the round's stages itself: `steps` is noted on the generation's resume
+    /// record, as [`Coordinator::commit`] notes it. The store commits the generation
+    /// itself when the last rank's flush lands, so a step noted after that is
+    /// ignored (the runtime's own rounds note theirs before they submit). Returns
+    /// whether the store's newest committed generation has reached `generation`.
     pub fn note_flush_landed(&self, generation: u64, steps: Option<u64>) -> bool {
-        let mut rounds = self.flush_rounds.lock();
-        // Own the round while folding: the map only keeps rounds still in flight,
-        // so there is no remove-after-touch step to get wrong.
-        let mut round = rounds.remove(&generation).unwrap_or_default();
-        round.landed += 1;
-        round.steps = match (round.steps, steps) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if round.landed >= self.world_size {
-            self.ledger.record(generation, round.steps);
-            true
-        } else {
-            rounds.insert(generation, round);
-            false
-        }
+        self.note_steps(generation, steps);
+        self.ledger
+            .published_generation()
+            .is_some_and(|newest| newest >= generation)
     }
 }
 
@@ -496,24 +423,46 @@ impl DrainObserver for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_store::StoragePolicy;
+    use split_proc::address_space::UpperHalfSpace;
+    use split_proc::image::{CheckpointImage, ImageMetadata};
+
+    /// Announce `generation` pending for a `world`-rank job and write every rank's
+    /// (empty) slot, as a round does before its ranks reach the barrier.
+    fn written(storage: &CheckpointStorage, generation: u64, world: usize) {
+        storage.begin_generation(generation, world);
+        for rank in 0..world as Rank {
+            let metadata = ImageMetadata {
+                rank,
+                world_size: world,
+                generation,
+                implementation: "mpich".into(),
+            };
+            let image = CheckpointImage::new(metadata, UpperHalfSpace::new());
+            storage.write_image(StoragePolicy::Incremental, &image);
+        }
+    }
 
     #[test]
     fn commit_barrier_publishes_once_per_complete_round() {
-        let ledger = Arc::new(CommitLedger::new());
-        let coordinator = Arc::new(Coordinator::new(2, Some(1), Arc::clone(&ledger)));
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Arc::new(Coordinator::new(2, Some(1), storage.clone()));
+        let ledger = Arc::clone(coordinator.ledger());
+        written(&storage, 7, 2);
         assert!(ledger.published_generation().is_none());
         let peer = Arc::clone(&coordinator);
-        let handle = std::thread::spawn(move || peer.commit(1, 7, Some(3)));
+        let handle = std::thread::spawn(move || peer.commit(1, 7, Some(4)));
         coordinator.commit(0, 7, Some(3)).unwrap();
         handle.join().unwrap().unwrap();
         assert_eq!(ledger.published_generation(), Some(7));
-        assert_eq!(ledger.steps_at(7), Some(3));
+        assert_eq!(ledger.steps_at(7), Some(3), "minimum step fold wins");
     }
 
     #[test]
     fn mismatched_generations_poison_the_commit_barrier() {
-        let ledger = Arc::new(CommitLedger::new());
-        let coordinator = Arc::new(Coordinator::new(2, None, Arc::clone(&ledger)));
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
+        written(&storage, 4, 2);
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || {
             // Let the main thread arrive first with generation 4.
@@ -528,50 +477,14 @@ mod tests {
             mine.is_err() && theirs.is_err(),
             "an interleaved generation must fail both ranks"
         );
-        assert!(ledger.published_generation().is_none());
-    }
-
-    #[test]
-    fn ledger_rewind_tracks_a_fallback_restart() {
-        let ledger = CommitLedger::new();
-        ledger.record(0, Some(2));
-        ledger.record(3, Some(8));
-        assert_eq!(ledger.published_generation(), Some(3));
-        // Fallback restart onto generation 0: the dead incarnation's records go.
-        ledger.rewind_to(0);
-        assert_eq!(ledger.published_generation(), Some(0));
-        assert_eq!(ledger.steps_at(0), Some(2));
-        assert_eq!(ledger.steps_at(3), None);
-        // The resumed run's lower-numbered commits are no longer suppressed.
-        ledger.record(1, Some(4));
-        assert_eq!(ledger.published_generation(), Some(1));
-    }
-
-    #[test]
-    fn async_flush_commit_records_once_and_never_regresses() {
-        let ledger = Arc::new(CommitLedger::new());
-        let coordinator = Coordinator::new(2, None, Arc::clone(&ledger));
-        assert!(!coordinator.note_flush_landed(4, Some(8)));
-        assert!(ledger.published_generation().is_none());
-        // Generation 5's flushes land first (they were smaller).
-        assert!(!coordinator.note_flush_landed(5, Some(12)));
-        assert!(coordinator.note_flush_landed(5, Some(10)));
-        assert_eq!(ledger.published_generation(), Some(5));
-        assert_eq!(ledger.steps_at(5), Some(10), "minimum step fold wins");
-        // Generation 4's late flush lands afterwards: recorded, never regressing.
-        assert!(coordinator.note_flush_landed(4, Some(6)));
-        assert_eq!(ledger.published_generation(), Some(5));
-        assert_eq!(ledger.steps_at(4), Some(6));
-        assert!(
-            coordinator.flush_rounds.lock().is_empty(),
-            "no round left in flight"
-        );
+        assert!(coordinator.ledger().published_generation().is_none());
     }
 
     #[test]
     fn abort_poisons_the_commit_barrier_and_wakes_waiters() {
-        let ledger = Arc::new(CommitLedger::new());
-        let coordinator = Arc::new(Coordinator::new(2, None, Arc::clone(&ledger)));
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
+        written(&storage, 3, 2);
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || peer.commit(0, 3, None));
         // Let rank 0 park in the barrier, then the detector declares rank 1 dead.
@@ -588,14 +501,15 @@ mod tests {
         );
         // Later arrivals fail too, and nothing was ever published.
         assert!(coordinator.commit(1, 3, None).is_err());
-        assert!(ledger.published_generation().is_none());
+        assert!(coordinator.ledger().published_generation().is_none());
         assert_eq!(coordinator.dead_ranks(), vec![1]);
     }
 
     #[test]
     fn an_abort_after_the_round_completed_does_not_fail_its_waiters() {
-        let ledger = Arc::new(CommitLedger::new());
-        let coordinator = Arc::new(Coordinator::new(2, None, Arc::clone(&ledger)));
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
+        written(&storage, 3, 2);
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || peer.commit(0, 3, Some(5)));
         while coordinator.barrier.lock().arrived == 0 {
@@ -608,8 +522,9 @@ mod tests {
             coordinator.release_round(&mut state, 3);
             coordinator.poison(&mut state, "job aborted".into());
         }
-        // Failing rank 0 would have it abort storage the ledger already points at.
+        // Failing rank 0 would have it abort a generation the store has committed.
         assert!(handle.join().unwrap().is_ok());
+        let ledger = coordinator.ledger();
         assert_eq!(ledger.published_generation(), Some(3));
         assert_eq!(ledger.steps_at(3), Some(5));
         assert!(
@@ -620,7 +535,7 @@ mod tests {
 
     #[test]
     fn checkpoint_due_covers_interval_and_requests() {
-        let coordinator = Coordinator::new(1, Some(3), Arc::new(CommitLedger::new()));
+        let coordinator = Coordinator::new(1, Some(3), CheckpointStorage::unmetered());
         assert!(!coordinator.checkpoint_due(0));
         assert!(!coordinator.checkpoint_due(2));
         assert!(coordinator.checkpoint_due(3));

@@ -2,7 +2,7 @@
 //! checkpoints, inject preemptions, and restart from storage — one API for every
 //! scenario the examples and tests used to hand-roll with `thread::spawn` loops.
 
-use crate::coordinator::{CommitLedger, Coordinator};
+use crate::coordinator::Coordinator;
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
 use ckpt_service::{CkptService, ServiceHandle};
@@ -292,11 +292,9 @@ pub struct JobCtx {
 impl JobCtx {
     /// Take a full coordinated checkpoint of the job (collective: every rank's body
     /// must call this at the same logical point). The image is written in place and
-    /// the generation is published in the ledger at the commit barrier before this
-    /// returns. Storage lags the ledger slightly: each rank commits its own slot after
-    /// the barrier, and the generation becomes visible to readers (`generations()`,
-    /// `latest_valid_images`) only once the *last* rank has done so — not
-    /// necessarily by the time this rank returns.
+    /// the generation commits in storage at the commit barrier, before any rank
+    /// returns. A free-form checkpoint records no resume step, so a step-driven
+    /// start cannot resume from it.
     pub fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
         Ok(self.round(session, Sink::InPlace)?.wait())
     }
@@ -375,6 +373,17 @@ impl<T> JobRun<T> {
     }
 }
 
+/// Where a step-driven incarnation starts (see `JobRuntime::start`).
+struct Start {
+    ranks: Vec<ManaRank>,
+    /// The generation restored; `None` for a fresh launch.
+    generation: Option<u64>,
+    /// The step the incarnation resumes at.
+    step: u64,
+    /// The pending generations a dead incarnation left behind, aborted first.
+    aborted: Vec<u64>,
+}
+
 enum RankOutcome<T> {
     Completed(T),
     Preempted,
@@ -400,7 +409,6 @@ pub struct JobRuntime {
     /// is where every generation lands and every restart reads.
     tenancy: ServiceHandle,
     registry: Arc<RwLock<UserFunctionRegistry>>,
-    ledger: Arc<CommitLedger>,
     session: AtomicU64,
     kill_armed: AtomicBool,
     mid_ckpt_armed: AtomicBool,
@@ -459,7 +467,6 @@ impl JobRuntime {
             config,
             tenancy,
             registry: Arc::new(RwLock::new(UserFunctionRegistry::new())),
-            ledger: Arc::new(CommitLedger::new()),
             session: AtomicU64::new(1),
             fabric: Mutex::new(None),
             chaos: Mutex::new(chaos),
@@ -488,14 +495,9 @@ impl JobRuntime {
         self.world_size.load(Ordering::SeqCst)
     }
 
-    /// The newest atomically published checkpoint generation.
+    /// The newest committed checkpoint generation in the job's store.
     pub fn published_generation(&self) -> Option<u64> {
-        self.ledger.published_generation()
-    }
-
-    /// Number of committed checkpoint generations.
-    pub fn checkpoints_committed(&self) -> usize {
-        self.ledger.committed_count()
+        self.storage().newest_committed()
     }
 
     /// Launch a fresh world of MANA-wrapped ranks on the configured backend.
@@ -580,7 +582,7 @@ impl JobRuntime {
             Coordinator::new(
                 self.current_world_size(),
                 self.config.checkpoint_every,
-                Arc::clone(&self.ledger),
+                self.storage().clone(),
             )
             .on_fabric(self.fabric()),
         )
@@ -609,8 +611,9 @@ impl JobRuntime {
     /// restart as a one-argument switch. A generation checkpointed at another world
     /// size is remapped through [`JobConfig::elastic`]; without one the restart fails
     /// with [`MpiError::WorldSizeMismatch`]. Returns the restored ranks and the
-    /// generation restored from; drive them with [`JobRuntime::run_restored`] or
-    /// [`JobRuntime::run_steps_restored`].
+    /// generation restored from; drive them with [`JobRuntime::run_restored`]. (A
+    /// step-driven job needs no explicit restart: [`JobRuntime::run_steps`] resumes
+    /// from the store itself.)
     pub fn restart(&self, backend: Backend) -> MpiResult<(Vec<ManaRank>, u64)> {
         self.restore(backend, self.current_world_size())
     }
@@ -642,11 +645,12 @@ impl JobRuntime {
         self.restore(self.config.backend, new_world)
     }
 
-    /// The one restore behind [`JobRuntime::restart`] and
-    /// [`JobRuntime::restart_resized`]: let the dead incarnation's flushes land,
-    /// relaunch `world` lower halves on `backend`, and restore through the restart
-    /// engine ([`elastic::restart_job_from_storage`]), which aborts pending
-    /// generations and remaps a generation of another size with the job's elastic
+    /// The one restore behind [`JobRuntime::restart`],
+    /// [`JobRuntime::restart_resized`] and every step-driven resume: let the dead
+    /// incarnation's flushes land, relaunch `world` lower halves on `backend`, and
+    /// restore through the restart engine ([`elastic::restart_job_from_storage`]),
+    /// which aborts pending generations, drops committed ones newer than the one it
+    /// restores, and remaps a generation of another size with the job's elastic
     /// configuration.
     fn restore(&self, backend: Backend, world: usize) -> MpiResult<(Vec<ManaRank>, u64)> {
         // The flusher pool outlives a vacated world (the simulated node-local flush
@@ -670,11 +674,6 @@ impl JobRuntime {
             self.registry(),
         )?;
         self.world_size.store(world, Ordering::SeqCst);
-        // A fallback legitimately regresses the generation counter: rewind the
-        // ledger to the restored generation so `published_generation` tracks the
-        // resumed run instead of staying pinned to a dead incarnation's higher
-        // (possibly torn) number by the in-run never-regress guard.
-        self.ledger.rewind_to(generation);
         Ok((ranks, generation))
     }
 
@@ -714,94 +713,87 @@ impl JobRuntime {
     // Step-driven runs
     // ------------------------------------------------------------------
 
-    /// Launch a fresh world and drive every rank through steps `0..total_steps`,
-    /// taking a coordinated checkpoint at every interval boundary and honouring an
-    /// injected preemption. `step_fn(session, step)` executes one step on one rank
-    /// through the typed [`Session`] API.
+    /// Drive every rank through steps up to `total_steps`, taking a coordinated
+    /// checkpoint at every interval boundary and honouring an injected preemption.
+    /// `step_fn(session, step)` executes one step on one rank through the typed
+    /// [`Session`] API.
+    ///
+    /// The run starts from the job's store alone: it restores the store's newest
+    /// committed generation onto this runtime's backend and world size (remapped
+    /// through [`JobConfig::elastic`] when the sizes differ) and resumes at the step
+    /// that generation records, repeating the work since the last commit exactly as
+    /// a real preempted job repeats it; with nothing committed, it launches fresh at
+    /// step 0. So a second call after a preemption resumes the job, and so does a
+    /// runtime built later over the same store — for another MPI or another world
+    /// size, build it with that backend or size. Fails with
+    /// [`MpiError::Checkpoint`] naming the generation when the newest committed one
+    /// records no step (a checkpoint from a free-form [`JobRuntime::run`] body).
     pub fn run_steps<T, F>(&self, total_steps: u64, step_fn: F) -> MpiResult<JobRun<T>>
     where
         T: Send + 'static,
         F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
     {
-        let ranks = self.launch()?;
-        self.drive(self.coordinator(), ranks, 0, total_steps, Arc::new(step_fn))
+        let start = self.start(self.current_world_size())?;
+        self.drive(
+            self.coordinator(),
+            start.ranks,
+            start.step,
+            total_steps,
+            Arc::new(step_fn),
+        )
     }
 
-    /// Drive a restored world — what [`JobRuntime::restart`] or
-    /// [`JobRuntime::restart_resized`] returned — on to `total_steps`, exactly like
-    /// [`JobRuntime::run_steps`]. The step counter resumes from the ledger's record
-    /// of the restored generation (work since the last commit is repeated, exactly
-    /// as a real preempted job repeats it).
-    pub fn run_steps_restored<T, F>(
-        &self,
-        restored: (Vec<ManaRank>, u64),
-        total_steps: u64,
-        step_fn: F,
-    ) -> MpiResult<JobRun<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
-    {
-        self.drive_restored(restored, total_steps, Arc::new(step_fn))
-    }
-
-    /// [`JobRuntime::run_steps_restored`] for a step function already shared with
-    /// earlier incarnations.
-    fn drive_restored<T, F>(
-        &self,
-        (ranks, generation): (Vec<ManaRank>, u64),
-        total_steps: u64,
-        step_fn: Arc<F>,
-    ) -> MpiResult<JobRun<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
-    {
-        let start_step = self.ledger.steps_at(generation).ok_or_else(|| {
+    /// The one start of every step-driven run, at `world` ranks: restore the newest
+    /// committed generation and its resume step, or launch fresh at step 0 when
+    /// nothing has committed. The restore runs with chaos unarmed and the remainder
+    /// is armed once it has succeeded, so a leftover fault targets the resumed run,
+    /// not the restore.
+    fn start(&self, world: usize) -> MpiResult<Start> {
+        // Let a dead incarnation's straggler flushes land *before* deciding what the
+        // newest committed generation is: a flush that commits a moment from now
+        // counts as committed, not as "nothing to resume from".
+        self.tenancy.wait_idle();
+        // Its pending rounds are torn by definition: abort them whichever way the
+        // job starts, or a fresh launch would join a dead round of the same number.
+        // Every flush has landed, so the tombstones have nothing left to catch.
+        let aborted = self.storage().abort_pending();
+        if self.published_generation().is_none() {
+            return Ok(Start {
+                ranks: self.launch()?,
+                generation: None,
+                step: 0,
+                aborted,
+            });
+        }
+        let (ranks, generation) = self.restore(self.config.backend, world)?;
+        if let Some(fabric) = self.fabric() {
+            self.arm_remaining_chaos(&fabric);
+        }
+        let step = self.storage().resume_step(generation).ok_or_else(|| {
             MpiError::Checkpoint(format!(
-                "restored generation {generation} has no step record in the ledger; \
-                 was it written outside a step-driven run?"
+                "generation {generation} records no resume step (it was written outside a \
+                 step-driven run), so a step-driven start cannot resume from it"
             ))
         })?;
-        self.drive(self.coordinator(), ranks, start_step, total_steps, step_fn)
-    }
-
-    /// Run to completion, resuming through any injected preemption: `run_steps`
-    /// followed by as many restart-then-`run_steps_restored` rounds as it takes.
-    pub fn run_to_completion<T, F>(&self, total_steps: u64, step_fn: F) -> MpiResult<JobRun<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Session, u64) -> MpiResult<T> + Send + Sync + 'static,
-    {
-        let step_fn = Arc::new(step_fn);
-        let ranks = self.launch()?;
-        let mut run = self.drive(
-            self.coordinator(),
+        Ok(Start {
             ranks,
-            0,
-            total_steps,
-            Arc::clone(&step_fn),
-        )?;
-        while run.was_preempted() {
-            run = self.drive_restored(
-                self.restart(self.config.backend)?,
-                total_steps,
-                Arc::clone(&step_fn),
-            )?;
-        }
-        Ok(run)
+            generation: Some(generation),
+            step,
+            aborted,
+        })
     }
 
-    /// Run to completion through **failures**: the self-healing loop of the chaos
-    /// fabric work. Per incarnation it launches (or relaunches) the world with the
-    /// not-yet-fired remainder of [`JobConfig::chaos`] armed on the fabric, spawns a
-    /// [`HeartbeatMonitor`] with the [heartbeat deadline](JobConfig::with_heartbeat_deadline), and drives steps
-    /// exactly like [`JobRuntime::run_to_completion`]. When a rank dies (or falls
-    /// silent past the deadline) the monitor aborts the world, the dead
-    /// incarnation's pending generations are aborted, the job falls back to the
-    /// newest committed generation — or to its initial state when nothing has
-    /// committed yet — and a fresh world resumes. Every event lands in the returned
-    /// [`RecoveryLog`].
+    /// Run to completion through preemptions and **failures**: the self-healing
+    /// loop of the chaos fabric work. Every incarnation starts like
+    /// [`JobRuntime::run_steps`] — from the store's newest committed generation, or
+    /// fresh when nothing has committed — with the not-yet-fired remainder of
+    /// [`JobConfig::chaos`] armed on the fabric, spawns a [`HeartbeatMonitor`] with
+    /// the [heartbeat deadline](JobConfig::with_heartbeat_deadline), and drives
+    /// steps. An injected preemption resumes without counting as a recovery. When a
+    /// rank dies (or falls silent past the deadline) the monitor aborts the world,
+    /// the dead incarnation's pending generations are aborted, and a fresh world
+    /// resumes from the newest committed generation. Every event lands in the
+    /// returned [`RecoveryLog`].
     ///
     /// Fails with the underlying error when a failure is *not* recoverable (a
     /// genuine bug rather than a detected fault), or with
@@ -819,8 +811,6 @@ impl JobRuntime {
         let log = RecoveryLog::new();
         let mut recoveries: u32 = 0;
         let mut incarnation: u32 = 1;
-        let mut ranks = self.launch()?;
-        let mut start_step = 0u64;
         if let Some(arm) = self.chaos.lock().as_ref() {
             log.record(
                 incarnation,
@@ -828,6 +818,15 @@ impl JobRuntime {
                     seed: arm.original.seed,
                     faults: arm.remaining.faults.len(),
                     lethal: arm.remaining.lethal_count(),
+                },
+            );
+        }
+        let mut start = self.start(self.current_world_size())?;
+        if !start.aborted.is_empty() {
+            log.record(
+                incarnation,
+                RecoveryEventKind::PendingAborted {
+                    generations: std::mem::take(&mut start.aborted),
                 },
             );
         }
@@ -845,8 +844,8 @@ impl JobRuntime {
             });
             let outcome = self.drive(
                 Arc::clone(&coordinator),
-                ranks,
-                start_step,
+                start.ranks,
+                start.step,
                 total_steps,
                 Arc::clone(&step_fn),
             );
@@ -888,15 +887,6 @@ impl JobRuntime {
             // Blackout clock: from the detector's first declaration (or now, for
             // failures that surfaced without one) to the resumed world stepping.
             let blackout_start = report.first_detection.unwrap_or_else(clock::now);
-            // Let the dead incarnation's straggler flushes land *before* deciding
-            // what the newest committed generation is — a flush that commits a
-            // moment after the failure must count as committed, not be mistaken
-            // for "nothing to fall back to".
-            self.tenancy.wait_idle();
-            // The dead incarnation's pending rounds are torn by definition: abort
-            // them whichever way the job resumes. Every flush has landed (above), so
-            // the tombstones have nothing left to catch and are dropped with them.
-            let pending = self.storage().abort_pending();
             // With an elastic policy and ranks declared dead (an unhealed node
             // loss), the job does not relaunch at full size and wait for
             // replacement nodes: it shrinks the world onto the survivors.
@@ -908,48 +898,30 @@ impl JobRuntime {
                 }
                 _ => None,
             };
-            let (relaunched, restored, resume_step) =
-                if self.ledger.published_generation().is_some() {
-                    // `restart`/`restart_resized` rewind the ledger to the restored
-                    // generation. The restore runs with chaos unarmed; the remainder
-                    // is re-armed below, so a leftover fault targets the resumed
-                    // run, not the restore.
-                    let (ranks, generation) = match shrink_to {
-                        Some(survivors) => {
-                            let resized = self.restart_resized(survivors)?;
-                            log.record(
-                                incarnation,
-                                RecoveryEventKind::WorldResized {
-                                    from: previous_world,
-                                    to: survivors,
-                                },
-                            );
-                            resized
-                        }
-                        None => self.restart(self.config.backend)?,
-                    };
-                    if let Some(fabric) = self.fabric() {
-                        self.arm_remaining_chaos(&fabric);
-                    }
-                    let step = self.ledger.steps_at(generation).unwrap_or(0);
-                    (ranks, Some(generation), step)
-                } else {
-                    // Nothing committed yet: relaunch from the initial state.
-                    (self.launch()?, None, 0)
-                };
-            if !pending.is_empty() {
+            start = self.start(shrink_to.unwrap_or(previous_world))?;
+            let resized_to = self.current_world_size();
+            if resized_to != previous_world {
+                log.record(
+                    incarnation,
+                    RecoveryEventKind::WorldResized {
+                        from: previous_world,
+                        to: resized_to,
+                    },
+                );
+            }
+            if !start.aborted.is_empty() {
                 log.record(
                     incarnation,
                     RecoveryEventKind::PendingAborted {
-                        generations: pending,
+                        generations: std::mem::take(&mut start.aborted),
                     },
                 );
             }
             incarnation += 1;
             for event in [
                 RecoveryEventKind::FallbackRestored {
-                    generation: restored,
-                    start_step: resume_step,
+                    generation: start.generation,
+                    start_step: start.step,
                 },
                 RecoveryEventKind::WorldRelaunched { incarnation },
                 RecoveryEventKind::Resumed {
@@ -958,8 +930,6 @@ impl JobRuntime {
             ] {
                 log.record(incarnation, event);
             }
-            ranks = relaunched;
-            start_step = resume_step;
         }
     }
 

@@ -32,7 +32,11 @@
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
 //! (kill-at-step), restart from the newest fully-valid generation (optionally on a
 //! *different* MPI implementation), and a [`Backend`] selector over the four simulated
-//! implementations of [`mpi_engine::personality`].
+//! implementations of [`mpi_engine::personality`]. A step-driven job resumes from its
+//! store alone: each round records in the store the step its generation resumes
+//! from, [`CommitLedger`] is a view of the store, and [`JobRuntime::run_steps`]
+//! starts from the newest committed generation — so a runtime built for a new
+//! allocation over the same store finishes a preempted job.
 //!
 //! A job can also run as one **tenant of a shared multi-tenant checkpoint service**
 //! ([`JobRuntime::with_service`]): checkpoints land in the tenant's namespaced view

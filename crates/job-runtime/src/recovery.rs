@@ -355,7 +355,7 @@ impl HeartbeatMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::CommitLedger;
+    use ckpt_store::CheckpointStorage;
     use mpi_model::error::MpiError;
     use net_sim::{Fabric, FabricConfig};
 
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn monitor_detects_a_killed_rank_and_aborts_world_and_barrier() {
         let fabric = Fabric::new(FabricConfig::new(2, 1));
-        let coordinator = Arc::new(Coordinator::new(2, None, Arc::new(CommitLedger::new())));
+        let coordinator = Arc::new(Coordinator::new(2, None, CheckpointStorage::unmetered()));
         let log = RecoveryLog::new();
         let deadline = Duration::from_millis(40);
         let monitor = HeartbeatMonitor::spawn(
@@ -443,7 +443,7 @@ mod tests {
     fn a_survivor_parked_at_the_commit_barrier_is_not_declared_dead() {
         let fabric = Fabric::new(FabricConfig::new(2, 1));
         let coordinator = Arc::new(
-            Coordinator::new(2, None, Arc::new(CommitLedger::new()))
+            Coordinator::new(2, None, CheckpointStorage::unmetered())
                 .on_fabric(Some(fabric.clone())),
         );
         let monitor = HeartbeatMonitor::spawn(
@@ -464,7 +464,7 @@ mod tests {
         assert_eq!(monitor.stop().declared_dead, vec![1]);
         // A rank killed while it waits there finds out where it stands.
         let fabric = Fabric::new(FabricConfig::new(2, 2));
-        let coordinator = Coordinator::new(2, None, Arc::new(CommitLedger::new()))
+        let coordinator = Coordinator::new(2, None, CheckpointStorage::unmetered())
             .on_fabric(Some(fabric.clone()));
         fabric.kill_rank(0, "crash");
         assert_eq!(
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn monitor_stays_quiet_while_everyone_beats() {
         let fabric = Fabric::new(FabricConfig::new(2, 1));
-        let coordinator = Arc::new(Coordinator::new(2, None, Arc::new(CommitLedger::new())));
+        let coordinator = Arc::new(Coordinator::new(2, None, CheckpointStorage::unmetered()));
         let log = RecoveryLog::new();
         let monitor = HeartbeatMonitor::spawn(
             fabric.clone(),

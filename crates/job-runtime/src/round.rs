@@ -10,28 +10,28 @@
 //!
 //! The round announces the generation *pending* on the tenancy's storage, so a
 //! half-written generation is never visible to readers nor mistaken for the newest
-//! committed one by a concurrent `prune_before`; a round that fails after the
-//! announcement aborts the generation, releasing whatever its ranks wrote. Both
-//! happen here and nowhere else.
+//! committed one by a concurrent `prune_before`, and hands the store the step the
+//! generation resumes from; a round that fails after the announcement aborts the
+//! generation, releasing whatever its ranks wrote. All three happen here and
+//! nowhere else.
 //!
 //! [`JobCtx::checkpoint`]: crate::JobCtx::checkpoint
 //! [`JobCtx::checkpoint_async`]: crate::JobCtx::checkpoint_async
 
 use crate::coordinator::IntentSnapshot;
 use crate::JobCtx;
-use ckpt_store::{FlushHandle, StoreReport};
+use ckpt_store::FlushHandle;
 use mana::{CheckpointIntercept, IntentOutcome, ManaRank};
 use mpi_model::error::MpiResult;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// How a round's image reaches the job's tenancy.
 #[derive(Clone, Copy)]
 pub(crate) enum Sink {
     /// Write the live upper half in place into the tenancy's storage on the rank
-    /// thread (no freeze copy), then arrive at the commit barrier. The generation
-    /// commits in storage only once the barrier has seen every rank's write, and
-    /// the write is metered against the tenancy afterwards.
+    /// thread (no freeze copy), then arrive at the commit barrier. The last arriver
+    /// commits the generation in storage once the barrier has seen every rank's
+    /// write, and the write is metered against the tenancy afterwards.
     InPlace,
     /// Freeze the image and submit it through the tenancy's admission control. The
     /// rank returns at once; the worker that lands the last rank's image commits
@@ -46,8 +46,9 @@ pub(crate) enum Sink {
 /// Run one rank through a coordinated checkpoint into `sink`. Collective: every
 /// rank of the world calls it at the same logical point.
 ///
-/// `steps` is the number of completed steps the checkpoint corresponds to (recorded
-/// in the ledger so a restart can resume the step counter). A rank servicing a
+/// `steps` is the number of completed steps the checkpoint corresponds to (noted on
+/// the generation's resume record, so a restart resumes the step counter from the
+/// store alone). A rank servicing a
 /// mid-step intent passes its pre-checkpoint `intent` snapshot; the commit barrier
 /// folds those across the round and the round's decision comes back. Every route
 /// returns a [`FlushHandle`]; a synchronous one is already complete.
@@ -65,7 +66,10 @@ pub(crate) fn checkpoint_round(
     let generation = rank.generation();
     let storage = ctx.storage();
     storage.begin_generation(generation, coordinator.world_size());
-    let delivered = deliver(rank, ctx, sink, steps, intent);
+    if let Some(steps) = steps {
+        storage.note_resume_step(generation, steps);
+    }
+    let delivered = deliver(rank, ctx, sink, intent);
     if delivered.is_err() {
         // A no-op if the generation already committed in storage.
         storage.abort_generation(generation);
@@ -77,31 +81,22 @@ fn deliver(
     rank: &mut ManaRank,
     ctx: &JobCtx,
     sink: Sink,
-    steps: Option<u64>,
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
-    let coordinator = ctx.coordinator();
     let service = &ctx.tenancy;
     let world_rank = rank.world_rank();
     match sink {
         Sink::InPlace => {
             let report = rank.write_checkpoint_into(service.storage())?;
-            let decided = coordinator.commit_inner(world_rank, report.generation, steps, intent)?;
-            service
-                .storage()
-                .note_rank_flushed(report.generation, world_rank);
+            let decided = ctx
+                .coordinator()
+                .commit_inner(world_rank, report.generation, intent)?;
             service.note_external_write(&report);
             Ok((FlushHandle::ready(report), decided))
         }
         Sink::Pool => {
             let policy = rank.config().storage;
-            // The commit accounting of a frozen image rides its flush completion,
-            // on whichever thread lands it.
-            let landing = Arc::clone(coordinator);
-            let landed = move |report: &StoreReport| {
-                landing.note_flush_landed(report.generation, steps);
-            };
-            let handle = match service.submit_with(policy, rank.snapshot_checkpoint()?, landed) {
+            let handle = match service.submit(policy, rank.snapshot_checkpoint()?) {
                 Ok(handle) => handle,
                 Err(rejected) => {
                     // The caller owns the accounting the flusher worker would have
@@ -110,7 +105,6 @@ fn deliver(
                     service
                         .storage()
                         .note_rank_flushed(report.generation, world_rank);
-                    coordinator.note_flush_landed(report.generation, steps);
                     FlushHandle::ready(report)
                 }
             };

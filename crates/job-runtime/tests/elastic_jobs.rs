@@ -16,6 +16,7 @@ use net_sim::clock;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ckpt_service::{CkptService, ServiceConfig};
 use job_runtime::{
     Backend, ChaosPlan, FaultKind, JobConfig, JobRuntime, RecoveryEventKind, RemapPolicy,
 };
@@ -92,9 +93,18 @@ fn baseline() -> u64 {
 }
 
 fn elastic_config() -> JobConfig {
-    JobConfig::new(WORLD, Backend::Mpich)
+    elastic_config_at(WORLD)
+}
+
+fn elastic_config_at(world: usize) -> JobConfig {
+    JobConfig::new(world, Backend::Mpich)
         .with_checkpoint_every(2)
         .with_elastic(RemapPolicy::Block, Arc::new(SkeletonRepartition::default()))
+}
+
+/// A runtime for a new `world`-rank allocation over `previous`'s store.
+fn allocation(previous: &JobRuntime, world: usize) -> JobRuntime {
+    JobRuntime::with_storage(elastic_config_at(world), previous.storage().clone())
 }
 
 #[test]
@@ -104,16 +114,39 @@ fn preempted_job_resumes_on_a_smaller_world_with_identical_results() {
     let run = runtime.run_steps(STEPS, shard_fold_step).unwrap();
     assert!(run.was_preempted());
 
-    let finished = runtime
-        .run_steps_restored(runtime.restart_resized(2).unwrap(), STEPS, shard_fold_step)
-        .unwrap();
+    let resumed = allocation(&runtime, 2);
+    let finished = resumed.run_steps(STEPS, shard_fold_step).unwrap();
     let results = finished.results().unwrap();
     assert_eq!(results.len(), 2, "the resumed world has 2 ranks");
-    assert_eq!(runtime.current_world_size(), 2);
+    assert_eq!(resumed.current_world_size(), 2);
     assert!(
         results.iter().all(|&v| v == reference),
         "shrunk resume diverged from the uninterrupted {WORLD}-rank run"
     );
+}
+
+/// The same shrink for a job that is a checkpoint-service tenant: the 2-rank
+/// allocation resumes as the same tenant, from the tenant's view alone.
+#[test]
+fn a_preempted_service_job_resumes_on_a_smaller_world_as_the_same_tenant() {
+    let reference = baseline();
+    let tenant = CkptService::new(ServiceConfig::default())
+        .unwrap()
+        .register_tenant("elastic");
+    let preempted = JobRuntime::with_service(elastic_config().with_kill_at_step(4), tenant.clone());
+    assert!(preempted
+        .run_steps(STEPS, shard_fold_step)
+        .unwrap()
+        .was_preempted());
+    drop(preempted);
+
+    let results = JobRuntime::with_service(elastic_config_at(2), tenant)
+        .run_steps(STEPS, shard_fold_step)
+        .unwrap()
+        .results()
+        .unwrap();
+    assert_eq!(results.len(), 2);
+    assert!(results.iter().all(|&v| v == reference));
 }
 
 #[test]
@@ -123,8 +156,8 @@ fn preempted_job_resumes_on_a_larger_world_with_identical_results() {
     let run = runtime.run_steps(STEPS, shard_fold_step).unwrap();
     assert!(run.was_preempted());
 
-    let finished = runtime
-        .run_steps_restored(runtime.restart_resized(6).unwrap(), STEPS, shard_fold_step)
+    let finished = allocation(&runtime, 6)
+        .run_steps(STEPS, shard_fold_step)
         .unwrap();
     let results = finished.results().unwrap();
     assert_eq!(results.len(), 6, "the resumed world has 6 ranks");
@@ -161,7 +194,8 @@ fn restart_without_an_elastic_policy_is_a_typed_error() {
 
 /// A job resized onto fewer ranks restarts at its new size before it has
 /// checkpointed there: the same-size restart reads the newest generation at any
-/// size and remaps the 4-rank generation onto the 2-rank world again.
+/// size and remaps the 4-rank generation onto the 2-rank world again, and so does
+/// the step-driven start that resumes it.
 #[test]
 fn a_resized_job_restarts_at_its_new_size_before_checkpointing_there() {
     let reference = baseline();
@@ -176,9 +210,9 @@ fn a_resized_job_restarts_at_its_new_size_before_checkpointing_there() {
     let (ranks, generation) = runtime.restart(Backend::Mpich).unwrap();
     assert_eq!(ranks.len(), 2, "the restart keeps the resized world");
     assert_eq!(generation, resized_generation);
-    let finished = runtime
-        .run_steps_restored((ranks, generation), STEPS, shard_fold_step)
-        .unwrap();
+    drop(ranks);
+    let finished = runtime.run_steps(STEPS, shard_fold_step).unwrap();
+    assert_eq!(runtime.current_world_size(), 2);
     let results = finished.results().unwrap();
     assert_eq!(results.len(), 2);
     assert!(
@@ -196,12 +230,11 @@ fn chained_restarts_across_mixed_size_generations() {
     // 3 ranks to step 6, 2 ranks to completion. Each resize restores the newest
     // generation regardless of the world size it was written by.
     runtime.run_steps(4, shard_fold_step).unwrap();
-    runtime
-        .run_steps_restored(runtime.restart_resized(3).unwrap(), 6, shard_fold_step)
-        .unwrap();
-    assert_eq!(runtime.current_world_size(), 3);
-    let finished = runtime
-        .run_steps_restored(runtime.restart_resized(2).unwrap(), STEPS, shard_fold_step)
+    let three = allocation(&runtime, 3);
+    three.run_steps(6, shard_fold_step).unwrap();
+    assert_eq!(three.current_world_size(), 3);
+    let finished = allocation(&three, 2)
+        .run_steps(STEPS, shard_fold_step)
         .unwrap();
 
     let results = finished.results().unwrap();

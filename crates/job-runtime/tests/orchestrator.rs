@@ -4,10 +4,11 @@
 //! exercised across the simulated MPI backends.
 
 use ckpt_service::{CkptService, ServiceConfig, TenantQuota};
-use job_runtime::{Backend, JobConfig, JobRuntime};
+use job_runtime::{Backend, JobConfig, JobRuntime, RecoveryEventKind};
 use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
 use mpi_model::error::MpiResult;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const STATE: &str = "app.state";
@@ -152,9 +153,8 @@ fn preemptible_job_scenario_runs_on_all_backends() {
         // Checkpoints committed after steps 2 and 4; step 5's work is lost.
         assert_eq!(run.generation(), Some(1));
 
-        let resumed = runtime
-            .run_steps_restored(runtime.restart(backend).unwrap(), 8, step_fn)
-            .unwrap();
+        // A second run resumes from the store's newest committed generation.
+        let resumed = runtime.run_steps(8, step_fn).unwrap();
         let results = resumed.results().unwrap();
         // Every rank ran its final step (step index 7).
         assert_eq!(results, vec![7, 7, 7]);
@@ -163,16 +163,17 @@ fn preemptible_job_scenario_runs_on_all_backends() {
     }
 }
 
-/// `run_to_completion` drives through the preemption without caller involvement.
+/// `run_steps_self_healing` drives through the preemption without caller
+/// involvement, and without counting it as a recovery.
 #[test]
-fn run_to_completion_resumes_through_preemption() {
+fn self_healing_resumes_through_preemption() {
     let runtime = JobRuntime::new(
         JobConfig::new(2, Backend::Mpich)
             .with_checkpoint_every(3)
             .with_kill_at_step(4),
     );
-    let run = runtime
-        .run_to_completion(9, |session, step| {
+    let (run, log) = runtime
+        .run_steps_self_healing(9, |session, step| {
             let world = session.world()?;
             session.barrier(world)?;
             Ok(step)
@@ -180,8 +181,19 @@ fn run_to_completion_resumes_through_preemption() {
         .unwrap();
     assert!(!run.was_preempted());
     assert_eq!(run.results().unwrap(), vec![8, 8]);
-    // Boundaries 3, 6 and 9 committed (3 was committed once before the kill at 4 and
-    // once after the resume repeated step 3; same generation, rewritten slot).
+    assert!(
+        log.events().iter().any(|event| matches!(
+            event.kind,
+            RecoveryEventKind::JobCompleted {
+                incarnations: 2,
+                recoveries: 0
+            }
+        )),
+        "one resume, no recovery charged"
+    );
+    // Boundary 3 committed generation 0 before the kill at 4; the resume repeated
+    // step 3 from it and committed boundaries 6 and 9 as generations 1 and 2.
+    assert_eq!(runtime.storage().generations(), vec![0, 1, 2]);
     assert_eq!(runtime.published_generation(), Some(2));
 }
 
@@ -274,7 +286,6 @@ fn async_checkpoint_publishes_every_boundary_generation() {
         let run = runtime.run_steps(6, step_fn).unwrap();
         assert!(!run.was_preempted(), "{route}");
         assert_eq!(run.generation(), Some(2), "{route}: boundaries 2/4/6");
-        assert_eq!(runtime.checkpoints_committed(), 3, "{route}");
         let storage = runtime.storage();
         assert!(
             storage.pending_generations().is_empty(),
@@ -282,12 +293,13 @@ fn async_checkpoint_publishes_every_boundary_generation() {
         );
         let generations = storage.generations();
         assert_eq!(generations, vec![0, 1, 2], "{route}");
-        // The ledger is shared by every world the runtime launches.
+        // The ledger reads the job's store, from whichever world the runtime launches.
         let ledger = runtime
             .run(|_session, ctx| Ok(Arc::clone(ctx.coordinator().ledger())))
             .unwrap()
             .remove(0);
         let steps: Vec<_> = generations.iter().map(|&g| ledger.steps_at(g)).collect();
+        assert_eq!(steps, vec![Some(2), Some(4), Some(6)], "{route}");
         let mut logical_bytes = 0;
         for &generation in &generations {
             let images = storage.read_job(generation, WORLD).unwrap();
@@ -544,10 +556,14 @@ fn a_failed_synchronous_round_leaves_nothing_behind() {
 
 /// Preemption with async flush: the job vacates at the kill boundary, the in-flight
 /// flushes settle, and the resume restarts from the newest *committed* generation
-/// with bit-identical results.
+/// — its first executed step is the boundary that generation records — with
+/// bit-identical results.
 #[test]
 fn async_checkpoint_preemption_resumes_from_committed_generation() {
-    let step_fn = |session: &mut Session, step: u64| -> MpiResult<i64> {
+    let first_step = Arc::new(AtomicU64::new(u64::MAX));
+    let seen = Arc::clone(&first_step);
+    let step_fn = move |session: &mut Session, step: u64| -> MpiResult<i64> {
+        seen.fetch_min(step, Ordering::Relaxed);
         let me = session.world_rank() as i64;
         let world = session.world()?;
         Ok(session.allreduce(&[me * 10 + step as i64], Op::sum(), world)?[0])
@@ -559,14 +575,21 @@ fn async_checkpoint_preemption_resumes_from_committed_generation() {
             .with_kill_at_step(5)
             .with_async_checkpoint(),
     );
-    let run = runtime.run_steps(8, step_fn).unwrap();
+    let run = runtime.run_steps(8, step_fn.clone()).unwrap();
     assert!(run.was_preempted());
     // Boundaries 2 and 4 checkpointed before the kill at 5.
     assert_eq!(run.generation(), Some(1));
     assert!(runtime.storage().pending_generations().is_empty());
 
-    let resumed = runtime.run_to_completion(8, step_fn).unwrap();
+    first_step.store(u64::MAX, Ordering::Relaxed);
+    let resumed = runtime.run_steps(8, step_fn.clone()).unwrap();
     assert!(!resumed.was_preempted());
+    assert_eq!(
+        first_step.load(Ordering::Relaxed),
+        4,
+        "the resume re-runs from generation 1's boundary, not from step 0"
+    );
+    assert_eq!(runtime.storage().generations(), vec![0, 1, 2, 3]);
     // A straight-through reference run must agree exactly.
     let reference = JobRuntime::new(JobConfig::new(3, Backend::Mpich))
         .run_steps(8, step_fn)

@@ -69,7 +69,10 @@ fn eight_ranks_checkpoint_concurrently_without_interleaving() {
     // The published generation is the newest one, and only fully-committed
     // generations were ever published.
     assert_eq!(runtime.published_generation(), Some(STEPS - 1));
-    assert_eq!(runtime.checkpoints_committed(), STEPS as usize);
+    // Every committed generation records the boundary it resumes from.
+    for generation in 0..STEPS {
+        assert_eq!(storage.resume_step(generation), Some(generation + 1));
+    }
 
     // Tear the newest generation: restart must fall back to the newest generation
     // that validates end to end for the whole job.
@@ -83,8 +86,9 @@ fn eight_ranks_checkpoint_concurrently_without_interleaving() {
     }
 }
 
-/// The same stress shape through `run_steps_restored`: after the torn-generation fallback,
-/// the job repeats the lost interval and still finishes with a complete ledger.
+/// The same stress shape resumed by a second `run_steps`: after the torn-generation
+/// fallback, the job repeats the lost interval and still finishes with a complete
+/// ledger.
 #[test]
 fn restart_after_torn_generation_completes_the_job() {
     let runtime = JobRuntime::new(
@@ -99,9 +103,7 @@ fn restart_after_torn_generation_completes_the_job() {
     // The vacated nodes tore the newest generation on the way down.
     runtime.storage().corrupt_fresh_chunk(2, 5).unwrap();
 
-    let resumed = runtime
-        .run_steps_restored(runtime.restart(Backend::Mpich).unwrap(), STEPS, stress_step)
-        .unwrap();
+    let resumed = runtime.run_steps(STEPS, stress_step).unwrap();
     let results = resumed.results().unwrap();
     assert_eq!(results, vec![STEPS - 1; WORLD]);
     // Resumed from generation 1 (steps_at = 2), repeated steps 2..4, committing
@@ -173,7 +175,12 @@ fn mid_step_intent_straddling_an_allreduce_commits_cleanly() {
         );
     }
     assert_eq!(runtime.published_generation(), Some(STEPS));
-    assert_eq!(runtime.checkpoints_committed(), STEPS as usize + 1);
+    for generation in 0..STEPS + 1 {
+        assert!(
+            storage.resume_step(generation).is_some(),
+            "generation {generation} records its resume step"
+        );
+    }
 }
 
 /// Acceptance criterion: an injected preemption landing mid-`allreduce` — rank 0 not
@@ -208,13 +215,7 @@ fn preemption_mid_allreduce_resumes_with_identical_results() {
         "the straddled-collective generation must be complete for every rank"
     );
 
-    let resumed = runtime
-        .run_steps_restored(
-            runtime.restart(Backend::Mpich).unwrap(),
-            STEPS,
-            collective_step,
-        )
-        .unwrap();
+    let resumed = runtime.run_steps(STEPS, collective_step).unwrap();
     assert!(!resumed.was_preempted());
     let results = resumed.results().unwrap();
     assert_eq!(

@@ -91,14 +91,13 @@ fn main() {
         run.generation()
     );
 
-    println!("\n== resume: restart from the mid-step generation ==");
-    let resumed = runtime
-        .run_steps_restored(
-            runtime.restart(Backend::Mpich).expect("restart"),
-            STEPS,
-            solver_step,
-        )
-        .expect("resume run");
+    println!("\n== resume: a new allocation restarts from the mid-step generation ==");
+    let resumed = JobRuntime::with_storage(
+        JobConfig::new(RANKS, Backend::Mpich),
+        runtime.storage().clone(),
+    )
+    .run_steps(STEPS, solver_step)
+    .expect("resume run");
     let results = resumed.results().expect("resumed run completes");
     println!(
         "step {PREEMPT_MID_STEP} re-ran from its beginning, the straddled allreduce \

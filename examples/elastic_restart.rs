@@ -3,7 +3,8 @@
 //! A job of N logical shards is preempted mid-run after committing a
 //! checkpoint generation. Because the job carries an elastic policy
 //! ([`JobConfig::with_elastic`]), the same generation can be restored onto a
-//! *different* rank count: [`JobRuntime::restart_resized`] rewrites each
+//! *different* rank count: a runtime built for the new allocation over the same
+//! store resumes it through [`JobRuntime::run_steps`], whose restore rewrites each
 //! survivor's virtual-id tables, counters and ledgers onto the new world,
 //! synthesizes upper halves for any fresh ranks, and lets the
 //! [`SkeletonRepartition`] rebalance the logical shards over the new hosts.
@@ -105,9 +106,14 @@ fn resize_case(from: usize, to: usize) -> MpiResult<()> {
         runtime.published_generation()
     );
 
-    let results = runtime
-        .run_steps_restored(runtime.restart_resized(to)?, STEPS, shard_fold_step)?
-        .results()?;
+    // The new allocation: a `to`-rank runtime over the preempted job's store.
+    let resumed = JobRuntime::with_storage(
+        JobConfig::new(to, Backend::Mpich)
+            .with_checkpoint_every(CKPT_EVERY)
+            .with_elastic(RemapPolicy::Block, Arc::new(SkeletonRepartition::default())),
+        runtime.storage().clone(),
+    );
+    let results = resumed.run_steps(STEPS, shard_fold_step)?.results()?;
     assert_eq!(results.len(), to, "the resized world has {to} ranks");
     assert!(
         results.iter().all(|&v| v == reference),
@@ -116,7 +122,7 @@ fn resize_case(from: usize, to: usize) -> MpiResult<()> {
     println!(
         "  resumed on {to} ranks (now world size {}), all {} answers bit-identical \
          to the uninterrupted {from}-rank run ✓",
-        runtime.current_world_size(),
+        resumed.current_world_size(),
         results.len()
     );
     Ok(())

@@ -3,11 +3,12 @@
 //! an XFEL beamline or an urgent-computing reservation needs the machine — and is
 //! later resumed on a fresh allocation without losing work.
 //!
-//! The whole lifecycle is four orchestrator calls: `run_steps` drives the job with
-//! periodic coordinated checkpoints and the injected preemption, the eviction tears
-//! the final generation mid-write, `restart` brings the job back from the newest
-//! generation that validates end to end, and `run_steps_restored` drives it on —
-//! repeating only the interval the torn checkpoint lost.
+//! The whole lifecycle is two orchestrator calls: `run_steps` drives the job with
+//! periodic coordinated checkpoints and the injected preemption, and the eviction
+//! tears the final generation mid-write. Later, a runtime built for the new
+//! allocation over the same store calls `run_steps` again: it restores the newest
+//! generation that validates end to end and resumes at the step that generation
+//! records — repeating only the interval the torn checkpoint lost.
 //!
 //! ```text
 //! cargo run --example preemptible_job
@@ -23,6 +24,8 @@ use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, RunConfig};
 use mana_repro::mpi_model::error::MpiResult;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const RANKS: usize = 4;
 const TOTAL_STEPS: u64 = 12;
@@ -53,11 +56,11 @@ fn lulesh_step(session: &mut Session, step: u64) -> MpiResult<mana_repro::mana_a
 
 fn main() {
     let storage = CheckpointStorage::unmetered();
+    let config = JobConfig::new(RANKS, Backend::CrayMpi)
+        .with_mana(ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed))
+        .with_checkpoint_every(CHECKPOINT_EVERY);
     let runtime = JobRuntime::with_storage(
-        JobConfig::new(RANKS, Backend::CrayMpi)
-            .with_mana(ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed))
-            .with_checkpoint_every(CHECKPOINT_EVERY)
-            .with_kill_at_step(PREEMPTION_NOTICE_AT),
+        config.clone().with_kill_at_step(PREEMPTION_NOTICE_AT),
         storage.clone(),
     );
 
@@ -82,20 +85,25 @@ fn main() {
          was torn mid-write...)\n"
     );
 
-    println!("== later: job resumes on a new allocation ==");
-    let restored = runtime.restart(Backend::CrayMpi).expect("restart");
-    let restored_generation = restored.1;
-    assert!(
-        restored_generation < last_generation,
-        "the torn generation {last_generation} must be rejected, \
-         but the job restored generation {restored_generation}"
-    );
-    let resumed = runtime
-        .run_steps_restored(restored, TOTAL_STEPS, lulesh_step)
+    println!("== later: job resumes on a new allocation, from its store alone ==");
+    drop(runtime);
+    let first_step = Arc::new(AtomicU64::new(u64::MAX));
+    let seen = Arc::clone(&first_step);
+    let resumed = JobRuntime::with_storage(config, storage.clone())
+        .run_steps(TOTAL_STEPS, move |session, step| {
+            seen.fetch_min(step, Ordering::Relaxed);
+            lulesh_step(session, step)
+        })
         .expect("resume");
+    let first_step = first_step.load(Ordering::Relaxed);
+    assert!(
+        first_step < PREEMPTION_NOTICE_AT,
+        "the torn generation {last_generation} (resume step {PREEMPTION_NOTICE_AT}) must \
+         be rejected, but the job resumed at step {first_step}"
+    );
     println!(
-        "restart validated generations {:?}; torn generation {last_generation} rejected, \
-         job resumed from generation {restored_generation} and repeated the lost interval",
+        "torn generation {last_generation} rejected, job resumed at step {first_step} and \
+         repeated the lost interval; committed generations now {:?}",
         storage.generations()
     );
     for report in resumed.results().expect("completed") {

@@ -52,7 +52,7 @@ fn main() -> MpiResult<()> {
         println!(
             "{name}: {} checkpoints committed, {} KiB logical written, {} KiB physical \
              ({} new chunks, {} reused)",
-            runtime.checkpoints_committed(),
+            runtime.storage().generations().len(),
             stats.logical_bytes_written / 1024,
             stats.physical_bytes_written / 1024,
             stats.chunks_new,

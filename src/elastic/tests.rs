@@ -71,18 +71,19 @@ fn resized_run_matches(from: usize, to: usize) -> bool {
         .results()
         .unwrap()[0];
 
-    let runtime = JobRuntime::new(
-        config
-            .with_kill_at_step(CHECKPOINT_EVERY)
-            .with_elastic(RemapPolicy::Block, Arc::new(SkeletonRepartition::default())),
-    );
+    let elastic = |config: JobConfig| {
+        config.with_elastic(RemapPolicy::Block, Arc::new(SkeletonRepartition::default()))
+    };
+    let runtime = JobRuntime::new(elastic(config.with_kill_at_step(CHECKPOINT_EVERY)));
     let run = runtime.run_steps(STEPS, shard_fold_step).unwrap();
     assert!(
         run.was_preempted(),
         "the kill-at-step preemption never fired"
     );
-    let results = runtime
-        .run_steps_restored(runtime.restart_resized(to).unwrap(), STEPS, shard_fold_step)
+    // The `to`-rank allocation resumes from the preempted job's store.
+    let resized = JobConfig::new(to, Backend::Mpich).with_checkpoint_every(CHECKPOINT_EVERY);
+    let results = JobRuntime::with_storage(elastic(resized), runtime.storage().clone())
+        .run_steps(STEPS, shard_fold_step)
         .unwrap()
         .results()
         .unwrap();

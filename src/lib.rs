@@ -22,6 +22,20 @@ pub use mpi_model;
 pub use net_sim;
 pub use split_proc;
 
+/// The Rust snippets of the repository's documents, compiled and run as doctests so
+/// that none of them can name an API that no longer exists.
+#[cfg(doctest)]
+mod doc_snippets {
+    #[doc = include_str!("../README.md")]
+    struct Readme;
+
+    #[doc = include_str!("../DESIGN.md")]
+    struct Design;
+
+    #[doc = include_str!("../docs/RUNBOOK.md")]
+    struct Runbook;
+}
+
 use mana::{ManaConfig, ManaRank};
 use mpi_model::api::MpiImplementationFactory;
 use mpi_model::error::MpiResult;

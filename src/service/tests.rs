@@ -118,8 +118,7 @@ fn fleet_job(handle: ServiceHandle, seed: u64) -> (bool, bool) {
         .latest_valid_images(1)
         .is_ok_and(|(generation, _)| generation == KILL_AT - 1);
     let completed = runtime
-        .restart(Backend::Mpich)
-        .and_then(|restored| runtime.run_steps_restored(restored, STEPS, step))
+        .run_steps(STEPS, step)
         .is_ok_and(|run| !run.was_preempted());
     (restarted, completed)
 }
