@@ -6,9 +6,9 @@
 //!
 //! Every policy decomposes a rank's image into fixed-size chunks addressed by
 //! content digest, shared across generations and ranks, and records one manifest
-//! per `(generation, rank)`. The [`StoragePolicy::FullImage`] baseline re-digests
-//! every region every generation; the incremental policies also reuse the chunk
-//! lists of regions that stayed clean:
+//! per `(generation, rank)`. The [`StoragePolicy::FullImage`] baseline trusts no
+//! dirty flag and hashes every region it cannot prove unchanged; the incremental
+//! policies also reuse the chunk lists of regions that stayed clean:
 //!
 //! * **Chunk store** ([`chunk`]) — fixed-size chunking, 64-bit content digests,
 //!   reference-counted chunk entries, optional per-chunk compression. A chunk
@@ -22,7 +22,8 @@
 //!   which regions were touched since the previous checkpoint epoch; under the
 //!   incremental policies clean regions are re-referenced from the previous
 //!   generation's manifest without even re-hashing their data. `FullImage` trusts
-//!   no dirty flag.
+//!   no dirty flag: it skips hashing only a region whose every previous chunk the
+//!   store still holds as a window of the very buffer being written.
 //! * **Manifests** ([`manifest`]) — per `(generation, rank)` a CRC-32-validated
 //!   description of how to reassemble the image from chunks. Corruption or truncation
 //!   of a manifest *or any chunk* is detected at read time, so restart can fall back
@@ -44,10 +45,10 @@
 //!   promoted — with CRC re-validation — when a read needs them.
 //!
 //! The policy is selected through [`StoragePolicy`] (a `ManaConfig` knob in the MANA
-//! layer): `FullImage` preserves the legacy baseline's cost model, every byte
-//! re-digested every generation — mirroring the paper's legacy-vs-new-design
-//! methodology — while `Incremental` and `IncrementalCompressed` exercise dirty
-//! tracking. All three write the same on-store format.
+//! layer): `FullImage` trusts no dirty flag and hashes every region it cannot
+//! prove unchanged — mirroring the paper's legacy-vs-new-design methodology —
+//! while `Incremental` and `IncrementalCompressed` exercise dirty tracking. All
+//! three write the same on-store format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,10 +73,11 @@ pub use tier::ColdTier;
 /// How a rank's checkpoint image is written to storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoragePolicy {
-    /// The legacy baseline: every region of every image is re-digested every
-    /// generation, whatever its dirty flag says, and no previous manifest is
-    /// consulted. Chunks are still content-addressed, so an unchanged chunk is
-    /// stored once; the manifest records policy tag 0.
+    /// The legacy baseline: no dirty flag is trusted, and every region is hashed
+    /// unless the store still holds each chunk of the rank's previous record of it
+    /// as a window of the very buffer being written, which proves it unchanged.
+    /// Chunks are still content-addressed, so an unchanged chunk is stored once;
+    /// the manifest records policy tag 0.
     FullImage,
     /// Content-addressed chunking with dirty-region reuse: only regions touched since
     /// the previous generation are re-chunked, and only chunks whose digest is new

@@ -42,6 +42,9 @@ pub struct StoreReport {
     pub chunks_reused: usize,
     /// Regions whose chunk lists were reused wholesale via dirty-region tracking.
     pub regions_reused: usize,
+    /// Region bytes this write hashed. A region reused through its dirty flag, or
+    /// proven unchanged by the store's windows of its buffer, is not hashed.
+    pub digested_bytes: usize,
     /// Bytes saved by compression on the chunks this write stored.
     pub compression_saved_bytes: usize,
 }
@@ -504,6 +507,49 @@ impl CheckpointStorage {
         true
     }
 
+    /// Re-reference every chunk of `previous`, an earlier record of a region of the
+    /// same name and length as `region`, all or nothing, if each chunk is still held
+    /// as a hot window of `region` itself, at the offset and length this write would
+    /// cut it at. Returns `false` (with any partial bumps released) otherwise.
+    ///
+    /// A pass proves the region unchanged without hashing it: while the store holds
+    /// a window of a buffer, nothing writes to that buffer (the upper half copies a
+    /// shared region before handing it out mutably), and the window keeps the
+    /// buffer alive, so its address cannot name a new allocation. A spilled, pruned,
+    /// corrupted or compressed chunk is no longer such a window and fails the check.
+    fn bump_unchanged_windows(&self, previous: &RegionManifest, region: &Arc<Vec<u8>>) -> bool {
+        if previous.chunks.len() != region.len().div_ceil(self.chunk_size) {
+            return false;
+        }
+        for (position, chunk) in previous.chunks.iter().enumerate() {
+            let offset = position * self.chunk_size;
+            let len = self.chunk_size.min(region.len() - offset);
+            let now = self.tick();
+            let held = chunk.raw_len as usize == len
+                && {
+                    let mut shard = self.shard(chunk.digest).lock();
+                    match shard.chunks.get_mut(&chunk.key()) {
+                        Some(entry)
+                            if matches!(&entry.payload, ChunkPayload::Hot(Body::Window { region: window, start, len: held })
+                            if Arc::ptr_eq(window, region) && *start == offset && *held == len) =>
+                        {
+                            entry.refs += 1;
+                            entry.touch = now;
+                            true
+                        }
+                        _ => false,
+                    }
+                };
+            if !held {
+                for taken in &previous.chunks[..position] {
+                    self.release_chunk_ref(taken.key());
+                }
+                return false;
+            }
+        }
+        true
+    }
+
     /// Remove whatever `(generation, rank)` currently holds, decrementing the chunk
     /// references a removed manifest owned. Zero-ref chunks stay resident until the
     /// next `prune_before` sweep (or are immediately re-referenced by a rewrite).
@@ -728,6 +774,7 @@ impl CheckpointStorage {
             chunks_new: 0,
             chunks_reused: 0,
             regions_reused: 0,
+            digested_bytes: 0,
             compression_saved_bytes: 0,
         };
 
@@ -749,30 +796,29 @@ impl CheckpointStorage {
         let generation = image.metadata.generation;
         let upper = &image.upper_half;
 
-        // The previous generation's manifest for this rank, if the policy reuses clean
-        // regions and its epoch chain links directly to this image's epoch — otherwise
-        // dirty flags describe changes relative to some *other* checkpoint and
-        // clean-region reuse would be unsound. `FullImage` trusts no dirty flag: it
-        // looks nothing up and re-digests every region. Copied out under the catalog
-        // lock, decoded outside it.
-        let previous = policy
-            .is_incremental()
-            .then(|| {
-                let catalog = self.catalog.lock();
-                catalog
-                    .manifests
-                    .range(..(generation, rank))
-                    .rev()
-                    .find(|((_, r), _)| *r == rank)
-                    .map(|(_, bytes)| bytes.clone())
-            })
-            .flatten()
-            .and_then(|bytes| Manifest::decode(&bytes).ok())
-            .filter(|m| m.base_epoch() == upper.epoch())
-            // A manifest's chunks are bounded by the chunk size it records (decode
-            // enforces it), so regions chunked at another size are re-chunked rather
-            // than carried over.
-            .filter(|m| m.chunk_size as usize == self.chunk_size);
+        // The rank's previous manifest. The incremental policies reuse a clean
+        // region's chunk list only if the epoch chain links that manifest directly to
+        // this image's epoch — otherwise dirty flags describe changes relative to
+        // some *other* checkpoint and clean-region reuse would be unsound. `FullImage`
+        // trusts no dirty flag, so it needs no epoch link: it re-references a region
+        // only where the store's windows prove the region's buffer unchanged, and
+        // hashes every region it cannot prove so. Copied out under the catalog lock,
+        // decoded outside it.
+        let previous = {
+            let catalog = self.catalog.lock();
+            catalog
+                .manifests
+                .range(..(generation, rank))
+                .rev()
+                .find(|((_, r), _)| *r == rank)
+                .map(|(_, bytes)| bytes.clone())
+        }
+        .and_then(|bytes| Manifest::decode(&bytes).ok())
+        .filter(|m| !policy.is_incremental() || m.base_epoch() == upper.epoch())
+        // A manifest's chunks are bounded by the chunk size it records (decode
+        // enforces it), so regions chunked at another size are re-chunked rather
+        // than carried over.
+        .filter(|m| m.chunk_size as usize == self.chunk_size);
 
         // The image's regions and the previous manifest's are both in name order, so
         // one forward walk pairs them up — no per-region search inside the stall. (A
@@ -789,31 +835,44 @@ impl CheckpointStorage {
                 .next_if(|r| r.name.as_str() < name)
                 .is_some()
             {}
-            let reusable = previous_regions
+            let same = previous_regions
                 .peek()
                 .copied()
-                .filter(|r| r.name == name && !upper.is_dirty(name) && r.len == data.len() as u64);
-            if let Some(prev_region) = reusable {
-                // Clean region: re-reference the previous generation's chunks without
-                // re-reading the data. A concurrent `prune_before` may have freed some
-                // of them between our catalog snapshot and now — if any bump misses,
-                // release the ones taken and re-chunk the region from its data
-                // instead of committing a manifest with dangling references.
-                if self.bump_region_refs(prev_region) {
+                .filter(|r| r.name == name && r.len == data.len() as u64);
+            if let Some(prev_region) = same {
+                if policy.is_incremental() {
+                    // Clean region: re-reference the previous generation's chunks
+                    // without re-reading the data. A concurrent `prune_before` may
+                    // have freed some of them between our catalog snapshot and now —
+                    // if any bump misses, release the ones taken and re-chunk the
+                    // region from its data instead of committing a manifest with
+                    // dangling references.
+                    if !upper.is_dirty(name) && self.bump_region_refs(prev_region) {
+                        report.chunks_reused += prev_region.chunks.len();
+                        report.regions_reused += 1;
+                        regions.push(RegionManifest {
+                            reused: true,
+                            ..prev_region.clone()
+                        });
+                        continue;
+                    }
+                } else if self.bump_unchanged_windows(prev_region, region) {
+                    // The chunk list hashing would produce, counted as hashing counts
+                    // it: every chunk re-referenced, the region not reused.
                     report.chunks_reused += prev_region.chunks.len();
-                    report.regions_reused += 1;
                     regions.push(RegionManifest {
-                        reused: true,
+                        reused: false,
                         ..prev_region.clone()
                     });
                     continue;
                 }
             }
 
-            // Dirty (or un-reusable) region: chunk it; content addressing still
+            // Dirty (or unproven) region: hash and chunk it; content addressing still
             // dedups any chunk the store has seen before, from any rank or
             // generation. Only the per-digest shard is locked, and never while
             // compressing, so concurrent rank writes proceed in parallel.
+            report.digested_bytes += data.len();
             let mut chunks = Vec::with_capacity(data.len() / self.chunk_size + 1);
             let mut offset = 0;
             for_each_chunk(data, self.chunk_size, Digest::Xx64, |digest, piece| {
@@ -1227,6 +1286,16 @@ impl CheckpointStorage {
             .contains_key(&(generation, rank))
     }
 
+    /// The encoded manifest of `(generation, rank)`, byte for byte as stored (every
+    /// read decodes and CRC-checks these bytes), if the slot exists.
+    pub fn encoded_manifest(&self, generation: u64, rank: Rank) -> Option<Vec<u8>> {
+        self.catalog
+            .lock()
+            .manifests
+            .get(&(generation, rank))
+            .cloned()
+    }
+
     /// The newest **committed** generation, if any: the highest catalogued generation
     /// that is not pending. Walks the catalog's keys from the top without
     /// allocating, so it is cheap enough to poll while a flush is outstanding.
@@ -1239,6 +1308,18 @@ impl CheckpointStorage {
             .rev()
             .map(|&(generation, _)| generation)
             .find(|generation| !pending.contains_key(generation))
+    }
+
+    /// The first generation number nothing in this store uses: one past the highest
+    /// generation that holds a slot or is pending, or 0 for an empty store. A fresh
+    /// world launched over a store that already holds generations numbers its first
+    /// checkpoint here, so it never rewrites one of them.
+    pub fn next_generation(&self) -> u64 {
+        let catalog = self.catalog.lock();
+        let pending = self.pending.lock();
+        let catalogued = catalog.manifests.keys().next_back().map(|&(g, _)| g);
+        let announced = pending.keys().next_back().copied();
+        catalogued.max(announced).map_or(0, |highest| highest + 1)
     }
 
     /// Drop every committed generation newer than `generation` — its slots and its

@@ -396,7 +396,9 @@ fn rewriting_a_generation_releases_the_replaced_manifests_chunks() {
 
 /// Dirty flags can lie: a region changed and then marked clean again looks
 /// reusable. `Incremental` trusts the flag and re-references the stale chunks;
-/// `FullImage` re-digests every region, so it stores what the region holds.
+/// `FullImage` trusts no flag and hashes every region it cannot prove unchanged
+/// (the changed region was copied away from the store's windows), so it stores
+/// what the region holds.
 #[test]
 fn a_full_image_write_trusts_no_dirty_flag() {
     let mut upper = synthetic_upper(0, 4, 16 * 1024);
@@ -1616,4 +1618,226 @@ fn a_pending_aborted_or_pruned_generation_has_no_record() {
     assert_eq!(storage.resume_step(4), None, "dropped");
     assert_eq!(storage.newest_committed(), Some(2));
     assert_eq!(storage.generations(), vec![2]);
+}
+
+// ----------------------------------------------------------------------
+// A FullImage write hashes only what it cannot prove unchanged
+// ----------------------------------------------------------------------
+
+/// `regions` regions of `len` noise bytes each, distinct per rank and region.
+fn noise_upper(rank: i32, regions: u64, len: usize) -> UpperHalfSpace {
+    let mut upper = UpperHalfSpace::new();
+    for r in 0..regions {
+        upper.map_region(
+            format!("app.region{r:03}"),
+            noise((rank as u64 + 1) << 16 | r, len),
+        );
+    }
+    upper
+}
+
+/// The same bytes in buffers no store has seen: a write of it cannot prove any
+/// region unchanged, so it hashes every one.
+fn freshly_mapped(upper: &UpperHalfSpace) -> UpperHalfSpace {
+    let mut fresh = UpperHalfSpace::new();
+    for (name, data) in upper.iter() {
+        fresh.map_region(name, data.to_vec());
+    }
+    fresh.set_epoch(upper.epoch());
+    fresh
+}
+
+/// Rewrite one byte of each region in `names`. The store still shares each one's
+/// buffer, so the space copies it first.
+fn rewrite(upper: &mut UpperHalfSpace, names: &[&str]) {
+    for name in names {
+        upper.region_mut(name).unwrap()[100] ^= 0x5A;
+    }
+    upper.mark_clean();
+    upper.advance_epoch();
+}
+
+const REWRITTEN: [&str; 2] = ["app.region003", "app.region011"];
+
+/// Sixteen one-chunk regions, two rewritten per generation: only those two are
+/// hashed, and every manifest and count is the one a write that hashes every region
+/// produces.
+#[test]
+fn a_full_image_write_hashes_only_the_regions_it_cannot_prove_unchanged() {
+    let proven = CheckpointStorage::unmetered();
+    let hashed = CheckpointStorage::unmetered();
+    let mut upper = noise_upper(0, 16, CHUNK);
+    for generation in 0..3 {
+        let report = proven.write_image(StoragePolicy::FullImage, &image_of(0, generation, &upper));
+        let baseline = hashed.write_image(
+            StoragePolicy::FullImage,
+            &image_of(0, generation, &freshly_mapped(&upper)),
+        );
+        let expected = if generation == 0 { 16 } else { 2 } * CHUNK;
+        assert_eq!(report.digested_bytes, expected, "generation {generation}");
+        assert_eq!(
+            baseline.digested_bytes,
+            16 * CHUNK,
+            "generation {generation}"
+        );
+        assert_eq!(
+            ckpt_store::StoreReport {
+                digested_bytes: 0,
+                ..report
+            },
+            ckpt_store::StoreReport {
+                digested_bytes: 0,
+                ..baseline
+            },
+            "generation {generation}: every other count is unchanged"
+        );
+        assert_eq!(report.regions_reused, 0, "generation {generation}");
+        assert_eq!(
+            proven.encoded_manifest(generation, 0).unwrap(),
+            hashed.encoded_manifest(generation, 0).unwrap(),
+            "generation {generation}: the manifests are byte-identical"
+        );
+        for storage in [&proven, &hashed] {
+            assert_eq!(storage.read(generation, 0).unwrap().upper_half, upper);
+        }
+        rewrite(&mut upper, &REWRITTEN);
+    }
+    assert_eq!(proven.stats(), hashed.stats());
+}
+
+/// Once the generation holding the windows is pruned, nothing proves a region
+/// unchanged any more, and every region is hashed.
+#[test]
+fn a_full_image_write_after_its_windows_are_pruned_hashes_every_region() {
+    let storage = CheckpointStorage::unmetered();
+    let upper = noise_upper(0, 4, 2 * CHUNK);
+    storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+    let other = noise_upper(1, 1, CHUNK);
+    storage.write_image(StoragePolicy::FullImage, &image_of(1, 1, &other));
+    assert_eq!(storage.prune_before(1).pruned, vec![0]);
+    assert_eq!(holders(&upper), vec![1; 4], "every window was freed");
+
+    let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 2, &upper));
+    assert_eq!(report.digested_bytes, 8 * CHUNK);
+    assert_eq!(report.chunks_new, 8);
+    assert_eq!(storage.read(2, 0).unwrap().upper_half, upper);
+}
+
+/// A chunk on the cold tier is no window of the live buffer: its region is hashed,
+/// the other regions are not, and the image reads back bit-identical.
+#[test]
+fn a_full_image_write_hashes_a_region_with_a_spilled_chunk() {
+    let storage = CheckpointStorage::unmetered().with_cold_tier(ColdTier::in_temp().unwrap());
+    let upper = noise_upper(0, 4, 2 * CHUNK);
+    storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+    // The least recently referenced chunk, the first one written, goes cold.
+    let spill = storage.spill_over(storage.hot_bytes() - 1);
+    assert_eq!(spill.hot_bytes, 7 * CHUNK);
+
+    let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 1, &upper));
+    assert_eq!(
+        report.digested_bytes,
+        2 * CHUNK,
+        "only app.region000 is hashed"
+    );
+    assert_eq!(report.chunks_new, 0);
+    assert_eq!(report.chunks_reused, 8);
+    assert_eq!(storage.read(1, 0).unwrap().upper_half, upper);
+    assert_eq!(storage.read(0, 0).unwrap().upper_half, upper);
+}
+
+/// A corrupted chunk is an owned copy, no window: its region is hashed, content
+/// addressing re-references the corrupted chunk as it always has, and the next
+/// generation fails its read exactly as a write that hashes every region does.
+#[test]
+fn a_full_image_write_after_a_corrupted_chunk_fails_its_read_as_hashing_does() {
+    let upper = noise_upper(0, 4, 2 * CHUNK);
+    let before = contents(&upper);
+    let mut errors = Vec::new();
+    for fresh in [false, true] {
+        let storage = CheckpointStorage::unmetered();
+        storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+        storage.corrupt_fresh_chunk(0, 0).unwrap();
+        let image = if fresh {
+            freshly_mapped(&upper)
+        } else {
+            upper.clone()
+        };
+        let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 1, &image));
+        let expected = if fresh { 8 } else { 2 } * CHUNK;
+        assert_eq!(report.digested_bytes, expected, "fresh buffers: {fresh}");
+        assert_eq!(report.chunks_new, 0, "fresh buffers: {fresh}");
+        errors.push(storage.read(1, 0).unwrap_err().to_string());
+    }
+    assert!(
+        errors[0].contains("app.region000") && errors[0].contains("digest"),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1]);
+    assert_eq!(contents(&upper), before, "the live bytes are untouched");
+}
+
+/// A restart adopts the stored buffers, so the restored space's first FullImage
+/// write proves every region unchanged and hashes nothing.
+#[test]
+fn a_full_image_write_after_a_restart_hashes_no_adopted_region() {
+    let storage = CheckpointStorage::unmetered();
+    let upper = noise_upper(0, 4, 2 * CHUNK + 123);
+    storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+    drop(upper);
+    let restored = storage.read(0, 0).unwrap().upper_half;
+
+    let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 1, &restored));
+    assert_eq!(report.digested_bytes, 0);
+    assert_eq!(report.chunks_reused, 12);
+    assert_eq!(storage.read(1, 0).unwrap().upper_half, restored);
+}
+
+/// A frozen image shares its regions with the live space, so an asynchronous
+/// flush through a pool proves the untouched regions unchanged too.
+#[test]
+fn an_asynchronous_full_image_flush_hashes_only_the_rewritten_regions() {
+    let pool = ckpt_store::FlusherPool::new(1);
+    let storage = CheckpointStorage::unmetered();
+    let mut upper = noise_upper(0, 16, CHUNK);
+    for generation in 0..2 {
+        storage.begin_generation(generation, 1);
+        let frozen = image_of(0, generation, &upper);
+        let report = pool
+            .submit_to(&storage, StoragePolicy::FullImage, frozen, |_| {})
+            .wait();
+        let expected = if generation == 0 { 16 } else { 2 } * CHUNK;
+        assert_eq!(report.digested_bytes, expected, "generation {generation}");
+        assert_eq!(storage.newest_committed(), Some(generation));
+        assert_eq!(storage.read(generation, 0).unwrap().upper_half, upper);
+        rewrite(&mut upper, &REWRITTEN);
+    }
+}
+
+/// Two tenants holding identical bytes in buffers of their own: content dedup
+/// shares every chunk between them, but a window of one tenant's buffer proves
+/// nothing about the other's, so the second tenant hashes every generation.
+#[test]
+fn tenant_views_never_prove_a_region_with_each_others_windows() {
+    let space = CheckpointStorage::unmetered();
+    let (first, second) = (space.tenant_view(), space.tenant_view());
+    let mine = noise_upper(0, 4, CHUNK);
+    let theirs = freshly_mapped(&mine);
+    for generation in 0..2 {
+        let report = first.write_image(StoragePolicy::FullImage, &image_of(0, generation, &mine));
+        let expected = if generation == 0 { 4 * CHUNK } else { 0 };
+        assert_eq!(report.digested_bytes, expected, "generation {generation}");
+
+        let report =
+            second.write_image(StoragePolicy::FullImage, &image_of(0, generation, &theirs));
+        assert_eq!(report.digested_bytes, 4 * CHUNK, "generation {generation}");
+        assert_eq!(
+            report.chunks_new, 0,
+            "generation {generation}: dedup still shares"
+        );
+        assert_eq!(report.chunks_reused, 4, "generation {generation}");
+        assert_eq!(second.read(generation, 0).unwrap().upper_half, theirs);
+    }
+    assert_eq!(space.stats().chunk_count, 4);
 }

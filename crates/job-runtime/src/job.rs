@@ -500,11 +500,18 @@ impl JobRuntime {
         self.storage().newest_committed()
     }
 
-    /// Launch a fresh world of MANA-wrapped ranks on the configured backend.
+    /// Launch a fresh world of MANA-wrapped ranks on the configured backend. Its
+    /// first checkpoint is numbered past every generation the job's store holds,
+    /// committed or pending, so it never rewrites an earlier run's generation.
     pub fn launch(&self) -> MpiResult<Vec<ManaRank>> {
+        let first = self.storage().next_generation();
         self.relaunch(self.config.backend, self.current_world_size(), true)?
             .into_iter()
-            .map(|lower| ManaRank::new(lower, self.config.mana, self.registry()))
+            .map(|lower| {
+                let mut rank = ManaRank::new(lower, self.config.mana, self.registry())?;
+                rank.set_generation(first);
+                Ok(rank)
+            })
             .collect()
     }
 

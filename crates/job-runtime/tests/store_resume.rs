@@ -165,3 +165,45 @@ fn a_step_driven_start_refuses_a_generation_without_a_resume_step() {
         }
     }
 }
+
+/// A free-form body run over a store that already holds committed generations
+/// numbers its checkpoint past them: it neither rewrites generation 0 nor leaves an
+/// older generation as the restart point, so a restart brings back the body's state.
+#[test]
+fn a_free_form_run_over_a_used_store_checkpoints_past_its_generations() {
+    let runtime = JobRuntime::new(JobConfig::new(WORLD, Backend::Mpich).with_checkpoint_every(1));
+    runtime.run_steps(3, accumulate).unwrap();
+    assert_eq!(runtime.storage().generations(), vec![0, 1, 2]);
+
+    const MARK: i64 = 0x5EED;
+    let generations = runtime
+        .run(|mut session, ctx| {
+            let me = session.world_rank() as i64;
+            session.upper_mut().store_json(ACC, &(MARK + me))?;
+            Ok(ctx.checkpoint(&mut session)?.generation)
+        })
+        .unwrap();
+    assert_eq!(
+        generations,
+        vec![3; WORLD],
+        "numbered past the stored generations"
+    );
+    assert_eq!(runtime.published_generation(), Some(3));
+    assert_eq!(runtime.storage().generations(), vec![0, 1, 2, 3]);
+    assert_eq!(
+        runtime.storage().resume_step(0),
+        Some(1),
+        "generation 0 keeps its resume record"
+    );
+
+    let (ranks, restored) = runtime.restart(Backend::Mpich).unwrap();
+    assert_eq!(restored, 3);
+    for rank in &ranks {
+        let acc: i64 = rank.upper().load_json(ACC).unwrap();
+        assert_eq!(
+            acc,
+            MARK + rank.world_rank() as i64,
+            "the body's state is back"
+        );
+    }
+}

@@ -34,9 +34,10 @@ pub struct ManaConfig {
     /// Virtual-id data structure.
     pub virtid_mode: VirtIdMode,
     /// How [`ManaRank::checkpoint_into`] writes this rank's images to a
-    /// [`ckpt_store::CheckpointStorage`]: every region re-digested every generation
-    /// (the paper's full-image baseline, the default) or only the regions dirtied
-    /// since the previous generation, optionally compressed. Every policy writes a
+    /// [`ckpt_store::CheckpointStorage`]: trusting no dirty flag, every region
+    /// hashed unless the store proves it unchanged (the paper's full-image baseline,
+    /// the default), or only the regions dirtied since the previous generation,
+    /// optionally compressed. Every policy writes a
     /// manifest over content-addressed chunks.
     ///
     /// [`ManaRank::checkpoint_into`]: crate::runtime::ManaRank::checkpoint_into

@@ -335,6 +335,12 @@ impl ManaRank {
         self.generation
     }
 
+    /// Number this rank's next checkpoint `generation`. A fresh rank starts at 0; one
+    /// launched over a store that already holds generations starts past them.
+    pub fn set_generation(&mut self, generation: u64) {
+        self.generation = generation;
+    }
+
     /// Shared registry of user reduction functions.
     pub fn registry(&self) -> Arc<RwLock<UserFunctionRegistry>> {
         Arc::clone(&self.registry)

@@ -15,7 +15,7 @@
 //!   is stored in the image).
 //!
 //! The standalone checkpoints here write full images (`StoragePolicy::FullImage`, the
-//! paper's baseline: every region re-digested, no clean-region reuse) into the
+//! paper's baseline: no dirty flag trusted, no clean-region reuse) into the
 //! `ckpt-store` engine.
 
 #![expect(

@@ -30,6 +30,13 @@ use std::sync::Arc;
 /// ([`iter_shared`](UpperHalfSpace::iter_shared)). The copy is paid by the next
 /// [`region_mut`](UpperHalfSpace::region_mut) of a region that is still shared, and
 /// only for that region.
+///
+/// **Invariant: a shared region is never handed out mutably.** `region_mut` is the
+/// only mutable access to a region's bytes, and it copies a region any other holder
+/// still shares before handing it out. So while a frozen image or a store holds a
+/// region's buffer, that buffer's bytes cannot change, and the store relies on it:
+/// a `FullImage` write skips hashing a region whose every chunk the store still
+/// holds as a window of the very buffer being written.
 #[derive(Debug, Clone, Default)]
 pub struct UpperHalfSpace {
     regions: BTreeMap<String, Arc<Vec<u8>>>,
