@@ -20,15 +20,18 @@
 //! Nothing from the lower half (fabric mailboxes, library object stores, constant
 //! addresses) is saved: that is the whole point of the split-process design.
 
-use crate::runtime::{BufferedMessage, ManaRank};
+use crate::record::{CollectiveLog, ReplayLog};
+use crate::runtime::{BufferedMessage, DrainCounters, ManaRank, Translator};
 use ckpt_store::{CheckpointStorage, StoreReport};
 use mpi_model::buffer::{bytes_to_u64, u64_to_bytes};
 use mpi_model::constants::PredefinedObject;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{HandleKind, Rank, ANY_SOURCE, ANY_TAG};
 use net_sim::clock;
+use serde::Serialize;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Upper-half region names used for MANA's own state inside a checkpoint image.
@@ -47,6 +50,47 @@ pub mod regions {
 
     /// All MANA-internal regions, in the order they are mapped into an image.
     pub const ALL: [&str; 5] = [TRANSLATOR, REPLAY_LOG, BUFFERED, COUNTERS, COLLECTIVES];
+}
+
+/// One MANA region's last encoding: the state it was encoded from, and its bytes.
+#[derive(Debug)]
+struct Encoding<T> {
+    state: T,
+    bytes: Arc<Vec<u8>>,
+}
+
+/// The last encoding of each of MANA's own regions, kept across freezes so that a
+/// region whose state has not changed is mapped as the very buffer it was last time
+/// instead of being encoded again. A kept encoding is reused only when its state
+/// equals the live state by `PartialEq`, which every region type derives (a drained
+/// payload compares its bytes): no field can change without the comparison seeing
+/// it. A new or restored rank keeps nothing.
+#[derive(Debug, Default)]
+pub(crate) struct EncodedRegions {
+    translator: Option<Encoding<Translator>>,
+    replay_log: Option<Encoding<ReplayLog>>,
+    buffered: Option<Encoding<Vec<BufferedMessage>>>,
+    counters: Option<Encoding<DrainCounters>>,
+    collectives: Option<Encoding<CollectiveLog>>,
+}
+
+/// The region bytes of `state`: the kept buffer if `state` equals the state it was
+/// encoded from, else a fresh JSON encoding, which is kept in its place.
+fn encode_region<T: Clone + PartialEq + Serialize>(
+    kept: &mut Option<Encoding<T>>,
+    state: &T,
+) -> MpiResult<Arc<Vec<u8>>> {
+    if let Some(last) = kept.as_ref().filter(|last| last.state == *state) {
+        return Ok(Arc::clone(&last.bytes));
+    }
+    let bytes = serde_json::to_vec(state)
+        .map_err(|e| MpiError::Checkpoint(format!("serializing region: {e}")))?;
+    let bytes = Arc::new(bytes);
+    *kept = Some(Encoding {
+        state: state.clone(),
+        bytes: Arc::clone(&bytes),
+    });
+    Ok(bytes)
 }
 
 /// Smallest sleep of the drain backoff ladder.
@@ -345,20 +389,25 @@ impl ManaRank {
     }
 
     /// Run `consume` over this rank's checkpoint image: the MANA regions (descriptor
-    /// table, replay log, drained messages, counters, collective ledger) are
-    /// serialized *into* the live upper half, the space is moved into the image for
-    /// the duration of the call, then moved back and the MANA regions unmapped.
+    /// table, replay log, drained messages, counters, collective ledger) are mapped
+    /// *into* the live upper half, the space is moved into the image for the duration
+    /// of the call, then moved back and the MANA regions unmapped. A MANA region whose
+    /// state is unchanged since the last freeze is mapped as the buffer that freeze
+    /// encoded ([`EncodedRegions`]); only a changed one is serialized again.
     /// Whatever `consume` keeps of the image (a clone, or a store's windows of raw
     /// chunks) shares the regions by refcount rather than copying them.
     fn with_built_image<R>(&mut self, consume: impl FnOnce(&CheckpointImage) -> R) -> MpiResult<R> {
-        self.upper
-            .store_json(regions::TRANSLATOR, &self.translator)?;
-        self.upper
-            .store_json(regions::REPLAY_LOG, &self.replay_log)?;
-        self.upper.store_json(regions::BUFFERED, &self.buffered)?;
-        self.upper.store_json(regions::COUNTERS, &self.counters)?;
-        self.upper
-            .store_json(regions::COLLECTIVES, &self.collectives)?;
+        let kept = &mut self.encoded;
+        let mana_regions = [
+            encode_region(&mut kept.translator, &self.translator)?,
+            encode_region(&mut kept.replay_log, &self.replay_log)?,
+            encode_region(&mut kept.buffered, &self.buffered)?,
+            encode_region(&mut kept.counters, &self.counters)?,
+            encode_region(&mut kept.collectives, &self.collectives)?,
+        ];
+        for (name, bytes) in regions::ALL.into_iter().zip(mana_regions) {
+            self.upper.map_region(name, bytes);
+        }
         let image = CheckpointImage::new(
             ImageMetadata {
                 rank: self.world_rank,
@@ -560,5 +609,168 @@ impl ManaRank {
                 received: *got,
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ManaConfig, StoragePolicy};
+    use crate::restart::{assemble_rank, dismantle_image};
+    use crate::runtime::AppHandle;
+    use mpi_engine::Backend;
+    use mpi_model::datatype::PrimitiveType;
+    use mpi_model::op::UserFunctionRegistry;
+    use parking_lot::RwLock;
+
+    const WORLD: usize = 2;
+
+    /// Check that every MANA region of `image` holds exactly what a fresh encoding of
+    /// `rank`'s state holds now.
+    fn assert_exact(rank: &ManaRank, image: &CheckpointImage, at: &str) {
+        let fresh = [
+            serde_json::to_vec(&rank.translator).unwrap(),
+            serde_json::to_vec(&rank.replay_log).unwrap(),
+            serde_json::to_vec(&rank.buffered).unwrap(),
+            serde_json::to_vec(&rank.counters).unwrap(),
+            serde_json::to_vec(&rank.collectives).unwrap(),
+        ];
+        for (name, bytes) in regions::ALL.into_iter().zip(fresh) {
+            assert_eq!(
+                image.upper_half.region(name).unwrap(),
+                bytes.as_slice(),
+                "rank {}, {at}: {name} is stale",
+                rank.world_rank
+            );
+        }
+    }
+
+    /// Freeze `rank` without checkpointing it, and check the frozen regions.
+    fn freeze(rank: &mut ManaRank, at: &str) -> CheckpointImage {
+        let image = rank.build_image().unwrap();
+        assert_exact(rank, &image, at);
+        image
+    }
+
+    /// A checkpoint as the asynchronous round takes it (quiesce, drain, freeze), its
+    /// frozen regions checked, then written. Collective.
+    fn checkpoint(rank: &mut ManaRank, storage: &CheckpointStorage, at: &str) -> CheckpointImage {
+        let plan = rank.begin_checkpoint().unwrap();
+        rank.drain_quiescent(&plan, &LocalDrainObserver::default())
+            .unwrap();
+        rank.complete_drain().unwrap();
+        let image = rank.snapshot_checkpoint().unwrap();
+        assert_exact(rank, &image, at);
+        storage.write_image(StoragePolicy::FullImage, &image);
+        image
+    }
+
+    /// The MANA regions `after` maps as the very buffer `before` mapped.
+    fn shared(before: &CheckpointImage, after: &CheckpointImage) -> Vec<&'static str> {
+        let buffer = |image: &CheckpointImage, name: &str| {
+            let mut regions = image.upper_half.iter_shared();
+            Arc::clone(regions.find(|(n, _)| *n == name).unwrap().1)
+        };
+        regions::ALL
+            .into_iter()
+            .filter(|name| Arc::ptr_eq(&buffer(before, name), &buffer(after, name)))
+            .collect()
+    }
+
+    fn byte_type(rank: &mut ManaRank) -> AppHandle {
+        rank.constant(PredefinedObject::Datatype(PrimitiveType::Byte))
+            .unwrap()
+    }
+
+    /// Run `body` on one thread per rank of `ranks`, in rank order.
+    fn on_each<T: Send, R: Send>(ranks: Vec<T>, body: impl Fn(T) -> R + Sync) -> Vec<R> {
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = ranks
+                .into_iter()
+                .map(|rank| scope.spawn(|| body(rank)))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn a_freeze_reencodes_exactly_the_regions_whose_state_changed() {
+        let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
+        let storage = CheckpointStorage::unmetered();
+        let config = ManaConfig::new_design();
+        let lowers = Backend::Mpich
+            .launch(WORLD, Arc::clone(&registry), 1)
+            .unwrap()
+            .0;
+        let ranks = on_each(lowers, |lower| {
+            let mut rank = ManaRank::new(lower, config, Arc::clone(&registry)).unwrap();
+            let world = rank.world().unwrap();
+            let bytes = byte_type(&mut rank);
+            let start = freeze(&mut rank, "start");
+            let again = freeze(&mut rank, "start, again");
+            assert_eq!(shared(&start, &again), regions::ALL, "nothing changed");
+
+            // Creating and freeing an object changes the translator and the replay
+            // log, and nothing else.
+            let untouched = [regions::BUFFERED, regions::COUNTERS, regions::COLLECTIVES];
+            let dup = rank.comm_dup(world).unwrap();
+            let duped = freeze(&mut rank, "comm_dup");
+            assert_eq!(shared(&again, &duped), untouched);
+            rank.comm_free(dup).unwrap();
+            let freed = freeze(&mut rank, "comm_free");
+            assert_eq!(shared(&duped, &freed), untouched);
+
+            // Rank 0 leaves one message in flight; the checkpoint drains it into rank
+            // 1's buffer.
+            if rank.world_rank == 0 {
+                rank.send(&[7, 8, 9], bytes, 1, 5, world).unwrap();
+            }
+            let drained = checkpoint(&mut rank, &storage, "checkpoint with a drained message");
+            assert_eq!(rank.buffered.len(), usize::from(rank.world_rank == 1));
+            // Both ranks counted the message; only the receiver buffered it.
+            let mut untouched = vec![regions::TRANSLATOR, regions::REPLAY_LOG];
+            if rank.world_rank == 0 {
+                untouched.push(regions::BUFFERED);
+            }
+            untouched.push(regions::COLLECTIVES);
+            assert_eq!(shared(&freed, &drained), untouched);
+            rank.generation()
+        });
+        assert!(ranks.iter().all(|&generation| generation == 1));
+
+        let lowers = Backend::Mpich
+            .launch(WORLD, Arc::clone(&registry), 2)
+            .unwrap()
+            .0;
+        on_each(lowers, |lower| {
+            let image = storage.read(0, lower.world_rank()).unwrap();
+            let restored = dismantle_image(image).unwrap();
+            let mut rank =
+                assemble_rank(lower, restored, config, Arc::clone(&registry), 1).unwrap();
+            let kept = &rank.encoded;
+            assert!(
+                kept.translator.is_none()
+                    && kept.replay_log.is_none()
+                    && kept.buffered.is_none()
+                    && kept.counters.is_none()
+                    && kept.collectives.is_none(),
+                "a restored rank keeps no encoding"
+            );
+            let restored = freeze(&mut rank, "restart");
+            let first = checkpoint(&mut rank, &storage, "first checkpoint after the restart");
+            let second = checkpoint(&mut rank, &storage, "second checkpoint after the restart");
+            assert_eq!(shared(&restored, &first), regions::ALL, "nothing changed");
+            assert_eq!(shared(&first, &second), regions::ALL, "nothing changed");
+
+            // The drained message survived the restart; taking it changes the buffer.
+            if rank.world_rank == 1 {
+                let world = rank.world().unwrap();
+                let bytes = byte_type(&mut rank);
+                let (payload, _) = rank.recv(bytes, 3, 0, 5, world).unwrap();
+                assert_eq!(payload, vec![7, 8, 9]);
+                let taken = freeze(&mut rank, "buffered message taken");
+                assert!(!shared(&second, &taken).contains(&regions::BUFFERED));
+            }
+        });
     }
 }

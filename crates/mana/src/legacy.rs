@@ -29,7 +29,7 @@ fn map_key(kind: HandleKind, index: u32) -> String {
 }
 
 /// The legacy per-type, string-keyed tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LegacyTables {
     /// virtual→physical translation, one string-keyed entry per object.
     translation: BTreeMap<String, PhysHandle>,

@@ -26,7 +26,7 @@
 //! from the same freshly launched job), because step 3 replays collective
 //! communicator-creation calls.
 
-use crate::ckpt::regions;
+use crate::ckpt::{regions, EncodedRegions};
 use crate::config::ManaConfig;
 use crate::record::{CollectiveLog, CreationRecipe, ReplayLog};
 use crate::runtime::{BufferedMessage, DrainCounters, ManaRank, Translator};
@@ -147,6 +147,7 @@ pub fn assemble_rank(
         counters,
         crossings: CrossingCounter::new(),
         upper,
+        encoded: EncodedRegions::default(),
         registry,
         world_rank,
         world_size,

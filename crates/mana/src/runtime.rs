@@ -11,7 +11,7 @@
 //! rank with a mid-step intercept, which crosses once more for its registration round
 //! (and again for each look at the intercept while it waits).
 
-use crate::ckpt::CheckpointIntercept;
+use crate::ckpt::{CheckpointIntercept, EncodedRegions};
 use crate::config::{ManaConfig, VirtIdMode};
 use crate::legacy::LegacyTables;
 use crate::record::{CollectiveLog, ReplayLog};
@@ -85,7 +85,7 @@ pub struct BufferedMessage {
 
 /// Either virtual-id data structure, behind one dispatching facade so the wrapper layer
 /// is identical in both modes (only the translation cost differs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Translator {
     /// The new unified descriptor table (paper §4.2).
     Unified(VirtualIdTable),
@@ -224,6 +224,9 @@ pub struct ManaRank {
     pub(crate) counters: DrainCounters,
     pub(crate) crossings: CrossingCounter,
     pub(crate) upper: UpperHalfSpace,
+    /// The last encoding of each MANA region, reused by a freeze that finds its
+    /// state unchanged.
+    pub(crate) encoded: EncodedRegions,
     pub(crate) registry: Arc<RwLock<UserFunctionRegistry>>,
     pub(crate) world_rank: Rank,
     pub(crate) world_size: usize,
@@ -285,6 +288,7 @@ impl ManaRank {
             counters: DrainCounters::new(world_size),
             crossings: CrossingCounter::new(),
             upper: UpperHalfSpace::new(),
+            encoded: EncodedRegions::default(),
             registry,
             world_rank,
             world_size,

@@ -157,7 +157,7 @@ impl Descriptor {
 }
 
 /// The unified descriptor table: the new virtual-id data structure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct VirtualIdTable {
     /// Slot `i` holds the descriptor whose vid index is `i`.
     slots: Vec<Option<Descriptor>>,

@@ -1,9 +1,11 @@
-//! Allocation counts of the typed step path, as exact gates.
+//! Allocation counts of the typed step path and of a checkpoint freeze, as exact
+//! gates.
 //!
 //! A typed message costs one allocation and one bulk pass on each side (DESIGN.md,
-//! "Typed marshalling"). A growth-by-doubling, a double copy or a temporary that
-//! creeps back in moves one of the counts below and fails here, in tier-1, instead
-//! of waiting for a benchmark to notice the allocator lock.
+//! "Typed marshalling"), and a freeze encodes only the MANA regions whose state
+//! changed (DESIGN.md, "What a freeze costs"). A growth-by-doubling, a double copy
+//! or a temporary that creeps back in moves one of the counts below and fails here,
+//! in tier-1, instead of waiting for a benchmark to notice the allocator lock.
 //!
 //! This file is its own test crate so that it can install a counting
 //! `#[global_allocator]` (which needs `unsafe`) while every library keeps
@@ -17,6 +19,7 @@
     reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
 )]
 
+use mana::ckpt::LocalDrainObserver;
 use mana::config::ManaConfig;
 use mana::runtime::ManaRank;
 use mana::{Op, Session};
@@ -24,6 +27,7 @@ use mpi_engine::Backend;
 use mpi_model::op::UserFunctionRegistry;
 use mpi_model::typed::{DoubleInt, MpiData};
 use parking_lot::RwLock;
+use split_proc::address_space::UpperHalfSpace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -253,4 +257,54 @@ fn typed_step_path_allocation_counts_are_exact() {
         grown <= 2 * SLOT_GROWTH_ROUNDS,
         "isend and irecv paid one more allocation in {grown} posts over {ROUNDS} rounds"
     );
+}
+
+/// A checkpoint freeze (`snapshot_checkpoint`, after the drain phases) of a one-rank
+/// world: `(first, second)` freeze's allocations, the second with nothing changed
+/// since the first.
+fn freeze_counts() -> (u64, u64) {
+    let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
+    let lower = Backend::Mpich
+        .launch(1, Arc::clone(&registry), 1)
+        .unwrap()
+        .0
+        .remove(0);
+    let mut rank = ManaRank::new(lower, ManaConfig::new_design(), registry).unwrap();
+    rank.world().unwrap();
+    rank.upper_mut().map_region("app.state", vec![0u8; 4096]);
+    let mut freeze = || {
+        let plan = rank.begin_checkpoint().unwrap();
+        rank.drain_quiescent(&plan, &LocalDrainObserver::default())
+            .unwrap();
+        rank.complete_drain().unwrap();
+        allocations_in(|| rank.snapshot_checkpoint().unwrap()).0
+    };
+    (freeze(), freeze())
+}
+
+/// Allocations of a `region_mut` of a region that is already dirty and that no frozen
+/// image shares.
+fn dirty_region_mut_count() -> u64 {
+    let mut space = UpperHalfSpace::new();
+    space.map_region("app.state", vec![0u8; 4096]);
+    space.region_mut("app.state").unwrap()[0] = 1;
+    allocations_in(|| space.region_mut("app.state").unwrap()[1] = 2).0
+}
+
+#[test]
+fn an_unchanged_freeze_and_a_dirty_region_mut_allocation_counts_are_exact() {
+    // A freeze with nothing changed encodes no MANA region: each maps the buffer the
+    // last freeze encoded. What is left: per MANA region, its name as a `String` and
+    // as the space's shared `Arc<str>` (10); the dirty set's node, emptied by the last
+    // freeze (1); the image metadata's implementation name (1); and the clone that
+    // freezes the image: that name again and one node each for the region map and the
+    // dirty set, every name and region shared by refcount (3). Before MANA kept its
+    // encodings and the space shared its names, both freezes took 98 (five JSON
+    // encodings, and one `String` per name in each map of the clone).
+    let (first, second) = freeze_counts();
+    assert_eq!(first, 90, "first freeze: five JSON encodings, each kept");
+    assert_eq!(second, 10 + 1 + 1 + 3, "second freeze, nothing changed");
+    // The dirty set already holds the name, and the region is the space's alone:
+    // nothing to allocate. It took 1 (the name, as a `String`) before.
+    assert_eq!(dirty_region_mut_count(), 0, "region_mut of a dirty region");
 }

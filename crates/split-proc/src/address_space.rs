@@ -24,12 +24,13 @@ use std::sync::Arc;
 /// checkpoint: it is advanced once per successful checkpoint, and an incremental store
 /// only trusts the clean set when the epochs line up.
 ///
-/// Regions are **copy-on-write**: each is an `Arc<Vec<u8>>`, so cloning a space (the
-/// asynchronous checkpoint's freeze) bumps one refcount per region instead of
-/// copying its bytes, and a store may keep windows of a region it was handed
-/// ([`iter_shared`](UpperHalfSpace::iter_shared)). The copy is paid by the next
-/// [`region_mut`](UpperHalfSpace::region_mut) of a region that is still shared, and
-/// only for that region.
+/// Regions are **copy-on-write**: each is an `Arc<Vec<u8>>` under an `Arc<str>` name,
+/// so cloning a space (the asynchronous checkpoint's freeze) copies neither bytes nor
+/// names. It allocates only the nodes of the region map and of the dirty set, and
+/// bumps one refcount per region and one per name in each. A store may keep windows
+/// of a region it was handed ([`iter_shared`](UpperHalfSpace::iter_shared)). The copy
+/// is paid by the next [`region_mut`](UpperHalfSpace::region_mut) of a region that is
+/// still shared, and only for that region.
 ///
 /// **Invariant: a shared region is never handed out mutably.** `region_mut` is the
 /// only mutable access to a region's bytes, and it copies a region any other holder
@@ -39,10 +40,11 @@ use std::sync::Arc;
 /// holds as a window of the very buffer being written.
 #[derive(Debug, Clone, Default)]
 pub struct UpperHalfSpace {
-    regions: BTreeMap<String, Arc<Vec<u8>>>,
+    regions: BTreeMap<Arc<str>, Arc<Vec<u8>>>,
     /// Regions touched since the last [`mark_clean`](UpperHalfSpace::mark_clean). Not
     /// written to an image: a decoded image starts clean relative to its own checkpoint.
-    dirty: BTreeSet<String>,
+    /// It shares each name with the region map.
+    dirty: BTreeSet<Arc<str>>,
     /// Checkpoint epoch (number of completed checkpoint cycles this address space has
     /// been through). Written to the image so dirty tracking stays coherent across restarts.
     epoch: u64,
@@ -68,8 +70,8 @@ impl UpperHalfSpace {
     /// read handing back a buffer it still shares) is taken as it is, and the space
     /// copies it on its first [`region_mut`](UpperHalfSpace::region_mut).
     pub fn map_region(&mut self, name: impl Into<String>, data: impl Into<Arc<Vec<u8>>>) {
-        let name = name.into();
-        self.dirty.insert(name.clone());
+        let name: Arc<str> = name.into().into();
+        self.dirty.insert(Arc::clone(&name));
         self.regions.insert(name, data.into());
     }
 
@@ -93,15 +95,18 @@ impl UpperHalfSpace {
 
     /// Mutable view of a region. Conservatively marks the region dirty. A region
     /// still shared with a frozen image or a store is copied first (that sharer keeps
-    /// the old bytes); an unshared one is handed out in place.
+    /// the old bytes); an unshared one is handed out in place. Nothing is allocated
+    /// for a region that is already dirty and unshared.
     pub fn region_mut(&mut self, name: &str) -> MpiResult<&mut Vec<u8>> {
-        match self.regions.get_mut(name) {
-            Some(data) => {
-                self.dirty.insert(name.to_string());
-                Ok(Arc::make_mut(data))
-            }
-            None => Err(MpiError::Checkpoint(format!("no region named {name:?}"))),
+        let missing = || MpiError::Checkpoint(format!("no region named {name:?}"));
+        if !self.dirty.contains(name) {
+            let (key, _) = self.regions.get_key_value(name).ok_or_else(missing)?;
+            self.dirty.insert(Arc::clone(key));
         }
+        self.regions
+            .get_mut(name)
+            .map(Arc::make_mut)
+            .ok_or_else(missing)
     }
 
     /// Whether a region exists.
@@ -111,7 +116,7 @@ impl UpperHalfSpace {
 
     /// Names of all regions, sorted.
     pub fn region_names(&self) -> Vec<&str> {
-        self.regions.keys().map(|s| s.as_str()).collect()
+        self.regions.keys().map(|s| &**s).collect()
     }
 
     /// Number of regions.
@@ -127,14 +132,14 @@ impl UpperHalfSpace {
 
     /// Iterate over `(name, data)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.regions.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        self.regions.iter().map(|(k, v)| (&**k, v.as_slice()))
     }
 
     /// Iterate over `(name, region)` pairs in name order, handing out the shared
     /// buffers themselves: a store that keeps a clone of one holds the bytes without
     /// copying them, and the space copies the region on its next `region_mut`.
     pub fn iter_shared(&self) -> impl Iterator<Item = (&str, &Arc<Vec<u8>>)> {
-        self.regions.iter().map(|(k, v)| (k.as_str(), v))
+        self.regions.iter().map(|(k, v)| (&**k, v))
     }
 
     // ------------------------------------------------------------------
@@ -150,7 +155,7 @@ impl UpperHalfSpace {
 
     /// Names of the regions touched since the last clean point, sorted.
     pub fn dirty_regions(&self) -> Vec<&str> {
-        self.dirty.iter().map(|s| s.as_str()).collect()
+        self.dirty.iter().map(|s| &**s).collect()
     }
 
     /// Number of dirty regions.
@@ -163,7 +168,7 @@ impl UpperHalfSpace {
     pub fn dirty_bytes(&self) -> usize {
         self.dirty
             .iter()
-            .filter_map(|name| self.regions.get(name))
+            .filter_map(|name| self.regions.get(&**name))
             .map(|data| data.len())
             .sum()
     }
@@ -311,6 +316,28 @@ mod tests {
         assert_eq!(a, b, "dirty marks must not affect equality");
         b.advance_epoch();
         assert_ne!(a, b, "epoch participates in equality");
+    }
+
+    #[test]
+    fn a_clone_shares_region_names() {
+        let mut live = UpperHalfSpace::new();
+        live.map_region("a", vec![1]);
+        live.map_region("b", vec![2]);
+        live.region_mut("a").unwrap()[0] = 3;
+        let frozen = live.clone();
+        let names = |space: &UpperHalfSpace| {
+            let mapped = space.region_names().into_iter();
+            mapped
+                .chain(space.dirty_regions())
+                .map(str::as_ptr)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&live), names(&frozen), "a clone copies no name");
+        assert_eq!(
+            names(&live)[..2],
+            names(&live)[2..],
+            "the dirty set shares the region map's names"
+        );
     }
 
     #[test]
