@@ -290,13 +290,13 @@ pub fn run(
 
         // Transparent checkpoint, if requested at this timestep.
         if let Some(storage) = config.checkpoint_due(state.iteration) {
-            session.upper_mut().store_json(&region, &state)?;
+            session.upper_mut().store_json(region.as_str(), &state)?;
             incremental_report = Some(session.checkpoint_into(storage)?);
         }
     }
 
     // Persist the final state so a later checkpoint (or inspection) sees it.
-    session.upper_mut().store_json(&region, &state)?;
+    session.upper_mut().store_json(region.as_str(), &state)?;
 
     let checksum = state.lattice.iter().take(512).sum::<f64>() + state.iteration as f64;
     Ok(AppReport {

@@ -11,19 +11,20 @@
 //! application later changes is copied once, by the application's own `region_mut`
 //! of its region (copy-on-write), and a byte it never changes is never copied.
 //!
-//! The pool is the flusher of the checkpoint service (`ckpt-service`): the service
-//! admits every submission under its in-flight caps and names the storage each job
-//! writes. The pool itself owns no storage and bounds nothing. It spawns its workers
-//! when its owner starts it or on its first submission, so the private service of
-//! a job that only ever checkpoints synchronously runs no flusher thread.
+//! The pool is the flusher of the checkpoint service
+//! ([`CkptService`](crate::CkptService)): the service admits every submission under
+//! its in-flight caps and names the storage each job writes. The pool itself owns no
+//! storage and bounds nothing. It spawns its workers when its owner starts it or on
+//! its first submission, so the private service of a job that only ever checkpoints
+//! synchronously runs no flusher thread.
 //!
 //! Generation visibility is governed by the store's pending table (see
 //! [`CheckpointStorage::begin_generation`]): a generation announced as pending stays
-//! invisible to `generations()`/`read`/`latest_valid_images` until every rank's flush
-//! has landed, at which point the worker that completes the last flush commits it
-//! atomically. A job killed mid-flush therefore leaves a *pending* — never a torn
-//! visible — generation, and restart falls back to the newest committed one exactly
-//! as it falls back from a torn synchronous write.
+//! invisible to `generations()`/`read`/`latest_valid_images` until every rank's image
+//! has landed, and the store commits it inside the write that lands last — here, a
+//! worker's, exactly as on any other route. A job killed mid-flush therefore leaves
+//! a *pending* — never a torn visible — generation, and restart falls back to the
+//! newest committed one exactly as it falls back from a torn synchronous write.
 
 use crate::store::{CheckpointStorage, StoreReport};
 use crate::StoragePolicy;
@@ -34,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Callback a submitter attaches to a flush job; runs on the worker thread after the
-/// image has reached storage (and after the store's per-rank flush accounting), but
+/// image has landed in storage (committing its generation if it was the last), but
 /// before the job's [`FlushHandle`] completes — so a waiter that observes the handle
 /// done also observes everything the callback published. The callback must not own
 /// the pool: whatever it captures is dropped on the worker thread.
@@ -201,10 +202,9 @@ impl FlusherPool {
     }
 
     /// Submit one rank's frozen image for background writing into `storage` under
-    /// `policy`. The per-rank flush accounting (`note_rank_flushed`) runs against
-    /// the same `storage`, so a pending generation commits within the namespace it
-    /// was announced in; then `on_flushed` runs on the worker thread, before the
-    /// returned [`FlushHandle`] completes.
+    /// `policy`; the write lands in the namespace its generation was announced in.
+    /// Then `on_flushed` runs on the worker thread, before the returned
+    /// [`FlushHandle`] completes.
     pub fn submit_to(
         &self,
         storage: &CheckpointStorage,
@@ -263,13 +263,6 @@ fn worker_loop(shared: &PoolShared) {
         // either way, so `wait` reports the failure instead of hanging forever.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let report = job.storage.write_image(job.policy, &job.image);
-            // Per-rank flush accounting: the write that completes a pending
-            // generation's rank set commits the generation (making it visible)
-            // right here, before any callback or waiter can observe the flush as
-            // done. Runs against the job's own target storage, so tenant-routed
-            // jobs commit within their tenant's namespace.
-            job.storage
-                .note_rank_flushed(report.generation, report.rank);
             (job.on_flushed)(&report);
             report
         }));

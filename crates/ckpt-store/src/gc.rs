@@ -2,7 +2,7 @@
 //!
 //! Quotas are expressed over a tenant's **committed** generations; the service
 //! reclaims the oldest of them by pruning below a cutoff. Whatever the cutoff,
-//! the store's [`prune_before`](ckpt_store::CheckpointStorage::prune_before)
+//! the store's [`prune_before`](crate::CheckpointStorage::prune_before)
 //! guarantees still hold: a tenant's newest committed generation (its only restart
 //! point) and any pending generation are never reclaimed.
 

@@ -31,15 +31,23 @@
 //! * **Generation GC** — pruning a generation decrements chunk refcounts and frees
 //!   chunks no surviving generation references. The newest committed generation and
 //!   any generation with a flush in flight are never pruned, whatever the cutoff.
+//! * **Pending → committed** — a generation announced with
+//!   [`CheckpointStorage::begin_generation`] stays invisible to readers and restart
+//!   until every rank's image has landed. The write that lands last commits it;
+//!   nothing else does, whichever route wrote the images.
 //! * **Asynchronous flush** ([`flush`]) — a [`FlusherPool`] writes frozen images off
 //!   the ranks' critical path, each into the storage its submitter names (the
-//!   checkpoint service in `ckpt-service` owns the pool and admits its
-//!   submissions); generations move through a *pending → committed* state so a
-//!   half-flushed generation is never visible to readers or restart.
+//!   checkpoint service owns the pool and admits its submissions).
 //! * **Tenant views** ([`CheckpointStorage::tenant_view`]) — additional catalog
 //!   namespaces over one shared chunk space: each tenant's generations, reads and
 //!   GC are isolated, while identical chunks written by different tenants are
-//!   stored once (the multi-tenant service in `ckpt-service` builds on this).
+//!   stored once.
+//! * **Multi-tenant service** ([`CkptService`]) — jobs register as tenants of one
+//!   shared chunk space and get a [`ServiceHandle`]: per-tenant accounting, quota GC
+//!   over the logical bytes each tenant view's catalog records, and admission
+//!   control on the shared flusher pool, where a rejected submission hands its image
+//!   back for a synchronous write. Every job is a tenant: a job without a shared
+//!   service is the sole tenant of a private one ([`CkptService::sole_tenant`]).
 //! * **Cold tier** ([`tier`]) — least-recently-referenced chunks can be spilled to
 //!   CRC-framed files ([`CheckpointStorage::spill_over`]) and are transparently
 //!   promoted — with CRC re-validation — when a read needs them.
@@ -56,14 +64,21 @@
 pub mod chunk;
 pub mod codec;
 pub mod flush;
+pub(crate) mod gc;
 pub mod manifest;
+mod service;
 pub mod store;
 pub mod tier;
 
 pub use chunk::{ChunkRef, DEFAULT_CHUNK_SIZE};
 pub use codec::{Digest, StorageConfig, StoredForm};
 pub use flush::{FlushHandle, FlusherPool};
+pub use gc::TenantQuota;
 pub use manifest::{Manifest, RegionManifest};
+pub use service::{
+    AdmissionError, CkptService, RejectedSubmission, ServiceConfig, ServiceHandle, ServiceStats,
+    TenantId, TenantStats,
+};
 pub use store::{
     CheckpointStorage, PruneReport, ShardStats, SpillReport, StorageStats, StoreReport,
     DEFAULT_SHARD_COUNT,

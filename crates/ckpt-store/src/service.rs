@@ -6,9 +6,10 @@
 //! catalog namespace (a [`CheckpointStorage::tenant_view`]) while identical chunks
 //! written by different tenants are stored once. The service meters every landed
 //! write per tenant, enforces quotas by reclaiming each tenant's oldest committed
-//! generations, applies admission control to async submissions, and demotes the
-//! least-recently-referenced chunks to the cold tier when the hot set outgrows its
-//! target.
+//! generations (sized by the logical bytes the view's catalog records for each
+//! slot; the service keeps no ledger of its own), applies admission control to
+//! async submissions, and demotes the least-recently-referenced chunks to the cold
+//! tier when the hot set outgrows its target.
 //! Every job is a tenant: a job without a shared service is the
 //! [sole tenant](CkptService::sole_tenant) of a private one from construction. A
 //! shared service starts its pool when a tenant registers; a private one only when
@@ -17,11 +18,10 @@
 //! handle drains the pool on the dropping thread.
 
 use crate::gc::{reclaim_cutoff, TenantQuota};
-use ckpt_store::{
+use crate::{
     CheckpointStorage, ColdTier, FlushHandle, FlusherPool, StoragePolicy, StorageStats, StoreReport,
 };
 use mpi_model::error::MpiResult;
-use mpi_model::types::Rank;
 use parking_lot::{Condvar, Mutex};
 use split_proc::image::CheckpointImage;
 use std::collections::BTreeMap;
@@ -201,15 +201,13 @@ impl ServiceStats {
 }
 
 /// Mutable per-tenant accounting, behind the tenant's own lock so one tenant's
-/// quota enforcement never blocks another tenant's submissions.
+/// quota enforcement never blocks another tenant's submissions. What the tenant's
+/// live generations hold is not kept here: the view's catalog records each slot's
+/// logical bytes.
 #[derive(Default)]
 struct TenantState {
     quota: TenantQuota,
     in_flight: usize,
-    /// Logical bytes per (generation, rank) landed so far. Keyed per rank so a
-    /// restarted job rewriting a generation replaces — not double-counts — it.
-    /// Each quota check drops the generations that left the view.
-    gen_logical: BTreeMap<u64, BTreeMap<Rank, u64>>,
     logical_bytes_written: u64,
     physical_bytes_written: u64,
     chunks_new: u64,
@@ -227,10 +225,6 @@ impl TenantState {
         self.physical_bytes_written += report.written_bytes as u64;
         self.chunks_new += report.chunks_new as u64;
         self.chunks_reused += report.chunks_reused as u64;
-        self.gen_logical
-            .entry(report.generation)
-            .or_default()
-            .insert(report.rank, report.logical_bytes as u64);
     }
 }
 
@@ -279,36 +273,13 @@ impl ServiceInner {
     /// tenant references any more (reference counts are shared across the whole
     /// chunk space).
     fn enforce_quota(&self, entry: &TenantEntry) {
-        let committed = entry.view.generations();
-        let pending = entry.view.pending_generations();
-        let cutoff = {
-            let mut state = entry.state.lock();
-            // A generation below the oldest committed one that is not pending is
-            // gone from the view, whoever pruned it: its accounting goes too.
-            if let Some(&oldest) = committed.first() {
-                state
-                    .gen_logical
-                    .retain(|generation, _| *generation >= oldest || pending.contains(generation));
-            }
-            let generations: Vec<(u64, u64)> = committed
-                .iter()
-                .map(|g| {
-                    let bytes = state
-                        .gen_logical
-                        .get(g)
-                        .map(|ranks| ranks.values().sum())
-                        .unwrap_or(0);
-                    (*g, bytes)
-                })
-                .collect();
-            reclaim_cutoff(&state.quota, &generations)
+        let committed = entry.view.committed_sizes();
+        let quota = entry.state.lock().quota;
+        let Some(cutoff) = reclaim_cutoff(&quota, &committed) else {
+            return;
         };
-        let Some(cutoff) = cutoff else { return };
         let report = entry.view.prune_before(cutoff);
         let mut state = entry.state.lock();
-        for generation in &report.pruned {
-            state.gen_logical.remove(generation);
-        }
         state.reclaimed_generations += report.pruned.len() as u64;
         state.reclaimed_physical_bytes += report.freed_bytes as u64;
         state.reclaimed_logical_bytes += report.logical_freed_bytes as u64;
@@ -334,13 +305,8 @@ impl ServiceInner {
     }
 
     fn tenant_stats(&self, entry: &TenantEntry) -> TenantStats {
-        let committed = entry.view.generations();
+        let committed = entry.view.committed_sizes();
         let state = entry.state.lock();
-        let live_logical_bytes = committed
-            .iter()
-            .filter_map(|g| state.gen_logical.get(g))
-            .map(|ranks| ranks.values().sum::<u64>())
-            .sum();
         TenantStats {
             tenant: entry.id,
             name: entry.name.clone(),
@@ -349,7 +315,7 @@ impl ServiceInner {
             chunks_new: state.chunks_new,
             chunks_reused: state.chunks_reused,
             committed_generations: committed.len(),
-            live_logical_bytes,
+            live_logical_bytes: committed.iter().map(|(_, bytes)| bytes).sum(),
             reclaimed_generations: state.reclaimed_generations,
             reclaimed_physical_bytes: state.reclaimed_physical_bytes,
             reclaimed_logical_bytes: state.reclaimed_logical_bytes,
@@ -598,9 +564,8 @@ impl ServiceHandle {
     /// Write a rejected submission's image synchronously into the tenant's view —
     /// the admission-control fallback. Counted in
     /// [`TenantStats::sync_fallbacks`]; quota enforcement and spill checks run
-    /// exactly as for a landed async write. The caller still owns the
-    /// pending-generation accounting (`note_rank_flushed`), as the flusher worker
-    /// would have.
+    /// exactly as for a landed async write, and the write lands in the pending
+    /// generation as the flusher worker's would have.
     pub fn write_sync_fallback(
         &self,
         policy: StoragePolicy,
@@ -655,41 +620,5 @@ impl Drop for Admitted {
         state.in_flight = state.in_flight.saturating_sub(1);
         self.inner.in_flight_total.fetch_sub(1, Ordering::Relaxed);
         self.entry.idle_cv.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use split_proc::address_space::UpperHalfSpace;
-    use split_proc::image::ImageMetadata;
-
-    /// A tenant without a quota whose generations are pruned through its own view
-    /// keeps accounting for the live generations only, not one entry per
-    /// generation it ever wrote.
-    #[test]
-    fn accounting_forgets_generations_pruned_through_the_view() {
-        let service = CkptService::new(ServiceConfig::default()).unwrap();
-        let tenant = service.register_tenant("pruned-by-hand");
-        for generation in 0..8 {
-            let mut upper = UpperHalfSpace::new();
-            upper.map_region("app.state", vec![generation as u8; 4096]);
-            let metadata = ImageMetadata {
-                rank: 0,
-                world_size: 1,
-                generation,
-                implementation: "mpich".into(),
-            };
-            let image = CheckpointImage::new(metadata, upper);
-            let report = tenant
-                .storage()
-                .write_image(StoragePolicy::Incremental, &image);
-            tenant.note_external_write(&report);
-            tenant.storage().prune_before(generation);
-        }
-        tenant.enforce_quota();
-        assert_eq!(tenant.storage().generations(), vec![7]);
-        assert_eq!(tenant.entry.state.lock().gen_logical.len(), 1);
-        assert_eq!(tenant.stats().live_logical_bytes, 4096);
     }
 }

@@ -279,16 +279,24 @@ struct ChunkShard {
     chunks: HashMap<(u64, u32), ChunkEntry>,
 }
 
-/// The per-job checkpoint catalog: which `(generation, rank)` slots exist, the
-/// encoded bytes of their manifests, and the resume step of each committed
-/// step-driven generation. Held separately from the chunk shards (and its lock is
-/// never held while a shard lock is taken), so catalog lookups and chunk traffic
-/// never contend with each other.
+/// One landed `(generation, rank)` checkpoint.
+struct Slot {
+    /// The encoded manifest — kept encoded so every read re-validates the CRC,
+    /// exactly like a file on a checkpoint filesystem.
+    manifest: Vec<u8>,
+    /// The image's logical (uncompressed upper-half) bytes: what quota GC and tenant
+    /// accounting count.
+    logical_bytes: u64,
+}
+
+/// The per-job checkpoint catalog: which `(generation, rank)` slots exist, their
+/// manifests and logical sizes, and the resume step of each committed step-driven
+/// generation. Held separately from the chunk shards (and its lock is never held
+/// while a shard lock is taken), so catalog lookups and chunk traffic never contend
+/// with each other.
 #[derive(Default)]
 struct Catalog {
-    /// Encoded manifests per `(generation, rank)` — kept encoded so every read
-    /// re-validates the CRC, exactly like a file on a checkpoint filesystem.
-    manifests: BTreeMap<(u64, Rank), Vec<u8>>,
+    slots: BTreeMap<(u64, Rank), Slot>,
     /// The step a committed generation resumes from (see
     /// [`CheckpointStorage::note_resume_step`]). Inserted in the critical section
     /// that commits the generation, and removed with the first of its slots to be
@@ -297,31 +305,49 @@ struct Catalog {
 }
 
 impl Catalog {
-    /// Commit pending `generation`: drop its entry from `pending` and make its
-    /// resume record readable, both under the caller's catalog and pending locks. A
-    /// round that noted no step (a free-form checkpoint) leaves no record, not a
-    /// stale one from an earlier round of the same number.
-    fn commit(&mut self, pending: &mut BTreeMap<u64, PendingGeneration>, generation: u64) {
-        if let Some(entry) = pending.remove(&generation) {
-            match entry.resume {
+    /// Count `rank`'s image of `generation` as landed, under the caller's catalog and
+    /// pending locks. Returns whether the slot is to be recorded: `false` only when
+    /// the generation's round was aborted.
+    ///
+    /// The landing that completes a pending round's rank set ends the round: a live
+    /// round commits (its entry leaves `pending`, and its resume record becomes
+    /// readable in the same critical section; a round that noted no step leaves no
+    /// record, not a stale one from an earlier round of the same number), and an
+    /// aborted round's tombstone retires, since no write of the round is left to
+    /// land. A generation never announced is visible as soon as it lands.
+    fn land(
+        &mut self,
+        pending: &mut BTreeMap<u64, PendingGeneration>,
+        generation: u64,
+        rank: Rank,
+    ) -> bool {
+        let Some(entry) = pending.get_mut(&generation) else {
+            return true;
+        };
+        entry.landed.insert(rank);
+        let live = !entry.aborted;
+        if entry.landed.len() >= entry.expected_ranks {
+            let resume = entry.resume;
+            pending.remove(&generation);
+            match resume.filter(|_| live) {
                 Some(step) => self.resume.insert(generation, step),
                 None => self.resume.remove(&generation),
             };
         }
+        live
     }
 }
 
-/// One generation announced as in flight by an asynchronous flush: which ranks'
-/// flushes have landed so far, out of how many the commit needs.
+/// One generation announced as in flight: which ranks' images have landed so far,
+/// out of how many the commit needs.
 struct PendingGeneration {
     expected_ranks: usize,
-    /// Ranks whose flush has landed; on an aborted round, ranks whose slot has been
-    /// released.
-    flushed: BTreeSet<Rank>,
+    /// Ranks whose image has landed, recorded or (after an abort) not.
+    landed: BTreeSet<Rank>,
     /// Tombstone: the round was aborted. The entry stays (keeping the generation
-    /// invisible) so a straggler flush that lands *after* the abort is released on
-    /// arrival instead of surfacing a slot of a dead round. It retires once every
-    /// expected rank's slot has been released: no write of the round is left to land.
+    /// invisible) so a straggler write that lands *after* the abort is never
+    /// recorded. It retires once every expected rank has landed, before the abort
+    /// or after it: no write of the round is left to land.
     aborted: bool,
     /// The minimum over the noting ranks of their completed steps, if any noted one.
     resume: Option<u64>,
@@ -335,12 +361,12 @@ struct PendingGeneration {
 /// checkpoint proceed concurrently instead of queueing on one global mutex.
 ///
 /// Generations move through a **pending → committed** state: a generation announced
-/// via [`begin_generation`](CheckpointStorage::begin_generation) (the asynchronous
-/// flush path) stays invisible to [`generations`](CheckpointStorage::generations),
+/// via [`begin_generation`](CheckpointStorage::begin_generation) stays invisible to
+/// [`generations`](CheckpointStorage::generations),
 /// [`read`](CheckpointStorage::read) and therefore
 /// [`latest_valid_images`](CheckpointStorage::latest_valid_images) until every rank's
-/// flush has landed. Synchronous writes never enter the pending state and are visible
-/// immediately, exactly as before.
+/// image has landed, and the write that lands last commits it. A write into a
+/// generation never announced (a standalone checkpoint) is visible immediately.
 #[derive(Clone)]
 pub struct CheckpointStorage {
     shards: Arc<Vec<Mutex<ChunkShard>>>,
@@ -558,52 +584,49 @@ impl CheckpointStorage {
     /// separately.
     ///
     /// Best effort on an undecodable manifest: it cannot tell us which chunks to
-    /// release, so its chunks leak until the store is dropped (and its logical size
-    /// is unknowable, reported as 0).
+    /// release, so its chunks leak until the store is dropped.
     fn release_slot(&self, generation: u64, rank: Rank) -> usize {
-        let manifest = {
+        let slot = {
             let mut catalog = self.catalog.lock();
-            let manifest = catalog.manifests.remove(&(generation, rank));
-            if manifest.is_some() {
+            let slot = catalog.slots.remove(&(generation, rank));
+            if slot.is_some() {
                 catalog.resume.remove(&generation);
             }
-            manifest
+            slot
         };
-        let Some(manifest) = manifest.and_then(|bytes| Manifest::decode(&bytes).ok()) else {
-            return 0;
-        };
-        for chunk in manifest.chunk_refs() {
-            let mut shard = self.shard(chunk.digest).lock();
-            if let Some(entry) = shard.chunks.get_mut(&chunk.key()) {
-                entry.refs = entry.refs.saturating_sub(1);
-            }
+        let Some(slot) = slot else { return 0 };
+        if let Ok(manifest) = Manifest::decode(&slot.manifest) {
+            self.release_chunks(&manifest);
         }
-        manifest
-            .regions
-            .iter()
-            .map(|region| region.len as usize)
-            .sum()
+        slot.logical_bytes as usize
+    }
+
+    /// Drop one reference from every chunk `manifest` references.
+    fn release_chunks(&self, manifest: &Manifest) {
+        for chunk in manifest.chunk_refs() {
+            self.release_chunk_ref(chunk.key());
+        }
     }
 
     // ------------------------------------------------------------------
-    // Pending-generation lifecycle (asynchronous flush)
+    // Pending-generation lifecycle
     // ------------------------------------------------------------------
 
-    /// Announce `generation` as in flight: an asynchronous flush of a
-    /// `expected_ranks`-rank job is about to write its images. Until
-    /// [`note_rank_flushed`](CheckpointStorage::note_rank_flushed) has seen every
-    /// rank (or [`commit_generation`](CheckpointStorage::commit_generation) forces
-    /// it), the generation is invisible to readers and protected from
-    /// [`prune_before`](CheckpointStorage::prune_before).
+    /// Announce `generation` as in flight: the `expected_ranks` ranks of a job are
+    /// about to write its images, by whatever route. Until every rank's
+    /// [`write_image`](CheckpointStorage::write_image) has landed, the generation is
+    /// invisible to readers and protected from
+    /// [`prune_before`](CheckpointStorage::prune_before); the write that lands last
+    /// commits it.
     ///
     /// Idempotent: later calls for the same generation are no-ops, so every rank can
-    /// announce before submitting its own flush without coordinating who goes first.
+    /// announce before writing its own image without coordinating who goes first.
     /// That includes an **aborted** round's tombstone (see
     /// [`abort_generation`](CheckpointStorage::abort_generation)): a rank that
     /// announces after a peer already aborted the round joins the dead round, and
-    /// its write is released when it aborts in turn. A restarted job that reuses
-    /// the generation number drops the tombstone first, with
-    /// [`abort_pending`](CheckpointStorage::abort_pending), once no flush of the
+    /// its write is never recorded. A restarted job that reuses the generation
+    /// number drops the tombstone first, with
+    /// [`abort_pending`](CheckpointStorage::abort_pending), once no write of the
     /// dead incarnation can still land.
     pub fn begin_generation(&self, generation: u64, expected_ranks: usize) {
         self.pending
@@ -611,7 +634,7 @@ impl CheckpointStorage {
             .entry(generation)
             .or_insert_with(|| PendingGeneration {
                 expected_ranks: expected_ranks.max(1),
-                flushed: BTreeSet::new(),
+                landed: BTreeSet::new(),
                 aborted: false,
                 resume: None,
             });
@@ -638,56 +661,11 @@ impl CheckpointStorage {
         self.catalog.lock().resume.get(&generation).copied()
     }
 
-    /// Record that `rank`'s flush for a pending `generation` has landed. When the
-    /// last expected rank lands, the generation commits — it becomes visible to
-    /// readers — and `true` is returned (exactly once). A generation never announced
-    /// as pending returns `false`: it was visible all along (the synchronous path).
-    /// A flush landing on an **aborted** round is released on the spot (its round is
-    /// dead; the slot must never surface) and reported as `false`.
-    pub fn note_rank_flushed(&self, generation: u64, rank: Rank) -> bool {
-        {
-            let mut catalog = self.catalog.lock();
-            let mut pending = self.pending.lock();
-            let Some(entry) = pending.get_mut(&generation) else {
-                return false;
-            };
-            if !entry.aborted {
-                entry.flushed.insert(rank);
-                let complete = entry.flushed.len() >= entry.expected_ranks;
-                if complete {
-                    catalog.commit(&mut pending, generation);
-                }
-                return complete;
-            }
-        }
-        self.release_slot(generation, rank);
-        self.settle_aborted(generation, [rank]);
-        false
-    }
-
-    /// Count `ranks` as released against an aborted round, and retire its tombstone
-    /// once every expected rank is: each rank writes one slot per round, so no write
-    /// of the round can still land.
-    fn settle_aborted(&self, generation: u64, ranks: impl IntoIterator<Item = Rank>) {
-        let mut pending = self.pending.lock();
-        if let Some(entry) = pending.get_mut(&generation).filter(|entry| entry.aborted) {
-            entry.flushed.extend(ranks);
-            if entry.flushed.len() >= entry.expected_ranks {
-                pending.remove(&generation);
-            }
-        }
-    }
-
-    /// Force-commit a pending generation (make it visible regardless of flush
-    /// accounting). A no-op if the generation is not pending or its round was
-    /// aborted.
-    pub fn commit_generation(&self, generation: u64) {
-        let mut catalog = self.catalog.lock();
-        let mut pending = self.pending.lock();
-        if pending.get(&generation).is_some_and(|entry| !entry.aborted) {
-            catalog.commit(&mut pending, generation);
-        }
-    }
+    /// Does nothing: a rank's [`write_image`](CheckpointStorage::write_image)
+    /// counts it as landed, and the landing that completes the rank set commits the
+    /// generation. A compatibility stub for callers that still note each landing
+    /// by hand after the write; it goes with them.
+    pub fn note_rank_flushed(&self, _generation: u64, _rank: Rank) {}
 
     /// Abort every pending generation, then drop its pending entry, abort tombstone
     /// included, and return them ascending. This is restart's hygiene for the
@@ -709,12 +687,10 @@ impl CheckpointStorage {
     /// Abort a pending generation: release every slot already written for it (the
     /// chunks become unreferenced and are reclaimed by the next
     /// [`prune_before`](CheckpointStorage::prune_before) sweep) and tombstone the
-    /// pending entry — the generation stays invisible, and a straggler flush still
-    /// in flight at abort time is released when it lands instead of surfacing a
-    /// slot of the dead round. The tombstone retires by itself once every expected
-    /// rank's slot has been released, here or on arrival. Returns the number of
-    /// `(generation, rank)` slots released here (stragglers are released later, on
-    /// arrival).
+    /// pending entry — the generation stays invisible, and a straggler write still
+    /// in flight at abort time is never recorded when it lands. The tombstone
+    /// retires by itself once every expected rank has landed, before the abort or
+    /// after it. Returns the number of `(generation, rank)` slots released here.
     pub fn abort_generation(&self, generation: u64) -> usize {
         {
             let mut pending = self.pending.lock();
@@ -726,20 +702,11 @@ impl CheckpointStorage {
                 None => return 0,
             }
         }
-        let slots: Vec<(u64, Rank)> = {
-            let catalog = self.catalog.lock();
-            catalog
-                .manifests
-                .keys()
-                .filter(|(g, _)| *g == generation)
-                .copied()
-                .collect()
-        };
-        for (generation, rank) in &slots {
-            self.release_slot(*generation, *rank);
+        let ranks = self.ranks_in_generation(generation);
+        for &rank in &ranks {
+            self.release_slot(generation, rank);
         }
-        self.settle_aborted(generation, slots.iter().map(|(_, rank)| *rank));
-        slots.len()
+        ranks.len()
     }
 
     /// Whether `generation` is announced but not yet committed.
@@ -759,6 +726,12 @@ impl CheckpointStorage {
     /// Write one rank's image for the generation recorded in its metadata, under the
     /// given policy. Every policy writes a manifest over content-addressed chunks;
     /// raw chunks are windows of the image's regions, not copies.
+    ///
+    /// The manifest lands in one critical section with the rank's landing in a
+    /// pending generation (see [`begin_generation`](CheckpointStorage::begin_generation)):
+    /// the landing that completes the round's rank set commits the generation with
+    /// its resume record, and a landing on an aborted round is never recorded (the
+    /// references the write took are dropped again).
     pub fn write_image(&self, policy: StoragePolicy, image: &CheckpointImage) -> StoreReport {
         let generation = image.metadata.generation;
         let rank = image.metadata.rank;
@@ -807,11 +780,11 @@ impl CheckpointStorage {
         let previous = {
             let catalog = self.catalog.lock();
             catalog
-                .manifests
+                .slots
                 .range(..(generation, rank))
                 .rev()
                 .find(|((_, r), _)| *r == rank)
-                .map(|(_, bytes)| bytes.clone())
+                .map(|(_, slot)| slot.manifest.clone())
         }
         .and_then(|bytes| Manifest::decode(&bytes).ok())
         .filter(|m| !policy.is_incremental() || m.base_epoch() == upper.epoch())
@@ -964,10 +937,19 @@ impl CheckpointStorage {
         let encoded = manifest.encode();
         report.manifest_bytes = encoded.len();
         report.written_bytes += encoded.len();
-        self.catalog
-            .lock()
-            .manifests
-            .insert((generation, rank), encoded);
+        let mut catalog = self.catalog.lock();
+        if catalog.land(&mut self.pending.lock(), generation, rank) {
+            let logical_bytes = report.logical_bytes as u64;
+            let slot = Slot {
+                manifest: encoded,
+                logical_bytes,
+            };
+            catalog.slots.insert((generation, rank), slot);
+        } else {
+            // No shard lock is taken under the catalog lock.
+            drop(catalog);
+            self.release_chunks(&manifest);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1014,9 +996,9 @@ impl CheckpointStorage {
             let span = ranks.clone().unwrap_or(0..Rank::MAX);
             self.catalog
                 .lock()
-                .manifests
+                .slots
                 .range((generation, span.start)..(generation, span.end))
-                .map(|(&(_, rank), bytes)| (rank, bytes.clone()))
+                .map(|(&(_, rank), slot)| (rank, slot.manifest.clone()))
                 .collect()
         };
         let own_size = ranks.is_none();
@@ -1280,10 +1262,7 @@ impl CheckpointStorage {
 
     /// Whether a checkpoint exists (valid or not) for `(generation, rank)`.
     pub fn contains(&self, generation: u64, rank: Rank) -> bool {
-        self.catalog
-            .lock()
-            .manifests
-            .contains_key(&(generation, rank))
+        self.catalog.lock().slots.contains_key(&(generation, rank))
     }
 
     /// The encoded manifest of `(generation, rank)`, byte for byte as stored (every
@@ -1291,9 +1270,9 @@ impl CheckpointStorage {
     pub fn encoded_manifest(&self, generation: u64, rank: Rank) -> Option<Vec<u8>> {
         self.catalog
             .lock()
-            .manifests
+            .slots
             .get(&(generation, rank))
-            .cloned()
+            .map(|slot| slot.manifest.clone())
     }
 
     /// The newest **committed** generation, if any: the highest catalogued generation
@@ -1303,7 +1282,7 @@ impl CheckpointStorage {
         let catalog = self.catalog.lock();
         let pending = self.pending.lock();
         catalog
-            .manifests
+            .slots
             .keys()
             .rev()
             .map(|&(generation, _)| generation)
@@ -1317,7 +1296,7 @@ impl CheckpointStorage {
     pub fn next_generation(&self) -> u64 {
         let catalog = self.catalog.lock();
         let pending = self.pending.lock();
-        let catalogued = catalog.manifests.keys().next_back().map(|&(g, _)| g);
+        let catalogued = catalog.slots.keys().next_back().map(|&(g, _)| g);
         let announced = pending.keys().next_back().copied();
         catalogued.max(announced).map_or(0, |highest| highest + 1)
     }
@@ -1334,7 +1313,7 @@ impl CheckpointStorage {
             let catalog = self.catalog.lock();
             let pending = self.pending.lock();
             catalog
-                .manifests
+                .slots
                 .range((Excluded((generation, Rank::MAX)), Unbounded))
                 .map(|(&slot, _)| slot)
                 .filter(|(newer, _)| !pending.contains_key(newer))
@@ -1352,22 +1331,28 @@ impl CheckpointStorage {
     /// Generations whose asynchronous flush is still pending are excluded — they do
     /// not exist yet as far as readers (and restart fallback) are concerned.
     pub fn generations(&self) -> Vec<u64> {
-        // Catalog snapshot first, pending filter second: any catalogued slot of an
-        // async generation implies `begin_generation` already ran, so a generation
-        // that is half-flushed at the catalog snapshot is still pending when the
-        // filter reads — it can never leak out as committed.
-        let generations: BTreeSet<u64> = self
-            .catalog
-            .lock()
-            .manifests
-            .keys()
-            .map(|(g, _)| *g)
-            .collect();
-        let pending = self.pending.lock();
-        generations
+        self.committed_sizes()
             .into_iter()
-            .filter(|g| !pending.contains_key(g))
+            .map(|(generation, _)| generation)
             .collect()
+    }
+
+    /// Every committed generation, ascending, with the logical bytes its slots
+    /// record, summed over its ranks: what quota GC and tenant accounting count.
+    pub(crate) fn committed_sizes(&self) -> Vec<(u64, u64)> {
+        let catalog = self.catalog.lock();
+        let pending = self.pending.lock();
+        let mut sizes: Vec<(u64, u64)> = Vec::new();
+        for (&(generation, _), slot) in &catalog.slots {
+            if pending.contains_key(&generation) {
+                continue;
+            }
+            match sizes.last_mut() {
+                Some((last, bytes)) if *last == generation => *bytes += slot.logical_bytes,
+                _ => sizes.push((generation, slot.logical_bytes)),
+            }
+        }
+        sizes
     }
 
     /// The ranks holding a checkpoint in `generation`, ascending (used by tests that
@@ -1375,7 +1360,7 @@ impl CheckpointStorage {
     pub fn ranks_in_generation(&self, generation: u64) -> Vec<Rank> {
         self.catalog
             .lock()
-            .manifests
+            .slots
             .range((generation, Rank::MIN)..=(generation, Rank::MAX))
             .map(|((_, r), _)| *r)
             .collect()
@@ -1495,7 +1480,7 @@ impl CheckpointStorage {
             // protection from the real restart point). Lock order catalog → pending
             // is safe: no other path acquires the catalog while holding pending.
             let pending: BTreeSet<u64> = self.pending.lock().keys().copied().collect();
-            let all: BTreeSet<u64> = catalog.manifests.keys().map(|(g, _)| *g).collect();
+            let all: BTreeSet<u64> = catalog.slots.keys().map(|(g, _)| *g).collect();
             let newest_committed = all.iter().rev().find(|g| !pending.contains(g)).copied();
             let protected = |generation: u64| {
                 pending.contains(&generation) || Some(generation) == newest_committed
@@ -1508,7 +1493,7 @@ impl CheckpointStorage {
                 }
             }
             catalog
-                .manifests
+                .slots
                 .keys()
                 .filter(|(generation, _)| *generation < keep_from && !protected(*generation))
                 .copied()
@@ -1652,8 +1637,8 @@ impl CheckpointStorage {
             manifest_bytes: 0,
         };
         let catalog = self.catalog.lock();
-        stats.manifest_count = catalog.manifests.len();
-        stats.manifest_bytes = catalog.manifests.values().map(|m| m.len()).sum();
+        stats.manifest_count = catalog.slots.len();
+        stats.manifest_bytes = catalog.slots.values().map(|slot| slot.manifest.len()).sum();
         stats
     }
 
@@ -1669,19 +1654,19 @@ impl CheckpointStorage {
         let (target_bytes, other_bytes) = {
             let catalog = self.catalog.lock();
             let target = catalog
-                .manifests
+                .slots
                 .get(&(generation, rank))
-                .cloned()
+                .map(|slot| slot.manifest.clone())
                 .ok_or_else(|| {
                     MpiError::Checkpoint(format!(
                         "no checkpoint for generation {generation}, rank {rank}"
                     ))
                 })?;
             let others: Vec<Vec<u8>> = catalog
-                .manifests
+                .slots
                 .iter()
                 .filter(|(key, _)| **key != (generation, rank))
-                .map(|(_, bytes)| bytes.clone())
+                .map(|(_, slot)| slot.manifest.clone())
                 .collect();
             (target, others)
         };
@@ -1732,14 +1717,15 @@ impl CheckpointStorage {
     /// Flip one byte of the stored manifest for `(generation, rank)`.
     pub fn corrupt_manifest(&self, generation: u64, rank: Rank) -> MpiResult<()> {
         let mut catalog = self.catalog.lock();
-        let bytes = catalog
-            .manifests
+        let bytes = &mut catalog
+            .slots
             .get_mut(&(generation, rank))
             .ok_or_else(|| {
                 MpiError::Checkpoint(format!(
                     "no checkpoint for generation {generation}, rank {rank}"
                 ))
-            })?;
+            })?
+            .manifest;
         let position = bytes.len() / 2;
         bytes[position] ^= 0x01;
         Ok(())

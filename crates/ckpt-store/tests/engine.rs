@@ -548,23 +548,25 @@ fn prune_never_drops_the_newest_committed_or_a_pending_generation() {
     assert!(storage.read(2, 0).is_ok(), "the restart point survives");
     assert_eq!(storage.latest_valid_generation(1).unwrap(), 2);
 
-    // A pending generation (flush in flight) is equally untouchable, and does not
-    // lose its protection to the newest-committed rule.
-    storage.begin_generation(3, 1);
+    // A pending generation (one of its two ranks landed) is equally untouchable,
+    // and does not lose its protection to the newest-committed rule.
+    storage.begin_generation(3, 2);
     storage.write_image(StoragePolicy::Incremental, &image_of(0, 3, &upper));
     let report = storage.prune_before(u64::MAX);
     assert!(report.pruned.is_empty());
     assert_eq!(report.retained, vec![2, 3]);
     assert!(storage.read(2, 0).is_ok());
 
-    // Once the pending generation commits, the old newest becomes prunable.
-    assert!(storage.note_rank_flushed(3, 0));
+    // Once its last rank lands, it commits, and the old newest becomes prunable.
+    storage.write_image(StoragePolicy::Incremental, &image_of(1, 3, &upper));
     let report = storage.prune_before(u64::MAX);
     assert_eq!(report.pruned, vec![2]);
     assert_eq!(report.retained, vec![3]);
     assert_eq!(storage.latest_valid_generation(1).unwrap(), 3);
 }
 
+/// A generation only some ranks have written stays hidden; the write that lands
+/// last commits it; an aborted round is never resurrected by its late writes.
 #[test]
 fn pending_generation_is_invisible_until_every_rank_flushes() {
     let storage = CheckpointStorage::unmetered();
@@ -593,27 +595,24 @@ fn pending_generation_is_invisible_until_every_rank_flushes() {
         "restart fallback must never select a half-flushed generation"
     );
 
-    assert!(!storage.note_rank_flushed(1, 0));
     storage.write_image(StoragePolicy::Incremental, &image_of(1, 1, &upper));
-    assert!(storage.note_rank_flushed(1, 1), "last rank commits");
-    assert!(!storage.is_pending(1));
+    assert!(!storage.is_pending(1), "the write that lands last commits");
     assert_eq!(storage.generations(), vec![0, 1]);
     assert_eq!(storage.latest_valid_generation(2).unwrap(), 1);
-    // A generation never announced as pending reports no commit transition.
-    assert!(!storage.note_rank_flushed(0, 0));
 
-    // The force-commit escape hatch: makes a pending generation visible without
-    // waiting for the flush accounting — but never resurrects an aborted round.
+    // A round aborted before any rank wrote: every write that lands afterwards,
+    // the last one included, finds the tombstone and is never recorded.
     storage.begin_generation(2, 2);
+    assert_eq!(storage.abort_generation(2), 0);
     storage.write_image(StoragePolicy::Incremental, &image_of(0, 2, &upper));
-    assert!(storage.is_pending(2));
-    storage.commit_generation(2);
-    assert!(!storage.is_pending(2));
-    assert_eq!(storage.generations(), vec![0, 1, 2]);
-    storage.begin_generation(3, 2);
-    storage.abort_generation(3);
-    storage.commit_generation(3);
-    assert!(storage.is_pending(3), "an aborted round stays invisible");
+    assert!(storage.is_pending(2), "an aborted round stays invisible");
+    storage.write_image(StoragePolicy::Incremental, &image_of(1, 2, &upper));
+    assert!(
+        storage.pending_generations().is_empty(),
+        "every rank of the dead round has landed: the tombstone retires"
+    );
+    assert_eq!(storage.generations(), vec![0, 1]);
+    assert!(storage.ranks_in_generation(2).is_empty());
 }
 
 #[test]
@@ -638,32 +637,28 @@ fn aborting_a_pending_generation_releases_its_slots() {
     );
     assert!(storage.read(0, 0).is_ok());
 
-    // A straggler flush of the aborted round — still in flight when the abort ran —
-    // is released the moment it reports in, and never commits the dead round.
+    // A straggler write of the aborted round — still in flight when the abort ran —
+    // is never recorded, never commits the dead round, and drops every chunk
+    // reference it took (`StorageStats::refcount_total` sums them all).
+    let refs_before = storage.stats().refcount_total;
     storage.write_image(StoragePolicy::Incremental, &image_of(1, 1, &upper_new));
-    assert!(!storage.note_rank_flushed(1, 1));
+    assert_eq!(storage.stats().refcount_total, refs_before);
     assert_eq!(storage.generations(), vec![0]);
-    assert!(
-        storage.read(1, 1).is_err(),
-        "straggler slot released on arrival"
-    );
+    assert!(!storage.contains(1, 1), "straggler slot never recorded");
     assert!(
         storage.pending_generations().is_empty(),
         "with both ranks released, the tombstone has nothing left to catch"
     );
 
     // A restarted incarnation reuses the generation number: `begin_generation`
-    // starts a fresh round with fresh flush accounting — the dead round's released
-    // ranks must not count toward the new round's commit.
+    // starts a fresh round with fresh landing accounting — the dead round's ranks
+    // must not count toward the new round's commit.
     storage.begin_generation(1, 2);
     storage.write_image(StoragePolicy::Incremental, &image_of(0, 1, &upper_new));
-    assert!(
-        !storage.note_rank_flushed(1, 0),
-        "fresh round: one of two landed"
-    );
+    assert!(storage.is_pending(1), "fresh round: one of two landed");
     storage.write_image(StoragePolicy::Incremental, &image_of(1, 1, &upper_new));
     assert!(
-        storage.note_rank_flushed(1, 1),
+        !storage.is_pending(1),
         "fresh round commits on its own ranks"
     );
     assert_eq!(storage.generations(), vec![0, 1]);
@@ -716,7 +711,6 @@ fn concurrent_prune_with_sync_and_async_checkpoints_keeps_a_restart_point() {
                     storage.begin_generation(generation, WORLD);
                     if generation % 2 == 0 {
                         storage.write_image(StoragePolicy::Incremental, &image);
-                        storage.note_rank_flushed(generation, rank);
                     } else {
                         pool.submit_to(&storage, StoragePolicy::Incremental, image, |_| {})
                             .wait();
@@ -1511,39 +1505,50 @@ fn pruning_after_a_restart_leaves_the_restored_bytes() {
 // The resume record: the step a committed generation resumes from
 // ----------------------------------------------------------------------
 
-/// Announce `generation` for a `world`-rank job, note each rank's `steps`, and write
-/// every rank's slot — a round whose flushes have not landed yet.
-fn round_in_flight(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
+/// Announce `generation` for a `world`-rank job and note each of `steps` on its
+/// resume record, as a round does before its ranks write.
+fn announce(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
     storage.begin_generation(generation, world);
     for &step in steps {
         storage.note_resume_step(generation, step);
     }
+}
+
+/// Land `rank`'s image of `generation`.
+fn land(storage: &CheckpointStorage, generation: u64, rank: i32) {
+    let upper = synthetic_upper(rank + generation as i32 * 16, 1, 4_096);
+    storage.write_image(
+        StoragePolicy::Incremental,
+        &image_of(rank, generation, &upper),
+    );
+}
+
+/// A round every rank of which has landed: the last landing committed it.
+fn round(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
+    announce(storage, generation, world, steps);
     for rank in 0..world as i32 {
-        let upper = synthetic_upper(rank + generation as i32 * 16, 1, 4_096);
-        storage.write_image(
-            StoragePolicy::Incremental,
-            &image_of(rank, generation, &upper),
-        );
+        land(storage, generation, rank);
     }
 }
 
-/// Asynchronous flushes commit out of order (generation 5's smaller flushes land
-/// before generation 4's). The store's newest committed generation is the highest
-/// one committed so far, and a late lower commit never displaces it.
+/// Rounds commit out of order (generation 5's last image lands before generation
+/// 4's). The store's newest committed generation is the highest one committed so
+/// far, and a late lower commit never displaces it.
 #[test]
 fn out_of_order_commits_leave_the_highest_committed_generation_newest() {
     let storage = CheckpointStorage::unmetered();
     assert_eq!(storage.newest_committed(), None);
-    round_in_flight(&storage, 4, 2, &[8, 8]);
-    round_in_flight(&storage, 5, 2, &[12, 10]);
+    announce(&storage, 4, 2, &[8, 8]);
+    announce(&storage, 5, 2, &[12, 10]);
     assert_eq!(storage.newest_committed(), None, "nothing has landed yet");
 
-    assert!(!storage.note_rank_flushed(5, 1));
-    assert!(storage.note_rank_flushed(5, 0));
+    land(&storage, 5, 1);
+    assert_eq!(storage.newest_committed(), None, "5 is still pending");
+    land(&storage, 5, 0);
     assert_eq!(storage.newest_committed(), Some(5));
-    assert!(!storage.note_rank_flushed(4, 0));
+    land(&storage, 4, 0);
     assert_eq!(storage.newest_committed(), Some(5), "4 is still pending");
-    assert!(storage.note_rank_flushed(4, 1));
+    land(&storage, 4, 1);
     assert_eq!(
         storage.newest_committed(),
         Some(5),
@@ -1558,24 +1563,23 @@ fn out_of_order_commits_leave_the_highest_committed_generation_newest() {
     );
 }
 
-/// A step-driven generation's record is readable from the moment it commits, by
-/// either commit path, and a round that noted no step leaves no record.
+/// A step-driven generation's record is readable from the moment its last image
+/// lands, and a round that noted no step leaves no record.
 #[test]
 fn a_committed_step_driven_generation_has_its_record() {
     let storage = CheckpointStorage::unmetered();
-    round_in_flight(&storage, 0, 2, &[3, 2]);
-    storage.commit_generation(0);
+    round(&storage, 0, 2, &[3, 2]);
     assert_eq!(storage.newest_committed(), Some(0));
     assert_eq!(storage.resume_step(0), Some(2));
 
-    round_in_flight(&storage, 1, 2, &[4]);
-    assert!(!storage.note_rank_flushed(1, 0));
-    assert!(storage.note_rank_flushed(1, 1));
+    announce(&storage, 1, 2, &[4]);
+    land(&storage, 1, 0);
+    assert_eq!(storage.resume_step(1), None, "one of two landed");
+    land(&storage, 1, 1);
     assert_eq!(storage.resume_step(1), Some(4));
 
     // A free-form round: committed, published, and without a record.
-    round_in_flight(&storage, 2, 2, &[]);
-    storage.commit_generation(2);
+    round(&storage, 2, 2, &[]);
     assert_eq!(storage.newest_committed(), Some(2));
     assert_eq!(storage.resume_step(2), None);
     // A step noted after the commit is ignored: the round's record is final.
@@ -1590,17 +1594,18 @@ fn a_committed_step_driven_generation_has_its_record() {
 fn a_pending_aborted_or_pruned_generation_has_no_record() {
     let storage = CheckpointStorage::unmetered();
     for generation in 0..3 {
-        round_in_flight(&storage, generation, 1, &[generation * 2 + 2]);
-        storage.commit_generation(generation);
+        round(&storage, generation, 1, &[generation * 2 + 2]);
     }
-    round_in_flight(&storage, 3, 2, &[8, 8]);
+    announce(&storage, 3, 2, &[8, 8]);
+    land(&storage, 3, 0);
     assert!(storage.is_pending(3));
     assert_eq!(storage.resume_step(3), None, "pending");
     assert_eq!(storage.newest_committed(), Some(2));
 
     storage.abort_generation(3);
-    storage.commit_generation(3);
+    land(&storage, 3, 1);
     assert_eq!(storage.resume_step(3), None, "aborted");
+    assert_eq!(storage.newest_committed(), Some(2), "never resurrected");
 
     let report = storage.prune_before(2);
     assert_eq!(report.pruned, vec![0, 1]);
@@ -1612,8 +1617,7 @@ fn a_pending_aborted_or_pruned_generation_has_no_record() {
         "the restart point keeps its record"
     );
 
-    round_in_flight(&storage, 4, 1, &[10]);
-    storage.commit_generation(4);
+    round(&storage, 4, 1, &[10]);
     assert_eq!(storage.drop_generations_after(2), vec![4]);
     assert_eq!(storage.resume_step(4), None, "dropped");
     assert_eq!(storage.newest_committed(), Some(2));

@@ -3,8 +3,10 @@
 //! synchronous fallback, tenant-scoped idle waits, dropping the service mid-flush,
 //! and the cold tier round trip.
 
-use ckpt_service::{AdmissionError, CkptService, ServiceConfig, TenantQuota};
-use ckpt_store::{CheckpointStorage, ColdTier, StoragePolicy};
+use ckpt_store::{
+    AdmissionError, CheckpointStorage, CkptService, ColdTier, ServiceConfig, StoragePolicy,
+    TenantQuota,
+};
 use parking_lot::Mutex;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
@@ -167,6 +169,52 @@ fn logical_byte_quota_holds_the_newest_generation_sacred() {
     handle.storage().read(4, 0).unwrap();
 }
 
+/// A tenant without a quota whose generations are pruned through its own view
+/// counts only the live generations' bytes.
+#[test]
+fn accounting_forgets_generations_pruned_through_the_view() {
+    let service = CkptService::new(ServiceConfig::default()).unwrap();
+    let tenant = service.register_tenant("pruned-by-hand");
+    for generation in 0..8 {
+        let report = tenant.storage().write_image(
+            StoragePolicy::Incremental,
+            &image(5, generation, 0, 1, 4096),
+        );
+        tenant.note_external_write(&report);
+        tenant.storage().prune_before(generation);
+    }
+    tenant.enforce_quota();
+    let stats = tenant.stats();
+    assert_eq!(stats.committed_generations, 1);
+    assert_eq!(stats.live_logical_bytes, 4096);
+    assert_eq!(stats.logical_bytes_written, 8 * 4096);
+    assert_eq!(stats.reclaimed_generations, 0, "pruned by hand, not by GC");
+}
+
+/// A restarted job rewrites a `(generation, rank)` slot at a new size: the tenant's
+/// live bytes count the slot once, at its new size.
+#[test]
+fn a_rewritten_slot_counts_at_its_new_size_once() {
+    let service = CkptService::new(ServiceConfig::default()).unwrap();
+    let tenant = service.register_tenant("restarted");
+    for rank in 0..2 {
+        let report = tenant
+            .storage()
+            .write_image(StoragePolicy::Incremental, &image(6, 0, rank, 2, 4096));
+        tenant.note_external_write(&report);
+    }
+    assert_eq!(tenant.stats().live_logical_bytes, 2 * 4096);
+
+    let report = tenant
+        .storage()
+        .write_image(StoragePolicy::Incremental, &image(7, 0, 1, 2, 6000));
+    tenant.note_external_write(&report);
+    let stats = tenant.stats();
+    assert_eq!(stats.committed_generations, 1);
+    assert_eq!(stats.live_logical_bytes, 4096 + 6000);
+    assert_eq!(stats.logical_bytes_written, 2 * 4096 + 6000);
+}
+
 #[test]
 fn saturated_pool_rejects_with_typed_error_and_returns_the_image() {
     let service = CkptService::new(ServiceConfig {
@@ -256,16 +304,13 @@ fn rejected_submission_falls_back_to_synchronous_write() {
     let handle = service.register_tenant("fallback");
 
     // The async protocol: announce the generation, submit, get rejected, write
-    // synchronously, and complete the flush accounting by hand — exactly what the
-    // flusher worker would have done.
+    // synchronously. The fallback write lands exactly as the flusher worker's would
+    // have, so it commits the generation.
     handle.storage().begin_generation(0, 1);
     let rejected = handle
         .submit(StoragePolicy::Incremental, image(7, 0, 0, 1, 8192))
         .unwrap_err();
-    let report = handle.write_sync_fallback(StoragePolicy::Incremental, &rejected.image);
-    assert!(handle
-        .storage()
-        .note_rank_flushed(report.generation, report.rank));
+    handle.write_sync_fallback(StoragePolicy::Incremental, &rejected.image);
 
     assert_eq!(handle.storage().generations(), vec![0]);
     handle.storage().read(0, 0).unwrap();

@@ -4,8 +4,7 @@
 //! tenant hitting its quota never evicts (or blocks restartability of) another
 //! tenant's data.
 
-use ckpt_service::{CkptService, ServiceConfig, ServiceHandle, TenantQuota};
-use ckpt_store::StoragePolicy;
+use ckpt_store::{CkptService, ServiceConfig, ServiceHandle, StoragePolicy, TenantQuota};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +43,7 @@ fn image(seed: u64, generation: u64, rank: i32, bytes: usize) -> CheckpointImage
 ///
 /// The pending-generation protocol is load-bearing here, exactly as in the real
 /// orchestrator: the generation is announced before any rank's slot is written and
-/// commits only when the last rank lands. Without it a half-written generation
+/// commits only when the last rank's write lands. Without it a half-written generation
 /// would momentarily count as "newest committed", stripping prune protection from
 /// the tenant's actual restart point while the GC races these writes.
 fn writer(handle: &ServiceHandle, seed: u64, committed_floor: &AtomicU64) {
@@ -55,7 +54,6 @@ fn writer(handle: &ServiceHandle, seed: u64, committed_floor: &AtomicU64) {
                 StoragePolicy::Incremental,
                 &image(seed, generation, rank as i32, 24 * 1024),
             );
-            handle.storage().note_rank_flushed(generation, rank as i32);
             handle.note_external_write(&report);
         }
         committed_floor.store(1, Ordering::Release);

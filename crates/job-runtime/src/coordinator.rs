@@ -9,10 +9,10 @@
 //!    rank stays patient while *any* rank in the job is still draining, and the stall
 //!    diagnostic fires only on true job-wide quiescence failure;
 //! 3. **runs the commit barrier** — after the parallel per-rank writes, every rank
-//!    arrives with the generation it wrote; once all have arrived (and agree), the
-//!    generation is *atomically committed* in the store. A generation is never
-//!    visible half-written: either every rank's image committed, or the generation
-//!    is not published (and a restart falls back to the newest fully-valid one).
+//!    arrives with the generation it wrote and waits until all have arrived (and
+//!    agree). The store committed the generation inside the write that landed its
+//!    last image, so it is never visible half-written (a restart falls back to the
+//!    newest fully-valid one).
 
 use ckpt_store::CheckpointStorage;
 use mana::DrainObserver;
@@ -47,9 +47,8 @@ pub struct CommitLedger {
 }
 
 impl CommitLedger {
-    /// The newest committed generation in the store, if any. A synchronous round's
-    /// generation commits at its commit barrier; an asynchronous one's when the last
-    /// rank's background flush lands.
+    /// The newest committed generation in the store, if any. A generation commits
+    /// when the last rank's image lands, on any route.
     pub fn published_generation(&self) -> Option<u64> {
         self.storage.newest_committed()
     }
@@ -273,23 +272,26 @@ impl Coordinator {
     // ------------------------------------------------------------------
 
     /// Arrive at the commit barrier having durably written `generation` for this
-    /// rank. Blocks until every rank of the world has arrived, then (exactly once,
-    /// by the last arriver) atomically commits the generation in the store. `steps`,
-    /// the steps this rank had completed, is noted on the generation's resume record
-    /// first (see [`CheckpointStorage::note_resume_step`]).
+    /// rank, and block until every rank of the world has arrived. Every rank wrote
+    /// before it arrived, so the store has committed the generation by the time the
+    /// barrier releases.
+    ///
+    /// `steps` must be `None`: the write that lands last commits the generation with
+    /// its resume record, so steps are noted before the write
+    /// ([`CheckpointStorage::note_resume_step`]). `Some` poisons the barrier.
     ///
     /// Ranks arriving with *different* generations poison the barrier for everyone —
     /// interleaved generations would mean the two-phase protocol was violated.
     pub fn commit(&self, rank: Rank, generation: u64, steps: Option<u64>) -> MpiResult<()> {
-        self.note_steps(generation, steps);
-        self.commit_inner(rank, generation, None)?;
-        Ok(())
-    }
-
-    fn note_steps(&self, generation: u64, steps: Option<u64>) {
         if let Some(steps) = steps {
-            self.ledger.storage.note_resume_step(generation, steps);
+            let reason = format!(
+                "rank {rank} brought {steps} completed steps to the commit barrier of \
+                 generation {generation}; steps are noted before the write"
+            );
+            self.poison(&mut self.barrier.lock(), reason.clone());
+            return Err(MpiError::Checkpoint(reason));
         }
+        self.commit_inner(rank, generation, None).map(drop)
     }
 
     /// [`Coordinator::commit`] that also folds the arrivers' mid-step intent
@@ -304,11 +306,7 @@ impl Coordinator {
         intent: Option<IntentSnapshot>,
     ) -> MpiResult<Option<IntentSnapshot>> {
         let mut state = self.barrier.lock();
-        if let Some(reason) = &state.poisoned {
-            return Err(MpiError::Checkpoint(format!(
-                "commit barrier poisoned before rank {rank} arrived: {reason}"
-            )));
-        }
+        Self::open(&state, rank)?;
         match state.generation {
             None => state.generation = Some(generation),
             Some(expected) if expected != generation => {
@@ -329,7 +327,7 @@ impl Coordinator {
         };
         state.arrived += 1;
         if state.arrived == self.world_size {
-            return Ok(self.release_round(&mut state, generation));
+            return Ok(self.release_round(&mut state));
         }
         let round = state.round;
         let deadline = clock::now() + self.barrier_timeout;
@@ -370,11 +368,25 @@ impl Coordinator {
         )))
     }
 
+    /// Fail unless the commit barrier is open: a poisoned barrier fails every later
+    /// arrival, so `rank` need not start a round that could only fail at it.
+    pub(crate) fn ensure_open(&self, rank: Rank) -> MpiResult<()> {
+        Self::open(&self.barrier.lock(), rank)
+    }
+
+    fn open(state: &BarrierState, rank: Rank) -> MpiResult<()> {
+        match &state.poisoned {
+            Some(reason) => Err(MpiError::Checkpoint(format!(
+                "commit barrier poisoned before rank {rank} arrived: {reason}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The last arriver's half of a round: every rank of the world has written the
-    /// generation, so commit it in the store — before any rank leaves the barrier —
-    /// and release every waiter with the round's intent decision.
-    fn release_round(&self, state: &mut BarrierState, generation: u64) -> Option<IntentSnapshot> {
-        self.ledger.storage.commit_generation(generation);
+    /// generation, so the store has committed it. Release every waiter with the
+    /// round's intent decision.
+    fn release_round(&self, state: &mut BarrierState) -> Option<IntentSnapshot> {
         let decided = state.intent.take();
         state.decided_intent = decided;
         state.arrived = 0;
@@ -389,13 +401,11 @@ impl Coordinator {
     // ------------------------------------------------------------------
 
     /// Account one rank's landed background flush of `generation`, for a caller that
-    /// drives the round's stages itself: `steps` is noted on the generation's resume
-    /// record, as [`Coordinator::commit`] notes it. The store commits the generation
-    /// itself when the last rank's flush lands, so a step noted after that is
-    /// ignored (the runtime's own rounds note theirs before they submit). Returns
-    /// whether the store's newest committed generation has reached `generation`.
-    pub fn note_flush_landed(&self, generation: u64, steps: Option<u64>) -> bool {
-        self.note_steps(generation, steps);
+    /// drives the round's stages itself. `steps` is ignored: the store committed the
+    /// generation with its resume record when its last image landed, so steps are
+    /// noted before the write. Returns whether the store's newest committed
+    /// generation has reached `generation`.
+    pub fn note_flush_landed(&self, generation: u64, _steps: Option<u64>) -> bool {
         self.ledger
             .published_generation()
             .is_some_and(|newest| newest >= generation)
@@ -427,19 +437,32 @@ mod tests {
     use split_proc::address_space::UpperHalfSpace;
     use split_proc::image::{CheckpointImage, ImageMetadata};
 
-    /// Announce `generation` pending for a `world`-rank job and write every rank's
-    /// (empty) slot, as a round does before its ranks reach the barrier.
-    fn written(storage: &CheckpointStorage, generation: u64, world: usize) {
+    /// Announce `generation` pending for a `world`-rank job and note each of `steps`
+    /// on its resume record, as a round does before its ranks write.
+    fn announce(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
         storage.begin_generation(generation, world);
+        for &step in steps {
+            storage.note_resume_step(generation, step);
+        }
+    }
+
+    /// Land `rank`'s (empty) image of `generation` in a `world`-rank job.
+    fn write(storage: &CheckpointStorage, generation: u64, world: usize, rank: Rank) {
+        let metadata = ImageMetadata {
+            rank,
+            world_size: world,
+            generation,
+            implementation: "mpich".into(),
+        };
+        let image = CheckpointImage::new(metadata, UpperHalfSpace::new());
+        storage.write_image(StoragePolicy::Incremental, &image);
+    }
+
+    /// A round every rank of which has written: the last write committed it.
+    fn written(storage: &CheckpointStorage, generation: u64, world: usize, steps: &[u64]) {
+        announce(storage, generation, world, steps);
         for rank in 0..world as Rank {
-            let metadata = ImageMetadata {
-                rank,
-                world_size: world,
-                generation,
-                implementation: "mpich".into(),
-            };
-            let image = CheckpointImage::new(metadata, UpperHalfSpace::new());
-            storage.write_image(StoragePolicy::Incremental, &image);
+            write(storage, generation, world, rank);
         }
     }
 
@@ -448,21 +471,28 @@ mod tests {
         let storage = CheckpointStorage::unmetered();
         let coordinator = Arc::new(Coordinator::new(2, Some(1), storage.clone()));
         let ledger = Arc::clone(coordinator.ledger());
-        written(&storage, 7, 2);
-        assert!(ledger.published_generation().is_none());
-        let peer = Arc::clone(&coordinator);
-        let handle = std::thread::spawn(move || peer.commit(1, 7, Some(4)));
-        coordinator.commit(0, 7, Some(3)).unwrap();
-        handle.join().unwrap().unwrap();
+        announce(&storage, 7, 2, &[3, 4]);
+        write(&storage, 7, 2, 0);
+        assert!(ledger.published_generation().is_none(), "one of two landed");
+        // The write that lands last commits, before any rank reaches the barrier.
+        write(&storage, 7, 2, 1);
         assert_eq!(ledger.published_generation(), Some(7));
         assert_eq!(ledger.steps_at(7), Some(3), "minimum step fold wins");
+        let peer = Arc::clone(&coordinator);
+        let handle = std::thread::spawn(move || peer.commit(1, 7, None));
+        coordinator.commit(0, 7, None).unwrap();
+        handle.join().unwrap().unwrap();
+        assert_eq!(ledger.published_generation(), Some(7));
+        // The barrier released its round: the next one starts from zero arrivals.
+        assert_eq!(coordinator.barrier.lock().arrived, 0);
     }
 
     #[test]
     fn mismatched_generations_poison_the_commit_barrier() {
         let storage = CheckpointStorage::unmetered();
         let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
-        written(&storage, 4, 2);
+        announce(&storage, 4, 2, &[]);
+        write(&storage, 4, 2, 0);
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || {
             // Let the main thread arrive first with generation 4.
@@ -484,7 +514,9 @@ mod tests {
     fn abort_poisons_the_commit_barrier_and_wakes_waiters() {
         let storage = CheckpointStorage::unmetered();
         let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
-        written(&storage, 3, 2);
+        // Rank 0 wrote; rank 1 died before it could.
+        announce(&storage, 3, 2, &[]);
+        write(&storage, 3, 2, 0);
         let peer = Arc::clone(&coordinator);
         let handle = std::thread::spawn(move || peer.commit(0, 3, None));
         // Let rank 0 park in the barrier, then the detector declares rank 1 dead.
@@ -499,8 +531,10 @@ mod tests {
             message.contains("job aborted"),
             "poison reason lost: {message}"
         );
-        // Later arrivals fail too, and nothing was ever published.
+        // Later arrivals fail too, a round fails before it starts, and nothing was
+        // ever published.
         assert!(coordinator.commit(1, 3, None).is_err());
+        assert!(coordinator.ensure_open(1).is_err());
         assert!(coordinator.ledger().published_generation().is_none());
         assert_eq!(coordinator.dead_ranks(), vec![1]);
     }
@@ -509,9 +543,9 @@ mod tests {
     fn an_abort_after_the_round_completed_does_not_fail_its_waiters() {
         let storage = CheckpointStorage::unmetered();
         let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
-        written(&storage, 3, 2);
+        written(&storage, 3, 2, &[5]);
         let peer = Arc::clone(&coordinator);
-        let handle = std::thread::spawn(move || peer.commit(0, 3, Some(5)));
+        let handle = std::thread::spawn(move || peer.commit(0, 3, None));
         while coordinator.barrier.lock().arrived == 0 {
             std::thread::yield_now();
         }
@@ -519,7 +553,7 @@ mod tests {
             // One hold of the lock, so rank 0 cannot wake in between: rank 1's arrival
             // completes the round, then the detector's abort poisons the barrier.
             let mut state = coordinator.barrier.lock();
-            coordinator.release_round(&mut state, 3);
+            coordinator.release_round(&mut state);
             coordinator.poison(&mut state, "job aborted".into());
         }
         // Failing rank 0 would have it abort a generation the store has committed.
@@ -531,6 +565,49 @@ mod tests {
             coordinator.commit(1, 4, None).is_err(),
             "later rounds are poisoned"
         );
+    }
+
+    /// Every rank's image landed, so the round committed; a barrier poisoned before
+    /// the round released fails its ranks, and their abort leaves the commit alone.
+    #[test]
+    fn a_round_whose_images_all_landed_stays_committed_when_its_barrier_fails() {
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Arc::new(Coordinator::new(2, None, storage.clone()));
+        written(&storage, 6, 2, &[9, 8]);
+        let peer = Arc::clone(&coordinator);
+        let handle = std::thread::spawn(move || peer.commit(0, 6, None));
+        while coordinator.barrier.lock().arrived == 0 {
+            std::thread::yield_now();
+        }
+        coordinator.abort("rank 1 missed its heartbeat deadline");
+        assert!(handle.join().unwrap().is_err(), "the barrier failed");
+        assert!(coordinator.commit(1, 6, None).is_err());
+        // What a failed round does next: abort its generation. It is no longer
+        // pending, so the abort releases nothing.
+        let before = storage.stats();
+        assert_eq!(storage.abort_generation(6), 0);
+        assert_eq!(storage.stats(), before);
+        let ledger = coordinator.ledger();
+        assert_eq!(ledger.published_generation(), Some(6));
+        assert_eq!(ledger.steps_at(6), Some(8));
+        assert_eq!(storage.ranks_in_generation(6), vec![0, 1]);
+        assert!(storage.pending_generations().is_empty());
+    }
+
+    /// A step brought to the barrier could miss the fold of a round its last write
+    /// already committed, so it fails the round instead.
+    #[test]
+    fn a_step_brought_to_the_commit_barrier_fails_the_round() {
+        let storage = CheckpointStorage::unmetered();
+        let coordinator = Coordinator::new(2, None, storage.clone());
+        written(&storage, 2, 2, &[6]);
+        let message = format!("{:?}", coordinator.commit(1, 2, Some(4)).unwrap_err());
+        assert!(message.contains("noted before the write"), "{message}");
+        assert!(
+            coordinator.commit(0, 2, None).is_err(),
+            "its peers fail too"
+        );
+        assert_eq!(coordinator.ledger().steps_at(2), Some(6));
     }
 
     #[test]

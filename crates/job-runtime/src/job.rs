@@ -5,8 +5,7 @@
 use crate::coordinator::Coordinator;
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
-use ckpt_service::{CkptService, ServiceHandle};
-use ckpt_store::{CheckpointStorage, FlushHandle, StoreReport};
+use ckpt_store::{CheckpointStorage, CkptService, FlushHandle, ServiceHandle, StoreReport};
 use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
 use mpi_engine::Backend;
@@ -291,10 +290,10 @@ pub struct JobCtx {
 
 impl JobCtx {
     /// Take a full coordinated checkpoint of the job (collective: every rank's body
-    /// must call this at the same logical point). The image is written in place and
-    /// the generation commits in storage at the commit barrier, before any rank
-    /// returns. A free-form checkpoint records no resume step, so a step-driven
-    /// start cannot resume from it.
+    /// must call this at the same logical point). The image is written in place; the
+    /// store commits the generation when the last rank's write lands, and the commit
+    /// barrier holds every rank until then. A free-form checkpoint records no resume
+    /// step, so a step-driven start cannot resume from it.
     pub fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
         Ok(self.round(session, Sink::InPlace)?.wait())
     }

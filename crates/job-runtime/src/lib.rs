@@ -15,18 +15,19 @@
 //!    progress, replacing the old per-rank idle-round counter.
 //! 3. **Parallel writes** — every rank writes its image concurrently; the sharded
 //!    [`ckpt_store::CheckpointStorage`] admits them in parallel.
-//! 4. **Commit barrier** — once every rank's write is durable, the generation is
-//!    atomically published. A generation is never visible half-written.
+//! 4. **Commit barrier** — every rank waits until every rank has written. The store
+//!    commits the generation inside the write that lands last, so it is published
+//!    when the barrier releases and never visible half-written.
 //!
 //! Every checkpoint — synchronous or asynchronous, at a step boundary or inside a
 //! step — runs the same round: quiesce → drain → freeze → sink, into the job's one
 //! checkpoint-service tenancy. Every job is a tenant from construction: of a shared
 //! service, or else the sole tenant of a private service that writes the job's own
 //! store. Only the route differs: the tenancy's storage written in place and
-//! metered afterwards (steps 3-4 above), or the frozen image submitted through the
-//! tenancy's admission control, which publishes the generation when the last
-//! rank's background flush lands instead of at a barrier. A job without a shared
-//! service that never checkpoints asynchronously runs no flusher thread: its
+//! metered as it lands (steps 3-4 above), or the frozen image submitted through the
+//! tenancy's admission control, where nobody waits at a barrier. Either way the
+//! store commits the generation when the last rank's image lands. A job without a
+//! shared service that never checkpoints asynchronously runs no flusher thread: its
 //! private pool spawns its workers only when the job first flushes.
 //!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
@@ -40,7 +41,7 @@
 //!
 //! A job can also run as one **tenant of a shared multi-tenant checkpoint service**
 //! ([`JobRuntime::with_service`]): checkpoints land in the tenant's namespaced view
-//! of a [`ckpt_service::CkptService`]'s deduplicated chunk space, asynchronous
+//! of a [`ckpt_store::CkptService`]'s deduplicated chunk space, asynchronous
 //! flushes ride the service's shared pool under admission control (with a
 //! synchronous fallback on rejection, so a checkpoint is never skipped), and every
 //! landed write is metered against the tenant's quota.

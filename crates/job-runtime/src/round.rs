@@ -13,7 +13,10 @@
 //! committed one by a concurrent `prune_before`, and hands the store the step the
 //! generation resumes from; a round that fails after the announcement aborts the
 //! generation, releasing whatever its ranks wrote. All three happen here and
-//! nowhere else.
+//! nowhere else. The commit is the store's alone: whatever the sink, the write that
+//! lands the round's last image commits the generation. A round that fails after
+//! every image landed therefore keeps its committed generation, and its abort is a
+//! no-op.
 //!
 //! [`JobCtx::checkpoint`]: crate::JobCtx::checkpoint
 //! [`JobCtx::checkpoint_async`]: crate::JobCtx::checkpoint_async
@@ -29,15 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy)]
 pub(crate) enum Sink {
     /// Write the live upper half in place into the tenancy's storage on the rank
-    /// thread (no freeze copy), then arrive at the commit barrier. The last arriver
-    /// commits the generation in storage once the barrier has seen every rank's
-    /// write, and the write is metered against the tenancy afterwards.
+    /// thread (no freeze copy), then wait at the commit barrier until every rank has
+    /// written: the last write committed the generation, so no rank returns before
+    /// the commit. The write is metered against the tenancy as soon as it lands.
     InPlace,
     /// Freeze the image and submit it through the tenancy's admission control. The
-    /// rank returns at once; the worker that lands the last rank's image commits
-    /// the generation, and nobody blocks on a barrier. A rejected submission is
-    /// written synchronously on the rank thread — a checkpoint is never skipped —
-    /// with the same barrier-free accounting: its peers may have been admitted and
+    /// rank returns at once, and nobody blocks on a barrier. A rejected submission
+    /// is written synchronously on the rank thread — a checkpoint is never skipped —
+    /// and lands like a worker's write: its peers may have been admitted and
     /// returned to computation already, so a rank waiting at a barrier for them
     /// would deadlock against flushes that only land later.
     Pool,
@@ -64,6 +66,11 @@ pub(crate) fn checkpoint_round(
     rank.drain_quiescent(&plan, coordinator.as_ref())?;
     rank.complete_drain()?;
     let generation = rank.generation();
+    if matches!(sink, Sink::InPlace) {
+        // A round whose barrier is already poisoned cannot complete: leave before
+        // announcing or writing anything, so a lost round leaves nothing behind.
+        coordinator.ensure_open(rank.world_rank())?;
+    }
     let storage = ctx.storage();
     storage.begin_generation(generation, coordinator.world_size());
     if let Some(steps) = steps {
@@ -84,14 +91,15 @@ fn deliver(
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
     let service = &ctx.tenancy;
-    let world_rank = rank.world_rank();
     match sink {
         Sink::InPlace => {
             let report = rank.write_checkpoint_into(service.storage())?;
-            let decided = ctx
-                .coordinator()
-                .commit_inner(world_rank, report.generation, intent)?;
+            // Metered as it lands, like a worker's write: the landing may have
+            // committed the round, which stays committed if the barrier fails.
             service.note_external_write(&report);
+            let decided =
+                ctx.coordinator()
+                    .commit_inner(rank.world_rank(), report.generation, intent)?;
             Ok((FlushHandle::ready(report), decided))
         }
         Sink::Pool => {
@@ -99,13 +107,7 @@ fn deliver(
             let handle = match service.submit(policy, rank.snapshot_checkpoint()?) {
                 Ok(handle) => handle,
                 Err(rejected) => {
-                    // The caller owns the accounting the flusher worker would have
-                    // performed.
-                    let report = service.write_sync_fallback(policy, &rejected.image);
-                    service
-                        .storage()
-                        .note_rank_flushed(report.generation, world_rank);
-                    FlushHandle::ready(report)
+                    FlushHandle::ready(service.write_sync_fallback(policy, &rejected.image))
                 }
             };
             Ok((handle, None))
@@ -176,5 +178,32 @@ impl CheckpointIntercept for MidStepIntercept {
         } else {
             Ok(IntentOutcome::Continue)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Backend, JobConfig, JobRuntime};
+
+    /// The write commits the one-rank round, then meets a poisoned barrier.
+    #[test]
+    fn an_in_place_write_is_metered_when_its_barrier_fails() {
+        let runtime = JobRuntime::new(JobConfig::new(1, Backend::Mpich));
+        let ranks = runtime.launch().unwrap();
+        let (results, _) = runtime
+            .run_restored((ranks, 0), |mut session, ctx| {
+                let rank = session.rank_mut();
+                ctx.storage().begin_generation(rank.generation(), 1);
+                ctx.coordinator().abort("a peer died after the last write");
+                let delivered = deliver(rank, &ctx, Sink::InPlace, None);
+                Ok((delivered.is_err(), ctx.tenancy.stats()))
+            })
+            .unwrap();
+        let (failed, stats) = &results[0];
+        assert!(failed, "the poisoned barrier fails the round");
+        assert_eq!(stats.committed_generations, 1);
+        assert!(stats.logical_bytes_written > 0);
+        assert_eq!(stats.logical_bytes_written, stats.live_logical_bytes);
     }
 }

@@ -16,7 +16,7 @@ use net_sim::clock;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ckpt_service::{CkptService, ServiceConfig};
+use ckpt_store::{CkptService, ServiceConfig};
 use job_runtime::{
     Backend, ChaosPlan, FaultKind, JobConfig, JobRuntime, RecoveryEventKind, RemapPolicy,
 };

@@ -3,7 +3,7 @@
 //! the single `JobRuntime` API — now handing every body a typed `Session` — and
 //! exercised across the simulated MPI backends.
 
-use ckpt_service::{CkptService, ServiceConfig, TenantQuota};
+use ckpt_store::{CkptService, ServiceConfig, TenantQuota};
 use job_runtime::{Backend, JobConfig, JobRuntime, RecoveryEventKind};
 use mana::{Comm, Datatype, ManaConfig, Op, Session, StoragePolicy};
 use mpi_model::error::MpiResult;
@@ -526,7 +526,8 @@ fn a_restarted_job_writing_in_place_leaves_its_restored_generation() {
 /// A synchronous round whose commit barrier is poisoned fails on every rank and
 /// leaves nothing behind: no pending entry, no manifest, nothing published. Rank 0
 /// aborts before it enters the round, and rank 1 cannot pass the drain until rank 0
-/// has entered, so both ranks write and then meet the poisoned barrier.
+/// has entered, so both ranks find the barrier poisoned before they announce or
+/// write.
 #[test]
 fn a_failed_synchronous_round_leaves_nothing_behind() {
     let runtime = JobRuntime::new(

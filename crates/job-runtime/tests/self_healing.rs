@@ -20,7 +20,7 @@ use net_sim::clock;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use ckpt_service::{CkptService, ServiceConfig};
+use ckpt_store::{CkptService, ServiceConfig};
 use job_runtime::{
     Backend, ChaosPlan, FaultKind, HeartbeatMonitor, JobConfig, JobRuntime, RecoveryEventKind,
     RecoveryLog,
@@ -287,11 +287,10 @@ fn crash_under_service_aborts_only_the_dead_tenants_pending_generations() {
             }])),
         chaotic.clone(),
     );
-    // The torn round the kill leaves behind: a flush that began and will never
-    // finish. (The simulated flusher daemons outlive a fabric-level kill, so the
+    // The torn round the kill leaves behind: a round announced whose flushes never
+    // land. (The simulated flusher daemons outlive a fabric-level kill, so the
     // mid-flush tear is staged explicitly on the dead tenant's view.)
     chaotic.storage().begin_generation(99, WORLD);
-    chaotic.storage().note_rank_flushed(99, 0);
     assert_eq!(chaotic.storage().pending_generations(), vec![99]);
 
     let (run, log) = runtime.run_steps_self_healing(STEPS, folding_step).unwrap();

@@ -3,7 +3,7 @@
 //! admission-control fallback (ISSUE 6 satellite: a rejected async submission must
 //! fall back to a synchronous write — a checkpoint is never skipped).
 
-use ckpt_service::{CkptService, ServiceConfig, TenantQuota};
+use ckpt_store::{CkptService, ServiceConfig, TenantQuota};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Op, Session};
 use mpi_model::error::MpiResult;

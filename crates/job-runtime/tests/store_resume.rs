@@ -5,8 +5,7 @@
 //! leaves its restored generation as the store's restart point, and a step-driven
 //! start refuses a generation that records no resume step.
 
-use ckpt_service::{CkptService, ServiceConfig};
-use ckpt_store::CheckpointStorage;
+use ckpt_store::{CheckpointStorage, CkptService, ServiceConfig};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Op, Session};
 use mpi_model::error::{MpiError, MpiResult};

@@ -294,16 +294,17 @@ fn dirty_region_mut_count() -> u64 {
 #[test]
 fn an_unchanged_freeze_and_a_dirty_region_mut_allocation_counts_are_exact() {
     // A freeze with nothing changed encodes no MANA region: each maps the buffer the
-    // last freeze encoded. What is left: per MANA region, its name as a `String` and
-    // as the space's shared `Arc<str>` (10); the dirty set's node, emptied by the last
-    // freeze (1); the image metadata's implementation name (1); and the clone that
-    // freezes the image: that name again and one node each for the region map and the
-    // dirty set, every name and region shared by refcount (3). Before MANA kept its
-    // encodings and the space shared its names, both freezes took 98 (five JSON
-    // encodings, and one `String` per name in each map of the clone).
+    // last freeze encoded. What is left: per MANA region, its name as the space's
+    // shared `Arc<str>` (5); the dirty set's node, emptied by the last freeze (1);
+    // the image metadata's implementation name (1); and the clone that freezes the
+    // image: that name again and one node each for the region map and the dirty set,
+    // every name and region shared by refcount (3). Before MANA kept its encodings
+    // and the space shared its names, both freezes took 98 (five JSON encodings, and
+    // one `String` per name in each map of the clone); before a name went straight
+    // into its `Arc<str>`, each also cost a `String` first (90 and 15).
     let (first, second) = freeze_counts();
-    assert_eq!(first, 90, "first freeze: five JSON encodings, each kept");
-    assert_eq!(second, 10 + 1 + 1 + 3, "second freeze, nothing changed");
+    assert_eq!(first, 85, "first freeze: five JSON encodings, each kept");
+    assert_eq!(second, 5 + 1 + 1 + 3, "second freeze, nothing changed");
     // The dirty set already holds the name, and the region is the space's alone:
     // nothing to allocate. It took 1 (the name, as a `String`) before.
     assert_eq!(dirty_region_mut_count(), 0, "region_mut of a dirty region");

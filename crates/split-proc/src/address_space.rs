@@ -68,9 +68,11 @@ impl UpperHalfSpace {
 
     /// Create or overwrite a region. A `Vec` becomes the region; an `Arc` (a store
     /// read handing back a buffer it still shares) is taken as it is, and the space
-    /// copies it on its first [`region_mut`](UpperHalfSpace::region_mut).
-    pub fn map_region(&mut self, name: impl Into<String>, data: impl Into<Arc<Vec<u8>>>) {
-        let name: Arc<str> = name.into().into();
+    /// copies it on its first [`region_mut`](UpperHalfSpace::region_mut). The name
+    /// becomes the space's shared `Arc<str>` key in one allocation (none for an
+    /// `Arc<str>`).
+    pub fn map_region(&mut self, name: impl Into<Arc<str>>, data: impl Into<Arc<Vec<u8>>>) {
+        let name: Arc<str> = name.into();
         self.dirty.insert(Arc::clone(&name));
         self.regions.insert(name, data.into());
     }
@@ -205,7 +207,7 @@ impl UpperHalfSpace {
     /// by the proxy applications for their structured state.
     pub fn store_json<T: Serialize>(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         value: &T,
     ) -> MpiResult<()> {
         let bytes = serde_json::to_vec(value)

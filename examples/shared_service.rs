@@ -9,7 +9,7 @@
 //! cargo run --release --example shared_service
 //! ```
 
-use ckpt_service::{CkptService, ServiceConfig};
+use ckpt_store::{CkptService, ServiceConfig};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Op, Session};
 use mpi_model::error::MpiResult;

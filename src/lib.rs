@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ckpt_service;
 pub use ckpt_store;
 pub use job_runtime;
 pub use mana;

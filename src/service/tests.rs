@@ -2,8 +2,7 @@
 //! throughput of concurrent tenants, a preempt-and-restart fleet under a tight
 //! quota, and a restart read served entirely from the cold tier.
 
-use ckpt_service::{CkptService, ServiceConfig, ServiceHandle, TenantQuota};
-use ckpt_store::StoragePolicy;
+use ckpt_store::{CkptService, ServiceConfig, ServiceHandle, StoragePolicy, TenantQuota};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use net_sim::clock;
 use split_proc::address_space::UpperHalfSpace;
@@ -49,7 +48,6 @@ fn write_generations(handle: &ServiceHandle, seed: u64) -> u64 {
         let report = handle
             .storage()
             .write_image(StoragePolicy::Incremental, &image);
-        handle.storage().note_rank_flushed(generation, 0);
         logical += report.logical_bytes as u64;
         handle.note_external_write(&report);
     }
