@@ -11,12 +11,11 @@
 //! application later changes is copied once, by the application's own `region_mut`
 //! of its region (copy-on-write), and a byte it never changes is never copied.
 //!
-//! The pool is the flusher of the checkpoint service
-//! ([`CkptService`](crate::CkptService)): the service admits every submission under
-//! its in-flight caps and names the storage each job writes. The pool itself owns no
-//! storage and bounds nothing. It spawns its workers when its owner starts it or on
-//! its first submission, so the private service of a job that only ever checkpoints
-//! synchronously runs no flusher thread.
+//! Each chunk space owns one pool, and a view's
+//! [`submit_with`](CheckpointStorage::submit_with) admits every submission. The pool
+//! itself bounds nothing. It spawns its workers when its owner starts it or on its
+//! first submission, so a job that only ever checkpoints synchronously runs no
+//! flusher thread.
 //!
 //! Generation visibility is governed by the store's pending table (see
 //! [`CheckpointStorage::begin_generation`]): a generation announced as pending stays
@@ -37,15 +36,14 @@ use std::thread::JoinHandle;
 /// Callback a submitter attaches to a flush job; runs on the worker thread after the
 /// image has landed in storage (committing its generation if it was the last), but
 /// before the job's [`FlushHandle`] completes — so a waiter that observes the handle
-/// done also observes everything the callback published. The callback must not own
-/// the pool: whatever it captures is dropped on the worker thread.
+/// done also observes everything the callback published. Whatever it captures is
+/// dropped on the worker thread.
 type FlushCallback = Box<dyn FnOnce(&StoreReport) + Send>;
 
 struct FlushJob {
     policy: StoragePolicy,
     image: CheckpointImage,
-    /// The storage this job writes into (a tenant's view of the service's chunk
-    /// space, or a job's own store).
+    /// The view this job writes into, possibly the last handle on its space.
     storage: CheckpointStorage,
     handle: Arc<HandleState>,
     on_flushed: FlushCallback,
@@ -162,9 +160,9 @@ struct PoolShared {
 ///
 /// Jobs are processed FIFO; jobs from different ranks run concurrently across the
 /// workers (the sharded store admits them in parallel, exactly like the synchronous
-/// parallel write phase). The pool bounds nothing itself: its owner, the checkpoint
-/// service, admits submissions. Dropping the pool lets the workers drain the
-/// remaining queue, then joins them.
+/// parallel write phase). The pool bounds nothing itself: its owner, a chunk space,
+/// admits submissions. Dropping the pool lets the workers drain the remaining
+/// queue, then joins them, except a worker that drops it, which it detaches.
 pub struct FlusherPool {
     shared: Arc<PoolShared>,
     /// How many workers `start` spawns.
@@ -238,7 +236,9 @@ impl Drop for FlusherPool {
         };
         self.shared.state.lock().shutdown = true;
         self.shared.work_cv.notify_all();
-        for worker in workers {
+        // A worker can drop the last handle on the pool's space: never join it.
+        let me = std::thread::current().id();
+        for worker in workers.into_iter().filter(|w| w.thread().id() != me) {
             let _ = worker.join();
         }
     }
@@ -258,19 +258,22 @@ fn worker_loop(shared: &PoolShared) {
                 shared.work_cv.wait(&mut state);
             }
         };
-        // Panic containment: a panic in the storage write or the submitter's
-        // callback must not wedge the pool — the handle completes (as poisoned)
-        // either way, so `wait` reports the failure instead of hanging forever.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Panic containment: a panic in the storage write, the submitter's callback
+        // or the drop of the job's storage must not wedge the pool — the handle
+        // completes (as poisoned) either way, so `wait` reports the failure instead
+        // of hanging forever. The job, its storage included, is dropped in here,
+        // before the handle completes: it may hold the last handle on its space.
+        let handle = Arc::clone(&job.handle);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let report = job.storage.write_image(job.policy, &job.image);
             (job.on_flushed)(&report);
             report
         }));
-        *job.handle.outcome.lock() = match outcome {
+        *handle.outcome.lock() = match outcome {
             Ok(report) => FlushOutcome::Done(report),
             Err(_) => FlushOutcome::Poisoned,
         };
-        job.handle.done_cv.notify_all();
+        handle.done_cv.notify_all();
     }
 }
 

@@ -1,12 +1,13 @@
 //! Per-tenant quotas and the reclaim rule that enforces them.
 //!
-//! Quotas are expressed over a tenant's **committed** generations; the service
+//! Quotas are expressed over a tenant's **committed** generations; a view
 //! reclaims the oldest of them by pruning below a cutoff. Whatever the cutoff,
 //! the store's [`prune_before`](crate::CheckpointStorage::prune_before)
 //! guarantees still hold: a tenant's newest committed generation (its only restart
 //! point) and any pending generation are never reclaimed.
 
-/// Limits applied to one tenant of a [`CkptService`](crate::CkptService).
+/// Limits applied to one tenant of a chunk space (see
+/// [`CheckpointStorage::enforce_quota`](crate::CheckpointStorage::enforce_quota)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Maximum **logical** bytes across the tenant's committed generations, or

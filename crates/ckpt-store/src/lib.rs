@@ -36,18 +36,18 @@
 //!   until every rank's image has landed. The write that lands last commits it;
 //!   nothing else does, whichever route wrote the images.
 //! * **Asynchronous flush** ([`flush`]) — a [`FlusherPool`] writes frozen images off
-//!   the ranks' critical path, each into the storage its submitter names (the
-//!   checkpoint service owns the pool and admits its submissions).
-//! * **Tenant views** ([`CheckpointStorage::tenant_view`]) — additional catalog
-//!   namespaces over one shared chunk space: each tenant's generations, reads and
-//!   GC are isolated, while identical chunks written by different tenants are
-//!   stored once.
-//! * **Multi-tenant service** ([`CkptService`]) — jobs register as tenants of one
-//!   shared chunk space and get a [`ServiceHandle`]: per-tenant accounting, quota GC
-//!   over the logical bytes each tenant view's catalog records, and admission
-//!   control on the shared flusher pool, where a rejected submission hands its image
-//!   back for a synchronous write. Every job is a tenant: a job without a shared
-//!   service is the sole tenant of a private one ([`CkptService::sole_tenant`]).
+//!   the ranks' critical path, each into the storage its submitter names (each
+//!   chunk space owns one pool and admits its submissions).
+//! * **Tenant views** ([`CheckpointStorage::tenant_view`]) — every view is a tenant
+//!   of its chunk space: each tenant's generations, reads and GC are isolated, while
+//!   identical chunks written by different tenants are stored once. A view meters
+//!   every write where it lands, whatever route wrote it, enforces its quota over
+//!   the logical bytes its catalog records, and admits asynchronous submissions
+//!   under the space's and its own in-flight caps, handing a rejected image back for
+//!   a synchronous write ([`CheckpointStorage::submit_with`]).
+//!   [`CheckpointStorage::unmetered`] is a space plus its first tenant, so every job
+//!   is a tenant. [`CkptService`] and [`ServiceHandle`] are thin shells over a view,
+//!   kept for the repo benchmark.
 //! * **Cold tier** ([`tier`]) — least-recently-referenced chunks can be spilled to
 //!   CRC-framed files ([`CheckpointStorage::spill_over`]) and are transparently
 //!   promoted — with CRC re-validation — when a read needs them.

@@ -1,34 +1,27 @@
-//! The multi-tenant checkpoint service: one shared chunk space, many jobs.
+//! Tenancy: every [`CheckpointStorage`] view is a tenant of its chunk space.
 //!
-//! A [`CkptService`] owns a single sharded [`CheckpointStorage`] chunk space, a
-//! shared [`FlusherPool`], and (optionally) a cold tier. Jobs register as tenants
-//! and receive a [`ServiceHandle`]; each tenant writes generations into its own
-//! catalog namespace (a [`CheckpointStorage::tenant_view`]) while identical chunks
-//! written by different tenants are stored once. The service meters every landed
-//! write per tenant, enforces quotas by reclaiming each tenant's oldest committed
-//! generations (sized by the logical bytes the view's catalog records for each
-//! slot; the service keeps no ledger of its own), applies admission control to
-//! async submissions, and demotes the least-recently-referenced chunks to the cold
-//! tier when the hot set outgrows its target.
-//! Every job is a tenant: a job without a shared service is the
-//! [sole tenant](CkptService::sole_tenant) of a private one from construction. A
-//! shared service starts its pool when a tenant registers; a private one only when
-//! its job flushes asynchronously, so a synchronous job runs no flusher thread.
-//! The handles own the pool, and no flush callback does, so dropping the last
-//! handle drains the pool on the dropping thread.
+//! A view's catalog carries its [`Tenant`], and every write meters itself into it
+//! where it lands ([`CheckpointStorage::write_image`]), then runs the tenant's quota
+//! GC and the space's spill check, whatever route wrote it. What every view of one
+//! chunk space shares beside its tier state is the [`Space`]: the flusher pool, the
+//! admission cap, the hot-set target and the tenant registry. The space owns the
+//! pool and a queued flush holds a clone of its view, so the last handle on a space
+//! can be dropped on a flusher worker, which the pool's drop then detaches instead
+//! of joining. [`CkptService`] and [`ServiceHandle`] are one-field shells over a
+//! view, kept for the repo benchmark and the tests.
 
 use crate::gc::{reclaim_cutoff, TenantQuota};
+use crate::store::View;
 use crate::{
     CheckpointStorage, ColdTier, FlushHandle, FlusherPool, StoragePolicy, StorageStats, StoreReport,
 };
 use mpi_model::error::MpiResult;
 use parking_lot::{Condvar, Mutex};
 use split_proc::image::CheckpointImage;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Identifies one tenant of a [`CkptService`].
+/// Identifies one tenant of a chunk space.
 pub type TenantId = u64;
 
 /// Configuration of a [`CkptService`].
@@ -40,8 +33,6 @@ pub struct ServiceConfig {
     /// pool counts as saturated and submissions are rejected with
     /// [`AdmissionError::PoolSaturated`].
     pub max_in_flight_total: usize,
-    /// Quota applied to tenants registered without an explicit one.
-    pub default_quota: TenantQuota,
     /// When set, attach a tempdir-rooted cold tier and demote least-recently-
     /// referenced chunks whenever the in-memory hot set exceeds this many bytes.
     pub hot_bytes_target: Option<usize>,
@@ -52,7 +43,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             flusher_workers: 0,
             max_in_flight_total: 64,
-            default_quota: TenantQuota::default(),
             hot_bytes_target: None,
         }
     }
@@ -123,7 +113,7 @@ impl std::fmt::Debug for RejectedSubmission {
     }
 }
 
-/// Per-tenant accounting, as reported by [`ServiceHandle::stats`].
+/// Per-tenant accounting, as reported by [`CheckpointStorage::tenant_stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// The tenant's id.
@@ -177,10 +167,6 @@ impl TenantStats {
 pub struct ServiceStats {
     /// Per-tenant accounting, in registration order.
     pub tenants: Vec<TenantStats>,
-    /// Logical bytes across every tenant's landed writes.
-    pub(crate) total_logical_bytes: u64,
-    /// Physical bytes across every tenant's landed writes.
-    pub(crate) total_physical_bytes: u64,
     /// Async submissions currently in flight across all tenants.
     pub in_flight: usize,
     /// Occupancy of the shared chunk space (per-shard breakdown included).
@@ -192,10 +178,10 @@ impl ServiceStats {
     /// exceeds what any tenant achieves alone, which is the cross-job dedup the
     /// service exists for.
     pub fn dedup_ratio(&self) -> f64 {
-        if self.total_physical_bytes == 0 {
-            f64::INFINITY
-        } else {
-            self.total_logical_bytes as f64 / self.total_physical_bytes as f64
+        let total = |bytes: fn(&TenantStats) -> u64| self.tenants.iter().map(bytes).sum::<u64>();
+        match total(|t| t.physical_bytes_written) {
+            0 => f64::INFINITY,
+            physical => total(|t| t.logical_bytes_written) as f64 / physical as f64,
         }
     }
 }
@@ -206,7 +192,6 @@ impl ServiceStats {
 /// logical bytes.
 #[derive(Default)]
 struct TenantState {
-    quota: TenantQuota,
     in_flight: usize,
     logical_bytes_written: u64,
     physical_bytes_written: u64,
@@ -219,97 +204,35 @@ struct TenantState {
     sync_fallbacks: u64,
 }
 
-impl TenantState {
-    fn account(&mut self, report: &StoreReport) {
-        self.logical_bytes_written += report.logical_bytes as u64;
-        self.physical_bytes_written += report.written_bytes as u64;
-        self.chunks_new += report.chunks_new as u64;
-        self.chunks_reused += report.chunks_reused as u64;
-    }
-}
-
-/// One registered tenant: its storage view plus its own lock and idle condvar.
-struct TenantEntry {
+/// The tenant a view's catalog carries: who writes the view, under which quota,
+/// and what its writes and submissions have cost so far.
+pub(crate) struct Tenant {
     id: TenantId,
     name: String,
-    view: CheckpointStorage,
+    quota: TenantQuota,
     state: Mutex<TenantState>,
     /// Signalled whenever the tenant's in-flight count drops; `wait_idle` waits here.
-    idle_cv: Condvar,
+    idle: Condvar,
 }
 
-/// The service's accounting: what a flush callback holds. It does not own the
-/// flusher pool, so a callback that drops the last reference to it never joins
-/// the worker it runs on.
-struct ServiceInner {
-    base: CheckpointStorage,
-    config: ServiceConfig,
-    tenants: Mutex<BTreeMap<TenantId, Arc<TenantEntry>>>,
-    next_tenant: AtomicU64,
-    in_flight_total: AtomicUsize,
-    /// At most one spill pass runs at a time; concurrent triggers are dropped (the
-    /// running pass already drives the hot set to target).
-    spilling: AtomicBool,
-}
-
-impl ServiceInner {
-    /// Account one landed write — `sync_fallback` when it is a rejected
-    /// submission written synchronously — then enforce the quota and the hot-set
-    /// target.
-    fn note_landed(&self, entry: &TenantEntry, report: &StoreReport, sync_fallback: bool) {
-        {
-            let mut state = entry.state.lock();
-            state.account(report);
-            if sync_fallback {
-                state.sync_fallbacks += 1;
-            }
+impl Tenant {
+    pub(crate) fn new(id: TenantId, name: &str, quota: TenantQuota) -> Tenant {
+        Tenant {
+            id,
+            name: name.to_string(),
+            quota,
+            state: Mutex::default(),
+            idle: Condvar::new(),
         }
-        self.enforce_quota(entry);
-        self.maybe_spill();
     }
 
-    /// Reclaim one tenant's oldest generations down to its quota. Only this
-    /// tenant's generations are candidates; the chunk sweep frees only chunks no
-    /// tenant references any more (reference counts are shared across the whole
-    /// chunk space).
-    fn enforce_quota(&self, entry: &TenantEntry) {
-        let committed = entry.view.committed_sizes();
-        let quota = entry.state.lock().quota;
-        let Some(cutoff) = reclaim_cutoff(&quota, &committed) else {
-            return;
-        };
-        let report = entry.view.prune_before(cutoff);
-        let mut state = entry.state.lock();
-        state.reclaimed_generations += report.pruned.len() as u64;
-        state.reclaimed_physical_bytes += report.freed_bytes as u64;
-        state.reclaimed_logical_bytes += report.logical_freed_bytes as u64;
-    }
-
-    /// Demote cold chunks if the hot set outgrew its target (single-flight).
-    fn maybe_spill(&self) {
-        let Some(target) = self.config.hot_bytes_target else {
-            return;
-        };
-        if self.base.hot_bytes() <= target {
-            return;
-        }
-        if self
-            .spilling
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.base.spill_over(target);
-        self.spilling.store(false, Ordering::Release);
-    }
-
-    fn tenant_stats(&self, entry: &TenantEntry) -> TenantStats {
-        let committed = entry.view.committed_sizes();
-        let state = entry.state.lock();
+    /// The tenant's accounting, given its view's committed generations and their
+    /// logical sizes.
+    pub(crate) fn stats(&self, committed: &[(u64, u64)]) -> TenantStats {
+        let state = self.state.lock();
         TenantStats {
-            tenant: entry.id,
-            name: entry.name.clone(),
+            tenant: self.id,
+            name: self.name.clone(),
             logical_bytes_written: state.logical_bytes_written,
             physical_bytes_written: state.physical_bytes_written,
             chunks_new: state.chunks_new,
@@ -326,22 +249,239 @@ impl ServiceInner {
     }
 }
 
-/// The shared checkpoint service. Cheap to clone (all clones are the same service);
-/// jobs register as tenants via [`CkptService::register_tenant`] and interact
-/// through the returned [`ServiceHandle`].
-#[derive(Clone)]
-pub struct CkptService {
-    inner: Arc<ServiceInner>,
-    flusher: Arc<FlusherPool>,
+/// What every view of one chunk space shares beside its tier state: the flusher
+/// pool, admission's space-wide cap, the hot-set target and the tenant registry.
+pub(crate) struct Space {
+    pool: FlusherPool,
+    max_in_flight_total: usize,
+    in_flight_total: AtomicUsize,
+    hot_bytes_target: Option<usize>,
+    /// At most one spill pass runs at a time; concurrent triggers are dropped (the
+    /// running pass already drives the hot set to target).
+    spilling: AtomicBool,
+    /// The views [`CheckpointStorage::tenant_view`] added, in order: what
+    /// [`CkptService::stats`] reports.
+    tenants: Mutex<Vec<Arc<View>>>,
 }
 
-impl std::fmt::Debug for CkptService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CkptService")
-            .field("tenants", &self.inner.tenants.lock().len())
-            .field("in_flight", &self.in_flight())
-            .finish()
+impl Space {
+    pub(crate) fn new(config: &ServiceConfig) -> Space {
+        let workers = match config.flusher_workers {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(4),
+            workers => workers,
+        };
+        Space {
+            pool: FlusherPool::new(workers),
+            max_in_flight_total: config.max_in_flight_total,
+            in_flight_total: AtomicUsize::new(0),
+            hot_bytes_target: config.hot_bytes_target,
+            spilling: AtomicBool::new(false),
+            tenants: Mutex::default(),
+        }
     }
+
+    /// A view carrying a new tenant of this space, entered in the registry. Ids
+    /// count from 1: the space's first tenant is 0.
+    pub(crate) fn register(&self, name: &str, quota: TenantQuota) -> Arc<View> {
+        let mut tenants = self.tenants.lock();
+        let id = tenants.len() as TenantId + 1;
+        let view = Arc::new(View::new(Tenant::new(id, name, quota)));
+        tenants.push(Arc::clone(&view));
+        view
+    }
+}
+
+/// The tenancy of a view: admission, metering and the tenant's accounting.
+impl CheckpointStorage {
+    /// Start the space's flusher pool on the calling thread, if it has not started
+    /// yet (see [`FlusherPool::start`]): what a job that is about to flush does
+    /// before its rank threads submit.
+    pub fn start_pool(&self) {
+        self.space.pool.start();
+    }
+
+    /// Submit one rank's frozen image for background writing into this view through
+    /// the space's pool, with a completion callback (runs on the worker thread after
+    /// the write lands and is metered, and before the tenant's in-flight slot is
+    /// released).
+    ///
+    /// Admission control applies: when the space's pool carries its in-flight cap or
+    /// this tenant is out of in-flight budget, the submission is rejected with a
+    /// typed, retryable error and the image is handed back — the caller decides
+    /// whether to retry or write synchronously (see
+    /// [`write_sync_fallback`](CheckpointStorage::write_sync_fallback)); the
+    /// checkpoint itself must never be skipped.
+    pub fn submit_with(
+        &self,
+        policy: StoragePolicy,
+        image: CheckpointImage,
+        on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
+    ) -> Result<FlushHandle, RejectedSubmission> {
+        let tenant = &self.view.tenant;
+        let mut state = tenant.state.lock();
+        let in_flight = self.space.in_flight_total.load(Ordering::Relaxed);
+        let (limit, budget) = (self.space.max_in_flight_total, tenant.quota.max_in_flight);
+        let error = if in_flight >= limit {
+            AdmissionError::PoolSaturated { in_flight, limit }
+        } else if state.in_flight >= budget {
+            AdmissionError::TenantBudgetExhausted {
+                tenant: tenant.id,
+                in_flight: state.in_flight,
+                budget,
+            }
+        } else {
+            state.in_flight += 1;
+            self.space.in_flight_total.fetch_add(1, Ordering::Relaxed);
+            drop(state);
+            let admitted = Admitted(self.clone());
+            return Ok(self
+                .space
+                .pool
+                .submit_to(self, policy, image, move |report| {
+                    on_flushed(report);
+                    drop(admitted);
+                }));
+        };
+        state.rejected_submissions += 1;
+        let image = Box::new(image);
+        Err(RejectedSubmission { error, image })
+    }
+
+    /// [`submit_with`](CheckpointStorage::submit_with) without a callback.
+    pub fn submit(
+        &self,
+        policy: StoragePolicy,
+        image: CheckpointImage,
+    ) -> Result<FlushHandle, RejectedSubmission> {
+        self.submit_with(policy, image, |_| {})
+    }
+
+    /// Write a rejected submission's image synchronously into this view — the
+    /// admission-control fallback. Metered like any write, and counted in
+    /// [`TenantStats::sync_fallbacks`]; the write lands in the pending generation as
+    /// the flusher worker's would have.
+    pub fn write_sync_fallback(
+        &self,
+        policy: StoragePolicy,
+        image: &CheckpointImage,
+    ) -> StoreReport {
+        let report = self.write_image(policy, image);
+        self.view.tenant.state.lock().sync_fallbacks += 1;
+        report
+    }
+
+    /// Block until **this tenant's** in-flight submissions have landed and their
+    /// callbacks have run. Unlike draining the shared pool, this cannot be starved
+    /// by other tenants' traffic — which is what a restarting job needs before
+    /// aborting its pending generations.
+    pub fn wait_idle(&self) {
+        let tenant = &self.view.tenant;
+        let mut state = tenant.state.lock();
+        while state.in_flight > 0 {
+            tenant.idle.wait(&mut state);
+        }
+    }
+
+    /// Reclaim this tenant's oldest generations down to its quota now (it also runs
+    /// after every landed write). Only this tenant's generations are candidates; the
+    /// chunk sweep frees only chunks no tenant references any more (reference counts
+    /// are shared across the whole chunk space).
+    pub fn enforce_quota(&self) {
+        let tenant = &self.view.tenant;
+        // An unbounded quota has nothing to reclaim: skip the catalog scan.
+        if tenant.quota.max_logical_bytes.is_none() && tenant.quota.max_generations.is_none() {
+            return;
+        }
+        let Some(cutoff) = reclaim_cutoff(&tenant.quota, &self.view.committed_sizes()) else {
+            return;
+        };
+        let report = self.prune_before(cutoff);
+        let mut state = tenant.state.lock();
+        state.reclaimed_generations += report.pruned.len() as u64;
+        state.reclaimed_physical_bytes += report.freed_bytes as u64;
+        state.reclaimed_logical_bytes += report.logical_freed_bytes as u64;
+    }
+
+    /// This tenant's accounting.
+    pub fn tenant_stats(&self) -> TenantStats {
+        self.view.tenant.stats(&self.view.committed_sizes())
+    }
+
+    /// Meter one landed write into this view's tenant, then enforce its quota and
+    /// the space's hot-set target. Runs inside every
+    /// [`write_image`](CheckpointStorage::write_image).
+    pub(crate) fn meter(&self, report: &StoreReport) {
+        {
+            let mut state = self.view.tenant.state.lock();
+            state.logical_bytes_written += report.logical_bytes as u64;
+            state.physical_bytes_written += report.written_bytes as u64;
+            state.chunks_new += report.chunks_new as u64;
+            state.chunks_reused += report.chunks_reused as u64;
+        }
+        self.enforce_quota();
+        self.maybe_spill();
+    }
+
+    /// Demote cold chunks if the hot set outgrew the space's target (single-flight).
+    fn maybe_spill(&self) {
+        let Some(target) = self.space.hot_bytes_target else {
+            return;
+        };
+        if self.hot_bytes() <= target {
+            return;
+        }
+        if self
+            .space
+            .spilling
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
+        }
+        self.spill_over(target);
+        self.space.spilling.store(false, Ordering::Release);
+    }
+
+    /// Space-wide accounting: the registered tenants' stats plus shared-space
+    /// occupancy.
+    pub(crate) fn space_stats(&self) -> ServiceStats {
+        let views: Vec<Arc<View>> = self.space.tenants.lock().clone();
+        let tenants: Vec<TenantStats> = views
+            .iter()
+            .map(|view| view.tenant.stats(&view.committed_sizes()))
+            .collect();
+        ServiceStats {
+            in_flight: self.space.in_flight_total.load(Ordering::Relaxed),
+            storage: self.stats(),
+            tenants,
+        }
+    }
+}
+
+/// One admitted submission's in-flight slot, carried by its flush callback and
+/// released when that is dropped: after the submitter's callback has run, or while
+/// unwinding from a write or callback that panicked.
+struct Admitted(CheckpointStorage);
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        let tenant = &self.0.view.tenant;
+        let mut state = tenant.state.lock();
+        state.in_flight = state.in_flight.saturating_sub(1);
+        self.0.space.in_flight_total.fetch_sub(1, Ordering::Relaxed);
+        tenant.idle.notify_all();
+    }
+}
+
+/// A checkpoint service: a chunk space built from a [`ServiceConfig`], whose jobs
+/// register as tenants. A shell over the space's first view, kept for the repo
+/// benchmark and the tests; cloning shares the space.
+#[derive(Clone, Debug)]
+pub struct CkptService {
+    storage: CheckpointStorage,
 }
 
 impl CkptService {
@@ -356,269 +496,74 @@ impl CkptService {
     }
 
     /// A service over a caller-built chunk space (cold tier, shard count and chunk
-    /// size included). The storage must not be shared elsewhere: tenants are views
-    /// of it.
-    pub fn with_storage(config: ServiceConfig, storage: CheckpointStorage) -> Self {
-        let workers = match config.flusher_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(4),
-            workers => workers,
-        };
-        CkptService {
-            flusher: Arc::new(FlusherPool::new(workers)),
-            inner: Arc::new(ServiceInner {
-                base: storage,
-                config,
-                tenants: Mutex::new(BTreeMap::new()),
-                next_tenant: AtomicU64::new(0),
-                in_flight_total: AtomicUsize::new(0),
-                spilling: AtomicBool::new(false),
-            }),
-        }
+    /// size included), whose space it rebuilds under `config` before it is shared.
+    pub fn with_storage(config: ServiceConfig, mut storage: CheckpointStorage) -> Self {
+        storage.space = Arc::new(Space::new(&config));
+        CkptService { storage }
     }
 
-    /// Register a tenant under the service's default quota.
+    /// Register a tenant under the default quota.
     pub fn register_tenant(&self, name: &str) -> ServiceHandle {
-        self.register_tenant_with(name, self.inner.config.default_quota)
+        self.register_tenant_with(name, TenantQuota::default())
     }
 
-    /// Register a tenant with an explicit quota. The shared flusher pool starts
+    /// Register a tenant with an explicit quota. The space's flusher pool starts
     /// here, on the registering thread, if it has not yet: the first submission
     /// comes from a rank thread, whose core binding the workers would inherit.
     pub fn register_tenant_with(&self, name: &str, quota: TenantQuota) -> ServiceHandle {
-        self.flusher.start();
-        self.register(name, quota, self.inner.base.tenant_view())
-    }
-
-    /// A private service whose one tenant writes `storage`'s own catalog rather
-    /// than a view of it: how a job without a shared service checkpoints. The
-    /// tenant has no quota and no in-flight budget of its own, so only the
-    /// service-wide cap of [`ServiceConfig::default`] admits its submissions. The
-    /// service is never started: it spawns no flusher thread until the tenant's
-    /// first asynchronous submission.
-    pub fn sole_tenant(storage: CheckpointStorage) -> ServiceHandle {
-        let service = CkptService::with_storage(ServiceConfig::default(), storage.clone());
-        service.register(
-            "job",
-            TenantQuota::default().with_max_in_flight(usize::MAX),
-            storage,
-        )
-    }
-
-    fn register(&self, name: &str, quota: TenantQuota, view: CheckpointStorage) -> ServiceHandle {
-        let id = self.inner.next_tenant.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(TenantEntry {
-            id,
-            name: name.to_string(),
-            view,
-            state: Mutex::new(TenantState {
-                quota,
-                ..TenantState::default()
-            }),
-            idle_cv: Condvar::new(),
-        });
-        self.inner.tenants.lock().insert(id, Arc::clone(&entry));
+        self.storage.start_pool();
         ServiceHandle {
-            inner: Arc::clone(&self.inner),
-            flusher: Arc::clone(&self.flusher),
-            entry,
+            storage: self.storage.add_tenant(name, quota),
         }
     }
 
     /// The shared chunk space (useful for occupancy inspection and explicit
     /// [`spill_over`](CheckpointStorage::spill_over) in tests and benches).
     pub fn storage(&self) -> &CheckpointStorage {
-        &self.inner.base
-    }
-
-    /// Async submissions currently in flight across all tenants.
-    pub fn in_flight(&self) -> usize {
-        self.inner.in_flight_total.load(Ordering::Relaxed)
+        &self.storage
     }
 
     /// Service-wide accounting: per-tenant stats plus shared-space occupancy.
     pub fn stats(&self) -> ServiceStats {
-        let entries: Vec<Arc<TenantEntry>> = self.inner.tenants.lock().values().cloned().collect();
-        let tenants: Vec<TenantStats> = entries
-            .iter()
-            .map(|entry| self.inner.tenant_stats(entry))
-            .collect();
-        ServiceStats {
-            total_logical_bytes: tenants.iter().map(|t| t.logical_bytes_written).sum(),
-            total_physical_bytes: tenants.iter().map(|t| t.physical_bytes_written).sum(),
-            in_flight: self.in_flight(),
-            storage: self.inner.base.stats(),
-            tenants,
-        }
+        self.storage.space_stats()
     }
 }
 
-/// One tenant's handle on the shared service: submit checkpoints (with admission
-/// control), fall back synchronously, wait for the tenant's own flushes, and read
-/// the tenant's accounting. Cloning shares the registration.
-#[derive(Clone)]
+/// One tenant's view, as [`CkptService::register_tenant`] returns it. A shell kept
+/// for the repo benchmark and the tests; cloning shares the view.
+#[derive(Clone, Debug)]
 pub struct ServiceHandle {
-    inner: Arc<ServiceInner>,
-    flusher: Arc<FlusherPool>,
-    entry: Arc<TenantEntry>,
-}
-
-impl std::fmt::Debug for ServiceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceHandle")
-            .field("tenant", &self.entry.id)
-            .field("name", &self.entry.name)
-            .finish()
-    }
+    storage: CheckpointStorage,
 }
 
 impl ServiceHandle {
-    /// This tenant's storage view: its own generations/manifests namespace over the
-    /// shared chunk space. `JobRuntime` jobs attached to the service checkpoint into
-    /// (and restart from) exactly this view.
+    /// This tenant's view: its own generations/manifests namespace over the shared
+    /// chunk space, and the tenant itself.
     pub fn storage(&self) -> &CheckpointStorage {
-        &self.entry.view
+        &self.storage
     }
 
-    /// Start the shared flusher pool on the calling thread, if it has not started
-    /// yet (see [`FlusherPool::start`]): what a job that is about to flush does
-    /// before its rank threads submit.
-    pub fn start_pool(&self) {
-        self.flusher.start();
-    }
-
-    /// This tenant's quota.
-    pub fn quota(&self) -> TenantQuota {
-        self.entry.state.lock().quota
-    }
-
-    /// Submit one rank's frozen image for background writing through the shared
-    /// pool, with a completion callback (runs on the worker thread after the write
-    /// lands and is accounted, and before the tenant's in-flight slot is released).
-    /// The callback must not hold a handle on this service: it is dropped on the
-    /// worker thread, and dropping the last handle joins the workers.
-    ///
-    /// Admission control applies: when the shared pool is saturated or this tenant
-    /// is out of in-flight budget, the submission is rejected with a typed,
-    /// retryable error and the image is handed back — the caller decides whether to
-    /// retry or write synchronously (see
-    /// [`write_sync_fallback`](ServiceHandle::write_sync_fallback)); the checkpoint
-    /// itself must never be skipped.
+    /// See [`CheckpointStorage::submit_with`].
     pub fn submit_with(
         &self,
         policy: StoragePolicy,
         image: CheckpointImage,
         on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
     ) -> Result<FlushHandle, RejectedSubmission> {
-        let limit = self.inner.config.max_in_flight_total;
-        {
-            let mut state = self.entry.state.lock();
-            let total = self.inner.in_flight_total.load(Ordering::Relaxed);
-            if total >= limit {
-                state.rejected_submissions += 1;
-                return Err(RejectedSubmission {
-                    error: AdmissionError::PoolSaturated {
-                        in_flight: total,
-                        limit,
-                    },
-                    image: Box::new(image),
-                });
-            }
-            if state.in_flight >= state.quota.max_in_flight {
-                state.rejected_submissions += 1;
-                return Err(RejectedSubmission {
-                    error: AdmissionError::TenantBudgetExhausted {
-                        tenant: self.entry.id,
-                        in_flight: state.in_flight,
-                        budget: state.quota.max_in_flight,
-                    },
-                    image: Box::new(image),
-                });
-            }
-            state.in_flight += 1;
-            self.inner.in_flight_total.fetch_add(1, Ordering::Relaxed);
-        }
-        let admitted = Admitted {
-            inner: Arc::clone(&self.inner),
-            entry: Arc::clone(&self.entry),
-        };
-        Ok(self
-            .flusher
-            .submit_to(&self.entry.view, policy, image, move |report| {
-                admitted.inner.note_landed(&admitted.entry, report, false);
-                on_flushed(report);
-            }))
+        self.storage.submit_with(policy, image, on_flushed)
     }
 
-    /// [`submit_with`](ServiceHandle::submit_with) without a callback.
-    pub fn submit(
-        &self,
-        policy: StoragePolicy,
-        image: CheckpointImage,
-    ) -> Result<FlushHandle, RejectedSubmission> {
-        self.submit_with(policy, image, |_| {})
-    }
-
-    /// Write a rejected submission's image synchronously into the tenant's view —
-    /// the admission-control fallback. Counted in
-    /// [`TenantStats::sync_fallbacks`]; quota enforcement and spill checks run
-    /// exactly as for a landed async write, and the write lands in the pending
-    /// generation as the flusher worker's would have.
+    /// See [`CheckpointStorage::write_sync_fallback`].
     pub fn write_sync_fallback(
         &self,
         policy: StoragePolicy,
         image: &CheckpointImage,
     ) -> StoreReport {
-        let report = self.entry.view.write_image(policy, image);
-        self.inner.note_landed(&self.entry, &report, true);
-        report
+        self.storage.write_sync_fallback(policy, image)
     }
 
-    /// Account a write the job performed directly against
-    /// [`storage`](ServiceHandle::storage) (the synchronous orchestrator path
-    /// writes into the view itself and reports here afterwards). Quota enforcement
-    /// and spill checks run on the spot.
-    pub fn note_external_write(&self, report: &StoreReport) {
-        self.inner.note_landed(&self.entry, report, false);
-    }
-
-    /// Block until **this tenant's** in-flight submissions have landed and their
-    /// callbacks have run. Unlike draining the shared pool, this cannot be starved
-    /// by other tenants' traffic — which is what a restarting job needs before
-    /// aborting its pending generations.
-    pub fn wait_idle(&self) {
-        let mut state = self.entry.state.lock();
-        while state.in_flight > 0 {
-            self.entry.idle_cv.wait(&mut state);
-        }
-    }
-
-    /// Run quota enforcement now (it also runs after every landed write).
-    pub fn enforce_quota(&self) {
-        self.inner.enforce_quota(&self.entry);
-    }
-
-    /// This tenant's accounting.
+    /// See [`CheckpointStorage::tenant_stats`].
     pub fn stats(&self) -> TenantStats {
-        self.inner.tenant_stats(&self.entry)
-    }
-}
-
-/// One admitted submission's in-flight slot, carried by its flush callback and
-/// released when that is dropped: after the submitter's callback has run, or while
-/// unwinding from a write or callback that panicked.
-struct Admitted {
-    inner: Arc<ServiceInner>,
-    entry: Arc<TenantEntry>,
-}
-
-impl Drop for Admitted {
-    fn drop(&mut self) {
-        let mut state = self.entry.state.lock();
-        state.in_flight = state.in_flight.saturating_sub(1);
-        self.inner.in_flight_total.fetch_sub(1, Ordering::Relaxed);
-        self.entry.idle_cv.notify_all();
+        self.storage.tenant_stats()
     }
 }

@@ -3,7 +3,9 @@
 
 use crate::chunk::{for_each_chunk, ChunkRef, DEFAULT_CHUNK_SIZE};
 use crate::codec::{decode_chunk_onto, lz_compress, Digest, StorageConfig, StoredForm};
+use crate::gc::TenantQuota;
 use crate::manifest::{Manifest, RegionManifest};
+use crate::service::{ServiceConfig, Space, Tenant};
 use crate::tier::ColdTier;
 use crate::StoragePolicy;
 use mpi_model::error::{MpiError, MpiResult};
@@ -338,6 +340,46 @@ impl Catalog {
     }
 }
 
+/// One catalog namespace over a chunk space — its slots and pending rounds — and
+/// the tenant that writes it. [`CheckpointStorage::tenant_view`] makes a new one;
+/// clones of a storage share theirs.
+pub(crate) struct View {
+    catalog: Mutex<Catalog>,
+    /// Generations announced but not yet fully flushed. Never locked while a shard
+    /// lock is held; where both are needed, the catalog is locked first (a commit
+    /// and its resume record move together under both).
+    pending: Mutex<BTreeMap<u64, PendingGeneration>>,
+    pub(crate) tenant: Tenant,
+}
+
+impl View {
+    pub(crate) fn new(tenant: Tenant) -> View {
+        View {
+            catalog: Mutex::default(),
+            pending: Mutex::default(),
+            tenant,
+        }
+    }
+
+    /// Every committed generation, ascending, with the logical bytes its slots
+    /// record, summed over its ranks: what quota GC and tenant accounting count.
+    pub(crate) fn committed_sizes(&self) -> Vec<(u64, u64)> {
+        let catalog = self.catalog.lock();
+        let pending = self.pending.lock();
+        let mut sizes: Vec<(u64, u64)> = Vec::new();
+        for (&(generation, _), slot) in &catalog.slots {
+            if pending.contains_key(&generation) {
+                continue;
+            }
+            match sizes.last_mut() {
+                Some((last, bytes)) if *last == generation => *bytes += slot.logical_bytes,
+                _ => sizes.push((generation, slot.logical_bytes)),
+            }
+        }
+        sizes
+    }
+}
+
 /// One generation announced as in flight: which ranks' images have landed so far,
 /// out of how many the commit needs.
 struct PendingGeneration {
@@ -367,17 +409,19 @@ struct PendingGeneration {
 /// [`latest_valid_images`](CheckpointStorage::latest_valid_images) until every rank's
 /// image has landed, and the write that lands last commits it. A write into a
 /// generation never announced (a standalone checkpoint) is visible immediately.
+///
+/// Each view is a tenant of its chunk space: every write meters itself into it.
 #[derive(Clone)]
 pub struct CheckpointStorage {
     shards: Arc<Vec<Mutex<ChunkShard>>>,
-    catalog: Arc<Mutex<Catalog>>,
-    /// Generations announced but not yet fully flushed. Never locked while a shard
-    /// lock is held; where both are needed, the catalog is locked first (a commit
-    /// and its resume record move together under both).
-    pending: Arc<Mutex<BTreeMap<u64, PendingGeneration>>>,
+    /// This view's catalog namespace and its tenant.
+    pub(crate) view: Arc<View>,
     /// Cold tier + LRU clock + occupancy counters, shared by every clone and every
     /// tenant view of this chunk space.
     tier: Arc<TierState>,
+    /// The flusher pool, admission cap, hot-set target and tenant registry, shared
+    /// like the tier state.
+    pub(crate) space: Arc<Space>,
     chunk_size: usize,
 }
 
@@ -399,13 +443,19 @@ impl std::fmt::Debug for CheckpointStorage {
 }
 
 impl CheckpointStorage {
-    /// An empty engine with the default chunk size and shard count.
+    /// An empty engine with the default chunk size and shard count: a chunk space
+    /// under [`ServiceConfig::default`] plus its first tenant, which has no quota
+    /// and no in-flight budget of its own.
     pub fn unmetered() -> Self {
         CheckpointStorage {
             shards: Arc::new((0..DEFAULT_SHARD_COUNT).map(|_| Mutex::default()).collect()),
-            catalog: Arc::new(Mutex::new(Catalog::default())),
-            pending: Arc::new(Mutex::new(BTreeMap::new())),
+            view: Arc::new(View::new(Tenant::new(
+                0,
+                "job",
+                TenantQuota::default().with_max_in_flight(usize::MAX),
+            ))),
             tier: Arc::new(TierState::default()),
+            space: Arc::new(Space::new(&ServiceConfig::default())),
             chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
@@ -445,11 +495,13 @@ impl CheckpointStorage {
         self
     }
 
-    /// A new catalog namespace over the **same** content-addressed chunk space.
+    /// A new catalog namespace over the **same** content-addressed chunk space, and
+    /// a new tenant of the space under the default quota.
     ///
-    /// The view shares the chunk shards (and their reference counts), the cold tier
-    /// and the LRU clock with `self`, but has a fresh, empty catalog and pending
-    /// table. This is the tenancy primitive of the multi-tenant checkpoint service:
+    /// The view shares the chunk shards (and their reference counts), the cold tier,
+    /// the LRU clock and the space (pool, admission cap, tenant registry) with
+    /// `self`, but has a fresh, empty catalog and pending table, and its own tenant.
+    /// This is the tenancy primitive of the multi-tenant checkpoint service:
     /// every tenant writes generations and manifests into its own namespace —
     /// `generations`, `read`, `prune_before`, `latest_valid_images` are all
     /// per-tenant — while identical chunks written by different tenants are
@@ -459,11 +511,16 @@ impl CheckpointStorage {
     /// Configure the store (`with_shards`, `with_chunk_size`, `with_cold_tier`)
     /// **before** creating views; views snapshot the configuration.
     pub fn tenant_view(&self) -> CheckpointStorage {
+        self.add_tenant("tenant", TenantQuota::default())
+    }
+
+    /// [`tenant_view`](CheckpointStorage::tenant_view) with a name and a quota.
+    pub(crate) fn add_tenant(&self, name: &str, quota: TenantQuota) -> CheckpointStorage {
         CheckpointStorage {
             shards: Arc::clone(&self.shards),
-            catalog: Arc::new(Mutex::new(Catalog::default())),
-            pending: Arc::new(Mutex::new(BTreeMap::new())),
+            view: self.space.register(name, quota),
             tier: Arc::clone(&self.tier),
+            space: Arc::clone(&self.space),
             chunk_size: self.chunk_size,
         }
     }
@@ -587,7 +644,7 @@ impl CheckpointStorage {
     /// release, so its chunks leak until the store is dropped.
     fn release_slot(&self, generation: u64, rank: Rank) -> usize {
         let slot = {
-            let mut catalog = self.catalog.lock();
+            let mut catalog = self.view.catalog.lock();
             let slot = catalog.slots.remove(&(generation, rank));
             if slot.is_some() {
                 catalog.resume.remove(&generation);
@@ -629,7 +686,8 @@ impl CheckpointStorage {
     /// [`abort_pending`](CheckpointStorage::abort_pending), once no write of the
     /// dead incarnation can still land.
     pub fn begin_generation(&self, generation: u64, expected_ranks: usize) {
-        self.pending
+        self.view
+            .pending
             .lock()
             .entry(generation)
             .or_insert_with(|| PendingGeneration {
@@ -647,7 +705,7 @@ impl CheckpointStorage {
     /// the critical section that commits the generation. A no-op unless the
     /// generation is pending and not aborted.
     pub fn note_resume_step(&self, generation: u64, step: u64) {
-        let mut pending = self.pending.lock();
+        let mut pending = self.view.pending.lock();
         if let Some(entry) = pending.get_mut(&generation).filter(|entry| !entry.aborted) {
             entry.resume = Some(entry.resume.map_or(step, |folded| folded.min(step)));
         }
@@ -658,7 +716,7 @@ impl CheckpointStorage {
     /// pending, aborted, pruned or dropped generation, and for one written outside a
     /// step-driven run.
     pub fn resume_step(&self, generation: u64) -> Option<u64> {
-        self.catalog.lock().resume.get(&generation).copied()
+        self.view.catalog.lock().resume.get(&generation).copied()
     }
 
     /// Does nothing: a rank's [`write_image`](CheckpointStorage::write_image)
@@ -679,7 +737,7 @@ impl CheckpointStorage {
         let pending = self.pending_generations();
         for &generation in &pending {
             self.abort_generation(generation);
-            self.pending.lock().remove(&generation);
+            self.view.pending.lock().remove(&generation);
         }
         pending
     }
@@ -693,7 +751,7 @@ impl CheckpointStorage {
     /// after it. Returns the number of `(generation, rank)` slots released here.
     pub fn abort_generation(&self, generation: u64) -> usize {
         {
-            let mut pending = self.pending.lock();
+            let mut pending = self.view.pending.lock();
             // Only a *pending* round can be aborted: a generation that already
             // committed (or was never announced) is left alone, so an abort racing
             // a completed round cannot destroy a valid restart point.
@@ -711,12 +769,12 @@ impl CheckpointStorage {
 
     /// Whether `generation` is announced but not yet committed.
     pub fn is_pending(&self, generation: u64) -> bool {
-        self.pending.lock().contains_key(&generation)
+        self.view.pending.lock().contains_key(&generation)
     }
 
     /// Generations currently pending (announced, not yet fully flushed), ascending.
     pub fn pending_generations(&self) -> Vec<u64> {
-        self.pending.lock().keys().copied().collect()
+        self.view.pending.lock().keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -731,7 +789,9 @@ impl CheckpointStorage {
     /// pending generation (see [`begin_generation`](CheckpointStorage::begin_generation)):
     /// the landing that completes the round's rank set commits the generation with
     /// its resume record, and a landing on an aborted round is never recorded (the
-    /// references the write took are dropped again).
+    /// references the write took are dropped again). Then the write meters itself
+    /// into this view's tenant, whatever route called it, and runs the tenant's
+    /// quota GC and the space's spill check.
     pub fn write_image(&self, policy: StoragePolicy, image: &CheckpointImage) -> StoreReport {
         let generation = image.metadata.generation;
         let rank = image.metadata.rank;
@@ -756,6 +816,7 @@ impl CheckpointStorage {
         // or the replaced manifest's chunk references leak forever.
         self.release_slot(generation, rank);
         self.write_chunked(policy, image, &mut report);
+        self.meter(&report);
         report
     }
 
@@ -778,7 +839,7 @@ impl CheckpointStorage {
         // hashes every region it cannot prove so. Copied out under the catalog lock,
         // decoded outside it.
         let previous = {
-            let catalog = self.catalog.lock();
+            let catalog = self.view.catalog.lock();
             catalog
                 .slots
                 .range(..(generation, rank))
@@ -937,8 +998,8 @@ impl CheckpointStorage {
         let encoded = manifest.encode();
         report.manifest_bytes = encoded.len();
         report.written_bytes += encoded.len();
-        let mut catalog = self.catalog.lock();
-        if catalog.land(&mut self.pending.lock(), generation, rank) {
+        let mut catalog = self.view.catalog.lock();
+        if catalog.land(&mut self.view.pending.lock(), generation, rank) {
             let logical_bytes = report.logical_bytes as u64;
             let slot = Slot {
                 manifest: encoded,
@@ -994,7 +1055,8 @@ impl CheckpointStorage {
         // with the catalog unlocked.
         let mut manifests: BTreeMap<Rank, Vec<u8>> = {
             let span = ranks.clone().unwrap_or(0..Rank::MAX);
-            self.catalog
+            self.view
+                .catalog
                 .lock()
                 .slots
                 .range((generation, span.start)..(generation, span.end))
@@ -1262,13 +1324,18 @@ impl CheckpointStorage {
 
     /// Whether a checkpoint exists (valid or not) for `(generation, rank)`.
     pub fn contains(&self, generation: u64, rank: Rank) -> bool {
-        self.catalog.lock().slots.contains_key(&(generation, rank))
+        self.view
+            .catalog
+            .lock()
+            .slots
+            .contains_key(&(generation, rank))
     }
 
     /// The encoded manifest of `(generation, rank)`, byte for byte as stored (every
     /// read decodes and CRC-checks these bytes), if the slot exists.
     pub fn encoded_manifest(&self, generation: u64, rank: Rank) -> Option<Vec<u8>> {
-        self.catalog
+        self.view
+            .catalog
             .lock()
             .slots
             .get(&(generation, rank))
@@ -1279,8 +1346,8 @@ impl CheckpointStorage {
     /// that is not pending. Walks the catalog's keys from the top without
     /// allocating, so it is cheap enough to poll while a flush is outstanding.
     pub fn newest_committed(&self) -> Option<u64> {
-        let catalog = self.catalog.lock();
-        let pending = self.pending.lock();
+        let catalog = self.view.catalog.lock();
+        let pending = self.view.pending.lock();
         catalog
             .slots
             .keys()
@@ -1294,8 +1361,8 @@ impl CheckpointStorage {
     /// world launched over a store that already holds generations numbers its first
     /// checkpoint here, so it never rewrites one of them.
     pub fn next_generation(&self) -> u64 {
-        let catalog = self.catalog.lock();
-        let pending = self.pending.lock();
+        let catalog = self.view.catalog.lock();
+        let pending = self.view.pending.lock();
         let catalogued = catalog.slots.keys().next_back().map(|&(g, _)| g);
         let announced = pending.keys().next_back().copied();
         catalogued.max(announced).map_or(0, |highest| highest + 1)
@@ -1310,8 +1377,8 @@ impl CheckpointStorage {
     /// [`abort_pending`](CheckpointStorage::abort_pending)'s.
     pub fn drop_generations_after(&self, generation: u64) -> Vec<u64> {
         let slots: Vec<(u64, Rank)> = {
-            let catalog = self.catalog.lock();
-            let pending = self.pending.lock();
+            let catalog = self.view.catalog.lock();
+            let pending = self.view.pending.lock();
             catalog
                 .slots
                 .range((Excluded((generation, Rank::MAX)), Unbounded))
@@ -1331,34 +1398,18 @@ impl CheckpointStorage {
     /// Generations whose asynchronous flush is still pending are excluded — they do
     /// not exist yet as far as readers (and restart fallback) are concerned.
     pub fn generations(&self) -> Vec<u64> {
-        self.committed_sizes()
+        self.view
+            .committed_sizes()
             .into_iter()
             .map(|(generation, _)| generation)
             .collect()
     }
 
-    /// Every committed generation, ascending, with the logical bytes its slots
-    /// record, summed over its ranks: what quota GC and tenant accounting count.
-    pub(crate) fn committed_sizes(&self) -> Vec<(u64, u64)> {
-        let catalog = self.catalog.lock();
-        let pending = self.pending.lock();
-        let mut sizes: Vec<(u64, u64)> = Vec::new();
-        for (&(generation, _), slot) in &catalog.slots {
-            if pending.contains_key(&generation) {
-                continue;
-            }
-            match sizes.last_mut() {
-                Some((last, bytes)) if *last == generation => *bytes += slot.logical_bytes,
-                _ => sizes.push((generation, slot.logical_bytes)),
-            }
-        }
-        sizes
-    }
-
     /// The ranks holding a checkpoint in `generation`, ascending (used by tests that
     /// assert a committed generation is complete for the whole world).
     pub fn ranks_in_generation(&self, generation: u64) -> Vec<Rank> {
-        self.catalog
+        self.view
+            .catalog
             .lock()
             .slots
             .range((generation, Rank::MIN)..=(generation, Rank::MAX))
@@ -1471,7 +1522,7 @@ impl CheckpointStorage {
     pub fn prune_before(&self, keep_from: u64) -> PruneReport {
         let mut report = PruneReport::default();
         let doomed: Vec<(u64, Rank)> = {
-            let catalog = self.catalog.lock();
+            let catalog = self.view.catalog.lock();
             // The pending snapshot is taken *while the catalog is held*: any
             // catalogued slot of an async generation implies `begin_generation`
             // already ran, so a half-flushed generation can never be mistaken for
@@ -1479,7 +1530,7 @@ impl CheckpointStorage {
             // generation that began and landed its first slot in between, stripping
             // protection from the real restart point). Lock order catalog → pending
             // is safe: no other path acquires the catalog while holding pending.
-            let pending: BTreeSet<u64> = self.pending.lock().keys().copied().collect();
+            let pending: BTreeSet<u64> = self.view.pending.lock().keys().copied().collect();
             let all: BTreeSet<u64> = catalog.slots.keys().map(|(g, _)| *g).collect();
             let newest_committed = all.iter().rev().find(|g| !pending.contains(g)).copied();
             let protected = |generation: u64| {
@@ -1636,7 +1687,7 @@ impl CheckpointStorage {
             manifest_count: 0,
             manifest_bytes: 0,
         };
-        let catalog = self.catalog.lock();
+        let catalog = self.view.catalog.lock();
         stats.manifest_count = catalog.slots.len();
         stats.manifest_bytes = catalog.slots.values().map(|slot| slot.manifest.len()).sum();
         stats
@@ -1652,7 +1703,7 @@ impl CheckpointStorage {
     /// has no such private chunk.
     pub fn corrupt_fresh_chunk(&self, generation: u64, rank: Rank) -> MpiResult<()> {
         let (target_bytes, other_bytes) = {
-            let catalog = self.catalog.lock();
+            let catalog = self.view.catalog.lock();
             let target = catalog
                 .slots
                 .get(&(generation, rank))
@@ -1716,7 +1767,7 @@ impl CheckpointStorage {
 
     /// Flip one byte of the stored manifest for `(generation, rank)`.
     pub fn corrupt_manifest(&self, generation: u64, rank: Rank) -> MpiResult<()> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.view.catalog.lock();
         let bytes = &mut catalog
             .slots
             .get_mut(&(generation, rank))

@@ -54,11 +54,10 @@ fn identical_tenants_dedup_across_jobs_and_stay_isolated() {
     // Both tenants run the "same app": identical content per generation.
     for generation in 0..3 {
         for handle in [&first, &second] {
-            let report = handle.storage().write_image(
+            handle.storage().write_image(
                 StoragePolicy::Incremental,
                 &image(1, generation, 0, 1, 96 * 1024),
             );
-            handle.note_external_write(&report);
         }
     }
 
@@ -114,11 +113,10 @@ fn quota_gc_reclaims_only_the_over_quota_tenant() {
     // Distinct content per tenant and generation, so reclaims free real chunks.
     for generation in 0..6 {
         for (seed, handle) in [(10, &capped), (20, &unlimited)] {
-            let report = handle.storage().write_image(
+            handle.storage().write_image(
                 StoragePolicy::Incremental,
                 &image(seed, generation, 0, 1, 32 * 1024),
             );
-            handle.note_external_write(&report);
         }
     }
 
@@ -149,11 +147,10 @@ fn logical_byte_quota_holds_the_newest_generation_sacred() {
         TenantQuota::default().with_max_logical_bytes(40 * 1024),
     );
     for generation in 0..5 {
-        let report = handle.storage().write_image(
+        handle.storage().write_image(
             StoragePolicy::Incremental,
             &image(3, generation, 0, 1, 16 * 1024),
         );
-        handle.note_external_write(&report);
     }
     let stats = handle.stats();
     assert!(
@@ -176,14 +173,13 @@ fn accounting_forgets_generations_pruned_through_the_view() {
     let service = CkptService::new(ServiceConfig::default()).unwrap();
     let tenant = service.register_tenant("pruned-by-hand");
     for generation in 0..8 {
-        let report = tenant.storage().write_image(
+        tenant.storage().write_image(
             StoragePolicy::Incremental,
             &image(5, generation, 0, 1, 4096),
         );
-        tenant.note_external_write(&report);
         tenant.storage().prune_before(generation);
     }
-    tenant.enforce_quota();
+    tenant.storage().enforce_quota();
     let stats = tenant.stats();
     assert_eq!(stats.committed_generations, 1);
     assert_eq!(stats.live_logical_bytes, 4096);
@@ -198,17 +194,15 @@ fn a_rewritten_slot_counts_at_its_new_size_once() {
     let service = CkptService::new(ServiceConfig::default()).unwrap();
     let tenant = service.register_tenant("restarted");
     for rank in 0..2 {
-        let report = tenant
+        tenant
             .storage()
             .write_image(StoragePolicy::Incremental, &image(6, 0, rank, 2, 4096));
-        tenant.note_external_write(&report);
     }
     assert_eq!(tenant.stats().live_logical_bytes, 2 * 4096);
 
-    let report = tenant
+    tenant
         .storage()
         .write_image(StoragePolicy::Incremental, &image(7, 0, 1, 2, 6000));
-    tenant.note_external_write(&report);
     let stats = tenant.stats();
     assert_eq!(stats.committed_generations, 1);
     assert_eq!(stats.live_logical_bytes, 4096 + 6000);
@@ -225,6 +219,7 @@ fn saturated_pool_rejects_with_typed_error_and_returns_the_image() {
     let handle = service.register_tenant("starved");
     let submitted = image(9, 0, 0, 1, 4096);
     let rejected = handle
+        .storage()
         .submit(StoragePolicy::Incremental, submitted)
         .unwrap_err();
     assert_eq!(
@@ -271,10 +266,12 @@ fn tenant_in_flight_budget_rejects_while_other_tenants_proceed() {
 
     // The single worker is busy; the budgeted tenant's first submission queues...
     let queued = budgeted
+        .storage()
         .submit(StoragePolicy::Incremental, image(6, 0, 0, 1, 4096))
         .unwrap();
     // ...and its second exceeds the in-flight budget of 1.
     let rejected = budgeted
+        .storage()
         .submit(StoragePolicy::Incremental, image(6, 1, 0, 1, 4096))
         .unwrap_err();
     assert!(matches!(
@@ -289,9 +286,9 @@ fn tenant_in_flight_budget_rejects_while_other_tenants_proceed() {
     drop(held);
     blocking.wait();
     queued.wait();
-    budgeted.wait_idle();
+    budgeted.storage().wait_idle();
     assert_eq!(budgeted.stats().in_flight, 0);
-    assert_eq!(service.in_flight(), 0);
+    assert_eq!(service.stats().in_flight, 0);
 }
 
 #[test]
@@ -308,6 +305,7 @@ fn rejected_submission_falls_back_to_synchronous_write() {
     // have, so it commits the generation.
     handle.storage().begin_generation(0, 1);
     let rejected = handle
+        .storage()
         .submit(StoragePolicy::Incremental, image(7, 0, 0, 1, 8192))
         .unwrap_err();
     handle.write_sync_fallback(StoragePolicy::Incremental, &rejected.image);
@@ -328,6 +326,7 @@ fn async_submissions_account_and_wait_idle_is_tenant_scoped() {
     for rank in 0..2 {
         flushes.push(
             handle
+                .storage()
                 .submit(StoragePolicy::Incremental, image(8, 0, rank, 2, 16 * 1024))
                 .unwrap(),
         );
@@ -339,17 +338,15 @@ fn async_submissions_account_and_wait_idle_is_tenant_scoped() {
         flush.wait();
         assert!(flush.is_flushed());
     }
-    handle.wait_idle();
+    handle.storage().wait_idle();
     assert_eq!(handle.stats().in_flight, 0);
     assert_eq!(handle.storage().generations(), vec![0]);
     assert_eq!(handle.storage().latest_valid_generation(2).unwrap(), 0);
     assert!(handle.stats().logical_bytes_written > 0);
 }
 
-/// Dropping the last handles on the service while a flush is in flight drains the
-/// pool on the dropping thread: the flush lands and its handle reports it. No flush
-/// callback owns the pool, so no worker is left to join itself when the callback
-/// releases the last reference to the service's accounting.
+/// Dropping the service and its handle while a flush is in flight leaves the flush
+/// to land: the queued flush holds its own view, so the pool lives on until then.
 #[test]
 fn dropping_the_service_mid_flush_lands_the_flush() {
     let service = CkptService::with_storage(
@@ -385,6 +382,45 @@ fn dropping_the_service_mid_flush_lands_the_flush() {
     assert_eq!(view.generations(), vec![0]);
 }
 
+/// Dropping every handle of a storage while its one-worker flush is held in its
+/// callback leaves the queued flush with the last one, so the worker drops the
+/// space, and with it the pool, itself. The pool's drop then detaches the worker
+/// instead of joining it to itself: the flush lands and its handle reports it (a
+/// worker that tried to join itself would poison the handle), and nothing hangs.
+#[test]
+fn dropping_every_handle_mid_flush_detaches_the_worker_that_drops_the_last() {
+    let service = CkptService::new(ServiceConfig {
+        flusher_workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let handle = service.register_tenant("dropped-entirely");
+    handle.storage().begin_generation(0, 1);
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, held) = mpsc::channel::<()>();
+    let flush = handle
+        .submit_with(
+            StoragePolicy::Incremental,
+            image(16, 0, 0, 1, 4096),
+            move |_| {
+                entered_tx.send(()).unwrap();
+                let _ = held.recv();
+            },
+        )
+        .unwrap();
+    entered.recv().unwrap();
+    drop((service, handle));
+    drop(release);
+    // Wait on another thread, so a hang fails the test instead of stalling it.
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || done_tx.send(flush.wait()).unwrap());
+    let report = done
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the flush must land and complete its handle");
+    assert_eq!(report.generation, 0);
+    assert_eq!(report.rank, 0);
+}
+
 #[test]
 fn cold_tier_spill_and_restart_round_trip_bit_identically() {
     let storage = CheckpointStorage::unmetered()
@@ -399,11 +435,10 @@ fn cold_tier_spill_and_restart_round_trip_bit_identically() {
     );
     let handle = service.register_tenant("cold");
     for generation in 0..3 {
-        let report = handle.storage().write_image(
+        handle.storage().write_image(
             StoragePolicy::Incremental,
             &image(11, generation, 0, 1, 128 * 1024),
         );
-        handle.note_external_write(&report);
     }
     // The landed writes exceeded the hot target, so demotion already ran; push the
     // whole space cold to make the round trip unambiguous.
@@ -447,11 +482,10 @@ fn corrupt_cold_chunk_fails_validation_and_restart_falls_back() {
     let service = CkptService::with_storage(ServiceConfig::default(), storage);
     let handle = service.register_tenant("bitrot");
     for generation in 0..2 {
-        let report = handle.storage().write_image(
+        handle.storage().write_image(
             StoragePolicy::Incremental,
             &image(13, generation, 0, 1, 64 * 1024),
         );
-        handle.note_external_write(&report);
     }
     service.storage().spill_over(0);
     // Rot a chunk private to the newest generation *in its spill file*: the CRC

@@ -50,11 +50,10 @@ fn writer(handle: &ServiceHandle, seed: u64, committed_floor: &AtomicU64) {
     for generation in 0..GENERATIONS {
         handle.storage().begin_generation(generation, WORLD);
         for rank in 0..WORLD {
-            let report = handle.storage().write_image(
+            handle.storage().write_image(
                 StoragePolicy::Incremental,
                 &image(seed, generation, rank as i32, 24 * 1024),
             );
-            handle.note_external_write(&report);
         }
         committed_floor.store(1, Ordering::Release);
     }
@@ -120,7 +119,7 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 for handle in &handles {
-                    handle.enforce_quota();
+                    handle.storage().enforce_quota();
                 }
                 std::thread::yield_now();
             }

@@ -5,7 +5,7 @@
 use crate::coordinator::Coordinator;
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use crate::round::{checkpoint_round, MidStepIntercept, Sink};
-use ckpt_store::{CheckpointStorage, CkptService, FlushHandle, ServiceHandle, StoreReport};
+use ckpt_store::{CheckpointStorage, FlushHandle, StoreReport};
 use elastic::{restart_job_from_storage, RemapPolicy, Repartition};
 use mana::{CheckpointIntercept, IntentOutcome, ManaConfig, ManaRank, Session, StoragePolicy};
 use mpi_engine::Backend;
@@ -284,8 +284,8 @@ impl JobConfig {
 #[derive(Clone)]
 pub struct JobCtx {
     coordinator: Arc<Coordinator>,
-    /// The owning [`JobRuntime`]'s tenancy (see its field of the same name).
-    pub(crate) tenancy: ServiceHandle,
+    /// The owning [`JobRuntime`]'s storage (see its field of the same name).
+    storage: CheckpointStorage,
 }
 
 impl JobCtx {
@@ -303,7 +303,7 @@ impl JobCtx {
     /// write. Collective, like [`JobCtx::checkpoint`]. The generation publishes only
     /// when every rank's flush lands.
     ///
-    /// The submission goes through the job's tenancy's admission control; a
+    /// The submission goes through the job's storage's admission control; a
     /// rejection falls back to a synchronous write on this thread (the checkpoint
     /// is never skipped) and the returned handle is already complete.
     pub fn checkpoint_async(&self, session: &mut Session) -> MpiResult<FlushHandle> {
@@ -316,9 +316,9 @@ impl JobCtx {
         Ok(handle)
     }
 
-    /// The storage engine checkpoints go into: the tenancy's view.
+    /// The storage engine checkpoints go into: the job's tenant view.
     pub fn storage(&self) -> &CheckpointStorage {
-        self.tenancy.storage()
+        &self.storage
     }
 
     /// The coordinator driving this world.
@@ -391,7 +391,7 @@ enum RankOutcome<T> {
 /// The coordinated job orchestrator.
 ///
 /// One `JobRuntime` owns a job across its whole life: the initial launch, every
-/// coordinated checkpoint (through one checkpoint-service tenancy), an injected
+/// coordinated checkpoint (through one tenant view of a chunk space), an injected
 /// preemption, and the restart onto a fresh world — possibly on a different
 /// [`Backend`]. All scenarios the examples cover (quickstart, cross-implementation
 /// restart, preemptible job, implementation shootout) are method calls on this type.
@@ -402,11 +402,11 @@ pub struct JobRuntime {
     /// [`JobRuntime::restart_resized`] (directly or via the self-healing loop's
     /// elastic shrink).
     world_size: AtomicUsize,
-    /// The service tenancy every checkpoint goes through, shared across runs and
-    /// restarts: a shared service's ([`JobRuntime::with_service`]), or that of a
-    /// private service whose sole tenant writes the job's own store. Its storage
-    /// is where every generation lands and every restart reads.
-    tenancy: ServiceHandle,
+    /// The tenant view every checkpoint goes through, shared across runs and
+    /// restarts: a shared service's tenant ([`JobRuntime::with_service`]), or the
+    /// job's own store. Every generation lands here, every write meters itself here
+    /// and every restart reads from here.
+    storage: CheckpointStorage,
     registry: Arc<RwLock<UserFunctionRegistry>>,
     session: AtomicU64,
     kill_armed: AtomicBool,
@@ -437,22 +437,12 @@ impl JobRuntime {
         JobRuntime::with_storage(config, CheckpointStorage::unmetered())
     }
 
-    /// A runtime writing checkpoints into the given store (metered models, custom
-    /// shard counts, or a store shared with an inspector). The job is the sole
-    /// tenant of a private [`CkptService`] over this very store, so every
-    /// generation lands in its catalog; the service's flusher pool spawns no thread
-    /// until the job first flushes asynchronously.
+    /// A runtime writing checkpoints into the given store (custom shard counts, a
+    /// tenant view of a shared chunk space, or a store shared with an inspector).
+    /// Every generation lands in its catalog and every write is metered against its
+    /// tenant; its space's flusher pool spawns no thread until the job first flushes
+    /// asynchronously.
     pub fn with_storage(config: JobConfig, storage: CheckpointStorage) -> Self {
-        JobRuntime::with_service(config, CkptService::sole_tenant(storage))
-    }
-
-    /// A runtime attached to a multi-tenant [`CkptService`] tenancy: every
-    /// checkpoint lands in the tenant's namespaced view of the service's shared,
-    /// deduplicated chunk space, asynchronous flushes ride the service's shared pool
-    /// under its admission control (a rejected submission falls back to a
-    /// synchronous write — a checkpoint is never skipped), and every landed write is
-    /// metered against the tenant's quota.
-    pub fn with_service(config: JobConfig, tenancy: ServiceHandle) -> Self {
         let chaos = config.chaos.clone().map(|plan| ChaosArm {
             ids: (0..plan.faults.len()).collect(),
             remaining: plan.clone(),
@@ -464,12 +454,19 @@ impl JobRuntime {
             mid_kill_armed: AtomicBool::new(config.preempt_mid_step_at.is_some()),
             world_size: AtomicUsize::new(config.world_size),
             config,
-            tenancy,
+            storage,
             registry: Arc::new(RwLock::new(UserFunctionRegistry::new())),
             session: AtomicU64::new(1),
             fabric: Mutex::new(None),
             chaos: Mutex::new(chaos),
         }
+    }
+
+    /// A runtime over a [`ckpt_store::CkptService`] tenant's view: its namespace in
+    /// the service's shared, deduplicated chunk space (see
+    /// [`JobRuntime::with_storage`]).
+    pub fn with_service(config: JobConfig, handle: ckpt_store::ServiceHandle) -> Self {
+        JobRuntime::with_storage(config, handle.storage().clone())
     }
 
     /// The job configuration.
@@ -479,7 +476,7 @@ impl JobRuntime {
 
     /// The checkpoint store every generation of this job lands in.
     pub fn storage(&self) -> &CheckpointStorage {
-        self.tenancy.storage()
+        &self.storage
     }
 
     /// The shared user-function registry (survives restarts, as user-defined
@@ -665,7 +662,7 @@ impl JobRuntime {
         // abort-and-forget could otherwise be counted toward the new incarnation's
         // round for the same generation number. The wait is tenant-scoped, never on
         // the service's whole pool, which other tenants' traffic could starve.
-        self.tenancy.wait_idle();
+        self.storage.wait_idle();
         let lowers = self.relaunch(backend, world, false)?;
         let remap = self
             .config
@@ -711,7 +708,7 @@ impl JobRuntime {
     fn ctx(&self, coordinator: Arc<Coordinator>) -> JobCtx {
         JobCtx {
             coordinator,
-            tenancy: self.tenancy.clone(),
+            storage: self.storage.clone(),
         }
     }
 
@@ -758,7 +755,7 @@ impl JobRuntime {
         // Let a dead incarnation's straggler flushes land *before* deciding what the
         // newest committed generation is: a flush that commits a moment from now
         // counts as committed, not as "nothing to resume from".
-        self.tenancy.wait_idle();
+        self.storage.wait_idle();
         // Its pending rounds are torn by definition: abort them whichever way the
         // job starts, or a fresh launch would join a dead round of the same number.
         // Every flush has landed, so the tombstones have nothing left to catch.
@@ -961,7 +958,7 @@ impl JobRuntime {
         let sink = if self.config.async_checkpoint && !self.config.checkpoint_mid_step {
             // Here, not on the first submitting rank thread, whose core binding
             // the workers would inherit.
-            self.tenancy.start_pool();
+            self.storage.start_pool();
             Sink::Pool
         } else {
             Sink::InPlace

@@ -21,14 +21,14 @@
 //!
 //! Every checkpoint — synchronous or asynchronous, at a step boundary or inside a
 //! step — runs the same round: quiesce → drain → freeze → sink, into the job's one
-//! checkpoint-service tenancy. Every job is a tenant from construction: of a shared
-//! service, or else the sole tenant of a private service that writes the job's own
-//! store. Only the route differs: the tenancy's storage written in place and
-//! metered as it lands (steps 3-4 above), or the frozen image submitted through the
-//! tenancy's admission control, where nobody waits at a barrier. Either way the
-//! store commits the generation when the last rank's image lands. A job without a
-//! shared service that never checkpoints asynchronously runs no flusher thread: its
-//! private pool spawns its workers only when the job first flushes.
+//! [`ckpt_store::CheckpointStorage`]. Every storage view is a tenant of its chunk
+//! space, so every job is a tenant: of a shared service's space, or else the first
+//! tenant of its own store's. Only the route differs: the storage written in place
+//! (steps 3-4 above), or the frozen image submitted through the view's admission
+//! control, where nobody waits at a barrier. Either way the write meters itself
+//! where it lands, and the store commits the generation when the last rank's image
+//! lands. A job that never checkpoints asynchronously runs no flusher thread: its
+//! space's pool spawns its workers only when the job first flushes.
 //!
 //! The [`JobRuntime`] on top adds periodic checkpoint intervals, injected preemption
 //! (kill-at-step), restart from the newest fully-valid generation (optionally on a

@@ -5,10 +5,11 @@
 //! [`JobCtx::checkpoint_async`], a step-boundary checkpoint of the drive loop, and
 //! a mid-step intent serviced inside a collective wrapper — is one call to
 //! [`checkpoint_round`]. The MPI-level phases are the same for all of them, and so
-//! is where the image goes: the job's one checkpoint-service tenancy. Only how it
-//! gets there differs, and that is the [`Sink`], chosen once per run.
+//! is where the image goes: the job's one storage, a tenant view that meters every
+//! write where it lands. Only how it gets there differs, and that is the [`Sink`],
+//! chosen once per run.
 //!
-//! The round announces the generation *pending* on the tenancy's storage, so a
+//! The round announces the generation *pending* on the job's storage, so a
 //! half-written generation is never visible to readers nor mistaken for the newest
 //! committed one by a concurrent `prune_before`, and hands the store the step the
 //! generation resumes from; a round that fails after the announcement aborts the
@@ -28,15 +29,15 @@ use mana::{CheckpointIntercept, IntentOutcome, ManaRank};
 use mpi_model::error::MpiResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How a round's image reaches the job's tenancy.
+/// How a round's image reaches the job's storage.
 #[derive(Clone, Copy)]
 pub(crate) enum Sink {
-    /// Write the live upper half in place into the tenancy's storage on the rank
-    /// thread (no freeze copy), then wait at the commit barrier until every rank has
+    /// Write the live upper half in place into the job's storage on the rank thread
+    /// (no freeze copy), then wait at the commit barrier until every rank has
     /// written: the last write committed the generation, so no rank returns before
-    /// the commit. The write is metered against the tenancy as soon as it lands.
+    /// the commit.
     InPlace,
-    /// Freeze the image and submit it through the tenancy's admission control. The
+    /// Freeze the image and submit it through the storage's admission control. The
     /// rank returns at once, and nobody blocks on a barrier. A rejected submission
     /// is written synchronously on the rank thread — a checkpoint is never skipped —
     /// and lands like a worker's write: its peers may have been admitted and
@@ -90,13 +91,10 @@ fn deliver(
     sink: Sink,
     intent: Option<IntentSnapshot>,
 ) -> MpiResult<(FlushHandle, Option<IntentSnapshot>)> {
-    let service = &ctx.tenancy;
+    let storage = ctx.storage();
     match sink {
         Sink::InPlace => {
-            let report = rank.write_checkpoint_into(service.storage())?;
-            // Metered as it lands, like a worker's write: the landing may have
-            // committed the round, which stays committed if the barrier fails.
-            service.note_external_write(&report);
+            let report = rank.write_checkpoint_into(storage)?;
             let decided =
                 ctx.coordinator()
                     .commit_inner(rank.world_rank(), report.generation, intent)?;
@@ -104,10 +102,10 @@ fn deliver(
         }
         Sink::Pool => {
             let policy = rank.config().storage;
-            let handle = match service.submit(policy, rank.snapshot_checkpoint()?) {
+            let handle = match storage.submit(policy, rank.snapshot_checkpoint()?) {
                 Ok(handle) => handle,
                 Err(rejected) => {
-                    FlushHandle::ready(service.write_sync_fallback(policy, &rejected.image))
+                    FlushHandle::ready(storage.write_sync_fallback(policy, &rejected.image))
                 }
             };
             Ok((handle, None))
@@ -197,7 +195,7 @@ mod tests {
                 ctx.storage().begin_generation(rank.generation(), 1);
                 ctx.coordinator().abort("a peer died after the last write");
                 let delivered = deliver(rank, &ctx, Sink::InPlace, None);
-                Ok((delivered.is_err(), ctx.tenancy.stats()))
+                Ok((delivered.is_err(), ctx.storage().tenant_stats()))
             })
             .unwrap();
         let (failed, stats) = &results[0];

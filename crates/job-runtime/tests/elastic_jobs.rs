@@ -12,7 +12,6 @@
     reason = "helpers outside #[test] functions fail the test by panicking, as the tests do"
 )]
 
-use net_sim::clock;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -248,30 +247,21 @@ fn chained_restarts_across_mixed_size_generations() {
 #[test]
 fn node_failure_shrinks_the_world_onto_the_survivors() {
     let reference = baseline();
-    let runtime = Arc::new(JobRuntime::new(
-        elastic_config().with_heartbeat_deadline(Duration::from_millis(100)),
-    ));
-
-    let driver = {
-        let runtime = Arc::clone(&runtime);
-        std::thread::spawn(move || runtime.run_steps_self_healing(STEPS, shard_fold_step))
-    };
-    // Once a generation has committed, take out the node hosting ranks 2 and 3.
-    let deadline = clock::now() + Duration::from_secs(10);
-    loop {
-        if runtime.published_generation().is_some() {
-            break;
-        }
-        assert!(clock::now() < deadline, "no checkpoint ever committed");
-        clock::sleep(Duration::from_millis(1));
-    }
-    let fabric = runtime.fabric().expect("world is up");
-    fabric.install_chaos(ChaosPlan::from_faults(vec![FaultKind::KillNode {
-        ranks: vec![2, 3],
-        at_op: 0,
-    }]));
-
-    let (run, log) = driver.join().unwrap().unwrap();
+    // The node hosting ranks 2 and 3 dies at a global fabric operation past the
+    // first commit (generation 0 commits near operation 28 of this world, generation
+    // 1 near 56): the plan is armed before the run, so the kill is tied to the job's
+    // progress rather than to a wall-clock race with it.
+    let runtime = JobRuntime::new(
+        elastic_config()
+            .with_heartbeat_deadline(Duration::from_millis(100))
+            .with_chaos(ChaosPlan::from_faults(vec![FaultKind::KillNode {
+                ranks: vec![2, 3],
+                at_op: 44,
+            }])),
+    );
+    let (run, log) = runtime
+        .run_steps_self_healing(STEPS, shard_fold_step)
+        .unwrap();
     let results = run.results().unwrap();
     assert_eq!(
         runtime.current_world_size(),
@@ -303,5 +293,15 @@ fn node_failure_shrinks_the_world_onto_the_survivors() {
             RecoveryEventKind::RanksDeclaredDead { ranks, .. } if !ranks.is_empty()
         )),
         "the node failure was never declared"
+    );
+    assert!(
+        log.events().iter().any(|e| matches!(
+            e.kind,
+            RecoveryEventKind::FallbackRestored {
+                generation: Some(_),
+                ..
+            }
+        )),
+        "the shrink must restore a committed generation, not relaunch from scratch"
     );
 }

@@ -233,11 +233,11 @@ fn incremental_policy_applies_through_the_orchestrator() {
 }
 
 /// Every route a boundary checkpoint can take through the step driver — the
-/// synchronous store, the sole tenant of the job's private service, a service tenant
-/// whose submissions are admitted, a service tenant whose every submission takes the
-/// synchronous fallback, and mid-step mode's boundary hook — publishes every
-/// boundary generation, leaves nothing pending, stores the same bytes, and computes
-/// the same results.
+/// synchronous store, the same store flushed asynchronously through its own pool, a
+/// service tenant whose submissions are admitted, a service tenant whose every
+/// submission takes the synchronous fallback, and mid-step mode's boundary hook —
+/// publishes every boundary generation, leaves nothing pending, stores the same
+/// bytes, and computes the same results.
 #[test]
 fn async_checkpoint_publishes_every_boundary_generation() {
     const WORLD: usize = 4;
@@ -264,7 +264,7 @@ fn async_checkpoint_publishes_every_boundary_generation() {
     let routes = [
         ("sync store", JobRuntime::new(config())),
         (
-            "private tenant",
+            "own store, async",
             JobRuntime::new(config().with_async_checkpoint()),
         ),
         (
@@ -598,10 +598,11 @@ fn async_checkpoint_preemption_resumes_from_committed_generation() {
     assert_eq!(resumed.results().unwrap(), reference.results().unwrap());
 }
 
-/// A job without a service flushes as the sole tenant of a private one. Dropping the
+/// A job without a service flushes through its own storage's pool. Dropping the
 /// runtime while a free-form body's un-waited asynchronous checkpoint may still be in
-/// flight drains that flusher: the generation commits in the job's own storage and
-/// no flush is poisoned.
+/// flight loses nothing: each queued flush holds the storage, whose space owns the
+/// pool, so once the tenant is idle the generation has committed in the job's own
+/// storage and no flush is poisoned.
 #[test]
 fn dropping_the_runtime_lands_an_unwaited_async_checkpoint() {
     const WORLD: usize = 2;
@@ -617,6 +618,7 @@ fn dropping_the_runtime_lands_an_unwaited_async_checkpoint() {
         })
         .unwrap();
     drop(runtime);
+    storage.wait_idle();
     assert_eq!(storage.generations(), vec![0]);
     assert!(storage.pending_generations().is_empty());
     assert_eq!(storage.read_job(0, WORLD).unwrap().len(), WORLD);

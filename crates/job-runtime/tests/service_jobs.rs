@@ -3,10 +3,16 @@
 //! admission-control fallback (ISSUE 6 satellite: a rejected async submission must
 //! fall back to a synchronous write — a checkpoint is never skipped).
 
-use ckpt_store::{CkptService, ServiceConfig, TenantQuota};
+use ckpt_store::{
+    AdmissionError, CkptService, ServiceConfig, StoragePolicy, StoreReport, TenantQuota,
+};
 use job_runtime::{Backend, JobConfig, JobRuntime};
 use mana::{Op, Session};
 use mpi_model::error::MpiResult;
+use split_proc::address_space::UpperHalfSpace;
+use split_proc::image::{CheckpointImage, ImageMetadata};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const WORLD: usize = 2;
 const STATE: &str = "app.state";
@@ -187,7 +193,7 @@ fn concurrent_service_jobs_with_quotas_all_complete_and_stay_restartable() {
     }
 
     for (j, tenant) in tenants.iter().enumerate() {
-        tenant.wait_idle();
+        tenant.storage().wait_idle();
         let stats = tenant.stats();
         assert!(
             stats.committed_generations <= 2,
@@ -202,4 +208,78 @@ fn concurrent_service_jobs_with_quotas_all_complete_and_stay_restartable() {
         assert_eq!(generation, 5, "job {j} must keep its newest generation");
         assert_eq!(images.len(), WORLD);
     }
+}
+
+/// A one-rank image of `generation` whose content depends on `seed` only.
+fn image(seed: u8, generation: u64) -> CheckpointImage {
+    let mut upper = UpperHalfSpace::new();
+    upper.map_region(
+        STATE,
+        (0..48 * 1024)
+            .map(|i| (i * 7) as u8 ^ seed)
+            .collect::<Vec<u8>>(),
+    );
+    CheckpointImage::new(
+        ImageMetadata {
+            rank: 0,
+            world_size: 1,
+            generation,
+            implementation: "mpich".into(),
+        },
+        upper,
+    )
+}
+
+/// One image by each write route into one tenant view — a plain `write_image`,
+/// `ManaRank::write_checkpoint_into`, an admitted submission and a rejected
+/// submission's synchronous fallback — and the tenant's accounting is exactly the
+/// sum of the four reports: every landed write meters itself once, whatever route
+/// wrote it.
+#[test]
+fn every_write_route_is_metered_exactly_once() {
+    let service = CkptService::new(ServiceConfig {
+        flusher_workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let tenant =
+        service.register_tenant_with("routes", TenantQuota::default().with_max_in_flight(1));
+    let storage = tenant.storage();
+    let policy = StoragePolicy::Incremental;
+    let mut reports: Vec<StoreReport> = Vec::new();
+
+    reports.push(storage.write_image(policy, &image(1, 10)));
+
+    let mut ranks = JobRuntime::new(JobConfig::new(1, Backend::Mpich))
+        .launch()
+        .unwrap();
+    reports.push(ranks[0].write_checkpoint_into(storage).unwrap());
+
+    // The admitted flush is held in its callback, so the tenant's budget of one is
+    // spent and the next submission is turned away.
+    let (release, held) = mpsc::channel::<()>();
+    let admitted = storage
+        .submit_with(policy, image(2, 11), move |_| {
+            let _ = held.recv_timeout(Duration::from_secs(10));
+        })
+        .unwrap();
+    let rejected = storage.submit(policy, image(3, 12)).unwrap_err();
+    assert!(matches!(
+        rejected.error,
+        AdmissionError::TenantBudgetExhausted { .. }
+    ));
+    reports.push(storage.write_sync_fallback(policy, &rejected.image));
+    drop(release);
+    reports.push(admitted.wait());
+    storage.wait_idle();
+
+    let sum = |field: fn(&StoreReport) -> usize| reports.iter().map(field).sum::<usize>() as u64;
+    let stats = tenant.stats();
+    assert_eq!(stats.logical_bytes_written, sum(|r| r.logical_bytes));
+    assert_eq!(stats.physical_bytes_written, sum(|r| r.written_bytes));
+    assert_eq!(stats.chunks_new, sum(|r| r.chunks_new));
+    assert_eq!(stats.chunks_reused, sum(|r| r.chunks_reused));
+    assert_eq!(stats.sync_fallbacks, 1);
+    assert_eq!(stats.rejected_submissions, 1);
+    assert_eq!(stats.in_flight, 0);
 }

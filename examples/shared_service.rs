@@ -46,7 +46,7 @@ fn main() -> MpiResult<()> {
             tenant.clone(),
         );
         let results = runtime.run_steps(STEPS, step)?.results()?;
-        tenant.wait_idle();
+        tenant.storage().wait_idle();
 
         let stats = tenant.stats();
         println!(

@@ -49,7 +49,6 @@ fn write_generations(handle: &ServiceHandle, seed: u64) -> u64 {
             .storage()
             .write_image(StoragePolicy::Incremental, &image);
         logical += report.logical_bytes as u64;
-        handle.note_external_write(&report);
     }
     logical
 }

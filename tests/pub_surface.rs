@@ -62,11 +62,10 @@ apps         PerlmutterSpec::mana_virtid_craympi item 9 input
 net-sim      ChaosMenu::collective_crashes     set by struct-update syntax in tests/examples
 net-sim      ChaosMenu::node_failures          set by struct-update syntax in tests/examples
 net-sim      ChaosMenu::ranks_per_node         set by struct-update syntax in tests/examples
-ckpt-store   ServiceConfig::default_quota      set by struct-update syntax in tests/examples
 # Types a caller reaches through a public signature without naming them.
 ckpt-store   TenantId               the type of the public field TenantStats::tenant
-ckpt-store   RejectedSubmission     in the public signature of ServiceHandle::submit_with
-ckpt-store   TenantStats            in the public signature of ServiceHandle::stats
+ckpt-store   RejectedSubmission     in the public signature of CheckpointStorage::submit_with
+ckpt-store   TenantStats            in the public signature of CheckpointStorage::tenant_stats
 ckpt-store   ServiceStats           in the public signature of CkptService::stats
 ckpt-store   StorageConfig          in the public signature of CheckpointStorage::config
 ckpt-store   PruneReport            in the public signature of CheckpointStorage::prune_before
