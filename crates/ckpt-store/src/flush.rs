@@ -25,6 +25,7 @@
 //! a *pending* — never a torn visible — generation, and restart falls back to the
 //! newest committed one exactly as it falls back from a torn synchronous write.
 
+use crate::service::Admitted;
 use crate::store::{CheckpointStorage, StoreReport};
 use crate::StoragePolicy;
 use parking_lot::{Condvar, Mutex};
@@ -47,6 +48,9 @@ struct FlushJob {
     storage: CheckpointStorage,
     handle: Arc<HandleState>,
     on_flushed: FlushCallback,
+    /// The in-flight slot a view's admission granted, if one did: released in the
+    /// critical section that completes the handle.
+    slot: Option<Admitted>,
 }
 
 /// Where one flush job stands.
@@ -210,6 +214,19 @@ impl FlusherPool {
         image: CheckpointImage,
         on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
     ) -> FlushHandle {
+        self.enqueue(storage, policy, image, Box::new(on_flushed), None)
+    }
+
+    /// [`submit_to`](FlusherPool::submit_to) for a submission a view admitted into
+    /// `slot` (or none).
+    pub(crate) fn enqueue(
+        &self,
+        storage: &CheckpointStorage,
+        policy: StoragePolicy,
+        image: CheckpointImage,
+        on_flushed: FlushCallback,
+        slot: Option<Admitted>,
+    ) -> FlushHandle {
         let handle = FlushHandle {
             state: Arc::new(HandleState::default()),
             generation: image.metadata.generation,
@@ -221,7 +238,8 @@ impl FlusherPool {
             image,
             storage: storage.clone(),
             handle: Arc::clone(&handle.state),
-            on_flushed: Box::new(on_flushed),
+            on_flushed,
+            slot,
         });
         self.shared.work_cv.notify_one();
         handle
@@ -246,7 +264,7 @@ impl Drop for FlusherPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let job = {
+        let mut job = {
             let mut state = shared.state.lock();
             loop {
                 if let Some(job) = state.jobs.pop_front() {
@@ -261,19 +279,26 @@ fn worker_loop(shared: &PoolShared) {
         // Panic containment: a panic in the storage write, the submitter's callback
         // or the drop of the job's storage must not wedge the pool — the handle
         // completes (as poisoned) either way, so `wait` reports the failure instead
-        // of hanging forever. The job, its storage included, is dropped in here,
-        // before the handle completes: it may hold the last handle on its space.
-        let handle = Arc::clone(&job.handle);
+        // of hanging forever. The job's storage is dropped in here, before the
+        // handle completes, and its admission slot's view after: either may be the
+        // last handle on its space, whose pool then detaches this worker.
+        let (handle, slot) = (Arc::clone(&job.handle), job.slot.take());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let report = job.storage.write_image(job.policy, &job.image);
             (job.on_flushed)(&report);
             report
         }));
-        *handle.outcome.lock() = match outcome {
-            Ok(report) => FlushOutcome::Done(report),
-            Err(_) => FlushOutcome::Poisoned,
+        let complete = || {
+            *handle.outcome.lock() = match outcome {
+                Ok(report) => FlushOutcome::Done(report),
+                Err(_) => FlushOutcome::Poisoned,
+            };
+            handle.done_cv.notify_all();
         };
-        handle.done_cv.notify_all();
+        match slot {
+            Some(slot) => slot.release(complete),
+            None => complete(),
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use crate::{
 use mpi_model::error::MpiResult;
 use parking_lot::{Condvar, Mutex};
 use split_proc::image::CheckpointImage;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Identifies one tenant of a chunk space.
@@ -114,7 +114,7 @@ impl std::fmt::Debug for RejectedSubmission {
 }
 
 /// Per-tenant accounting, as reported by [`CheckpointStorage::tenant_stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// The tenant's id.
     pub tenant: TenantId,
@@ -165,7 +165,11 @@ impl TenantStats {
 /// Service-wide accounting, as reported by [`CkptService::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Per-tenant accounting, in registration order.
+    /// Per-tenant accounting of the tenants registered through
+    /// [`CkptService::register_tenant_with`], in registration order. The space's
+    /// first view (the service's own [`storage`](CkptService::storage), tenant 0)
+    /// and plain [`tenant_view`](CheckpointStorage::tenant_view)s are left out, and
+    /// so are their writes from [`ServiceStats::dedup_ratio`].
     pub tenants: Vec<TenantStats>,
     /// Async submissions currently in flight across all tenants.
     pub in_flight: usize,
@@ -186,42 +190,28 @@ impl ServiceStats {
     }
 }
 
-/// Mutable per-tenant accounting, behind the tenant's own lock so one tenant's
-/// quota enforcement never blocks another tenant's submissions. What the tenant's
-/// live generations hold is not kept here: the view's catalog records each slot's
-/// logical bytes.
-#[derive(Default)]
-struct TenantState {
-    in_flight: usize,
-    logical_bytes_written: u64,
-    physical_bytes_written: u64,
-    chunks_new: u64,
-    chunks_reused: u64,
-    reclaimed_generations: u64,
-    reclaimed_physical_bytes: u64,
-    reclaimed_logical_bytes: u64,
-    rejected_submissions: u64,
-    sync_fallbacks: u64,
-}
-
 /// The tenant a view's catalog carries: who writes the view, under which quota,
 /// and what its writes and submissions have cost so far.
 pub(crate) struct Tenant {
-    id: TenantId,
-    name: String,
     quota: TenantQuota,
-    state: Mutex<TenantState>,
+    /// The tenant's accounting, behind its own lock so one tenant's quota
+    /// enforcement never blocks another tenant's submissions. Its two live-set
+    /// fields stay 0 here: the view's catalog records each slot's logical bytes.
+    state: Mutex<TenantStats>,
     /// Signalled whenever the tenant's in-flight count drops; `wait_idle` waits here.
     idle: Condvar,
 }
 
 impl Tenant {
-    pub(crate) fn new(id: TenantId, name: &str, quota: TenantQuota) -> Tenant {
+    pub(crate) fn new(tenant: TenantId, name: &str, quota: TenantQuota) -> Tenant {
+        let name = name.to_string();
         Tenant {
-            id,
-            name: name.to_string(),
             quota,
-            state: Mutex::default(),
+            state: Mutex::new(TenantStats {
+                tenant,
+                name,
+                ..TenantStats::default()
+            }),
             idle: Condvar::new(),
         }
     }
@@ -229,28 +219,17 @@ impl Tenant {
     /// The tenant's accounting, given its view's committed generations and their
     /// logical sizes.
     pub(crate) fn stats(&self, committed: &[(u64, u64)]) -> TenantStats {
-        let state = self.state.lock();
         TenantStats {
-            tenant: self.id,
-            name: self.name.clone(),
-            logical_bytes_written: state.logical_bytes_written,
-            physical_bytes_written: state.physical_bytes_written,
-            chunks_new: state.chunks_new,
-            chunks_reused: state.chunks_reused,
             committed_generations: committed.len(),
             live_logical_bytes: committed.iter().map(|(_, bytes)| bytes).sum(),
-            reclaimed_generations: state.reclaimed_generations,
-            reclaimed_physical_bytes: state.reclaimed_physical_bytes,
-            reclaimed_logical_bytes: state.reclaimed_logical_bytes,
-            rejected_submissions: state.rejected_submissions,
-            sync_fallbacks: state.sync_fallbacks,
-            in_flight: state.in_flight,
+            ..self.state.lock().clone()
         }
     }
 }
 
 /// What every view of one chunk space shares beside its tier state: the flusher
-/// pool, admission's space-wide cap, the hot-set target and the tenant registry.
+/// pool, admission's space-wide cap, the hot-set target and the service's tenant
+/// registry.
 pub(crate) struct Space {
     pool: FlusherPool,
     max_in_flight_total: usize,
@@ -259,9 +238,12 @@ pub(crate) struct Space {
     /// At most one spill pass runs at a time; concurrent triggers are dropped (the
     /// running pass already drives the hot set to target).
     spilling: AtomicBool,
-    /// The views [`CheckpointStorage::tenant_view`] added, in order: what
-    /// [`CkptService::stats`] reports.
-    tenants: Mutex<Vec<Arc<View>>>,
+    /// The last tenant id handed out: the space's first view is tenant 0.
+    last_id: AtomicU64,
+    /// The views [`CkptService::register_tenant_with`] added, in order: what
+    /// [`CkptService::stats`] reports. A plain tenant view is not entered, so it is
+    /// freed with its last handle.
+    registry: Mutex<Vec<Arc<View>>>,
 }
 
 impl Space {
@@ -279,18 +261,16 @@ impl Space {
             in_flight_total: AtomicUsize::new(0),
             hot_bytes_target: config.hot_bytes_target,
             spilling: AtomicBool::new(false),
-            tenants: Mutex::default(),
+            last_id: AtomicU64::new(0),
+            registry: Mutex::default(),
         }
     }
 
-    /// A view carrying a new tenant of this space, entered in the registry. Ids
-    /// count from 1: the space's first tenant is 0.
-    pub(crate) fn register(&self, name: &str, quota: TenantQuota) -> Arc<View> {
-        let mut tenants = self.tenants.lock();
-        let id = tenants.len() as TenantId + 1;
-        let view = Arc::new(View::new(Tenant::new(id, name, quota)));
-        tenants.push(Arc::clone(&view));
-        view
+    /// A view carrying a new tenant of this space. Ids count from 1: the space's
+    /// first tenant is 0.
+    pub(crate) fn new_tenant(&self, name: &str, quota: TenantQuota) -> Arc<View> {
+        let id = self.last_id.fetch_add(1, Ordering::Relaxed) + 1;
+        Arc::new(View::new(Tenant::new(id, name, quota)))
     }
 }
 
@@ -328,7 +308,7 @@ impl CheckpointStorage {
             AdmissionError::PoolSaturated { in_flight, limit }
         } else if state.in_flight >= budget {
             AdmissionError::TenantBudgetExhausted {
-                tenant: tenant.id,
+                tenant: state.tenant,
                 in_flight: state.in_flight,
                 budget,
             }
@@ -336,14 +316,11 @@ impl CheckpointStorage {
             state.in_flight += 1;
             self.space.in_flight_total.fetch_add(1, Ordering::Relaxed);
             drop(state);
-            let admitted = Admitted(self.clone());
+            let slot = Some(Admitted(self.clone()));
             return Ok(self
                 .space
                 .pool
-                .submit_to(self, policy, image, move |report| {
-                    on_flushed(report);
-                    drop(admitted);
-                }));
+                .enqueue(self, policy, image, Box::new(on_flushed), slot));
         };
         state.rejected_submissions += 1;
         let image = Box::new(image);
@@ -448,7 +425,7 @@ impl CheckpointStorage {
     /// Space-wide accounting: the registered tenants' stats plus shared-space
     /// occupancy.
     pub(crate) fn space_stats(&self) -> ServiceStats {
-        let views: Vec<Arc<View>> = self.space.tenants.lock().clone();
+        let views: Vec<Arc<View>> = self.space.registry.lock().clone();
         let tenants: Vec<TenantStats> = views
             .iter()
             .map(|view| view.tenant.stats(&view.committed_sizes()))
@@ -461,15 +438,18 @@ impl CheckpointStorage {
     }
 }
 
-/// One admitted submission's in-flight slot, carried by its flush callback and
-/// released when that is dropped: after the submitter's callback has run, or while
-/// unwinding from a write or callback that panicked.
-struct Admitted(CheckpointStorage);
+/// One admitted submission's in-flight slot, carried by its flush job and released
+/// after the submitter's callback has run (or the write or callback panicked).
+pub(crate) struct Admitted(CheckpointStorage);
 
-impl Drop for Admitted {
-    fn drop(&mut self) {
+impl Admitted {
+    /// Release the slot in one critical section with `complete`, which completes
+    /// the submission's handle: a tenant found idle has every handle complete, and
+    /// a completed handle's tenant has its slot back.
+    pub(crate) fn release(self, complete: impl FnOnce()) {
         let tenant = &self.0.view.tenant;
         let mut state = tenant.state.lock();
+        complete();
         state.in_flight = state.in_flight.saturating_sub(1);
         self.0.space.in_flight_total.fetch_sub(1, Ordering::Relaxed);
         tenant.idle.notify_all();
@@ -497,9 +477,10 @@ impl CkptService {
 
     /// A service over a caller-built chunk space (cold tier, shard count and chunk
     /// size included), whose space it rebuilds under `config` before it is shared.
-    pub fn with_storage(config: ServiceConfig, mut storage: CheckpointStorage) -> Self {
-        storage.space = Arc::new(Space::new(&config));
-        CkptService { storage }
+    pub fn with_storage(config: ServiceConfig, storage: CheckpointStorage) -> Self {
+        CkptService {
+            storage: storage.with_space(&config),
+        }
     }
 
     /// Register a tenant under the default quota.
@@ -512,9 +493,10 @@ impl CkptService {
     /// comes from a rank thread, whose core binding the workers would inherit.
     pub fn register_tenant_with(&self, name: &str, quota: TenantQuota) -> ServiceHandle {
         self.storage.start_pool();
-        ServiceHandle {
-            storage: self.storage.add_tenant(name, quota),
-        }
+        let storage = self.storage.add_tenant(name, quota);
+        let registry = &self.storage.space.registry;
+        registry.lock().push(Arc::clone(&storage.view));
+        ServiceHandle { storage }
     }
 
     /// The shared chunk space (useful for occupancy inspection and explicit

@@ -420,7 +420,7 @@ pub struct CheckpointStorage {
     /// tenant view of this chunk space.
     tier: Arc<TierState>,
     /// The flusher pool, admission cap, hot-set target and tenant registry, shared
-    /// like the tier state.
+    /// like the tier state. Set only here, by `unmetered` and `with_space`.
     pub(crate) space: Arc<Space>,
     chunk_size: usize,
 }
@@ -495,11 +495,21 @@ impl CheckpointStorage {
         self
     }
 
+    /// Rebuild the space's shared state (flusher pool, admission cap, hot-set
+    /// target, tenant registry) under `config`.
+    ///
+    /// Must be called before the store is shared (cloned or viewed), like
+    /// [`with_cold_tier`](CheckpointStorage::with_cold_tier).
+    pub(crate) fn with_space(mut self, config: &ServiceConfig) -> Self {
+        self.space = Arc::new(Space::new(config));
+        self
+    }
+
     /// A new catalog namespace over the **same** content-addressed chunk space, and
     /// a new tenant of the space under the default quota.
     ///
     /// The view shares the chunk shards (and their reference counts), the cold tier,
-    /// the LRU clock and the space (pool, admission cap, tenant registry) with
+    /// the LRU clock and the space (pool, admission cap, hot-set target) with
     /// `self`, but has a fresh, empty catalog and pending table, and its own tenant.
     /// This is the tenancy primitive of the multi-tenant checkpoint service:
     /// every tenant writes generations and manifests into its own namespace —
@@ -518,7 +528,7 @@ impl CheckpointStorage {
     pub(crate) fn add_tenant(&self, name: &str, quota: TenantQuota) -> CheckpointStorage {
         CheckpointStorage {
             shards: Arc::clone(&self.shards),
-            view: self.space.register(name, quota),
+            view: self.space.new_tenant(name, quota),
             tier: Arc::clone(&self.tier),
             space: Arc::clone(&self.space),
             chunk_size: self.chunk_size,

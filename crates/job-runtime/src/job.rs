@@ -422,6 +422,16 @@ pub struct JobRuntime {
     chaos: Mutex<Option<ChaosArm>>,
 }
 
+/// Dropping a runtime drains its flushes: every asynchronous checkpoint the job
+/// submitted has landed (and committed, if its round completed) before the drop
+/// returns. The wait is on this job's tenant only, and no flush callback owns a
+/// runtime, so it never waits on the thread it runs on.
+impl Drop for JobRuntime {
+    fn drop(&mut self) {
+        self.storage.wait_idle();
+    }
+}
+
 struct ChaosArm {
     /// The full plan as configured (categories looked up by original id).
     original: ChaosPlan,
@@ -892,11 +902,12 @@ impl JobRuntime {
             let blackout_start = report.first_detection.unwrap_or_else(clock::now);
             // With an elastic policy and ranks declared dead (an unhealed node
             // loss), the job does not relaunch at full size and wait for
-            // replacement nodes: it shrinks the world onto the survivors.
+            // replacement nodes: it shrinks the world onto the survivors of every
+            // rank the failure took, declared or not.
             let previous_world = self.current_world_size();
-            let shrink_to = match (&self.config.elastic, report.declared_dead.len()) {
-                (Some(_), dead) if dead > 0 => {
-                    let survivors = previous_world.saturating_sub(dead).max(1);
+            let shrink_to = match &self.config.elastic {
+                Some(_) if !report.declared_dead.is_empty() => {
+                    let survivors = previous_world.saturating_sub(report.lost().len()).max(1);
                     (survivors < previous_world).then_some(survivors)
                 }
                 _ => None,

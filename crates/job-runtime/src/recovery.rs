@@ -237,8 +237,23 @@ impl RecoveryLog {
 pub struct MonitorReport {
     /// Ranks declared dead, in declaration order.
     pub declared_dead: Vec<Rank>,
+    /// Ranks the fabric marked dead by the time the monitor stopped, ascending.
+    pub(crate) killed: Vec<Rank>,
     /// Instant of the first declaration (the start of the recovery blackout).
     pub(crate) first_detection: Option<Instant>,
+}
+
+impl MonitorReport {
+    /// The ranks the failure took, ascending: those declared and those killed. The
+    /// monitor aborts the world on its first declaration, so a killed rank whose
+    /// heartbeat expires a poll after another's is never declared.
+    pub(crate) fn lost(&self) -> Vec<Rank> {
+        let mut lost = self.declared_dead.clone();
+        lost.extend(&self.killed);
+        lost.sort_unstable();
+        lost.dedup();
+        lost
+    }
 }
 
 struct MonitorShared {
@@ -258,6 +273,7 @@ pub struct HeartbeatMonitor {
     stop: Arc<AtomicBool>,
     shared: Arc<MonitorShared>,
     handle: std::thread::JoinHandle<()>,
+    fabric: Fabric,
 }
 
 impl HeartbeatMonitor {
@@ -279,6 +295,7 @@ impl HeartbeatMonitor {
         let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
         let stop_flag = Arc::clone(&stop);
         let state = Arc::clone(&shared);
+        let watched = fabric.clone();
         let handle = std::thread::spawn(move || {
             let mut declared: Vec<Rank> = Vec::new();
             while !stop_flag.load(Ordering::Acquire) {
@@ -338,6 +355,7 @@ impl HeartbeatMonitor {
             stop,
             shared,
             handle,
+            fabric: watched,
         }
     }
 
@@ -347,6 +365,7 @@ impl HeartbeatMonitor {
         let _ = self.handle.join();
         MonitorReport {
             declared_dead: self.shared.declared.lock().clone(),
+            killed: self.fabric.dead_ranks(),
             first_detection: *self.shared.first_detection.lock(),
         }
     }
@@ -416,8 +435,11 @@ mod tests {
             clock::sleep(Duration::from_millis(2));
         }
         assert!(fabric.aborted(), "monitor never aborted the fabric");
+        // Rank 0 dies too, a moment after the abort: never declared, yet lost.
+        fabric.kill_rank(0, "node-failure");
         let report = monitor.stop();
         assert_eq!(report.declared_dead, vec![1]);
+        assert_eq!(report.lost(), vec![0, 1]);
         assert!(report.first_detection.is_some());
         assert_eq!(coordinator.dead_ranks(), vec![1]);
         // The commit barrier is poisoned: a survivor's commit fails immediately.

@@ -256,7 +256,7 @@ fn node_failure_shrinks_the_world_onto_the_survivors() {
             .with_heartbeat_deadline(Duration::from_millis(100))
             .with_chaos(ChaosPlan::from_faults(vec![FaultKind::KillNode {
                 ranks: vec![2, 3],
-                at_op: 44,
+                at_op: 40,
             }])),
     );
     let (run, log) = runtime

@@ -600,9 +600,8 @@ fn async_checkpoint_preemption_resumes_from_committed_generation() {
 
 /// A job without a service flushes through its own storage's pool. Dropping the
 /// runtime while a free-form body's un-waited asynchronous checkpoint may still be in
-/// flight loses nothing: each queued flush holds the storage, whose space owns the
-/// pool, so once the tenant is idle the generation has committed in the job's own
-/// storage and no flush is poisoned.
+/// flight loses nothing: the drop waits for the job's flushes, so once it returns the
+/// generation has committed in the job's own storage and no flush is poisoned.
 #[test]
 fn dropping_the_runtime_lands_an_unwaited_async_checkpoint() {
     const WORLD: usize = 2;
@@ -618,7 +617,6 @@ fn dropping_the_runtime_lands_an_unwaited_async_checkpoint() {
         })
         .unwrap();
     drop(runtime);
-    storage.wait_idle();
     assert_eq!(storage.generations(), vec![0]);
     assert!(storage.pending_generations().is_empty());
     assert_eq!(storage.read_job(0, WORLD).unwrap().len(), WORLD);
