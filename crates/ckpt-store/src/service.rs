@@ -4,10 +4,10 @@
 //! where it lands ([`CheckpointStorage::write_image`]), then runs the tenant's quota
 //! GC and the space's spill check, whatever route wrote it. What every view of one
 //! chunk space shares beside its tier state is the [`Space`]: the flusher pool, the
-//! admission cap, the hot-set target and the tenant registry. The space owns the
-//! pool and a queued flush holds a clone of its view, so the last handle on a space
-//! can be dropped on a flusher worker, which the pool's drop then detaches instead
-//! of joining. [`CkptService`] and [`ServiceHandle`] are one-field shells over a
+//! admission cap, the hot-set target and the service's tenant registry. The space
+//! owns the pool and a queued flush holds a clone of its view, so the last handle on
+//! a space can be dropped on a flusher worker, which the pool's drop then detaches
+//! instead of joining. [`CkptService`] and [`ServiceHandle`] are one-field shells over a
 //! view, kept for the repo benchmark and the tests.
 
 use crate::gc::{reclaim_cutoff, TenantQuota};
